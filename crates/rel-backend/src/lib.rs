@@ -280,6 +280,11 @@ impl RelStore {
         Ok(())
     }
 
+    /// The storage engine (for size and I/O statistics).
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
     /// Buffer pool statistics, for cold/warm verification.
     pub fn pool_stats(&self) -> storage::PoolStats {
         self.engine.pool_ref().stats()

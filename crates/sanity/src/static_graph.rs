@@ -11,9 +11,9 @@
 //! * per-function facts — which locks are acquired (`.lock()` /
 //!   zero-arg `.read()` / `.write()`) and where their guards drop
 //!   (brace scope or `drop(guard)`), which calls can block (`send`,
-//!   `recv`, `write_all`, `sync_all`, `sync_data`, `join`), and which
-//!   can panic (`unwrap`/`expect`, `panic!`-family macros, non-literal
-//!   indexing) outside `#[cfg(test)]`;
+//!   `recv`, `write_all`, `write_all_at`, `sync_all`, `sync_data`,
+//!   `join`), and which can panic (`unwrap`/`expect`, `panic!`-family
+//!   macros, non-literal indexing) outside `#[cfg(test)]`;
 //! * an approximate call graph: call sites are matched to workspace
 //!   functions **by bare name** (no type or trait-object resolution);
 //! * fixpoint propagation of "may block", "may panic" and the
@@ -103,6 +103,7 @@ const PRIMITIVE_NAMES: &[&str] = &[
     "recv",
     "join",
     "write_all",
+    "write_all_at",
     "sync_all",
     "sync_data",
     "wait",
@@ -464,6 +465,7 @@ pub fn extract_file(rel: &str, p: &Prepared, fns: &mut Vec<FnInfo>) {
             (".send(", "send"),
             (".recv()", "recv"),
             (".write_all(", "write_all"),
+            (".write_all_at(", "write_all_at"),
             (".sync_all()", "sync_all"),
             (".sync_data()", "sync_data"),
             (".join()", "join"),

@@ -450,15 +450,17 @@ impl BTree {
         let kind = handle.lock().kind()?;
         match kind {
             PageKind::BTreeLeaf => {
-                let mut page = handle.lock();
-                match leaf_search(&page, key) {
+                // Searched in its own statement: the latch must be free
+                // again when `fetch_mut` copies the before-image.
+                let found = leaf_search(&handle.lock(), key);
+                match found {
                     Ok(i) => {
+                        let handle = pool.fetch_mut(node)?;
+                        let mut page = handle.lock();
                         let old = leaf_value(&page, i);
                         let n = page.read_u16(COUNT) as usize;
                         leaf_shift_left(&mut page, i, n);
                         page.write_u16(COUNT, (n - 1) as u16);
-                        drop(page);
-                        pool.mark_dirty(node);
                         Ok(Some(old))
                     }
                     Err(_) => Ok(None),

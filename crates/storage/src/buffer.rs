@@ -19,6 +19,21 @@
 //! set exceeded the pool, which the engine surfaces as "commit more often or
 //! enlarge the pool". No-steal means uncommitted data never reaches the
 //! database file, so the write-ahead log only ever needs *redo*.
+//!
+//! # Before-images
+//!
+//! The log records what a transaction *changed* on a page, not the page
+//! (see [`crate::wal`]). To know what changed, [`BufferPool::fetch_mut`]
+//! copies a frame's bytes when it goes from clean to dirty — the page as
+//! the database file and the log last saw it — and commit hands that
+//! before-image, beside the page's current bytes, to
+//! [`BufferPool::for_each_dirty`]'s caller to diff. Every mutation must
+//! therefore go through a handle obtained from `fetch_mut` (or
+//! [`BufferPool::allocate`]) *before* the first byte is written: a change
+//! made through a plain [`BufferPool::fetch`] handle would be missing from
+//! the log. A frame that was never clean (a freshly allocated page) has no
+//! before-image and is logged whole. The copy is made on the write path
+//! only; reads never pay for it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,7 +42,7 @@ use parking_lot::Mutex;
 
 use crate::disk::{DiskManager, IoStats};
 use crate::error::{Result, StorageError};
-use crate::page::{Page, PageId, PageKind};
+use crate::page::{Page, PageId, PageKind, PAGE_SIZE};
 
 /// Shared, lockable reference to a cached page. Holding one pins the frame.
 pub type PageHandle = Arc<Mutex<Page>>;
@@ -36,6 +51,9 @@ struct Frame {
     id: PageId,
     page: PageHandle,
     dirty: bool,
+    /// The page's bytes when the frame last went from clean to dirty;
+    /// taken by [`BufferPool::for_each_dirty`].
+    before: Option<Box<[u8; PAGE_SIZE]>>,
     last_used: u64,
 }
 
@@ -55,6 +73,9 @@ pub struct BufferPool {
     disk: DiskManager,
     frames: Vec<Frame>,
     map: HashMap<u64, usize>,
+    /// Ids of the frames whose `dirty` flag is set, so commit visits the
+    /// write set and not the pool.
+    dirty_ids: Vec<u64>,
     capacity: usize,
     tick: u64,
     stats: PoolStats,
@@ -70,6 +91,7 @@ impl BufferPool {
             disk,
             frames: Vec::new(),
             map: HashMap::new(),
+            dirty_ids: Vec::new(),
             capacity: capacity.max(8),
             tick: 0,
             stats: PoolStats::default(),
@@ -134,10 +156,16 @@ impl BufferPool {
     }
 
     /// Fetch page `id` and mark it dirty (the caller intends to modify it).
+    /// On the frame's clean→dirty transition its bytes are kept as the
+    /// before-image commit diffs against, so call this *before* mutating.
     pub fn fetch_mut(&mut self, id: PageId) -> Result<PageHandle> {
         let handle = self.fetch(id)?;
-        let idx = self.map[&id.0];
-        self.frames[idx].dirty = true;
+        let frame = &mut self.frames[self.map[&id.0]];
+        if !frame.dirty {
+            frame.dirty = true;
+            frame.before = Some(Box::new(*handle.lock().bytes()));
+            self.dirty_ids.push(id.0);
+        }
         Ok(handle)
     }
 
@@ -212,15 +240,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Explicitly mark a resident page dirty.
-    pub fn mark_dirty(&mut self, id: PageId) {
-        if let Some(&idx) = self.map.get(&id.0) {
-            self.frames[idx].dirty = true;
-        } else {
-            debug_assert!(false, "mark_dirty on non-resident page {id}");
-        }
-    }
-
     fn install(&mut self, id: PageId, page: Page, dirty: bool) -> Result<PageHandle> {
         if self.frames.len() >= self.capacity {
             self.evict_one()?;
@@ -231,8 +250,12 @@ impl BufferPool {
             id,
             page: Arc::clone(&handle),
             dirty,
+            before: None,
             last_used: self.tick,
         };
+        if dirty {
+            self.dirty_ids.push(id.0);
+        }
         let idx = self.frames.len();
         self.frames.push(frame);
         self.map.insert(id.0, idx);
@@ -265,45 +288,56 @@ impl BufferPool {
     }
 
     /// Write every dirty frame to the database file and clear its flag.
-    /// Returns the ids that were written. Does **not** fsync; callers pair
+    /// Returns how many were written. Does **not** fsync; callers pair
     /// this with [`BufferPool::sync`] according to their durability protocol.
-    pub fn flush_all(&mut self) -> Result<Vec<PageId>> {
-        let mut written = Vec::new();
-        for i in 0..self.frames.len() {
-            if self.frames[i].dirty {
-                let id = self.frames[i].id;
-                let handle = Arc::clone(&self.frames[i].page);
-                {
-                    // The page latch must stay held across the disk write
-                    // so the frame cannot be mutated mid-flush; this is a
-                    // per-page latch, not a pool-wide lock.
-                    let mut page = handle.lock();
-                    // lint:allow(lock-across-blocking)
-                    self.disk.write_page(&mut page)?;
-                }
-                self.frames[i].dirty = false;
-                written.push(id);
+    pub fn flush_all(&mut self) -> Result<usize> {
+        let mut written = 0;
+        // Popping from the back of a descending list writes in file order
+        // and leaves exactly the unwritten frames listed if a write fails.
+        self.dirty_ids.sort_unstable_by(|a, b| b.cmp(a));
+        while let Some(&id) = self.dirty_ids.last() {
+            let frame = &mut self.frames[self.map[&id]];
+            {
+                // The page latch must stay held across the disk write
+                // so the frame cannot be mutated mid-flush; this is a
+                // per-page latch, not a pool-wide lock.
+                let mut page = frame.page.lock();
+                // lint:allow(lock-across-blocking)
+                self.disk.write_page(&mut page)?;
             }
+            frame.dirty = false;
+            frame.before = None;
+            self.dirty_ids.pop();
+            written += 1;
         }
         Ok(written)
     }
 
-    /// Ids and page-image copies of all currently dirty frames, in id order.
-    /// Used by commit to build write-ahead log records.
-    pub fn dirty_snapshot(&self) -> Vec<(PageId, Page)> {
-        let mut v: Vec<(PageId, Page)> = self
-            .frames
-            .iter()
-            .filter(|f| f.dirty)
-            .map(|f| (f.id, f.page.lock().clone()))
-            .collect();
-        v.sort_by_key(|(id, _)| id.0);
-        v
+    /// Visit every dirty frame in page-id order with its before-image
+    /// (`None` for a frame that was never clean, or already visited) and
+    /// its latched current bytes. `keep` answers whether the frame stays
+    /// dirty: a frame it reports unchanged is clean again and will be
+    /// neither logged nor flushed. The before-image is consumed either
+    /// way — once a page's change is handed to the log the copy no longer
+    /// describes what the log holds, so a frame still dirty at the next
+    /// visit (a failed commit being retried) is logged whole.
+    pub fn for_each_dirty(
+        &mut self,
+        mut keep: impl FnMut(PageId, Option<&[u8; PAGE_SIZE]>, &Page) -> bool,
+    ) {
+        self.dirty_ids.sort_unstable();
+        let (frames, map) = (&mut self.frames, &self.map);
+        self.dirty_ids.retain(|id| {
+            let frame = &mut frames[map[id]];
+            let before = frame.before.take();
+            frame.dirty = keep(frame.id, before.as_deref(), &frame.page.lock());
+            frame.dirty
+        });
     }
 
     /// Number of dirty frames.
     pub fn dirty_count(&self) -> usize {
-        self.frames.iter().filter(|f| f.dirty).count()
+        self.dirty_ids.len()
     }
 
     /// fsync the database file.
@@ -314,10 +348,10 @@ impl BufferPool {
     /// Drop every cached frame. Pinned or dirty frames make this an error;
     /// it is used to simulate a database close/open cycle (cold runs).
     pub fn drop_all(&mut self) -> Result<()> {
-        if let Some(f) = self.frames.iter().find(|f| f.dirty) {
+        if let Some(id) = self.dirty_ids.first() {
             return Err(StorageError::InvalidArgument(format!(
                 "drop_all with dirty page {}",
-                f.id
+                PageId(*id)
             )));
         }
         if let Some(f) = self.frames.iter().find(|f| Arc::strong_count(&f.page) > 1) {
@@ -345,6 +379,7 @@ impl BufferPool {
         }
         self.frames.clear();
         self.map.clear();
+        self.dirty_ids.clear();
         Ok(())
     }
 }
@@ -433,8 +468,7 @@ mod tests {
         h.lock().write_u64(200, 99);
         drop(h);
         assert_eq!(bp.dirty_count(), 1);
-        let written = bp.flush_all().unwrap();
-        assert_eq!(written, vec![id]);
+        assert_eq!(bp.flush_all().unwrap(), 1);
         assert_eq!(bp.dirty_count(), 0);
         bp.drop_all().unwrap();
         let h = bp.fetch(id).unwrap();
@@ -476,25 +510,60 @@ mod tests {
     }
 
     #[test]
-    fn dirty_snapshot_is_sorted_copies() {
-        let (mut bp, path) = pool("snap", 8);
-        let (id2, h2) = bp.allocate().unwrap();
-        let (id1, h1) = bp.allocate().unwrap();
-        h1.lock().write_u64(64, 1);
-        h2.lock().write_u64(64, 2);
-        drop(h1);
-        drop(h2);
-        let snap = bp.dirty_snapshot();
-        assert_eq!(snap.len(), 2);
-        assert!(snap[0].0 .0 < snap[1].0 .0);
+    fn for_each_dirty_visits_the_write_set_in_id_order_with_before_images() {
+        let (mut bp, path) = pool("visit", 8);
+        let (fresh, h) = bp.allocate().unwrap();
+        h.lock().write_u64(64, 1);
+        drop(h);
+        let (edited, h) = bp.allocate().unwrap();
+        drop(h);
+        let (probed, h) = bp.allocate().unwrap();
+        drop(h);
+        let (clean, h) = bp.allocate().unwrap();
+        drop(h);
+        bp.flush_all().unwrap();
+        assert_eq!(bp.dirty_count(), 0);
+
+        // One page never clean, one edited, one fetched for writing but
+        // left alone, one only read.
+        let (newer, h) = bp.allocate().unwrap();
+        h.lock().write_u64(64, 5);
+        drop(h);
+        bp.fetch_mut(edited).unwrap().lock().write_u64(64, 2);
+        // A second fetch_mut of a dirty frame keeps the first before-image.
+        bp.fetch_mut(edited).unwrap().lock().write_u64(72, 3);
+        drop(bp.fetch_mut(probed).unwrap());
+        drop(bp.fetch(clean).unwrap());
+        assert_eq!(bp.dirty_count(), 3);
+
+        let mut seen = Vec::new();
+        bp.for_each_dirty(|id, before, page| {
+            let changed = before.is_none_or(|b| b != page.bytes());
+            seen.push((id, before.map(|b| b[64]), page.read_u64(64), changed));
+            changed
+        });
         assert_eq!(
-            snap.iter().find(|(i, _)| *i == id1).unwrap().1.read_u64(64),
-            1
+            seen,
+            vec![
+                (edited, Some(0), 2, true),
+                (probed, Some(0), 0, false),
+                (newer, None, 5, true),
+            ]
         );
-        assert_eq!(
-            snap.iter().find(|(i, _)| *i == id2).unwrap().1.read_u64(64),
-            2
-        );
+        assert!(fresh < edited && probed < newer);
+        // The unchanged frame is clean again; a second visit finds the
+        // other two, their before-images spent.
+        assert_eq!(bp.dirty_count(), 2);
+        let mut second = Vec::new();
+        bp.for_each_dirty(|id, before, _| {
+            second.push((id, before.is_some()));
+            true
+        });
+        assert_eq!(second, vec![(edited, false), (newer, false)]);
+        assert_eq!(bp.flush_all().unwrap(), 2);
+        bp.drop_all().unwrap();
+        assert_eq!(bp.fetch(edited).unwrap().lock().read_u64(72), 3);
+        assert_eq!(bp.fetch(probed).unwrap().lock().read_u64(64), 0);
         std::fs::remove_file(&path).unwrap();
     }
 

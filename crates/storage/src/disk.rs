@@ -9,7 +9,7 @@
 //! the catalog by higher layers; the disk manager itself only grows the file.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use crate::error::{Result, StorageError};
@@ -126,8 +126,7 @@ impl DiskManager {
             });
         }
         let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        self.file.seek(SeekFrom::Start(id.0 * PAGE_SIZE as u64))?;
-        self.file.read_exact(&mut buf)?;
+        self.file.read_exact_at(&mut buf, id.0 * PAGE_SIZE as u64)?;
         self.stats.reads += 1;
         let arr: Box<[u8; PAGE_SIZE]> = buf.try_into().expect("sized read");
         let page = Page::from_bytes(arr);
@@ -151,8 +150,8 @@ impl DiskManager {
             });
         }
         page.seal();
-        self.file.seek(SeekFrom::Start(id.0 * PAGE_SIZE as u64))?;
-        self.file.write_all(page.bytes().as_slice())?;
+        self.file
+            .write_all_at(page.bytes().as_slice(), id.0 * PAGE_SIZE as u64)?;
         self.stats.writes += 1;
         Ok(())
     }
@@ -179,6 +178,7 @@ impl std::fmt::Debug for DiskManager {
 mod tests {
     use super::*;
     use crate::page::PageKind;
+    use std::io::{Read, Seek, SeekFrom, Write};
 
     fn tmpfile(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -239,13 +239,14 @@ impl HeapFile {
         encoded: &[u8],
         hint: Option<PageId>,
     ) -> Result<RecordId> {
+        // `insert` may compact a page and still not fit the record, so
+        // every page it is tried on is fetched for writing first; one it
+        // leaves untouched costs nothing at commit.
         if let Some(hp) = hint {
-            let handle = pool.fetch(hp)?;
+            let handle = pool.fetch_mut(hp)?;
             let mut page = handle.lock();
             if page.kind()? == PageKind::Heap {
                 if let Some(slot) = slotted::insert(&mut page, encoded) {
-                    drop(page);
-                    pool.mark_dirty(hp);
                     return Ok(RecordId { page: hp, slot });
                 }
             }
@@ -253,11 +254,9 @@ impl HeapFile {
         // Try the tail hint, then walk/extend the chain.
         let mut current = self.tail_hint;
         loop {
-            let handle = pool.fetch(current)?;
+            let handle = pool.fetch_mut(current)?;
             let mut page = handle.lock();
             if let Some(slot) = slotted::insert(&mut page, encoded) {
-                drop(page);
-                pool.mark_dirty(current);
                 self.tail_hint = current;
                 return Ok(RecordId {
                     page: current,
@@ -310,7 +309,7 @@ impl HeapFile {
         let encoded = Self::encode(pool, data)?;
         let old_overflow;
         let in_place = {
-            let handle = pool.fetch(rid.page)?;
+            let handle = pool.fetch_mut(rid.page)?;
             let mut page = handle.lock();
             let Some(old_stored) = slotted::get(&page, rid.slot) else {
                 return Err(StorageError::RecordNotFound {
@@ -327,7 +326,6 @@ impl HeapFile {
                 false
             }
         };
-        pool.mark_dirty(rid.page);
         // The old value's overflow chain (if any) is dead either way.
         if let Some(head) = old_overflow {
             Self::free_overflow_chain(pool, head)?;
@@ -343,7 +341,7 @@ impl HeapFile {
     /// free list. Returns an error if the record does not exist.
     pub fn delete(&mut self, pool: &mut BufferPool, rid: RecordId) -> Result<()> {
         let old_overflow = {
-            let handle = pool.fetch(rid.page)?;
+            let handle = pool.fetch_mut(rid.page)?;
             let mut page = handle.lock();
             let Some(stored) = slotted::get(&page, rid.slot) else {
                 return Err(StorageError::RecordNotFound {
@@ -355,7 +353,6 @@ impl HeapFile {
             slotted::delete(&mut page, rid.slot);
             head
         };
-        pool.mark_dirty(rid.page);
         if let Some(head) = old_overflow {
             Self::free_overflow_chain(pool, head)?;
         }
