@@ -455,12 +455,13 @@ pub fn gauge_set(name: &str, v: i64) {
     }
 }
 
-/// Record `value_us` into the global histogram `name` (no-op when
-/// disabled).
-pub fn observe_us(name: &str, value_us: u64) {
+/// Record `value` into the global histogram `name` (no-op when
+/// disabled). The unit is the histogram's own: microseconds for a
+/// latency, a count or a size otherwise.
+pub fn observe(name: &str, value: u64) {
     let r = registry();
     if r.enabled() {
-        r.histogram(name).record(value_us);
+        r.histogram(name).record(value);
     }
 }
 

@@ -44,15 +44,6 @@ pub struct CommitStats {
     pub wal_bytes: u64,
 }
 
-/// What [`Engine::log_dirty_pages`] staged in the log buffer.
-struct Logged {
-    /// Delta records staged, one per changed page.
-    pages: usize,
-    /// Pages whose record was zero-based: they count as imaged once the
-    /// transaction commits.
-    zero_based: Vec<PageId>,
-}
-
 /// Failure-injection points for crash tests. See [`Engine::commit_with_crash`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
@@ -72,9 +63,8 @@ pub struct Engine {
     wal_path: PathBuf,
     txn_counter: u64,
     commits: u64,
-    /// Transaction staged by [`Engine::prepare`], awaiting a decision: its
-    /// id, and the pages whose zero-based records it carries.
-    prepared: Option<(u64, Vec<PageId>)>,
+    /// Transaction staged by [`Engine::prepare`], awaiting a decision.
+    prepared: Option<u64>,
 }
 
 /// The write-ahead-log path the engine uses for a database at `db_path`
@@ -259,37 +249,27 @@ impl Engine {
     // ---- transactions --------------------------------------------------
 
     /// Stage one delta record per changed dirty page in the log buffer
-    /// (no I/O). The base rule of [`crate::wal`] is applied here: a page is
-    /// diffed against its before-image only when the log already holds a
-    /// committed zero-based record of it, otherwise against the zero page.
-    fn log_dirty_pages(&mut self) -> Logged {
+    /// (no I/O) and return how many. What each record is a delta against
+    /// is the log's decision (the base rule of [`crate::wal`]).
+    fn log_dirty_pages(&mut self) -> usize {
         let wal = &mut self.wal;
-        let mut logged = Logged {
-            pages: 0,
-            zero_based: Vec::new(),
-        };
-        let mut delta_bytes = 0;
+        let (mut pages, mut delta_bytes) = (0, 0);
         self.pool.for_each_dirty(|id, before, page| {
             if before.is_some_and(|b| b == page.bytes()) {
                 return false;
             }
-            let base = before.filter(|_| wal.is_imaged(id));
-            if base.is_none() {
-                logged.zero_based.push(id);
-            }
-            logged.pages += 1;
-            delta_bytes += wal.append_page_delta(id, base, page.bytes());
+            pages += 1;
+            delta_bytes += wal.append_page_delta(id, before, page.bytes());
             true
         });
-        obs::observe_us("storage.commit.pages", logged.pages as u64);
-        obs::observe_us("storage.commit.delta_bytes", delta_bytes);
-        logged
+        obs::observe("storage.commit.pages", pages as u64);
+        obs::observe("storage.commit.delta_bytes", delta_bytes);
+        pages
     }
 
-    /// The transaction whose boundary record was just synced is complete:
+    /// The transaction whose commit marker was just synced is complete:
     /// write its pages to the database file and account for it.
-    fn finish_commit(&mut self, zero_based: &[PageId]) -> Result<()> {
-        self.wal.mark_imaged(zero_based);
+    fn finish_commit(&mut self) -> Result<()> {
         self.pool.flush_all()?;
         self.commits += 1;
         Ok(())
@@ -298,7 +278,7 @@ impl Engine {
     /// Commit all dirty pages: log their changes + a commit marker, write
     /// and fsync the log once, then flush pages to the database file.
     pub fn commit(&mut self) -> Result<CommitStats> {
-        if let Some((txid, _)) = self.prepared {
+        if let Some(txid) = self.prepared {
             return Err(StorageError::InvalidArgument(format!(
                 "commit while transaction {txid} is prepared"
             )));
@@ -310,13 +290,13 @@ impl Engine {
         // its fsync: one log force per transaction that fetched a page for
         // writing is the engine's flush policy, whatever the diff finds.
         let before = self.wal.appended_bytes();
-        let logged = self.log_dirty_pages();
+        let pages = self.log_dirty_pages();
         self.wal.append_commit(self.txn_counter + 1);
         self.wal.sync()?;
         self.txn_counter += 1;
-        self.finish_commit(&logged.zero_based)?;
+        self.finish_commit()?;
         Ok(CommitStats {
-            pages: logged.pages,
+            pages,
             wal_bytes: self.wal.appended_bytes() - before,
         })
     }
@@ -331,18 +311,18 @@ impl Engine {
     /// a crash (recovery reports the transaction as in-doubt and
     /// [`crate::recovery::resolve_in_doubt`] applies the decision).
     pub fn prepare(&mut self, txid: u64) -> Result<CommitStats> {
-        if let Some((other, _)) = self.prepared {
+        if let Some(other) = self.prepared {
             return Err(StorageError::InvalidArgument(format!(
                 "prepare({txid}) while transaction {other} is prepared"
             )));
         }
         let before = self.wal.appended_bytes();
-        let logged = self.log_dirty_pages();
+        let pages = self.log_dirty_pages();
         self.wal.append_prepare(txid);
         self.wal.sync()?;
-        self.prepared = Some((txid, logged.zero_based));
+        self.prepared = Some(txid);
         Ok(CommitStats {
-            pages: logged.pages,
+            pages,
             wal_bytes: self.wal.appended_bytes() - before,
         })
     }
@@ -351,12 +331,12 @@ impl Engine {
     /// durable. Idempotent — a decision for an already-decided (or never
     /// prepared) transaction is a no-op.
     pub fn commit_prepared(&mut self, txid: u64) -> Result<()> {
-        match self.prepared_txid() {
+        match self.prepared {
             Some(t) if t == txid => {
                 self.wal.append_commit(txid);
                 self.wal.sync()?;
-                let (_, zero_based) = self.prepared.take().unwrap_or_default();
-                self.finish_commit(&zero_based)
+                self.prepared = None;
+                self.finish_commit()
             }
             Some(other) => Err(StorageError::InvalidArgument(format!(
                 "commit_prepared({txid}) but transaction {other} is prepared"
@@ -379,7 +359,7 @@ impl Engine {
     /// engine (heap/index handles, cached roots) as invalid afterwards
     /// and re-read them from the catalog.
     pub fn abort_prepared(&mut self, txid: u64) -> Result<()> {
-        match self.prepared_txid() {
+        match self.prepared {
             Some(t) if t == txid => {
                 self.wal.append_abort(txid);
                 self.wal.sync()?;
@@ -396,7 +376,7 @@ impl Engine {
 
     /// The transaction id currently prepared on this engine, if any.
     pub fn prepared_txid(&self) -> Option<u64> {
-        self.prepared.as_ref().map(|(txid, _)| *txid)
+        self.prepared
     }
 
     /// Failure-injection variant of [`Engine::commit`]: performs the commit
@@ -419,7 +399,7 @@ impl Engine {
     /// Flush everything and truncate the log. After a checkpoint the
     /// database file alone is a consistent, durable image.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if let Some((txid, _)) = self.prepared {
+        if let Some(txid) = self.prepared {
             // Flushing undecided pages would break the no-steal invariant
             // recovery depends on.
             return Err(StorageError::InvalidArgument(format!(

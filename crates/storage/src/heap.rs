@@ -239,14 +239,22 @@ impl HeapFile {
         encoded: &[u8],
         hint: Option<PageId>,
     ) -> Result<RecordId> {
-        // `insert` may compact a page and still not fit the record, so
-        // every page it is tried on is fetched for writing first; one it
-        // leaves untouched costs nothing at commit.
+        // A page is probed through a read handle and fetched for writing
+        // only once it is known to take the record (`fits` is exactly
+        // `insert`'s own test): a page merely walked past stays clean, so
+        // it costs no before-image and the no-steal pool can still evict
+        // it. After `open` the tail hint is the first page, and the walk
+        // may be longer than the pool.
         if let Some(hp) = hint {
-            let handle = pool.fetch_mut(hp)?;
-            let mut page = handle.lock();
-            if page.kind()? == PageKind::Heap {
-                if let Some(slot) = slotted::insert(&mut page, encoded) {
+            let handle = pool.fetch(hp)?;
+            let takes = {
+                let page = handle.lock();
+                page.kind()? == PageKind::Heap && slotted::fits(&page, encoded.len())
+            };
+            if takes {
+                let handle = pool.fetch_mut(hp)?;
+                let slot = slotted::insert(&mut handle.lock(), encoded);
+                if let Some(slot) = slot {
                     return Ok(RecordId { page: hp, slot });
                 }
             }
@@ -254,23 +262,31 @@ impl HeapFile {
         // Try the tail hint, then walk/extend the chain.
         let mut current = self.tail_hint;
         loop {
-            let handle = pool.fetch_mut(current)?;
-            let mut page = handle.lock();
-            if let Some(slot) = slotted::insert(&mut page, encoded) {
-                self.tail_hint = current;
-                return Ok(RecordId {
-                    page: current,
-                    slot,
-                });
+            let handle = pool.fetch(current)?;
+            let (takes, next) = {
+                let page = handle.lock();
+                (
+                    slotted::fits(&page, encoded.len()),
+                    slotted::next_page(&page),
+                )
+            };
+            if takes {
+                let handle = pool.fetch_mut(current)?;
+                let slot = slotted::insert(&mut handle.lock(), encoded);
+                if let Some(slot) = slot {
+                    self.tail_hint = current;
+                    return Ok(RecordId {
+                        page: current,
+                        slot,
+                    });
+                }
             }
-            let next = slotted::next_page(&page);
             if next != 0 {
-                drop(page);
                 current = PageId(next);
                 continue;
             }
             // Extend the chain with a fresh page.
-            drop(page);
+            drop(handle);
             let (new_id, new_handle) = pool.allocate()?;
             slotted::init(&mut new_handle.lock(), PageKind::Heap);
             {
@@ -557,6 +573,44 @@ mod tests {
         let unhinted = heap.insert(&mut pool, &[3u8; 100]).unwrap();
         assert_ne!(unhinted.page, parent.page);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn insert_after_reopen_walks_a_chain_longer_than_the_pool_without_dirtying_it() {
+        let mut p = std::env::temp_dir();
+        p.push(format!("hm-heap-{}-longchain", std::process::id()));
+        let _ = std::fs::remove_file(&p);
+        let mut pool = BufferPool::new(DiskManager::create(&p).unwrap(), 16);
+        let mut heap = HeapFile::create(&mut pool).unwrap();
+        // Two 3000-byte records fill a page, so 400 of them chain 200.
+        for _ in 0..400 {
+            heap.insert(&mut pool, &[5u8; 3000]).unwrap();
+            pool.flush_all().unwrap();
+        }
+        assert!(heap.page_count(&mut pool).unwrap() >= 200);
+        let parent = RecordId {
+            page: heap.first_page(),
+            slot: 0,
+        };
+
+        // A reopened heap starts its walk at the first page. The pages it
+        // passes must stay clean: the pool is no-steal, so dirtying them
+        // would exhaust it long before the tail.
+        let mut heap = HeapFile::open(heap.first_page());
+        let rid = heap.insert(&mut pool, &[6u8; 3000]).unwrap();
+        assert_eq!(
+            pool.dirty_count(),
+            2,
+            "the old tail's link and the new page"
+        );
+        pool.flush_all().unwrap();
+        // A full hint page is only probed, too.
+        let mut heap = HeapFile::open(heap.first_page());
+        let near = heap.insert_near(&mut pool, &[7u8; 3000], parent).unwrap();
+        assert_eq!(near.page, rid.page);
+        assert_eq!(pool.dirty_count(), 1);
+        assert_eq!(heap.get(&mut pool, near).unwrap(), vec![7u8; 3000]);
+        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]

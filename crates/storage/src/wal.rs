@@ -41,11 +41,15 @@
 //! all-zero page — a full image minus its zero runs — and every later
 //! record is a delta against the page as the previous record left it.
 //! Recovery rebuilds each page from its zero-based record onward and never
-//! reads the file. The writer knows which pages have a committed zero-based
-//! record in the log as it stands ([`Wal::is_imaged`]); [`Wal::truncate`]
-//! forgets them all, and a page enters the set only when the transaction
-//! carrying its zero-based record commits, so an aborted transaction's
-//! image is never used as a base.
+//! reads the file. The rule lives in [`Wal::append_page_delta`]: the writer
+//! keeps the set of pages with a committed zero-based record in the log as
+//! it stands and diffs a page against the before-image it is handed only
+//! when the page is in that set. A page joins the set when the commit
+//! marker of the transaction carrying its zero-based record is appended,
+//! so the image of a transaction that aborts (or is never decided) is never
+//! used as a base; [`Wal::truncate`] empties the set, and so does a failed
+//! [`Wal::sync`], after which the log may have lost any of those records.
+//! Forgetting a page is always safe — it is logged whole once more.
 //!
 //! Ranges ascend and never overlap. The differ compares 64-bit words and
 //! trims each run of differing words to bytes at both ends, so two ranges
@@ -262,6 +266,9 @@ pub struct Wal {
     syncs: u64,
     /// Pages with a committed zero-based record in the log as it stands.
     imaged: HashSet<u64>,
+    /// Pages whose zero-based record belongs to the transaction still
+    /// open: no commit or abort marker has followed it yet.
+    imaged_undecided: Vec<u64>,
 }
 
 impl Wal {
@@ -284,6 +291,7 @@ impl Wal {
             appended: 0,
             syncs: 0,
             imaged: HashSet::new(),
+            imaged_undecided: Vec::new(),
         })
     }
 
@@ -300,18 +308,6 @@ impl Wal {
     /// Number of fsyncs issued through this handle.
     pub fn sync_count(&self) -> u64 {
         self.syncs
-    }
-
-    /// Whether the log holds a committed zero-based record of `id`, i.e.
-    /// whether `id`'s next record may be a delta against its before-image.
-    pub fn is_imaged(&self, id: PageId) -> bool {
-        self.imaged.contains(&id.0)
-    }
-
-    /// Record that the transaction carrying the zero-based records of `ids`
-    /// has committed.
-    pub fn mark_imaged(&mut self, ids: &[PageId]) {
-        self.imaged.extend(ids.iter().map(|id| id.0));
     }
 
     /// Stage a record: `payload` writes its payload into the buffer.
@@ -342,9 +338,28 @@ impl Wal {
         self.buf.clear();
     }
 
-    /// Stage the delta that takes page `id` from `base` to `after`; no
-    /// `base` means the all-zero page. Returns the record's size in bytes.
+    /// Stage the change a transaction made to page `id`: `after` is the
+    /// page now, `before` the page as the log last saw it (the pool's
+    /// before-image), if there is one. The base rule is applied here: the
+    /// record is a delta against `before` only when the log already holds
+    /// a committed zero-based record of the page, and otherwise against the
+    /// all-zero page. Returns the record's size in bytes.
     pub fn append_page_delta(
+        &mut self,
+        id: PageId,
+        before: Option<&[u8; PAGE_SIZE]>,
+        after: &[u8; PAGE_SIZE],
+    ) -> u64 {
+        let base = before.filter(|_| self.imaged.contains(&id.0));
+        if base.is_none() {
+            self.imaged_undecided.push(id.0);
+        }
+        self.stage_delta(id, base, after)
+    }
+
+    /// Stage the delta that takes page `id` from `base` to `after`, whatever
+    /// the base rule says; no `base` means the all-zero page.
+    pub(crate) fn stage_delta(
         &mut self,
         id: PageId,
         base: Option<&[u8; PAGE_SIZE]>,
@@ -368,9 +383,11 @@ impl Wal {
         self.append(typ, |buf| buf.extend_from_slice(&id.to_le_bytes()));
     }
 
-    /// Stage a commit marker for transaction `txn`.
+    /// Stage a commit marker for transaction `txn`. The pages the
+    /// transaction logged zero-based count as imaged from here on.
     pub fn append_commit(&mut self, txn: u64) {
         self.append_marker(TYPE_COMMIT, txn);
+        self.imaged.extend(self.imaged_undecided.drain(..));
     }
 
     /// Stage a checkpoint marker.
@@ -384,15 +401,17 @@ impl Wal {
     }
 
     /// Stage a two-phase-commit abort decision for transaction `txid`.
+    /// The zero-based records the transaction logged are forgotten.
     pub fn append_abort(&mut self, txid: u64) {
         self.append_marker(TYPE_ABORT, txid);
+        self.imaged_undecided.clear();
     }
 
     /// Write the staged records with one `write` and fsync them to stable
     /// storage. A commit is durable only after this returns. On failure
     /// nothing appended since the last sync is kept — the file is cut back
     /// to its last durable length so a retry cannot land behind a
-    /// half-written record.
+    /// half-written record — and no page counts as imaged any more.
     pub fn sync(&mut self) -> Result<()> {
         self.write_staged();
         let synced = match self.failed.take() {
@@ -405,6 +424,8 @@ impl Wal {
             // Best effort: the error being returned is the write's.
             let _ = self.file.set_len(self.durable_len);
             self.appended -= bytes;
+            self.imaged.clear();
+            self.imaged_undecided.clear();
             return Err(e.into());
         }
         self.durable_len += bytes;
@@ -427,6 +448,7 @@ impl Wal {
         self.durable_len = 0;
         self.appended = 0;
         self.imaged.clear();
+        self.imaged_undecided.clear();
         Ok(())
     }
 }
@@ -679,12 +701,13 @@ mod tests {
         assert!(image < 100, "a nearly empty page logs {image} bytes");
         let mut after = before.clone();
         after.write_u32(104, 7);
+        wal.append_commit(1);
         let delta = wal.append_page_delta(PageId(3), Some(before.bytes()), after.bytes());
         // Frame (4 + 1 + 4) + delta header + one range of four bytes.
         assert_eq!(delta as usize, 9 + DELTA_HEADER + RANGE_HEADER + 4);
         wal.sync().unwrap();
         assert_eq!(
-            read_all(&path).unwrap()[1],
+            read_all(&path).unwrap()[2],
             Rec::Delta {
                 page: 3,
                 zero_based: false,
@@ -917,23 +940,74 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Log a one-word change to page `id` with a before-image on offer and
+    /// say whether the record came out zero-based: such a record carries
+    /// the page's 32 filled bytes and its header, a delta four bytes.
+    fn logs_zero_based(wal: &mut Wal, id: u64) -> bool {
+        let before = sample_page(id, 0xAB);
+        let mut after = before.clone();
+        after.write_u32(104, 7);
+        let size = wal.append_page_delta(PageId(id), Some(before.bytes()), after.bytes());
+        size > 40
+    }
+
+    #[test]
+    fn a_page_is_diffed_against_its_before_image_only_once_its_image_is_committed() {
+        let path = tmppath("base-rule");
+        let mut wal = Wal::open(&path).unwrap();
+        // First record of the page: zero-based whatever is on offer, and
+        // still so while the transaction carrying it is open or prepared.
+        assert!(logs_zero_based(&mut wal, 4));
+        assert!(logs_zero_based(&mut wal, 4));
+        wal.append_prepare(1);
+        wal.sync().unwrap();
+        assert!(logs_zero_based(&mut wal, 4));
+        // An abort forgets the image ...
+        wal.append_abort(1);
+        wal.sync().unwrap();
+        assert!(logs_zero_based(&mut wal, 4));
+        // ... a commit makes it the base of what follows, for that page.
+        wal.append_commit(2);
+        wal.sync().unwrap();
+        assert!(!logs_zero_based(&mut wal, 4));
+        assert!(logs_zero_based(&mut wal, 5));
+        // No before-image (a fresh frame, a retried commit): zero-based.
+        let size = wal.append_page_delta(PageId(4), None, sample_page(4, 1).bytes());
+        assert!(size > 40);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_sync_forgets_every_imaged_page() {
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let mut wal = Wal::open(full).unwrap();
+        assert!(logs_zero_based(&mut wal, 4));
+        wal.append_commit(1);
+        assert!(!logs_zero_based(&mut wal, 4));
+        assert!(wal.sync().is_err());
+        assert!(logs_zero_based(&mut wal, 4));
+    }
+
     #[test]
     fn truncate_empties_log_and_forgets_imaged_pages() {
         let path = tmppath("trunc");
         let mut wal = Wal::open(&path).unwrap();
+        assert!(logs_zero_based(&mut wal, 4));
         wal.append_commit(9);
         wal.sync().unwrap();
-        wal.mark_imaged(&[PageId(4)]);
-        assert!(wal.is_imaged(PageId(4)) && !wal.is_imaged(PageId(5)));
+        assert!(!logs_zero_based(&mut wal, 4));
         assert!(!read_all(&path).unwrap().is_empty());
         wal.append_commit(99); // staged, never synced: dropped too
         wal.truncate().unwrap();
         assert!(read_all(&path).unwrap().is_empty());
-        assert!(!wal.is_imaged(PageId(4)));
+        assert!(logs_zero_based(&mut wal, 4));
         // Appends after truncate still work.
         wal.append_commit(10);
         wal.sync().unwrap();
-        assert_eq!(read_all(&path).unwrap(), vec![Rec::Commit(10)]);
+        assert_eq!(read_all(&path).unwrap().last(), Some(&Rec::Commit(10)));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -980,7 +1054,7 @@ mod tests {
             for base in [Some(&*before), None] {
                 let path = tmppath(&format!("prop-{}", base.is_some()));
                 let mut wal = Wal::open(&path).unwrap();
-                let size = wal.append_page_delta(PageId(8), base, &after);
+                let size = wal.stage_delta(PageId(8), base, &after);
                 prop_assert!(size as usize <= 8 + MAX_RECORD_LEN);
                 wal.sync().unwrap();
                 let mut reader = WalReader::open(&path).unwrap();
