@@ -116,36 +116,11 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.send(frame)
     }
 
-    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        if self.dead {
-            return Ok(None);
-        }
-        self.inner.recv()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>> {
-        if self.dead {
-            return Ok(None);
-        }
-        self.inner.recv_timeout(timeout)
-    }
-
-    // Forward the buffer-reusing receives so a wrapped TcpTransport
-    // keeps its zero-allocation path (the defaults would fall back to
-    // the Vec-returning recv of *this* wrapper, which is fine but
-    // slower).
-    fn recv_into(&mut self, out: &mut Vec<u8>) -> Result<bool> {
+    fn recv_into(&mut self, out: &mut Vec<u8>, timeout: Option<Duration>) -> Result<bool> {
         if self.dead {
             return Ok(false);
         }
-        self.inner.recv_into(out)
-    }
-
-    fn recv_timeout_into(&mut self, timeout: Duration, out: &mut Vec<u8>) -> Result<bool> {
-        if self.dead {
-            return Ok(false);
-        }
-        self.inner.recv_timeout_into(timeout, out)
+        self.inner.recv_into(out, timeout)
     }
 }
 
@@ -153,6 +128,12 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 mod tests {
     use super::*;
     use server::transport::ChannelTransport;
+
+    /// One received frame, `None` once the peer closed.
+    fn recv(t: &mut dyn Transport) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        t.recv_into(&mut out, None).unwrap().then_some(out)
+    }
 
     #[test]
     fn drop_schedule_is_reproducible() {
@@ -165,7 +146,7 @@ mod tests {
             }
             drop(faulty);
             let mut arrived = Vec::new();
-            while let Some(frame) = b.recv().unwrap() {
+            while let Some(frame) = recv(&mut b) {
                 arrived.push(u32::from_le_bytes(frame.try_into().unwrap()));
             }
             (arrived, counters.snapshot().0)
@@ -195,7 +176,7 @@ mod tests {
             "retry policies must see a retryable error"
         );
         assert!(faulty.send(b"y").is_err(), "stays dead");
-        assert_eq!(faulty.recv().unwrap(), None);
+        assert_eq!(recv(&mut faulty), None);
     }
 
     #[test]
@@ -213,12 +194,12 @@ mod tests {
         let err = faulty.send(b"late").unwrap_err();
         assert!(err.is_transient(), "failover needs a retryable error");
         assert!(faulty.send(b"later").is_err(), "stays dead");
-        assert_eq!(faulty.recv().unwrap(), None);
+        assert_eq!(recv(&mut faulty), None);
         assert_eq!(counters.snapshot().2, 1, "one disconnect counted");
         // The frames sent before the kill all arrived.
         drop(faulty);
         let mut arrived = 0;
-        while b.recv().unwrap().is_some() {
+        while recv(&mut b).is_some() {
             arrived += 1;
         }
         assert_eq!(arrived, 3);
@@ -233,7 +214,7 @@ mod tests {
         };
         let mut faulty = FaultyTransport::new(a, plan);
         faulty.send(b"twin").unwrap();
-        assert_eq!(b.recv().unwrap().unwrap(), b"twin");
-        assert_eq!(b.recv().unwrap().unwrap(), b"twin");
+        assert_eq!(recv(&mut b).unwrap(), b"twin");
+        assert_eq!(recv(&mut b).unwrap(), b"twin");
     }
 }

@@ -3,37 +3,34 @@
 //!
 //! One thread owns N listening sockets and every accepted connection,
 //! all in nonblocking mode. Each tick the loop accepts new connections,
-//! drains completed request executions, flushes pending writes, reads
-//! whatever bytes arrived and slices them into length-prefixed frames
-//! which it hands to a [`FrameHandler`].
+//! drains completed request executions, reads whatever bytes arrived
+//! into each connection's [`FrameBuf`], hands complete frames to a
+//! [`FrameHandler`], and flushes pending writes.
 //!
-//! Wire framing (the workspace's, both directions): a `u32`
-//! little-endian length, then a `u64` little-endian **trace id**, then
-//! the payload; the length counts the trace id and the payload, so a
-//! well-formed frame is at least 8 bytes long. The loop installs the
-//! frame's trace id as the thread's current trace
-//! (`obs::trace`) while the handler runs, and every reply frame echoes
-//! the trace id that was current when it was produced — so one trace id
-//! follows a request from the client through the loop, across executor
-//! job dispatch, and back.
+//! Wire framing is [`crate::frame`]'s. The loop installs the frame's
+//! trace id as the thread's current trace (`obs::trace`) while the
+//! handler runs, and every reply frame echoes the trace id that was
+//! current when it was produced — so one trace id follows a request
+//! from the client through the loop, across executor job dispatch, and
+//! back.
 //!
 //! The handler answers immediately ([`FrameOutcome::Reply`]) or defers
 //! ([`FrameOutcome::Pending`]) after dispatching the work elsewhere —
 //! typically onto a [`crate::ShardExecutor`] worker — and later pushes
 //! the encoded response through [`Completions`], which wakes the loop.
 //! At most one frame per connection is dispatched at a time, so
-//! responses leave in request order; further frames queue in arrival
-//! order. Writes never block: partial writes park in a per-connection
-//! buffer and resume next tick, so one slow reader cannot stall the
-//! other connections.
+//! responses leave in request order; further frames wait, unparsed, in
+//! the connection's buffer. Writes never block: partial writes park in
+//! a per-connection buffer and resume next tick, so one slow reader
+//! cannot stall the other connections.
 //!
 //! `std` exposes no `epoll`/`kqueue`, so readiness is cooperative
 //! polling: the loop spins (yielding) while work flows and parks on the
 //! completion channel with a short timeout when idle — completions wake
 //! it immediately, new socket bytes within the poll interval.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -42,26 +39,13 @@ use std::time::Duration;
 use hypermodel::error::{HmError, Result};
 use sanity::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 
-/// Largest accepted frame payload. `hyperlint` (rule `frame-cap`) keeps
-/// this textually identical to the client-side cap in
-/// `server/src/transport.rs` — a mismatch would make one side drop
-/// frames the other produces.
-pub const MAX_FRAME: usize = 64 << 20;
-
-/// Bytes of the frame header carrying the trace id, counted in the
-/// length prefix ahead of the payload.
-pub const TRACE_HEADER: usize = 8;
+use crate::frame::{write_frame, FrameBuf, NetCounters, READ_CHUNK};
 
 /// How long an idle loop parks on the completion channel per tick.
 const IDLE_PARK: Duration = Duration::from_micros(500);
 
 /// Ticks of busy-spinning (with yields) before parking when idle.
 const SPIN_TICKS: u32 = 64;
-
-/// Per-syscall read size, and the dead-prefix threshold past which a
-/// connection buffer is compacted (instead of per-frame/per-reply —
-/// slicing a frame or enqueueing a reply only moves a cursor).
-const BUF_CHUNK: usize = 64 * 1024;
 
 /// One connection, identified by its listener index and an id unique
 /// for the lifetime of the loop.
@@ -90,10 +74,12 @@ pub enum FrameOutcome {
 
 /// Receives framed requests from the loop.
 pub trait FrameHandler {
-    /// One complete frame arrived on `conn`. `done` is the completion
-    /// handle for deferred ([`FrameOutcome::Pending`]) responses — clone
-    /// it into the dispatched job.
-    fn on_frame(&mut self, conn: ConnId, frame: Vec<u8>, done: &Completions) -> FrameOutcome;
+    /// One complete frame arrived on `conn`; `frame` borrows the
+    /// connection's read buffer, so a handler that defers copies what it
+    /// needs. `done` is the completion handle for deferred
+    /// ([`FrameOutcome::Pending`]) responses — clone it into the
+    /// dispatched job.
+    fn on_frame(&mut self, conn: ConnId, frame: &[u8], done: &Completions) -> FrameOutcome;
 
     /// `conn` disconnected (or was closed by an outcome).
     fn on_disconnect(&mut self, conn: ConnId) {
@@ -140,19 +126,14 @@ pub struct LoopStats {
 
 struct Conn {
     stream: TcpStream,
-    /// Inbound bytes; `rbuf[rpos..]` is not yet sliced into frames.
-    /// Reclaimed by cursor rewind when drained, compacted only once the
-    /// dead prefix exceeds [`BUF_CHUNK`] — never a per-frame memmove.
-    rbuf: Vec<u8>,
-    rpos: usize,
+    /// Inbound bytes. The next frame is parsed out only when none is in
+    /// flight, so pipelined requests wait here in arrival order.
+    inbound: FrameBuf,
     /// Encoded responses not yet fully written; `wpos` marks progress.
     /// Both buffers keep their capacity across frames, so a settled
     /// connection does no allocation at all.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Complete frames (trace id, payload) awaiting dispatch (one in
-    /// flight at a time).
-    queued: VecDeque<(u64, Vec<u8>)>,
     inflight: bool,
     close_after_flush: bool,
 }
@@ -168,60 +149,13 @@ impl Conn {
             // the allocation.
             self.wbuf.clear();
             self.wpos = 0;
-        } else if self.wpos >= BUF_CHUNK {
+        } else if self.wpos >= READ_CHUNK {
             // A large written prefix under unwritten bytes: compact
             // occasionally rather than per reply.
             self.wbuf.drain(..self.wpos);
             self.wpos = 0;
         }
-        self.wbuf
-            .extend_from_slice(&((payload.len() + TRACE_HEADER) as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(&trace.to_le_bytes());
-        self.wbuf.extend_from_slice(payload);
-    }
-}
-
-/// Registry handles resolved once per loop run; the per-event cost is
-/// one branch and a relaxed add. The `net.*` names are shared with the
-/// client-side transports so a process-wide scrape sees total wire
-/// traffic and write-syscall batching.
-struct LoopObs {
-    enabled: bool,
-    frames: std::sync::Arc<obs::Counter>,
-    bytes_sent: std::sync::Arc<obs::Counter>,
-    bytes_recv: std::sync::Arc<obs::Counter>,
-    write_batches: std::sync::Arc<obs::Counter>,
-}
-
-impl LoopObs {
-    fn new() -> LoopObs {
-        let reg = obs::registry();
-        LoopObs {
-            enabled: obs::enabled(),
-            frames: reg.counter("loop.frames"),
-            bytes_sent: reg.counter("net.bytes_sent"),
-            bytes_recv: reg.counter("net.bytes_recv"),
-            write_batches: reg.counter("net.write_batches"),
-        }
-    }
-
-    fn frame(&self) {
-        if self.enabled {
-            self.frames.incr();
-        }
-    }
-
-    fn wrote(&self, n: usize) {
-        if self.enabled {
-            self.bytes_sent.add(n as u64);
-            self.write_batches.incr();
-        }
-    }
-
-    fn read(&self, n: usize) {
-        if self.enabled {
-            self.bytes_recv.add(n as u64);
-        }
+        write_frame(&mut self.wbuf, trace, payload);
     }
 }
 
@@ -295,7 +229,8 @@ impl EventLoop {
         let mut dead: Vec<ConnId> = Vec::new();
         // Registry handles resolved once per loop, bumped alongside the
         // local counters so a live scrape sees the loop's state.
-        let obs_h = LoopObs::new();
+        let net = NetCounters::new();
+        let obs_frames = obs::registry().counter("loop.frames");
         let obs_parks = obs::registry().counter("loop.parks");
         let obs_wakeups = obs::registry().counter("loop.idle_wakeups");
         let obs_accepted = obs::registry().counter("loop.accepted");
@@ -321,11 +256,9 @@ impl EventLoop {
                                 id,
                                 Conn {
                                     stream,
-                                    rbuf: Vec::new(),
-                                    rpos: 0,
+                                    inbound: FrameBuf::new(),
                                     wbuf: Vec::new(),
                                     wpos: 0,
-                                    queued: VecDeque::new(),
                                     inflight: false,
                                     close_after_flush: false,
                                 },
@@ -353,10 +286,12 @@ impl EventLoop {
                 }
             }
 
-            // 3. Per-connection I/O: read, slice frames, dispatch, and
-            // one coalesced flush of everything enqueued this tick.
+            // 3. Per-connection I/O: read, dispatch frames, and one
+            // coalesced flush of everything enqueued this tick.
             for (&id, conn) in conns.iter_mut() {
-                match Self::step_conn(id, conn, &mut handler, &done, &mut stats, &obs_h) {
+                let stepped =
+                    Self::step_conn(id, conn, &mut handler, &done, &mut stats, &net, &obs_frames);
+                match stepped {
                     Ok(stepped) => progress |= stepped,
                     Err(()) => dead.push(id),
                 }
@@ -415,7 +350,8 @@ impl EventLoop {
         handler: &mut H,
         done: &Completions,
         stats: &mut LoopStats,
-        obs_h: &LoopObs,
+        net: &NetCounters,
+        obs_frames: &obs::Counter,
     ) -> std::result::Result<bool, ()> {
         let mut progress = false;
         // Grace flag: the tick that sees the peer close still flushes
@@ -424,103 +360,55 @@ impl EventLoop {
         let mut peer_closed_now = false;
 
         if !conn.close_after_flush {
-            // Read whatever arrived.
-            let mut chunk = [0u8; BUF_CHUNK];
+            // Read whatever arrived, straight into the frame buffer.
             loop {
-                match conn.stream.read(&mut chunk) {
+                match conn.inbound.fill(&mut conn.stream) {
                     Ok(0) => {
-                        // Peer closed: nothing more will arrive. Finish
-                        // what is queued for write (below), then drop.
+                        // Peer closed: nothing more will arrive and no
+                        // further frame is dispatched. Finish what is
+                        // queued for write (below), then drop.
                         conn.close_after_flush = true;
-                        conn.queued.clear();
                         progress = true;
                         peer_closed_now = true;
                         break;
                     }
                     Ok(n) => {
-                        conn.rbuf.extend_from_slice(&chunk[..n]);
-                        obs_h.read(n);
+                        net.read(n);
                         progress = true;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    // Socket error or an unframeable length prefix.
                     Err(_) => return Err(()),
                 }
-            }
-
-            // Slice complete frames out of the read buffer, advancing a
-            // cursor instead of draining per frame.
-            loop {
-                let avail = conn.rbuf.len() - conn.rpos;
-                if avail < 4 {
-                    break;
-                }
-                let at = conn.rpos;
-                let len = u32::from_le_bytes([
-                    conn.rbuf[at],
-                    conn.rbuf[at + 1],
-                    conn.rbuf[at + 2],
-                    conn.rbuf[at + 3],
-                ]) as usize;
-                if !(TRACE_HEADER..=MAX_FRAME).contains(&len) {
-                    return Err(()); // unframeable garbage: drop the connection
-                }
-                if avail < 4 + len {
-                    break;
-                }
-                let t = at + 4;
-                let trace = u64::from_le_bytes([
-                    conn.rbuf[t],
-                    conn.rbuf[t + 1],
-                    conn.rbuf[t + 2],
-                    conn.rbuf[t + 3],
-                    conn.rbuf[t + 4],
-                    conn.rbuf[t + 5],
-                    conn.rbuf[t + 6],
-                    conn.rbuf[t + 7],
-                ]);
-                let frame = conn.rbuf[at + 4 + TRACE_HEADER..at + 4 + len].to_vec();
-                conn.rpos += 4 + len;
-                conn.queued.push_back((trace, frame));
-                progress = true;
-            }
-            // Reclaim the consumed prefix: free rewind when everything
-            // was sliced (the common case), occasional compaction when
-            // a partial frame sits behind a large dead prefix.
-            if conn.rpos == conn.rbuf.len() {
-                conn.rbuf.clear();
-                conn.rpos = 0;
-            } else if conn.rpos >= BUF_CHUNK {
-                conn.rbuf.drain(..conn.rpos);
-                conn.rpos = 0;
             }
 
             // Dispatch, one frame in flight at a time, inside the frame's
             // trace (so immediate replies and executor submissions inherit
             // the client's trace id).
             while !conn.inflight && !conn.close_after_flush {
-                let Some((trace, frame)) = conn.queued.pop_front() else {
+                let Some((trace, frame)) = conn.inbound.next_frame().map_err(|_| ())? else {
                     break;
                 };
                 stats.frames += 1;
-                obs_h.frame();
+                if obs::enabled() {
+                    obs_frames.incr();
+                }
                 progress = true;
                 let _trace = obs::trace::scope(trace);
                 let _span = obs::trace::span("loop.frame");
-                match handler.on_frame(id, frame, done) {
-                    FrameOutcome::Pending => conn.inflight = true,
-                    FrameOutcome::Reply(payload) => {
-                        conn.enqueue_reply(trace, &payload);
-                        stats.replies += 1;
+                let (payload, close) = match handler.on_frame(id, frame, done) {
+                    FrameOutcome::Pending => {
+                        conn.inflight = true;
+                        continue;
                     }
-                    FrameOutcome::ReplyClose(payload) => {
-                        conn.enqueue_reply(trace, &payload);
-                        stats.replies += 1;
-                        conn.close_after_flush = true;
-                        conn.queued.clear();
-                    }
+                    FrameOutcome::Reply(payload) => (payload, false),
+                    FrameOutcome::ReplyClose(payload) => (payload, true),
                     FrameOutcome::Close => return Err(()),
-                }
+                };
+                conn.enqueue_reply(trace, &payload);
+                stats.replies += 1;
+                conn.close_after_flush = close;
             }
         }
 
@@ -529,11 +417,14 @@ impl EventLoop {
         // replies produced above all leave in as few write syscalls as
         // the socket accepts (never blocking).
         while !conn.flushed() {
-            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+            match conn
+                .stream
+                .write(conn.wbuf.get(conn.wpos..).unwrap_or_default())
+            {
                 Ok(0) => return Err(()),
                 Ok(n) => {
                     conn.wpos += n;
-                    obs_h.wrote(n);
+                    net.wrote(n);
                     progress = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,

@@ -2,63 +2,78 @@
 //! (executor-completed) replies, multiple listeners, and close-on-reply.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use exec::frame::{write_frame, FrameBuf};
 use exec::{Completions, ConnId, EventLoop, FrameHandler, FrameOutcome, ShardExecutor};
 
 const TEST_TRACE: u64 = 0xABCD;
 
-fn send_frame(stream: &mut TcpStream, payload: &[u8]) {
-    stream
-        .write_all(&((payload.len() + exec::TRACE_HEADER) as u32).to_le_bytes())
-        .unwrap();
-    stream.write_all(&TEST_TRACE.to_le_bytes()).unwrap();
-    stream.write_all(payload).unwrap();
+/// Reply to the frame `b"big"`: larger than any loopback socket buffer,
+/// so the loop is left holding a write backlog.
+const BIG_REPLY: usize = 32 << 20;
+
+/// A raw-socket client speaking the workspace's frame format.
+struct Client {
+    stream: TcpStream,
+    inbound: FrameBuf,
 }
 
-/// Read one frame; returns (trace id, payload).
-fn recv_frame_traced(stream: &mut TcpStream) -> (u64, Vec<u8>) {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).unwrap();
-    let mut trace = [0u8; exec::TRACE_HEADER];
-    stream.read_exact(&mut trace).unwrap();
-    let mut buf = vec![0u8; u32::from_le_bytes(len) as usize - exec::TRACE_HEADER];
-    stream.read_exact(&mut buf).unwrap();
-    (u64::from_le_bytes(trace), buf)
-}
+impl Client {
+    fn connect(addr: SocketAddr) -> Client {
+        Client {
+            stream: TcpStream::connect(addr).unwrap(),
+            inbound: FrameBuf::new(),
+        }
+    }
 
-fn recv_frame(stream: &mut TcpStream) -> Vec<u8> {
-    let (trace, payload) = recv_frame_traced(stream);
-    assert_eq!(trace, TEST_TRACE, "reply echoes the request's trace id");
-    payload
+    fn send(&mut self, payload: &[u8]) {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, TEST_TRACE, payload);
+        self.stream.write_all(&wire).unwrap();
+    }
+
+    /// The next reply's payload, `None` once the server closed.
+    fn recv(&mut self) -> Option<Vec<u8>> {
+        loop {
+            if let Some((trace, payload)) = self.inbound.next_frame().unwrap() {
+                assert_eq!(trace, TEST_TRACE, "reply echoes the request's trace id");
+                return Some(payload.to_vec());
+            }
+            if self.inbound.fill(&mut self.stream).unwrap() == 0 {
+                assert!(self.inbound.is_empty(), "server closed mid-frame");
+                return None;
+            }
+        }
+    }
 }
 
 /// Prefixes each frame with the listener index and echoes it. Frames
 /// starting with b'X' are answered via the executor (deferred path);
-/// b"bye" closes after replying.
+/// b"bye" closes after replying; b"big" gets a [`BIG_REPLY`]-byte reply.
 struct Echo {
     exec: ShardExecutor<()>,
 }
 
 impl FrameHandler for Echo {
-    fn on_frame(&mut self, conn: ConnId, frame: Vec<u8>, done: &Completions) -> FrameOutcome {
+    fn on_frame(&mut self, conn: ConnId, frame: &[u8], done: &Completions) -> FrameOutcome {
         if frame == b"bye" {
             return FrameOutcome::ReplyClose(b"goodbye".to_vec());
         }
+        if frame == b"big" {
+            return FrameOutcome::Reply(vec![b'z'; BIG_REPLY]);
+        }
         let mut reply = vec![b'0' + conn.listener as u8];
+        reply.extend_from_slice(frame);
         if frame.first() == Some(&b'X') {
             let done = done.clone();
             self.exec
-                .submit(0, move |_| {
-                    reply.extend_from_slice(&frame);
-                    done.send(conn, reply);
-                })
+                .submit(0, move |_| done.send(conn, reply))
                 .unwrap();
             return FrameOutcome::Pending;
         }
-        reply.extend_from_slice(&frame);
         FrameOutcome::Reply(reply)
     }
 }
@@ -75,34 +90,33 @@ fn event_loop_serves_immediate_and_deferred_replies_on_two_listeners() {
         .unwrap()
     });
 
-    let mut c0 = TcpStream::connect(addrs[0]).unwrap();
-    let mut c1 = TcpStream::connect(addrs[1]).unwrap();
+    let mut c0 = Client::connect(addrs[0]);
+    let mut c1 = Client::connect(addrs[1]);
 
     // Immediate path, tagged per listener.
-    send_frame(&mut c0, b"hello");
-    send_frame(&mut c1, b"hello");
-    assert_eq!(recv_frame(&mut c0), b"0hello");
-    assert_eq!(recv_frame(&mut c1), b"1hello");
+    c0.send(b"hello");
+    c1.send(b"hello");
+    assert_eq!(c0.recv().unwrap(), b"0hello");
+    assert_eq!(c1.recv().unwrap(), b"1hello");
 
     // Deferred path: the reply is produced on the executor worker and
     // re-enters the loop through Completions.
-    send_frame(&mut c0, b"Xdeferred");
-    assert_eq!(recv_frame(&mut c0), b"0Xdeferred");
+    c0.send(b"Xdeferred");
+    assert_eq!(c0.recv().unwrap(), b"0Xdeferred");
 
     // Pipelining: several frames at once, answered in order, with the
     // deferred one gating the frames behind it.
-    send_frame(&mut c0, b"Xone");
-    send_frame(&mut c0, b"two");
-    send_frame(&mut c0, b"three");
-    assert_eq!(recv_frame(&mut c0), b"0Xone");
-    assert_eq!(recv_frame(&mut c0), b"0two");
-    assert_eq!(recv_frame(&mut c0), b"0three");
+    c0.send(b"Xone");
+    c0.send(b"two");
+    c0.send(b"three");
+    assert_eq!(c0.recv().unwrap(), b"0Xone");
+    assert_eq!(c0.recv().unwrap(), b"0two");
+    assert_eq!(c0.recv().unwrap(), b"0three");
 
     // ReplyClose flushes the farewell, then the server closes.
-    send_frame(&mut c1, b"bye");
-    assert_eq!(recv_frame(&mut c1), b"goodbye");
-    let mut probe = [0u8; 1];
-    assert_eq!(c1.read(&mut probe).unwrap(), 0, "server closed c1");
+    c1.send(b"bye");
+    assert_eq!(c1.recv().unwrap(), b"goodbye");
+    assert_eq!(c1.recv(), None, "server closed c1");
 
     drop(c0);
     // Let the loop observe the disconnects before stopping.
@@ -138,4 +152,32 @@ fn oversized_frame_drops_the_connection() {
     let stats = loop_thread.join().unwrap();
     assert_eq!(stats.frames, 0);
     assert_eq!(stats.disconnects, 1);
+}
+
+#[test]
+fn peer_half_close_still_flushes_the_enqueued_reply() {
+    let el = EventLoop::bind(&["127.0.0.1:0".into()]).unwrap();
+    let addr = el.local_addrs()[0];
+    let stop = el.stop_handle();
+    let loop_thread = std::thread::spawn(move || {
+        el.run(Echo {
+            exec: ShardExecutor::new(vec![()]),
+        })
+        .unwrap()
+    });
+
+    let mut c = Client::connect(addr);
+    c.send(b"big");
+    // The first reply bytes prove the request was dispatched and its
+    // reply enqueued; the rest cannot fit the socket buffers, so the
+    // loop still holds a backlog when it sees this side close.
+    let mut first = [0u8; 1];
+    c.stream.peek(&mut first).unwrap();
+    c.stream.shutdown(Shutdown::Write).unwrap();
+    assert_eq!(c.recv().map(|r| r.len()), Some(BIG_REPLY));
+    assert_eq!(c.recv(), None, "then the server drops the connection");
+
+    stop.store(true, Ordering::SeqCst);
+    let stats = loop_thread.join().unwrap();
+    assert_eq!((stats.frames, stats.replies), (1, 1));
 }

@@ -13,8 +13,10 @@
 //! * `--graph-json <path>` dump the static lock-order graph as JSON
 //! * `--strict-allows`     unused `lint:allow` markers become findings
 //!
-//! Exit code 0 when clean (no new findings), 1 on new findings, 2 on
-//! usage errors. Stale baseline entries are warnings.
+//! Exit code 0 when clean (no new findings), 1 on new findings or when
+//! a configured dispatch root matches no function (in every mode — a
+//! baseline written without its roots would bless the lost coverage),
+//! 2 on usage errors. Stale baseline entries are warnings.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -78,6 +80,21 @@ fn main() -> ExitCode {
     let baseline_path = baseline.unwrap_or_else(|| root.join(sg::BASELINE_FILE));
 
     let analysis = sg::analyze(&root);
+
+    for (file, name) in &analysis.dead_roots {
+        println!(
+            "{file}: [{}] dispatch root `{name}` matches no function; \
+             renamed or moved? update PANIC_ROOTS",
+            sg::RULE_PANIC_PATH
+        );
+    }
+    if !analysis.dead_roots.is_empty() {
+        eprintln!(
+            "hyperstatic: {} dead dispatch root(s)",
+            analysis.dead_roots.len()
+        );
+        return ExitCode::FAILURE;
+    }
 
     if let Some(path) = graph_json {
         if let Err(e) = std::fs::write(&path, sg::graph_json(&analysis.graph)) {

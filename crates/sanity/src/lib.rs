@@ -19,7 +19,7 @@
 //!   for invariants the compiler cannot see (no raw lock imports
 //!   outside the shim, no `unwrap`/`expect` on server request paths or
 //!   commit-log I/O, request/response variant parity between client and
-//!   dispatcher, frame-cap consistency between event loop and client).
+//!   dispatcher, clamped decode preallocations).
 //! * [`static_graph`] — the engine behind the `hyperstatic` binary
 //!   (`cargo run -p sanity --bin hyperstatic`): a lightweight
 //!   item/function parser, approximate intra-workspace call graph, and

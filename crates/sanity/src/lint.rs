@@ -14,17 +14,14 @@
 //! * `no-unwrap` — no `.unwrap()` / `.expect(` (or `_err` variants) on
 //!   server request paths and commit-log I/O: `server/src/server.rs`,
 //!   `server/src/multi.rs`, `exec/src/event_loop.rs`,
-//!   `shard/src/coordinator.rs`, `shard/src/store.rs`. A malformed
-//!   frame or a full disk must surface as a typed error, not a panic.
+//!   `exec/src/frame.rs`, `shard/src/coordinator.rs`,
+//!   `shard/src/store.rs`. A malformed frame or a full disk must
+//!   surface as a typed error, not a panic.
 //! * `protocol-parity` — every `Request` variant declared in
 //!   `server/src/protocol.rs` must appear in both the server dispatcher
 //!   (`server.rs`) and the remote client (`client.rs`); likewise every
 //!   `Response` variant. Catches "added a variant, forgot a match arm
 //!   behind a catch-all".
-//! * `frame-cap` — the `MAX_FRAME` constant must be textually identical
-//!   between `exec/src/event_loop.rs` (server side) and
-//!   `server/src/transport.rs` (client side), or one side will drop
-//!   frames the other happily produces.
 //! * `decode-cap` — in the wire-decode files (`server/src/protocol.rs`,
 //!   `server/src/codec.rs`), a `with_capacity` whose size comes from
 //!   decoded input must be clamped through `prealloc_cap` (or another
@@ -70,7 +67,6 @@ impl fmt::Display for Finding {
 pub const RULE_DIRECT_SYNC: &str = "direct-sync";
 pub const RULE_NO_UNWRAP: &str = "no-unwrap";
 pub const RULE_PROTOCOL_PARITY: &str = "protocol-parity";
-pub const RULE_FRAME_CAP: &str = "frame-cap";
 pub const RULE_CONDVAR_HOLD: &str = "condvar-hold";
 pub const RULE_DECODE_CAP: &str = "decode-cap";
 /// Pseudo-rule for `lint:allow` markers that suppress nothing.
@@ -83,7 +79,6 @@ pub const HYPERLINT_RULES: &[&str] = &[
     RULE_DIRECT_SYNC,
     RULE_NO_UNWRAP,
     RULE_PROTOCOL_PARITY,
-    RULE_FRAME_CAP,
     RULE_CONDVAR_HOLD,
     RULE_DECODE_CAP,
 ];
@@ -696,33 +691,6 @@ pub fn missing_variant_refs(user_src: &str, enum_name: &str, variants: &[String]
 }
 
 // ---------------------------------------------------------------------------
-// Rule: frame-cap
-// ---------------------------------------------------------------------------
-
-/// Find `const <name>` in `src`; return its 1-based line and its
-/// whitespace-normalized right-hand side.
-pub fn const_rhs(src: &str, name: &str) -> Option<(usize, String)> {
-    let p = prepare(src);
-    for (idx, line) in p.lines.iter().enumerate() {
-        let Some(pos) = line.find("const ") else {
-            continue;
-        };
-        let rest = line[pos + "const ".len()..].trim_start();
-        if !rest.starts_with(name) {
-            continue;
-        }
-        let eq = line.find('=')?;
-        let semi = line.find(';').unwrap_or(line.len());
-        let rhs: String = line[eq + 1..semi]
-            .chars()
-            .filter(|c| !c.is_whitespace())
-            .collect();
-        return Some((idx + 1, rhs));
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
 // Tree driver
 // ---------------------------------------------------------------------------
 
@@ -734,6 +702,7 @@ const UNWRAP_SCOPE: &[&str] = &[
     "crates/server/src/server.rs",
     "crates/server/src/multi.rs",
     "crates/exec/src/event_loop.rs",
+    "crates/exec/src/frame.rs",
     "crates/shard/src/coordinator.rs",
     "crates/shard/src/store.rs",
 ];
@@ -748,8 +717,6 @@ const DECODE_CAP_SCOPE: &[&str] = &[
 const PROTOCOL: &str = "crates/server/src/protocol.rs";
 const DISPATCHER: &str = "crates/server/src/server.rs";
 const CLIENT: &str = "crates/server/src/client.rs";
-const EVENT_LOOP: &str = "crates/exec/src/event_loop.rs";
-const TRANSPORT: &str = "crates/server/src/transport.rs";
 
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -946,43 +913,6 @@ pub fn lint_tree(root: &Path) -> LintReport {
                         message: format!(
                             "{enum_name}::{v} is declared here but never referenced in {user_rel}"
                         ),
-                    });
-                }
-            }
-        }
-    }
-
-    // frame-cap consistency between server event loop and client transport.
-    let caps: Vec<Option<(PathBuf, usize, String)>> = [EVENT_LOOP, TRANSPORT]
-        .iter()
-        .map(|rel| {
-            let file = root.join(rel);
-            std::fs::read_to_string(&file)
-                .ok()
-                .and_then(|src| const_rhs(&src, "MAX_FRAME").map(|(l, rhs)| (file, l, rhs)))
-        })
-        .collect();
-    match (&caps[0], &caps[1]) {
-        (Some((f1, l1, rhs1)), Some((_f2, _l2, rhs2))) => {
-            if rhs1 != rhs2 {
-                findings.push(Finding {
-                    file: f1.clone(),
-                    line: *l1,
-                    rule: RULE_FRAME_CAP,
-                    message: format!(
-                        "MAX_FRAME mismatch: event loop has `{rhs1}`, transport has `{rhs2}`"
-                    ),
-                });
-            }
-        }
-        _ => {
-            for (rel, cap) in [EVENT_LOOP, TRANSPORT].iter().zip(&caps) {
-                if cap.is_none() {
-                    findings.push(Finding {
-                        file: root.join(rel),
-                        line: 0,
-                        rule: RULE_FRAME_CAP,
-                        message: "no `const MAX_FRAME` found".to_string(),
                     });
                 }
             }
@@ -1187,14 +1117,6 @@ let v = x.unwrap();
             raw.iter().map(|(l, _)| *l).collect()
         });
         assert!(unused.is_empty());
-    }
-
-    #[test]
-    fn const_rhs_normalizes_whitespace() {
-        let a = "pub const MAX_FRAME: usize = 64 << 20;";
-        let b = "const MAX_FRAME: usize = 64<<20; // bytes";
-        assert_eq!(const_rhs(a, "MAX_FRAME").unwrap().1, "64<<20");
-        assert_eq!(const_rhs(b, "MAX_FRAME").unwrap().1, "64<<20");
     }
 
     #[test]

@@ -79,9 +79,11 @@ const PANIC_SCOPE: &[&str] = &[
 ];
 
 /// Dispatch roots for panic reachability: (file suffix, function name).
-const PANIC_ROOTS: &[(&str, &str)] = &[
+/// Every entry must match a parsed function ([`Analysis::dead_roots`]):
+/// a root that a rename left behind would silently lose its coverage.
+pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/server/src/server.rs", "dispatch"),
-    ("crates/server/src/server.rs", "serve_with_cache"),
+    ("crates/server/src/server.rs", "serve"),
     ("crates/server/src/multi.rs", "on_frame"),
     ("crates/exec/src/pool.rs", "submit"),
     ("crates/exec/src/pool.rs", "submit_detached"),
@@ -223,6 +225,8 @@ pub struct Analysis {
     pub findings: Vec<StaticFinding>,
     /// Unused-suppression warnings: (file, line, message).
     pub warnings: Vec<(String, usize, String)>,
+    /// [`PANIC_ROOTS`] entries that matched no parsed function.
+    pub dead_roots: Vec<(&'static str, &'static str)>,
     pub scanned: usize,
 }
 
@@ -1322,13 +1326,17 @@ pub fn analyze(root: &Path) -> Analysis {
     //    catch_unwind, via multi-source BFS (shortest chains).
     let mut parent: HashMap<usize, Option<(usize, usize)>> = HashMap::new(); // fn -> (caller, call line)
     let mut queue = VecDeque::new();
-    for (i, f) in fns.iter().enumerate() {
-        if PANIC_ROOTS
-            .iter()
-            .any(|(file, name)| f.file.ends_with(file) && f.name == *name)
-        {
-            parent.insert(i, None);
-            queue.push_back(i);
+    let mut dead_roots = Vec::new();
+    for &(file, name) in PANIC_ROOTS {
+        let before = queue.len();
+        for (i, f) in fns.iter().enumerate() {
+            if f.file.ends_with(file) && f.name == name {
+                parent.insert(i, None);
+                queue.push_back(i);
+            }
+        }
+        if queue.len() == before {
+            dead_roots.push((file, name));
         }
     }
     while let Some(i) = queue.pop_front() {
@@ -1413,6 +1421,7 @@ pub fn analyze(root: &Path) -> Analysis {
         graph,
         findings,
         warnings,
+        dead_roots,
         scanned: files.len(),
     }
 }

@@ -58,14 +58,8 @@ fn seed_tree(tag: &str) -> PathBuf {
          \x20   Vec::with_capacity(prealloc_cap(n, 8))\n\
          }\n",
     );
-    write(
-        "crates/server/src/transport.rs",
-        "pub const MAX_FRAME: usize = 64 << 20;\n",
-    );
-    write(
-        "crates/exec/src/event_loop.rs",
-        "pub const MAX_FRAME: usize = 64 << 20;\n",
-    );
+    write("crates/exec/src/event_loop.rs", "pub fn noop() {}\n");
+    write("crates/exec/src/frame.rs", "pub fn noop() {}\n");
     write(
         "crates/shard/src/coordinator.rs",
         "pub fn decide() -> Option<bool> {\n    Some(true)\n}\n",
@@ -218,20 +212,6 @@ fn dropped_protocol_variant_fails_the_lint() {
     assert!(text.contains("[protocol-parity]"), "output: {text}");
     assert!(text.contains("Request::Get"), "output: {text}");
     assert!(text.contains("client.rs"), "output: {text}");
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn frame_cap_drift_fails_the_lint() {
-    let root = seed_tree("frame");
-    std::fs::write(
-        root.join("crates/server/src/transport.rs"),
-        "pub const MAX_FRAME: usize = 32 << 20;\n",
-    )
-    .expect("rewrite transport");
-    let (code, text) = run_lint(&root);
-    assert_eq!(code, 1, "expected findings:\n{text}");
-    assert!(text.contains("[frame-cap]"), "output: {text}");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -13,11 +13,32 @@ fn workspace_root() -> PathBuf {
         .expect("workspace root")
 }
 
+/// Empty stubs for the dispatch roots `hyperstatic` expects in `file`
+/// (every configured root must exist), minus `except`.
+fn root_stubs(file: &str, except: &str) -> String {
+    sanity::static_graph::PANIC_ROOTS
+        .iter()
+        .filter(|(f, name)| *f == file && *name != except)
+        .map(|(_, name)| format!("pub fn {name}() {{}}\n"))
+        .collect()
+}
+
+const SERVER_RS: &str = "crates/server/src/server.rs";
+
+/// `body` (which defines `dispatch`) followed by stubs for the other
+/// roots of server.rs, so line numbers in `body` stay put.
+fn server_rs(body: &str) -> String {
+    format!("{body}{}", root_stubs(SERVER_RS, "dispatch"))
+}
+
 /// A minimal seeded workspace with nothing to report.
 fn seed_tree(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("hyperstatic-seed-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     write(&root, "Cargo.toml", "[workspace]\nmembers = []\n");
+    for (file, _) in sanity::static_graph::PANIC_ROOTS {
+        write(&root, file, &root_stubs(file, ""));
+    }
     write(
         &root,
         "crates/shard/src/store.rs",
@@ -146,16 +167,18 @@ fn panic_tree(tag: &str) -> PathBuf {
     let root = seed_tree(tag);
     write(
         &root,
-        "crates/server/src/server.rs",
-        "pub fn dispatch(req: u32) -> u32 {\n\
-             helper(req)\n\
-         }\n\
-         fn helper(v: u32) -> u32 {\n\
-             decode(v).unwrap()\n\
-         }\n\
-         fn decode(v: u32) -> Option<u32> {\n\
-             Some(v)\n\
-         }\n",
+        SERVER_RS,
+        &server_rs(
+            "pub fn dispatch(req: u32) -> u32 {\n\
+                 helper(req)\n\
+             }\n\
+             fn helper(v: u32) -> u32 {\n\
+                 decode(v).unwrap()\n\
+             }\n\
+             fn decode(v: u32) -> Option<u32> {\n\
+                 Some(v)\n\
+             }\n",
+        ),
     );
     root
 }
@@ -180,18 +203,20 @@ fn allow_marker_suppresses_and_unused_marker_warns() {
     let root = seed_tree("allows");
     write(
         &root,
-        "crates/server/src/server.rs",
-        "pub fn dispatch(req: u32) -> u32 {\n\
-             helper(req)\n\
-         }\n\
-         fn helper(v: u32) -> u32 {\n\
+        SERVER_RS,
+        &server_rs(
+            "pub fn dispatch(req: u32) -> u32 {\n\
+                 helper(req)\n\
+             }\n\
+             fn helper(v: u32) -> u32 {\n\
+                 // lint:allow(panic-path)\n\
+                 decode(v).unwrap()\n\
+             }\n\
              // lint:allow(panic-path)\n\
-             decode(v).unwrap()\n\
-         }\n\
-         // lint:allow(panic-path)\n\
-         fn decode(v: u32) -> Option<u32> {\n\
-             Some(v)\n\
-         }\n",
+             fn decode(v: u32) -> Option<u32> {\n\
+                 Some(v)\n\
+             }\n",
+        ),
     );
     let (code, text) = run(&root, &["--no-baseline"]);
     assert_eq!(code, 0, "allowed finding must not fail:\n{text}");
@@ -201,6 +226,35 @@ fn allow_marker_suppresses_and_unused_marker_warns() {
     );
     let (code, text) = run(&root, &["--no-baseline", "--strict-allows"]);
     assert_eq!(code, 1, "--strict-allows must promote the warning:\n{text}");
+}
+
+#[test]
+fn renamed_dispatch_root_fails_instead_of_silently_losing_coverage() {
+    // `dispatch` renamed: the panic below it is no longer reachable from
+    // any root, so without the dead-root check the run would be clean.
+    let root = seed_tree("dead-root");
+    write(
+        &root,
+        SERVER_RS,
+        &server_rs(
+            "pub fn dispatch_v2(req: u32) -> u32 {\n\
+                 Some(req).unwrap()\n\
+             }\n",
+        ),
+    );
+    for mode in [&["--no-baseline"][..], &["--write-baseline"][..]] {
+        let (code, text) = run(&root, mode);
+        assert_eq!(code, 1, "dead root must fail under {mode:?}:\n{text}");
+        assert!(
+            text.contains("crates/server/src/server.rs")
+                && text.contains("dispatch root `dispatch` matches no function"),
+            "missing dead-root report:\n{text}"
+        );
+    }
+    assert!(
+        !root.join("hyperstatic.baseline").exists(),
+        "no baseline is written over a dead root"
+    );
 }
 
 #[test]
@@ -240,8 +294,8 @@ fn baseline_masks_known_findings_and_flags_new_ones() {
     );
     write(
         &root,
-        "crates/server/src/server.rs",
-        "pub fn dispatch(req: u32) -> u32 {\n    req\n}\n",
+        SERVER_RS,
+        &server_rs("pub fn dispatch(req: u32) -> u32 {\n    req\n}\n"),
     );
     let (code, text) = run(&root, &[]);
     assert_eq!(code, 0, "stale entries are warnings, not failures:\n{text}");

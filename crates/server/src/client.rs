@@ -98,14 +98,6 @@ pub struct RemoteStore {
     rframe: Vec<u8>,
 }
 
-/// What one send/receive attempt produced, before retry classification.
-enum Attempt {
-    /// A decoded, non-error response.
-    Reply(Response),
-    /// The server answered with an error — permanent, never retried.
-    ServerErr(String),
-}
-
 impl RemoteStore {
     /// Connect over `transport` with the given closure execution mode.
     pub fn new(transport: Box<dyn Transport>, mode: ClosureMode) -> RemoteStore {
@@ -189,37 +181,30 @@ impl RemoteStore {
         let _span = obs::trace::span("client.call");
         let subject = crate::protocol::redirect_subject(&req);
         let resp = match self.policy.clone() {
-            None => self.call_blocking(req),
+            None => {
+                self.scratch.clear();
+                req.encode_into(&mut self.scratch);
+                self.round_trip(None)
+            }
             Some(policy) => self.call_with_retry(req, &policy),
         };
-        if let Ok(Response::Moved(to, epoch)) = resp {
-            // The node migrated away: remember where it went (newest
-            // epoch wins) and surface the redirect as an error the
-            // caller can act on via `moved_hint`.
-            if let Some(o) = subject {
-                let slot = self.moved.entry(o).or_insert((to, epoch));
-                if epoch >= slot.1 {
-                    *slot = (to, epoch);
-                }
-            }
-            return Err(HmError::Backend(format!(
-                "remote: node moved to shard {to} (epoch {epoch})"
-            )));
-        }
-        resp
-    }
-
-    fn call_blocking(&mut self, req: Request) -> Result<Response> {
-        self.scratch.clear();
-        req.encode_into(&mut self.scratch);
-        self.transport.send(&self.scratch)?;
-        self.round_trips += 1;
-        obs::incr("client.round_trips", 1);
-        if !self.transport.recv_into(&mut self.rframe)? {
-            return Err(HmError::Backend("server disconnected".into()));
-        }
-        match Response::decode(&self.rframe)? {
+        match resp? {
+            // A server-reported error is permanent (never retried).
             Response::Err(msg) => Err(HmError::Backend(format!("remote: {msg}"))),
+            Response::Moved(to, epoch) => {
+                // The node migrated away: remember where it went (newest
+                // epoch wins) and surface the redirect as an error the
+                // caller can act on via `moved_hint`.
+                if let Some(o) = subject {
+                    let slot = self.moved.entry(o).or_insert((to, epoch));
+                    if epoch >= slot.1 {
+                        *slot = (to, epoch);
+                    }
+                }
+                Err(HmError::Backend(format!(
+                    "remote: node moved to shard {to} (epoch {epoch})"
+                )))
+            }
             other => Ok(other),
         }
     }
@@ -239,11 +224,8 @@ impl RemoteStore {
         req.encode_into(&mut self.scratch);
         let mut retry = 0u32;
         loop {
-            match self.attempt(policy.request_timeout) {
-                Ok(Attempt::Reply(resp)) => return Ok(resp),
-                Ok(Attempt::ServerErr(msg)) => {
-                    return Err(HmError::Backend(format!("remote: {msg}")));
-                }
+            match self.round_trip(Some(policy.request_timeout)) {
+                Ok(resp) => return Ok(resp),
                 Err(e) => {
                     if retry >= policy.max_retries {
                         self.gave_up += 1;
@@ -267,24 +249,25 @@ impl RemoteStore {
         }
     }
 
-    /// One send + bounded receive of the request held in `self.scratch`.
-    /// Transport-level failures (send error, deadline expiry, lost
-    /// connection, garbled frame) are `Err` and thus candidates for
-    /// retry.
-    fn attempt(&mut self, timeout: std::time::Duration) -> Result<Attempt> {
+    /// Send the request held in `self.scratch`, receive one frame
+    /// (waiting at most `timeout`, if given) and decode it — the one
+    /// place a request crosses the wire. Any `Err` is a transport-level
+    /// failure (send error, deadline expiry, lost connection, garbled
+    /// frame) and thus a candidate for retry; what the server answered,
+    /// including [`Response::Err`], is `Ok`.
+    fn round_trip(&mut self, timeout: Option<std::time::Duration>) -> Result<Response> {
         self.transport.send(&self.scratch)?;
         self.round_trips += 1;
         obs::incr("client.round_trips", 1);
-        if !self
-            .transport
-            .recv_timeout_into(timeout, &mut self.rframe)?
-        {
-            return Err(HmError::Timeout("connection closed mid-request".into()));
+        if !self.transport.recv_into(&mut self.rframe, timeout)? {
+            // Under a retry policy a close is transient: the next
+            // attempt reconnects.
+            return Err(match timeout {
+                Some(_) => HmError::Timeout("connection closed mid-request".into()),
+                None => HmError::Backend("server disconnected".into()),
+            });
         }
-        match Response::decode(&self.rframe)? {
-            Response::Err(msg) => Ok(Attempt::ServerErr(msg)),
-            other => Ok(Attempt::Reply(other)),
-        }
+        Response::decode(&self.rframe)
     }
 
     fn expect_oid(&mut self, req: Request) -> Result<Oid> {
@@ -815,11 +798,8 @@ mod tests {
             }
             self.inner.send(frame)
         }
-        fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-            self.inner.recv()
-        }
-        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>> {
-            self.inner.recv_timeout(timeout)
+        fn recv_into(&mut self, out: &mut Vec<u8>, timeout: Option<Duration>) -> Result<bool> {
+            self.inner.recv_into(out, timeout)
         }
     }
 

@@ -11,14 +11,19 @@
 //! * [`protocol`] — a binary request/response protocol covering every
 //!   [`hypermodel::store::HyperStore`] primitive **and** the conceptual
 //!   closure/editing operations as single messages;
-//! * [`transport`] — framed transports: in-process channels (with
-//!   simulated one-way latency, for controlled experiments) and real TCP;
-//! * [`server`] — the serving loop ([`server::serve`]) that dispatches
-//!   requests against any local store (mem, disk or rel backend);
+//! * [`transport`] — the two-method [`Transport`] trait and its framed
+//!   implementations: in-process channels (with simulated one-way
+//!   latency, for controlled experiments) and real TCP, which frames
+//!   through `exec::frame` exactly as the event-loop server does;
+//! * [`server`] — the dispatcher, the request-admission routine both
+//!   servers share, and the blocking loop ([`server::serve`]) that
+//!   serves any local store (mem, disk or rel backend; borrowed is
+//!   fine) over any transport — the server for simulated latency and
+//!   server-side fault injection;
 //! * [`multi`] — [`serve_multi`]: one process hosting N shard servers on
-//!   N ports with a single nonblocking event loop (`exec::EventLoop`)
-//!   for all connections and one persistent executor worker per shard —
-//!   no thread per connection;
+//!   N TCP ports with a single nonblocking event loop
+//!   (`exec::EventLoop`) for all connections and one persistent
+//!   executor worker per shard — no thread per connection;
 //! * [`client`] — [`client::RemoteStore`], a full `HyperStore` backed by
 //!   the wire, in two modes: [`client::ClosureMode::ClientSide`]
 //!   traverses with one round trip per relationship access;

@@ -1,20 +1,23 @@
 //! [`serve_multi`]: one process hosting N shard servers on N ports.
 //!
-//! The blocking [`crate::server::serve`] loop burns one thread per
-//! connection and one listener thread per shard. This module instead
-//! composes the `exec` crate's two layers: a single nonblocking
-//! [`exec::EventLoop`] owns every listener and connection, and request
-//! *execution* is deferred onto the persistent per-shard workers of an
-//! [`exec::ShardExecutor`] — listener `i` serves shard `i`. Total
-//! threads for an N-shard deployment: N workers + 1 loop, regardless of
-//! connection count.
+//! The blocking [`crate::server::serve`] loop needs one thread per
+//! connection. This module instead composes the `exec` crate's layers:
+//! a single nonblocking [`exec::EventLoop`] owns every listener and
+//! connection, and request *execution* is deferred onto the persistent
+//! per-shard workers of an [`exec::ShardExecutor`] — listener `i`
+//! serves shard `i`. An N-shard deployment runs on N workers plus one
+//! loop thread, regardless of connection count.
 //!
-//! Semantics match the blocking loop: per-shard [`DedupCache`] for
-//! at-most-once tagged retries (shared across every connection to that
-//! shard, so retries survive reconnects), the same garbage-streak
-//! disconnect rule, and `Shutdown` closing the requesting connection —
-//! the *server* outlives its clients and stops via
-//! [`MultiServer::stop`].
+//! Every frame goes through the same admission routine as the blocking
+//! loop's: `admit` on the loop thread when the frame arrives, then
+//! `execute` on the shard's worker. Each shard's dedup cache lives
+//! beside its store under the shard lock, so the at-most-once decision
+//! for a tagged request is taken in the shard's execution order — a
+//! retry arriving on a second connection while the first copy is still
+//! queued or running is replayed, not run twice — and is shared by
+//! every connection to that shard, so retries survive reconnects.
+//! `Shutdown` closes the requesting connection only: the *server*
+//! outlives its clients and stops via [`MultiServer::stop`].
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -25,17 +28,25 @@ use std::thread::JoinHandle;
 use exec::{Completions, ConnId, EventLoop, FrameHandler, FrameOutcome, LoopStats, ShardExecutor};
 use hypermodel::error::{HmError, Result};
 use hypermodel::store::HyperStore;
-use sanity::sync::Mutex;
 
 use crate::protocol::{Request, Response};
-use crate::server::{dispatch, DedupCache, MAX_GARBAGE_STREAK};
+use crate::server::{admit, execute, Admission, DedupCache, SessionStats};
 
-/// Counters shared between the loop thread and [`MultiServer`].
+/// Counters shared between the loop thread, the shard workers and
+/// [`MultiServer`].
 #[derive(Default)]
 struct Shared {
     requests: AtomicU64,
     errors: AtomicU64,
     replayed: AtomicU64,
+}
+
+impl Shared {
+    fn add(&self, delta: &SessionStats) {
+        self.requests.fetch_add(delta.requests, Ordering::Relaxed);
+        self.errors.fetch_add(delta.errors, Ordering::Relaxed);
+        self.replayed.fetch_add(delta.replayed, Ordering::Relaxed);
+    }
 }
 
 /// Aggregate statistics for a stopped [`MultiServer`].
@@ -54,65 +65,35 @@ pub struct MultiStats {
 
 /// Routes frames from listener `i` onto shard `i`'s executor worker.
 struct MultiHandler<S> {
-    exec: ShardExecutor<S>,
-    caches: Vec<Arc<Mutex<DedupCache>>>,
+    /// Each shard's store with the at-most-once memory of what ran
+    /// against it.
+    exec: ShardExecutor<(S, DedupCache)>,
     shared: Arc<Shared>,
+    /// Malformed-frame streak per connection.
     garbage: HashMap<ConnId, u32>,
 }
 
-impl<S: HyperStore + Send + 'static> FrameHandler for MultiHandler<S> {
-    fn on_frame(&mut self, conn: ConnId, frame: Vec<u8>, done: &Completions) -> FrameOutcome {
-        let shard = conn.listener;
-        let req = match Request::decode(&frame) {
-            Ok(r) => {
-                self.garbage.remove(&conn);
-                r
-            }
-            Err(e) => {
-                self.shared.errors.fetch_add(1, Ordering::Relaxed);
-                let streak = self.garbage.entry(conn).or_insert(0);
-                *streak += 1;
-                if *streak >= MAX_GARBAGE_STREAK {
-                    return FrameOutcome::Close;
-                }
-                return FrameOutcome::Reply(Response::Err(e.to_string()).encode());
-            }
-        };
-        if req == Request::Shutdown {
-            // Closes this client's connection; the server keeps running.
-            return FrameOutcome::ReplyClose(Response::Unit.encode());
-        }
-        let remember_as = match &req {
-            Request::Tagged(id, _) => Some(*id),
-            _ => None,
-        };
-        if let Some(id) = remember_as {
-            let hit = self.caches[shard].lock().lookup(id).map(<[u8]>::to_vec);
-            if let Some(bytes) = hit {
-                self.shared.replayed.fetch_add(1, Ordering::Relaxed);
-                return FrameOutcome::Reply(bytes);
-            }
-        }
-        let cache = Arc::clone(&self.caches[shard]);
+impl<S: HyperStore + Send + 'static> MultiHandler<S> {
+    /// Queue `req` for `conn`'s shard worker; its reply arrives through
+    /// `done`.
+    fn run_on_shard(&mut self, conn: ConnId, req: Request, done: &Completions) -> FrameOutcome {
         let shared = Arc::clone(&self.shared);
         let done = done.clone();
-        // Only `dispatch` runs under the shard lock; bookkeeping, the
-        // dedup insert and the completion send happen in the completion
-        // callback after the worker has released it (`sanity::sync`
-        // flags sends performed while a lock is held).
+        // `execute` runs under the shard lock; the counters and the
+        // completion send happen in the completion callback after the
+        // worker has released it (`sanity::sync` flags sends performed
+        // while a lock is held).
         let submitted = self.exec.submit_detached(
-            shard,
-            move |store| dispatch(store, req),
-            move |resp| {
-                if matches!(resp, Response::Err(_)) {
-                    shared.errors.fetch_add(1, Ordering::Relaxed);
-                }
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                let bytes = resp.encode();
-                if let Some(id) = remember_as {
-                    cache.lock().remember(id, bytes.clone());
-                }
-                done.send(conn, bytes);
+            conn.listener,
+            move |(store, cache)| {
+                let mut stats = SessionStats::default();
+                let mut out = Vec::new();
+                execute(store, cache, req, &mut stats, &mut out);
+                (stats, out)
+            },
+            move |(stats, out)| {
+                shared.add(&stats);
+                done.send(conn, out);
             },
         );
         match submitted {
@@ -121,9 +102,28 @@ impl<S: HyperStore + Send + 'static> FrameHandler for MultiHandler<S> {
                 // Poisoned or shut-down shard: answer with the structured
                 // error instead of going silent.
                 self.shared.errors.fetch_add(1, Ordering::Relaxed);
-                FrameOutcome::Reply(Response::Err(e.into_hm().to_string()).encode())
+                let mut out = Vec::new();
+                Response::Err(e.into_hm().to_string()).encode_into(&mut out);
+                FrameOutcome::Reply(out)
             }
         }
+    }
+}
+
+impl<S: HyperStore + Send + 'static> FrameHandler for MultiHandler<S> {
+    fn on_frame(&mut self, conn: ConnId, frame: &[u8], done: &Completions) -> FrameOutcome {
+        let mut stats = SessionStats::default();
+        let mut out = Vec::new();
+        let streak = self.garbage.entry(conn).or_insert(0);
+        let outcome = match admit(frame, streak, &mut stats, &mut out) {
+            Admission::Execute(req) => return self.run_on_shard(conn, req, done),
+            Admission::Reply => FrameOutcome::Reply(out),
+            // Closes this client's connection; the server keeps running.
+            Admission::ReplyClose => FrameOutcome::ReplyClose(out),
+            Admission::Close => FrameOutcome::Close,
+        };
+        self.shared.add(&stats);
+        outcome
     }
 
     fn on_disconnect(&mut self, conn: ConnId) {
@@ -214,16 +214,17 @@ where
             binds.len()
         )));
     }
-    let n = shards.len();
     let event_loop = EventLoop::bind(binds)?;
     let addrs = event_loop.local_addrs().to_vec();
     let stop = event_loop.stop_handle();
     let shared = Arc::new(Shared::default());
     let handler = MultiHandler {
-        exec: ShardExecutor::new(shards),
-        caches: (0..n)
-            .map(|_| Arc::new(Mutex::new(DedupCache::default())))
-            .collect(),
+        exec: ShardExecutor::new(
+            shards
+                .into_iter()
+                .map(|store| (store, DedupCache::default()))
+                .collect(),
+        ),
         shared: Arc::clone(&shared),
         garbage: HashMap::new(),
     };

@@ -260,13 +260,6 @@ impl Request {
         }
     }
 
-    /// Encode to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
     /// Encode by appending to a caller-owned buffer, so the hot path
     /// (`RemoteStore`, the serving loops) reuses one scratch `Vec`
     /// across requests instead of allocating per call.
@@ -520,13 +513,6 @@ pub fn redirect_subject(req: &Request) -> Option<Oid> {
 }
 
 impl Response {
-    /// Encode to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
     /// Encode by appending to a caller-owned buffer (see
     /// [`Request::encode_into`]).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -697,6 +683,18 @@ mod tests {
     use super::*;
     use hypermodel::model::{Content, NodeAttrs, NodeKind};
 
+    fn req_bytes(req: &Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        req.encode_into(&mut out);
+        out
+    }
+
+    fn resp_bytes(resp: &Response) -> Vec<u8> {
+        let mut out = Vec::new();
+        resp.encode_into(&mut out);
+        out
+    }
+
     fn sample_value() -> NodeValue {
         NodeValue {
             kind: NodeKind::FORM,
@@ -772,7 +770,7 @@ mod tests {
             Request::RetireNodes(vec![Oid(46), Oid(47)], 2, 11),
         ];
         for req in requests {
-            let decoded = Request::decode(&req.encode()).unwrap();
+            let decoded = Request::decode(&req_bytes(&req)).unwrap();
             assert_eq!(decoded, req);
         }
     }
@@ -810,7 +808,7 @@ mod tests {
             Response::Moved(3, 42),
         ];
         for resp in responses {
-            let decoded = Response::decode(&resp.encode()).unwrap();
+            let decoded = Response::decode(&resp_bytes(&resp)).unwrap();
             assert_eq!(decoded, resp);
         }
     }
@@ -821,7 +819,7 @@ mod tests {
         assert!(Response::decode(&[200]).is_err());
         assert!(Request::decode(&[]).is_err());
         // Trailing bytes.
-        let mut bytes = Request::Commit.encode();
+        let mut bytes = req_bytes(&Request::Commit);
         bytes.push(0);
         assert!(Request::decode(&bytes).is_err());
     }
@@ -840,6 +838,6 @@ mod tests {
     fn nested_tagged_is_rejected() {
         let inner = Request::Tagged(1, Box::new(Request::Commit));
         let outer = Request::Tagged(2, Box::new(inner));
-        assert!(Request::decode(&outer.encode()).is_err());
+        assert!(Request::decode(&req_bytes(&outer)).is_err());
     }
 }

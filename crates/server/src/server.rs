@@ -1,4 +1,7 @@
-//! The serving loop: dispatch decoded requests against a local store.
+//! Serving requests against a local store: the one admission path both
+//! servers run every inbound frame through (`admit` then
+//! `execute`), the dispatcher, and the blocking per-connection loop
+//! ([`serve`]).
 
 use hypermodel::error::Result;
 use hypermodel::store::HyperStore;
@@ -21,50 +24,120 @@ pub struct SessionStats {
 /// Consecutive malformed frames tolerated before the server drops the
 /// connection. A client with a framing bug gets a few error responses
 /// to diagnose with; a firehose of garbage gets disconnected.
-pub(crate) const MAX_GARBAGE_STREAK: u32 = 8;
+const MAX_GARBAGE_STREAK: u32 = 8;
+
+/// Tagged responses remembered per store. Retries arrive promptly
+/// (bounded backoff), so a small window suffices.
+const DEDUP_WINDOW: usize = 64;
 
 /// Remembers the responses of recently-executed [`Request::Tagged`]
 /// requests so a retried mutation applies **at most once**: when the
 /// client resends an id it already sent (because the response was lost
 /// in flight), the server replays the stored response instead of
-/// executing the request again.
-///
-/// Bounded FIFO — old entries are evicted. Retries arrive promptly
-/// (bounded backoff), so a small window suffices.
-#[derive(Debug)]
-pub struct DedupCache {
+/// executing the request again. Bounded FIFO — old entries are evicted.
+#[derive(Debug, Default)]
+pub(crate) struct DedupCache {
     entries: std::collections::VecDeque<(u64, Vec<u8>)>,
-    cap: usize,
-}
-
-impl Default for DedupCache {
-    fn default() -> DedupCache {
-        DedupCache::new(64)
-    }
 }
 
 impl DedupCache {
-    /// A cache remembering up to `cap` recent tagged responses.
-    pub fn new(cap: usize) -> DedupCache {
-        DedupCache {
-            entries: std::collections::VecDeque::with_capacity(cap.max(1)),
-            cap: cap.max(1),
-        }
-    }
-
-    /// The stored encoded response for `id`, if still remembered.
-    pub fn lookup(&self, id: u64) -> Option<&[u8]> {
+    fn lookup(&self, id: u64) -> Option<&[u8]> {
         self.entries
             .iter()
             .find(|(k, _)| *k == id)
             .map(|(_, v)| v.as_slice())
     }
 
-    pub(crate) fn remember(&mut self, id: u64, resp: Vec<u8>) {
-        if self.entries.len() == self.cap {
+    fn remember(&mut self, id: u64, resp: Vec<u8>) {
+        if self.entries.len() == DEDUP_WINDOW {
             self.entries.pop_front();
         }
         self.entries.push_back((id, resp));
+    }
+}
+
+/// What [`admit`] decided for one inbound frame.
+pub(crate) enum Admission {
+    /// The reply is already encoded in `out`; send it and carry on.
+    Reply,
+    /// The reply is in `out`; send it, then close this connection
+    /// (a top-level [`Request::Shutdown`]).
+    ReplyClose,
+    /// Too many malformed frames in a row: drop the connection without
+    /// replying.
+    Close,
+    /// A well-formed request for [`execute`].
+    Execute(Request),
+}
+
+/// First half of admission, run where the frame arrives: decode it,
+/// keep the connection's malformed-frame `streak` (a bad frame is
+/// answered with an error until [`MAX_GARBAGE_STREAK`] in a row, then
+/// the connection goes), and answer a top-level `Shutdown`. `out`
+/// arrives empty and leaves holding the reply, if there is one.
+pub(crate) fn admit(
+    frame: &[u8],
+    streak: &mut u32,
+    stats: &mut SessionStats,
+    out: &mut Vec<u8>,
+) -> Admission {
+    match Request::decode(frame) {
+        Ok(Request::Shutdown) => {
+            Response::Unit.encode_into(out);
+            Admission::ReplyClose
+        }
+        Ok(req) => {
+            *streak = 0;
+            Admission::Execute(req)
+        }
+        Err(e) => {
+            stats.errors += 1;
+            *streak += 1;
+            if *streak >= MAX_GARBAGE_STREAK {
+                // One bad client must not kill the server, but it need
+                // not be humoured forever either.
+                eprintln!(
+                    "server: dropping connection after {streak} \
+                     consecutive malformed frames (last: {e})"
+                );
+                return Admission::Close;
+            }
+            Response::Err(e.to_string()).encode_into(out);
+            Admission::Reply
+        }
+    }
+}
+
+/// Second half of admission, run where the store is — and, for a
+/// store several connections share, in that store's execution order,
+/// which is what makes the dedup decision race-free: a tagged request
+/// whose id `cache` remembers is answered with the stored bytes,
+/// anything else is dispatched, encoded and (if tagged) remembered.
+/// `out` arrives empty and leaves holding the reply.
+pub(crate) fn execute<S: HyperStore + ?Sized>(
+    store: &mut S,
+    cache: &mut DedupCache,
+    req: Request,
+    stats: &mut SessionStats,
+    out: &mut Vec<u8>,
+) {
+    let tag = match &req {
+        Request::Tagged(id, _) => Some(*id),
+        _ => None,
+    };
+    if let Some(bytes) = tag.and_then(|id| cache.lookup(id)) {
+        stats.replayed += 1;
+        out.extend_from_slice(bytes);
+        return;
+    }
+    let resp = dispatch(store, req);
+    if matches!(resp, Response::Err(_)) {
+        stats.errors += 1;
+    }
+    stats.requests += 1;
+    resp.encode_into(out);
+    if let Some(id) = tag {
+        cache.remember(id, out.clone());
     }
 }
 
@@ -170,10 +243,10 @@ pub(crate) fn dispatch<S: HyperStore + ?Sized>(store: &mut S, req: Request) -> R
         Request::RetireNodes(oids, to, epoch) => {
             ok_or_err(store.retire_nodes(&oids, to, epoch), |_| Response::Unit)
         }
-        // Dedup is the serve loop's job; a direct dispatch just unwraps.
+        // Dedup is `execute`'s job; a direct dispatch just unwraps.
         // (decode rejects nested Tagged, so this recurses at most once.)
         Request::Tagged(_, inner) => dispatch(store, *inner),
-        // The serve loop intercepts Shutdown before dispatch; reaching
+        // `admit` intercepts Shutdown before dispatch; reaching
         // here means it arrived somewhere it cannot be honoured (e.g.
         // inside a Tagged envelope) — refuse rather than panic.
         Request::Shutdown => Response::Err("shutdown must be a top-level request".into()),
@@ -184,214 +257,47 @@ pub(crate) fn dispatch<S: HyperStore + ?Sized>(store: &mut S, req: Request) -> R
 }
 
 /// Serve requests from `transport` against `store` until the client sends
-/// [`Request::Shutdown`] or disconnects. Uses a fresh per-session
-/// [`DedupCache`]; servers that accept reconnects from retrying clients
-/// should use [`serve_with_cache`] so retry ids survive the reconnect.
+/// [`Request::Shutdown`] or disconnects: one blocking loop on the
+/// calling thread. This is the server for everything the event loop of
+/// [`crate::serve_multi`] cannot host — a non-TCP transport (simulated
+/// latency, fault injection on the server side) or a borrowed store.
+/// At-most-once memory for tagged requests lasts for the session.
 pub fn serve<S: HyperStore + ?Sized>(
     store: &mut S,
     transport: &mut dyn Transport,
 ) -> Result<SessionStats> {
-    let mut cache = DedupCache::default();
-    serve_with_cache(store, transport, &mut cache)
-}
-
-/// [`serve`] with a caller-owned [`DedupCache`], so at-most-once
-/// semantics for tagged requests hold across client reconnects (the
-/// retry of a mutation whose response was lost may arrive on a *new*
-/// connection).
-pub fn serve_with_cache<S: HyperStore + ?Sized>(
-    store: &mut S,
-    transport: &mut dyn Transport,
-    cache: &mut DedupCache,
-) -> Result<SessionStats> {
     let mut stats = SessionStats::default();
-    let mut garbage_streak = 0u32;
+    let mut cache = DedupCache::default();
+    let mut streak = 0u32;
     // One receive buffer and one encode scratch for the whole session:
     // the steady-state loop allocates only inside dispatch itself.
     let mut frame = Vec::new();
     let mut out = Vec::new();
-    loop {
-        if !transport.recv_into(&mut frame)? {
-            return Ok(stats); // clean disconnect
-        }
-        let req = match Request::decode(&frame) {
-            Ok(r) => {
-                garbage_streak = 0;
-                r
-            }
-            Err(e) => {
-                stats.errors += 1;
-                garbage_streak += 1;
-                if garbage_streak >= MAX_GARBAGE_STREAK {
-                    // One bad client must not kill the serving thread,
-                    // but it need not be humoured forever either.
-                    eprintln!(
-                        "server: dropping connection after {garbage_streak} \
-                         consecutive malformed frames (last: {e})"
-                    );
-                    return Ok(stats);
-                }
-                out.clear();
-                Response::Err(e.to_string()).encode_into(&mut out);
-                transport.send(&out)?;
-                continue;
-            }
-        };
-        if req == Request::Shutdown {
-            out.clear();
-            Response::Unit.encode_into(&mut out);
-            transport.send(&out)?;
-            return Ok(stats);
-        }
-        if let Request::Tagged(id, _) = &req {
-            if let Some(bytes) = cache.lookup(*id) {
-                stats.replayed += 1;
-                transport.send(bytes)?;
-                continue;
-            }
-        }
-        let remember_as = match &req {
-            Request::Tagged(id, _) => Some(*id),
-            _ => None,
-        };
-        let resp = dispatch(store, req);
-        if matches!(resp, Response::Err(_)) {
-            stats.errors += 1;
-        }
-        stats.requests += 1;
+    while transport.recv_into(&mut frame, None)? {
         out.clear();
-        resp.encode_into(&mut out);
-        if let Some(id) = remember_as {
-            cache.remember(id, out.clone());
-        }
+        let close = match admit(&frame, &mut streak, &mut stats, &mut out) {
+            Admission::Reply => false,
+            Admission::ReplyClose => true,
+            Admission::Close => break,
+            Admission::Execute(req) => {
+                execute(store, &mut cache, req, &mut stats, &mut out);
+                false
+            }
+        };
         transport.send(&out)?;
+        if close {
+            break;
+        }
     }
+    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::ChannelTransport;
-    use hypermodel::config::GenConfig;
-    use hypermodel::generate::TestDatabase;
-    use hypermodel::load::load_database;
-    use hypermodel::model::Oid;
     use mem_backend::MemStore;
     use std::time::Duration;
-
-    #[test]
-    fn serve_dispatches_and_shuts_down() {
-        let db = TestDatabase::generate(&GenConfig::tiny());
-        let mut store = MemStore::new();
-        let report = load_database(&mut store, &db).unwrap();
-        let (mut client, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-        let handle = std::thread::spawn(move || serve(&mut store, &mut server_end).unwrap());
-
-        client.send(&Request::LookupUnique(1).encode()).unwrap();
-        let resp = Response::decode(&client.recv().unwrap().unwrap()).unwrap();
-        assert_eq!(resp, Response::Oid(report.oids[0]));
-
-        client.send(&Request::SeqScanTen.encode()).unwrap();
-        let resp = Response::decode(&client.recv().unwrap().unwrap()).unwrap();
-        assert_eq!(resp, Response::U64(31));
-
-        // An error surfaces as Response::Err, not a dead session.
-        client
-            .send(&Request::HundredOf(Oid(999_999)).encode())
-            .unwrap();
-        let resp = Response::decode(&client.recv().unwrap().unwrap()).unwrap();
-        assert!(matches!(resp, Response::Err(_)));
-
-        // Garbage frame also keeps the session alive.
-        client.send(&[250, 1, 2]).unwrap();
-        let resp = Response::decode(&client.recv().unwrap().unwrap()).unwrap();
-        assert!(matches!(resp, Response::Err(_)));
-
-        client.send(&Request::Shutdown.encode()).unwrap();
-        let resp = Response::decode(&client.recv().unwrap().unwrap()).unwrap();
-        assert_eq!(resp, Response::Unit);
-        let stats = handle.join().unwrap();
-        assert_eq!(stats.requests, 3);
-        assert_eq!(stats.errors, 2);
-    }
-
-    #[test]
-    fn tagged_retry_applies_at_most_once() {
-        let db = TestDatabase::generate(&GenConfig::tiny());
-        let mut store = MemStore::new();
-        let report = load_database(&mut store, &db).unwrap();
-        let target = report.oids[0];
-        let (mut client, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-        let handle = std::thread::spawn(move || {
-            let stats = serve(&mut store, &mut server_end).unwrap();
-            (store, stats)
-        });
-
-        // A tagged node creation, "retried" three times with the same id
-        // as if every response had been lost.
-        let req = Request::Tagged(
-            77,
-            Box::new(Request::InsertExtraNode(hypermodel::model::NodeValue {
-                kind: hypermodel::model::NodeKind::TEXT,
-                attrs: hypermodel::model::NodeAttrs {
-                    unique_id: 1_000_001,
-                    ten: 1,
-                    hundred: 1,
-                    thousand: 1,
-                    million: 1,
-                },
-                content: hypermodel::model::Content::Text("retry me".into()),
-            })),
-        );
-        let mut oids = Vec::new();
-        for _ in 0..3 {
-            client.send(&req.encode()).unwrap();
-            match Response::decode(&client.recv().unwrap().unwrap()).unwrap() {
-                Response::Oid(o) => oids.push(o),
-                other => panic!("expected Oid, got {other:?}"),
-            }
-        }
-        assert_eq!(oids[0], oids[1]);
-        assert_eq!(oids[0], oids[2], "replays return the stored response");
-
-        // A shutdown smuggled inside a Tagged envelope is refused, not
-        // a panic in the dispatcher.
-        client
-            .send(&Request::Tagged(78, Box::new(Request::Shutdown)).encode())
-            .unwrap();
-        let resp = Response::decode(&client.recv().unwrap().unwrap()).unwrap();
-        assert!(matches!(resp, Response::Err(_)));
-
-        client.send(&Request::Shutdown.encode()).unwrap();
-        client.recv().unwrap().unwrap();
-        let (mut store, stats) = handle.join().unwrap();
-        assert_eq!(stats.requests, 2, "one create + one refused shutdown");
-        assert_eq!(stats.replayed, 2);
-        // Exactly one node was inserted: its uid resolves, and the next
-        // uid does not.
-        assert_eq!(store.lookup_unique(1_000_001).unwrap(), oids[0]);
-        assert_eq!(target, report.oids[0]); // silence unused warning paths
-    }
-
-    #[test]
-    fn garbage_firehose_drops_the_connection() {
-        let mut store = MemStore::new();
-        let (mut client, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-        let handle = std::thread::spawn(move || serve(&mut store, &mut server_end).unwrap());
-        // Fewer than the limit: each garbage frame gets an error reply.
-        for _ in 0..super::MAX_GARBAGE_STREAK - 1 {
-            client.send(&[255, 0, 1]).unwrap();
-            let resp = Response::decode(&client.recv().unwrap().unwrap()).unwrap();
-            assert!(matches!(resp, Response::Err(_)));
-        }
-        // One more consecutive malformed frame crosses the limit: the
-        // server disconnects instead of replying.
-        client.send(&[255, 0, 1]).unwrap();
-        assert_eq!(client.recv().unwrap(), None, "server hung up");
-        let stats = handle.join().unwrap();
-        assert_eq!(stats.errors, u64::from(super::MAX_GARBAGE_STREAK));
-        assert_eq!(stats.requests, 0);
-    }
 
     #[test]
     fn client_disconnect_ends_serve_cleanly() {

@@ -1,283 +1,45 @@
 //! Message transports: in-process channels and TCP.
 //!
-//! Both carry length-prefixed frames (`u32` length + `u64` trace id +
-//! payload, matching `exec::EventLoop`'s framing) so the marshalling
-//! cost is identical; the channel transport adds an optional simulated
-//! one-way latency per frame, letting experiments model the paper's
-//! local-area-network workstation/server setups without real network
-//! variance.
+//! Both carry the same frames (`exec::frame`: `u32` length + `u64` trace
+//! id + payload) so the marshalling cost is identical; the channel
+//! transport adds an optional simulated one-way latency per frame,
+//! letting experiments model the paper's local-area-network
+//! workstation/server setups without real network variance.
 //!
 //! Trace propagation: [`Transport::send`] stamps each outgoing frame
 //! with the calling thread's current trace id (`obs::trace::current`),
-//! and [`Transport::recv`] installs the received frame's trace id as
-//! current — so a blocking server thread dispatches inside the client's
-//! trace, and a client thread reading a reply rejoins the trace it sent.
+//! and [`Transport::recv_into`] installs the received frame's trace id
+//! as current — so a blocking server thread dispatches inside the
+//! client's trace, and a client thread reading a reply rejoins the
+//! trace it sent.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use exec::frame::{write_frame, FrameBuf, NetCounters};
 use hypermodel::error::{HmError, Result};
 
-/// Largest accepted frame payload on the client side. `hyperlint`
-/// (rule `frame-cap`) keeps this textually identical to the server-side
-/// cap in `exec/src/event_loop.rs`.
-pub const MAX_FRAME: usize = 64 << 20;
-
-/// Bytes of the frame header carrying the trace id (kept equal to
-/// `exec::TRACE_HEADER`; both sides slice the same frames).
-const TRACE_HEADER: usize = 8;
+pub use exec::frame::MAX_FRAME;
 
 /// A bidirectional, framed message pipe.
 pub trait Transport: Send {
     /// Send one frame.
     fn send(&mut self, frame: &[u8]) -> Result<()>;
-    /// Receive one frame (blocking). `Ok(None)` means the peer closed.
-    fn recv(&mut self) -> Result<Option<Vec<u8>>>;
-    /// Receive one frame, waiting at most `timeout`. Returns
-    /// [`HmError::Timeout`] when the deadline passes with no frame.
-    /// After a timeout the connection should be considered suspect
-    /// (a frame may arrive half-read on stream transports); retrying
-    /// callers reconnect rather than resume.
+
+    /// Receive one frame into a caller-owned buffer (its previous
+    /// contents are replaced), so a looping caller reuses one
+    /// allocation across frames. Returns `false` when the peer closed.
     ///
-    /// The default ignores the deadline and blocks — correct for
-    /// transports that cannot wait bounded, and harmless for tests.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>> {
-        let _ = timeout;
-        self.recv()
-    }
-
-    /// Receive one frame into a caller-owned buffer (cleared first),
-    /// so a looping caller reuses one allocation across frames. Returns
-    /// `false` when the peer closed. The default delegates to
-    /// [`Transport::recv`]; buffered transports override it to skip the
-    /// intermediate `Vec`.
-    fn recv_into(&mut self, out: &mut Vec<u8>) -> Result<bool> {
-        match self.recv()? {
-            Some(frame) => {
-                out.clear();
-                out.extend_from_slice(&frame);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// [`Transport::recv_timeout`] into a caller-owned buffer; same
-    /// contract as [`Transport::recv_into`].
-    fn recv_timeout_into(&mut self, timeout: Duration, out: &mut Vec<u8>) -> Result<bool> {
-        match self.recv_timeout(timeout)? {
-            Some(frame) => {
-                out.clear();
-                out.extend_from_slice(&frame);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-}
-
-/// Cached handles for the process-wide wire-traffic counters, resolved
-/// once per connection so the hot path pays one relaxed add, not a
-/// registry lookup. All framed byte streams (client transports and the
-/// server event loop) feed the same three names.
-pub struct NetCounters {
-    handles: Option<(Arc<obs::Counter>, Arc<obs::Counter>, Arc<obs::Counter>)>,
-}
-
-impl NetCounters {
-    /// Resolve (and thereby pre-register) the counter handles.
-    pub fn new() -> NetCounters {
-        NetCounters {
-            handles: obs::enabled().then(|| {
-                let reg = obs::registry();
-                (
-                    reg.counter("net.bytes_sent"),
-                    reg.counter("net.bytes_recv"),
-                    reg.counter("net.write_batches"),
-                )
-            }),
-        }
-    }
-
-    /// Account one successful write syscall of `n` bytes.
-    pub fn wrote(&self, n: usize) {
-        if let Some((sent, _, batches)) = &self.handles {
-            sent.add(n as u64);
-            batches.incr();
-        }
-    }
-
-    /// Account one successful read syscall of `n` bytes.
-    pub fn read(&self, n: usize) {
-        if let Some((_, recv, _)) = &self.handles {
-            recv.add(n as u64);
-        }
-    }
-}
-
-impl Default for NetCounters {
-    fn default() -> NetCounters {
-        NetCounters::new()
-    }
-}
-
-/// How much to read per syscall once the stream buffer is drained.
-/// Large enough that a burst of back-to-back responses (or one mid-size
-/// batch reply) arrives in a single syscall.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// Framing state for one byte-stream connection: a reusable scratch
-/// buffer that assembles `[u32 len][u64 trace][payload]` so a frame
-/// goes out in **one** write syscall, and a growable inbound buffer
-/// that large reads fill and complete frames are parsed out of — three
-/// header/body reads per frame collapse into (amortized) less than one.
-///
-/// Used by [`TcpTransport`] and shared with any framed stream (the
-/// torture tests drive it over one-byte-at-a-time readers/writers).
-pub struct FrameCodec {
-    sbuf: Vec<u8>,
-    rbuf: Vec<u8>,
-    /// `rbuf[rpos..rlen]` holds received, not-yet-parsed bytes.
-    rpos: usize,
-    rlen: usize,
-    net: NetCounters,
-}
-
-impl FrameCodec {
-    /// Fresh per-connection state.
-    pub fn new() -> FrameCodec {
-        FrameCodec {
-            sbuf: Vec::new(),
-            rbuf: Vec::new(),
-            rpos: 0,
-            rlen: 0,
-            net: NetCounters::new(),
-        }
-    }
-
-    /// Frame `payload` with its length prefix and `trace` id and write
-    /// it in a single `write_all` call.
-    pub fn send_frame<W: Write>(&mut self, w: &mut W, payload: &[u8], trace: u64) -> Result<()> {
-        self.sbuf.clear();
-        self.sbuf
-            .extend_from_slice(&(((payload.len() + TRACE_HEADER) as u32).to_le_bytes()));
-        self.sbuf.extend_from_slice(&trace.to_le_bytes());
-        self.sbuf.extend_from_slice(payload);
-        w.write_all(&self.sbuf)
-            .map_err(|e| HmError::Backend(format!("tcp send: {e}")))?;
-        self.net.wrote(self.sbuf.len());
-        Ok(())
-    }
-
-    /// True when a complete frame is already buffered (the next
-    /// `recv_frame` will not touch the stream).
-    pub fn has_buffered_frame(&self) -> bool {
-        self.peek_frame_len().ok().flatten().is_some()
-    }
-
-    /// Length (including trace header) of the buffered frame at the
-    /// cursor, if the buffer holds all of it.
-    fn peek_frame_len(&self) -> Result<Option<usize>> {
-        let avail = &self.rbuf[self.rpos..self.rlen];
-        if avail.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > MAX_FRAME {
-            return Err(HmError::Backend(format!("oversized frame: {len} bytes")));
-        }
-        if len < TRACE_HEADER {
-            return Err(HmError::Backend(format!("truncated frame: {len} bytes")));
-        }
-        Ok((avail.len() >= 4 + len).then_some(len))
-    }
-
-    /// Read the next frame's payload into `out` (cleared first) and
-    /// install its trace id. Returns `false` on clean EOF at a frame
-    /// boundary; EOF mid-frame is an error. Reads from the stream only
-    /// when the buffer does not already hold a complete frame.
-    pub fn recv_frame<R: Read>(&mut self, r: &mut R, out: &mut Vec<u8>) -> Result<bool> {
-        loop {
-            if let Some(len) = self.peek_frame_len()? {
-                let start = self.rpos + 4 + TRACE_HEADER;
-                let t = self.rpos + 4;
-                let trace = u64::from_le_bytes([
-                    self.rbuf[t],
-                    self.rbuf[t + 1],
-                    self.rbuf[t + 2],
-                    self.rbuf[t + 3],
-                    self.rbuf[t + 4],
-                    self.rbuf[t + 5],
-                    self.rbuf[t + 6],
-                    self.rbuf[t + 7],
-                ]);
-                obs::trace::set(trace);
-                out.clear();
-                out.extend_from_slice(&self.rbuf[start..self.rpos + 4 + len]);
-                self.rpos += 4 + len;
-                return Ok(true);
-            }
-            // Partial header/frame: work out how much is still missing
-            // so one read can cover it (plus slack for whatever rides
-            // behind it).
-            let avail = self.rlen - self.rpos;
-            let want = if avail >= 4 {
-                let p = self.rpos;
-                let len = u32::from_le_bytes([
-                    self.rbuf[p],
-                    self.rbuf[p + 1],
-                    self.rbuf[p + 2],
-                    self.rbuf[p + 3],
-                ]) as usize;
-                (4 + len - avail).max(READ_CHUNK)
-            } else {
-                READ_CHUNK
-            };
-            if !self.fill(r, want)? {
-                if self.rpos == self.rlen {
-                    return Ok(false); // clean close between frames
-                }
-                return Err(HmError::Backend("tcp recv: eof mid-frame".into()));
-            }
-        }
-    }
-
-    /// One read syscall into the buffer tail; `false` on EOF.
-    fn fill<R: Read>(&mut self, r: &mut R, want: usize) -> Result<bool> {
-        // Drained: rewind instead of growing forever. Otherwise compact
-        // once the dead prefix outweighs a read chunk — an occasional
-        // memmove, not a per-frame one.
-        if self.rpos == self.rlen {
-            self.rpos = 0;
-            self.rlen = 0;
-        } else if self.rpos >= READ_CHUNK {
-            self.rbuf.copy_within(self.rpos..self.rlen, 0);
-            self.rlen -= self.rpos;
-            self.rpos = 0;
-        }
-        if self.rbuf.len() < self.rlen + want {
-            self.rbuf.resize(self.rlen + want, 0);
-        }
-        match r.read(&mut self.rbuf[self.rlen..]) {
-            Ok(0) => Ok(false),
-            Ok(n) => {
-                self.rlen += n;
-                self.net.read(n);
-                Ok(true)
-            }
-            Err(e) => Err(tcp_io_err("tcp recv", e)),
-        }
-    }
-}
-
-impl Default for FrameCodec {
-    fn default() -> FrameCodec {
-        FrameCodec::new()
-    }
+    /// With `timeout: None` the call blocks until a frame or a close
+    /// arrives. With `Some(t)` it returns [`HmError::Timeout`] when `t`
+    /// passes with no frame; after that the connection should be
+    /// considered suspect (a frame may sit half-read on a stream
+    /// transport), so retrying callers reconnect rather than resume.
+    fn recv_into(&mut self, out: &mut Vec<u8>, timeout: Option<Duration>) -> Result<bool>;
 }
 
 /// One end of an in-process channel transport.
@@ -351,36 +113,34 @@ impl Transport for ChannelTransport {
             .map_err(|_| HmError::Backend("peer disconnected".into()))
     }
 
-    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        match self.rx.recv() {
+    fn recv_into(&mut self, out: &mut Vec<u8>, timeout: Option<Duration>) -> Result<bool> {
+        let got = match timeout {
+            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(t) => self.rx.recv_timeout(t),
+        };
+        match got {
             Ok((trace, frame)) => {
                 obs::trace::set(trace);
-                Ok(Some(frame))
-            }
-            Err(_) => Ok(None), // peer dropped: clean shutdown
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok((trace, frame)) => {
-                obs::trace::set(trace);
-                Ok(Some(frame))
+                *out = frame;
+                Ok(true)
             }
             Err(RecvTimeoutError::Timeout) => {
                 Err(HmError::Timeout(format!("no frame within {timeout:?}")))
             }
-            Err(RecvTimeoutError::Disconnected) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Ok(false), // peer dropped: clean shutdown
         }
     }
 }
 
-/// A TCP transport (length-prefixed frames over a stream socket),
-/// buffered on both sides through a [`FrameCodec`]: one write syscall
-/// per outgoing frame, large chunked reads on the inbound side.
+/// A TCP transport, buffered on both sides: each outgoing frame is
+/// assembled in a reused scratch buffer and leaves in **one** write
+/// syscall; inbound bytes arrive through large reads into a
+/// [`FrameBuf`] that complete frames are parsed out of.
 pub struct TcpTransport {
     stream: TcpStream,
-    codec: FrameCodec,
+    sbuf: Vec<u8>,
+    inbound: FrameBuf,
+    net: NetCounters,
 }
 
 impl TcpTransport {
@@ -392,43 +152,61 @@ impl TcpTransport {
             .map_err(|e| HmError::Backend(format!("set_nodelay: {e}")))?;
         Ok(TcpTransport {
             stream,
-            codec: FrameCodec::new(),
+            sbuf: Vec::new(),
+            inbound: FrameBuf::new(),
+            net: NetCounters::new(),
         })
+    }
+
+    /// Block (subject to the socket's read timeout) until a complete
+    /// frame is buffered, then copy its payload into `out` and install
+    /// its trace id. `false` on a clean close at a frame boundary; a
+    /// close mid-frame is an error.
+    fn recv_blocking(&mut self, out: &mut Vec<u8>) -> Result<bool> {
+        loop {
+            if let Some((trace, payload)) = self
+                .inbound
+                .next_frame()
+                .map_err(|e| tcp_io_err("tcp recv", e))?
+            {
+                obs::trace::set(trace);
+                out.clear();
+                out.extend_from_slice(payload);
+                return Ok(true);
+            }
+            match self.inbound.fill(&mut self.stream) {
+                Ok(0) if self.inbound.is_empty() => return Ok(false),
+                Ok(0) => return Err(HmError::Backend("tcp recv: eof mid-frame".into())),
+                Ok(n) => self.net.read(n),
+                Err(e) => return Err(tcp_io_err("tcp recv", e)),
+            }
+        }
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
-        self.codec
-            .send_frame(&mut self.stream, frame, obs::trace::current())
+        self.sbuf.clear();
+        write_frame(&mut self.sbuf, obs::trace::current(), frame);
+        self.stream
+            .write_all(&self.sbuf)
+            .map_err(|e| HmError::Backend(format!("tcp send: {e}")))?;
+        self.net.wrote(self.sbuf.len());
+        Ok(())
     }
 
-    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        let mut out = Vec::new();
-        Ok(self.recv_into(&mut out)?.then_some(out))
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>> {
-        let mut out = Vec::new();
-        Ok(self.recv_timeout_into(timeout, &mut out)?.then_some(out))
-    }
-
-    fn recv_into(&mut self, out: &mut Vec<u8>) -> Result<bool> {
-        self.codec.recv_frame(&mut self.stream, out)
-    }
-
-    fn recv_timeout_into(&mut self, timeout: Duration, out: &mut Vec<u8>) -> Result<bool> {
+    fn recv_into(&mut self, out: &mut Vec<u8>, timeout: Option<Duration>) -> Result<bool> {
         // A buffered frame answers without touching the socket (and
         // without the two timeout fcntls).
-        if self.codec.has_buffered_frame() {
-            return self.codec.recv_frame(&mut self.stream, out);
-        }
+        let Some(timeout) = timeout.filter(|_| !self.inbound.has_frame()) else {
+            return self.recv_blocking(out);
+        };
         // A zero Duration means "no timeout" to the OS; clamp up.
         let timeout = timeout.max(Duration::from_millis(1));
         self.stream
             .set_read_timeout(Some(timeout))
             .map_err(|e| HmError::Backend(format!("set_read_timeout: {e}")))?;
-        let got = self.codec.recv_frame(&mut self.stream, out);
+        let got = self.recv_blocking(out);
         self.stream
             .set_read_timeout(None)
             .map_err(|e| HmError::Backend(format!("clear_read_timeout: {e}")))?;
@@ -452,13 +230,26 @@ fn tcp_io_err(what: &str, e: std::io::Error) -> HmError {
 mod tests {
     use super::*;
 
+    /// One received frame, `None` once the peer closed.
+    fn recv(t: &mut dyn Transport, timeout: Option<Duration>) -> Result<Option<Vec<u8>>> {
+        let mut out = Vec::new();
+        Ok(t.recv_into(&mut out, timeout)?.then_some(out))
+    }
+
+    fn tcp_pair() -> (TcpTransport, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (TcpTransport::new(accepted).unwrap(), raw)
+    }
+
     #[test]
     fn channel_pair_round_trips() {
         let (mut a, mut b) = ChannelTransport::pair(Duration::ZERO);
         a.send(b"hello").unwrap();
-        assert_eq!(b.recv().unwrap().unwrap(), b"hello");
+        assert_eq!(recv(&mut b, None).unwrap().unwrap(), b"hello");
         b.send(b"world").unwrap();
-        assert_eq!(a.recv().unwrap().unwrap(), b"world");
+        assert_eq!(recv(&mut a, None).unwrap().unwrap(), b"world");
     }
 
     #[test]
@@ -468,7 +259,7 @@ mod tests {
         assert!(a.send(b"x").is_err());
         let (a2, mut b2) = ChannelTransport::pair(Duration::ZERO);
         drop(a2);
-        assert_eq!(b2.recv().unwrap(), None);
+        assert_eq!(recv(&mut b2, None).unwrap(), None);
     }
 
     #[test]
@@ -477,9 +268,9 @@ mod tests {
         // scheduling jitter on loaded single-core hosts.
         let (mut a, mut b, clock) = ChannelTransport::pair_virtual(Duration::from_millis(5));
         a.send(b"slow").unwrap();
-        b.recv().unwrap().unwrap();
+        recv(&mut b, None).unwrap().unwrap();
         b.send(b"reply").unwrap();
-        a.recv().unwrap().unwrap();
+        recv(&mut a, None).unwrap().unwrap();
         assert_eq!(
             ChannelTransport::virtual_ns(&clock),
             2 * 5_000_000,
@@ -491,79 +282,93 @@ mod tests {
     fn channel_recv_timeout_times_out_and_delivers() {
         let (mut a, mut b) = ChannelTransport::pair(Duration::ZERO);
         assert!(matches!(
-            b.recv_timeout(Duration::from_millis(1)),
+            recv(&mut b, Some(Duration::from_millis(1))),
             Err(HmError::Timeout(_))
         ));
         a.send(b"late").unwrap();
         assert_eq!(
-            b.recv_timeout(Duration::from_millis(100)).unwrap().unwrap(),
+            recv(&mut b, Some(Duration::from_millis(100)))
+                .unwrap()
+                .unwrap(),
             b"late"
         );
         drop(a);
-        assert_eq!(b.recv_timeout(Duration::from_millis(1)).unwrap(), None);
+        assert_eq!(recv(&mut b, Some(Duration::from_millis(1))).unwrap(), None);
     }
 
     #[test]
     fn tcp_recv_timeout_expires_without_killing_connection() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut t = TcpTransport::new(stream).unwrap();
-            let frame = t.recv().unwrap().unwrap();
-            t.send(&frame).unwrap();
+        let (mut server, raw) = tcp_pair();
+        let echo = std::thread::spawn(move || {
+            let frame = recv(&mut server, None).unwrap().unwrap();
+            server.send(&frame).unwrap();
         });
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut t = TcpTransport::new(stream).unwrap();
+        let mut t = TcpTransport::new(raw).unwrap();
         // Nothing sent yet: the bounded wait must expire as a Timeout.
         assert!(matches!(
-            t.recv_timeout(Duration::from_millis(10)),
+            recv(&mut t, Some(Duration::from_millis(10))),
             Err(HmError::Timeout(_))
         ));
         // The socket still works afterwards.
         t.send(b"after timeout").unwrap();
         assert_eq!(
-            t.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(),
+            recv(&mut t, Some(Duration::from_secs(5))).unwrap().unwrap(),
             b"after timeout"
         );
-        server.join().unwrap();
+        echo.join().unwrap();
     }
 
     #[test]
     fn tcp_round_trip_on_loopback() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut t = TcpTransport::new(stream).unwrap();
-            let frame = t.recv().unwrap().unwrap();
-            t.send(&frame).unwrap(); // echo
-            assert_eq!(t.recv().unwrap(), None, "client closed");
+        let (mut server, raw) = tcp_pair();
+        let echo = std::thread::spawn(move || {
+            let frame = recv(&mut server, None).unwrap().unwrap();
+            assert_eq!(
+                obs::trace::current(),
+                0xFEED,
+                "recv installs the sender's trace"
+            );
+            server.send(&frame).unwrap();
+            assert_eq!(recv(&mut server, None).unwrap(), None, "client closed");
         });
         {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut t = TcpTransport::new(stream).unwrap();
+            let mut t = TcpTransport::new(raw).unwrap();
+            let _trace = obs::trace::scope(0xFEED);
             t.send(b"ping over tcp").unwrap();
-            assert_eq!(t.recv().unwrap().unwrap(), b"ping over tcp");
+            assert_eq!(recv(&mut t, None).unwrap().unwrap(), b"ping over tcp");
         }
-        server.join().unwrap();
+        echo.join().unwrap();
     }
 
     #[test]
     fn tcp_large_frame() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let (mut server, raw) = tcp_pair();
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         let expect = payload.clone();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut t = TcpTransport::new(stream).unwrap();
-            assert_eq!(t.recv().unwrap().unwrap(), expect);
+        let reader = std::thread::spawn(move || {
+            assert_eq!(recv(&mut server, None).unwrap().unwrap(), expect);
         });
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut t = TcpTransport::new(stream).unwrap();
+        let mut t = TcpTransport::new(raw).unwrap();
         t.send(&payload).unwrap();
         drop(t);
-        server.join().unwrap();
+        reader.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_close_mid_frame_is_an_error_and_bad_lengths_are_refused() {
+        // A frame cut short by the close is not a clean disconnect.
+        let (mut server, mut raw) = tcp_pair();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 7, &[1, 2, 3, 4]);
+        raw.write_all(&wire[..wire.len() - 2]).unwrap();
+        drop(raw);
+        let err = recv(&mut server, None).unwrap_err();
+        assert!(err.to_string().contains("eof mid-frame"), "{err}");
+
+        // An out-of-bounds length prefix surfaces as a typed error.
+        let (mut server, mut raw) = tcp_pair();
+        raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        let err = recv(&mut server, None).unwrap_err();
+        assert!(err.to_string().contains("oversized frame"), "{err}");
     }
 }

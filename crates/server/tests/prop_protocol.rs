@@ -1,5 +1,7 @@
-//! Property tests for the wire protocol: arbitrary messages round-trip,
-//! and arbitrary garbage never panics the decoder.
+//! Property tests for the wire protocol: arbitrary messages round-trip
+//! through `encode_into` (which appends and never disturbs what the
+//! buffer already holds), and arbitrary garbage never panics the
+//! decoder.
 
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::Bitmap;
@@ -107,14 +109,33 @@ proptest! {
 
     #[test]
     fn requests_round_trip(req in arb_request()) {
-        let decoded = Request::decode(&req.encode()).unwrap();
-        prop_assert_eq!(decoded, req);
+        let mut buf = vec![0xAAu8, 0xBB, 0xCC];
+        req.encode_into(&mut buf);
+        prop_assert_eq!(&buf[..3], &[0xAA, 0xBB, 0xCC][..]);
+        prop_assert_eq!(Request::decode(&buf[3..]).unwrap(), req);
     }
 
     #[test]
     fn responses_round_trip(resp in arb_response()) {
-        let decoded = Response::decode(&resp.encode()).unwrap();
-        prop_assert_eq!(decoded, resp);
+        let mut buf = vec![0x42u8];
+        resp.encode_into(&mut buf);
+        prop_assert_eq!(buf[0], 0x42);
+        prop_assert_eq!(Response::decode(&buf[1..]).unwrap(), resp);
+    }
+
+    // Reusing one scratch buffer across many messages (the client and
+    // serve-loop pattern: clear, encode_into, send) never leaks bytes
+    // from an earlier, longer message into a later one.
+    #[test]
+    fn scratch_reuse_is_clean(reqs in proptest::collection::vec(arb_request(), 1..8)) {
+        let mut scratch = Vec::new();
+        for req in &reqs {
+            scratch.clear();
+            req.encode_into(&mut scratch);
+            let mut fresh = Vec::new();
+            req.encode_into(&mut fresh);
+            prop_assert_eq!(&scratch, &fresh);
+        }
     }
 
     #[test]
@@ -128,7 +149,8 @@ proptest! {
         req in arb_request(),
         cut_fraction in 0.0f64..1.0,
     ) {
-        let bytes = req.encode();
+        let mut bytes = Vec::new();
+        req.encode_into(&mut bytes);
         let cut = ((bytes.len() as f64) * cut_fraction) as usize;
         if cut < bytes.len() {
             // A strict prefix must never decode into a *different* valid

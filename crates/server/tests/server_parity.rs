@@ -1,0 +1,157 @@
+//! Both servers run every inbound frame through one admission routine,
+//! so one scripted conversation must produce the same response bytes,
+//! the same connection-closed points and the same counters whether it
+//! is driven through the blocking `serve` loop over a channel or
+//! through a one-shard `serve_multi` event loop over TCP.
+
+use std::time::Duration;
+
+use hypermodel::config::GenConfig;
+use hypermodel::error::HmError;
+use hypermodel::generate::TestDatabase;
+use hypermodel::load::load_database;
+use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid};
+use mem_backend::MemStore;
+use server::protocol::{Request, Response};
+use server::{serve, serve_multi, ChannelTransport, TcpTransport, Transport};
+
+/// What the client saw for one connection: the reply to each frame it
+/// sent (`None` = the server hung up instead of replying, which ends
+/// the script), then whether the connection was closed afterwards.
+type Transcript = (Vec<Option<Vec<u8>>>, bool);
+
+fn bytes(req: &Request) -> Vec<u8> {
+    let mut out = Vec::new();
+    req.encode_into(&mut out);
+    out
+}
+
+fn malformed() -> Vec<u8> {
+    vec![255, 0, 1]
+}
+
+/// Two connections' worth of frames, covering every admission decision.
+fn scripts() -> Vec<Vec<Vec<u8>>> {
+    let create = bytes(&Request::Tagged(
+        77,
+        Box::new(Request::CreateNode(NodeValue {
+            kind: NodeKind::TEXT,
+            attrs: NodeAttrs {
+                unique_id: 1_000_001,
+                ten: 1,
+                hundred: 1,
+                thousand: 1,
+                million: 1,
+            },
+            content: Content::Text("retry me".into()),
+        })),
+    ));
+    let mut first = vec![malformed(); 7]; // one short of the limit: 7 error replies
+    first.extend([
+        bytes(&Request::LookupUnique(1)), // a good frame resets the streak
+        create.clone(),
+        create,                      // the retry is replayed, not re-executed
+        bytes(&Request::SeqScanTen), // ... so exactly one node was added
+        bytes(&Request::Tagged(78, Box::new(Request::Shutdown))), // refused
+        bytes(&Request::HundredOf(Oid(999_999))), // unknown oid: error, session lives
+        malformed(),                 // streak restarted from zero
+        bytes(&Request::Shutdown),   // Unit, then the server closes
+    ]);
+    // Eight malformed frames in a row: seven error replies, then a hangup.
+    vec![first, vec![malformed(); 8]]
+}
+
+fn drive(t: &mut dyn Transport, script: &[Vec<u8>]) -> Transcript {
+    let mut replies = Vec::new();
+    let mut reply = Vec::new();
+    for frame in script {
+        t.send(frame).unwrap();
+        let got = t.recv_into(&mut reply, None).unwrap();
+        replies.push(got.then(|| reply.clone()));
+        if !got {
+            return (replies, true);
+        }
+    }
+    let closed = match t.recv_into(&mut reply, Some(Duration::from_secs(2))) {
+        Ok(got) => !got,
+        Err(HmError::Timeout(_)) => false,
+        Err(e) => panic!("probe: {e}"),
+    };
+    (replies, closed)
+}
+
+fn loaded_store() -> MemStore {
+    let mut store = MemStore::new();
+    load_database(&mut store, &TestDatabase::generate(&GenConfig::tiny())).unwrap();
+    store
+}
+
+/// (requests, errors, replayed) summed over the conversation.
+type Counters = (u64, u64, u64);
+
+fn through_blocking_serve() -> (Vec<Transcript>, Counters) {
+    let mut store = loaded_store();
+    let mut transcripts = Vec::new();
+    let mut total = (0, 0, 0);
+    for script in scripts() {
+        let (mut client, mut server_end) = ChannelTransport::pair(Duration::ZERO);
+        let session = std::thread::spawn(move || {
+            let stats = serve(&mut store, &mut server_end).unwrap();
+            (store, stats)
+        });
+        transcripts.push(drive(&mut client, &script));
+        let stats;
+        (store, stats) = session.join().unwrap();
+        total.0 += stats.requests;
+        total.1 += stats.errors;
+        total.2 += stats.replayed;
+    }
+    (transcripts, total)
+}
+
+fn through_serve_multi() -> (Vec<Transcript>, Counters) {
+    let server = serve_multi(vec![loaded_store()]).unwrap();
+    let transcripts = scripts()
+        .iter()
+        .map(|script| {
+            let stream = std::net::TcpStream::connect(server.addrs()[0]).unwrap();
+            drive(&mut TcpTransport::new(stream).unwrap(), script)
+        })
+        .collect();
+    let stats = server.stop().unwrap();
+    (transcripts, (stats.requests, stats.errors, stats.replayed))
+}
+
+#[test]
+fn blocking_and_event_loop_servers_answer_identically() {
+    let (blocking, blocking_counters) = through_blocking_serve();
+    let (multi, multi_counters) = through_serve_multi();
+    assert_eq!(blocking, multi, "response bytes and closed points");
+    assert_eq!(blocking_counters, multi_counters);
+    // 5 executed (lookup, create, scan, refused tagged shutdown, unknown
+    // oid); 16 malformed frames + 2 error responses; 1 replay.
+    assert_eq!(blocking_counters, (5, 18, 1));
+
+    // And the shared transcript is the right one.
+    let (replies, closed) = &blocking[0];
+    let decoded: Vec<Response> = replies
+        .iter()
+        .map(|r| Response::decode(r.as_ref().expect("no hangup mid-script")).unwrap())
+        .collect();
+    assert!(decoded[..7].iter().all(|r| matches!(r, Response::Err(_))));
+    assert!(matches!(decoded[7], Response::Oid(_)));
+    assert!(matches!(decoded[8], Response::Oid(_)));
+    assert_eq!(replies[8], replies[9], "replay returns the stored bytes");
+    assert_eq!(decoded[10], Response::U64(32), "31 loaded + 1 created once");
+    assert!(matches!(decoded[11], Response::Err(_)));
+    assert!(matches!(decoded[12], Response::Err(_)));
+    assert!(matches!(decoded[13], Response::Err(_)));
+    assert_eq!(decoded[14], Response::Unit);
+    assert!(closed, "Shutdown closes the connection");
+
+    let (replies, closed) = &blocking[1];
+    assert_eq!(replies.len(), 8);
+    assert!(replies[..7].iter().all(Option::is_some));
+    assert_eq!(replies[7], None, "the eighth malformed frame gets a hangup");
+    assert!(closed);
+}

@@ -8,6 +8,8 @@
 //! `cross_backend.rs`. The second drives two concurrent clients (one
 //! behind a deliberately slow transport) through all 20 operations
 //! against one process, proving the loop never blocks on a slow reader.
+//! The third pins at-most-once execution of a tagged request retried on
+//! a second connection while its first copy is still executing.
 
 use std::time::Duration;
 
@@ -20,7 +22,10 @@ use hypermodel::model::Oid;
 use hypermodel::oracle::Oracle;
 use hypermodel::store::HyperStore;
 use mem_backend::MemStore;
-use server::{serve_multi, ClosureMode, RemoteStore, TcpTransport, Transport};
+use server::protocol::{Request, Response};
+use server::{
+    serve, serve_multi, ChannelTransport, ClosureMode, RemoteStore, TcpTransport, Transport,
+};
 use shard::{connect_sharded, Placement};
 
 fn uid_of(store: &mut dyn HyperStore, oid: Oid) -> u32 {
@@ -217,13 +222,13 @@ impl Transport for SlowTransport {
     fn send(&mut self, frame: &[u8]) -> hypermodel::error::Result<()> {
         self.inner.send(frame)
     }
-    fn recv(&mut self) -> hypermodel::error::Result<Option<Vec<u8>>> {
+    fn recv_into(
+        &mut self,
+        out: &mut Vec<u8>,
+        timeout: Option<Duration>,
+    ) -> hypermodel::error::Result<bool> {
         std::thread::sleep(self.delay);
-        self.inner.recv()
-    }
-    fn recv_timeout(&mut self, timeout: Duration) -> hypermodel::error::Result<Option<Vec<u8>>> {
-        std::thread::sleep(self.delay);
-        self.inner.recv_timeout(timeout)
+        self.inner.recv_into(out, timeout)
     }
 }
 
@@ -299,4 +304,90 @@ fn two_concurrent_clients_one_slow_run_all_20_ops() {
     assert_eq!(stats.loop_stats.accepted, 2);
     assert!(stats.requests > 0);
     assert_eq!(stats.errors, 0);
+}
+
+/// A transport whose first `send` parks until the test releases it.
+struct GatedTransport {
+    inner: ChannelTransport,
+    gate: Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
+}
+
+impl Transport for GatedTransport {
+    fn send(&mut self, frame: &[u8]) -> hypermodel::error::Result<()> {
+        if let Some((entered, release)) = self.gate.take() {
+            entered.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        self.inner.send(frame)
+    }
+    fn recv_into(
+        &mut self,
+        out: &mut Vec<u8>,
+        timeout: Option<Duration>,
+    ) -> hypermodel::error::Result<bool> {
+        self.inner.recv_into(out, timeout)
+    }
+}
+
+fn recv(t: &mut TcpTransport) -> Vec<u8> {
+    let mut out = Vec::new();
+    assert!(t.recv_into(&mut out, None).unwrap(), "server hung up");
+    out
+}
+
+/// A tagged mutation retried on a second connection *while the first
+/// copy is still executing* must not run twice: the dedup decision is
+/// taken on the shard's worker, in execution order, not on the loop
+/// thread when the frame arrives.
+#[test]
+fn tagged_retry_racing_its_first_copy_executes_once() {
+    // The shard `serve_multi` hosts is a remote store whose first
+    // request parks inside `send`, so the test decides how long the
+    // first copy of the mutation stays "executing".
+    let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
+    let backing = std::thread::spawn(move || {
+        let mut store = MemStore::new();
+        serve(&mut store, &mut server_end).unwrap();
+        store
+    });
+    let (entered_tx, entered) = std::sync::mpsc::channel();
+    let (release, release_rx) = std::sync::mpsc::channel();
+    let gated = GatedTransport {
+        inner: client_end,
+        gate: Some((entered_tx, release_rx)),
+    };
+    let shard = RemoteStore::new(Box::new(gated), ClosureMode::ServerSide);
+    let ms = serve_multi(vec![shard]).unwrap();
+    let connect =
+        || TcpTransport::new(std::net::TcpStream::connect(ms.addrs()[0]).unwrap()).unwrap();
+    let (mut a, mut b, mut c) = (connect(), connect(), connect());
+
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let mut create = Vec::new();
+    Request::Tagged(7, Box::new(Request::CreateNode(db.nodes[0].value.clone())))
+        .encode_into(&mut create);
+
+    a.send(&create).unwrap();
+    entered.recv().unwrap(); // A's copy is now executing, parked in the store
+    b.send(&create).unwrap(); // the retry, on a second connection
+                              // Barrier: the loop answers malformed frames itself, one connection
+                              // step per tick, so the third reply on C is written at least two
+                              // ticks after B's bytes (sent before C's first) were in B's socket —
+                              // B's frame has been admitted by then.
+    for _ in 0..3 {
+        c.send(&[255]).unwrap();
+        recv(&mut c);
+    }
+    release.send(()).unwrap();
+
+    let (reply_a, reply_b) = (recv(&mut a), recv(&mut b));
+    assert_eq!(reply_a, reply_b, "the retry gets the first copy's bytes");
+    assert!(matches!(
+        Response::decode(&reply_a).unwrap(),
+        Response::Oid(_)
+    ));
+    drop((a, b, c));
+    let stats = ms.stop().unwrap();
+    assert_eq!((stats.requests, stats.replayed), (1, 1));
+    assert_eq!(backing.join().unwrap().node_count(), 1, "one node created");
 }
