@@ -189,43 +189,63 @@ fn cleanup_db(p: &PathBuf) {
     let _ = std::fs::remove_file(PathBuf::from(w));
 }
 
+/// A parsed sharded backend spec: kind, shard count N, replication
+/// factor K, placement policy.
+type ShardedSpec = (&'static str, usize, usize, shard::Placement);
+
 /// Parse a sharded backend spec: `sharded-mem:N`, `sharded-disk:N` or
 /// `sharded-tcp:N`, optionally suffixed (in any order) with a
 /// replication factor (`:rK`, mem/tcp only) and the placement policy
-/// (`:hash` or `:affinity`, default affinity).
-fn parse_sharded(spec: &str) -> Option<(&'static str, usize, usize, shard::Placement)> {
+/// (`:hash` or `:affinity`, default affinity). The error is the message
+/// to exit with.
+fn parse_sharded(spec: &str) -> std::result::Result<ShardedSpec, String> {
+    let unknown = || {
+        format!(
+            "unknown backend {spec} (use mem|disk|rel|remote|sharded-mem:N[:rK][:hash|:affinity]|sharded-disk:N[:hash|:affinity]|sharded-tcp:N[:rK][:hash|:affinity]|all)"
+        )
+    };
     let mut parts = spec.split(':');
-    let kind = match parts.next()? {
-        "sharded-mem" => "sharded-mem",
-        "sharded-disk" => "sharded-disk",
-        "sharded-tcp" => "sharded-tcp",
-        _ => return None,
+    let kind = match parts.next() {
+        Some("sharded-mem") => "sharded-mem",
+        Some("sharded-disk") => "sharded-disk",
+        Some("sharded-tcp") => "sharded-tcp",
+        _ => return Err(unknown()),
     };
     let n: usize = parts
-        .next()?
-        .parse()
-        .ok()
-        .filter(|&n| (1..=64).contains(&n))?;
+        .next()
+        .and_then(|n| n.parse().ok())
+        .filter(|n| (1..=64).contains(n))
+        .ok_or_else(unknown)?;
     let mut k: Option<usize> = None;
     let mut placement: Option<shard::Placement> = None;
     for part in parts {
         if let Some(r) = part.strip_prefix('r') {
-            if k.is_some() || kind == "sharded-disk" {
-                return None; // duplicate rK, or replication without a mem mirror source
+            if kind == "sharded-disk" {
+                return Err(format!(
+                    "backend {spec}: replication needs a backend with `sync_export`; only mem mirrors have one"
+                ));
             }
-            k = Some(r.parse().ok().filter(|&k| (1..=8).contains(&k))?);
+            if k.is_some() {
+                return Err(format!("backend {spec}: replication factor given twice"));
+            }
+            k = Some(
+                r.parse()
+                    .ok()
+                    .filter(|k| (1..=8).contains(k))
+                    .ok_or_else(unknown)?,
+            );
         } else {
             if placement.is_some() {
-                return None;
+                return Err(unknown());
             }
             placement = Some(match part {
                 "affinity" => shard::Placement::affinity(),
                 "hash" => shard::Placement::OidHash,
-                _ => return None,
+                _ => return Err(unknown()),
             });
         }
     }
-    Some((
+    Ok((
         kind,
         n,
         k.unwrap_or(1),
@@ -240,13 +260,13 @@ fn backends(selected: &str) -> Vec<String> {
         // The workstation/server configuration: a mem-backend server
         // behind the wire protocol, loaded and benchmarked remotely.
         "remote" => vec![selected.into()],
-        other if parse_sharded(other).is_some() => vec![other.into()],
-        other => {
-            eprintln!(
-                "unknown backend {other} (use mem|disk|rel|remote|sharded-mem:N[:rK][:hash|:affinity]|sharded-disk:N[:hash|:affinity]|sharded-tcp:N[:rK][:hash|:affinity]|all)"
-            );
-            std::process::exit(2);
-        }
+        other => match parse_sharded(other) {
+            Ok(_) => vec![other.into()],
+            Err(reason) => {
+                eprintln!("{reason}");
+                std::process::exit(2);
+            }
+        },
     }
 }
 
@@ -274,6 +294,16 @@ fn boxed<S: HyperStore + 'static>(
         Some(plan) => Box::new(chaos::ChaosStore::new(store, plan.clone())),
         None => Box::new(store),
     }
+}
+
+/// Load `db` into `store`, then box it (see [`boxed`]).
+fn loaded<S: HyperStore + 'static>(
+    mut store: S,
+    db: &TestDatabase,
+    faults: Option<&chaos::FaultPlan>,
+) -> Result<(Box<dyn HyperStore>, hypermodel::load::LoadReport)> {
+    let report = load_database(&mut store, db)?;
+    Ok((boxed(store, faults), report))
 }
 
 /// Load a database into the chosen backend.
@@ -369,28 +399,35 @@ fn load_backend(
             ))
         }
         spec => match parse_sharded(spec) {
-            Some(("sharded-mem", n, k, placement)) => {
+            Ok(("sharded-mem", n, k, placement)) => {
                 let shards: Vec<MemStore> = (0..n * k).map(|_| MemStore::new()).collect();
-                let mut store =
-                    shard::ShardedStore::new_replicated(shards, k, placement, "sharded-mem");
-                let report = load_database(&mut store, db)?;
-                Ok((
-                    boxed(store, faults),
-                    report.timings,
-                    0,
-                    report.oids,
-                    None,
-                    None,
-                ))
+                let (store, report) = if k == 1 {
+                    loaded(
+                        shard::ShardedStore::new(shards, placement, "sharded-mem"),
+                        db,
+                        faults,
+                    )?
+                } else {
+                    loaded(
+                        shard::ShardedStore::new_replicated(shards, k, placement, "sharded-mem"),
+                        db,
+                        faults,
+                    )?
+                };
+                Ok((store, report.timings, 0, report.oids, None, None))
             }
-            Some(("sharded-tcp", n, k, placement)) => {
+            Ok(("sharded-tcp", n, k, placement)) => {
                 // One process, N*K shard servers: mem shards behind the
                 // nonblocking event loop, a `connect_sharded` router in
                 // front. Loading and every operation cross real TCP.
                 let shards: Vec<MemStore> = (0..n * k).map(|_| MemStore::new()).collect();
                 let srv = server::serve_multi(shards)?;
-                let mut store = if k == 1 {
-                    shard::connect_sharded(&srv.addr_strings(), placement)?
+                let (store, report) = if k == 1 {
+                    loaded(
+                        shard::connect_sharded(&srv.addr_strings(), placement)?,
+                        db,
+                        faults,
+                    )?
                 } else if let Some(plan) = faults {
                     // Transport faults hit exactly one replica connection
                     // (the first mirror of shard 0) so the run exercises
@@ -411,21 +448,21 @@ fn load_backend(
                         };
                         shards.push(RemoteStore::new(transport, ClosureMode::ClientSide));
                     }
-                    shard::ShardedStore::new_replicated(shards, k, placement, "sharded-remote")
+                    loaded(
+                        shard::ShardedStore::new_replicated(shards, k, placement, "sharded-remote"),
+                        db,
+                        faults,
+                    )?
                 } else {
-                    shard::connect_sharded_replicated(&srv.addr_strings(), k, placement)?
+                    loaded(
+                        shard::connect_sharded_replicated(&srv.addr_strings(), k, placement)?,
+                        db,
+                        faults,
+                    )?
                 };
-                let report = load_database(&mut store, db)?;
-                Ok((
-                    boxed(store, faults),
-                    report.timings,
-                    0,
-                    report.oids,
-                    None,
-                    Some(srv),
-                ))
+                Ok((store, report.timings, 0, report.oids, None, Some(srv)))
             }
-            Some(("sharded-disk", n, _k, placement)) => {
+            Ok(("sharded-disk", n, _k, placement)) => {
                 let dir = {
                     let mut p = std::env::temp_dir();
                     p.push(format!(
@@ -652,7 +689,7 @@ fn cmd_run(
         // drive the Zipf mix, let the rebalancer act between windows,
         // and sweep the result against the generator oracle.
         for b in backends(backend) {
-            let Some(("sharded-mem", n, _k, placement)) = parse_sharded(&b) else {
+            let Ok(("sharded-mem", n, _k, placement)) = parse_sharded(&b) else {
                 eprintln!("--rebalance: skipping {b} (needs a sharded-mem backend)");
                 continue;
             };

@@ -14,9 +14,9 @@
 //! * `no-unwrap` — no `.unwrap()` / `.expect(` (or `_err` variants) on
 //!   server request paths and commit-log I/O: `server/src/server.rs`,
 //!   `server/src/multi.rs`, `exec/src/event_loop.rs`,
-//!   `exec/src/frame.rs`, `shard/src/coordinator.rs`,
-//!   `shard/src/store.rs`. A malformed frame or a full disk must
-//!   surface as a typed error, not a panic.
+//!   `exec/src/frame.rs`,
+//!   `shard/src/{coordinator,migrate,replica,store}.rs`. A malformed
+//!   frame or a full disk must surface as a typed error, not a panic.
 //! * `protocol-parity` — every `Request` variant declared in
 //!   `server/src/protocol.rs` must appear in both the server dispatcher
 //!   (`server.rs`) and the remote client (`client.rs`); likewise every
@@ -704,6 +704,8 @@ const UNWRAP_SCOPE: &[&str] = &[
     "crates/exec/src/event_loop.rs",
     "crates/exec/src/frame.rs",
     "crates/shard/src/coordinator.rs",
+    "crates/shard/src/migrate.rs",
+    "crates/shard/src/replica.rs",
     "crates/shard/src/store.rs",
 ];
 

@@ -64,6 +64,8 @@ fn seed_tree(tag: &str) -> PathBuf {
         "crates/shard/src/coordinator.rs",
         "pub fn decide() -> Option<bool> {\n    Some(true)\n}\n",
     );
+    write("crates/shard/src/migrate.rs", "pub fn noop() {}\n");
+    write("crates/shard/src/replica.rs", "pub fn noop() {}\n");
     write(
         "crates/shard/src/store.rs",
         "pub fn get(v: Option<u32>) -> u32 {\n    v.unwrap_or(0)\n}\n",

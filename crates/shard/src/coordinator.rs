@@ -1,5 +1,14 @@
-//! The commit coordinator's durable state: the decision log, and
-//! recovery of a sharded deployment from disk after a crash.
+//! The commit coordinator: the two-phase protocol, its durable state
+//! (the decision log), and recovery of a sharded deployment from disk
+//! after a crash.
+//!
+//! [`Coordinator`] runs a sharded store's commit. With a decision log
+//! attached it is two-phase: prepare everywhere in parallel under one
+//! deadline, durably record the decision, then tell every shard to
+//! finish. The fsynced decision record is the commit point — once it is
+//! on disk, recovery completes the transaction even if every later
+//! message is lost. Without a log every shard commits independently
+//! (not crash-atomic across shards).
 //!
 //! Two-phase commit needs exactly one durable bit per transaction — the
 //! coordinator's decision. [`CommitLog`] stores it: an append-only file
@@ -23,8 +32,13 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
+use exec::{ExecError, ShardExecutor};
 use hypermodel::error::{HmError, Result};
+use hypermodel::store::HyperStore;
+
+use crate::store::{note_err, note_exec, scatter, ExecResult};
 
 /// On-disk record size: 8-byte little-endian txid + 1 decision byte.
 const RECORD: usize = 9;
@@ -195,6 +209,145 @@ impl CommitLog {
         self.checkpoint = up_to;
         Ok(())
     }
+}
+
+/// Default deadline for the parallel 2PC prepare fan-out: generous
+/// enough to never fire on a healthy local shard, tight enough that a
+/// hung remote shard cannot stall the coordinator forever.
+const DEFAULT_PREPARE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Checkpoint the commit log once it holds this many decision records.
+const DEFAULT_CHECKPOINT_AFTER: usize = 64;
+
+/// The commit protocol of one sharded deployment.
+#[derive(Debug)]
+pub(crate) struct Coordinator {
+    /// `None` = single-phase: every shard commits independently.
+    log: Option<CommitLog>,
+    next_txid: u64,
+    /// Cross-shard transactions aborted in phase one so far.
+    pub(crate) aborts: u64,
+    /// Deadline for the parallel prepare fan-out; a miss is a vote to
+    /// abort.
+    pub(crate) prepare_timeout: Duration,
+    /// Checkpoint the log once it holds this many records.
+    pub(crate) checkpoint_after: usize,
+    /// Highest txid each shard acknowledged in phase two. The log may
+    /// safely drop decisions at or below `min(acked)`: every shard is
+    /// past them, so none can ever be in doubt about them again.
+    acked: Vec<u64>,
+}
+
+impl Coordinator {
+    pub(crate) fn new(shards: usize) -> Coordinator {
+        Coordinator {
+            log: None,
+            next_txid: 1,
+            aborts: 0,
+            prepare_timeout: DEFAULT_PREPARE_TIMEOUT,
+            checkpoint_after: DEFAULT_CHECKPOINT_AFTER,
+            acked: vec![0; shards],
+        }
+    }
+
+    /// Make commits two-phase, decisions recorded in `log`.
+    pub(crate) fn attach(&mut self, log: CommitLog) {
+        self.next_txid = log.next_txid();
+        self.log = Some(log);
+    }
+
+    pub(crate) fn log(&self) -> Option<&CommitLog> {
+        self.log.as_ref()
+    }
+
+    /// Commit every shard of `exec` (the caller checked they are all
+    /// alive), marking in `health` the ones that stop answering.
+    pub(crate) fn commit<S: HyperStore + Send + 'static>(
+        &mut self,
+        exec: &ShardExecutor<S>,
+        health: &mut [bool],
+    ) -> Result<()> {
+        let everyone = || vec![Some(()); exec.shard_count()];
+        let Some(log) = self.log.as_mut() else {
+            let done = scatter(exec, everyone(), |sh, ()| sh.commit());
+            for (s, r) in done.into_iter().flatten().enumerate() {
+                note_exec(health, s, r)?;
+            }
+            return Ok(());
+        };
+        let txid = self.next_txid;
+        self.next_txid += 1;
+        obs::incr("shard.2pc.prepared", 1);
+        let prepared = prepare(exec, txid, self.prepare_timeout);
+        if !prepared.iter().all(|(_, r)| matches!(r, Ok(Ok(())))) {
+            self.aborts += 1;
+            obs::incr("shard.2pc.aborted", 1);
+            // The abort record is best-effort: presumed abort means an
+            // absent decision already reads as "abort" during recovery.
+            let _ = log.record(txid, false);
+            let mut first = None;
+            for (s, r) in prepared {
+                if matches!(r, Ok(Ok(()))) {
+                    // Voted yes: roll this shard back.
+                    if let Err(e) = exec.with_shard(s, |sh| sh.abort_prepared(txid)) {
+                        note_err(health, s, e);
+                    }
+                    continue;
+                }
+                if matches!(r, Err(ExecError::TimedOut(_))) {
+                    // The prepare is still running on the shard's worker;
+                    // queue the abort behind it (FIFO) without waiting —
+                    // the deadline was already missed.
+                    let _ = exec.submit(s, move |sh| {
+                        let _ = sh.abort_prepared(txid);
+                    });
+                }
+                if let Err(e) = note_exec(health, s, r) {
+                    first.get_or_insert(e);
+                }
+            }
+            return Err(first.unwrap_or_else(|| {
+                HmError::Backend("prepare failed but no shard reported an error".into())
+            }));
+        }
+        log.record(txid, true)?;
+        obs::incr("shard.2pc.committed", 1);
+        // Phase two: failures here only mark health — the decision is
+        // durable, so recovery finishes the commit on the failed shard.
+        let done = scatter(exec, everyone(), move |sh, ()| sh.commit_prepared(txid));
+        for (s, r) in done.into_iter().flatten().enumerate() {
+            if note_exec(health, s, r).is_ok() {
+                self.acked[s] = txid;
+            }
+        }
+        // Once the log has grown past the checkpoint interval, drop every
+        // decision all shards have acknowledged. Best-effort: a failed
+        // checkpoint leaves the old (longer, still correct) log in place.
+        let min_acked = self.acked.iter().copied().min().unwrap_or(0);
+        if min_acked > 0 && log.len() >= self.checkpoint_after {
+            let _ = log.checkpoint(min_acked);
+        }
+        Ok(())
+    }
+}
+
+/// Phase one: fan `prepare_commit` out to every shard in parallel under
+/// one shared deadline. A shard that misses the deadline is a vote to
+/// abort — its prepare keeps running on its worker and the abort is
+/// queued behind it (per-shard FIFO), so no reordering is possible.
+fn prepare<S: HyperStore + Send + 'static>(
+    exec: &ShardExecutor<S>,
+    txid: u64,
+    timeout: Duration,
+) -> Vec<(usize, ExecResult<()>)> {
+    if exec.shard_count() == 1 {
+        return vec![(0, Ok(exec.with_shard(0, |sh| sh.prepare_commit(txid))))];
+    }
+    let mut batch = exec.batch();
+    for s in 0..exec.shard_count() {
+        batch.spawn(s, move |sh| sh.prepare_commit(txid));
+    }
+    batch.join_within(timeout)
 }
 
 /// What [`recover_sharded`] did for one shard.

@@ -1,0 +1,252 @@
+//! Online subtree migration (shard rebalancing): an operation over the
+//! router's placement map plus one per-shard call
+//! ([`ShardedStore::call`]) for each step.
+//!
+//! The protocol is two-step on the destination — an *inert* install
+//! followed by an *activate*, the commit point — then an ownership flip
+//! in the router and a retire on the sources. What a shard does with
+//! each step (apply it once, or mirror it across a replica group) is the
+//! shard's business.
+
+use std::collections::{HashMap, HashSet};
+
+use hypermodel::error::{HmError, Result};
+use hypermodel::migrate::{NodeExport, MIGRATE_SLOT_BASE};
+use hypermodel::model::{Oid, RefEdge};
+use hypermodel::store::HyperStore;
+
+use crate::store::ShardedStore;
+
+impl<S: HyperStore + Send + 'static> ShardedStore<S> {
+    /// The router's placement-map epoch: bumped once per migrated node,
+    /// never reset. Remote clients compare epochs carried in `Moved`
+    /// responses against this to discard stale placement hints.
+    pub fn router_epoch(&self) -> u64 {
+        self.router.epoch()
+    }
+
+    /// Live forwarding-table entries accumulated by migrations.
+    pub fn forward_len(&self) -> usize {
+        self.router.forward_len()
+    }
+
+    /// Path-compress the placement directory and drop the forwarding
+    /// chains. Only call at a quiesce point: no request in flight may
+    /// still hold a pre-compaction placement. (Trivially satisfied by
+    /// this store's access model — every operation takes `&mut self` —
+    /// but a server fronting multiple clients must drain them first.)
+    pub fn compact_forwards(&mut self) -> usize {
+        self.router.compact_forwards()
+    }
+
+    /// Subtree migrations completed (ownership flipped) so far.
+    pub fn migrations(&self) -> u64 {
+        self.migrations
+    }
+
+    /// Map one source-shard-local endpoint of a migrating edge into the
+    /// destination's id space: another node of the same batch becomes a
+    /// slot reference, a node already living on the destination its
+    /// real local there, anything else a ghost stand-in (created on
+    /// demand).
+    fn migrate_endpoint(
+        &mut self,
+        src: usize,
+        l: Oid,
+        slot_of: &HashMap<u64, usize>,
+        dst: usize,
+    ) -> Result<Oid> {
+        let g = self.router.to_global(src, l)?;
+        if let Some(&i) = slot_of.get(&g.0) {
+            return Ok(Oid(MIGRATE_SLOT_BASE + i as u64));
+        }
+        let (os, ol) = self.router.to_local(g)?;
+        if os == dst {
+            return Ok(ol);
+        }
+        self.ensure_ghost(g, dst)
+    }
+
+    fn migrate_oids(
+        &mut self,
+        src: usize,
+        v: Vec<Oid>,
+        slot_of: &HashMap<u64, usize>,
+        dst: usize,
+    ) -> Result<Vec<Oid>> {
+        v.into_iter()
+            .map(|l| self.migrate_endpoint(src, l, slot_of, dst))
+            .collect()
+    }
+
+    fn migrate_edges(
+        &mut self,
+        src: usize,
+        v: Vec<RefEdge>,
+        slot_of: &HashMap<u64, usize>,
+        dst: usize,
+    ) -> Result<Vec<RefEdge>> {
+        v.into_iter()
+            .map(|e| {
+                Ok(RefEdge {
+                    target: self.migrate_endpoint(src, e.target, slot_of, dst)?,
+                    ..e
+                })
+            })
+            .collect()
+    }
+
+    /// Best-effort undo of a failed activation: retire the orphaned
+    /// destination records back toward their (still-owning) sources, so
+    /// a partially-activated batch cannot double-report in scans.
+    /// Errors are swallowed — the destination may be the very shard
+    /// that just died, and its inert records are invisible anyway.
+    fn abort_install(&mut self, moved: &[Oid], locals: &[Oid], dst: usize) {
+        let epoch = self.router.epoch();
+        let mut back: HashMap<usize, Vec<Oid>> = HashMap::new();
+        for (&g, &l) in moved.iter().zip(locals) {
+            if let Ok((s, _)) = self.router.to_local(g) {
+                back.entry(s).or_default().push(l);
+            }
+        }
+        for (src, ls) in back {
+            let _ = self.with_shard(dst, |sh| sh.retire_nodes(&ls, src as u16, epoch));
+        }
+    }
+
+    /// Migrate the 1-N subtree rooted at `root` onto shard `dst`,
+    /// online: reads and writes against the old placement stay correct
+    /// throughout. The batch is installed **inert** on the destination
+    /// (invisible to scans and index lookups), activated in one step —
+    /// the commit point — and only then does the router flip ownership
+    /// (one forwarding-table entry and epoch bump per node) and retire
+    /// the source records into ghost stand-ins.
+    ///
+    /// **Presumed old**: a failure or crash before activation aborts
+    /// with ownership untouched — there is no durable mid-flight
+    /// intent, so recovery has nothing to do and the subtree stays
+    /// readable at its old placement (the migration analogue of 2PC's
+    /// presumed abort). A failure *after* activation is reported, but
+    /// the migration itself has committed: the failed source shard is
+    /// marked unhealthy and finishes retiring via repair or recovery.
+    ///
+    /// Returns the number of nodes moved (0 when the subtree already
+    /// lives wholly on `dst`).
+    pub fn migrate_subtree(&mut self, root: Oid, dst: usize) -> Result<usize> {
+        if dst >= self.router.shard_count() {
+            return Err(HmError::InvalidArgument(format!(
+                "destination shard {dst} out of range (have {})",
+                self.router.shard_count()
+            )));
+        }
+        self.check(dst)?;
+        // The full 1-N closure, not counted as a touch (the rebalancer's
+        // own bookkeeping must not inflate its traffic signal).
+        let adj = self.collect_oid_adjacency(root, false)?;
+        let closure = Self::replay_preorder(root, &adj);
+        let mut moved = Vec::new();
+        for &g in &closure {
+            if self.router.to_local(g)?.0 != dst {
+                moved.push(g);
+            }
+        }
+        if moved.is_empty() {
+            return Ok(0);
+        }
+        let slot_of: HashMap<u64, usize> =
+            moved.iter().enumerate().map(|(i, &g)| (g.0, i)).collect();
+
+        // Export every moved node from its current owner: one batched
+        // request per source shard.
+        let mut by_src: HashMap<usize, Vec<(usize, Oid)>> = HashMap::new();
+        for (i, &g) in moved.iter().enumerate() {
+            let (s, l) = self.router.to_local(g)?;
+            by_src.entry(s).or_default().push((i, l));
+        }
+        let mut exports: Vec<Option<(usize, NodeExport)>> =
+            (0..moved.len()).map(|_| None).collect();
+        for (&src, items) in &by_src {
+            let locals: Vec<Oid> = items.iter().map(|&(_, l)| l).collect();
+            let batch = self.call(src, |sh| sh.export_nodes(&locals))?;
+            for (&(i, _), n) in items.iter().zip(batch) {
+                exports[i] = Some((src, n));
+            }
+        }
+
+        // Rewrite every edge endpoint into the destination's id space.
+        // Remember which stand-ins already existed: ghosts minted below
+        // belong to this migration and must be forgotten on abort.
+        let ghosts_before: HashSet<u64> = self.router.ghost_globals(dst).into_iter().collect();
+        let mut batch: Vec<NodeExport> = Vec::with_capacity(moved.len());
+        for (i, e) in exports.into_iter().enumerate() {
+            let Some((src, n)) = e else {
+                return Err(HmError::Backend(
+                    "migration export batch is missing a node".into(),
+                ));
+            };
+            let parent = match n.parent {
+                Some(p) => Some(self.migrate_endpoint(src, p, &slot_of, dst)?),
+                None => None,
+            };
+            batch.push(NodeExport {
+                value: n.value,
+                in_structure: n.in_structure,
+                parent,
+                children: self.migrate_oids(src, n.children, &slot_of, dst)?,
+                parts: self.migrate_oids(src, n.parts, &slot_of, dst)?,
+                part_of: self.migrate_oids(src, n.part_of, &slot_of, dst)?,
+                refs_to: self.migrate_edges(src, n.refs_to, &slot_of, dst)?,
+                refs_from: self.migrate_edges(src, n.refs_from, &slot_of, dst)?,
+                reuse: self.router.ghost_of(moved[i], dst),
+            });
+        }
+        let structural: Vec<bool> = batch.iter().map(|n| n.in_structure).collect();
+
+        // Inert install: the records exist on the destination but stay
+        // invisible to scans and index lookups.
+        let locals = self.call(dst, |sh| sh.install_nodes(&batch))?;
+
+        // Activate: the commit point. Failure here aborts presumed-old.
+        if let Err(e) = self.call(dst, |sh| sh.activate_nodes(&locals)) {
+            self.abort_install(&moved, &locals, dst);
+            // Ghosts minted for this batch are referenced only by the
+            // just-retired install — and if the destination died they
+            // never existed durably. Forget them so a retry recreates
+            // them instead of wiring edges to phantom locals.
+            for g in self.router.ghost_globals(dst) {
+                if !ghosts_before.contains(&g) {
+                    self.router.unregister_ghost(Oid(g), dst);
+                }
+            }
+            obs::incr("shard.rebalance.aborts", 1);
+            return Err(e);
+        }
+
+        // Ownership flip: stale placements now redirect through the
+        // forwarding table; the promoted destination records stop being
+        // ghosts and the superseded source records become them.
+        let mut epoch = self.router.epoch();
+        for (i, (&g, &l)) in moved.iter().zip(&locals).enumerate() {
+            let (src, _) = self.router.to_local(g)?;
+            epoch = self.router.move_node(g, dst, l)?;
+            if structural[i] {
+                self.router.nodes[src] -= 1;
+                self.router.nodes[dst] += 1;
+            }
+            self.migrated[src] += 1;
+            self.migrated[dst] += 1;
+        }
+        self.migrations += 1;
+        obs::incr("shard.rebalance.migrations", 1);
+        obs::incr("shard.rebalance.moved_nodes", moved.len() as u64);
+
+        // Retire the source records: deindexed, out of the scan extent,
+        // tombstoned with the new placement so a stale remote client
+        // probing the old local learns where the node went.
+        for (&src, items) in &by_src {
+            let ls: Vec<Oid> = items.iter().map(|&(_, l)| l).collect();
+            self.call(src, |sh| sh.retire_nodes(&ls, dst as u16, epoch))?;
+        }
+        Ok(moved.len())
+    }
+}

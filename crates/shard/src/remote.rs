@@ -12,16 +12,31 @@ use hypermodel::error::{HmError, Result};
 use server::client::{ClosureMode, RemoteStore};
 use server::transport::TcpTransport;
 
+use crate::replica::ReplicaGroup;
 use crate::router::Placement;
 use crate::store::ShardedStore;
 
+/// One connection per address. `ClosureMode::ClientSide` is forced on
+/// each: the router owns id translation, so conceptual operations must
+/// traverse in the sharded store (via the batched primitives) rather
+/// than ship to any single server, which only sees its own partition.
+fn connect_all(addrs: &[String]) -> Result<Vec<RemoteStore>> {
+    addrs
+        .iter()
+        .map(|addr| {
+            let stream = TcpStream::connect(addr)
+                .map_err(|e| HmError::Backend(format!("connect {addr}: {e}")))?;
+            let transport = TcpTransport::new(stream)?;
+            Ok(RemoteStore::new(
+                Box::new(transport),
+                ClosureMode::ClientSide,
+            ))
+        })
+        .collect()
+}
+
 /// Connect to one HyperModel server per address and compose the
 /// connections into a sharded store.
-///
-/// `ClosureMode::ClientSide` is forced on each connection: the router owns
-/// id translation, so conceptual operations must traverse here (via the
-/// batched primitives) rather than ship to any single server, which only
-/// sees its own partition.
 pub fn connect_sharded(
     addrs: &[String],
     placement: Placement,
@@ -31,49 +46,33 @@ pub fn connect_sharded(
             "sharded-remote needs at least one server address".into(),
         ));
     }
-    let mut shards = Vec::with_capacity(addrs.len());
-    for addr in addrs {
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| HmError::Backend(format!("connect {addr}: {e}")))?;
-        let transport = TcpTransport::new(stream)?;
-        shards.push(RemoteStore::new(
-            Box::new(transport),
-            ClosureMode::ClientSide,
-        ));
-    }
-    Ok(ShardedStore::new(shards, placement, "sharded-remote"))
+    Ok(ShardedStore::new(
+        connect_all(addrs)?,
+        placement,
+        "sharded-remote",
+    ))
 }
 
 /// Connect to `n * k` HyperModel servers and compose them into a
 /// K-way replicated sharded store.
 ///
 /// `addrs` is group-major: the first `k` addresses are the mirrors of
-/// logical shard 0 (primary first), the next `k` of shard 1, and so on.
-/// Each mirror is an independent server holding a full copy of its
-/// group's partition.
+/// shard 0 (primary first), the next `k` of shard 1, and so on. Each
+/// mirror is an independent server holding a full copy of its group's
+/// partition.
 pub fn connect_sharded_replicated(
     addrs: &[String],
     k: usize,
     placement: Placement,
-) -> Result<ShardedStore<RemoteStore>> {
+) -> Result<ShardedStore<ReplicaGroup<RemoteStore>>> {
     if k == 0 || addrs.is_empty() || !addrs.len().is_multiple_of(k) {
         return Err(HmError::InvalidArgument(format!(
             "sharded-remote replication needs a positive multiple of k={k} addresses, got {}",
             addrs.len()
         )));
     }
-    let mut shards = Vec::with_capacity(addrs.len());
-    for addr in addrs {
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| HmError::Backend(format!("connect {addr}: {e}")))?;
-        let transport = TcpTransport::new(stream)?;
-        shards.push(RemoteStore::new(
-            Box::new(transport),
-            ClosureMode::ClientSide,
-        ));
-    }
     Ok(ShardedStore::new_replicated(
-        shards,
+        connect_all(addrs)?,
         k,
         placement,
         "sharded-remote",

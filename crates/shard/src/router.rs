@@ -85,35 +85,10 @@ struct Entry {
     depth: u32,
 }
 
-/// The physical replica group of one logical shard: `len` mirror
-/// backends laid out contiguously in the executor's member space, with
-/// the designated primary first. Every mirror of a group applies the
-/// identical deterministic operation sequence, so backend-local ids are
-/// the same on every member and the directory above stays logical-only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaSet {
-    /// Member index of the designated primary (`start`).
-    pub primary: usize,
-    /// First member index of the group.
-    pub start: usize,
-    /// Replication factor K (group size).
-    pub len: usize,
-}
-
-impl ReplicaSet {
-    /// All member indices of this group, primary first.
-    pub fn members(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.len
-    }
-}
-
 /// The placement policy plus every translation table of a sharded store.
 #[derive(Debug)]
 pub struct ShardRouter {
     n: usize,
-    /// Replication factor: each logical shard is mirrored on `k`
-    /// physical members (`k == 1` means unreplicated).
-    k: usize,
     placement: Placement,
     /// Global ids are minted sequentially from 1; `entries[g - 1]`.
     entries: Vec<Entry>,
@@ -141,18 +116,9 @@ pub struct ShardRouter {
 impl ShardRouter {
     /// A router over `n` shards with the given placement policy.
     pub fn new(n: usize, placement: Placement) -> ShardRouter {
-        ShardRouter::new_replicated(n, 1, placement)
-    }
-
-    /// A router over `n` logical shards, each mirrored on `k` physical
-    /// members (group-major: group `s` occupies members `s*k..(s+1)*k`,
-    /// primary first).
-    pub fn new_replicated(n: usize, k: usize, placement: Placement) -> ShardRouter {
         assert!(n > 0, "at least one shard required");
-        assert!(k > 0, "replication factor must be at least 1");
         ShardRouter {
             n,
-            k,
             placement,
             entries: Vec::new(),
             global_of: vec![HashMap::new(); n],
@@ -165,24 +131,9 @@ impl ShardRouter {
         }
     }
 
-    /// Number of logical shards.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.n
-    }
-
-    /// Replication factor K (1 = unreplicated).
-    pub fn replication_factor(&self) -> usize {
-        self.k
-    }
-
-    /// The physical replica group of logical shard `shard`.
-    pub fn replica_set(&self, shard: usize) -> ReplicaSet {
-        debug_assert!(shard < self.n);
-        ReplicaSet {
-            primary: shard * self.k,
-            start: shard * self.k,
-            len: self.k,
-        }
     }
 
     /// Choose a shard for the next node: `parent` is the placement hint
@@ -596,21 +547,5 @@ mod tests {
             hops <= MAX_FORWARD_HOPS,
             "entry chain {hops} exceeds the bound"
         );
-    }
-
-    #[test]
-    fn replica_sets_are_group_major_with_primary_first() {
-        let r = ShardRouter::new_replicated(3, 2, Placement::OidHash);
-        assert_eq!(r.shard_count(), 3);
-        assert_eq!(r.replication_factor(), 2);
-        for s in 0..3 {
-            let set = r.replica_set(s);
-            assert_eq!(set.primary, s * 2);
-            assert_eq!(set.members().collect::<Vec<_>>(), vec![s * 2, s * 2 + 1]);
-        }
-        // An unreplicated router is the k = 1 special case.
-        let plain = ShardRouter::new(4, Placement::OidHash);
-        assert_eq!(plain.replication_factor(), 1);
-        assert_eq!(plain.replica_set(3).members().collect::<Vec<_>>(), vec![3]);
     }
 }

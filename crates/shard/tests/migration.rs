@@ -9,14 +9,18 @@ use hypermodel::model::Oid;
 use hypermodel::oracle::Oracle;
 use hypermodel::store::HyperStore;
 use mem_backend::MemStore;
-use shard::{Placement, ShardedStore};
+use shard::{Placement, ReplicaGroup, ShardedStore};
 
 fn sharded_mem(n: usize, placement: Placement) -> ShardedStore<MemStore> {
     let shards = (0..n).map(|_| MemStore::new()).collect();
     ShardedStore::new(shards, placement, "sharded-mem")
 }
 
-fn replicated_mem(n: usize, k: usize, placement: Placement) -> ShardedStore<MemStore> {
+fn replicated_mem(
+    n: usize,
+    k: usize,
+    placement: Placement,
+) -> ShardedStore<ReplicaGroup<MemStore>> {
     let members = (0..n * k).map(|_| MemStore::new()).collect();
     ShardedStore::new_replicated(members, k, placement, "sharded-mem")
 }
@@ -29,7 +33,11 @@ fn uids(store: &mut dyn HyperStore, oids: &[Oid]) -> Vec<u32> {
 
 /// Full-surface conformance sweep: scans, ranges, point navigation and
 /// every closure — the state a migration must leave untouched.
-fn assert_matches_oracle(store: &mut ShardedStore<MemStore>, oids: &[Oid], db: &TestDatabase) {
+fn assert_matches_oracle<S: HyperStore + Send + 'static>(
+    store: &mut ShardedStore<S>,
+    oids: &[Oid],
+    db: &TestDatabase,
+) {
     let oracle = Oracle::new(db);
     assert_eq!(store.seq_scan_ten().unwrap(), oracle.seq_scan_count(), "O9");
     for (lo, hi) in [(1u32, 10), (42, 51)] {
@@ -76,7 +84,11 @@ fn assert_matches_oracle(store: &mut ShardedStore<MemStore>, oids: &[Oid], db: &
 }
 
 /// A closure-start subtree root and a shard it does not live on.
-fn pick_subtree(store: &ShardedStore<MemStore>, oids: &[Oid], db: &TestDatabase) -> (Oid, usize) {
+fn pick_subtree<S: HyperStore + Send + 'static>(
+    store: &ShardedStore<S>,
+    oids: &[Oid],
+    db: &TestDatabase,
+) -> (Oid, usize) {
     let oracle = Oracle::new(db);
     let idx = db.level_indices(oracle.closure_start_level()).start;
     let root = oids[idx as usize];
@@ -169,7 +181,12 @@ fn replicated_groups_migrate_in_lockstep() {
     // (which runs anti-entropy checks) and another full sweep agree.
     s.commit().unwrap();
     assert_matches_oracle(&mut s, &r.oids, &db);
-    assert!(s.health().iter().all(|&h| h), "no member was demoted");
+    for shard in 0..s.shard_count() {
+        assert!(
+            s.with_shard(shard, |g| g.member_health().iter().all(|&h| h)),
+            "no member was demoted"
+        );
+    }
 }
 
 #[test]

@@ -16,12 +16,64 @@ use hypermodel::oracle::Oracle;
 use hypermodel::store::HyperStore;
 use mem_backend::MemStore;
 use proptest::prelude::*;
-use shard::{Placement, ScanPolicy, ShardedStore, WriteAck};
+use shard::{Placement, ReplicaGroup, ScanPolicy, ShardedStore, WriteAck};
+
+type Replicated<S> = ShardedStore<ReplicaGroup<S>>;
 
 /// `n` logical shards, each mirrored `k` ways, all in-memory.
-fn replicated_mem(n: usize, k: usize, placement: Placement) -> ShardedStore<MemStore> {
+fn replicated_mem(n: usize, k: usize, placement: Placement) -> Replicated<MemStore> {
     let members = (0..n * k).map(|_| MemStore::new()).collect();
     ShardedStore::new_replicated(members, k, placement, "sharded-mem")
+}
+
+// The tests below number the deployment's members group-major (member
+// `m` is mirror `m % K` of shard `m / K`, primary first) and reach each
+// one through its shard's group.
+
+fn replication_factor<S: HyperStore + Send + 'static>(s: &Replicated<S>) -> usize {
+    s.with_shard(0, |g| g.member_count())
+}
+
+fn with_member<S: HyperStore + Send + 'static, R>(
+    s: &Replicated<S>,
+    m: usize,
+    f: impl FnOnce(&mut S) -> R,
+) -> R {
+    let k = replication_factor(s);
+    s.with_shard(m / k, |g| g.with_member(m % k, f))
+}
+
+fn mark_member_down<S: HyperStore + Send + 'static>(s: &Replicated<S>, m: usize) {
+    let k = replication_factor(s);
+    s.with_shard(m / k, |g| g.mark_member_down(m % k));
+}
+
+fn replace_member<S: HyperStore + Send + 'static>(s: &Replicated<S>, m: usize, store: S) -> S {
+    let k = replication_factor(s);
+    s.with_shard(m / k, |g| g.replace_member(m % k, store))
+}
+
+fn set_write_ack<S: HyperStore + Send + 'static>(s: &Replicated<S>, ack: WriteAck) {
+    for shard in 0..s.shard_count() {
+        s.with_shard(shard, |g| g.set_write_ack(ack));
+    }
+}
+
+/// Health of every member, group-major.
+fn member_health<S: HyperStore + Send + 'static>(s: &Replicated<S>) -> Vec<bool> {
+    (0..s.shard_count())
+        .flat_map(|shard| s.with_shard(shard, |g| g.member_health().to_vec()))
+        .collect()
+}
+
+/// A group counter summed over the deployment.
+fn total<S: HyperStore + Send + 'static>(
+    s: &Replicated<S>,
+    counter: impl Fn(&ReplicaGroup<S>) -> u64,
+) -> u64 {
+    (0..s.shard_count())
+        .map(|shard| s.with_shard(shard, |g| counter(g)))
+        .sum()
 }
 
 fn uids(store: &mut dyn HyperStore, oids: &[Oid]) -> Vec<u32> {
@@ -122,12 +174,12 @@ fn replicated_run_survives_replica_kill_and_repairs_it() {
         let r = load_database(&mut s, &db).unwrap();
         let root = r.oids[0];
         s.commit().unwrap();
-        assert_eq!(s.member_count(), 4);
-        assert_eq!(s.replication_factor(), 2);
+        assert_eq!(member_health(&s).len(), 4);
+        assert_eq!(replication_factor(&s), 2);
 
         // Healthy sweep first, then kill the primary of group 0 mid-run.
         check_against_oracle(&mut s, &r.oids, &db);
-        s.mark_shard_down(0);
+        mark_member_down(&s, 0);
 
         // Every op still completes: reads fail over to the sibling,
         // writes fan to the healthy members only.
@@ -135,23 +187,30 @@ fn replicated_run_survives_replica_kill_and_repairs_it() {
         s.closure_1n_att_set(root).unwrap(); // O12 writes while degraded
         s.closure_1n_att_set(root).unwrap(); // involution: restores values
         assert!(
-            s.failover_reads() > 0,
+            total(&s, ReplicaGroup::failover_reads) > 0,
             "reads during the outage must be counted as failovers"
         );
-        assert!(!s.health()[0], "member 0 stays demoted until repair");
+        assert!(!member_health(&s)[0], "member 0 stays demoted until repair");
 
         // Commit triggers the anti-entropy pass: member 0 is resynced
         // from its sibling and re-admitted.
         s.commit().unwrap();
-        assert_eq!(s.health(), &[true; 4], "all members healthy after repair");
-        assert!(s.repairs() >= 1, "repair must be counted");
+        assert_eq!(
+            member_health(&s),
+            &[true; 4],
+            "all members healthy after repair"
+        );
+        assert!(
+            total(&s, ReplicaGroup::repairs) >= 1,
+            "repair must be counted"
+        );
 
         // Prove the repaired member serves correct reads on its own:
         // take its sibling away so every group-0 read must land on it.
-        s.mark_shard_down(1);
+        mark_member_down(&s, 1);
         check_against_oracle(&mut s, &r.oids, &db);
         s.commit().unwrap();
-        assert_eq!(s.health(), &[true; 4]);
+        assert_eq!(member_health(&s), &[true; 4]);
 
         let summary = s.resilience_summary().unwrap();
         assert!(summary.contains("replicas=2"), "summary: {summary}");
@@ -171,14 +230,14 @@ fn repair_carries_writes_acked_during_the_outage() {
     let before = s.hundred_of(target).unwrap();
     let after = (before + 7) % 100;
 
-    s.mark_shard_down(0);
+    mark_member_down(&s, 0);
     s.set_hundred(target, after).unwrap(); // acked by the sibling alone
     assert_eq!(s.hundred_of(target).unwrap(), after);
 
     s.commit().unwrap(); // repairs member 0 from member 1
-    assert_eq!(s.health(), &[true, true]);
+    assert_eq!(member_health(&s), &[true, true]);
 
-    s.mark_shard_down(1); // force the read onto the repaired member
+    mark_member_down(&s, 1); // force the read onto the repaired member
     assert_eq!(
         s.hundred_of(target).unwrap(),
         after,
@@ -188,7 +247,7 @@ fn repair_carries_writes_acked_during_the_outage() {
 
 /// A crashed mirror cannot be repaired in place (its backend is gone):
 /// repair attempts back off, and swapping in a fresh empty backend via
-/// `replace_shard` lets the next commit resync it from scratch. The
+/// `replace_member` lets the next commit resync it from scratch. The
 /// empty replacement must never serve reads before that resync.
 #[test]
 fn crashed_replica_is_replaced_and_resynced_from_scratch() {
@@ -203,7 +262,7 @@ fn crashed_replica_is_replaced_and_resynced_from_scratch() {
 
     // Crash member 1 (the non-primary mirror of group 0) at the next
     // commit fan-out: the group's commit still succeeds on the primary.
-    s.with_shard(1, |sh| {
+    with_member(&s, 1, |sh| {
         let nth = sh.commits_seen() + 1;
         sh.set_plan(FaultPlan {
             crash: Some(CrashSpec {
@@ -215,30 +274,33 @@ fn crashed_replica_is_replaced_and_resynced_from_scratch() {
     });
     s.closure_1n_att_set(root).unwrap();
     s.commit().unwrap();
-    assert!(s.demotions() >= 1, "crashed mirror must be demoted");
-    assert!(!s.health()[1]);
+    assert!(
+        total(&s, ReplicaGroup::demotions) >= 1,
+        "crashed mirror must be demoted"
+    );
+    assert!(!member_health(&s)[1]);
 
     // In-place repair can only fail against a crashed backend; the
     // member stays demoted while its siblings carry the load.
     s.commit().unwrap();
-    assert!(!s.health()[1], "no repair without a live backend");
-    assert!(s.with_shard(1, |sh| sh.is_crashed()));
+    assert!(!member_health(&s)[1], "no repair without a live backend");
+    assert!(with_member(&s, 1, |sh| sh.is_crashed()));
 
     // Swap in an empty replacement. It must stay demoted (an empty
     // store serving reads would be a catastrophic correctness bug)
     // until the commit-triggered resync fills it.
-    let old = s.replace_shard(1, ChaosStore::new(MemStore::new(), FaultPlan::none(9)));
+    let old = replace_member(&s, 1, ChaosStore::new(MemStore::new(), FaultPlan::none(9)));
     assert!(old.is_crashed());
-    assert!(!s.health()[1], "fresh backend must not serve yet");
-    let repairs_before = s.repairs();
+    assert!(!member_health(&s)[1], "fresh backend must not serve yet");
+    let repairs_before = total(&s, ReplicaGroup::repairs);
     s.commit().unwrap();
-    assert_eq!(s.health(), &[true; 4]);
-    assert!(s.repairs() > repairs_before);
+    assert_eq!(member_health(&s), &[true; 4]);
+    assert!(total(&s, ReplicaGroup::repairs) > repairs_before);
 
     // Restore the O12 involution, then verify the rebuilt mirror serves
     // the whole database correctly on its own.
     s.closure_1n_att_set(root).unwrap();
-    s.mark_shard_down(0);
+    mark_member_down(&s, 0);
     check_against_oracle(&mut s, &r.oids, &db);
 }
 
@@ -252,19 +314,19 @@ fn write_ack_policies_enforce_quorum() {
     let r = load_database(&mut s, &db).unwrap();
     let target = r.oids[2];
     let before = s.hundred_of(target).unwrap();
-    assert_eq!(s.write_ack(), WriteAck::Primary);
+    assert_eq!(s.with_shard(0, |g| g.write_ack()), WriteAck::Primary);
 
-    s.set_write_ack(WriteAck::All);
+    set_write_ack(&s, WriteAck::All);
     s.set_hundred(target, (before + 1) % 100).unwrap();
 
     // Quorum (2 of 3) holds with one member down...
-    s.set_write_ack(WriteAck::Quorum);
-    s.mark_shard_down(1);
+    set_write_ack(&s, WriteAck::Quorum);
+    mark_member_down(&s, 1);
     s.set_hundred(target, (before + 2) % 100).unwrap();
 
     // ...but not with two down: the write is refused up front and the
     // surviving member's state is untouched.
-    s.mark_shard_down(2);
+    mark_member_down(&s, 2);
     let err = s.set_hundred(target, (before + 3) % 100).unwrap_err();
     match &err {
         HmError::ShardUnavailable { msg, .. } => {
@@ -276,13 +338,13 @@ fn write_ack_policies_enforce_quorum() {
 
     // Primary-ack still accepts writes on the last healthy member, and
     // the next commit repairs the other two from it.
-    s.set_write_ack(WriteAck::Primary);
+    set_write_ack(&s, WriteAck::Primary);
     s.set_hundred(target, (before + 4) % 100).unwrap();
     s.commit().unwrap();
-    assert_eq!(s.health(), &[true, true, true]);
-    assert_eq!(s.repairs(), 2);
+    assert_eq!(member_health(&s), &[true, true, true]);
+    assert_eq!(total(&s, ReplicaGroup::repairs), 2);
     for dead in [0usize, 1] {
-        s.mark_shard_down(dead); // read must come from a repaired member
+        mark_member_down(&s, dead); // read must come from a repaired member
     }
     assert_eq!(s.hundred_of(target).unwrap(), (before + 4) % 100);
 }
@@ -297,7 +359,7 @@ fn partial_scans_surface_skipped_shard_ids() {
     let mut s = replicated_mem(3, 1, Placement::OidHash);
     load_database(&mut s, &db).unwrap();
     s.set_scan_policy(ScanPolicy::Partial);
-    s.mark_shard_down(1);
+    mark_member_down(&s, 1);
     s.seq_scan_ten().unwrap();
     assert!(s.last_scan_was_partial());
     assert_eq!(s.last_scan_skipped(), &[1]);
@@ -310,15 +372,28 @@ fn partial_scans_surface_skipped_shard_ids() {
     // Replicated: only a fully-dead group is skipped — one dead mirror
     // fails over inside the group and the scan stays complete.
     let mut s = replicated_mem(2, 2, Placement::OidHash);
-    load_database(&mut s, &db).unwrap();
+    let r = load_database(&mut s, &db).unwrap();
     s.set_scan_policy(ScanPolicy::Partial);
-    s.mark_shard_down(2);
+    mark_member_down(&s, 2);
     s.seq_scan_ten().unwrap();
     assert!(!s.last_scan_was_partial(), "one mirror down is not partial");
-    s.mark_shard_down(3);
+    // One dead mirror of shard 1 is a dead *replica*; no shard is dead.
+    assert_eq!(
+        s.resilience_summary().unwrap(),
+        "2pc=off commit-aborts=0 dead-shards=0/2 replicas=2 ack=primary \
+         dead-replicas=1/4 failover-reads=1 demotions=0 repairs=0"
+    );
+    mark_member_down(&s, 3);
     s.seq_scan_ten().unwrap();
     assert!(s.last_scan_was_partial());
     assert_eq!(s.last_scan_skipped(), &[1], "logical shard id, not member");
+    let on_one = *r.oids.iter().find(|&&o| s.owner_of(o) == Some(1)).unwrap();
+    for err in [s.hundred_of(on_one).unwrap_err(), s.commit().unwrap_err()] {
+        assert!(
+            matches!(err, HmError::ShardUnavailable { shard: 1, .. }),
+            "errors name the logical shard, not member 2 or 3: {err}"
+        );
+    }
     let summary = s.resilience_summary().unwrap();
     assert!(summary.contains("skipped-shards=[1]"), "summary: {summary}");
 }
@@ -337,8 +412,8 @@ fn replication_soak_kill_and_repair_every_epoch() {
 
     let epochs = 8;
     for epoch in 0..epochs {
-        let victim = epoch % s.member_count();
-        s.mark_shard_down(victim);
+        let victim = epoch % member_health(&s).len();
+        mark_member_down(&s, victim);
         // One write epoch: O12 into the closure plus a point write.
         s.closure_1n_att_set(root).unwrap();
         let h = s.hundred_of(r.oids[1]).unwrap();
@@ -346,14 +421,14 @@ fn replication_soak_kill_and_repair_every_epoch() {
         s.seq_scan_ten().unwrap();
         s.commit().unwrap();
         assert_eq!(
-            s.health(),
+            member_health(&s),
             &[true; 4],
             "epoch {epoch}: repair must re-admit member {victim}"
         );
     }
-    assert_eq!(s.repairs(), epochs as u64);
+    assert_eq!(total(&s, ReplicaGroup::repairs), epochs as u64);
     assert!(
-        s.failover_reads() > 0,
+        total(&s, ReplicaGroup::failover_reads) > 0,
         "primary-kill epochs must have failed reads over"
     );
 
@@ -389,7 +464,7 @@ fn run_repair_crash_scenario(victim: usize, point: CrashPoint, committed_first: 
         .collect();
 
     // Arm the crash in the next commit fan-out, then commit through it.
-    s.with_shard(victim, |sh| {
+    with_member(&s, victim, |sh| {
         let nth = sh.commits_seen() + 1;
         sh.set_plan(FaultPlan {
             crash: Some(CrashSpec { point, nth }),
@@ -398,16 +473,20 @@ fn run_repair_crash_scenario(victim: usize, point: CrashPoint, committed_first: 
     });
     s.commit()
         .expect("a single mirror crash must not fail the group commit");
-    assert!(!s.health()[victim], "victim {victim} demoted");
+    assert!(!member_health(&s)[victim], "victim {victim} demoted");
 
     // Replace the dead backend and let the next commit resync it.
-    s.replace_shard(victim, ChaosStore::new(MemStore::new(), FaultPlan::none(7)));
+    replace_member(
+        &s,
+        victim,
+        ChaosStore::new(MemStore::new(), FaultPlan::none(7)),
+    );
     s.commit().unwrap();
-    assert_eq!(s.health(), &[true; 4]);
+    assert_eq!(member_health(&s), &[true; 4]);
 
     // Read every value from the rebuilt mirror alone.
     let sibling = victim ^ 1;
-    s.mark_shard_down(sibling);
+    mark_member_down(&s, sibling);
     let after: Vec<u32> = (0..db.len())
         .map(|i| s.hundred_of(r.oids[i]).unwrap())
         .collect();

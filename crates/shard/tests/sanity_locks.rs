@@ -68,14 +68,11 @@ fn assert_static_graph_covers_runtime() {
     }
 }
 
-#[test]
-fn sharded_two_phase_commit_records_no_hazards() {
-    sanity::order::reset();
-    assert!(sanity::order::instrumented());
-
-    let dir = temp_dir("2pc");
-    let shards = (0..3).map(|_| MemStore::new()).collect();
-    let mut store = ShardedStore::new(shards, Placement::OidHash, "sanity-gate")
+/// Load, traverse across shards, and run four real multi-shard
+/// two-phase transactions against `store`.
+fn two_phase_workload<S: HyperStore + Send + 'static>(store: ShardedStore<S>, name: &str) {
+    let dir = temp_dir(name);
+    let mut store = store
         .with_commit_log(&dir.join("decisions.log"))
         .expect("commit log");
 
@@ -97,6 +94,24 @@ fn sharded_two_phase_commit_records_no_hazards() {
 
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sharded_two_phase_commit_records_no_hazards() {
+    sanity::order::reset();
+    assert!(sanity::order::instrumented());
+
+    let mem = |n: usize| (0..n).map(|_| MemStore::new()).collect();
+    two_phase_workload(
+        ShardedStore::new(mem(3), Placement::OidHash, "sanity-gate"),
+        "2pc",
+    );
+    // sharded-mem:2:r2 — every shard a replica group, whose member
+    // workers are driven while the outer shard lock is held.
+    two_phase_workload(
+        ShardedStore::new_replicated(mem(4), 2, Placement::OidHash, "sanity-gate"),
+        "2pc-r2",
+    );
     sanity::order::assert_clean();
 
     // Observed graph: export when SANITY_GRAPH_OUT is set (CI archives

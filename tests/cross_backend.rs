@@ -18,7 +18,7 @@ use hypermodel::store::HyperStore;
 use mem_backend::MemStore;
 use proptest::prelude::*;
 use rel_backend::RelStore;
-use shard::{Placement, ShardedStore};
+use shard::{Placement, ReplicaGroup, ShardedStore};
 use std::path::PathBuf;
 
 struct Loaded {
@@ -83,6 +83,17 @@ fn load_all(db: &TestDatabase) -> Vec<Loaded> {
     for placement in [Placement::OidHash, Placement::affinity()] {
         let shards: Vec<MemStore> = (0..3).map(|_| MemStore::new()).collect();
         let mut s = ShardedStore::new(shards, placement, "sharded-mem");
+        let r = load_database(&mut s, db).unwrap();
+        out.push(Loaded {
+            store: Box::new(s),
+            oids: r.oids,
+            path: None,
+        });
+    }
+    // A replica group is a store in its own right: three mirrors, no
+    // sharding, every operation forwarded as one read or one write.
+    {
+        let mut s = ReplicaGroup::new((0..3).map(|_| MemStore::new()).collect());
         let r = load_database(&mut s, db).unwrap();
         out.push(Loaded {
             store: Box::new(s),
