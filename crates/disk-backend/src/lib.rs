@@ -4,901 +4,276 @@
 //! analogue): objects live on disk pages behind a buffer pool, all access
 //! is by object id through an object table, and commits are redo-logged.
 //!
-//! Physical design (every piece is built in the `storage` crate):
+//! [`DiskStore`] is [`PagedStore`] with the node mapping [`ObjectLayout`].
+//! The relationship trees, the attribute indexes, the §6.8 extension
+//! tables, the catalog and the transaction boundary are `paged-store`'s
+//! and are the same for the relational mapping; what this crate decides is
+//! how a node is stored:
 //!
 //! * **Node records** — canonical [`NodeValue`] encoding in a heap file.
 //!   Clustering follows the paper's rule ("clustering should be done along
-//!   the 1-N relationship-hierarchy"): [`HyperStore::create_node_clustered`]
-//!   places a node on its parent's page when space allows, so 1-N closures
-//!   touch few pages cold while M-N closures (random next-level nodes)
-//!   scatter — exactly the asymmetry §6.5 predicts.
+//!   the 1-N relationship-hierarchy"): `create_node_clustered` places a
+//!   node on its parent's page when space allows, so 1-N closures touch
+//!   few pages cold while M-N closures (random next-level nodes) scatter —
+//!   exactly the asymmetry §6.5 predicts.
 //! * **Object table** — B+Tree `oid → record id`, GemStone-style, so
 //!   records may relocate (growing text edits) without invalidating oids.
-//! * **Relationships** — B+Trees keyed `(node, edge#)` in both directions;
-//!   edge numbers are globally monotonic, so range scans return children
-//!   in insertion order (the paper's ordered 1-N requirement).
-//! * **Attribute indexes** — B+Trees on `uniqueId`, `hundred`, `million`
-//!   (`(value, oid)` composite keys for the non-unique ones).
-//! * **Cold/warm** — [`HyperStore::cold_restart`] checkpoints and drops
-//!   the buffer pool, the single-machine equivalent of re-fetching from a
-//!   server (§6: "the cold run would require fetching of nodes from the
-//!   server").
-//!
-//! The §6.8 extensions are implemented persistently: dynamic schema (R4)
-//! serialized through the catalog heap, version chains (R5) in their own
-//! heap + index, access modes (R11) in an index tree.
+//!   Oids come from a counter; `uniqueId` has its own B+Tree index.
+//! * **Extent** — nodes outside the test structure go to a second heap
+//!   (marked by a bit in the object table), so the sequential scan of
+//!   §6.4.1 reads the structure's heap and nothing else.
+//! * **Cold/warm** — `cold_restart` checkpoints and drops the buffer pool,
+//!   the single-machine equivalent of re-fetching from a server (§6: "the
+//!   cold run would require fetching of nodes from the server").
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::path::Path;
-
 use hypermodel::error::{HmError, Result};
-use hypermodel::ext::{
-    AccessControlledStore, AccessMode, DynamicSchemaStore, VersionNo, VersionedStore,
-};
-use hypermodel::model::{Content, NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::schema::{AttrId, Schema};
-use hypermodel::store::HyperStore;
+use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid};
 use hypermodel::Bitmap;
+use paged_store::{se, NodeLayout, PagedStore};
 use storage::btree::{BTree, Key};
-use storage::engine::Engine;
 use storage::heap::{HeapFile, RecordId};
-use storage::{PageId, StorageError};
+use storage::{BufferPool, PageId};
 
-fn se(e: StorageError) -> HmError {
-    HmError::Backend(e.to_string())
-}
+pub use paged_store::{in_doubt_txn, resolve_in_doubt};
 
-/// Scan the write-ahead log of the (closed) database at `path` for a
-/// prepared-but-undecided two-phase-commit transaction. Returns its id,
-/// or `None` when the database is clean.
-pub fn in_doubt_txn(path: &Path) -> Result<Option<u64>> {
-    storage::recovery::in_doubt_txn(&storage::engine::wal_path_for(path)).map_err(se)
-}
-
-/// Decide the fate of an in-doubt transaction on the (closed) database at
-/// `path` — `commit` true applies its staged pages, false discards them —
-/// and finish recovery. Idempotent. After this, [`DiskStore::open`]
-/// succeeds.
-pub fn resolve_in_doubt(path: &Path, txid: u64, commit: bool) -> Result<()> {
-    storage::recovery::resolve_in_doubt(path, &storage::engine::wal_path_for(path), txid, commit)
-        .map_err(se)?;
-    Ok(())
-}
+/// The disk-based HyperModel object store.
+pub type DiskStore = PagedStore<ObjectLayout>;
 
 /// Marks a value in the object table as living in the extras heap.
 const EXTRA_BIT: u64 = 1 << 63;
 
-/// Pack `(target_oid, offset_from, offset_to)` into a B+Tree value.
-fn pack_edge(target: Oid, off_from: u8, off_to: u8) -> u64 {
-    debug_assert!(target.0 < (1 << 55));
-    (target.0 << 8) | ((off_from as u64) << 4) | off_to as u64
-}
+/// Where a record lives: in the extras heap or the structure's, and at
+/// which record id.
+type Place = (bool, RecordId);
 
-fn unpack_edge(v: u64) -> RefEdge {
-    RefEdge {
-        target: Oid(v >> 8),
-        offset_from: ((v >> 4) & 0xF) as u8,
-        offset_to: (v & 0xF) as u8,
-    }
-}
-
-/// The disk-based HyperModel object store.
-pub struct DiskStore {
-    engine: Engine,
+/// The object-store node mapping: whole records in two heaps behind an
+/// object table, clustered along the 1-N hierarchy.
+pub struct ObjectLayout {
     nodes: HeapFile,
     extras: HeapFile,
-    meta_heap: HeapFile,
-    version_heap: HeapFile,
     objtab: BTree,
     uid_idx: BTree,
-    hundred_idx: BTree,
-    million_idx: BTree,
-    children_idx: BTree,
-    parent_idx: BTree,
-    parts_idx: BTree,
-    partof_idx: BTree,
-    refto_idx: BTree,
-    reffrom_idx: BTree,
-    dyn_attr_idx: BTree,
-    version_idx: BTree,
-    access_idx: BTree,
     next_oid: u64,
-    edge_counter: u64,
-    schema: Schema,
-    schema_rid: RecordId,
-    schema_dirty: bool,
 }
 
-const TREES: usize = 13;
-
-impl DiskStore {
-    /// Create a new database file at `path` with a pool of `pool_frames`
-    /// 8 KiB frames.
-    pub fn create(path: &Path, pool_frames: usize) -> Result<DiskStore> {
-        let mut engine = Engine::create(path, pool_frames).map_err(se)?;
-        let nodes = HeapFile::create(engine.pool()).map_err(se)?;
-        let extras = HeapFile::create(engine.pool()).map_err(se)?;
-        let mut meta_heap = HeapFile::create(engine.pool()).map_err(se)?;
-        let version_heap = HeapFile::create(engine.pool()).map_err(se)?;
-        let mut trees = Vec::with_capacity(TREES);
-        for _ in 0..TREES {
-            trees.push(BTree::create(engine.pool()).map_err(se)?);
+impl ObjectLayout {
+    fn heap(&mut self, extra: bool) -> &mut HeapFile {
+        if extra {
+            &mut self.extras
+        } else {
+            &mut self.nodes
         }
-        let schema = Schema::builtin();
-        let schema_rid = meta_heap
-            .insert(engine.pool(), &schema.encode())
-            .map_err(se)?;
-        let mut store = DiskStore {
-            engine,
-            nodes,
-            extras,
-            meta_heap,
-            version_heap,
-            objtab: trees[0],
-            uid_idx: trees[1],
-            hundred_idx: trees[2],
-            million_idx: trees[3],
-            children_idx: trees[4],
-            parent_idx: trees[5],
-            parts_idx: trees[6],
-            partof_idx: trees[7],
-            refto_idx: trees[8],
-            reffrom_idx: trees[9],
-            dyn_attr_idx: trees[10],
-            version_idx: trees[11],
-            access_idx: trees[12],
-            next_oid: 1,
-            edge_counter: 1,
-            schema,
-            schema_rid,
-            schema_dirty: false,
-        };
-        store.save_catalog()?;
-        store.engine.commit().map_err(se)?;
-        Ok(store)
     }
 
-    /// Open an existing database (running crash recovery if needed).
-    ///
-    /// Refuses to open a database whose log holds a prepared-but-undecided
-    /// two-phase-commit transaction: its fate belongs to the transaction
-    /// coordinator. Call [`resolve_in_doubt`] with the coordinator's
-    /// decision first (see [`in_doubt_txn`] to discover the id).
-    pub fn open(path: &Path, pool_frames: usize) -> Result<DiskStore> {
-        let (mut engine, report) = Engine::open(path, pool_frames).map_err(se)?;
-        if let Some(txid) = report.in_doubt {
-            return Err(HmError::Conflict(format!(
-                "database {} has in-doubt transaction {txid}; resolve it \
-                 against the coordinator log before opening",
-                path.display()
-            )));
-        }
-        let get = |e: &mut Engine, name: &str| e.catalog_get(name).map_err(se);
-        let nodes = HeapFile::open(PageId(get(&mut engine, "nodes")?));
-        let extras = HeapFile::open(PageId(get(&mut engine, "extras")?));
-        let meta_heap = HeapFile::open(PageId(get(&mut engine, "meta_heap")?));
-        let version_heap = HeapFile::open(PageId(get(&mut engine, "version_heap")?));
-        let tree_names = [
-            "objtab", "uid", "hundred", "million", "children", "parent", "parts", "partof",
-            "refto", "reffrom", "dynattr", "version", "access",
-        ];
-        let mut trees = Vec::with_capacity(TREES);
-        for name in tree_names {
-            trees.push(BTree::open(PageId(get(&mut engine, name)?)));
-        }
-        let next_oid = get(&mut engine, "next_oid")?;
-        let edge_counter = get(&mut engine, "edge_counter")?;
-        let schema_rid = RecordId::unpack(get(&mut engine, "schema_rid")?);
-        let schema_bytes = meta_heap.get(engine.pool(), schema_rid).map_err(se)?;
-        let schema = Schema::decode(&schema_bytes)?;
-        Ok(DiskStore {
-            engine,
-            nodes,
-            extras,
-            meta_heap,
-            version_heap,
-            objtab: trees[0],
-            uid_idx: trees[1],
-            hundred_idx: trees[2],
-            million_idx: trees[3],
-            children_idx: trees[4],
-            parent_idx: trees[5],
-            parts_idx: trees[6],
-            partof_idx: trees[7],
-            refto_idx: trees[8],
-            reffrom_idx: trees[9],
-            dyn_attr_idx: trees[10],
-            version_idx: trees[11],
-            access_idx: trees[12],
-            next_oid,
-            edge_counter,
-            schema,
-            schema_rid,
-            schema_dirty: false,
-        })
-    }
-
-    fn save_catalog(&mut self) -> Result<()> {
-        let pairs = [
-            ("nodes", self.nodes.first_page().0),
-            ("extras", self.extras.first_page().0),
-            ("meta_heap", self.meta_heap.first_page().0),
-            ("version_heap", self.version_heap.first_page().0),
-            ("objtab", self.objtab.root().0),
-            ("uid", self.uid_idx.root().0),
-            ("hundred", self.hundred_idx.root().0),
-            ("million", self.million_idx.root().0),
-            ("children", self.children_idx.root().0),
-            ("parent", self.parent_idx.root().0),
-            ("parts", self.parts_idx.root().0),
-            ("partof", self.partof_idx.root().0),
-            ("refto", self.refto_idx.root().0),
-            ("reffrom", self.reffrom_idx.root().0),
-            ("dynattr", self.dyn_attr_idx.root().0),
-            ("version", self.version_idx.root().0),
-            ("access", self.access_idx.root().0),
-            ("next_oid", self.next_oid),
-            ("edge_counter", self.edge_counter),
-            ("schema_rid", self.schema_rid.pack()),
-        ];
-        for (name, value) in pairs {
-            self.engine.catalog_set(name, value).map_err(se)?;
-        }
-        Ok(())
-    }
-
-    /// The storage engine (for size and I/O statistics).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Re-read every root, counter and the schema from the on-disk
-    /// catalog, discarding in-memory handles. Required after an engine
-    /// abort, which invalidates any root that moved during the aborted
-    /// transaction.
-    fn reload_from_catalog(&mut self) -> Result<()> {
-        let get = |e: &mut Engine, name: &str| e.catalog_get(name).map_err(se);
-        self.nodes = HeapFile::open(PageId(get(&mut self.engine, "nodes")?));
-        self.extras = HeapFile::open(PageId(get(&mut self.engine, "extras")?));
-        self.meta_heap = HeapFile::open(PageId(get(&mut self.engine, "meta_heap")?));
-        self.version_heap = HeapFile::open(PageId(get(&mut self.engine, "version_heap")?));
-        let tree_names = [
-            "objtab", "uid", "hundred", "million", "children", "parent", "parts", "partof",
-            "refto", "reffrom", "dynattr", "version", "access",
-        ];
-        let mut trees = Vec::with_capacity(TREES);
-        for name in tree_names {
-            trees.push(BTree::open(PageId(get(&mut self.engine, name)?)));
-        }
-        self.objtab = trees[0];
-        self.uid_idx = trees[1];
-        self.hundred_idx = trees[2];
-        self.million_idx = trees[3];
-        self.children_idx = trees[4];
-        self.parent_idx = trees[5];
-        self.parts_idx = trees[6];
-        self.partof_idx = trees[7];
-        self.refto_idx = trees[8];
-        self.reffrom_idx = trees[9];
-        self.dyn_attr_idx = trees[10];
-        self.version_idx = trees[11];
-        self.access_idx = trees[12];
-        self.next_oid = get(&mut self.engine, "next_oid")?;
-        self.edge_counter = get(&mut self.engine, "edge_counter")?;
-        self.schema_rid = RecordId::unpack(get(&mut self.engine, "schema_rid")?);
-        let schema_bytes = self
-            .meta_heap
-            .get(self.engine.pool(), self.schema_rid)
-            .map_err(se)?;
-        self.schema = Schema::decode(&schema_bytes)?;
-        self.schema_dirty = false;
-        Ok(())
-    }
-
-    /// Buffer pool statistics (hits/misses), exposed to the harness for
-    /// cold/warm verification.
-    pub fn pool_stats(&self) -> storage::PoolStats {
-        self.engine.pool_ref().stats()
-    }
-
-    /// On-disk size of the database file in bytes.
-    pub fn file_size(&self) -> u64 {
-        self.engine.file_size()
-    }
-
-    fn rid_of(&mut self, oid: Oid) -> Result<(bool, RecordId)> {
+    fn locate(&self, pool: &mut BufferPool, oid: Oid) -> Result<Place> {
         let v = self
             .objtab
-            .get(self.engine.pool(), Key::from_pair(oid.0, 0))
+            .get(pool, Key::from_pair(oid.0, 0))
             .map_err(se)?
             .ok_or(HmError::NodeNotFound(oid))?;
         Ok((v & EXTRA_BIT != 0, RecordId::unpack(v & !EXTRA_BIT)))
     }
 
-    fn record_bytes(&mut self, oid: Oid) -> Result<Vec<u8>> {
-        let (extra, rid) = self.rid_of(oid)?;
+    fn record_at(&self, pool: &mut BufferPool, (extra, rid): Place) -> Result<Vec<u8>> {
         let heap = if extra { self.extras } else { self.nodes };
-        heap.get(self.engine.pool(), rid).map_err(se)
+        heap.get(pool, rid).map_err(se)
     }
 
-    fn node_attrs(&mut self, oid: Oid) -> Result<(NodeKind, hypermodel::model::NodeAttrs)> {
-        let bytes = self.record_bytes(oid)?;
-        NodeValue::decode_attrs(&bytes)
+    fn record(&self, pool: &mut BufferPool, oid: Oid) -> Result<Vec<u8>> {
+        let place = self.locate(pool, oid)?;
+        self.record_at(pool, place)
     }
 
-    fn node_value(&mut self, oid: Oid) -> Result<NodeValue> {
-        let bytes = self.record_bytes(oid)?;
-        NodeValue::decode(&bytes)
+    fn set_place(&mut self, pool: &mut BufferPool, oid: Oid, (extra, rid): Place) -> Result<()> {
+        let packed = rid.pack() | if extra { EXTRA_BIT } else { 0 };
+        self.objtab
+            .insert(pool, Key::from_pair(oid.0, 0), packed)
+            .map_err(se)?;
+        Ok(())
     }
 
-    fn store_value(&mut self, oid: Oid, value: &NodeValue) -> Result<()> {
-        let (extra, rid) = self.rid_of(oid)?;
-        let encoded = value.encode();
-        let mut heap = if extra { self.extras } else { self.nodes };
-        let new_rid = heap.update(self.engine.pool(), rid, &encoded).map_err(se)?;
-        if extra {
-            self.extras = heap;
-        } else {
-            self.nodes = heap;
-        }
+    /// Overwrite the record at `place`; a record that outgrew its page
+    /// moves, and the object table follows it.
+    fn rewrite(
+        &mut self,
+        pool: &mut BufferPool,
+        oid: Oid,
+        (extra, rid): Place,
+        bytes: &[u8],
+    ) -> Result<()> {
+        let new_rid = self.heap(extra).update(pool, rid, bytes).map_err(se)?;
         if new_rid != rid {
-            let v = new_rid.pack() | if extra { EXTRA_BIT } else { 0 };
-            self.objtab
-                .insert(self.engine.pool(), Key::from_pair(oid.0, 0), v)
-                .map_err(se)?;
+            self.set_place(pool, oid, (extra, new_rid))?;
         }
         Ok(())
     }
 
-    fn create_record(&mut self, value: &NodeValue, near: Option<Oid>, extra: bool) -> Result<Oid> {
-        if self
-            .uid_idx
-            .get(self.engine.pool(), Key::from_pair(value.attrs.unique_id, 0))
-            .map_err(se)?
-            .is_some()
-        {
-            return Err(HmError::InvalidArgument(format!(
-                "uniqueId {} already exists",
-                value.attrs.unique_id
-            )));
+    /// Decode the node, let `edit` change its content, store it back.
+    fn edit_content(
+        &mut self,
+        pool: &mut BufferPool,
+        oid: Oid,
+        edit: impl FnOnce(&mut Content) -> Result<()>,
+    ) -> Result<()> {
+        let place = self.locate(pool, oid)?;
+        let mut value = NodeValue::decode(&self.record_at(pool, place)?)?;
+        edit(&mut value.content)?;
+        self.rewrite(pool, oid, place, &value.encode())
+    }
+}
+
+impl NodeLayout for ObjectLayout {
+    const NAME: &'static str = "disk";
+
+    const ROOTS: &'static [&'static str] = &["nodes", "extras", "objtab", "uid", "next_oid"];
+
+    fn create(pool: &mut BufferPool) -> Result<Self> {
+        Ok(ObjectLayout {
+            nodes: HeapFile::create(pool).map_err(se)?,
+            extras: HeapFile::create(pool).map_err(se)?,
+            objtab: BTree::create(pool).map_err(se)?,
+            uid_idx: BTree::create(pool).map_err(se)?,
+            next_oid: 1,
+        })
+    }
+
+    fn from_roots(roots: &[u64]) -> Self {
+        ObjectLayout {
+            nodes: HeapFile::open(PageId(roots[0])),
+            extras: HeapFile::open(PageId(roots[1])),
+            objtab: BTree::open(PageId(roots[2])),
+            uid_idx: BTree::open(PageId(roots[3])),
+            next_oid: roots[4],
         }
+    }
+
+    fn roots(&self) -> Vec<u64> {
+        vec![
+            self.nodes.first_page().0,
+            self.extras.first_page().0,
+            self.objtab.root().0,
+            self.uid_idx.root().0,
+            self.next_oid,
+        ]
+    }
+
+    fn exists(&self, pool: &mut BufferPool, oid: Oid) -> Result<()> {
+        self.locate(pool, oid).map(|_| ())
+    }
+
+    fn lookup_unique(&self, pool: &mut BufferPool, unique_id: u64) -> Result<Option<Oid>> {
+        let hit = self.uid_idx.get(pool, Key::from_pair(unique_id, 0));
+        Ok(hit.map_err(se)?.map(Oid))
+    }
+
+    fn unique_id_of(&self, pool: &mut BufferPool, oid: Oid) -> Result<u64> {
+        Ok(self.attrs(pool, oid)?.1.unique_id)
+    }
+
+    fn attrs(&self, pool: &mut BufferPool, oid: Oid) -> Result<(NodeKind, NodeAttrs)> {
+        NodeValue::decode_attrs(&self.record(pool, oid)?)
+    }
+
+    fn patch_hundred(&mut self, pool: &mut BufferPool, oid: Oid, value: u32) -> Result<u32> {
+        let place = self.locate(pool, oid)?;
+        let mut bytes = self.record_at(pool, place)?;
+        let old = NodeValue::decode_attrs(&bytes)?.1.hundred;
+        if old != value {
+            // A fixed-width attribute: the record keeps its size and its place.
+            bytes[NodeValue::HUNDRED_OFFSET..NodeValue::HUNDRED_OFFSET + 4]
+                .copy_from_slice(&value.to_le_bytes());
+            self.rewrite(pool, oid, place, &bytes)?;
+        }
+        Ok(old)
+    }
+
+    fn insert(
+        &mut self,
+        pool: &mut BufferPool,
+        value: &NodeValue,
+        near: Option<Oid>,
+        extra: bool,
+    ) -> Result<Oid> {
         let oid = Oid(self.next_oid);
         self.next_oid += 1;
         let encoded = value.encode();
-        let near_rid = match near {
-            Some(n) if !extra => Some(self.rid_of(n)?.1),
-            _ => None,
-        };
-        let rid = {
-            let mut heap = if extra { self.extras } else { self.nodes };
-            let rid = match near_rid {
-                Some(nr) => heap
-                    .insert_near(self.engine.pool(), &encoded, nr)
-                    .map_err(se)?,
-                None => heap.insert(self.engine.pool(), &encoded).map_err(se)?,
-            };
-            if extra {
-                self.extras = heap;
-            } else {
-                self.nodes = heap;
+        // Clustering: onto the page of the future 1-N parent, if it has room.
+        let rid = match near {
+            Some(parent) if !extra => {
+                let (_, near_rid) = self.locate(pool, parent)?;
+                self.nodes.insert_near(pool, &encoded, near_rid)
             }
-            rid
-        };
-        let packed = rid.pack() | if extra { EXTRA_BIT } else { 0 };
-        let pool = self.engine.pool();
-        self.objtab
-            .insert(pool, Key::from_pair(oid.0, 0), packed)
-            .map_err(se)?;
+            _ => self.heap(extra).insert(pool, &encoded),
+        }
+        .map_err(se)?;
+        self.set_place(pool, oid, (extra, rid))?;
         self.uid_idx
             .insert(pool, Key::from_pair(value.attrs.unique_id, 0), oid.0)
-            .map_err(se)?;
-        self.hundred_idx
-            .insert(
-                pool,
-                Key::from_pair(value.attrs.hundred as u64, oid.0),
-                oid.0,
-            )
-            .map_err(se)?;
-        self.million_idx
-            .insert(
-                pool,
-                Key::from_pair(value.attrs.million as u64, oid.0),
-                oid.0,
-            )
             .map_err(se)?;
         Ok(oid)
     }
 
-    /// Write the schema (if dirty) and every root/counter to the catalog
-    /// so the next engine commit or prepare captures them.
-    fn flush_metadata(&mut self) -> Result<()> {
-        if self.schema_dirty {
-            let encoded = self.schema.encode();
-            let new_rid = self
-                .meta_heap
-                .update(self.engine.pool(), self.schema_rid, &encoded)
-                .map_err(se)?;
-            self.schema_rid = new_rid;
-            self.schema_dirty = false;
+    fn text(&self, pool: &mut BufferPool, oid: Oid) -> Result<String> {
+        match self.materialize(pool, oid)?.content {
+            Content::Text(s) => Ok(s),
+            _ => Err(wrong_kind(oid, "TextNode")),
         }
-        self.save_catalog()
     }
 
-    fn next_edge(&mut self) -> u64 {
-        let e = self.edge_counter;
-        self.edge_counter += 1;
-        e
+    fn set_text(&mut self, pool: &mut BufferPool, oid: Oid, text: &str) -> Result<()> {
+        self.edit_content(pool, oid, |content| match content {
+            Content::Text(s) => {
+                *s = text.to_string();
+                Ok(())
+            }
+            _ => Err(wrong_kind(oid, "TextNode")),
+        })
     }
 
-    fn scan_edges(&mut self, tree: BTree, node: Oid) -> Result<Vec<u64>> {
-        tree.range_vec(
-            self.engine.pool(),
-            Key::from_pair(node.0, 0),
-            Key::from_pair(node.0, u64::MAX),
-        )
-        .map_err(se)
-        .map(|v| v.into_iter().map(|(_, val)| val).collect())
-    }
-}
-
-impl HyperStore for DiskStore {
-    fn lookup_unique(&mut self, unique_id: u64) -> Result<Oid> {
-        self.uid_idx
-            .get(self.engine.pool(), Key::from_pair(unique_id, 0))
-            .map_err(se)?
-            .map(Oid)
-            .ok_or(HmError::UniqueIdNotFound(unique_id))
-    }
-
-    fn unique_id_of(&mut self, oid: Oid) -> Result<u64> {
-        Ok(self.node_attrs(oid)?.1.unique_id)
-    }
-
-    fn kind_of(&mut self, oid: Oid) -> Result<NodeKind> {
-        Ok(self.node_attrs(oid)?.0)
-    }
-
-    fn ten_of(&mut self, oid: Oid) -> Result<u32> {
-        Ok(self.node_attrs(oid)?.1.ten)
-    }
-
-    fn hundred_of(&mut self, oid: Oid) -> Result<u32> {
-        Ok(self.node_attrs(oid)?.1.hundred)
-    }
-
-    fn million_of(&mut self, oid: Oid) -> Result<u32> {
-        Ok(self.node_attrs(oid)?.1.million)
-    }
-
-    fn set_hundred(&mut self, oid: Oid, value: u32) -> Result<()> {
-        let (_, attrs) = self.node_attrs(oid)?;
-        let old = attrs.hundred;
-        if old == value {
-            return Ok(());
+    fn form(&self, pool: &mut BufferPool, oid: Oid) -> Result<Bitmap> {
+        match self.materialize(pool, oid)?.content {
+            Content::Form(bm) => Ok(bm),
+            _ => Err(wrong_kind(oid, "FormNode")),
         }
-        // Patch the fixed-width attribute in place (same record size).
-        let mut bytes = self.record_bytes(oid)?;
-        bytes[NodeValue::HUNDRED_OFFSET..NodeValue::HUNDRED_OFFSET + 4]
-            .copy_from_slice(&value.to_le_bytes());
-        let (extra, rid) = self.rid_of(oid)?;
-        let mut heap = if extra { self.extras } else { self.nodes };
-        let new_rid = heap.update(self.engine.pool(), rid, &bytes).map_err(se)?;
-        debug_assert_eq!(new_rid, rid, "same-size update stays in place");
-        if extra {
-            self.extras = heap;
-        } else {
-            self.nodes = heap;
-        }
-        // Maintain the hundred index.
-        let pool = self.engine.pool();
-        self.hundred_idx
-            .delete(pool, Key::from_pair(old as u64, oid.0))
-            .map_err(se)?;
-        self.hundred_idx
-            .insert(pool, Key::from_pair(value as u64, oid.0), oid.0)
-            .map_err(se)?;
-        Ok(())
     }
 
-    fn range_hundred(&mut self, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        self.hundred_idx
-            .range_vec(
-                self.engine.pool(),
-                Key::from_pair(lo as u64, 0),
-                Key::from_pair(hi as u64, u64::MAX),
-            )
-            .map_err(se)
-            .map(|v| v.into_iter().map(|(_, oid)| Oid(oid)).collect())
+    fn set_form(&mut self, pool: &mut BufferPool, oid: Oid, bitmap: &Bitmap) -> Result<()> {
+        self.edit_content(pool, oid, |content| match content {
+            Content::Form(bm) => {
+                *bm = bitmap.clone();
+                Ok(())
+            }
+            _ => Err(wrong_kind(oid, "FormNode")),
+        })
     }
 
-    fn range_million(&mut self, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        self.million_idx
-            .range_vec(
-                self.engine.pool(),
-                Key::from_pair(lo as u64, 0),
-                Key::from_pair(hi as u64, u64::MAX),
-            )
-            .map_err(se)
-            .map(|v| v.into_iter().map(|(_, oid)| Oid(oid)).collect())
+    fn materialize(&self, pool: &mut BufferPool, oid: Oid) -> Result<NodeValue> {
+        NodeValue::decode(&self.record(pool, oid)?)
     }
 
-    fn children(&mut self, oid: Oid) -> Result<Vec<Oid>> {
-        self.rid_of(oid)?; // existence check
-        Ok(self
-            .scan_edges(self.children_idx, oid)?
-            .into_iter()
-            .map(Oid)
-            .collect())
-    }
-
-    fn parent(&mut self, oid: Oid) -> Result<Option<Oid>> {
-        self.rid_of(oid)?;
-        Ok(self
-            .parent_idx
-            .get(self.engine.pool(), Key::from_pair(oid.0, 0))
-            .map_err(se)?
-            .map(Oid))
-    }
-
-    fn parts(&mut self, oid: Oid) -> Result<Vec<Oid>> {
-        self.rid_of(oid)?;
-        Ok(self
-            .scan_edges(self.parts_idx, oid)?
-            .into_iter()
-            .map(Oid)
-            .collect())
-    }
-
-    fn part_of(&mut self, oid: Oid) -> Result<Vec<Oid>> {
-        self.rid_of(oid)?;
-        Ok(self
-            .scan_edges(self.partof_idx, oid)?
-            .into_iter()
-            .map(Oid)
-            .collect())
-    }
-
-    fn refs_to(&mut self, oid: Oid) -> Result<Vec<RefEdge>> {
-        self.rid_of(oid)?;
-        Ok(self
-            .scan_edges(self.refto_idx, oid)?
-            .into_iter()
-            .map(unpack_edge)
-            .collect())
-    }
-
-    fn refs_from(&mut self, oid: Oid) -> Result<Vec<RefEdge>> {
-        self.rid_of(oid)?;
-        Ok(self
-            .scan_edges(self.reffrom_idx, oid)?
-            .into_iter()
-            .map(unpack_edge)
-            .collect())
-    }
-
-    fn seq_scan_ten(&mut self) -> Result<u64> {
-        // Scan the structure heap only — the extras heap holds the "other
+    fn scan_structure(
+        &self,
+        pool: &mut BufferPool,
+        mut visit: impl FnMut(&NodeAttrs),
+    ) -> Result<()> {
+        // The structure's heap only — the extras heap holds the "other
         // instances of class Node" that §6.4.1 says must not be visited.
-        let mut visited = 0u64;
-        let nodes = self.nodes;
-        nodes
-            .scan(self.engine.pool(), |_, bytes| {
+        self.nodes
+            .scan(pool, |_, bytes| {
                 if let Ok((_, attrs)) = NodeValue::decode_attrs(bytes) {
-                    std::hint::black_box(attrs.ten);
-                    visited += 1;
+                    visit(&attrs);
                 }
                 true
             })
-            .map_err(se)?;
-        Ok(visited)
-    }
-
-    fn text_of(&mut self, oid: Oid) -> Result<String> {
-        match self.node_value(oid)?.content {
-            Content::Text(s) => Ok(s),
-            _ => Err(HmError::WrongKind {
-                oid,
-                expected: "TextNode",
-            }),
-        }
-    }
-
-    fn set_text(&mut self, oid: Oid, text: &str) -> Result<()> {
-        let mut value = self.node_value(oid)?;
-        match &mut value.content {
-            Content::Text(s) => *s = text.to_string(),
-            _ => {
-                return Err(HmError::WrongKind {
-                    oid,
-                    expected: "TextNode",
-                })
-            }
-        }
-        self.store_value(oid, &value)
-    }
-
-    fn form_of(&mut self, oid: Oid) -> Result<Bitmap> {
-        match self.node_value(oid)?.content {
-            Content::Form(bm) => Ok(bm),
-            _ => Err(HmError::WrongKind {
-                oid,
-                expected: "FormNode",
-            }),
-        }
-    }
-
-    fn set_form(&mut self, oid: Oid, bitmap: &Bitmap) -> Result<()> {
-        let mut value = self.node_value(oid)?;
-        match &mut value.content {
-            Content::Form(bm) => *bm = bitmap.clone(),
-            _ => {
-                return Err(HmError::WrongKind {
-                    oid,
-                    expected: "FormNode",
-                })
-            }
-        }
-        self.store_value(oid, &value)
-    }
-
-    fn create_node(&mut self, value: &NodeValue) -> Result<Oid> {
-        self.create_record(value, None, false)
-    }
-
-    fn create_node_clustered(&mut self, value: &NodeValue, near: Option<Oid>) -> Result<Oid> {
-        self.create_record(value, near, false)
-    }
-
-    fn add_child(&mut self, parent: Oid, child: Oid) -> Result<()> {
-        self.rid_of(parent)?;
-        self.rid_of(child)?;
-        let edge = self.next_edge();
-        let pool = self.engine.pool();
-        self.children_idx
-            .insert(pool, Key::from_pair(parent.0, edge), child.0)
-            .map_err(se)?;
-        self.parent_idx
-            .insert(pool, Key::from_pair(child.0, 0), parent.0)
-            .map_err(se)?;
-        Ok(())
-    }
-
-    fn add_part(&mut self, owner: Oid, part: Oid) -> Result<()> {
-        self.rid_of(owner)?;
-        self.rid_of(part)?;
-        let edge = self.next_edge();
-        let pool = self.engine.pool();
-        self.parts_idx
-            .insert(pool, Key::from_pair(owner.0, edge), part.0)
-            .map_err(se)?;
-        self.partof_idx
-            .insert(pool, Key::from_pair(part.0, edge), owner.0)
-            .map_err(se)?;
-        Ok(())
-    }
-
-    fn add_ref(&mut self, from: Oid, to: Oid, offset_from: u8, offset_to: u8) -> Result<()> {
-        self.rid_of(from)?;
-        self.rid_of(to)?;
-        let edge = self.next_edge();
-        let pool = self.engine.pool();
-        self.refto_idx
-            .insert(
-                pool,
-                Key::from_pair(from.0, edge),
-                pack_edge(to, offset_from, offset_to),
-            )
-            .map_err(se)?;
-        self.reffrom_idx
-            .insert(
-                pool,
-                Key::from_pair(to.0, edge),
-                pack_edge(from, offset_from, offset_to),
-            )
-            .map_err(se)?;
-        Ok(())
-    }
-
-    fn insert_extra_node(&mut self, value: &NodeValue) -> Result<Oid> {
-        self.create_record(value, None, true)
-    }
-
-    fn commit(&mut self) -> Result<()> {
-        self.flush_metadata()?;
-        self.engine.commit().map_err(se)?;
-        Ok(())
-    }
-
-    fn prepare_commit(&mut self, txid: u64) -> Result<()> {
-        self.flush_metadata()?;
-        self.engine.prepare(txid).map_err(se)?;
-        Ok(())
-    }
-
-    fn commit_prepared(&mut self, txid: u64) -> Result<()> {
-        self.engine.commit_prepared(txid).map_err(se)
-    }
-
-    fn abort_prepared(&mut self, txid: u64) -> Result<()> {
-        let was_prepared = self.engine.prepared_txid() == Some(txid);
-        self.engine.abort_prepared(txid).map_err(se)?;
-        if was_prepared {
-            // The abort dropped every cached page; any root that moved
-            // during the aborted transaction is dangling. Rebuild from
-            // the last committed catalog.
-            self.reload_from_catalog()?;
-        }
-        Ok(())
-    }
-
-    fn cold_restart(&mut self) -> Result<()> {
-        self.engine.close_for_cold_run().map_err(se)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "disk"
+            .map_err(se)
     }
 }
 
-impl DynamicSchemaStore for DiskStore {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn add_node_type(&mut self, name: &str, parent: &str) -> Result<NodeKind> {
-        let kind = self.schema.add_type(name, parent)?;
-        self.schema_dirty = true;
-        Ok(kind)
-    }
-
-    fn add_type_attribute(&mut self, owner: &str, name: &str, default: i64) -> Result<AttrId> {
-        let id = self.schema.add_attribute(owner, name, default)?;
-        self.schema_dirty = true;
-        Ok(id)
-    }
-
-    fn dyn_attr(&mut self, oid: Oid, attr: AttrId) -> Result<i64> {
-        self.rid_of(oid)?;
-        if let Some(v) = self
-            .dyn_attr_idx
-            .get(self.engine.pool(), Key::from_pair(oid.0, attr.0 as u64))
-            .map_err(se)?
-        {
-            return Ok(v as i64);
-        }
-        self.schema
-            .attrs()
-            .iter()
-            .find(|a| a.id == attr)
-            .map(|a| a.default)
-            .ok_or_else(|| HmError::Schema(format!("unknown attribute id {}", attr.0)))
-    }
-
-    fn set_dyn_attr(&mut self, oid: Oid, attr: AttrId, value: i64) -> Result<()> {
-        self.rid_of(oid)?;
-        if !self.schema.attrs().iter().any(|a| a.id == attr) {
-            return Err(HmError::Schema(format!("unknown attribute id {}", attr.0)));
-        }
-        self.dyn_attr_idx
-            .insert(
-                self.engine.pool(),
-                Key::from_pair(oid.0, attr.0 as u64),
-                value as u64,
-            )
-            .map_err(se)?;
-        Ok(())
-    }
-}
-
-impl VersionedStore for DiskStore {
-    fn create_version(&mut self, oid: Oid) -> Result<VersionNo> {
-        let value = self.node_value(oid)?;
-        let n = self.version_count(oid)?;
-        let rid = self
-            .version_heap
-            .insert(self.engine.pool(), &value.encode())
-            .map_err(se)?;
-        self.version_idx
-            .insert(
-                self.engine.pool(),
-                Key::from_pair(oid.0, n as u64),
-                rid.pack(),
-            )
-            .map_err(se)?;
-        Ok(VersionNo(n))
-    }
-
-    fn version_count(&mut self, oid: Oid) -> Result<u32> {
-        self.rid_of(oid)?;
-        let entries = self
-            .version_idx
-            .range_vec(
-                self.engine.pool(),
-                Key::from_pair(oid.0, 0),
-                Key::from_pair(oid.0, u64::MAX),
-            )
-            .map_err(se)?;
-        Ok(entries.len() as u32)
-    }
-
-    fn version(&mut self, oid: Oid, version: VersionNo) -> Result<NodeValue> {
-        self.rid_of(oid)?;
-        let packed = self
-            .version_idx
-            .get(self.engine.pool(), Key::from_pair(oid.0, version.0 as u64))
-            .map_err(se)?
-            .ok_or_else(|| HmError::Version(format!("node {oid} has no version {}", version.0)))?;
-        let bytes = self
-            .version_heap
-            .get(self.engine.pool(), RecordId::unpack(packed))
-            .map_err(se)?;
-        NodeValue::decode(&bytes)
-    }
-
-    fn previous_version(&mut self, oid: Oid) -> Result<Option<NodeValue>> {
-        let n = self.version_count(oid)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        Ok(Some(self.version(oid, VersionNo(n - 1))?))
-    }
-}
-
-impl AccessControlledStore for DiskStore {
-    fn set_structure_access(&mut self, root: Oid, mode: AccessMode) -> Result<usize> {
-        let closure = self.closure_1n(root)?;
-        let encoded = match mode {
-            AccessMode::PublicWrite => 0u64,
-            AccessMode::PublicRead => 1,
-            AccessMode::NoAccess => 2,
-        };
-        for &oid in &closure {
-            self.access_idx
-                .insert(self.engine.pool(), Key::from_pair(oid.0, 0), encoded)
-                .map_err(se)?;
-        }
-        Ok(closure.len())
-    }
-
-    fn access_of(&mut self, oid: Oid) -> Result<AccessMode> {
-        self.rid_of(oid)?;
-        Ok(
-            match self
-                .access_idx
-                .get(self.engine.pool(), Key::from_pair(oid.0, 0))
-                .map_err(se)?
-            {
-                None | Some(0) => AccessMode::PublicWrite,
-                Some(1) => AccessMode::PublicRead,
-                _ => AccessMode::NoAccess,
-            },
-        )
-    }
-
-    fn hundred_checked(&mut self, oid: Oid) -> Result<u32> {
-        if !self.access_of(oid)?.allows_read() {
-            return Err(HmError::AccessDenied(format!("read of {oid}")));
-        }
-        self.hundred_of(oid)
-    }
-
-    fn set_hundred_checked(&mut self, oid: Oid, value: u32) -> Result<()> {
-        if !self.access_of(oid)?.allows_write() {
-            return Err(HmError::AccessDenied(format!("write of {oid}")));
-        }
-        self.set_hundred(oid, value)
-    }
-}
-
-impl std::fmt::Debug for DiskStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskStore")
-            .field("next_oid", &self.next_oid)
-            .field("file_size", &self.file_size())
-            .finish()
-    }
+fn wrong_kind(oid: Oid, expected: &'static str) -> HmError {
+    HmError::WrongKind { oid, expected }
 }
 
 #[cfg(test)]
@@ -907,9 +282,9 @@ mod tests {
     use hypermodel::config::GenConfig;
     use hypermodel::generate::TestDatabase;
     use hypermodel::load::load_database;
-    use hypermodel::oracle::Oracle;
+    use hypermodel::store::HyperStore;
     use hypermodel::text::{VERSION_1, VERSION_2};
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn dbpath(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -934,134 +309,6 @@ mod tests {
         let mut store = DiskStore::create(&path, 2048).unwrap();
         let report = load_database(&mut store, &db).unwrap();
         (store, db, report.oids, path)
-    }
-
-    fn to_indices(store: &mut DiskStore, oids: &[Oid]) -> Vec<u32> {
-        oids.iter()
-            .map(|&o| (store.unique_id_of(o).unwrap() - 1) as u32)
-            .collect()
-    }
-
-    #[test]
-    fn load_and_lookup_match_oracle() {
-        let (mut store, db, _, path) = loaded("lookup", &GenConfig::tiny());
-        let oracle = Oracle::new(&db);
-        for uid in 1..=31u64 {
-            let oid = store.lookup_unique(uid).unwrap();
-            assert_eq!(
-                store.hundred_of(oid).unwrap(),
-                oracle.hundred(uid as u32 - 1)
-            );
-        }
-        assert!(store.lookup_unique(999).is_err());
-        cleanup(&path);
-    }
-
-    #[test]
-    fn relationships_match_oracle() {
-        let (mut store, db, oids, path) = loaded("rels", &GenConfig::tiny());
-        let oracle = Oracle::new(&db);
-        for idx in 0..db.len() as u32 {
-            let oid = oids[idx as usize];
-            let kids = store.children(oid).unwrap();
-            assert_eq!(
-                to_indices(&mut store, &kids),
-                oracle.children(idx),
-                "children of {idx}"
-            );
-            let parent = store.parent(oid).unwrap();
-            assert_eq!(
-                parent.map(|p| (store.unique_id_of(p).unwrap() - 1) as u32),
-                oracle.parent(idx)
-            );
-            let parts = store.parts(oid).unwrap();
-            assert_eq!(
-                to_indices(&mut store, &parts),
-                oracle.parts(idx),
-                "parts of {idx}"
-            );
-            let owners_v = store.part_of(oid).unwrap();
-            let mut owners = to_indices(&mut store, &owners_v);
-            owners.sort_unstable();
-            assert_eq!(owners, oracle.part_of(idx));
-            let rt = store.refs_to(oid).unwrap();
-            assert_eq!(rt.len(), 1);
-            let (t, f, o) = oracle.ref_to(idx)[0];
-            assert_eq!((store.unique_id_of(rt[0].target).unwrap() - 1) as u32, t);
-            assert_eq!((rt[0].offset_from, rt[0].offset_to), (f, o));
-            let mut rf: Vec<(u32, u8, u8)> = Vec::new();
-            for e in store.refs_from(oid).unwrap() {
-                rf.push((
-                    (store.unique_id_of(e.target).unwrap() - 1) as u32,
-                    e.offset_from,
-                    e.offset_to,
-                ));
-            }
-            rf.sort_unstable();
-            assert_eq!(rf, oracle.ref_from(idx));
-        }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn range_lookups_match_oracle() {
-        let (mut store, db, _, path) = loaded("range", &GenConfig::level(3));
-        let oracle = Oracle::new(&db);
-        for (lo, hi) in [(1u32, 10), (45, 54), (91, 100)] {
-            let got = store.range_hundred(lo, hi).unwrap();
-            let mut got_idx = to_indices(&mut store, &got);
-            got_idx.sort_unstable();
-            assert_eq!(got_idx, oracle.range_hundred(lo, hi));
-        }
-        let got = store.range_million(500_000, 1_000_000).unwrap();
-        let mut got_idx = to_indices(&mut store, &got);
-        got_idx.sort_unstable();
-        assert_eq!(got_idx, oracle.range_million(500_000, 1_000_000));
-        cleanup(&path);
-    }
-
-    #[test]
-    fn closures_match_oracle() {
-        let (mut store, db, oids, path) = loaded("closure", &GenConfig::level(4));
-        let oracle = Oracle::new(&db);
-        for idx in db.level_indices(3).take(5) {
-            let got = store.closure_1n(oids[idx as usize]).unwrap();
-            assert_eq!(to_indices(&mut store, &got), oracle.closure_1n(idx));
-            let got = store.closure_mn(oids[idx as usize]).unwrap();
-            assert_eq!(to_indices(&mut store, &got), oracle.closure_mn(idx));
-            let got = store.closure_mnatt(oids[idx as usize], 25).unwrap();
-            assert_eq!(to_indices(&mut store, &got), oracle.closure_mnatt(idx, 25));
-            let got = store
-                .closure_1n_pred(oids[idx as usize], 1, 500_000)
-                .unwrap();
-            assert_eq!(
-                to_indices(&mut store, &got),
-                oracle.closure_1n_pred(idx, 1, 500_000)
-            );
-            let (sum, _) = store.closure_1n_att_sum(oids[idx as usize]).unwrap();
-            assert_eq!(sum, oracle.closure_1n_att_sum(idx).0);
-        }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn att_set_maintains_index_and_restores() {
-        let (mut store, db, oids, path) = loaded("attset", &GenConfig::tiny());
-        let root = oids[0];
-        let before: Vec<u32> = (0..db.len())
-            .map(|i| store.hundred_of(oids[i]).unwrap())
-            .collect();
-        store.closure_1n_att_set(root).unwrap();
-        store.commit().unwrap();
-        store.closure_1n_att_set(root).unwrap();
-        store.commit().unwrap();
-        for (i, &h) in before.iter().enumerate() {
-            assert_eq!(store.hundred_of(oids[i]).unwrap(), h);
-        }
-        // The hundred index agrees with brute force after the round trip.
-        let hits = store.range_hundred(1, 100).unwrap();
-        assert_eq!(hits.len(), db.len());
-        cleanup(&path);
     }
 
     #[test]
@@ -1118,54 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn persistence_across_reopen() {
-        let path = dbpath("reopen");
-        let db = TestDatabase::generate(&GenConfig::tiny());
-        let oids;
-        {
-            let mut store = DiskStore::create(&path, 1024).unwrap();
-            let report = load_database(&mut store, &db).unwrap();
-            oids = report.oids;
-            store.commit().unwrap();
-            store.cold_restart().unwrap(); // checkpoint so reopen is clean
-        }
-        {
-            let mut store = DiskStore::open(&path, 1024).unwrap();
-            let oracle = Oracle::new(&db);
-            for idx in 0..db.len() as u32 {
-                let oid = oids[idx as usize];
-                assert_eq!(store.hundred_of(oid).unwrap(), oracle.hundred(idx));
-                let kids = store.children(oid).unwrap();
-                assert_eq!(to_indices(&mut store, &kids), oracle.children(idx));
-            }
-            assert_eq!(store.seq_scan_ten().unwrap(), db.len() as u64);
-        }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn cold_restart_resets_cache_and_warm_is_cheaper() {
-        let (mut store, db, oids, path) = loaded("coldwarm", &GenConfig::level(3));
-        store.commit().unwrap();
-        store.cold_restart().unwrap();
-        // Cold pass.
-        for &oid in oids.iter().take(50) {
-            store.hundred_of(oid).unwrap();
-        }
-        let cold = store.pool_stats();
-        assert!(cold.misses > 0, "cold run must read from disk");
-        // Warm pass over the same nodes.
-        let misses_before = store.pool_stats().misses;
-        for &oid in oids.iter().take(50) {
-            store.hundred_of(oid).unwrap();
-        }
-        let warm_misses = store.pool_stats().misses - misses_before;
-        assert_eq!(warm_misses, 0, "warm run is fully cached");
-        let _ = db;
-        cleanup(&path);
-    }
-
-    #[test]
     fn clustering_packs_1n_closures_onto_few_pages() {
         let (mut store, db, oids, path) = loaded("cluster", &GenConfig::level(4));
         store.commit().unwrap();
@@ -1182,162 +381,6 @@ mod tests {
             miss_1n <= miss_mn,
             "clustered 1-N closure ({miss_1n} misses) must not out-fault the random M-N closure ({miss_mn})"
         );
-        cleanup(&path);
-    }
-
-    #[test]
-    fn dynamic_schema_persists_across_reopen() {
-        let path = dbpath("schema");
-        let db = TestDatabase::generate(&GenConfig::tiny());
-        let oid0;
-        let weight;
-        {
-            let mut store = DiskStore::create(&path, 1024).unwrap();
-            let report = load_database(&mut store, &db).unwrap();
-            oid0 = report.oids[0];
-            store.add_node_type("DrawNode", "Node").unwrap();
-            weight = store.add_type_attribute("Node", "weight", 5).unwrap();
-            store.set_dyn_attr(oid0, weight, 42).unwrap();
-            store.commit().unwrap();
-            store.cold_restart().unwrap();
-        }
-        {
-            let mut store = DiskStore::open(&path, 1024).unwrap();
-            assert!(store.schema().type_by_name("DrawNode").is_some());
-            assert_eq!(store.dyn_attr(oid0, weight).unwrap(), 42);
-            // Default for a node never written.
-            let other = store.lookup_unique(5).unwrap();
-            assert_eq!(store.dyn_attr(other, weight).unwrap(), 5);
-        }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn versions_persist_r5() {
-        let (mut store, db, oids, path) = loaded("versions", &GenConfig::tiny());
-        let oid = oids[db.text_indices()[0] as usize];
-        assert_eq!(store.previous_version(oid).unwrap(), None);
-        store.create_version(oid).unwrap();
-        let original = store.text_of(oid).unwrap();
-        store.text_node_edit(oid, VERSION_1, VERSION_2).unwrap();
-        store.create_version(oid).unwrap();
-        store.commit().unwrap();
-        assert_eq!(store.version_count(oid).unwrap(), 2);
-        match store.version(oid, VersionNo(0)).unwrap().content {
-            Content::Text(s) => assert_eq!(s, original),
-            other => panic!("{other:?}"),
-        }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn access_control_r11() {
-        let (mut store, db, oids, path) = loaded("acl", &GenConfig::tiny());
-        let doc_a = oids[db.children[0][0] as usize];
-        let n = store
-            .set_structure_access(doc_a, AccessMode::PublicRead)
-            .unwrap();
-        assert_eq!(n, 6);
-        assert!(store.hundred_checked(doc_a).is_ok());
-        assert!(store.set_hundred_checked(doc_a, 5).is_err());
-        // Untouched structures default to PublicWrite.
-        let doc_b = oids[db.children[0][1] as usize];
-        assert_eq!(store.access_of(doc_b).unwrap(), AccessMode::PublicWrite);
-        store.set_hundred_checked(doc_b, 5).unwrap();
-        cleanup(&path);
-    }
-
-    #[test]
-    fn two_phase_commit_and_abort_on_store() {
-        let (mut store, db, oids, path) = loaded("twophase", &GenConfig::tiny());
-        store.commit().unwrap();
-        let root = oids[0];
-        let before: Vec<u32> = (0..db.len())
-            .map(|i| store.hundred_of(oids[i]).unwrap())
-            .collect();
-        // Prepared + committed: the update (hundred := 99 - hundred)
-        // survives.
-        store.closure_1n_att_set(root).unwrap();
-        store.prepare_commit(21).unwrap();
-        store.commit_prepared(21).unwrap();
-        for (i, &h) in before.iter().enumerate() {
-            let now = store.hundred_of(oids[i]).unwrap();
-            assert_eq!(now, 99u32.wrapping_sub(h));
-        }
-        // Prepared + aborted: the second application rolls back, leaving
-        // the committed (flipped) values, and the store stays usable.
-        store.closure_1n_att_set(root).unwrap();
-        store.prepare_commit(22).unwrap();
-        store.abort_prepared(22).unwrap();
-        for (i, &h) in before.iter().enumerate() {
-            let now = store.hundred_of(oids[i]).unwrap();
-            assert_eq!(now, 99u32.wrapping_sub(h), "abort rolled back");
-        }
-        // Index stays consistent with the records after the abort: a
-        // second (committed) application restores every original value.
-        store.closure_1n_att_set(root).unwrap();
-        store.commit().unwrap();
-        for (i, &h) in before.iter().enumerate() {
-            assert_eq!(store.hundred_of(oids[i]).unwrap(), h);
-        }
-        assert_eq!(store.range_hundred(1, 100).unwrap().len(), db.len());
-        cleanup(&path);
-    }
-
-    #[test]
-    fn crash_between_prepare_and_decision_is_resolved_by_coordinator() {
-        let path = dbpath("indoubt");
-        let db = TestDatabase::generate(&GenConfig::tiny());
-        let oids;
-        let before: Vec<u32>;
-        {
-            let mut store = DiskStore::create(&path, 1024).unwrap();
-            let report = load_database(&mut store, &db).unwrap();
-            oids = report.oids;
-            store.commit().unwrap();
-            before = (0..db.len())
-                .map(|i| store.hundred_of(oids[i]).unwrap())
-                .collect();
-            store.closure_1n_att_set(oids[0]).unwrap();
-            store.prepare_commit(33).unwrap();
-            // Crash before the coordinator's decision arrives.
-            std::mem::forget(store);
-        }
-        // Reopen is refused while the transaction is in doubt.
-        assert_eq!(in_doubt_txn(&path).unwrap(), Some(33));
-        assert!(DiskStore::open(&path, 1024).is_err());
-        // Coordinator decided abort (presumed abort: no decision record).
-        resolve_in_doubt(&path, 33, false).unwrap();
-        {
-            let mut store = DiskStore::open(&path, 1024).unwrap();
-            for (i, &h) in before.iter().enumerate() {
-                assert_eq!(store.hundred_of(oids[i]).unwrap(), h);
-            }
-        }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn crash_after_commit_preserves_edits() {
-        let path = dbpath("crash");
-        let db = TestDatabase::generate(&GenConfig::tiny());
-        let text_oid;
-        let edited;
-        {
-            let mut store = DiskStore::create(&path, 1024).unwrap();
-            let report = load_database(&mut store, &db).unwrap();
-            text_oid = report.oids[db.text_indices()[0] as usize];
-            store
-                .text_node_edit(text_oid, VERSION_1, VERSION_2)
-                .unwrap();
-            store.commit().unwrap();
-            edited = store.text_of(text_oid).unwrap();
-            // Simulated crash: drop without checkpoint; recovery replays WAL.
-        }
-        {
-            let mut store = DiskStore::open(&path, 1024).unwrap();
-            assert_eq!(store.text_of(text_oid).unwrap(), edited);
-        }
         cleanup(&path);
     }
 }

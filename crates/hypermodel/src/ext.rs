@@ -14,7 +14,7 @@
 //! Backends implement these on top of [`crate::store::HyperStore`]; the
 //! benchmark's `ext` phase exercises all three.
 
-use crate::error::Result;
+use crate::error::{HmError, Result};
 use crate::model::{NodeValue, Oid};
 use crate::schema::{AttrId, Schema};
 use crate::store::HyperStore;
@@ -84,7 +84,12 @@ pub trait VersionedStore: HyperStore {
 
     /// The most recent snapshot — "retrieve the previous version of a
     /// node" (§6.8(2)). `None` if the node was never versioned.
-    fn previous_version(&mut self, oid: Oid) -> Result<Option<NodeValue>>;
+    fn previous_version(&mut self, oid: Oid) -> Result<Option<NodeValue>> {
+        match self.version_count(oid)? {
+            0 => Ok(None),
+            n => Ok(Some(self.version(oid, VersionNo(n - 1))?)),
+        }
+    }
 }
 
 /// R11: access control over document structures.
@@ -98,10 +103,20 @@ pub trait AccessControlledStore: HyperStore {
     fn access_of(&mut self, oid: Oid) -> Result<AccessMode>;
 
     /// Read the `hundred` attribute, enforcing read access.
-    fn hundred_checked(&mut self, oid: Oid) -> Result<u32>;
+    fn hundred_checked(&mut self, oid: Oid) -> Result<u32> {
+        if !self.access_of(oid)?.allows_read() {
+            return Err(HmError::AccessDenied(format!("read of {oid}")));
+        }
+        self.hundred_of(oid)
+    }
 
     /// Write the `hundred` attribute, enforcing write access.
-    fn set_hundred_checked(&mut self, oid: Oid, value: u32) -> Result<()>;
+    fn set_hundred_checked(&mut self, oid: Oid, value: u32) -> Result<()> {
+        if !self.access_of(oid)?.allows_write() {
+            return Err(HmError::AccessDenied(format!("write of {oid}")));
+        }
+        self.set_hundred(oid, value)
+    }
 }
 
 #[cfg(test)]

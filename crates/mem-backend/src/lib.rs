@@ -836,11 +836,6 @@ impl VersionedStore for MemStore {
             .cloned()
             .ok_or_else(|| HmError::Version(format!("node {oid} has no version {}", version.0)))
     }
-
-    fn previous_version(&mut self, oid: Oid) -> Result<Option<NodeValue>> {
-        self.record(oid)?;
-        Ok(self.versions[(oid.0 - 1) as usize].last().cloned())
-    }
 }
 
 impl AccessControlledStore for MemStore {
@@ -854,20 +849,6 @@ impl AccessControlledStore for MemStore {
 
     fn access_of(&mut self, oid: Oid) -> Result<AccessMode> {
         Ok(self.record(oid)?.access)
-    }
-
-    fn hundred_checked(&mut self, oid: Oid) -> Result<u32> {
-        if !self.record(oid)?.access.allows_read() {
-            return Err(HmError::AccessDenied(format!("read of {oid}")));
-        }
-        self.hundred_of(oid)
-    }
-
-    fn set_hundred_checked(&mut self, oid: Oid, value: u32) -> Result<()> {
-        if !self.record(oid)?.access.allows_write() {
-            return Err(HmError::AccessDenied(format!("write of {oid}")));
-        }
-        self.set_hundred(oid, value)
     }
 }
 

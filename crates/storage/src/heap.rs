@@ -302,15 +302,11 @@ impl HeapFile {
     pub fn get(&self, pool: &mut BufferPool, rid: RecordId) -> Result<Vec<u8>> {
         let handle = pool.fetch(rid.page)?;
         let page = handle.lock();
-        let stored = slotted::get(&page, rid.slot)
-            .ok_or(StorageError::RecordNotFound {
-                page: rid.page.0,
-                slot: rid.slot,
-            })?
-            .to_vec();
-        drop(page);
-        drop(handle);
-        Self::decode(pool, &stored, rid)
+        let stored = slotted::get(&page, rid.slot).ok_or(StorageError::RecordNotFound {
+            page: rid.page.0,
+            slot: rid.slot,
+        })?;
+        Self::decode(pool, stored, rid)
     }
 
     /// Update the record at `rid`. Returns the (possibly new) record id:
@@ -376,7 +372,8 @@ impl HeapFile {
     }
 
     /// Visit every live record in chain order, invoking `f(rid, bytes)`.
-    /// Stops early if `f` returns `false`.
+    /// Stops early if `f` returns `false`. A page stays latched and pinned
+    /// while its records are visited.
     pub fn scan<F>(&self, pool: &mut BufferPool, mut f: F) -> Result<()>
     where
         F: FnMut(RecordId, &[u8]) -> bool,
@@ -385,25 +382,25 @@ impl HeapFile {
         loop {
             let handle = pool.fetch(current)?;
             let page = handle.lock();
-            let slots: Vec<u16> = slotted::live_slots(&page).collect();
             let next = slotted::next_page(&page);
-            // Copy the stored forms out so overflow decoding can use the pool.
-            let stored: Vec<(u16, Vec<u8>)> = slots
-                .iter()
-                .map(|&s| (s, slotted::get(&page, s).expect("live slot").to_vec()))
-                .collect();
-            drop(page);
-            drop(handle);
-            for (slot, bytes) in stored {
+            for slot in slotted::live_slots(&page) {
                 let rid = RecordId {
                     page: current,
                     slot,
                 };
-                let data = Self::decode(pool, &bytes, rid)?;
-                if !f(rid, &data) {
+                let stored = slotted::get(&page, slot).expect("live slot");
+                // An inline record is visited where it lies; only a chain
+                // of overflow pages has to be put together first.
+                let more = match stored.first() {
+                    Some(&TAG_INLINE) => f(rid, &stored[1..]),
+                    _ => f(rid, &Self::decode(pool, stored, rid)?),
+                };
+                if !more {
                     return Ok(());
                 }
             }
+            drop(page);
+            drop(handle);
             if next == 0 {
                 return Ok(());
             }

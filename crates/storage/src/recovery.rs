@@ -47,6 +47,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fs::OpenOptions;
 use std::path::Path;
 
 use crate::disk::DiskManager;
@@ -153,8 +154,15 @@ impl Fold {
 /// Used by transaction coordinators to find in-doubt participants before
 /// deciding their fate via [`resolve_in_doubt`].
 pub fn in_doubt_txn(wal_path: &Path) -> Result<Option<u64>> {
+    Ok(scan_in_doubt(wal_path)?.0)
+}
+
+/// The prepared-but-undecided transaction in the log, if any, and the
+/// offset at which the log's last whole record ends.
+fn scan_in_doubt(wal_path: &Path) -> Result<(Option<u64>, u64)> {
     let mut reader = WalReader::open(wal_path)?;
     let mut prepared = None;
+    let mut end = 0;
     while let Some(record) = reader.next_record()? {
         match record {
             WalRecord::Prepare { txid } => prepared = Some(txid),
@@ -163,8 +171,9 @@ pub fn in_doubt_txn(wal_path: &Path) -> Result<Option<u64>> {
             }
             _ => {}
         }
+        end = reader.offset();
     }
-    Ok(prepared)
+    Ok((prepared, end))
 }
 
 /// Run recovery for the database at `db_path` with log `wal_path`.
@@ -231,13 +240,23 @@ pub fn recover(db_path: &Path, wal_path: &Path) -> Result<RecoveryReport> {
 /// [`recover`], which now either redoes or discards the staged records and
 /// truncates the log. Idempotent: resolving an already-resolved log is a
 /// plain recovery pass.
+///
+/// The decision goes directly behind the last whole record: a crash
+/// inside the participant's own phase-two write leaves part of a marker
+/// behind the `Prepare`, and a decision appended behind those bytes would
+/// never be read.
 pub fn resolve_in_doubt(
     db_path: &Path,
     wal_path: &Path,
     txid: u64,
     commit: bool,
 ) -> Result<RecoveryReport> {
-    if in_doubt_txn(wal_path)? == Some(txid) {
+    let (in_doubt, end) = scan_in_doubt(wal_path)?;
+    if in_doubt == Some(txid) {
+        OpenOptions::new()
+            .write(true)
+            .open(wal_path)?
+            .set_len(end)?;
         let mut wal = Wal::open(wal_path)?;
         if commit {
             wal.append_commit(txid);
@@ -495,6 +514,57 @@ mod tests {
         assert!(log_is_empty(&walp));
         std::fs::remove_file(&db).unwrap();
         std::fs::remove_file(&walp).unwrap();
+    }
+
+    #[test]
+    fn a_torn_decision_marker_does_not_hide_the_coordinators_decision() {
+        // A crash inside `commit_prepared`'s own marker write: the log ends
+        // in 1..N-1 bytes of a commit record behind the prepare.
+        let (_, marker_path) = paths("marker");
+        {
+            let mut wal = Wal::open(&marker_path).unwrap();
+            wal.append_commit(9);
+            wal.sync().unwrap();
+        }
+        let marker = std::fs::read(&marker_path).unwrap();
+        std::fs::remove_file(&marker_path).unwrap();
+        for commit in [true, false] {
+            for torn in 1..marker.len() {
+                let (db, walp) = paths(&format!("torn-marker-{commit}-{torn}"));
+                {
+                    let mut dm = DiskManager::create(&db).unwrap();
+                    let id = dm.allocate().unwrap();
+                    let mut p = page_with(id.0, 5);
+                    dm.write_page(&mut p).unwrap();
+                    dm.sync().unwrap();
+                }
+                {
+                    let mut wal = Wal::open(&walp).unwrap();
+                    log_image(&mut wal, 1, 42);
+                    wal.append_prepare(9);
+                    wal.sync().unwrap();
+                }
+                let mut log = std::fs::read(&walp).unwrap();
+                log.extend_from_slice(&marker[..torn]);
+                std::fs::write(&walp, &log).unwrap();
+                assert_eq!(in_doubt_txn(&walp).unwrap(), Some(9), "torn at {torn}");
+                assert_eq!(recover(&db, &walp).unwrap().in_doubt, Some(9));
+
+                let report = resolve_in_doubt(&db, &walp, 9, commit).unwrap();
+                assert_eq!(report.in_doubt, None, "torn at {torn}, commit {commit}");
+                assert_eq!(
+                    (report.pages_redone, report.pages_discarded),
+                    if commit { (1, 0) } else { (0, 1) }
+                );
+                assert!(log_is_empty(&walp), "torn at {torn}: log truncated");
+                let mut dm = DiskManager::open(&db).unwrap();
+                let expect = if commit { 42 } else { 5 };
+                assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), expect);
+                assert_eq!(recover(&db, &walp).unwrap(), RecoveryReport::default());
+                std::fs::remove_file(&db).unwrap();
+                std::fs::remove_file(&walp).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -257,6 +257,27 @@ fn every_operation_agrees_across_backends() {
             l.store.form_of(form_oid).unwrap().is_all_white(),
             "{name}: O17 round trip"
         );
+
+        // Reference offsets are whole bytes (the generator only draws
+        // 0..=9, so the loaded edges never show this).
+        let (a, b) = (l.oids[1], l.oids[2]);
+        l.store.add_ref(a, b, 255, 16).unwrap();
+        l.store.commit().unwrap();
+        let last = *l.store.refs_to(a).unwrap().last().unwrap();
+        assert_eq!(
+            (uid_of(l, last.target), last.offset_from, last.offset_to),
+            (2, 255, 16),
+            "{name}: refsTo with wide offsets"
+        );
+        let back = l.store.refs_from(b).unwrap();
+        let back: Vec<_> = back
+            .iter()
+            .map(|e| (uid_of(l, e.target), e.offset_from, e.offset_to))
+            .collect();
+        assert!(
+            back.contains(&(1, 255, 16)),
+            "{name}: refsFrom with wide offsets, got {back:?}"
+        );
     }
 
     for l in backends {
