@@ -4,7 +4,7 @@
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::{HyperStore, ShardLoad};
-use hypermodel::Bitmap;
+use hypermodel::{Bitmap, NodeExport};
 
 use crate::plan::{CrashPoint, FaultPlan};
 
@@ -99,68 +99,30 @@ impl<S: HyperStore> ChaosStore<S> {
     }
 }
 
-/// Forward a method to the live inner store, failing transiently when
-/// the store has crashed.
+/// Forward every catalogue operation to the live inner store, failing
+/// transiently once the store has crashed.
 macro_rules! forward {
-    ($(fn $name:ident(&mut self $(, $arg:ident: $ty:ty)*) -> $ret:ty;)*) => {$(
-        fn $name(&mut self $(, $arg: $ty)*) -> $ret {
+    ($(
+        $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
+    )*) => {$(
+        forward_one! { fn $name($($($arg: [$($ty)+]),+)?) -> $ret }
+    )*};
+}
+macro_rules! forward_one {
+    // The planned crash points, written out in the impl.
+    (fn commit $($rest:tt)*) => {};
+    (fn prepare_commit $($rest:tt)*) => {};
+    (fn activate_nodes $($rest:tt)*) => {};
+    (fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty) => {
+        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
             self.live()?.$name($($arg),*)
         }
-    )*};
+    };
 }
 
 impl<S: HyperStore> HyperStore for ChaosStore<S> {
-    forward! {
-        fn lookup_unique(&mut self, unique_id: u64) -> Result<Oid>;
-        fn unique_id_of(&mut self, oid: Oid) -> Result<u64>;
-        fn kind_of(&mut self, oid: Oid) -> Result<NodeKind>;
-        fn ten_of(&mut self, oid: Oid) -> Result<u32>;
-        fn hundred_of(&mut self, oid: Oid) -> Result<u32>;
-        fn million_of(&mut self, oid: Oid) -> Result<u32>;
-        fn set_hundred(&mut self, oid: Oid, value: u32) -> Result<()>;
-        fn range_hundred(&mut self, lo: u32, hi: u32) -> Result<Vec<Oid>>;
-        fn range_million(&mut self, lo: u32, hi: u32) -> Result<Vec<Oid>>;
-        fn children(&mut self, oid: Oid) -> Result<Vec<Oid>>;
-        fn parent(&mut self, oid: Oid) -> Result<Option<Oid>>;
-        fn parts(&mut self, oid: Oid) -> Result<Vec<Oid>>;
-        fn part_of(&mut self, oid: Oid) -> Result<Vec<Oid>>;
-        fn refs_to(&mut self, oid: Oid) -> Result<Vec<RefEdge>>;
-        fn refs_from(&mut self, oid: Oid) -> Result<Vec<RefEdge>>;
-        fn seq_scan_ten(&mut self) -> Result<u64>;
-        fn text_of(&mut self, oid: Oid) -> Result<String>;
-        fn set_text(&mut self, oid: Oid, text: &str) -> Result<()>;
-        fn form_of(&mut self, oid: Oid) -> Result<Bitmap>;
-        fn set_form(&mut self, oid: Oid, bitmap: &Bitmap) -> Result<()>;
-        fn create_node(&mut self, value: &NodeValue) -> Result<Oid>;
-        fn create_node_clustered(&mut self, value: &NodeValue, near: Option<Oid>) -> Result<Oid>;
-        fn add_child(&mut self, parent: Oid, child: Oid) -> Result<()>;
-        fn add_part(&mut self, owner: Oid, part: Oid) -> Result<()>;
-        fn add_ref(&mut self, from: Oid, to: Oid, offset_from: u8, offset_to: u8) -> Result<()>;
-        fn insert_extra_node(&mut self, value: &NodeValue) -> Result<Oid>;
-        fn cold_restart(&mut self) -> Result<()>;
-        fn commit_prepared(&mut self, txid: u64) -> Result<()>;
-        fn abort_prepared(&mut self, txid: u64) -> Result<()>;
-        fn children_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>>;
-        fn parts_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>>;
-        fn refs_to_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<RefEdge>>>;
-        fn hundred_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>>;
-        fn million_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>>;
-        fn set_hundred_batch(&mut self, updates: &[(Oid, u32)]) -> Result<()>;
-        fn closure_1n(&mut self, start: Oid) -> Result<Vec<Oid>>;
-        fn closure_1n_att_sum(&mut self, start: Oid) -> Result<(u64, usize)>;
-        fn closure_1n_att_set(&mut self, start: Oid) -> Result<usize>;
-        fn closure_1n_pred(&mut self, start: Oid, lo: u32, hi: u32) -> Result<Vec<Oid>>;
-        fn closure_mn(&mut self, start: Oid) -> Result<Vec<Oid>>;
-        fn closure_mnatt(&mut self, start: Oid, depth: u32) -> Result<Vec<Oid>>;
-        fn closure_mnatt_linksum(&mut self, start: Oid, depth: u32) -> Result<Vec<(Oid, u64)>>;
-        fn text_node_edit(&mut self, oid: Oid, from: &str, to: &str) -> Result<usize>;
-        fn form_node_edit(&mut self, oid: Oid, x0: u16, y0: u16, x1: u16, y1: u16) -> Result<()>;
-        fn sync_export(&mut self) -> Result<Vec<u8>>;
-        fn sync_import(&mut self, snapshot: &[u8]) -> Result<()>;
-        fn export_nodes(&mut self, oids: &[Oid]) -> Result<Vec<hypermodel::migrate::NodeExport>>;
-        fn install_nodes(&mut self, batch: &[hypermodel::migrate::NodeExport]) -> Result<Vec<Oid>>;
-        fn retire_nodes(&mut self, oids: &[Oid], moved_to: u16, epoch: u64) -> Result<()>;
-    }
+    hypermodel::store_ops!(forward);
 
     fn activate_nodes(&mut self, oids: &[Oid]) -> Result<()> {
         self.activates_seen += 1;

@@ -13,6 +13,11 @@
 //! to support some higher level conceptual operations more efficiently
 //! than others"* (§4).
 //!
+//! Beside the trait sits the operation catalogue, [`store_ops!`](crate::store_ops):
+//! one row per operation, from which the layers that forward every
+//! operation alike (wire protocol, remote client, replica group, crash
+//! wrapper) generate their per-operation code.
+//!
 //! # Conventions
 //!
 //! * Node references are [`Oid`]s, never copies (paper §6 preamble).
@@ -370,39 +375,20 @@ pub trait HyperStore {
     }
 
     // =====================================================================
-    // Derived operations (default implementations over the primitives).
+    // Derived operations. The defaults are the free functions of the same
+    // name below: a traversal on the caller's side, one primitive call per
+    // relationship access.
     // =====================================================================
 
     /// O10 `closure1N`: all nodes reachable from `start` via the 1-N
     /// relationship, as a pre-order list (children in order).
     fn closure_1n(&mut self, start: Oid) -> Result<Vec<Oid>> {
-        let mut out = Vec::new();
-        let mut stack = vec![start];
-        while let Some(oid) = stack.pop() {
-            out.push(oid);
-            let kids = self.children(oid)?;
-            // Push in reverse so the first child is popped first.
-            for &k in kids.iter().rev() {
-                stack.push(k);
-            }
-        }
-        Ok(out)
+        closure_1n(self, start)
     }
 
     /// O11 `closure1NAttSum`: sum of `hundred` over the 1-N closure.
     fn closure_1n_att_sum(&mut self, start: Oid) -> Result<(u64, usize)> {
-        let mut sum = 0u64;
-        let mut count = 0usize;
-        let mut stack = vec![start];
-        while let Some(oid) = stack.pop() {
-            sum += self.hundred_of(oid)? as u64;
-            count += 1;
-            let kids = self.children(oid)?;
-            for &k in kids.iter().rev() {
-                stack.push(k);
-            }
-        }
-        Ok((sum, count))
+        closure_1n_att_sum(self, start)
     }
 
     /// O12 `closure1NAttSet`: set `hundred := 99 - hundred` over the 1-N
@@ -411,37 +397,13 @@ pub trait HyperStore {
     /// the original value either way, which is what the benchmark needs).
     /// Returns the number of nodes updated.
     fn closure_1n_att_set(&mut self, start: Oid) -> Result<usize> {
-        let mut count = 0usize;
-        let mut stack = vec![start];
-        while let Some(oid) = stack.pop() {
-            let current = self.hundred_of(oid)?;
-            self.set_hundred(oid, 99u32.wrapping_sub(current))?;
-            count += 1;
-            let kids = self.children(oid)?;
-            for &k in kids.iter().rev() {
-                stack.push(k);
-            }
-        }
-        Ok(count)
+        closure_1n_att_set(self, start)
     }
 
     /// O13 `closure1NPred`: the 1-N closure, excluding (and pruning the
     /// subtree below) nodes whose `million` lies in `lo..=hi`.
     fn closure_1n_pred(&mut self, start: Oid, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        let mut out = Vec::new();
-        let mut stack = vec![start];
-        while let Some(oid) = stack.pop() {
-            let m = self.million_of(oid)?;
-            if (lo..=hi).contains(&m) {
-                continue; // excluded, recursion terminated here
-            }
-            out.push(oid);
-            let kids = self.children(oid)?;
-            for &k in kids.iter().rev() {
-                stack.push(k);
-            }
-        }
-        Ok(out)
+        closure_1n_pred(self, start, lo, hi)
     }
 
     /// O14 `closureMN`: all nodes reachable from `start` via the M-N
@@ -449,16 +411,7 @@ pub trait HyperStore {
     /// per path (no deduplication), matching the paper's per-level node
     /// counts n = 6/31/156.
     fn closure_mn(&mut self, start: Oid) -> Result<Vec<Oid>> {
-        let mut out = Vec::new();
-        let mut stack = vec![start];
-        while let Some(oid) = stack.pop() {
-            out.push(oid);
-            let ps = self.parts(oid)?;
-            for &p in ps.iter().rev() {
-                stack.push(p);
-            }
-        }
-        Ok(out)
+        closure_mn(self, start)
     }
 
     /// O15 `closureMNATT`: nodes reachable via the attributed M-N
@@ -466,71 +419,334 @@ pub trait HyperStore {
     /// condition, §6.5). The start node is not included; nodes are
     /// reported once per visit.
     fn closure_mnatt(&mut self, start: Oid, depth: u32) -> Result<Vec<Oid>> {
-        let mut out = Vec::new();
-        // (oid, remaining depth)
-        let mut stack = vec![(start, depth)];
-        while let Some((oid, d)) = stack.pop() {
-            if d == 0 {
-                continue;
-            }
-            let edges = self.refs_to(oid)?;
-            for e in edges.iter().rev() {
-                out.push(e.target);
-                stack.push((e.target, d - 1));
-            }
-        }
-        Ok(out)
+        closure_mnatt(self, start, depth)
     }
 
     /// O18 `closureMNATTLinkSum`: like O15 but accumulating the distance
     /// (sum of `offsetTo` along the path) and returning `(node, distance)`
     /// pairs.
     fn closure_mnatt_linksum(&mut self, start: Oid, depth: u32) -> Result<Vec<(Oid, u64)>> {
-        let mut out = Vec::new();
-        let mut stack = vec![(start, depth, 0u64)];
-        while let Some((oid, d, dist)) = stack.pop() {
-            if d == 0 {
-                continue;
-            }
-            let edges = self.refs_to(oid)?;
-            for e in edges.iter().rev() {
-                let total = dist + e.offset_to as u64;
-                out.push((e.target, total));
-                stack.push((e.target, d - 1, total));
-            }
-        }
-        Ok(out)
+        closure_mnatt_linksum(self, start, depth)
     }
 
     /// O16 `textNodeEdit`: substitute `from` → `to` in a text node and
     /// store the result. Returns the number of substitutions.
     fn text_node_edit(&mut self, oid: Oid, from: &str, to: &str) -> Result<usize> {
-        if self.kind_of(oid)? != NodeKind::TEXT {
-            return Err(HmError::WrongKind {
-                oid,
-                expected: "TextNode",
-            });
-        }
-        let current = self.text_of(oid)?;
-        let (edited, n) = text::substitute(&current, from, to);
-        self.set_text(oid, &edited)?;
-        Ok(n)
+        text_node_edit(self, oid, from, to)
     }
 
     /// O17 `formNodeEdit`: invert the sub-rectangle `(25,25)-(50,50)` of a
     /// form node and store the result.
     fn form_node_edit(&mut self, oid: Oid, x0: u16, y0: u16, x1: u16, y1: u16) -> Result<()> {
-        if self.kind_of(oid)? != NodeKind::FORM {
-            return Err(HmError::WrongKind {
-                oid,
-                expected: "FormNode",
-            });
-        }
-        let mut bm = self.form_of(oid)?;
-        bm.invert_rect(x0, y0, x1, y1);
-        self.set_form(oid, &bm)?;
-        Ok(())
+        form_node_edit(self, oid, x0, y0, x1, y1)
     }
+}
+
+// =========================================================================
+// The derived operations as traversals over the primitives: the trait's
+// defaults, and what a remote client in `ClosureMode::ClientSide` runs on
+// the workstation. Generic (not `dyn`) so each backend's default closure
+// is monomorphised over its own accessors.
+// =========================================================================
+
+/// [`HyperStore::closure_1n`] by one `children` call per node.
+pub fn closure_1n<S: HyperStore + ?Sized>(store: &mut S, start: Oid) -> Result<Vec<Oid>> {
+    let mut out = Vec::new();
+    let mut stack = vec![start];
+    while let Some(oid) = stack.pop() {
+        out.push(oid);
+        let kids = store.children(oid)?;
+        // Push in reverse so the first child is popped first.
+        for &k in kids.iter().rev() {
+            stack.push(k);
+        }
+    }
+    Ok(out)
+}
+
+/// [`HyperStore::closure_1n_att_sum`] by `hundred_of` + `children` per node.
+pub fn closure_1n_att_sum<S: HyperStore + ?Sized>(
+    store: &mut S,
+    start: Oid,
+) -> Result<(u64, usize)> {
+    let mut sum = 0u64;
+    let mut count = 0usize;
+    let mut stack = vec![start];
+    while let Some(oid) = stack.pop() {
+        sum += store.hundred_of(oid)? as u64;
+        count += 1;
+        let kids = store.children(oid)?;
+        for &k in kids.iter().rev() {
+            stack.push(k);
+        }
+    }
+    Ok((sum, count))
+}
+
+/// [`HyperStore::closure_1n_att_set`] by `hundred_of` + `set_hundred` +
+/// `children` per node.
+pub fn closure_1n_att_set<S: HyperStore + ?Sized>(store: &mut S, start: Oid) -> Result<usize> {
+    let mut count = 0usize;
+    let mut stack = vec![start];
+    while let Some(oid) = stack.pop() {
+        let current = store.hundred_of(oid)?;
+        store.set_hundred(oid, 99u32.wrapping_sub(current))?;
+        count += 1;
+        let kids = store.children(oid)?;
+        for &k in kids.iter().rev() {
+            stack.push(k);
+        }
+    }
+    Ok(count)
+}
+
+/// [`HyperStore::closure_1n_pred`] by `million_of` + `children` per node.
+pub fn closure_1n_pred<S: HyperStore + ?Sized>(
+    store: &mut S,
+    start: Oid,
+    lo: u32,
+    hi: u32,
+) -> Result<Vec<Oid>> {
+    let mut out = Vec::new();
+    let mut stack = vec![start];
+    while let Some(oid) = stack.pop() {
+        let m = store.million_of(oid)?;
+        if (lo..=hi).contains(&m) {
+            continue; // excluded, recursion terminated here
+        }
+        out.push(oid);
+        let kids = store.children(oid)?;
+        for &k in kids.iter().rev() {
+            stack.push(k);
+        }
+    }
+    Ok(out)
+}
+
+/// [`HyperStore::closure_mn`] by one `parts` call per visit.
+pub fn closure_mn<S: HyperStore + ?Sized>(store: &mut S, start: Oid) -> Result<Vec<Oid>> {
+    let mut out = Vec::new();
+    let mut stack = vec![start];
+    while let Some(oid) = stack.pop() {
+        out.push(oid);
+        let ps = store.parts(oid)?;
+        for &p in ps.iter().rev() {
+            stack.push(p);
+        }
+    }
+    Ok(out)
+}
+
+/// [`HyperStore::closure_mnatt`] by one `refs_to` call per visit.
+pub fn closure_mnatt<S: HyperStore + ?Sized>(
+    store: &mut S,
+    start: Oid,
+    depth: u32,
+) -> Result<Vec<Oid>> {
+    let mut out = Vec::new();
+    // (oid, remaining depth)
+    let mut stack = vec![(start, depth)];
+    while let Some((oid, d)) = stack.pop() {
+        if d == 0 {
+            continue;
+        }
+        let edges = store.refs_to(oid)?;
+        for e in edges.iter().rev() {
+            out.push(e.target);
+            stack.push((e.target, d - 1));
+        }
+    }
+    Ok(out)
+}
+
+/// [`HyperStore::closure_mnatt_linksum`] by one `refs_to` call per visit.
+pub fn closure_mnatt_linksum<S: HyperStore + ?Sized>(
+    store: &mut S,
+    start: Oid,
+    depth: u32,
+) -> Result<Vec<(Oid, u64)>> {
+    let mut out = Vec::new();
+    let mut stack = vec![(start, depth, 0u64)];
+    while let Some((oid, d, dist)) = stack.pop() {
+        if d == 0 {
+            continue;
+        }
+        let edges = store.refs_to(oid)?;
+        for e in edges.iter().rev() {
+            let total = dist + e.offset_to as u64;
+            out.push((e.target, total));
+            stack.push((e.target, d - 1, total));
+        }
+    }
+    Ok(out)
+}
+
+/// [`HyperStore::text_node_edit`]: fetch the text, substitute here,
+/// store it back.
+pub fn text_node_edit<S: HyperStore + ?Sized>(
+    store: &mut S,
+    oid: Oid,
+    from: &str,
+    to: &str,
+) -> Result<usize> {
+    if store.kind_of(oid)? != NodeKind::TEXT {
+        return Err(HmError::WrongKind {
+            oid,
+            expected: "TextNode",
+        });
+    }
+    let current = store.text_of(oid)?;
+    let (edited, n) = text::substitute(&current, from, to);
+    store.set_text(oid, &edited)?;
+    Ok(n)
+}
+
+/// [`HyperStore::form_node_edit`]: fetch the bitmap, invert here, store
+/// it back.
+pub fn form_node_edit<S: HyperStore + ?Sized>(
+    store: &mut S,
+    oid: Oid,
+    x0: u16,
+    y0: u16,
+    x1: u16,
+    y1: u16,
+) -> Result<()> {
+    if store.kind_of(oid)? != NodeKind::FORM {
+        return Err(HmError::WrongKind {
+            oid,
+            expected: "FormNode",
+        });
+    }
+    let mut bm = store.form_of(oid)?;
+    bm.invert_rect(x0, y0, x1, y1);
+    store.set_form(oid, &bm)
+}
+
+// =========================================================================
+// The operation catalogue.
+// =========================================================================
+
+/// Every store operation that can cross a process or thread boundary,
+/// declared once: `store_ops!(consumer)` expands to `consumer! { rows }`,
+/// and a layer that must treat each operation alike (the wire protocol
+/// and its client, a replica group, a crash wrapper) generates its
+/// per-operation code from the rows instead of restating them. An
+/// operation is thus spelled in two places: its [`HyperStore`] method and
+/// its row here. DESIGN.md "One operation catalogue" lists who consumes
+/// which column.
+///
+/// A row reads
+///
+/// ```text
+/// [#[derived]] class tag Variant fn method[(arg: [Type], ...)] -> Ret [, about arg];
+/// ```
+///
+/// * `class` — `read` (any one up-to-date copy can answer; repeating it
+///   is harmless), `write` (every copy must apply it; repeating it blindly
+///   could apply it twice) or `barrier` (a write every copy must finish
+///   before the caller goes on: the commit family and restart).
+/// * `tag`, `Variant` — the operation's byte on the wire and its
+///   `server::protocol::Request` variant. Tags are never reused; 37, 47
+///   and 48 belong to the protocol's own session messages.
+/// * the method's name and signature as in the trait, each argument type
+///   in brackets so a consumer can tell a borrowed argument from a
+///   by-value one (see [`own!`](crate::own) and [`lend!`](crate::lend)).
+///   A method without arguments is written without parentheses, so that
+///   `Variant $(( ... ))?` yields a unit variant for it.
+/// * `about arg` — the one node the operation addresses, for operations a
+///   server answers with a redirect once that node has migrated away.
+/// * `#[derived]` — the operation has a same-named traversal over the
+///   primitives in this module, which a caller may run on its own side.
+///
+/// The rows name `Oid`, `NodeKind`, `NodeValue`, `RefEdge`, `Bitmap` and
+/// `NodeExport` unqualified; a consumer imports them.
+#[macro_export]
+macro_rules! store_ops {
+    ($consumer:ident) => {
+        $consumer! {
+            read     0 LookupUnique        fn lookup_unique(unique_id: [u64]) -> Oid;
+            read     1 UniqueIdOf          fn unique_id_of(oid: [Oid]) -> u64, about oid;
+            read     2 KindOf              fn kind_of(oid: [Oid]) -> NodeKind, about oid;
+            read     3 TenOf               fn ten_of(oid: [Oid]) -> u32, about oid;
+            read     4 HundredOf           fn hundred_of(oid: [Oid]) -> u32, about oid;
+            read     5 MillionOf           fn million_of(oid: [Oid]) -> u32, about oid;
+            write    6 SetHundred          fn set_hundred(oid: [Oid], value: [u32]) -> (), about oid;
+            read     7 RangeHundred        fn range_hundred(lo: [u32], hi: [u32]) -> Vec<Oid>;
+            read     8 RangeMillion        fn range_million(lo: [u32], hi: [u32]) -> Vec<Oid>;
+            read     9 Children            fn children(oid: [Oid]) -> Vec<Oid>, about oid;
+            read    10 Parent              fn parent(oid: [Oid]) -> Option<Oid>, about oid;
+            read    11 Parts               fn parts(oid: [Oid]) -> Vec<Oid>, about oid;
+            read    12 PartOf              fn part_of(oid: [Oid]) -> Vec<Oid>, about oid;
+            read    13 RefsTo              fn refs_to(oid: [Oid]) -> Vec<RefEdge>, about oid;
+            read    14 RefsFrom            fn refs_from(oid: [Oid]) -> Vec<RefEdge>, about oid;
+            read    15 SeqScanTen          fn seq_scan_ten -> u64;
+            read    16 TextOf              fn text_of(oid: [Oid]) -> String, about oid;
+            write   17 SetText             fn set_text(oid: [Oid], text: [&str]) -> (), about oid;
+            read    18 FormOf              fn form_of(oid: [Oid]) -> Bitmap, about oid;
+            write   19 SetForm             fn set_form(oid: [Oid], bitmap: [&Bitmap]) -> (), about oid;
+            // Each copy runs the identical create / install, so the local
+            // ids handed back match on every copy.
+            write   20 CreateNode          fn create_node(value: [&NodeValue]) -> Oid;
+            write   21 CreateNodeClustered fn create_node_clustered(value: [&NodeValue], near: [Option<Oid>]) -> Oid;
+            write   22 AddChild            fn add_child(parent: [Oid], child: [Oid]) -> ();
+            write   23 AddPart             fn add_part(owner: [Oid], part: [Oid]) -> ();
+            write   24 AddRef              fn add_ref(from: [Oid], to: [Oid], offset_from: [u8], offset_to: [u8]) -> ();
+            write   25 InsertExtraNode     fn insert_extra_node(value: [&NodeValue]) -> Oid;
+            barrier 26 Commit              fn commit -> ();
+            barrier 27 ColdRestart         fn cold_restart -> ();
+            #[derived] read  28 Closure1N           fn closure_1n(start: [Oid]) -> Vec<Oid>, about start;
+            #[derived] read  29 Closure1NAttSum     fn closure_1n_att_sum(start: [Oid]) -> (u64, usize), about start;
+            #[derived] write 30 Closure1NAttSet     fn closure_1n_att_set(start: [Oid]) -> usize, about start;
+            #[derived] read  31 Closure1NPred       fn closure_1n_pred(start: [Oid], lo: [u32], hi: [u32]) -> Vec<Oid>, about start;
+            #[derived] read  32 ClosureMN           fn closure_mn(start: [Oid]) -> Vec<Oid>, about start;
+            #[derived] read  33 ClosureMNAtt        fn closure_mnatt(start: [Oid], depth: [u32]) -> Vec<Oid>, about start;
+            #[derived] read  34 ClosureMNAttLinkSum fn closure_mnatt_linksum(start: [Oid], depth: [u32]) -> Vec<(Oid, u64)>, about start;
+            #[derived] write 35 TextNodeEdit        fn text_node_edit(oid: [Oid], from: [&str], to: [&str]) -> usize, about oid;
+            #[derived] write 36 FormNodeEdit        fn form_node_edit(oid: [Oid], x0: [u16], y0: [u16], x1: [u16], y1: [u16]) -> (), about oid;
+            read    38 ChildrenBatch       fn children_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
+            read    39 PartsBatch          fn parts_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
+            read    40 RefsToBatch         fn refs_to_batch(oids: [&[Oid]]) -> Vec<Vec<RefEdge>>;
+            read    41 HundredBatch        fn hundred_batch(oids: [&[Oid]]) -> Vec<u32>;
+            read    42 MillionBatch        fn million_batch(oids: [&[Oid]]) -> Vec<u32>;
+            write   43 SetHundredBatch     fn set_hundred_batch(updates: [&[(Oid, u32)]]) -> ();
+            barrier 44 PrepareCommit       fn prepare_commit(txid: [u64]) -> ();
+            barrier 45 CommitPrepared      fn commit_prepared(txid: [u64]) -> ();
+            barrier 46 AbortPrepared       fn abort_prepared(txid: [u64]) -> ();
+            read    49 SyncSubtree         fn sync_export -> Vec<u8>;
+            write   50 InstallSubtree      fn sync_import(snapshot: [&[u8]]) -> ();
+            read    51 ExportNodes         fn export_nodes(oids: [&[Oid]]) -> Vec<NodeExport>;
+            write   52 InstallNodes        fn install_nodes(batch: [&[NodeExport]]) -> Vec<Oid>;
+            write   53 ActivateNodes       fn activate_nodes(oids: [&[Oid]]) -> ();
+            write   54 RetireNodes         fn retire_nodes(oids: [&[Oid]], moved_to: [u16], epoch: [u64]) -> ();
+        }
+    };
+}
+
+/// An owned copy of a catalogue argument, for code that must keep it past
+/// the call (a message to send, a job that outlives its caller): a
+/// borrowed argument (`[&T]`) is cloned through `ToOwned`, a by-value one
+/// is `Copy` and passes through.
+#[macro_export]
+macro_rules! own {
+    ($arg:ident: & $($ty:tt)+) => {
+        $arg.to_owned()
+    };
+    ($arg:ident: $($ty:tt)+) => {
+        $arg
+    };
+}
+
+/// Hands a value made by [`own!`](crate::own) back to the method it was
+/// declared for: by reference where the argument is borrowed, by value
+/// otherwise.
+#[macro_export]
+macro_rules! lend {
+    ($arg:ident: & $($ty:tt)+) => {
+        &$arg
+    };
+    ($arg:ident: $($ty:tt)+) => {
+        $arg
+    };
 }
 
 #[cfg(test)]

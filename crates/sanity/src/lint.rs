@@ -17,17 +17,6 @@
 //!   `exec/src/frame.rs`,
 //!   `shard/src/{coordinator,migrate,replica,store}.rs`. A malformed
 //!   frame or a full disk must surface as a typed error, not a panic.
-//! * `protocol-parity` — every `Request` variant declared in
-//!   `server/src/protocol.rs` must appear in both the server dispatcher
-//!   (`server.rs`) and the remote client (`client.rs`); likewise every
-//!   `Response` variant. Catches "added a variant, forgot a match arm
-//!   behind a catch-all".
-//! * `decode-cap` — in the wire-decode files (`server/src/protocol.rs`,
-//!   `server/src/codec.rs`), a `with_capacity` whose size comes from
-//!   decoded input must be clamped through `prealloc_cap` (or another
-//!   `MAX_FRAME`-derived bound). A hostile 4-byte length prefix must
-//!   never size an allocation directly. Fixed literal capacities pass:
-//!   they cannot be attacker-chosen.
 //! * `condvar-hold` — in the same crates as `direct-sync`, a
 //!   `Condvar::wait` while a *second* lock guard is live is flagged:
 //!   the wait releases only the guard it is handed, so any other held
@@ -37,6 +26,12 @@
 //!
 //! Test modules (`#[cfg(test)] mod ... { ... }`), comments and string
 //! literals are excluded before matching.
+//!
+//! Not rules here, because the compiler holds them: an operation missing
+//! from the codec, the dispatcher or the client (all three are generated
+//! from `hypermodel::store_ops!`), and a wire-decoded length sizing an
+//! allocation unclamped (`Wire::get_all` in `server/src/codec.rs` is the
+//! only place one sizes anything).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -66,22 +61,14 @@ impl fmt::Display for Finding {
 
 pub const RULE_DIRECT_SYNC: &str = "direct-sync";
 pub const RULE_NO_UNWRAP: &str = "no-unwrap";
-pub const RULE_PROTOCOL_PARITY: &str = "protocol-parity";
 pub const RULE_CONDVAR_HOLD: &str = "condvar-hold";
-pub const RULE_DECODE_CAP: &str = "decode-cap";
 /// Pseudo-rule for `lint:allow` markers that suppress nothing.
 pub const RULE_UNUSED_ALLOW: &str = "unused-allow";
 
 /// Every real rule `hyperlint` owns. A `lint:allow` marker naming a
 /// rule outside this set (e.g. a `hyperstatic` rule) is someone else's
 /// business and never counts as unused here.
-pub const HYPERLINT_RULES: &[&str] = &[
-    RULE_DIRECT_SYNC,
-    RULE_NO_UNWRAP,
-    RULE_PROTOCOL_PARITY,
-    RULE_CONDVAR_HOLD,
-    RULE_DECODE_CAP,
-];
+pub const HYPERLINT_RULES: &[&str] = &[RULE_DIRECT_SYNC, RULE_NO_UNWRAP, RULE_CONDVAR_HOLD];
 
 // ---------------------------------------------------------------------------
 // Source preprocessing
@@ -436,92 +423,6 @@ pub fn find_unwraps_raw(p: &Prepared) -> Vec<(usize, String)> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: decode-cap
-// ---------------------------------------------------------------------------
-
-/// Flag `with_capacity` preallocations whose size argument is not
-/// clamped through `prealloc_cap` (or otherwise derived from
-/// `MAX_FRAME`). Applied to the wire-decode files only: a length prefix
-/// read off the wire must never size an allocation directly, or a
-/// hostile 4-byte header reserves gigabytes before the first payload
-/// byte arrives. Fixed numeric capacities pass — they cannot be
-/// attacker-chosen.
-pub fn find_decode_caps(src: &str) -> Vec<(usize, String)> {
-    let p = prepare(src);
-    filter_suppressed(&p, RULE_DECODE_CAP, find_decode_caps_raw(&p))
-}
-
-/// As [`find_decode_caps`] but without applying suppressions.
-pub fn find_decode_caps_raw(p: &Prepared) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (idx, line) in p.lines.iter().enumerate() {
-        if p.in_test[idx] {
-            continue;
-        }
-        let mut from = 0usize;
-        while let Some(pos) = line[from..].find("with_capacity(") {
-            let open = from + pos + "with_capacity".len();
-            let arg = paren_arg(&p.lines, idx, open);
-            from = open + 1;
-            if arg.contains("prealloc_cap") || arg.contains("MAX_FRAME") || fixed_capacity(&arg) {
-                continue;
-            }
-            out.push((
-                idx + 1,
-                format!(
-                    "`with_capacity({})` sizes an allocation from decoded input; \
-                     clamp through `prealloc_cap` (MAX_FRAME-derived)",
-                    arg.trim()
-                ),
-            ));
-            break;
-        }
-    }
-    out
-}
-
-/// The argument text of the paren group opening at byte `open` of line
-/// `idx` (which must be a `(`), following the call across up to four
-/// continuation lines for rustfmt-split arguments.
-fn paren_arg(lines: &[String], idx: usize, open: usize) -> String {
-    let mut arg = String::new();
-    let mut depth = 0i32;
-    for (row, line) in lines.iter().enumerate().skip(idx).take(5) {
-        let start = if row == idx { open } else { 0 };
-        for c in line[start.min(line.len())..].chars() {
-            match c {
-                '(' => {
-                    depth += 1;
-                    if depth == 1 {
-                        continue;
-                    }
-                }
-                ')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return arg;
-                    }
-                }
-                _ => {}
-            }
-            arg.push(c);
-        }
-        arg.push(' ');
-    }
-    arg
-}
-
-/// True when `arg` is a fixed size expression: digits and arithmetic
-/// only, no identifiers that could carry a decoded length.
-fn fixed_capacity(arg: &str) -> bool {
-    let trimmed = arg.trim();
-    !trimmed.is_empty()
-        && trimmed
-            .chars()
-            .all(|c| c.is_ascii_digit() || " \t_+-*/<>()".contains(c))
-}
-
-// ---------------------------------------------------------------------------
 // Rule: condvar-hold
 // ---------------------------------------------------------------------------
 
@@ -602,95 +503,6 @@ pub fn find_condvar_hold_raw(p: &Prepared) -> Vec<(usize, String)> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: protocol-parity
-// ---------------------------------------------------------------------------
-
-/// Extract the variant names of `pub enum <name>` from `src`, with the
-/// 1-based line the enum starts on. `None` if the enum is not found.
-pub fn enum_variants(src: &str, name: &str) -> Option<(usize, Vec<String>)> {
-    let p = prepare(src);
-    let text = p.lines.join("\n");
-    let decl = format!("enum {name}");
-    let mut from = 0;
-    let start = loop {
-        let pos = text[from..].find(&decl)? + from;
-        let after = text[pos + decl.len()..].chars().next();
-        if after.is_some_and(|c| !is_ident_char(c)) {
-            break pos;
-        }
-        from = pos + decl.len();
-    };
-    let line = text[..start].matches('\n').count() + 1;
-    let open = text[start..].find('{')? + start;
-    let mut depth = 0i32;
-    let mut end = open;
-    for (i, c) in text[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = open + i;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let body = &text[open + 1..end];
-
-    // Split top-level variants on commas outside any nesting.
-    let mut variants = Vec::new();
-    let mut seg = String::new();
-    let mut nest = 0i32;
-    for c in body.chars() {
-        match c {
-            '(' | '{' | '[' | '<' => {
-                nest += 1;
-                seg.push(c);
-            }
-            ')' | '}' | ']' | '>' => {
-                nest -= 1;
-                seg.push(c);
-            }
-            ',' if nest == 0 => {
-                push_variant(&mut variants, &seg);
-                seg.clear();
-            }
-            _ => seg.push(c),
-        }
-    }
-    push_variant(&mut variants, &seg);
-    Some((line, variants))
-}
-
-fn push_variant(variants: &mut Vec<String>, seg: &str) {
-    for raw in seg.lines() {
-        let t = raw.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let ident: String = t.chars().take_while(|&c| is_ident_char(c)).collect();
-        if !ident.is_empty() && ident.chars().next().is_some_and(|c| c.is_uppercase()) {
-            variants.push(ident);
-            return;
-        }
-    }
-}
-
-/// Check every `enum_name::Variant` is referenced in `user_src`.
-/// Returns the missing variant names.
-pub fn missing_variant_refs(user_src: &str, enum_name: &str, variants: &[String]) -> Vec<String> {
-    let p = prepare(user_src);
-    let text = p.lines.join("\n");
-    variants
-        .iter()
-        .filter(|v| !word_hit(&text, &format!("{enum_name}::{v}")))
-        .cloned()
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
 // Tree driver
 // ---------------------------------------------------------------------------
 
@@ -708,17 +520,6 @@ const UNWRAP_SCOPE: &[&str] = &[
     "crates/shard/src/replica.rs",
     "crates/shard/src/store.rs",
 ];
-
-/// Wire-decode files where every length-driven preallocation must be
-/// clamped through `prealloc_cap` / `MAX_FRAME`.
-const DECODE_CAP_SCOPE: &[&str] = &[
-    "crates/server/src/protocol.rs",
-    "crates/server/src/codec.rs",
-];
-
-const PROTOCOL: &str = "crates/server/src/protocol.rs";
-const DISPATCHER: &str = "crates/server/src/server.rs";
-const CLIENT: &str = "crates/server/src/client.rs";
 
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -763,8 +564,6 @@ pub fn lint_tree(root: &Path) -> LintReport {
 
     let unwrap_files: Vec<PathBuf> = UNWRAP_SCOPE.iter().map(|rel| root.join(rel)).collect();
     let mut unwrap_done = vec![false; unwrap_files.len()];
-    let decode_files: Vec<PathBuf> = DECODE_CAP_SCOPE.iter().map(|rel| root.join(rel)).collect();
-    let mut decode_done = vec![false; decode_files.len()];
 
     // Line-based rules over the three migrated crates, one prepare per
     // file so suppression usage can be accounted across all rules.
@@ -791,19 +590,10 @@ pub fn lint_tree(root: &Path) -> LintReport {
                 }
                 None => Vec::new(),
             };
-            let decode_idx = decode_files.iter().position(|u| *u == file);
-            let raw_dc = match decode_idx {
-                Some(i) => {
-                    decode_done[i] = true;
-                    find_decode_caps_raw(&p)
-                }
-                None => Vec::new(),
-            };
             let per_rule: &[(&'static str, &Vec<(usize, String)>)] = &[
                 (RULE_DIRECT_SYNC, &raw_sync),
                 (RULE_CONDVAR_HOLD, &raw_cv),
                 (RULE_NO_UNWRAP, &raw_uw),
-                (RULE_DECODE_CAP, &raw_dc),
             ];
             for (rule, raw) in per_rule {
                 for (line, message) in raw.iter() {
@@ -859,68 +649,6 @@ pub fn lint_tree(root: &Path) -> LintReport {
         }
     }
 
-    // decode-cap scope files not reached by the directory walk (a
-    // missing file still needs a finding — the rule cannot vouch for a
-    // decode path it cannot read).
-    for (i, rel) in DECODE_CAP_SCOPE.iter().enumerate() {
-        if decode_done[i] {
-            continue;
-        }
-        let file = root.join(rel);
-        let Ok(src) = std::fs::read_to_string(&file) else {
-            findings.push(missing(root, rel, RULE_DECODE_CAP));
-            continue;
-        };
-        scanned += 1;
-        for (line, message) in find_decode_caps(&src) {
-            findings.push(Finding {
-                file: file.clone(),
-                line,
-                rule: RULE_DECODE_CAP,
-                message,
-            });
-        }
-    }
-
-    // protocol-parity between protocol.rs, server.rs and client.rs.
-    match std::fs::read_to_string(root.join(PROTOCOL)) {
-        Err(_) => findings.push(missing(root, PROTOCOL, RULE_PROTOCOL_PARITY)),
-        Ok(proto_src) => {
-            scanned += 1;
-            let pairs = [
-                ("Request", DISPATCHER),
-                ("Request", CLIENT),
-                ("Response", DISPATCHER),
-                ("Response", CLIENT),
-            ];
-            for (enum_name, user_rel) in pairs {
-                let Some((decl_line, variants)) = enum_variants(&proto_src, enum_name) else {
-                    findings.push(Finding {
-                        file: root.join(PROTOCOL),
-                        line: 0,
-                        rule: RULE_PROTOCOL_PARITY,
-                        message: format!("enum {enum_name} not found"),
-                    });
-                    continue;
-                };
-                let Ok(user_src) = std::fs::read_to_string(root.join(user_rel)) else {
-                    findings.push(missing(root, user_rel, RULE_PROTOCOL_PARITY));
-                    continue;
-                };
-                for v in missing_variant_refs(&user_src, enum_name, &variants) {
-                    findings.push(Finding {
-                        file: root.join(PROTOCOL),
-                        line: decl_line,
-                        rule: RULE_PROTOCOL_PARITY,
-                        message: format!(
-                            "{enum_name}::{v} is declared here but never referenced in {user_rel}"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
     LintReport {
         findings,
         warnings,
@@ -972,30 +700,6 @@ let f = \"string with .unwrap() inside\";
             hits.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
             vec![1, 4, 5]
         );
-    }
-
-    #[test]
-    fn enum_variants_parse_tuple_struct_and_unit() {
-        let src = "\
-pub enum Request {
-    /// doc
-    Ping,
-    #[allow(dead_code)]
-    Get(u64),
-    Put { key: u64, value: Vec<u8> },
-    Tagged(u64, Box<Request>),
-}
-";
-        let (line, vs) = enum_variants(src, "Request").expect("enum");
-        assert_eq!(line, 1);
-        assert_eq!(vs, vec!["Ping", "Get", "Put", "Tagged"]);
-    }
-
-    #[test]
-    fn missing_refs_reported() {
-        let user = "match r { Request::Ping => {} Request::Get(_) => {} _ => {} }";
-        let vs = vec!["Ping".to_string(), "Get".to_string(), "Put".to_string()];
-        assert_eq!(missing_variant_refs(user, "Request", &vs), vec!["Put"]);
     }
 
     #[test]
@@ -1119,60 +823,5 @@ let v = x.unwrap();
             raw.iter().map(|(l, _)| *l).collect()
         });
         assert!(unused.is_empty());
-    }
-
-    #[test]
-    fn decode_cap_flags_unclamped_length_prealloc() {
-        let src = "\
-fn decode(n: usize) -> Vec<u8> {
-    Vec::with_capacity(n.min(1 << 20))
-}
-";
-        let hits = find_decode_caps(src);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, 2);
-        assert!(hits[0].1.contains("prealloc_cap"), "{}", hits[0].1);
-    }
-
-    #[test]
-    fn decode_cap_passes_clamped_and_fixed_preallocs() {
-        let src = "\
-fn ok(n: usize) -> Vec<u8> {
-    let a: Vec<u8> = Vec::with_capacity(prealloc_cap(n, 8));
-    let b: Vec<u8> = Vec::with_capacity(n.min(MAX_FRAME / 8));
-    let c: Vec<u8> = Vec::with_capacity(64);
-    let d: Vec<u8> = Vec::with_capacity(2 * 1024);
-    a
-}
-";
-        assert!(find_decode_caps(src).is_empty());
-    }
-
-    #[test]
-    fn decode_cap_follows_split_arguments_and_suppressions() {
-        let split = "\
-fn ok(n: usize) -> Vec<u8> {
-    Vec::with_capacity(
-        prealloc_cap(n, 16),
-    )
-}
-";
-        assert!(find_decode_caps(split).is_empty());
-        let allowed = "\
-fn reviewed(n: usize) -> Vec<u8> {
-    // lint:allow(decode-cap) — n is a trusted local count
-    Vec::with_capacity(n)
-}
-";
-        assert!(find_decode_caps(allowed).is_empty());
-        let tests = "\
-#[cfg(test)]
-mod tests {
-    fn scratch(n: usize) -> Vec<u8> {
-        Vec::with_capacity(n)
-    }
-}
-";
-        assert!(find_decode_caps(tests).is_empty());
     }
 }

@@ -38,7 +38,8 @@
 //! the baseline survives unrelated line drift.
 //!
 //! Known approximations (see DESIGN.md §14): name-based call matching
-//! (no receiver types, so same-named methods unify), closures are
+//! (no receiver types, so same-named methods unify; macro-generated
+//! functions and calls are invisible — see [`PANIC_ROOTS`]), closures are
 //! inlined into their enclosing function (a spawned closure's facts are
 //! attributed to the spawner), lock identity is textual (locals are
 //! qualified per-function; `self.field` becomes `Type.field`), and
@@ -81,9 +82,18 @@ const PANIC_SCOPE: &[&str] = &[
 /// Dispatch roots for panic reachability: (file suffix, function name).
 /// Every entry must match a parsed function ([`Analysis::dead_roots`]):
 /// a root that a rename left behind would silently lose its coverage.
+///
+/// `dispatch` calls the store through the operation catalogue
+/// (`store.$name(..)` inside a macro), so no method name appears in its
+/// text, and `RemoteStore`'s methods are generated from the same rows, so
+/// they are not parsed functions either. `rpc` is the one function every
+/// generated stub calls; rooting it keeps the client's whole call path
+/// (`call`, retry, `round_trip`, response decoding) under the gate for a
+/// server that serves a `RemoteStore`.
 pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("crates/server/src/server.rs", "dispatch"),
     ("crates/server/src/server.rs", "serve"),
+    ("crates/server/src/client.rs", "rpc"),
     ("crates/server/src/multi.rs", "on_frame"),
     ("crates/exec/src/pool.rs", "submit"),
     ("crates/exec/src/pool.rs", "submit_detached"),
@@ -843,7 +853,9 @@ enum BlockWitness {
 /// Name matching is narrowed by the call-site qualifier when there is
 /// one: `Type::name(` only links to `fns` whose qual is exactly
 /// `Type::name` (`Self::` resolves against the caller's own type), and
-/// `module::name(` only links to free functions. Unqualified calls
+/// `module::name(` only links to free functions. A one-letter qualifier
+/// (`T::get(`) is a generic parameter: it names no type to narrow by, so
+/// the call links like a method call. Unqualified calls
 /// (methods, bare names) link to every same-named candidate whose file
 /// passes `allowed(caller_file, callee_file)` — the caller feeds in the
 /// crate dependency direction so e.g. `storage` code never appears to
@@ -871,6 +883,7 @@ fn resolve_calls(fns: &[FnInfo], allowed: impl Fn(&str, &str) -> bool) -> Vec<Ve
                             Some(ty) => fns[t].qual == format!("{ty}::{}", call.callee),
                             None => fns[t].qual == fns[t].name,
                         },
+                        Some(q) if q.len() == 1 && q.starts_with(char::is_uppercase) => true,
                         Some(q) if q.starts_with(char::is_uppercase) => {
                             fns[t].qual == format!("{q}::{}", call.callee)
                         }
@@ -1691,6 +1704,34 @@ fn caller() {
         // The dependency filter prunes everything when it says no.
         let pruned = resolve_calls(&fns, |_, _| false);
         assert!(pruned[caller].is_empty());
+    }
+
+    #[test]
+    fn generic_parameter_qualifier_links_to_every_impl() {
+        let src = "\
+impl Wire for Oid {
+    fn get(r: &mut Reader) -> Oid {
+        r.oid()
+    }
+}
+impl Wire for Bitmap {
+    fn get(r: &mut Reader) -> Bitmap {
+        r.bitmap()
+    }
+}
+fn pair<A: Wire, B: Wire>(r: &mut Reader) -> (A, B) {
+    (A::get(r), B::get(r))
+}
+";
+        let fns = facts(src);
+        let pair = fns.iter().position(|f| f.qual == "pair").unwrap();
+        let resolved = resolve_calls(&fns, |_, _| true);
+        let targets: BTreeSet<&str> = resolved[pair]
+            .iter()
+            .map(|&(_, t)| fns[t].qual.as_str())
+            .collect();
+        // No type is named `A` or `B`: each call may land in any impl.
+        assert_eq!(targets, ["Bitmap::get", "Oid::get"].into());
     }
 
     #[test]

@@ -198,6 +198,75 @@ fn panic_reachable_from_dispatch_is_reported_with_chain() {
     );
 }
 
+const CLIENT_RS: &str = "crates/server/src/client.rs";
+
+#[test]
+fn panic_under_generated_client_stubs_is_reported_through_rpc() {
+    // The shape of the real client: the store methods come out of a
+    // macro (no `fn kind_of` in the text for `dispatch` to link to) and
+    // all funnel into `rpc`, which picks the reply decoder through a
+    // generic parameter.
+    let root = seed_tree("rpc-root");
+    write(
+        &root,
+        CLIENT_RS,
+        "impl RemoteStore {\n\
+             fn call(&mut self, req: Request) -> Response {\n\
+                 self.round_trip(None)\n\
+             }\n\
+             fn round_trip(&mut self, t: Option<u32>) -> Response {\n\
+                 panic!(\"seeded\")\n\
+             }\n\
+             fn rpc<T: Reply>(&mut self, req: Request) -> T {\n\
+                 T::from_response(self.call(req))\n\
+             }\n\
+         }\n\
+         impl Reply for u32 {\n\
+             fn from_response(resp: Response) -> u32 {\n\
+                 resp.value().unwrap()\n\
+             }\n\
+         }\n\
+         impl HyperStore for RemoteStore {\n\
+             hypermodel::store_ops!(remote_methods);\n\
+         }\n",
+    );
+    let (code, text) = run(&root, &["--no-baseline"]);
+    assert_eq!(code, 1, "seeded panics must fail:\n{text}");
+    assert!(
+        text.contains("`panic!` at crates/server/src/client.rs:6")
+            && text.contains(
+                "RemoteStore::rpc (crates/server/src/client.rs:9) -> \
+                 RemoteStore::call (crates/server/src/client.rs:3) -> RemoteStore::round_trip"
+            ),
+        "client call path not under the gate:\n{text}"
+    );
+    assert!(
+        text.contains("`unwrap` at crates/server/src/client.rs:14")
+            && text
+                .contains("RemoteStore::rpc (crates/server/src/client.rs:9) -> u32::from_response"),
+        "`T::from_response(` must link to the impls:\n{text}"
+    );
+}
+
+#[test]
+fn real_client_round_trip_is_under_the_panic_gate() {
+    // The workspace's own client.rs with a panic planted in
+    // `round_trip`: whatever shape the stubs above it take, the one
+    // place a request crosses the wire must stay reachable from a root.
+    let real = std::fs::read_to_string(workspace_root().join(CLIENT_RS)).expect("client.rs");
+    let at = real.find("fn round_trip(").expect("round_trip exists");
+    let body = at + real[at..].find("{\n").expect("round_trip body") + 2;
+    let planted = format!("{}panic!(\"seeded\");\n{}", &real[..body], &real[body..]);
+    let root = seed_tree("real-client");
+    write(&root, CLIENT_RS, &planted);
+    let (code, text) = run(&root, &["--no-baseline"]);
+    assert_eq!(code, 1, "planted panic must fail:\n{text}");
+    assert!(
+        text.contains("[panic-path] `panic!`") && text.contains("-> RemoteStore::round_trip"),
+        "round_trip left the gate:\n{text}"
+    );
+}
+
 #[test]
 fn allow_marker_suppresses_and_unused_marker_warns() {
     let root = seed_tree("allows");

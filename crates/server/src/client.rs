@@ -16,9 +16,9 @@
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::HyperStore;
-use hypermodel::Bitmap;
+use hypermodel::{Bitmap, NodeExport};
 
-use crate::protocol::{Request, Response};
+use crate::protocol::{unexpected, Reply, Request, Response};
 use crate::transport::Transport;
 
 /// Where closure/editing operations execute.
@@ -213,7 +213,7 @@ impl RemoteStore {
         // Tag mutations so the server can deduplicate a retry whose
         // original was executed but whose response was lost. Reads are
         // naturally idempotent and go untagged.
-        let req = if is_mutation(&req) {
+        let req = if req.mutates() {
             let id = self.next_request_id;
             self.next_request_id += 1;
             Request::Tagged(id, Box::new(req))
@@ -270,235 +270,43 @@ impl RemoteStore {
         Response::decode(&self.rframe)
     }
 
-    fn expect_oid(&mut self, req: Request) -> Result<Oid> {
-        match self.call(req)? {
-            Response::Oid(o) => Ok(o),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn expect_oids(&mut self, req: Request) -> Result<Vec<Oid>> {
-        match self.call(req)? {
-            Response::Oids(v) => Ok(v),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn expect_u32(&mut self, req: Request) -> Result<u32> {
-        match self.call(req)? {
-            Response::U32(v) => Ok(v),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn expect_u64(&mut self, req: Request) -> Result<u64> {
-        match self.call(req)? {
-            Response::U64(v) => Ok(v),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn expect_unit(&mut self, req: Request) -> Result<()> {
-        match self.call(req)? {
-            Response::Unit => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn expect_edges(&mut self, req: Request) -> Result<Vec<RefEdge>> {
-        match self.call(req)? {
-            Response::Edges(v) => Ok(v),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Client-side pre-order traversal over a relationship accessor.
-    fn client_side_preorder<F>(&mut self, start: Oid, mut next: F) -> Result<Vec<Oid>>
-    where
-        F: FnMut(&mut Self, Oid) -> Result<Vec<Oid>>,
-    {
-        let mut out = Vec::new();
-        let mut stack = vec![start];
-        while let Some(oid) = stack.pop() {
-            out.push(oid);
-            let succ = next(self, oid)?;
-            for &s in succ.iter().rev() {
-                stack.push(s);
-            }
-        }
-        Ok(out)
+    /// One round trip: send `req`, read the answer as the type the
+    /// calling method returns.
+    fn rpc<T: Reply>(&mut self, req: Request) -> Result<T> {
+        T::from_response(self.call(req)?)
     }
 }
 
-fn unexpected(resp: Response) -> HmError {
-    HmError::Backend(format!("unexpected response {resp:?}"))
+/// One method per catalogue row, each a single round trip. A `#[derived]`
+/// row is shipped whole only in [`ClosureMode::ServerSide`]; in
+/// [`ClosureMode::ClientSide`] it is the trait's own default traversal,
+/// run here over the primitive round trips. Batched primitives carry a
+/// whole traversal frontier, so they are one message in either mode.
+macro_rules! remote_methods {
+    ($(
+        $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
+    )*) => {$(
+        fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
+            remote_method!([$($mark)?] self, $name($($($arg),+)?),
+                Request::$variant $(( $(hypermodel::own!($arg: $($ty)+)),+ ))?)
+        }
+    )*};
 }
-
-/// True when a blind re-execution of `req` could change state twice.
-fn is_mutation(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::SetHundred(..)
-            | Request::SetText(..)
-            | Request::SetForm(..)
-            | Request::CreateNode(_)
-            | Request::CreateNodeClustered(..)
-            | Request::AddChild(..)
-            | Request::AddPart(..)
-            | Request::AddRef(..)
-            | Request::InsertExtraNode(_)
-            | Request::Commit
-            | Request::ColdRestart
-            | Request::SetHundredBatch(_)
-            | Request::Closure1NAttSet(_)
-            | Request::TextNodeEdit(..)
-            | Request::FormNodeEdit(..)
-            | Request::PrepareCommit(_)
-            | Request::CommitPrepared(_)
-            | Request::AbortPrepared(_)
-            | Request::InstallSubtree(_)
-            | Request::InstallNodes(_)
-            | Request::ActivateNodes(_)
-            | Request::RetireNodes(..)
-    )
+macro_rules! remote_method {
+    ([] $store:ident, $name:ident($($arg:ident),*), $req:expr) => {
+        $store.rpc($req)
+    };
+    ([derived] $store:ident, $name:ident($($arg:ident),*), $req:expr) => {
+        match $store.mode {
+            ClosureMode::ServerSide => $store.rpc($req),
+            ClosureMode::ClientSide => hypermodel::store::$name($store $(, $arg)*),
+        }
+    };
 }
 
 impl HyperStore for RemoteStore {
-    fn lookup_unique(&mut self, unique_id: u64) -> Result<Oid> {
-        self.expect_oid(Request::LookupUnique(unique_id))
-    }
-
-    fn unique_id_of(&mut self, oid: Oid) -> Result<u64> {
-        self.expect_u64(Request::UniqueIdOf(oid))
-    }
-
-    fn kind_of(&mut self, oid: Oid) -> Result<NodeKind> {
-        match self.call(Request::KindOf(oid))? {
-            Response::U16(k) => Ok(NodeKind(k)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn ten_of(&mut self, oid: Oid) -> Result<u32> {
-        self.expect_u32(Request::TenOf(oid))
-    }
-
-    fn hundred_of(&mut self, oid: Oid) -> Result<u32> {
-        self.expect_u32(Request::HundredOf(oid))
-    }
-
-    fn million_of(&mut self, oid: Oid) -> Result<u32> {
-        self.expect_u32(Request::MillionOf(oid))
-    }
-
-    fn set_hundred(&mut self, oid: Oid, value: u32) -> Result<()> {
-        self.expect_unit(Request::SetHundred(oid, value))
-    }
-
-    fn range_hundred(&mut self, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        self.expect_oids(Request::RangeHundred(lo, hi))
-    }
-
-    fn range_million(&mut self, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        self.expect_oids(Request::RangeMillion(lo, hi))
-    }
-
-    fn children(&mut self, oid: Oid) -> Result<Vec<Oid>> {
-        self.expect_oids(Request::Children(oid))
-    }
-
-    fn parent(&mut self, oid: Oid) -> Result<Option<Oid>> {
-        match self.call(Request::Parent(oid))? {
-            Response::OptOid(o) => Ok(o),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn parts(&mut self, oid: Oid) -> Result<Vec<Oid>> {
-        self.expect_oids(Request::Parts(oid))
-    }
-
-    fn part_of(&mut self, oid: Oid) -> Result<Vec<Oid>> {
-        self.expect_oids(Request::PartOf(oid))
-    }
-
-    fn refs_to(&mut self, oid: Oid) -> Result<Vec<RefEdge>> {
-        self.expect_edges(Request::RefsTo(oid))
-    }
-
-    fn refs_from(&mut self, oid: Oid) -> Result<Vec<RefEdge>> {
-        self.expect_edges(Request::RefsFrom(oid))
-    }
-
-    fn seq_scan_ten(&mut self) -> Result<u64> {
-        self.expect_u64(Request::SeqScanTen)
-    }
-
-    fn text_of(&mut self, oid: Oid) -> Result<String> {
-        match self.call(Request::TextOf(oid))? {
-            Response::Text(s) => Ok(s),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn set_text(&mut self, oid: Oid, text: &str) -> Result<()> {
-        self.expect_unit(Request::SetText(oid, text.to_string()))
-    }
-
-    fn form_of(&mut self, oid: Oid) -> Result<Bitmap> {
-        match self.call(Request::FormOf(oid))? {
-            Response::Form(bm) => Ok(bm),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn set_form(&mut self, oid: Oid, bitmap: &Bitmap) -> Result<()> {
-        self.expect_unit(Request::SetForm(oid, bitmap.clone()))
-    }
-
-    fn create_node(&mut self, value: &NodeValue) -> Result<Oid> {
-        self.expect_oid(Request::CreateNode(value.clone()))
-    }
-
-    fn create_node_clustered(&mut self, value: &NodeValue, near: Option<Oid>) -> Result<Oid> {
-        self.expect_oid(Request::CreateNodeClustered(value.clone(), near))
-    }
-
-    fn add_child(&mut self, parent: Oid, child: Oid) -> Result<()> {
-        self.expect_unit(Request::AddChild(parent, child))
-    }
-
-    fn add_part(&mut self, owner: Oid, part: Oid) -> Result<()> {
-        self.expect_unit(Request::AddPart(owner, part))
-    }
-
-    fn add_ref(&mut self, from: Oid, to: Oid, offset_from: u8, offset_to: u8) -> Result<()> {
-        self.expect_unit(Request::AddRef(from, to, offset_from, offset_to))
-    }
-
-    fn insert_extra_node(&mut self, value: &NodeValue) -> Result<Oid> {
-        self.expect_oid(Request::InsertExtraNode(value.clone()))
-    }
-
-    fn commit(&mut self) -> Result<()> {
-        self.expect_unit(Request::Commit)
-    }
-
-    fn cold_restart(&mut self) -> Result<()> {
-        self.expect_unit(Request::ColdRestart)
-    }
-
-    fn prepare_commit(&mut self, txid: u64) -> Result<()> {
-        self.expect_unit(Request::PrepareCommit(txid))
-    }
-
-    fn commit_prepared(&mut self, txid: u64) -> Result<()> {
-        self.expect_unit(Request::CommitPrepared(txid))
-    }
-
-    fn abort_prepared(&mut self, txid: u64) -> Result<()> {
-        self.expect_unit(Request::AbortPrepared(txid))
-    }
+    hypermodel::store_ops!(remote_methods);
 
     fn backend_name(&self) -> &'static str {
         match self.mode {
@@ -514,242 +322,6 @@ impl HyperStore for RemoteStore {
                 self.retries, self.gave_up, p.request_timeout, p.max_retries
             )
         })
-    }
-
-    // ---- batched primitives: always one round trip --------------------
-    //
-    // Batch calls carry a whole traversal frontier, so shipping them as a
-    // single message is the point regardless of the closure mode.
-
-    fn children_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
-        match self.call(Request::ChildrenBatch(oids.to_vec()))? {
-            Response::OidLists(v) => Ok(v),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn parts_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
-        match self.call(Request::PartsBatch(oids.to_vec()))? {
-            Response::OidLists(v) => Ok(v),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn refs_to_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<RefEdge>>> {
-        match self.call(Request::RefsToBatch(oids.to_vec()))? {
-            Response::EdgeLists(v) => Ok(v),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn hundred_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
-        match self.call(Request::HundredBatch(oids.to_vec()))? {
-            Response::U32s(v) => Ok(v),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn million_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
-        match self.call(Request::MillionBatch(oids.to_vec()))? {
-            Response::U32s(v) => Ok(v),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn set_hundred_batch(&mut self, updates: &[(Oid, u32)]) -> Result<()> {
-        self.expect_unit(Request::SetHundredBatch(updates.to_vec()))
-    }
-
-    // ---- conceptual operations: mode-dependent ------------------------
-
-    fn closure_1n(&mut self, start: Oid) -> Result<Vec<Oid>> {
-        match self.mode {
-            ClosureMode::ServerSide => self.expect_oids(Request::Closure1N(start)),
-            ClosureMode::ClientSide => self.client_side_preorder(start, |s, o| s.children(o)),
-        }
-    }
-
-    fn closure_1n_att_sum(&mut self, start: Oid) -> Result<(u64, usize)> {
-        match self.mode {
-            ClosureMode::ServerSide => match self.call(Request::Closure1NAttSum(start))? {
-                Response::SumCount(s, c) => Ok((s, c as usize)),
-                other => Err(unexpected(other)),
-            },
-            ClosureMode::ClientSide => {
-                let closure = self.closure_1n(start)?;
-                let mut sum = 0u64;
-                for &o in &closure {
-                    sum += self.hundred_of(o)? as u64;
-                }
-                Ok((sum, closure.len()))
-            }
-        }
-    }
-
-    fn closure_1n_att_set(&mut self, start: Oid) -> Result<usize> {
-        match self.mode {
-            ClosureMode::ServerSide => {
-                Ok(self.expect_u64(Request::Closure1NAttSet(start))? as usize)
-            }
-            ClosureMode::ClientSide => {
-                let closure = self.closure_1n(start)?;
-                for &o in &closure {
-                    let current = self.hundred_of(o)?;
-                    self.set_hundred(o, 99u32.wrapping_sub(current))?;
-                }
-                Ok(closure.len())
-            }
-        }
-    }
-
-    fn closure_1n_pred(&mut self, start: Oid, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        match self.mode {
-            ClosureMode::ServerSide => self.expect_oids(Request::Closure1NPred(start, lo, hi)),
-            ClosureMode::ClientSide => {
-                let mut out = Vec::new();
-                let mut stack = vec![start];
-                while let Some(oid) = stack.pop() {
-                    let m = self.million_of(oid)?;
-                    if (lo..=hi).contains(&m) {
-                        continue;
-                    }
-                    out.push(oid);
-                    let kids = self.children(oid)?;
-                    for &k in kids.iter().rev() {
-                        stack.push(k);
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn closure_mn(&mut self, start: Oid) -> Result<Vec<Oid>> {
-        match self.mode {
-            ClosureMode::ServerSide => self.expect_oids(Request::ClosureMN(start)),
-            ClosureMode::ClientSide => self.client_side_preorder(start, |s, o| s.parts(o)),
-        }
-    }
-
-    fn closure_mnatt(&mut self, start: Oid, depth: u32) -> Result<Vec<Oid>> {
-        match self.mode {
-            ClosureMode::ServerSide => self.expect_oids(Request::ClosureMNAtt(start, depth)),
-            ClosureMode::ClientSide => {
-                let mut out = Vec::new();
-                let mut stack = vec![(start, depth)];
-                while let Some((oid, d)) = stack.pop() {
-                    if d == 0 {
-                        continue;
-                    }
-                    let edges = self.refs_to(oid)?;
-                    for e in edges.iter().rev() {
-                        out.push(e.target);
-                        stack.push((e.target, d - 1));
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn closure_mnatt_linksum(&mut self, start: Oid, depth: u32) -> Result<Vec<(Oid, u64)>> {
-        match self.mode {
-            ClosureMode::ServerSide => {
-                match self.call(Request::ClosureMNAttLinkSum(start, depth))? {
-                    Response::Pairs(v) => Ok(v),
-                    other => Err(unexpected(other)),
-                }
-            }
-            ClosureMode::ClientSide => {
-                let mut out = Vec::new();
-                let mut stack = vec![(start, depth, 0u64)];
-                while let Some((oid, d, dist)) = stack.pop() {
-                    if d == 0 {
-                        continue;
-                    }
-                    let edges = self.refs_to(oid)?;
-                    for e in edges.iter().rev() {
-                        let total = dist + e.offset_to as u64;
-                        out.push((e.target, total));
-                        stack.push((e.target, d - 1, total));
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn text_node_edit(&mut self, oid: Oid, from: &str, to: &str) -> Result<usize> {
-        match self.mode {
-            ClosureMode::ServerSide => Ok(self.expect_u64(Request::TextNodeEdit(
-                oid,
-                from.to_string(),
-                to.to_string(),
-            ))? as usize),
-            ClosureMode::ClientSide => {
-                // Fetch, edit on the workstation, store back.
-                if self.kind_of(oid)? != NodeKind::TEXT {
-                    return Err(HmError::WrongKind {
-                        oid,
-                        expected: "TextNode",
-                    });
-                }
-                let current = self.text_of(oid)?;
-                let (edited, n) = hypermodel::text::substitute(&current, from, to);
-                self.set_text(oid, &edited)?;
-                Ok(n)
-            }
-        }
-    }
-
-    fn form_node_edit(&mut self, oid: Oid, x0: u16, y0: u16, x1: u16, y1: u16) -> Result<()> {
-        match self.mode {
-            ClosureMode::ServerSide => self.expect_unit(Request::FormNodeEdit(oid, x0, y0, x1, y1)),
-            ClosureMode::ClientSide => {
-                if self.kind_of(oid)? != NodeKind::FORM {
-                    return Err(HmError::WrongKind {
-                        oid,
-                        expected: "FormNode",
-                    });
-                }
-                let mut bm = self.form_of(oid)?;
-                bm.invert_rect(x0, y0, x1, y1);
-                self.set_form(oid, &bm)
-            }
-        }
-    }
-
-    fn sync_export(&mut self) -> Result<Vec<u8>> {
-        match self.call(Request::SyncSubtree)? {
-            Response::Subtree(b) => Ok(b),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn sync_import(&mut self, snapshot: &[u8]) -> Result<()> {
-        self.expect_unit(Request::InstallSubtree(snapshot.to_vec()))
-    }
-
-    // ---- online migration: the remote server is a migration endpoint --
-
-    fn export_nodes(&mut self, oids: &[Oid]) -> Result<Vec<hypermodel::migrate::NodeExport>> {
-        match self.call(Request::ExportNodes(oids.to_vec()))? {
-            Response::Subtree(b) => hypermodel::migrate::decode_batch(&b),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn install_nodes(&mut self, batch: &[hypermodel::migrate::NodeExport]) -> Result<Vec<Oid>> {
-        let bytes = hypermodel::migrate::encode_batch(batch);
-        self.expect_oids(Request::InstallNodes(bytes))
-    }
-
-    fn activate_nodes(&mut self, oids: &[Oid]) -> Result<()> {
-        self.expect_unit(Request::ActivateNodes(oids.to_vec()))
-    }
-
-    fn retire_nodes(&mut self, oids: &[Oid], moved_to: u16, epoch: u64) -> Result<()> {
-        self.expect_unit(Request::RetireNodes(oids.to_vec(), moved_to, epoch))
     }
 
     /// Placement hints learned from [`Response::Moved`] redirects on

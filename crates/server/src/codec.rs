@@ -2,18 +2,21 @@
 //!
 //! Little-endian, length-prefixed, no external dependencies — the same
 //! conventions as the storage engine's record formats, so the whole
-//! system speaks one dialect.
+//! system speaks one dialect. [`Writer`] and [`Reader`] move bytes and
+//! fixed-width integers; [`Wire`] is how every typed message field is
+//! written and read, so a field type is encoded one way wherever it
+//! appears.
 
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeValue, Oid, RefEdge};
-use hypermodel::Bitmap;
+use hypermodel::{Bitmap, NodeExport};
 
 /// Element-count cap for preallocating from an untrusted length prefix.
 ///
 /// No prefix can legitimately describe more than one frame's worth of
 /// payload, so clamp to the element count a maximal frame could carry
-/// before reserving. The loop below still reads exactly `n` elements —
-/// a lying prefix hits the reader's bounds check, not the allocator.
+/// before reserving. The caller still reads exactly `n` elements — a
+/// lying prefix hits the reader's bounds check, not the allocator.
 pub fn prealloc_cap(n: usize, elem_size: usize) -> usize {
     n.min(crate::transport::MAX_FRAME / elem_size.max(1))
 }
@@ -65,50 +68,10 @@ impl<'a> Writer<'a> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Write an object id.
-    pub fn oid(&mut self, v: Oid) {
-        self.u64(v.0);
-    }
-
     /// Write a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
-    }
-
-    /// Write a length-prefixed UTF-8 string.
-    pub fn string(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Write a vector of oids.
-    pub fn oids(&mut self, v: &[Oid]) {
-        self.u32(v.len() as u32);
-        for o in v {
-            self.oid(*o);
-        }
-    }
-
-    /// Write a vector of reference edges.
-    pub fn edges(&mut self, v: &[RefEdge]) {
-        self.u32(v.len() as u32);
-        for e in v {
-            self.oid(e.target);
-            self.u8(e.offset_from);
-            self.u8(e.offset_to);
-        }
-    }
-
-    /// Write a bitmap.
-    pub fn bitmap(&mut self, bm: &Bitmap) {
-        self.u16(bm.width());
-        self.u16(bm.height());
-        self.bytes(bm.bits());
-    }
-
-    /// Write an encoded node value.
-    pub fn node_value(&mut self, v: &NodeValue) {
-        self.nested(|w| v.encode_into(w.buf));
     }
 }
 
@@ -169,65 +132,180 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(b.try_into().map_err(|_| short())?))
     }
 
-    /// Read an object id.
-    pub fn oid(&mut self) -> Result<Oid> {
-        Ok(Oid(self.u64()?))
-    }
-
-    /// Read a length-prefixed byte string as a borrow of the frame.
-    /// Prefer this over [`Reader::bytes`] when the caller only parses
-    /// or re-slices the payload — it avoids a copy per field.
+    /// Read a length-prefixed byte string as a borrow of the frame: the
+    /// length is checked against what the frame holds before anything is
+    /// sized by it.
     pub fn bytes_ref(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
         self.take(n)
     }
+}
 
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>> {
-        Ok(self.bytes_ref()?.to_vec())
+/// A type with one wire encoding: every request and response field goes
+/// through `put` / `get`, so adding a message never adds a codec.
+pub trait Wire: Sized {
+    /// Append `self`'s encoding.
+    fn put(&self, w: &mut Writer);
+
+    /// Read one value.
+    fn get(r: &mut Reader) -> Result<Self>;
+
+    /// Append a `u32` count and each item: the encoding of `Vec<Self>`.
+    fn put_all(items: &[Self], w: &mut Writer) {
+        w.u32(items.len() as u32);
+        for item in items {
+            item.put(w);
+        }
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?)
+    /// Read what [`Wire::put_all`] wrote. The one place a decoded length
+    /// sizes an allocation, and only through [`prealloc_cap`].
+    fn get_all(r: &mut Reader) -> Result<Vec<Self>> {
+        let n = r.u32()? as usize;
+        let mut items = Vec::with_capacity(prealloc_cap(n, std::mem::size_of::<Self>()));
+        for _ in 0..n {
+            items.push(Self::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        T::put_all(self, w);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        T::get_all(r)
+    }
+}
+
+impl Wire for u8 {
+    fn put(&self, w: &mut Writer) {
+        w.u8(*self);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        r.u8()
+    }
+    // A byte string has the generic layout (count, then items) and is
+    // moved as one slice.
+    fn put_all(items: &[u8], w: &mut Writer) {
+        w.bytes(items);
+    }
+    fn get_all(r: &mut Reader) -> Result<Vec<u8>> {
+        Ok(r.bytes_ref()?.to_vec())
+    }
+}
+
+macro_rules! wire_int {
+    ($($int:ident)*) => {$(
+        impl Wire for $int {
+            fn put(&self, w: &mut Writer) {
+                w.$int(*self);
+            }
+            fn get(r: &mut Reader) -> Result<Self> {
+                r.$int()
+            }
+        }
+    )*};
+}
+wire_int!(u16 u32 u64);
+
+impl Wire for Oid {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.0);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        Ok(Oid(r.u64()?))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A presence byte, then the value. Only 0 and 1 are presence bytes: a
+/// corrupted flag must not quietly drop the value after it.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Some(v) => {
+                w.u8(1);
+                v.put(w);
+            }
+            None => w.u8(0),
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            flag => Err(HmError::Backend(format!("wire option flag {flag}"))),
+        }
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(self.as_bytes());
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        String::from_utf8(Vec::get(r)?)
             .map_err(|_| HmError::Backend("wire string is not utf-8".into()))
     }
+}
 
-    /// Read a vector of oids.
-    pub fn oids(&mut self) -> Result<Vec<Oid>> {
-        let n = self.u32()? as usize;
-        let mut v = Vec::with_capacity(prealloc_cap(n, 8));
-        for _ in 0..n {
-            v.push(self.oid()?);
-        }
-        Ok(v)
+impl Wire for RefEdge {
+    fn put(&self, w: &mut Writer) {
+        self.target.put(w);
+        w.u8(self.offset_from);
+        w.u8(self.offset_to);
     }
-
-    /// Read a vector of reference edges.
-    pub fn edges(&mut self) -> Result<Vec<RefEdge>> {
-        let n = self.u32()? as usize;
-        let mut v = Vec::with_capacity(prealloc_cap(n, 10));
-        for _ in 0..n {
-            v.push(RefEdge {
-                target: self.oid()?,
-                offset_from: self.u8()?,
-                offset_to: self.u8()?,
-            });
-        }
-        Ok(v)
+    fn get(r: &mut Reader) -> Result<Self> {
+        Ok(RefEdge {
+            target: Oid::get(r)?,
+            offset_from: r.u8()?,
+            offset_to: r.u8()?,
+        })
     }
+}
 
-    /// Read a bitmap.
-    pub fn bitmap(&mut self) -> Result<Bitmap> {
-        let w = self.u16()?;
-        let h = self.u16()?;
-        let bits = self.bytes()?;
-        Bitmap::from_bits(w, h, bits).map_err(HmError::Backend)
+impl Wire for Bitmap {
+    fn put(&self, w: &mut Writer) {
+        w.u16(self.width());
+        w.u16(self.height());
+        w.bytes(self.bits());
     }
+    fn get(r: &mut Reader) -> Result<Self> {
+        let (w, h) = (r.u16()?, r.u16()?);
+        Bitmap::from_bits(w, h, Vec::get(r)?).map_err(HmError::Backend)
+    }
+}
 
-    /// Read an encoded node value.
-    pub fn node_value(&mut self) -> Result<NodeValue> {
-        NodeValue::decode(self.bytes_ref()?)
+/// The canonical record encoding, length-prefixed.
+impl Wire for NodeValue {
+    fn put(&self, w: &mut Writer) {
+        w.nested(|w| self.encode_into(w.buf));
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        NodeValue::decode(r.bytes_ref()?)
+    }
+}
+
+/// A migration batch in `hypermodel::migrate`'s own portable format,
+/// length-prefixed. (`NodeExport` alone has no wire form, so this does
+/// not meet the blanket `Vec<T>` impl.)
+impl Wire for Vec<NodeExport> {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(&hypermodel::migrate::encode_batch(self));
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        hypermodel::migrate::decode_batch(r.bytes_ref()?)
     }
 }
 
@@ -235,6 +313,14 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use hypermodel::model::{Content, NodeAttrs, NodeKind};
+
+    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
+        let mut buf = Vec::new();
+        v.put(&mut Writer::over(&mut buf));
+        let mut r = Reader::new(&buf);
+        assert_eq!(T::get(&mut r).unwrap(), v);
+        assert!(r.is_exhausted());
+    }
 
     #[test]
     fn scalar_round_trip() {
@@ -244,49 +330,47 @@ mod tests {
         w.u16(300);
         w.u32(70_000);
         w.u64(u64::MAX - 1);
-        w.string("hello wire");
+        "hello wire".to_string().put(&mut w);
         let bytes = buf;
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 300);
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.string().unwrap(), "hello wire");
+        assert_eq!(String::get(&mut r).unwrap(), "hello wire");
         assert!(r.is_exhausted());
     }
 
     #[test]
     fn collections_round_trip() {
-        let mut buf = Vec::new();
-        let mut w = Writer::over(&mut buf);
-        w.oids(&[Oid(1), Oid(99), Oid(12345)]);
-        w.edges(&[RefEdge {
+        round_trip(vec![Oid(1), Oid(99), Oid(12345)]);
+        round_trip(vec![RefEdge {
             target: Oid(5),
             offset_from: 3,
             offset_to: 9,
         }]);
-        let bm = {
-            let mut b = Bitmap::white(20, 10);
-            b.set(3, 3, true);
-            b
-        };
-        w.bitmap(&bm);
-        let bytes = buf;
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.oids().unwrap(), vec![Oid(1), Oid(99), Oid(12345)]);
-        let e = r.edges().unwrap();
-        assert_eq!(e.len(), 1);
-        assert_eq!(
-            (e[0].target, e[0].offset_from, e[0].offset_to),
-            (Oid(5), 3, 9)
-        );
-        assert_eq!(r.bitmap().unwrap(), bm);
-        assert!(r.is_exhausted());
+        round_trip(vec![vec![Oid(1)], vec![]]);
+        round_trip(vec![(Oid(4), 7u32)]);
+        round_trip(Some(Oid(3)));
+        round_trip(None::<Oid>);
+        let mut bm = Bitmap::white(20, 10);
+        bm.set(3, 3, true);
+        round_trip(bm);
+    }
+
+    #[test]
+    fn byte_strings_share_the_generic_vec_layout() {
+        // `u8` overrides `put_all`/`get_all` for speed only.
+        let bytes = vec![9u8, 8, 7];
+        let mut fast = Vec::new();
+        bytes.put(&mut Writer::over(&mut fast));
+        assert_eq!(fast, [3, 0, 0, 0, 9, 8, 7]);
+        round_trip(bytes);
     }
 
     #[test]
     fn node_value_round_trip() {
-        let v = NodeValue {
+        round_trip(NodeValue {
             kind: NodeKind::TEXT,
             attrs: NodeAttrs {
                 unique_id: 9,
@@ -296,23 +380,35 @@ mod tests {
                 million: 4,
             },
             content: Content::Text("version1 words version1 tail version1".into()),
-        };
-        let mut buf = Vec::new();
-        let mut w = Writer::over(&mut buf);
-        w.node_value(&v);
-        let bytes = buf;
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.node_value().unwrap(), v);
+        });
+    }
+
+    #[test]
+    fn option_flag_other_than_0_or_1_is_refused() {
+        for flag in [2u8, 0x80, 0xFF] {
+            let bytes = [flag, 7, 0, 0, 0, 0, 0, 0, 0];
+            assert!(Option::<Oid>::get(&mut Reader::new(&bytes)).is_err());
+        }
+    }
+
+    #[test]
+    fn lying_length_prefix_reserves_at_most_a_frame() {
+        // 4 billion oids announced, none present: the decode fails on the
+        // bounds check and the reservation was clamped first.
+        let bytes = u32::MAX.to_le_bytes();
+        assert!(Vec::<Oid>::get(&mut Reader::new(&bytes)).is_err());
+        assert_eq!(
+            prealloc_cap(u32::MAX as usize, 8),
+            crate::transport::MAX_FRAME / 8
+        );
     }
 
     #[test]
     fn truncation_is_detected() {
         let mut buf = Vec::new();
-        Writer::over(&mut buf).string("0123456789");
+        "0123456789".to_string().put(&mut Writer::over(&mut buf));
         let bytes = buf;
-        let mut r = Reader::new(&bytes[..bytes.len() - 2]);
-        assert!(r.string().is_err());
-        let mut r = Reader::new(&bytes[..2]);
-        assert!(r.u32().is_err() || r.string().is_err());
+        assert!(String::get(&mut Reader::new(&bytes[..bytes.len() - 2])).is_err());
+        assert!(String::get(&mut Reader::new(&bytes[..2])).is_err());
     }
 }

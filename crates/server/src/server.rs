@@ -6,7 +6,7 @@
 use hypermodel::error::Result;
 use hypermodel::store::HyperStore;
 
-use crate::protocol::{Request, Response};
+use crate::protocol::{redirect_subject, reply, Request, Response};
 use crate::transport::Transport;
 
 /// Per-session statistics, returned when the loop ends.
@@ -141,119 +141,41 @@ pub(crate) fn execute<S: HyperStore + ?Sized>(
     }
 }
 
+/// Run one request against the store and say what to answer.
 pub(crate) fn dispatch<S: HyperStore + ?Sized>(store: &mut S, req: Request) -> Response {
-    fn ok_or_err<T>(r: Result<T>, f: impl FnOnce(T) -> Response) -> Response {
-        match r {
-            Ok(v) => f(v),
-            Err(e) => Response::Err(e.to_string()),
-        }
-    }
     // A request about a node this server migrated away is answered with
     // its new placement, not served from the retired ghost stand-in.
-    if let Some(o) = crate::protocol::redirect_subject(&req) {
+    if let Some(o) = redirect_subject(&req) {
         if let Some((to, epoch)) = store.moved_hint(o) {
             return Response::Moved(to, epoch);
         }
     }
-    match req {
-        Request::LookupUnique(uid) => ok_or_err(store.lookup_unique(uid), Response::Oid),
-        Request::UniqueIdOf(o) => ok_or_err(store.unique_id_of(o), Response::U64),
-        Request::KindOf(o) => ok_or_err(store.kind_of(o), |k| Response::U16(k.0)),
-        Request::TenOf(o) => ok_or_err(store.ten_of(o), Response::U32),
-        Request::HundredOf(o) => ok_or_err(store.hundred_of(o), Response::U32),
-        Request::MillionOf(o) => ok_or_err(store.million_of(o), Response::U32),
-        Request::SetHundred(o, v) => ok_or_err(store.set_hundred(o, v), |_| Response::Unit),
-        Request::RangeHundred(lo, hi) => ok_or_err(store.range_hundred(lo, hi), Response::Oids),
-        Request::RangeMillion(lo, hi) => ok_or_err(store.range_million(lo, hi), Response::Oids),
-        Request::Children(o) => ok_or_err(store.children(o), Response::Oids),
-        Request::Parent(o) => ok_or_err(store.parent(o), Response::OptOid),
-        Request::Parts(o) => ok_or_err(store.parts(o), Response::Oids),
-        Request::PartOf(o) => ok_or_err(store.part_of(o), Response::Oids),
-        Request::RefsTo(o) => ok_or_err(store.refs_to(o), Response::Edges),
-        Request::RefsFrom(o) => ok_or_err(store.refs_from(o), Response::Edges),
-        Request::SeqScanTen => ok_or_err(store.seq_scan_ten(), Response::U64),
-        Request::TextOf(o) => ok_or_err(store.text_of(o), Response::Text),
-        Request::SetText(o, s) => ok_or_err(store.set_text(o, &s), |_| Response::Unit),
-        Request::FormOf(o) => ok_or_err(store.form_of(o), Response::Form),
-        Request::SetForm(o, bm) => ok_or_err(store.set_form(o, &bm), |_| Response::Unit),
-        Request::CreateNode(v) => ok_or_err(store.create_node(&v), Response::Oid),
-        Request::CreateNodeClustered(v, near) => {
-            ok_or_err(store.create_node_clustered(&v, near), Response::Oid)
-        }
-        Request::AddChild(a, b) => ok_or_err(store.add_child(a, b), |_| Response::Unit),
-        Request::AddPart(a, b) => ok_or_err(store.add_part(a, b), |_| Response::Unit),
-        Request::AddRef(a, b, f, t) => ok_or_err(store.add_ref(a, b, f, t), |_| Response::Unit),
-        Request::InsertExtraNode(v) => ok_or_err(store.insert_extra_node(&v), Response::Oid),
-        Request::Commit => ok_or_err(store.commit(), |_| Response::Unit),
-        Request::ColdRestart => ok_or_err(store.cold_restart(), |_| Response::Unit),
-        // Server-side conceptual operations: one round trip each.
-        Request::Closure1N(o) => ok_or_err(store.closure_1n(o), Response::Oids),
-        Request::Closure1NAttSum(o) => ok_or_err(store.closure_1n_att_sum(o), |(s, c)| {
-            Response::SumCount(s, c as u64)
-        }),
-        Request::Closure1NAttSet(o) => {
-            ok_or_err(store.closure_1n_att_set(o), |n| Response::U64(n as u64))
-        }
-        Request::Closure1NPred(o, lo, hi) => {
-            ok_or_err(store.closure_1n_pred(o, lo, hi), Response::Oids)
-        }
-        Request::ClosureMN(o) => ok_or_err(store.closure_mn(o), Response::Oids),
-        Request::ClosureMNAtt(o, d) => ok_or_err(store.closure_mnatt(o, d), Response::Oids),
-        Request::ClosureMNAttLinkSum(o, d) => {
-            ok_or_err(store.closure_mnatt_linksum(o, d), Response::Pairs)
-        }
-        Request::TextNodeEdit(o, from, to) => ok_or_err(store.text_node_edit(o, &from, &to), |n| {
-            Response::U64(n as u64)
-        }),
-        Request::FormNodeEdit(o, x0, y0, x1, y1) => {
-            ok_or_err(store.form_node_edit(o, x0, y0, x1, y1), |_| Response::Unit)
-        }
-        // Batched primitives: one round trip for a whole frontier level.
-        Request::ChildrenBatch(oids) => ok_or_err(store.children_batch(&oids), Response::OidLists),
-        Request::PartsBatch(oids) => ok_or_err(store.parts_batch(&oids), Response::OidLists),
-        Request::RefsToBatch(oids) => ok_or_err(store.refs_to_batch(&oids), Response::EdgeLists),
-        Request::HundredBatch(oids) => ok_or_err(store.hundred_batch(&oids), Response::U32s),
-        Request::MillionBatch(oids) => ok_or_err(store.million_batch(&oids), Response::U32s),
-        Request::SetHundredBatch(updates) => {
-            ok_or_err(store.set_hundred_batch(&updates), |_| Response::Unit)
-        }
-        // Two-phase commit: the store is a participant, the caller is
-        // the coordinator.
-        Request::PrepareCommit(txid) => ok_or_err(store.prepare_commit(txid), |_| Response::Unit),
-        Request::CommitPrepared(txid) => ok_or_err(store.commit_prepared(txid), |_| Response::Unit),
-        Request::AbortPrepared(txid) => ok_or_err(store.abort_prepared(txid), |_| Response::Unit),
-        // Anti-entropy: replica repair pulls a snapshot from a healthy
-        // server and installs it on a lagging one.
-        Request::SyncSubtree => ok_or_err(store.sync_export(), Response::Subtree),
-        Request::InstallSubtree(snap) => ok_or_err(store.sync_import(&snap), |_| Response::Unit),
-        // Online migration: export/install/activate/retire driven by a
-        // remote migration coordinator.
-        Request::ExportNodes(oids) => ok_or_err(store.export_nodes(&oids), |batch| {
-            Response::Subtree(hypermodel::migrate::encode_batch(&batch))
-        }),
-        Request::InstallNodes(bytes) => {
-            match hypermodel::migrate::decode_batch(&bytes)
-                .and_then(|batch| store.install_nodes(&batch))
-            {
-                Ok(locals) => Response::Oids(locals),
-                Err(e) => Response::Err(e.to_string()),
+    // One arm per catalogue row: call the row's method with the request's
+    // fields; the result type picks the response variant (`Reply`).
+    macro_rules! dispatch_rows {
+        ($(
+            $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+            fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
+        )*) => {
+            match req {
+                $(Request::$variant $(( $($arg),+ ))? => {
+                    reply(store.$name($($(hypermodel::lend!($arg: $($ty)+)),+)?))
+                })*
+                // Dedup is `execute`'s job; a direct dispatch just unwraps.
+                // (decode rejects nested Tagged, so this recurses at most once.)
+                Request::Tagged(_, inner) => dispatch(store, *inner),
+                // `admit` intercepts Shutdown before dispatch; reaching
+                // here means it arrived somewhere it cannot be honoured
+                // (e.g. inside a Tagged envelope) — refuse rather than
+                // panic.
+                Request::Shutdown => Response::Err("shutdown must be a top-level request".into()),
+                // A stats scrape is answered from the process-global
+                // metrics registry; the store itself plays no part.
+                Request::Stats => Response::Stats(obs::registry().snapshot().export_json()),
             }
-        }
-        Request::ActivateNodes(oids) => ok_or_err(store.activate_nodes(&oids), |_| Response::Unit),
-        Request::RetireNodes(oids, to, epoch) => {
-            ok_or_err(store.retire_nodes(&oids, to, epoch), |_| Response::Unit)
-        }
-        // Dedup is `execute`'s job; a direct dispatch just unwraps.
-        // (decode rejects nested Tagged, so this recurses at most once.)
-        Request::Tagged(_, inner) => dispatch(store, *inner),
-        // `admit` intercepts Shutdown before dispatch; reaching
-        // here means it arrived somewhere it cannot be honoured (e.g.
-        // inside a Tagged envelope) — refuse rather than panic.
-        Request::Shutdown => Response::Err("shutdown must be a top-level request".into()),
-        // A stats scrape is answered from the process-global metrics
-        // registry; the store itself plays no part.
-        Request::Stats => Response::Stats(obs::registry().snapshot().export_json()),
+        };
     }
+    hypermodel::store_ops!(dispatch_rows)
 }
 
 /// Serve requests from `transport` against `store` until the client sends

@@ -9,13 +9,14 @@
 //! write acknowledgement, the per-member lag flag, read routing with
 //! failover, demotion, and anti-entropy repair.
 //!
-//! Each trait method is declared once, at the bottom of this file, as a
-//! *read* (served by one healthy member, failing over on transient
-//! errors), a *write* (sent to every healthy member, joined per the
-//! [`WriteAck`] policy) or a *barrier* (sent to every healthy member and
-//! joined in full: commit, restart). All three go through the members'
-//! FIFO queues, so a read that follows an acked write can never observe
-//! the pre-write state of a mirror that is still applying it.
+//! Each operation's route is its class in the operation catalogue
+//! (`hypermodel::store_ops!`): a *read* (served by one healthy member,
+//! failing over on transient errors), a *write* (sent to every healthy
+//! member, joined per the [`WriteAck`] policy) or a *barrier* (sent to
+//! every healthy member and joined in full: commit, restart). All three
+//! go through the members' FIFO queues, so a read that follows an acked
+//! write can never observe the pre-write state of a mirror that is still
+//! applying it.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -494,95 +495,43 @@ impl<S: HyperStore + Send + 'static> ReplicaGroup<S> {
     }
 }
 
-/// Reference arguments are cloned into the job — it may outlive the
-/// call: a straggler keeps applying a write the caller was already acked
-/// for — and lent back to the member's method; the rest are `Copy`.
-macro_rules! own {
-    ($arg:ident: & $($ty:tt)+) => {
-        $arg.to_owned()
-    };
-    ($arg:ident: $($ty:tt)+) => {
-        $arg
-    };
-}
-macro_rules! lend {
-    ($arg:ident: & $($ty:tt)+) => {
-        &$arg
-    };
-    ($arg:ident: $($ty:tt)+) => {
-        $arg
-    };
-}
-
-/// Forward each method to the members through the named route
-/// (`read_one`, `write_each` or `barrier`). Argument types are
-/// bracketed so [`own`]/[`lend`] can tell references from values.
+/// Forward each catalogue operation to the members by its class. Borrowed
+/// arguments are cloned into the job — it may outlive the call: a
+/// straggler keeps applying a write the caller was already acked for —
+/// and lent back to the member's method; the rest are `Copy`.
 macro_rules! replicate {
-    ($($route:ident fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty;)*) => {$(
-        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
-            $(let $arg = own!($arg: $($ty)+);)*
-            self.$route(move |sh: &mut S| sh.$name($(lend!($arg: $($ty)+)),*))
-        }
+    ($(
+        $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
+    )*) => {$(
+        replicate_one! { $class fn $name($($($arg: [$($ty)+]),+)?) -> $ret }
     )*};
+}
+macro_rules! replicate_one {
+    // Barriers that run anti-entropy repair first, written out in the impl.
+    (barrier fn commit $($rest:tt)*) => {};
+    (barrier fn prepare_commit $($rest:tt)*) => {};
+    ($class:ident fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty) => {
+        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
+            $(let $arg = hypermodel::own!($arg: $($ty)+);)*
+            route!($class, self, move |sh: &mut S| sh.$name($(hypermodel::lend!($arg: $($ty)+)),*))
+        }
+    };
+}
+macro_rules! route {
+    (read, $group:ident, $op:expr) => {
+        $group.read_one($op)
+    };
+    (write, $group:ident, $op:expr) => {
+        $group.write_each($op)
+    };
+    (barrier, $group:ident, $op:expr) => {
+        $group.barrier($op)
+    };
 }
 
 impl<S: HyperStore + Send + 'static> HyperStore for ReplicaGroup<S> {
-    replicate! {
-        read_one fn lookup_unique(unique_id: [u64]) -> Oid;
-        read_one fn unique_id_of(oid: [Oid]) -> u64;
-        read_one fn kind_of(oid: [Oid]) -> NodeKind;
-        read_one fn ten_of(oid: [Oid]) -> u32;
-        read_one fn hundred_of(oid: [Oid]) -> u32;
-        read_one fn million_of(oid: [Oid]) -> u32;
-        read_one fn range_hundred(lo: [u32], hi: [u32]) -> Vec<Oid>;
-        read_one fn range_million(lo: [u32], hi: [u32]) -> Vec<Oid>;
-        read_one fn children(oid: [Oid]) -> Vec<Oid>;
-        read_one fn parent(oid: [Oid]) -> Option<Oid>;
-        read_one fn parts(oid: [Oid]) -> Vec<Oid>;
-        read_one fn part_of(oid: [Oid]) -> Vec<Oid>;
-        read_one fn refs_to(oid: [Oid]) -> Vec<RefEdge>;
-        read_one fn refs_from(oid: [Oid]) -> Vec<RefEdge>;
-        read_one fn seq_scan_ten() -> u64;
-        read_one fn text_of(oid: [Oid]) -> String;
-        read_one fn form_of(oid: [Oid]) -> Bitmap;
-        read_one fn sync_export() -> Vec<u8>;
-        read_one fn export_nodes(oids: [&[Oid]]) -> Vec<NodeExport>;
-        read_one fn children_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
-        read_one fn parts_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
-        read_one fn refs_to_batch(oids: [&[Oid]]) -> Vec<Vec<RefEdge>>;
-        read_one fn hundred_batch(oids: [&[Oid]]) -> Vec<u32>;
-        read_one fn million_batch(oids: [&[Oid]]) -> Vec<u32>;
-        read_one fn closure_1n(start: [Oid]) -> Vec<Oid>;
-        read_one fn closure_1n_att_sum(start: [Oid]) -> (u64, usize);
-        read_one fn closure_1n_pred(start: [Oid], lo: [u32], hi: [u32]) -> Vec<Oid>;
-        read_one fn closure_mn(start: [Oid]) -> Vec<Oid>;
-        read_one fn closure_mnatt(start: [Oid], depth: [u32]) -> Vec<Oid>;
-        read_one fn closure_mnatt_linksum(start: [Oid], depth: [u32]) -> Vec<(Oid, u64)>;
-
-        // Each mirror runs the identical create / install, so the local
-        // ids handed back match on every copy; any one ack names them all.
-        write_each fn set_hundred(oid: [Oid], value: [u32]) -> ();
-        write_each fn set_text(oid: [Oid], text: [&str]) -> ();
-        write_each fn set_form(oid: [Oid], bitmap: [&Bitmap]) -> ();
-        write_each fn create_node(value: [&NodeValue]) -> Oid;
-        write_each fn create_node_clustered(value: [&NodeValue], near: [Option<Oid>]) -> Oid;
-        write_each fn add_child(parent: [Oid], child: [Oid]) -> ();
-        write_each fn add_part(owner: [Oid], part: [Oid]) -> ();
-        write_each fn add_ref(from: [Oid], to: [Oid], offset_from: [u8], offset_to: [u8]) -> ();
-        write_each fn insert_extra_node(value: [&NodeValue]) -> Oid;
-        write_each fn sync_import(snapshot: [&[u8]]) -> ();
-        write_each fn install_nodes(batch: [&[NodeExport]]) -> Vec<Oid>;
-        write_each fn activate_nodes(oids: [&[Oid]]) -> ();
-        write_each fn retire_nodes(oids: [&[Oid]], moved_to: [u16], epoch: [u64]) -> ();
-        write_each fn set_hundred_batch(updates: [&[(Oid, u32)]]) -> ();
-        write_each fn closure_1n_att_set(start: [Oid]) -> usize;
-        write_each fn text_node_edit(oid: [Oid], from: [&str], to: [&str]) -> usize;
-        write_each fn form_node_edit(oid: [Oid], x0: [u16], y0: [u16], x1: [u16], y1: [u16]) -> ();
-
-        barrier fn cold_restart() -> ();
-        barrier fn commit_prepared(txid: [u64]) -> ();
-        barrier fn abort_prepared(txid: [u64]) -> ();
-    }
+    hypermodel::store_ops!(replicate);
 
     fn commit(&mut self) -> Result<()> {
         self.repair_replicas();
