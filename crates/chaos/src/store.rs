@@ -103,7 +103,7 @@ impl<S: HyperStore> ChaosStore<S> {
 /// transiently once the store has crashed.
 macro_rules! forward {
     ($(
-        $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+        $class:ident $tag:literal $variant:ident
         fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
     )*) => {$(
         forward_one! { fn $name($($($arg: [$($ty)+]),+)?) -> $ret }

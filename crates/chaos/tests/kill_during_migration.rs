@@ -38,18 +38,21 @@ fn a_destination_killed_between_install_and_activate_recovers_presumed_old() {
     let dst = (home + 1) % 3;
 
     // The destination's durable state, as recovery would find it.
-    let durable = s.with_shard(dst, |sh| sh.sync_export()).unwrap();
+    let durable = s.with_shard(dst, |sh| sh.sync_export()).unwrap().unwrap();
     // Arm the kill: the destination dies on its first activate, i.e.
     // after the inert install and before the ownership flip.
     let plan = FaultPlan::named(SEED, "kill-during-migration").unwrap();
-    s.with_shard(dst, |sh| sh.set_plan(plan));
+    s.with_shard(dst, |sh| sh.set_plan(plan)).unwrap();
 
     let err = s.migrate_subtree(root, dst).unwrap_err();
     assert!(
         err.is_transient(),
         "a killed destination is transient: {err}"
     );
-    assert!(s.with_shard(dst, |sh| sh.is_crashed()), "the kill fired");
+    assert!(
+        s.with_shard(dst, |sh| sh.is_crashed()).unwrap(),
+        "the kill fired"
+    );
 
     // Presumed-old: ownership untouched, no forwarding entry minted,
     // the migration never counted.

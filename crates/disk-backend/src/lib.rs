@@ -381,6 +381,40 @@ mod tests {
             miss_1n <= miss_mn,
             "clustered 1-N closure ({miss_1n} misses) must not out-fault the random M-N closure ({miss_mn})"
         );
+
+        // The §5.2 clustering rule as an ablation: the same nodes and 1-N
+        // hierarchy (all a 1-N closure reads) created through `create_node`
+        // in shuffled order, so that neither placement nor oid order follows
+        // the tree, fault strictly more pages on the same cold closure.
+        let shuffled_path = dbpath("cluster-shuffled");
+        let mut shuffled = DiskStore::create(&shuffled_path, 2048).unwrap();
+        let mut order: Vec<usize> = (0..db.len()).collect();
+        let mut rng = hypermodel::rng::Rng::new(0xDEAD);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.range_usize(0, i));
+        }
+        let mut shuffled_oids = vec![Oid(0); db.len()];
+        for i in order {
+            shuffled_oids[i] = shuffled.create_node(&db.nodes[i].value).unwrap();
+        }
+        for (i, kids) in db.children.iter().enumerate() {
+            for &k in kids {
+                shuffled
+                    .add_child(shuffled_oids[i], shuffled_oids[k as usize])
+                    .unwrap();
+            }
+        }
+        shuffled.commit().unwrap();
+        shuffled.cold_restart().unwrap();
+        shuffled
+            .closure_1n(shuffled_oids[db.level_indices(3).start as usize])
+            .unwrap();
+        let miss_shuffled = shuffled.pool_stats().misses;
+        assert!(
+            miss_1n < miss_shuffled,
+            "clustered load ({miss_1n} misses) must fault fewer pages than the shuffled one ({miss_shuffled})"
+        );
+        cleanup(&shuffled_path);
         cleanup(&path);
     }
 }

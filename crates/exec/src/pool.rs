@@ -52,6 +52,8 @@ pub enum ExecError {
     /// The worker disappeared without reporting a result. Should not
     /// happen; kept distinct from `Poisoned` for diagnosis.
     Lost(usize),
+    /// The executor has no shard with this index.
+    NoSuchShard(usize),
 }
 
 impl std::fmt::Display for ExecError {
@@ -61,6 +63,7 @@ impl std::fmt::Display for ExecError {
             ExecError::Poisoned(s) => write!(f, "shard {s} poisoned by a panicking job"),
             ExecError::TimedOut(s) => write!(f, "job on shard {s} missed its deadline"),
             ExecError::Lost(s) => write!(f, "shard {s} worker lost without a result"),
+            ExecError::NoSuchShard(s) => write!(f, "no shard {s} in this executor"),
         }
     }
 }
@@ -75,10 +78,12 @@ impl ExecError {
     pub fn into_hm(self) -> HmError {
         match self {
             ExecError::TimedOut(s) => HmError::Timeout(format!("shard {s} job deadline missed")),
-            ExecError::Poisoned(s) | ExecError::Lost(s) => HmError::ShardUnavailable {
-                shard: s,
-                msg: self.to_string(),
-            },
+            ExecError::Poisoned(s) | ExecError::Lost(s) | ExecError::NoSuchShard(s) => {
+                HmError::ShardUnavailable {
+                    shard: s,
+                    msg: self.to_string(),
+                }
+            }
             ExecError::Shutdown => HmError::Backend("shard executor shut down".into()),
         }
     }
@@ -280,8 +285,12 @@ impl<S> ShardExecutor<S> {
         self.slots[shard].load.jobs.load(Ordering::Relaxed)
     }
 
+    fn slot(&self, shard: usize) -> Result<&Slot<S>, ExecError> {
+        self.slots.get(shard).ok_or(ExecError::NoSuchShard(shard))
+    }
+
     fn enqueue(&self, shard: usize, run: JobFn<S>) -> Result<(), ExecError> {
-        let slot = &self.slots[shard];
+        let slot = self.slot(shard)?;
         let tx = slot.tx.as_ref().ok_or(ExecError::Shutdown)?;
         slot.load.depth.fetch_add(1, Ordering::Relaxed);
         tx.send(Job {
@@ -303,7 +312,7 @@ impl<S> ShardExecutor<S> {
         T: Send + 'static,
         F: FnOnce(&mut S) -> T + Send + 'static,
     {
-        let slot = &self.slots[shard];
+        let slot = self.slot(shard)?;
         if slot.poisoned.load(Ordering::SeqCst) {
             return Err(ExecError::Poisoned(shard));
         }
@@ -351,7 +360,7 @@ impl<S> ShardExecutor<S> {
         F: FnOnce(&mut S) -> T + Send + 'static,
         C: FnOnce(T) + Send + 'static,
     {
-        let slot = &self.slots[shard];
+        let slot = self.slot(shard)?;
         if slot.poisoned.load(Ordering::SeqCst) {
             return Err(ExecError::Poisoned(shard));
         }
@@ -373,9 +382,9 @@ impl<S> ShardExecutor<S> {
     /// is the point-operation path: no queue hop, no boxing — an
     /// uncontended mutex acquisition. Serializes with the shard's worker
     /// through the same mutex, so job FIFO effects stay visible.
-    pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut S) -> R) -> R {
-        let mut guard = self.slots[shard].store.lock();
-        f(&mut guard)
+    pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut S) -> R) -> Result<R, ExecError> {
+        let mut guard = self.slot(shard)?.store.lock();
+        Ok(f(&mut guard))
     }
 
     /// Start a fan-out: spawn jobs on several shards, then join them all.

@@ -20,7 +20,12 @@ fn fan_out_runs_on_the_right_shards() {
     }
     let results: Vec<u64> = batch.join().into_iter().map(|(_, r)| r.unwrap()).collect();
     assert_eq!(results, vec![11, 21, 31, 41]);
-    assert_eq!(exec.with_shard(2, |v| *v), 31, "mutation persisted");
+    assert_eq!(exec.with_shard(2, |v| *v), Ok(31), "mutation persisted");
+    // A shard the executor does not have is an error on every entry point.
+    let no_shard = ExecError::NoSuchShard(4);
+    assert_eq!(exec.with_shard(4, |v| *v), Err(no_shard.clone()));
+    assert_eq!(exec.submit(4, |v| *v).map(|_| ()), Err(no_shard.clone()));
+    assert_eq!(exec.submit_detached(4, |v| *v, |_| ()), Err(no_shard));
 }
 
 #[test]

@@ -106,7 +106,7 @@ fn executor_workloads_record_no_hazards() {
         .submit(2, |_: &mut u64| -> u64 { panic!("injected") })
         .expect("submit");
     h.wait().expect_err("panicked job");
-    exec.with_shard(0, |v| *v);
+    exec.with_shard(0, |v| *v).expect("shard 0");
 
     sanity::order::assert_clean();
 

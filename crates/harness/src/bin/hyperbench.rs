@@ -355,7 +355,7 @@ fn load_backend(
             ))
         }
         "remote" => {
-            use server::client::{ClosureMode, RemoteStore, RetryPolicy};
+            use server::client::{RemoteStore, RetryPolicy};
             use server::server::serve;
             use server::transport::ChannelTransport;
             use std::time::Duration;
@@ -378,7 +378,7 @@ fn load_backend(
                     Box::new(client_end)
                 }
             };
-            let mut store = RemoteStore::new(client_end, ClosureMode::ServerSide);
+            let mut store = RemoteStore::new(client_end);
             if faults.is_some() {
                 store = store.with_retry(RetryPolicy {
                     request_timeout: Duration::from_millis(50),
@@ -432,7 +432,7 @@ fn load_backend(
                     // Transport faults hit exactly one replica connection
                     // (the first mirror of shard 0) so the run exercises
                     // failover + repair, not a total outage.
-                    use server::client::{ClosureMode, RemoteStore};
+                    use server::client::RemoteStore;
                     use server::transport::TcpTransport;
                     let faulty_member = 1usize;
                     let mut shards = Vec::new();
@@ -446,7 +446,7 @@ fn load_backend(
                         } else {
                             Box::new(transport)
                         };
-                        shards.push(RemoteStore::new(transport, ClosureMode::ClientSide));
+                        shards.push(RemoteStore::new(transport));
                     }
                     loaded(
                         shard::ShardedStore::new_replicated(shards, k, placement, "sharded-remote"),
@@ -559,11 +559,11 @@ fn cmd_create(level: u32, backend: &str, pool_frames: usize) -> Result<()> {
 /// [`server::protocol::Request::Stats`] round trip on a fresh TCP
 /// connection, exactly what an external monitoring agent would do.
 fn scrape_stats(addr: &str) -> Result<String> {
-    use server::client::{ClosureMode, RemoteStore};
+    use server::client::RemoteStore;
     let stream = std::net::TcpStream::connect(addr)
         .map_err(|e| hypermodel::HmError::Backend(format!("connect {addr}: {e}")))?;
     let transport = server::transport::TcpTransport::new(stream)?;
-    RemoteStore::new(Box::new(transport), ClosureMode::ServerSide).fetch_stats()
+    RemoteStore::new(Box::new(transport)).fetch_stats()
 }
 
 /// Assemble the `--metrics` report: the process-local registry export,
@@ -974,7 +974,7 @@ fn cmd_verify(level: u32, backend: &str, pool_frames: usize) -> Result<()> {
 }
 
 fn cmd_remote(level: u32, reps: usize) -> Result<()> {
-    use server::client::{ClosureMode, RemoteStore};
+    use server::client::RemoteStore;
     use server::server::serve;
     use server::transport::ChannelTransport;
     use std::time::Duration;
@@ -988,44 +988,49 @@ fn cmd_remote(level: u32, reps: usize) -> Result<()> {
     println!("{}", "-".repeat(70));
     let db = TestDatabase::generate(&GenConfig::level(level));
     let closure_level = 3.min(db.config.leaf_level.saturating_sub(1));
+    // The conceptual operation is one request; the navigational client
+    // runs the same traversal on the workstation, one request per node.
+    type Closure = fn(&mut RemoteStore, Oid) -> Result<Vec<Oid>>;
+    let sides: [(&str, Closure); 2] = [
+        ("server-side", |remote, start| remote.closure_1n(start)),
+        ("client-side", |remote, start| {
+            hypermodel::store::closure_1n(remote, start)
+        }),
+    ];
     for latency_us in [0u64, 100, 1000] {
-        for mode in [ClosureMode::ServerSide, ClosureMode::ClientSide] {
-            let mut store = MemStore::new();
-            let report = load_database(&mut store, &db)?;
-            let level3: Vec<Oid> = db
-                .level_indices(closure_level)
-                .map(|i| report.oids[i as usize])
-                .collect();
-            let (client_end, mut server_end) =
-                ChannelTransport::pair(Duration::from_micros(latency_us));
-            let handle = std::thread::spawn(move || {
-                let _ = serve(&mut store, &mut server_end);
-            });
-            let mut remote = RemoteStore::new(Box::new(client_end), mode);
+        let mut store = MemStore::new();
+        let report = load_database(&mut store, &db)?;
+        let level3: Vec<Oid> = db
+            .level_indices(closure_level)
+            .map(|i| report.oids[i as usize])
+            .collect();
+        let (client_end, mut server_end) =
+            ChannelTransport::pair(Duration::from_micros(latency_us));
+        let handle = std::thread::spawn(move || {
+            let _ = serve(&mut store, &mut server_end);
+        });
+        let mut remote = RemoteStore::new(Box::new(client_end));
+        for (side, closure) in sides {
             let mut rng = hypermodel::rng::Rng::new(77);
             remote.reset_round_trips();
             let mut nodes = 0u64;
             let t = Instant::now();
             for _ in 0..reps {
                 let start = *rng.choose(&level3);
-                nodes += remote.closure_1n(start)?.len() as u64;
+                nodes += closure(&mut remote, start)?.len() as u64;
             }
             let elapsed = t.elapsed();
-            let trips = remote.round_trips();
             println!(
                 "{:<12} {:<14} {:>12.3} {:>14} {:>12.4}",
                 format!("{latency_us} us"),
-                match mode {
-                    ClosureMode::ServerSide => "server-side",
-                    ClosureMode::ClientSide => "client-side",
-                },
+                side,
                 elapsed.as_secs_f64() * 1e3 / reps as f64,
-                trips,
+                remote.round_trips(),
                 elapsed.as_secs_f64() * 1e3 / nodes as f64
             );
-            remote.shutdown()?;
-            handle.join().expect("server thread");
         }
+        remote.shutdown()?;
+        handle.join().expect("server thread");
     }
     println!("\n(Paper 4: conceptual operations on the server vs navigational round trips;");
     println!(" the crossover is immediate once any network latency exists.)");

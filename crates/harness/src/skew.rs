@@ -4,7 +4,7 @@
 //!
 //! This is the e2e counterpart of `hyperbench run --skew zipf:<s>
 //! --rebalance`: the same [`rebalance_pass`] backs both the CLI and the
-//! integration test, so the acceptance criterion ("the rebalancer
+//! integration test, so the acceptance bar ("the rebalancer
 //! measurably reduces the busy-time imbalance under skew, with the
 //! oracle sweep green afterwards") is exercised identically in both.
 

@@ -444,9 +444,9 @@ pub trait HyperStore {
 
 // =========================================================================
 // The derived operations as traversals over the primitives: the trait's
-// defaults, and what a remote client in `ClosureMode::ClientSide` runs on
-// the workstation. Generic (not `dyn`) so each backend's default closure
-// is monomorphised over its own accessors.
+// defaults, and R6's navigational client when called on a remote store
+// (one round trip per primitive). Generic (not `dyn`) so each backend's
+// default closure is monomorphised over its own accessors.
 // =========================================================================
 
 /// [`HyperStore::closure_1n`] by one `children` call per node.
@@ -638,7 +638,7 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 /// A row reads
 ///
 /// ```text
-/// [#[derived]] class tag Variant fn method[(arg: [Type], ...)] -> Ret [, about arg];
+/// class tag Variant fn method[(arg: [Type], ...)] -> Ret [, about arg];
 /// ```
 ///
 /// * `class` — `read` (any one up-to-date copy can answer; repeating it
@@ -655,8 +655,6 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 ///   `Variant $(( ... ))?` yields a unit variant for it.
 /// * `about arg` — the one node the operation addresses, for operations a
 ///   server answers with a redirect once that node has migrated away.
-/// * `#[derived]` — the operation has a same-named traversal over the
-///   primitives in this module, which a caller may run on its own side.
 ///
 /// The rows name `Oid`, `NodeKind`, `NodeValue`, `RefEdge`, `Bitmap` and
 /// `NodeExport` unqualified; a consumer imports them.
@@ -694,15 +692,15 @@ macro_rules! store_ops {
             write   25 InsertExtraNode     fn insert_extra_node(value: [&NodeValue]) -> Oid;
             barrier 26 Commit              fn commit -> ();
             barrier 27 ColdRestart         fn cold_restart -> ();
-            #[derived] read  28 Closure1N           fn closure_1n(start: [Oid]) -> Vec<Oid>, about start;
-            #[derived] read  29 Closure1NAttSum     fn closure_1n_att_sum(start: [Oid]) -> (u64, usize), about start;
-            #[derived] write 30 Closure1NAttSet     fn closure_1n_att_set(start: [Oid]) -> usize, about start;
-            #[derived] read  31 Closure1NPred       fn closure_1n_pred(start: [Oid], lo: [u32], hi: [u32]) -> Vec<Oid>, about start;
-            #[derived] read  32 ClosureMN           fn closure_mn(start: [Oid]) -> Vec<Oid>, about start;
-            #[derived] read  33 ClosureMNAtt        fn closure_mnatt(start: [Oid], depth: [u32]) -> Vec<Oid>, about start;
-            #[derived] read  34 ClosureMNAttLinkSum fn closure_mnatt_linksum(start: [Oid], depth: [u32]) -> Vec<(Oid, u64)>, about start;
-            #[derived] write 35 TextNodeEdit        fn text_node_edit(oid: [Oid], from: [&str], to: [&str]) -> usize, about oid;
-            #[derived] write 36 FormNodeEdit        fn form_node_edit(oid: [Oid], x0: [u16], y0: [u16], x1: [u16], y1: [u16]) -> (), about oid;
+            read    28 Closure1N           fn closure_1n(start: [Oid]) -> Vec<Oid>, about start;
+            read    29 Closure1NAttSum     fn closure_1n_att_sum(start: [Oid]) -> (u64, usize), about start;
+            write   30 Closure1NAttSet     fn closure_1n_att_set(start: [Oid]) -> usize, about start;
+            read    31 Closure1NPred       fn closure_1n_pred(start: [Oid], lo: [u32], hi: [u32]) -> Vec<Oid>, about start;
+            read    32 ClosureMN           fn closure_mn(start: [Oid]) -> Vec<Oid>, about start;
+            read    33 ClosureMNAtt        fn closure_mnatt(start: [Oid], depth: [u32]) -> Vec<Oid>, about start;
+            read    34 ClosureMNAttLinkSum fn closure_mnatt_linksum(start: [Oid], depth: [u32]) -> Vec<(Oid, u64)>, about start;
+            write   35 TextNodeEdit        fn text_node_edit(oid: [Oid], from: [&str], to: [&str]) -> usize, about oid;
+            write   36 FormNodeEdit        fn form_node_edit(oid: [Oid], x0: [u16], y0: [u16], x1: [u16], y1: [u16]) -> (), about oid;
             read    38 ChildrenBatch       fn children_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
             read    39 PartsBatch          fn parts_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
             read    40 RefsToBatch         fn refs_to_batch(oids: [&[Oid]]) -> Vec<Vec<RefEdge>>;

@@ -5,18 +5,12 @@
 //!
 //! * `--root <path>`       workspace root (default: walk up to the
 //!   first `Cargo.toml` with a `[workspace]` section)
-//! * `--baseline <path>`   baseline file (default `hyperstatic.baseline`
-//!   at the root); only findings *not* in the baseline fail the run
-//! * `--no-baseline`       ignore any baseline; report everything
-//! * `--write-baseline`    write the current findings as the baseline
-//!   and exit 0
 //! * `--graph-json <path>` dump the static lock-order graph as JSON
 //! * `--strict-allows`     unused `lint:allow` markers become findings
 //!
-//! Exit code 0 when clean (no new findings), 1 on new findings or when
-//! a configured dispatch root matches no function (in every mode — a
-//! baseline written without its roots would bless the lost coverage),
-//! 2 on usage errors. Stale baseline entries are warnings.
+//! Exit code 0 when clean, 1 on findings or when a configured dispatch
+//! root matches no function (its coverage would be silently lost), 2 on
+//! usage errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -41,9 +35,6 @@ fn workspace_root() -> Option<PathBuf> {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut write_baseline = false;
     let mut graph_json: Option<PathBuf> = None;
     let mut strict_allows = false;
     while let Some(arg) = args.next() {
@@ -52,22 +43,13 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage_err("--root requires a path"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => return usage_err("--baseline requires a path"),
-            },
             "--graph-json" => match args.next() {
                 Some(p) => graph_json = Some(PathBuf::from(p)),
                 None => return usage_err("--graph-json requires a path"),
             },
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => write_baseline = true,
             "--strict-allows" => strict_allows = true,
             "--help" | "-h" => {
-                println!(
-                    "hyperstatic [--root <path>] [--baseline <path>] [--no-baseline] \
-                     [--write-baseline] [--graph-json <path>] [--strict-allows]"
-                );
+                println!("hyperstatic [--root <path>] [--graph-json <path>] [--strict-allows]");
                 return ExitCode::SUCCESS;
             }
             other => return usage_err(&format!("unknown argument `{other}`")),
@@ -77,7 +59,6 @@ fn main() -> ExitCode {
         Some(r) => r,
         None => return usage_err("no workspace root found (pass --root)"),
     };
-    let baseline_path = baseline.unwrap_or_else(|| root.join(sg::BASELINE_FILE));
 
     let analysis = sg::analyze(&root);
 
@@ -108,32 +89,8 @@ fn main() -> ExitCode {
         );
     }
 
-    if write_baseline {
-        let text = sg::render_baseline(&analysis.findings);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("hyperstatic: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "hyperstatic: wrote {} baseline entr(ies) to {}",
-            analysis.findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let base = if no_baseline {
-        Default::default()
-    } else {
-        sg::load_baseline(&baseline_path)
-    };
-    let (new, stale) = sg::diff_baseline(&analysis.findings, &base);
-
-    for key in &stale {
-        eprintln!("warning: stale baseline entry (no longer found): {key}");
-    }
-    let mut failures = new.len();
-    for f in &new {
+    let mut failures = analysis.findings.len();
+    for f in &analysis.findings {
         println!("{f}");
     }
     for (file, line, message) in &analysis.warnings {
@@ -147,19 +104,14 @@ fn main() -> ExitCode {
 
     if failures == 0 {
         println!(
-            "hyperstatic: clean ({} files, {} functions, {} lock edge(s), {} baselined)",
+            "hyperstatic: clean ({} files, {} functions, {} lock edge(s))",
             analysis.scanned,
             analysis.fns.len(),
-            analysis.graph.len(),
-            analysis.findings.len()
+            analysis.graph.len()
         );
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "hyperstatic: {failures} new finding(s) ({} total, {} baselined)",
-            analysis.findings.len(),
-            analysis.findings.len() - new.len()
-        );
+        eprintln!("hyperstatic: {failures} finding(s)");
         ExitCode::FAILURE
     }
 }

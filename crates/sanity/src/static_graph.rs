@@ -33,10 +33,6 @@
 //!   dispatch root (`server` dispatch, `exec` job execution) outside
 //!   any `catch_unwind`.
 //!
-//! Findings diff against a committed baseline (`hyperstatic.baseline`)
-//! keyed without line numbers, so CI fails only on *new* findings and
-//! the baseline survives unrelated line drift.
-//!
 //! Known approximations (see DESIGN.md §14): name-based call matching
 //! (no receiver types, so same-named methods unify; macro-generated
 //! functions and calls are invisible — see [`PANIC_ROOTS`]), closures are
@@ -70,7 +66,7 @@ const SCAN_SCOPE: &[&str] = &[
 /// Panic-path findings are only reported for panic sites under these
 /// directories. `storage` is excluded: its slotted-page code indexes
 /// into page buffers pervasively behind bounds already validated by its
-/// own proptest suite, and flooding the baseline with those sites would
+/// own proptest suite, and reporting those sites would
 /// bury real dispatch-path regressions.
 const PANIC_SCOPE: &[&str] = &[
     "crates/shard/src",
@@ -204,18 +200,7 @@ pub struct StaticFinding {
     /// Primary file (workspace-relative) — where suppression applies.
     pub file: String,
     pub line: usize,
-    /// Enclosing function (`Type::name`), empty for graph-level rules.
-    pub qual: String,
-    /// Line-number-free detail; part of the baseline key.
-    pub detail: String,
     pub message: String,
-}
-
-impl StaticFinding {
-    /// Baseline key: stable across unrelated line drift.
-    pub fn key(&self) -> String {
-        format!("{}|{}|{}|{}", self.rule, self.file, self.qual, self.detail)
-    }
 }
 
 impl fmt::Display for StaticFinding {
@@ -1272,8 +1257,6 @@ pub fn analyze(root: &Path) -> Analysis {
             rule: RULE_STATIC_CYCLE,
             file,
             line,
-            qual: String::new(),
-            detail: names.join(" -> "),
             message: format!(
                 "static lock-order cycle {}: {}",
                 names.join(" -> "),
@@ -1295,8 +1278,6 @@ pub fn analyze(root: &Path) -> Analysis {
                     rule: RULE_LOCK_BLOCKING,
                     file: f.file.clone(),
                     line: b.line,
-                    qual: f.qual.clone(),
-                    detail: format!("{}|{}", hl, b.what),
                     message: format!(
                         "lock `{}` (acquired at {}:{}) held across blocking `{}`",
                         hl, f.file, hline, b.what
@@ -1323,8 +1304,6 @@ pub fn analyze(root: &Path) -> Analysis {
                     rule: RULE_LOCK_BLOCKING,
                     file: f.file.clone(),
                     line: call.line,
-                    qual: f.qual.clone(),
-                    detail: format!("{}|via {}", hl, fns[t].name),
                     message: format!(
                         "lock `{}` (acquired at {}:{}) held across call to `{}` at {}:{}, \
                          which can block: {} -> {}",
@@ -1396,8 +1375,6 @@ pub fn analyze(root: &Path) -> Analysis {
                 rule: RULE_PANIC_PATH,
                 file: f.file.clone(),
                 line: ps.line,
-                qual: f.qual.clone(),
-                detail: ps.what.clone(),
                 message: format!(
                     "`{}` at {}:{} is reachable from request dispatch: {}",
                     ps.what, f.file, ps.line, chain
@@ -1440,54 +1417,8 @@ pub fn analyze(root: &Path) -> Analysis {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline + graph export
+// Graph export
 // ---------------------------------------------------------------------------
-
-/// Default baseline location, relative to the workspace root.
-pub const BASELINE_FILE: &str = "hyperstatic.baseline";
-
-/// Load baseline keys (one per line, `#` comments and blanks ignored).
-pub fn load_baseline(path: &Path) -> BTreeSet<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeSet::new();
-    };
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
-}
-
-/// Diff findings against a baseline: `(new findings, stale keys)`.
-pub fn diff_baseline<'a>(
-    findings: &'a [StaticFinding],
-    baseline: &BTreeSet<String>,
-) -> (Vec<&'a StaticFinding>, Vec<String>) {
-    let keys: BTreeSet<String> = findings.iter().map(|f| f.key()).collect();
-    let new = findings
-        .iter()
-        .filter(|f| !baseline.contains(&f.key()))
-        .collect();
-    let stale = baseline.difference(&keys).cloned().collect();
-    (new, stale)
-}
-
-/// Render a baseline file for `findings`.
-pub fn render_baseline(findings: &[StaticFinding]) -> String {
-    let mut out = String::from(
-        "# hyperstatic baseline — accepted findings, keyed as\n\
-         # rule|file|function|detail (no line numbers, so the file\n\
-         # survives unrelated drift). Regenerate with\n\
-         # `cargo run -p sanity --bin hyperstatic -- --write-baseline`\n\
-         # and justify additions in the PR description.\n",
-    );
-    let keys: BTreeSet<String> = findings.iter().map(|f| f.key()).collect();
-    for k in keys {
-        out.push_str(&k);
-        out.push('\n');
-    }
-    out
-}
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -1770,29 +1701,6 @@ fn pair<A: Wire, B: Wire>(r: &mut Reader) -> (A, B) {
             to_site: "f.rs:2".into(),
         }];
         assert_eq!(find_cycles(&edges).len(), 1);
-    }
-
-    #[test]
-    fn baseline_roundtrip_and_diff() {
-        let f = StaticFinding {
-            rule: RULE_PANIC_PATH,
-            file: "crates/x/src/lib.rs".into(),
-            line: 10,
-            qual: "X::f".into(),
-            detail: "unwrap".into(),
-            message: "m".into(),
-        };
-        let text = render_baseline(std::slice::from_ref(&f));
-        let dir = std::env::temp_dir().join("hyperstatic-baseline-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("b.txt");
-        std::fs::write(&path, text).unwrap();
-        let base = load_baseline(&path);
-        assert!(base.contains(&f.key()));
-        let (new, stale) = diff_baseline(std::slice::from_ref(&f), &base);
-        assert!(new.is_empty() && stale.is_empty());
-        let (new, _) = diff_baseline(std::slice::from_ref(&f), &BTreeSet::new());
-        assert_eq!(new.len(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! End-to-end tests for the `hyperstatic` binary: the real workspace
-//! must analyze clean against its committed baseline, and a seeded
+//! must analyze clean, and a seeded
 //! violation of each static rule must fail the run with a
 //! `file:line`-addressed finding carrying the full call chain.
 
@@ -69,7 +69,7 @@ fn run(root: &Path, extra: &[&str]) -> (i32, String) {
 }
 
 #[test]
-fn real_workspace_is_clean_against_committed_baseline() {
+fn real_workspace_is_clean() {
     let (code, text) = run(&workspace_root(), &[]);
     assert_eq!(code, 0, "hyperstatic should be clean at HEAD:\n{text}");
     assert!(
@@ -81,7 +81,7 @@ fn real_workspace_is_clean_against_committed_baseline() {
 #[test]
 fn clean_seed_tree_reports_nothing() {
     let root = seed_tree("clean");
-    let (code, text) = run(&root, &["--no-baseline"]);
+    let (code, text) = run(&root, &[]);
     assert_eq!(code, 0, "clean tree must pass:\n{text}");
 }
 
@@ -102,7 +102,7 @@ fn transitive_lock_across_send_is_reported_with_chain() {
              }\n\
          }\n",
     );
-    let (code, text) = run(&root, &["--no-baseline"]);
+    let (code, text) = run(&root, &[]);
     assert_eq!(code, 1, "seeded hazard must fail:\n{text}");
     assert!(
         text.contains("[lock-across-blocking]"),
@@ -146,7 +146,7 @@ fn static_lock_order_cycle_is_reported_with_both_sites() {
              }\n\
          }\n",
     );
-    let (code, text) = run(&root, &["--no-baseline"]);
+    let (code, text) = run(&root, &[]);
     assert_eq!(code, 1, "seeded cycle must fail:\n{text}");
     assert!(text.contains("[static-lock-cycle]"), "wrong rule:\n{text}");
     assert!(
@@ -185,7 +185,7 @@ fn panic_tree(tag: &str) -> PathBuf {
 
 #[test]
 fn panic_reachable_from_dispatch_is_reported_with_chain() {
-    let (code, text) = run(&panic_tree("panic"), &["--no-baseline"]);
+    let (code, text) = run(&panic_tree("panic"), &[]);
     assert_eq!(code, 1, "seeded panic path must fail:\n{text}");
     assert!(text.contains("[panic-path]"), "wrong rule:\n{text}");
     assert!(
@@ -230,7 +230,7 @@ fn panic_under_generated_client_stubs_is_reported_through_rpc() {
              hypermodel::store_ops!(remote_methods);\n\
          }\n",
     );
-    let (code, text) = run(&root, &["--no-baseline"]);
+    let (code, text) = run(&root, &[]);
     assert_eq!(code, 1, "seeded panics must fail:\n{text}");
     assert!(
         text.contains("`panic!` at crates/server/src/client.rs:6")
@@ -259,7 +259,7 @@ fn real_client_round_trip_is_under_the_panic_gate() {
     let planted = format!("{}panic!(\"seeded\");\n{}", &real[..body], &real[body..]);
     let root = seed_tree("real-client");
     write(&root, CLIENT_RS, &planted);
-    let (code, text) = run(&root, &["--no-baseline"]);
+    let (code, text) = run(&root, &[]);
     assert_eq!(code, 1, "planted panic must fail:\n{text}");
     assert!(
         text.contains("[panic-path] `panic!`") && text.contains("-> RemoteStore::round_trip"),
@@ -287,13 +287,13 @@ fn allow_marker_suppresses_and_unused_marker_warns() {
              }\n",
         ),
     );
-    let (code, text) = run(&root, &["--no-baseline"]);
+    let (code, text) = run(&root, &[]);
     assert_eq!(code, 0, "allowed finding must not fail:\n{text}");
     assert!(
         text.contains("[unused-allow]") && text.contains("server.rs:8"),
         "stray marker must warn:\n{text}"
     );
-    let (code, text) = run(&root, &["--no-baseline", "--strict-allows"]);
+    let (code, text) = run(&root, &["--strict-allows"]);
     assert_eq!(code, 1, "--strict-allows must promote the warning:\n{text}");
 }
 
@@ -311,66 +311,12 @@ fn renamed_dispatch_root_fails_instead_of_silently_losing_coverage() {
              }\n",
         ),
     );
-    for mode in [&["--no-baseline"][..], &["--write-baseline"][..]] {
-        let (code, text) = run(&root, mode);
-        assert_eq!(code, 1, "dead root must fail under {mode:?}:\n{text}");
-        assert!(
-            text.contains("crates/server/src/server.rs")
-                && text.contains("dispatch root `dispatch` matches no function"),
-            "missing dead-root report:\n{text}"
-        );
-    }
-    assert!(
-        !root.join("hyperstatic.baseline").exists(),
-        "no baseline is written over a dead root"
-    );
-}
-
-#[test]
-fn baseline_masks_known_findings_and_flags_new_ones() {
-    let root = panic_tree("baseline");
-    let (code, _) = run(&root, &["--write-baseline"]);
-    assert_eq!(code, 0);
     let (code, text) = run(&root, &[]);
-    assert_eq!(code, 0, "baselined finding must pass:\n{text}");
-    assert!(text.contains("1 baselined"), "summary:\n{text}");
-
-    // A new hazard is reported even though the old one is baselined.
-    write(
-        &root,
-        "crates/shard/src/store.rs",
-        "pub struct Store;\n\
-         impl Store {\n\
-             pub fn outer(&self) {\n\
-                 let g = self.m.lock();\n\
-                 self.tx.send(1);\n\
-             }\n\
-         }\n",
-    );
-    let (code, text) = run(&root, &[]);
-    assert_eq!(code, 1, "new finding must fail:\n{text}");
-    assert!(text.contains("[lock-across-blocking]"), "new rule:\n{text}");
+    assert_eq!(code, 1, "dead root must fail:\n{text}");
     assert!(
-        !text.contains("[panic-path]"),
-        "old finding reappeared:\n{text}"
-    );
-
-    // Fixing the baselined hazard leaves a stale-entry warning.
-    write(
-        &root,
-        "crates/shard/src/store.rs",
-        "pub fn get(v: Option<u32>) -> u32 {\n    v.unwrap_or(0)\n}\n",
-    );
-    write(
-        &root,
-        SERVER_RS,
-        &server_rs("pub fn dispatch(req: u32) -> u32 {\n    req\n}\n"),
-    );
-    let (code, text) = run(&root, &[]);
-    assert_eq!(code, 0, "stale entries are warnings, not failures:\n{text}");
-    assert!(
-        text.contains("stale baseline entry"),
-        "stale warning:\n{text}"
+        text.contains("crates/server/src/server.rs")
+            && text.contains("dispatch root `dispatch` matches no function"),
+        "missing dead-root report:\n{text}"
     );
 }
 
@@ -390,14 +336,7 @@ fn graph_json_exports_static_lock_edges() {
          }\n",
     );
     let out = root.join("graph.json");
-    let (code, text) = run(
-        &root,
-        &[
-            "--no-baseline",
-            "--graph-json",
-            out.to_str().expect("utf8 path"),
-        ],
-    );
+    let (code, text) = run(&root, &["--graph-json", out.to_str().expect("utf8 path")]);
     assert_eq!(code, 0, "acyclic nesting is not a finding:\n{text}");
     let json = std::fs::read_to_string(&out).expect("graph json written");
     assert!(

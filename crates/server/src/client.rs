@@ -1,17 +1,16 @@
 //! The remote client: a full [`HyperStore`] over a [`Transport`].
 //!
 //! [`RemoteStore`] is the "workstation" half of the paper's R6
-//! architecture. Two execution modes reproduce the §4 trade-off:
-//!
-//! * [`ClosureMode::ClientSide`] — only the primitive accessors cross the
-//!   wire; closure operations run on the workstation and pay **one round
-//!   trip per relationship access** (the naive navigational interface);
-//! * [`ClosureMode::ServerSide`] — the conceptual operations are shipped
-//!   to the server and each costs **one round trip** total ("some systems
-//!   support higher level conceptual operations more efficiently").
+//! architecture. Every method is **one round trip**: a conceptual
+//! operation (`remote.closure_1n(start)`) is shipped to the server whole
+//! ("some systems support higher level conceptual operations more
+//! efficiently"). The §4 trade-off's other side, the naive navigational
+//! interface, is the same traversal run on the workstation —
+//! `hypermodel::store::closure_1n(&mut remote, start)` — which pays **one
+//! round trip per relationship access**.
 //!
 //! The difference dominates as soon as any real latency exists — shown by
-//! the tests here and the `remote` harness experiment.
+//! `tests/remote_conformance.rs` and the `remote` harness experiment.
 
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
@@ -20,15 +19,6 @@ use hypermodel::{Bitmap, NodeExport};
 
 use crate::protocol::{unexpected, Reply, Request, Response};
 use crate::transport::Transport;
-
-/// Where closure/editing operations execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClosureMode {
-    /// Traverse on the client via primitive round trips.
-    ClientSide,
-    /// Ship the conceptual operation to the server.
-    ServerSide,
-}
 
 /// How a [`RemoteStore`] survives a lossy or slow transport.
 ///
@@ -80,7 +70,6 @@ pub type ReconnectFn = Box<dyn FnMut() -> Result<Box<dyn Transport>> + Send>;
 /// A `HyperStore` backed by a remote server.
 pub struct RemoteStore {
     transport: Box<dyn Transport>,
-    mode: ClosureMode,
     round_trips: u64,
     policy: Option<RetryPolicy>,
     reconnect: Option<ReconnectFn>,
@@ -99,11 +88,10 @@ pub struct RemoteStore {
 }
 
 impl RemoteStore {
-    /// Connect over `transport` with the given closure execution mode.
-    pub fn new(transport: Box<dyn Transport>, mode: ClosureMode) -> RemoteStore {
+    /// Connect over `transport`.
+    pub fn new(transport: Box<dyn Transport>) -> RemoteStore {
         RemoteStore {
             transport,
-            mode,
             round_trips: 0,
             policy: None,
             reconnect: None,
@@ -149,11 +137,6 @@ impl RemoteStore {
     /// Calls abandoned after exhausting the retry budget.
     pub fn gave_up(&self) -> u64 {
         self.gave_up
-    }
-
-    /// The closure execution mode.
-    pub fn mode(&self) -> ClosureMode {
-        self.mode
     }
 
     /// Ask the server to stop serving this session.
@@ -277,42 +260,23 @@ impl RemoteStore {
     }
 }
 
-/// One method per catalogue row, each a single round trip. A `#[derived]`
-/// row is shipped whole only in [`ClosureMode::ServerSide`]; in
-/// [`ClosureMode::ClientSide`] it is the trait's own default traversal,
-/// run here over the primitive round trips. Batched primitives carry a
-/// whole traversal frontier, so they are one message in either mode.
+/// One method per catalogue row, each a single round trip.
 macro_rules! remote_methods {
     ($(
-        $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+        $class:ident $tag:literal $variant:ident
         fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
     )*) => {$(
         fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
-            remote_method!([$($mark)?] self, $name($($($arg),+)?),
-                Request::$variant $(( $(hypermodel::own!($arg: $($ty)+)),+ ))?)
+            self.rpc(Request::$variant $(( $(hypermodel::own!($arg: $($ty)+)),+ ))?)
         }
     )*};
-}
-macro_rules! remote_method {
-    ([] $store:ident, $name:ident($($arg:ident),*), $req:expr) => {
-        $store.rpc($req)
-    };
-    ([derived] $store:ident, $name:ident($($arg:ident),*), $req:expr) => {
-        match $store.mode {
-            ClosureMode::ServerSide => $store.rpc($req),
-            ClosureMode::ClientSide => hypermodel::store::$name($store $(, $arg)*),
-        }
-    };
 }
 
 impl HyperStore for RemoteStore {
     hypermodel::store_ops!(remote_methods);
 
     fn backend_name(&self) -> &'static str {
-        match self.mode {
-            ClosureMode::ClientSide => "remote-naive",
-            ClosureMode::ServerSide => "remote",
-        }
+        "remote"
     }
 
     fn resilience_summary(&self) -> Option<String> {
@@ -334,7 +298,6 @@ impl HyperStore for RemoteStore {
 impl std::fmt::Debug for RemoteStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteStore")
-            .field("mode", &self.mode)
             .field("round_trips", &self.round_trips)
             .field("policy", &self.policy)
             .field("retries", &self.retries)
@@ -389,13 +352,12 @@ mod tests {
             n: 3,
             sent: 0,
         };
-        let mut remote =
-            RemoteStore::new(Box::new(lossy), ClosureMode::ServerSide).with_retry(RetryPolicy {
-                request_timeout: Duration::from_millis(50),
-                max_retries: 5,
-                backoff_base: Duration::from_millis(1),
-                backoff_max: Duration::from_millis(5),
-            });
+        let mut remote = RemoteStore::new(Box::new(lossy)).with_retry(RetryPolicy {
+            request_timeout: Duration::from_millis(50),
+            max_retries: 5,
+            backoff_base: Duration::from_millis(1),
+            backoff_max: Duration::from_millis(5),
+        });
 
         // A mix of reads and (tagged) mutations, each of which must come
         // back correct despite every third frame vanishing.
@@ -423,7 +385,7 @@ mod tests {
         store.retire_nodes(&[gone], 2, 9).unwrap();
         let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
         let handle = std::thread::spawn(move || serve(&mut store, &mut server_end).unwrap());
-        let mut remote = RemoteStore::new(Box::new(client_end), ClosureMode::ServerSide);
+        let mut remote = RemoteStore::new(Box::new(client_end));
 
         assert_eq!(remote.moved_hint(gone), None);
         let err = remote.hundred_of(gone).unwrap_err();
@@ -441,8 +403,7 @@ mod tests {
         let mut store = MemStore::new();
         let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
         let handle = std::thread::spawn(move || serve(&mut store, &mut server_end).unwrap());
-        let mut remote = RemoteStore::new(Box::new(client_end), ClosureMode::ServerSide)
-            .with_retry(RetryPolicy::default());
+        let mut remote = RemoteStore::new(Box::new(client_end)).with_retry(RetryPolicy::default());
         // Unknown oid: the server answers with an error; the client must
         // surface it immediately instead of retrying a permanent failure.
         let err = remote

@@ -45,7 +45,10 @@ impl<'a> Writer<'a> {
         self.buf.extend_from_slice(&[0u8; 4]);
         f(self);
         let n = (self.buf.len() - at - 4) as u32;
-        self.buf[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        // A `Writer` only appends, so the reserved prefix is still there.
+        if let Some(prefix) = self.buf.get_mut(at..at + 4) {
+            prefix.copy_from_slice(&n.to_le_bytes());
+        }
     }
 
     /// Write one byte.
@@ -101,10 +104,7 @@ impl<'a> Reader<'a> {
         // checked_add: a hostile length prefix near usize::MAX must not
         // wrap the bounds check into a panic or an out-of-range slice.
         let end = self.pos.checked_add(n).ok_or_else(short)?;
-        if end > self.buf.len() {
-            return Err(short());
-        }
-        let s = &self.buf[self.pos..end];
+        let s = self.buf.get(self.pos..end).ok_or_else(short)?;
         self.pos = end;
         Ok(s)
     }

@@ -25,15 +25,15 @@
 //!   (`exec::EventLoop`) for all connections and one persistent
 //!   executor worker per shard — no thread per connection;
 //! * [`client`] — [`client::RemoteStore`], a full `HyperStore` backed by
-//!   the wire, in two modes: [`client::ClosureMode::ClientSide`]
-//!   traverses with one round trip per relationship access;
-//!   [`client::ClosureMode::ServerSide`] ships each conceptual operation
-//!   as one request.
+//!   the wire: every method, conceptual operations included, is one
+//!   request.
 //!
-//! The mode comparison quantifies the paper's §4 claim that systems
+//! Running a traversal on the workstation instead
+//! (`hypermodel::store::closure_1n(&mut remote, start)`, one round trip
+//! per relationship access) quantifies the paper's §4 claim that systems
 //! supporting "higher level conceptual operations" win on traversals —
 //! with per-message latency λ, a level-3 `closure1N` costs ≈ 2·n·λ
-//! client-side but ≈ λ server-side.
+//! navigationally but ≈ λ as one operation.
 //!
 //! ## Example
 //!
@@ -42,7 +42,7 @@
 //! use hypermodel::generate::TestDatabase;
 //! use hypermodel::load::load_database;
 //! use hypermodel::store::HyperStore;
-//! use server::client::{ClosureMode, RemoteStore};
+//! use server::client::RemoteStore;
 //! use server::server::serve;
 //! use server::transport::ChannelTransport;
 //! use std::time::Duration;
@@ -55,9 +55,13 @@
 //! let server_thread = std::thread::spawn(move || serve(&mut store, &mut server_end).unwrap());
 //!
 //! // Workstation side: the same HyperStore API, remotely.
-//! let mut remote = RemoteStore::new(Box::new(client_end), ClosureMode::ServerSide);
+//! let mut remote = RemoteStore::new(Box::new(client_end));
 //! let root = report.oids[0];
 //! assert_eq!(remote.closure_1n(root).unwrap().len(), db.len());
+//! assert_eq!(remote.round_trips(), 1);
+//! // The navigational client: the same traversal, one `children` call per node.
+//! let walked = hypermodel::store::closure_1n(&mut remote, root).unwrap();
+//! assert_eq!(remote.round_trips(), 1 + walked.len() as u64);
 //! remote.shutdown().unwrap();
 //! server_thread.join().unwrap();
 //! ```
@@ -72,7 +76,7 @@ pub mod protocol;
 pub mod server;
 pub mod transport;
 
-pub use client::{ClosureMode, RemoteStore};
+pub use client::RemoteStore;
 pub use multi::{serve_multi, serve_multi_on, MultiServer, MultiStats};
 pub use server::{serve, SessionStats};
 pub use transport::{ChannelTransport, TcpTransport, Transport};

@@ -50,7 +50,7 @@ macro_rules! mutates {
 /// [`Request`] and everything that is one arm per operation.
 macro_rules! define_requests {
     ($(
-        $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+        $class:ident $tag:literal $variant:ident
         fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
     )*) => {
         /// A client → server message.

@@ -154,7 +154,7 @@ pub(crate) fn dispatch<S: HyperStore + ?Sized>(store: &mut S, req: Request) -> R
     // fields; the result type picks the response variant (`Reply`).
     macro_rules! dispatch_rows {
         ($(
-            $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+            $class:ident $tag:literal $variant:ident
             fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
         )*) => {
             match req {

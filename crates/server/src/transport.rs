@@ -19,9 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use exec::frame::{write_frame, FrameBuf, NetCounters};
 use hypermodel::error::{HmError, Result};
+use sanity::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 
 pub use exec::frame::MAX_FRAME;
 
@@ -60,8 +60,8 @@ impl ChannelTransport {
     /// [`ChannelTransport::pair_virtual`] in tests that only need the
     /// accounting.
     pub fn pair(latency: Duration) -> (ChannelTransport, ChannelTransport) {
-        let (tx_a, rx_b) = unbounded();
-        let (tx_b, rx_a) = unbounded();
+        let (tx_a, rx_b) = channel();
+        let (tx_b, rx_a) = channel();
         (
             ChannelTransport {
                 tx: tx_a,

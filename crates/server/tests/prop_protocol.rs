@@ -176,7 +176,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
 /// The `Request` variant of every catalogue row.
 macro_rules! catalogued_variants {
     ($(
-        $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+        $class:ident $tag:literal $variant:ident
         fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
     )*) => {
         [$(stringify!($variant)),*]

@@ -1,25 +1,27 @@
 //! End-to-end tests of the workstation/server architecture: a remote
-//! client must be indistinguishable from a local store, in both closure
-//! modes, over both transports — and the round-trip economics must match
-//! the paper's §4 claim about conceptual operations.
+//! client must be indistinguishable from a local store over both
+//! transports, every catalogued operation must be one frame — and the
+//! round-trip economics must match the paper's §4 claim about conceptual
+//! operations.
 
 use hypermodel::config::GenConfig;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::model::{NodeKind, Oid};
 use hypermodel::oracle::Oracle;
-use hypermodel::store::HyperStore;
+use hypermodel::store::{self, HyperStore};
+use hypermodel::text::{VERSION_1, VERSION_2};
 use mem_backend::MemStore;
-use server::client::{ClosureMode, RemoteStore};
+use server::client::RemoteStore;
 use server::server::serve;
 use server::transport::{ChannelTransport, TcpTransport};
+use std::convert::identity as same;
 use std::time::Duration;
 
 /// Spin up a server thread over a loaded MemStore; returns the connected
 /// remote client and the oid map.
 fn remote_over_channel(
     cfg: &GenConfig,
-    mode: ClosureMode,
     latency: Duration,
 ) -> (
     RemoteStore,
@@ -35,123 +37,144 @@ fn remote_over_channel(
         serve(&mut store, &mut server_end).unwrap();
     });
     (
-        RemoteStore::new(Box::new(client_end), mode),
+        RemoteStore::new(Box::new(client_end)),
         db,
         report.oids,
         handle,
     )
 }
 
-fn uids(store: &mut RemoteStore, oids: &[Oid]) -> Vec<u32> {
-    oids.iter()
-        .map(|&o| (store.unique_id_of(o).unwrap() - 1) as u32)
-        .collect()
+#[test]
+fn remote_matches_oracle() {
+    let (mut remote, db, oids, handle) = remote_over_channel(&GenConfig::tiny(), Duration::ZERO);
+    let oracle = Oracle::new(&db);
+
+    for uid in 1..=db.len() as u64 {
+        let oid = remote.lookup_unique(uid).unwrap();
+        assert_eq!(
+            remote.hundred_of(oid).unwrap(),
+            oracle.hundred(uid as u32 - 1)
+        );
+    }
+    // Edits round-trip remotely.
+    let text_oid = oids[db.text_indices()[0] as usize];
+    let before = remote.text_of(text_oid).unwrap();
+    let n = remote
+        .text_node_edit(text_oid, "version1", "version-2")
+        .unwrap();
+    assert_eq!(n, 3);
+    remote.commit().unwrap();
+    remote
+        .text_node_edit(text_oid, "version-2", "version1")
+        .unwrap();
+    remote.commit().unwrap();
+    assert_eq!(remote.text_of(text_oid).unwrap(), before);
+
+    let form_oid = oids[db.form_indices()[0] as usize];
+    remote.form_node_edit(form_oid, 25, 25, 50, 50).unwrap();
+    remote.form_node_edit(form_oid, 25, 25, 50, 50).unwrap();
+    assert!(remote.form_of(form_oid).unwrap().is_all_white());
+    remote.shutdown().unwrap();
+    handle.join().unwrap();
 }
 
+/// Each of the nine traversals in `hypermodel::store`, run from the
+/// workstation over primitive round trips, gives the oracle's answer; so
+/// does the conceptual operation of the same name, in exactly one frame.
 #[test]
-fn remote_matches_oracle_in_both_modes() {
-    for mode in [ClosureMode::ClientSide, ClosureMode::ServerSide] {
-        let (mut remote, db, oids, handle) =
-            remote_over_channel(&GenConfig::tiny(), mode, Duration::ZERO);
-        let oracle = Oracle::new(&db);
+fn each_traversal_agrees_with_its_conceptual_operation_which_is_one_frame() {
+    let (mut remote, db, oids, handle) = remote_over_channel(&GenConfig::tiny(), Duration::ZERO);
+    let oracle = Oracle::new(&db);
+    let start_idx = db.level_indices(1).start;
+    let start = oids[start_idx as usize];
+    let (text_idx, form_idx) = (db.text_indices()[0], db.form_indices()[0]);
+    let (text, form) = (oids[text_idx as usize], oids[form_idx as usize]);
+    // Answers in the oracle's terms: a node is its generator index.
+    let idx = |o: Oid| oids.iter().position(|&x| x == o).unwrap() as u32;
+    let ids = |v: Vec<Oid>| v.into_iter().map(idx).collect::<Vec<_>>();
 
-        for uid in 1..=db.len() as u64 {
-            let oid = remote.lookup_unique(uid).unwrap();
-            assert_eq!(
-                remote.hundred_of(oid).unwrap(),
-                oracle.hundred(uid as u32 - 1)
-            );
-        }
-        let start_idx = db.level_indices(1).start;
-        let start = oids[start_idx as usize];
-        let c = remote.closure_1n(start).unwrap();
-        assert_eq!(
-            uids(&mut remote, &c),
-            oracle.closure_1n(start_idx),
-            "{mode:?}"
-        );
-        let c = remote.closure_mn(start).unwrap();
-        assert_eq!(
-            uids(&mut remote, &c),
-            oracle.closure_mn(start_idx),
-            "{mode:?}"
-        );
-        let c = remote.closure_mnatt(start, 25).unwrap();
-        assert_eq!(
-            uids(&mut remote, &c),
-            oracle.closure_mnatt(start_idx, 25),
-            "{mode:?}"
-        );
-        let (sum, count) = remote.closure_1n_att_sum(start).unwrap();
-        assert_eq!(
-            (sum, count),
-            oracle.closure_1n_att_sum(start_idx),
-            "{mode:?}"
-        );
-        let pairs = remote.closure_mnatt_linksum(start, 10).unwrap();
-        let pairs_u: Vec<(u32, u64)> = pairs
-            .iter()
-            .map(|&(o, d)| ((remote.unique_id_of(o).unwrap() - 1) as u32, d))
-            .collect();
-        assert_eq!(
-            pairs_u,
-            oracle.closure_mnatt_linksum(start_idx, 10),
-            "{mode:?}"
-        );
-
-        // Edits round-trip remotely.
-        let text_oid = oids[db.text_indices()[0] as usize];
-        let before = remote.text_of(text_oid).unwrap();
-        let n = remote
-            .text_node_edit(text_oid, "version1", "version-2")
-            .unwrap();
-        assert_eq!(n, 3, "{mode:?}");
-        remote.commit().unwrap();
-        remote
-            .text_node_edit(text_oid, "version-2", "version1")
-            .unwrap();
-        remote.commit().unwrap();
-        assert_eq!(remote.text_of(text_oid).unwrap(), before, "{mode:?}");
-
-        let form_oid = oids[db.form_indices()[0] as usize];
-        remote.form_node_edit(form_oid, 25, 25, 50, 50).unwrap();
-        remote.form_node_edit(form_oid, 25, 25, 50, 50).unwrap();
-        assert!(remote.form_of(form_oid).unwrap().is_all_white(), "{mode:?}");
-
-        // att_set twice restores, remotely.
-        remote.closure_1n_att_set(start).unwrap();
-        remote.closure_1n_att_set(start).unwrap();
-        for idx in 0..db.len() as u32 {
-            assert_eq!(
-                remote.hundred_of(oids[idx as usize]).unwrap(),
-                oracle.hundred(idx),
-                "{mode:?}"
-            );
-        }
-
-        remote.shutdown().unwrap();
-        handle.join().unwrap();
+    // `name(args)` is called as the free function, then as the method;
+    // `then (args)` gives the method other arguments (an edit's inverse).
+    macro_rules! agree {
+        ($name:ident($($arg:expr),*), $canon:expr, $want:expr) => {
+            agree!($name($($arg),*) then ($($arg),*), $canon, $want)
+        };
+        ($name:ident($($arg:expr),*) then ($($again:expr),*), $canon:expr, $want:expr) => {{
+            let want = $want;
+            let before = remote.round_trips();
+            let walked = store::$name(&mut remote, $($arg),*).unwrap();
+            let walk_trips = remote.round_trips() - before;
+            assert!(walk_trips > 1, "{}: {walk_trips}", stringify!($name));
+            let shipped = remote.$name($($again),*).unwrap();
+            let name = stringify!($name);
+            assert_eq!(remote.round_trips() - before - walk_trips, 1, "{name}");
+            assert_eq!($canon(walked), want, "{name}, navigational");
+            assert_eq!($canon(shipped), want, "{name}, conceptual");
+        }};
     }
+    agree!(closure_1n(start), ids, oracle.closure_1n(start_idx));
+    agree!(
+        closure_1n_att_sum(start),
+        same,
+        oracle.closure_1n_att_sum(start_idx)
+    );
+    agree!(
+        closure_1n_att_set(start),
+        same,
+        oracle.closure_1n(start_idx).len()
+    );
+    agree!(
+        closure_1n_pred(start, 1, 500_000),
+        ids,
+        oracle.closure_1n_pred(start_idx, 1, 500_000)
+    );
+    agree!(closure_mn(start), ids, oracle.closure_mn(start_idx));
+    agree!(
+        closure_mnatt(start, 25),
+        ids,
+        oracle.closure_mnatt(start_idx, 25)
+    );
+    agree!(
+        closure_mnatt_linksum(start, 10),
+        |v: Vec<(Oid, u64)>| v.into_iter().map(|(o, d)| (idx(o), d)).collect::<Vec<_>>(),
+        oracle.closure_mnatt_linksum(start_idx, 10)
+    );
+    agree!(
+        text_node_edit(text, VERSION_1, VERSION_2) then (text, VERSION_2, VERSION_1),
+        same,
+        3
+    );
+    agree!(form_node_edit(form, 25, 25, 50, 50), same, ());
+
+    // Each write ran twice, once per side, and is its own inverse.
+    for i in 0..db.len() as u32 {
+        assert_eq!(
+            remote.hundred_of(oids[i as usize]).unwrap(),
+            oracle.hundred(i)
+        );
+    }
+    assert_eq!(remote.text_of(text).unwrap(), oracle.text(text_idx));
+    assert!(remote.form_of(form).unwrap().is_all_white());
+
+    remote.shutdown().unwrap();
+    handle.join().unwrap();
 }
 
 #[test]
 fn server_side_closures_save_round_trips() {
     // Paper §4: conceptual operations beat navigational round trips.
-    let (mut naive, db, oids, handle1) =
-        remote_over_channel(&GenConfig::tiny(), ClosureMode::ClientSide, Duration::ZERO);
-    let (mut smart, _, _, handle2) =
-        remote_over_channel(&GenConfig::tiny(), ClosureMode::ServerSide, Duration::ZERO);
+    let (mut remote, db, oids, handle) = remote_over_channel(&GenConfig::tiny(), Duration::ZERO);
     let root = oids[0];
 
-    naive.reset_round_trips();
-    let c1 = naive.closure_1n(root).unwrap();
-    let naive_trips = naive.round_trips();
+    remote.reset_round_trips();
+    let walked = store::closure_1n(&mut remote, root).unwrap();
+    let naive_trips = remote.round_trips();
 
-    smart.reset_round_trips();
-    let c2 = smart.closure_1n(root).unwrap();
-    let smart_trips = smart.round_trips();
+    remote.reset_round_trips();
+    let shipped = remote.closure_1n(root).unwrap();
+    let smart_trips = remote.round_trips();
 
-    assert_eq!(c1, c2, "same answer either way");
+    assert_eq!(walked, shipped, "same answer either way");
     assert_eq!(smart_trips, 1, "conceptual op = one round trip");
     assert_eq!(
         naive_trips,
@@ -159,16 +182,14 @@ fn server_side_closures_save_round_trips() {
         "navigational closure = one children() call per node"
     );
 
-    naive.shutdown().unwrap();
-    smart.shutdown().unwrap();
-    handle1.join().unwrap();
-    handle2.join().unwrap();
+    remote.shutdown().unwrap();
+    handle.join().unwrap();
 }
 
 /// The trait method of every catalogue row.
 macro_rules! catalogued_methods {
     ($(
-        $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+        $class:ident $tag:literal $variant:ident
         fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
     )*) => {
         [$(stringify!($name)),*]
@@ -177,13 +198,12 @@ macro_rules! catalogued_methods {
 
 #[test]
 fn every_catalogued_operation_is_one_round_trip_and_agrees_with_the_store_behind_it() {
-    // The same script runs against a server-side remote and against a
+    // The same script runs against a remote and against a
     // local store loaded identically to the one behind the server. A
     // method `RemoteStore` lost would still compile — the trait default
     // loops over scalars or reports "unsupported" — and show up here as
     // more than one round trip or a different answer.
-    let (mut remote, db, oids, handle) =
-        remote_over_channel(&GenConfig::tiny(), ClosureMode::ServerSide, Duration::ZERO);
+    let (mut remote, db, oids, handle) = remote_over_channel(&GenConfig::tiny(), Duration::ZERO);
     let mut local = MemStore::new();
     load_database(&mut local, &db).unwrap();
 
@@ -295,18 +315,15 @@ fn latency_dominates_client_side_traversal() {
     // >= 62 ms while the server-side one costs ~2 ms: the R7 performance
     // requirement is unreachable without conceptual operations or
     // caching, which is the paper's architectural argument.
-    let latency = Duration::from_millis(1);
-    let (mut naive, _, oids, h1) =
-        remote_over_channel(&GenConfig::tiny(), ClosureMode::ClientSide, latency);
-    let (mut smart, _, _, h2) =
-        remote_over_channel(&GenConfig::tiny(), ClosureMode::ServerSide, latency);
+    let (mut remote, _, oids, handle) =
+        remote_over_channel(&GenConfig::tiny(), Duration::from_millis(1));
     let root = oids[0];
 
     let t = std::time::Instant::now();
-    naive.closure_1n(root).unwrap();
+    store::closure_1n(&mut remote, root).unwrap();
     let naive_time = t.elapsed();
     let t = std::time::Instant::now();
-    smart.closure_1n(root).unwrap();
+    remote.closure_1n(root).unwrap();
     let smart_time = t.elapsed();
 
     assert!(
@@ -317,10 +334,8 @@ fn latency_dominates_client_side_traversal() {
         smart_time < naive_time / 5,
         "server-side must be far faster ({smart_time:?} vs {naive_time:?})"
     );
-    naive.shutdown().unwrap();
-    smart.shutdown().unwrap();
-    h1.join().unwrap();
-    h2.join().unwrap();
+    remote.shutdown().unwrap();
+    handle.join().unwrap();
 }
 
 #[test]
@@ -352,7 +367,7 @@ fn tcp_end_to_end_with_disk_backend() {
 
     let stream = std::net::TcpStream::connect(addr).unwrap();
     let transport = TcpTransport::new(stream).unwrap();
-    let mut remote = RemoteStore::new(Box::new(transport), ClosureMode::ServerSide);
+    let mut remote = RemoteStore::new(Box::new(transport));
 
     let oracle = Oracle::new(&db);
     assert_eq!(remote.seq_scan_ten().unwrap(), db.len() as u64);
@@ -380,8 +395,7 @@ fn tcp_end_to_end_with_disk_backend() {
 
 #[test]
 fn errors_cross_the_wire_without_killing_the_session() {
-    let (mut remote, _, _, handle) =
-        remote_over_channel(&GenConfig::tiny(), ClosureMode::ServerSide, Duration::ZERO);
+    let (mut remote, _, _, handle) = remote_over_channel(&GenConfig::tiny(), Duration::ZERO);
     let err = remote.hundred_of(Oid(123_456)).unwrap_err();
     assert!(err.to_string().contains("not found"), "{err}");
     // The session is still usable.

@@ -38,7 +38,7 @@ use exec::{ExecError, ShardExecutor};
 use hypermodel::error::{HmError, Result};
 use hypermodel::store::HyperStore;
 
-use crate::store::{note_err, note_exec, scatter, ExecResult};
+use crate::store::{note_exec, scatter, ExecResult};
 
 /// On-disk record size: 8-byte little-endian txid + 1 decision byte.
 const RECORD: usize = 9;
@@ -289,9 +289,7 @@ impl Coordinator {
             for (s, r) in prepared {
                 if matches!(r, Ok(Ok(()))) {
                     // Voted yes: roll this shard back.
-                    if let Err(e) = exec.with_shard(s, |sh| sh.abort_prepared(txid)) {
-                        note_err(health, s, e);
-                    }
+                    let _ = note_exec(health, s, exec.with_shard(s, |sh| sh.abort_prepared(txid)));
                     continue;
                 }
                 if matches!(r, Err(ExecError::TimedOut(_))) {
@@ -341,7 +339,7 @@ fn prepare<S: HyperStore + Send + 'static>(
     timeout: Duration,
 ) -> Vec<(usize, ExecResult<()>)> {
     if exec.shard_count() == 1 {
-        return vec![(0, Ok(exec.with_shard(0, |sh| sh.prepare_commit(txid))))];
+        return vec![(0, exec.with_shard(0, |sh| sh.prepare_commit(txid)))];
     }
     let mut batch = exec.batch();
     for s in 0..exec.shard_count() {

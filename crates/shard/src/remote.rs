@@ -9,17 +9,14 @@
 use std::net::TcpStream;
 
 use hypermodel::error::{HmError, Result};
-use server::client::{ClosureMode, RemoteStore};
+use server::client::RemoteStore;
 use server::transport::TcpTransport;
 
 use crate::replica::ReplicaGroup;
 use crate::router::Placement;
 use crate::store::ShardedStore;
 
-/// One connection per address. `ClosureMode::ClientSide` is forced on
-/// each: the router owns id translation, so conceptual operations must
-/// traverse in the sharded store (via the batched primitives) rather
-/// than ship to any single server, which only sees its own partition.
+/// One connection per address.
 fn connect_all(addrs: &[String]) -> Result<Vec<RemoteStore>> {
     addrs
         .iter()
@@ -27,10 +24,7 @@ fn connect_all(addrs: &[String]) -> Result<Vec<RemoteStore>> {
             let stream = TcpStream::connect(addr)
                 .map_err(|e| HmError::Backend(format!("connect {addr}: {e}")))?;
             let transport = TcpTransport::new(stream)?;
-            Ok(RemoteStore::new(
-                Box::new(transport),
-                ClosureMode::ClientSide,
-            ))
+            Ok(RemoteStore::new(Box::new(transport)))
         })
         .collect()
 }

@@ -28,7 +28,7 @@ use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::{HyperStore, ShardLoad};
 use hypermodel::Bitmap;
 
-use exec::ShardExecutor;
+use exec::{ExecError, ShardExecutor};
 
 /// How many replicas must acknowledge a write before it returns. Every
 /// healthy replica is *sent* the write regardless — the policy only
@@ -91,9 +91,11 @@ impl fmt::Display for GroupStats {
 pub(crate) fn summarize<S: HyperStore + Send + 'static>(
     exec: &ShardExecutor<ReplicaGroup<S>>,
 ) -> String {
-    let mut total = exec.with_shard(0, |g| g.stats());
-    for s in 1..exec.shard_count() {
-        let g = exec.with_shard(s, |g| g.stats());
+    let mut groups = (0..exec.shard_count()).filter_map(|s| exec.with_shard(s, |g| g.stats()).ok());
+    let Some(mut total) = groups.next() else {
+        return String::new();
+    };
+    for g in groups {
         total.dead += g.dead;
         total.members += g.members;
         total.failovers += g.failovers;
@@ -237,8 +239,8 @@ impl<S: HyperStore + Send + 'static> ReplicaGroup<S> {
     /// Run `f` against member `m`'s backend directly — for
     /// instrumentation (fault plans, crash probes). Mutating the *data*
     /// through this makes the mirrors diverge.
-    pub fn with_member<R>(&self, m: usize, f: impl FnOnce(&mut S) -> R) -> R {
-        self.exec.with_shard(m, f)
+    pub fn with_member<R>(&self, m: usize, f: impl FnOnce(&mut S) -> R) -> Result<R> {
+        self.exec.with_shard(m, f).map_err(ExecError::into_hm)
     }
 
     fn stats(&self) -> GroupStats {
@@ -501,7 +503,7 @@ impl<S: HyperStore + Send + 'static> ReplicaGroup<S> {
 /// and lent back to the member's method; the rest are `Copy`.
 macro_rules! replicate {
     ($(
-        $(#[$mark:ident])? $class:ident $tag:literal $variant:ident
+        $class:ident $tag:literal $variant:ident
         fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
     )*) => {$(
         replicate_one! { $class fn $name($($($arg: [$($ty)+]),+)?) -> $ret }

@@ -107,7 +107,7 @@ fn unavailable(s: usize) -> HmError {
 /// health and already fails fast (a replica group with no mirror left,
 /// or refusing one quorum write): it is relabelled with the logical
 /// shard index and passed on without writing the whole shard off.
-pub(crate) fn note_err(health: &mut [bool], s: usize, e: HmError) -> HmError {
+fn note_err(health: &mut [bool], s: usize, e: HmError) -> HmError {
     match e {
         HmError::ShardUnavailable { msg, .. } => HmError::ShardUnavailable { shard: s, msg },
         e if e.is_transient() => {
@@ -155,7 +155,7 @@ where
     if n == 1 {
         return work
             .into_iter()
-            .map(|w| w.map(|w| Ok(exec.with_shard(0, |sh| f(sh, w)))))
+            .map(|w| w.map(|w| exec.with_shard(0, |sh| f(sh, w))))
             .collect();
     }
     let f = Arc::new(f);
@@ -260,7 +260,9 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
                 msg: "shard worker poisoned by a panic; replace the backend first".into(),
             });
         }
-        self.exec.with_shard(shard, |sh| sh.seq_scan_ten())?;
+        self.exec
+            .with_shard(shard, |sh| sh.seq_scan_ten())
+            .map_err(ExecError::into_hm)??;
         self.health[shard] = true;
         Ok(())
     }
@@ -333,8 +335,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     pub(crate) fn call<T>(&mut self, s: usize, f: impl FnOnce(&mut S) -> Result<T>) -> Result<T> {
         self.check(s)?;
         self.router.requests[s] += 1;
-        let r = self.exec.with_shard(s, f);
-        r.map_err(|e| note_err(&mut self.health, s, e))
+        note_exec(&mut self.health, s, self.exec.with_shard(s, f))
     }
 
     /// Route to the shard owning `oid` and run `f` there.
@@ -357,8 +358,8 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// probes, and reaching into a shard that is itself a deployment
     /// (`|group| group.mark_member_down(1)`). Mutating the *data*
     /// through this bypasses the router and breaks the deployment.
-    pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut S) -> R) -> R {
-        self.exec.with_shard(shard, f)
+    pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut S) -> R) -> Result<R> {
+        self.exec.with_shard(shard, f).map_err(ExecError::into_hm)
     }
 
     /// [`scatter`] with health tracking: one `T` per shard
@@ -861,6 +862,8 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
                     let behind = self
                         .exec
                         .with_shard(s, |sh| sh.shard_balance())
+                        .ok()
+                        .flatten()
                         .unwrap_or_default();
                     ShardLoad {
                         shard: s,

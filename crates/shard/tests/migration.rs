@@ -183,7 +183,8 @@ fn replicated_groups_migrate_in_lockstep() {
     assert_matches_oracle(&mut s, &r.oids, &db);
     for shard in 0..s.shard_count() {
         assert!(
-            s.with_shard(shard, |g| g.member_health().iter().all(|&h| h)),
+            s.with_shard(shard, |g| g.member_health().iter().all(|&h| h))
+                .unwrap(),
             "no member was demoted"
         );
     }

@@ -96,16 +96,18 @@ fn run_crash_scenario(n: usize, committed_first: usize, crash_shard: usize, tag:
 
         // Arm the crash on a random shard, in the prepare window of the
         // *next* transaction, then run the O12 mutation into it.
-        store.with_shard(crash_shard, |sh| {
-            let nth = sh.prepares_seen() + 1;
-            sh.set_plan(FaultPlan {
-                crash: Some(CrashSpec {
-                    point: CrashPoint::AfterPrepare,
-                    nth,
-                }),
-                ..FaultPlan::none(99)
-            });
-        });
+        store
+            .with_shard(crash_shard, |sh| {
+                let nth = sh.prepares_seen() + 1;
+                sh.set_plan(FaultPlan {
+                    crash: Some(CrashSpec {
+                        point: CrashPoint::AfterPrepare,
+                        nth,
+                    }),
+                    ..FaultPlan::none(99)
+                });
+            })
+            .unwrap();
         store.closure_1n_att_set(root).unwrap();
         let err = store.commit().unwrap_err();
         assert!(

@@ -31,7 +31,7 @@ fn replicated_mem(n: usize, k: usize, placement: Placement) -> Replicated<MemSto
 // one through its shard's group.
 
 fn replication_factor<S: HyperStore + Send + 'static>(s: &Replicated<S>) -> usize {
-    s.with_shard(0, |g| g.member_count())
+    s.with_shard(0, |g| g.member_count()).unwrap()
 }
 
 fn with_member<S: HyperStore + Send + 'static, R>(
@@ -41,28 +41,31 @@ fn with_member<S: HyperStore + Send + 'static, R>(
 ) -> R {
     let k = replication_factor(s);
     s.with_shard(m / k, |g| g.with_member(m % k, f))
+        .unwrap()
+        .unwrap()
 }
 
 fn mark_member_down<S: HyperStore + Send + 'static>(s: &Replicated<S>, m: usize) {
     let k = replication_factor(s);
-    s.with_shard(m / k, |g| g.mark_member_down(m % k));
+    s.with_shard(m / k, |g| g.mark_member_down(m % k)).unwrap();
 }
 
 fn replace_member<S: HyperStore + Send + 'static>(s: &Replicated<S>, m: usize, store: S) -> S {
     let k = replication_factor(s);
     s.with_shard(m / k, |g| g.replace_member(m % k, store))
+        .unwrap()
 }
 
 fn set_write_ack<S: HyperStore + Send + 'static>(s: &Replicated<S>, ack: WriteAck) {
     for shard in 0..s.shard_count() {
-        s.with_shard(shard, |g| g.set_write_ack(ack));
+        s.with_shard(shard, |g| g.set_write_ack(ack)).unwrap();
     }
 }
 
 /// Health of every member, group-major.
 fn member_health<S: HyperStore + Send + 'static>(s: &Replicated<S>) -> Vec<bool> {
     (0..s.shard_count())
-        .flat_map(|shard| s.with_shard(shard, |g| g.member_health().to_vec()))
+        .flat_map(|shard| s.with_shard(shard, |g| g.member_health().to_vec()).unwrap())
         .collect()
 }
 
@@ -72,7 +75,7 @@ fn total<S: HyperStore + Send + 'static>(
     counter: impl Fn(&ReplicaGroup<S>) -> u64,
 ) -> u64 {
     (0..s.shard_count())
-        .map(|shard| s.with_shard(shard, |g| counter(g)))
+        .map(|shard| s.with_shard(shard, |g| counter(g)).unwrap())
         .sum()
 }
 
@@ -314,7 +317,10 @@ fn write_ack_policies_enforce_quorum() {
     let r = load_database(&mut s, &db).unwrap();
     let target = r.oids[2];
     let before = s.hundred_of(target).unwrap();
-    assert_eq!(s.with_shard(0, |g| g.write_ack()), WriteAck::Primary);
+    assert_eq!(
+        s.with_shard(0, |g| g.write_ack()).unwrap(),
+        WriteAck::Primary
+    );
 
     set_write_ack(&s, WriteAck::All);
     s.set_hundred(target, (before + 1) % 100).unwrap();

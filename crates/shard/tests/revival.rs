@@ -13,7 +13,7 @@ use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::store::HyperStore;
 use mem_backend::MemStore;
-use server::{serve, ChannelTransport, ClosureMode, RemoteStore};
+use server::{serve, ChannelTransport, RemoteStore};
 use shard::{recover_sharded, CommitLog, Placement, ShardedStore};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -90,7 +90,8 @@ fn recovered_shard_is_readmitted_via_replace() {
             }),
             ..FaultPlan::none(2)
         });
-    });
+    })
+    .unwrap();
     s.closure_1n_att_set(root).unwrap();
     s.commit().unwrap_err();
     assert_eq!(s.health(), &[true, false]);
@@ -137,10 +138,7 @@ fn prepare_deadline_miss_is_a_vote_to_abort() {
             let mut store = MemStore::new();
             serve(&mut store, &mut server_end).unwrap();
         });
-        remotes.push(RemoteStore::new(
-            Box::new(client_end),
-            ClosureMode::ClientSide,
-        ));
+        remotes.push(RemoteStore::new(Box::new(client_end)));
     }
     let mut s = ShardedStore::new(remotes, Placement::OidHash, "sharded-remote")
         .with_commit_log(&log)

@@ -9,8 +9,9 @@ use hypermodel::load::load_database;
 use hypermodel::model::Oid;
 use hypermodel::oracle::Oracle;
 use hypermodel::store::HyperStore;
+use hypermodel::text::{VERSION_1, VERSION_2};
 use mem_backend::MemStore;
-use server::{serve, ChannelTransport, ClosureMode, RemoteStore};
+use server::{serve, ChannelTransport, RemoteStore};
 use shard::{Placement, ShardedStore};
 
 fn sharded_mem(n: usize, placement: Placement) -> ShardedStore<MemStore> {
@@ -186,10 +187,7 @@ fn cross_shard_closure_round_trips_scale_with_depth_not_nodes() {
             let mut store = MemStore::new();
             serve(&mut store, &mut server_end).unwrap();
         }));
-        remotes.push(RemoteStore::new(
-            Box::new(client_end),
-            ClosureMode::ClientSide,
-        ));
+        remotes.push(RemoteStore::new(Box::new(client_end)));
     }
     // Hash placement is the adversarial case: nearly every frontier
     // level straddles both shards.
@@ -198,11 +196,11 @@ fn cross_shard_closure_round_trips_scale_with_depth_not_nodes() {
     let root = r.oids[0];
 
     for shard in 0..s.shard_count() {
-        s.with_shard(shard, |sh| sh.reset_round_trips());
+        s.with_shard(shard, |sh| sh.reset_round_trips()).unwrap();
     }
     let closure = s.closure_1n(root).unwrap();
     let trips: u64 = (0..s.shard_count())
-        .map(|shard| s.with_shard(shard, |sh| sh.round_trips()))
+        .map(|shard| s.with_shard(shard, |sh| sh.round_trips()).unwrap())
         .sum();
 
     let nodes = closure.len() as u64;
@@ -218,6 +216,32 @@ fn cross_shard_closure_round_trips_scale_with_depth_not_nodes() {
         trips * 10 <= nodes,
         "round trips ({trips}) should be far below node count ({nodes})"
     );
+
+    // O16 / O17 are conceptual operations too: each edit is one frame to
+    // the shard that owns the node and nothing to the others.
+    let text = r.oids[db.text_indices()[0] as usize];
+    let form = r.oids[db.form_indices()[0] as usize];
+    type Edit<'a> = &'a dyn Fn(&mut ShardedStore<RemoteStore>);
+    let edits: [(Oid, Edit); 2] = [
+        (text, &|s| {
+            s.text_node_edit(text, VERSION_1, VERSION_2).unwrap();
+        }),
+        (form, &|s| s.form_node_edit(form, 25, 25, 50, 50).unwrap()),
+    ];
+    for (oid, edit) in edits {
+        let owner = s.owner_of(oid).unwrap();
+        for shard in 0..s.shard_count() {
+            s.with_shard(shard, |sh| sh.reset_round_trips()).unwrap();
+        }
+        edit(&mut s);
+        for shard in 0..s.shard_count() {
+            assert_eq!(
+                s.with_shard(shard, |sh| sh.round_trips()).unwrap(),
+                u64::from(shard == owner),
+                "edit of {oid:?} (owner {owner}), frames to shard {shard}"
+            );
+        }
+    }
 
     drop(s);
     for h in servers {
@@ -236,10 +260,7 @@ fn remote_sharded_deployment_matches_oracle() {
             let mut store = MemStore::new();
             serve(&mut store, &mut server_end).unwrap();
         }));
-        remotes.push(RemoteStore::new(
-            Box::new(client_end),
-            ClosureMode::ClientSide,
-        ));
+        remotes.push(RemoteStore::new(Box::new(client_end)));
     }
     let mut s = ShardedStore::new(remotes, Placement::affinity(), "sharded-remote");
     let r = load_database(&mut s, &db).unwrap();

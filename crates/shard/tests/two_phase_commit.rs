@@ -85,7 +85,8 @@ fn crash_between_prepare_and_commit_leaves_no_partial_o12() {
             }),
             ..FaultPlan::none(2)
         });
-    });
+    })
+    .unwrap();
 
     // O12 mutates `hundred` across both shards, then the 2PC commit hits
     // the injected crash during phase one.
@@ -98,7 +99,7 @@ fn crash_between_prepare_and_commit_leaves_no_partial_o12() {
     );
     assert_eq!(s.commit_aborts(), 1);
     assert_eq!(s.health(), &[true, false]);
-    assert!(s.with_shard(1, |sh| sh.is_crashed()));
+    assert!(s.with_shard(1, |sh| sh.is_crashed()).unwrap());
 
     // Graceful degradation while shard 1 is down: point ops to it fail
     // fast, fan-outs follow the scan policy.

@@ -15,7 +15,7 @@ use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::model::Oid;
 use hypermodel::store::HyperStore;
-use server::client::{ClosureMode, RemoteStore};
+use server::client::RemoteStore;
 use server::server::serve;
 use server::transport::TcpTransport;
 use std::net::{TcpListener, TcpStream};
@@ -41,42 +41,43 @@ fn main() -> hypermodel::Result<()> {
     println!("server: {} nodes on disk, listening on {addr}", db.len());
 
     let server_thread = std::thread::spawn(move || {
-        // Serve two sequential client sessions (one per mode).
-        for _ in 0..2 {
-            let (stream, peer) = listener.accept().expect("accept");
-            eprintln!("server: session from {peer}");
-            let mut transport = TcpTransport::new(stream).expect("transport");
-            serve(&mut store, &mut transport).expect("serve");
-        }
+        let (stream, peer) = listener.accept().expect("accept");
+        eprintln!("server: session from {peer}");
+        let mut transport = TcpTransport::new(stream).expect("transport");
+        serve(&mut store, &mut transport).expect("serve");
     });
 
-    // --- Workstation: run the same work in both modes ------------------
+    // --- Workstation: the same closure, shipped whole or walked from here --
     let level3: Vec<Oid> = db.level_indices(3).map(|i| oids[i as usize]).collect();
-    for mode in [ClosureMode::ServerSide, ClosureMode::ClientSide] {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let transport = TcpTransport::new(stream)?;
-        let mut remote = RemoteStore::new(Box::new(transport), mode);
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut remote = RemoteStore::new(Box::new(TcpTransport::new(stream)?));
 
-        // A key lookup is one round trip either way.
-        let oid = remote.lookup_unique(42)?;
-        let hundred = remote.hundred_of(oid)?;
+    // A key lookup is one round trip either way.
+    let oid = remote.lookup_unique(42)?;
+    let hundred = remote.hundred_of(oid)?;
+    println!("lookup(42).hundred = {hundred}");
 
-        // The closure is where the modes diverge.
+    type Closure = fn(&mut RemoteStore, Oid) -> hypermodel::Result<Vec<Oid>>;
+    let sides: [(&str, Closure); 2] = [
+        ("conceptual", |remote, start| remote.closure_1n(start)),
+        ("navigational", |remote, start| {
+            hypermodel::store::closure_1n(remote, start)
+        }),
+    ];
+    for (side, closure) in sides {
         remote.reset_round_trips();
         let t = Instant::now();
         let mut visited = 0usize;
         for &start in level3.iter().take(25) {
-            visited += remote.closure_1n(start)?.len();
+            visited += closure(&mut remote, start)?.len();
         }
         let elapsed = t.elapsed();
         println!(
-            "{:<12} lookup(42).hundred = {hundred}; 25 closures ({visited} nodes): {:?} in {} round trips",
-            remote.backend_name(),
-            elapsed,
+            "{side:<12} 25 closures ({visited} nodes): {elapsed:?} in {} round trips",
             remote.round_trips()
         );
-        remote.shutdown()?;
     }
+    remote.shutdown()?;
     server_thread.join().expect("server thread");
 
     println!("\nEven on loopback TCP the conceptual operation wins; on the 1988 LANs the");

@@ -10,9 +10,10 @@ use harness::Workload;
 use hypermodel::config::GenConfig;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
+use hypermodel::store::{closure_1n_att_set, HyperStore};
 use mem_backend::MemStore;
 use server::client::RetryPolicy;
-use server::{serve, ChannelTransport, ClosureMode, RemoteStore};
+use server::{serve, ChannelTransport, RemoteStore};
 
 /// Acceptance: with a `RetryPolicy`, a `RemoteStore` completes all 20
 /// operations *correctly* — node counts identical to a fault-free local
@@ -48,13 +49,12 @@ fn retry_policy_completes_all_20_ops_over_a_lossy_transport() {
     });
 
     let client_end = FaultyTransport::new(client_end, lossy(12));
-    let mut remote =
-        RemoteStore::new(Box::new(client_end), ClosureMode::ClientSide).with_retry(RetryPolicy {
-            request_timeout: Duration::from_millis(10),
-            max_retries: 12,
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(8),
-        });
+    let mut remote = RemoteStore::new(Box::new(client_end)).with_retry(RetryPolicy {
+        request_timeout: Duration::from_millis(10),
+        max_retries: 12,
+        backoff_base: Duration::from_millis(1),
+        backoff_max: Duration::from_millis(8),
+    });
     let report = load_database(&mut remote, &db).unwrap();
     let mut workload = Workload::new(db, report.oids, 7);
     let measured = run_all_ops(&mut remote, &mut workload, opts).unwrap();
@@ -69,6 +69,18 @@ fn retry_policy_completes_all_20_ops_over_a_lossy_transport() {
             m.op
         );
     }
+    // The navigational client — three small frames per node, one of them
+    // a tagged mutation — survives the same loss (a level-1 subtree).
+    let start = |s: &mut dyn HyperStore| s.lookup_unique(2).unwrap();
+    let (l_start, r_start) = (start(&mut local), start(&mut remote));
+    assert_eq!(
+        closure_1n_att_set(&mut remote, r_start).unwrap(),
+        closure_1n_att_set(&mut local, l_start).unwrap()
+    );
+    assert_eq!(
+        remote.closure_1n_att_sum(r_start).unwrap(),
+        local.closure_1n_att_sum(l_start).unwrap()
+    );
     assert!(
         remote.retries() > 0,
         "a 10% drop rate must actually trigger retries"

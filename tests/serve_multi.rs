@@ -1,7 +1,7 @@
 //! One process, N shard servers: conformance and concurrency tests for
 //! `server::serve_multi`, the nonblocking event-loop deployment.
 //!
-//! The first test is the acceptance criterion for the executor/event-loop
+//! The first test is the acceptance bar for the executor/event-loop
 //! subsystem: a *single* `serve_multi` process hosting four shards, with
 //! a `connect_sharded` router in front, must answer every operation
 //! identically to the oracle — same bar the in-process backends clear in
@@ -23,9 +23,7 @@ use hypermodel::oracle::Oracle;
 use hypermodel::store::HyperStore;
 use mem_backend::MemStore;
 use server::protocol::{Request, Response};
-use server::{
-    serve, serve_multi, ChannelTransport, ClosureMode, RemoteStore, TcpTransport, Transport,
-};
+use server::{serve, serve_multi, ChannelTransport, RemoteStore, TcpTransport, Transport};
 use shard::{connect_sharded, Placement};
 
 fn uid_of(store: &mut dyn HyperStore, oid: Oid) -> u32 {
@@ -263,20 +261,15 @@ fn two_concurrent_clients_one_slow_run_all_20_ops() {
             std::thread::spawn(move || {
                 let stream = std::net::TcpStream::connect(addr).unwrap();
                 let tcp = TcpTransport::new(stream).unwrap();
-                // The slow client also runs closures server-side, so both
-                // dispatch paths see concurrent traffic.
-                let (transport, mode): (Box<dyn Transport>, _) = if slow {
-                    (
-                        Box::new(SlowTransport {
-                            inner: tcp,
-                            delay: Duration::from_millis(1),
-                        }),
-                        ClosureMode::ServerSide,
-                    )
+                let transport: Box<dyn Transport> = if slow {
+                    Box::new(SlowTransport {
+                        inner: tcp,
+                        delay: Duration::from_millis(1),
+                    })
                 } else {
-                    (Box::new(tcp), ClosureMode::ClientSide)
+                    Box::new(tcp)
                 };
-                let mut remote = RemoteStore::new(transport, mode);
+                let mut remote = RemoteStore::new(transport);
                 let report = load_database(&mut remote, &db).unwrap();
                 let mut workload = Workload::new(db, report.oids, 7);
                 let measured = run_all_ops(&mut remote, &mut workload, opts).unwrap();
@@ -356,7 +349,7 @@ fn tagged_retry_racing_its_first_copy_executes_once() {
         inner: client_end,
         gate: Some((entered_tx, release_rx)),
     };
-    let shard = RemoteStore::new(Box::new(gated), ClosureMode::ServerSide);
+    let shard = RemoteStore::new(Box::new(gated));
     let ms = serve_multi(vec![shard]).unwrap();
     let connect =
         || TcpTransport::new(std::net::TcpStream::connect(ms.addrs()[0]).unwrap()).unwrap();
