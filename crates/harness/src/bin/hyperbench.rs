@@ -15,13 +15,8 @@
 //! hyperbench all      [--level N]            # everything above
 //! ```
 //!
-//! Backends: `mem`, `disk`, `rel`, `remote`, `sharded-mem:N[:rK][:hash|:affinity]`,
-//! `sharded-disk:N[:hash|:affinity]`, `sharded-tcp:N[:rK][:hash|:affinity]`
-//! (one in-process `serve_multi` event loop hosting the shard servers
-//! behind real TCP) or `all` (default `all` = the three single stores).
-//! The `:rK` suffix replicates every logical shard across K full mirrors
-//! (`sharded-mem:4:r2` = 4 logical shards × 2 copies = 8 backends) with
-//! failover reads, quorum-style write fan-out and automatic repair.
+//! `--backend` takes one spelling of [`harness::backend::BackendSpec`] (its rustdoc
+//! states the grammar) or `all` (the default: `mem`, `disk` and `rel`).
 //! Levels: 2–7 (default 4; the paper's sizes are 4, 5, 6).
 //! Sharded runs additionally report per-shard placement balance and
 //! request skew after the operation table.
@@ -51,6 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use concurrency::OccManager;
+use harness::backend::{BackendSpec, DbFiles, ShardKind, GRAMMAR};
 use harness::input::Workload;
 use harness::multiuser::{run_multiuser_cc, CcMode, UpdateMix};
 use harness::protocol::{run_all_ops, RunOptions};
@@ -62,7 +58,7 @@ use hypermodel::config::{GenConfig, SizeEstimate};
 use hypermodel::error::Result;
 use hypermodel::ext::{AccessControlledStore, AccessMode, DynamicSchemaStore, VersionedStore};
 use hypermodel::generate::TestDatabase;
-use hypermodel::load::{load_database, CreationTimings};
+use hypermodel::load::load_database;
 use hypermodel::model::Oid;
 use hypermodel::store::HyperStore;
 use hypermodel::text::{VERSION_1, VERSION_2};
@@ -104,7 +100,7 @@ fn parse_args() -> Args {
     fn usage_error(msg: &str) -> ! {
         eprintln!("error: {msg}");
         eprintln!("usage: hyperbench <command> [--level N] [--backend B] [--reps N] [--clients N] [--persons N] [--pool N] [--csv FILE] [--json FILE] [--metrics FILE] [--faults SEED:PLAN] [--skew zipf:S] [--rebalance]");
-        eprintln!("backends: mem | disk | rel | remote | sharded-mem:N[:rK][:hash|:affinity] | sharded-disk:N[:hash|:affinity] | sharded-tcp:N[:rK][:hash|:affinity] | all");
+        eprintln!("backends: {GRAMMAR}|all");
         std::process::exit(2);
     }
     let mut it = std::env::args().skip(1);
@@ -166,340 +162,16 @@ fn parse_args() -> Args {
     args
 }
 
-fn tmp_db_path(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("hyperbench-{}-{tag}.db", std::process::id()));
-    let _ = std::fs::remove_file(&p);
-    let mut w = p.clone().into_os_string();
-    w.push(".wal");
-    let _ = std::fs::remove_file(PathBuf::from(w));
-    p
-}
-
-fn cleanup_db(p: &PathBuf) {
-    if p.is_dir() {
-        // A sharded-disk deployment keeps its per-shard files in one
-        // directory.
-        let _ = std::fs::remove_dir_all(p);
-        return;
+fn backends(selected: &str) -> Vec<BackendSpec> {
+    if selected == "all" {
+        return vec![BackendSpec::Mem, BackendSpec::Disk, BackendSpec::Rel];
     }
-    let _ = std::fs::remove_file(p);
-    let mut w = p.clone().into_os_string();
-    w.push(".wal");
-    let _ = std::fs::remove_file(PathBuf::from(w));
-}
-
-/// A parsed sharded backend spec: kind, shard count N, replication
-/// factor K, placement policy.
-type ShardedSpec = (&'static str, usize, usize, shard::Placement);
-
-/// Parse a sharded backend spec: `sharded-mem:N`, `sharded-disk:N` or
-/// `sharded-tcp:N`, optionally suffixed (in any order) with a
-/// replication factor (`:rK`, mem/tcp only) and the placement policy
-/// (`:hash` or `:affinity`, default affinity). The error is the message
-/// to exit with.
-fn parse_sharded(spec: &str) -> std::result::Result<ShardedSpec, String> {
-    let unknown = || {
-        format!(
-            "unknown backend {spec} (use mem|disk|rel|remote|sharded-mem:N[:rK][:hash|:affinity]|sharded-disk:N[:hash|:affinity]|sharded-tcp:N[:rK][:hash|:affinity]|all)"
-        )
-    };
-    let mut parts = spec.split(':');
-    let kind = match parts.next() {
-        Some("sharded-mem") => "sharded-mem",
-        Some("sharded-disk") => "sharded-disk",
-        Some("sharded-tcp") => "sharded-tcp",
-        _ => return Err(unknown()),
-    };
-    let n: usize = parts
-        .next()
-        .and_then(|n| n.parse().ok())
-        .filter(|n| (1..=64).contains(n))
-        .ok_or_else(unknown)?;
-    let mut k: Option<usize> = None;
-    let mut placement: Option<shard::Placement> = None;
-    for part in parts {
-        if let Some(r) = part.strip_prefix('r') {
-            if kind == "sharded-disk" {
-                return Err(format!(
-                    "backend {spec}: replication needs a backend with `sync_export`; only mem mirrors have one"
-                ));
-            }
-            if k.is_some() {
-                return Err(format!("backend {spec}: replication factor given twice"));
-            }
-            k = Some(
-                r.parse()
-                    .ok()
-                    .filter(|k| (1..=8).contains(k))
-                    .ok_or_else(unknown)?,
-            );
-        } else {
-            if placement.is_some() {
-                return Err(unknown());
-            }
-            placement = Some(match part {
-                "affinity" => shard::Placement::affinity(),
-                "hash" => shard::Placement::OidHash,
-                _ => return Err(unknown()),
-            });
+    match selected.parse() {
+        Ok(spec) => vec![spec],
+        Err(reason) => {
+            eprintln!("{reason}");
+            std::process::exit(2);
         }
-    }
-    Ok((
-        kind,
-        n,
-        k.unwrap_or(1),
-        placement.unwrap_or_else(shard::Placement::affinity),
-    ))
-}
-
-fn backends(selected: &str) -> Vec<String> {
-    match selected {
-        "all" => vec!["mem".into(), "disk".into(), "rel".into()],
-        "mem" | "disk" | "rel" => vec![selected.into()],
-        // The workstation/server configuration: a mem-backend server
-        // behind the wire protocol, loaded and benchmarked remotely.
-        "remote" => vec![selected.into()],
-        other => match parse_sharded(other) {
-            Ok(_) => vec![other.into()],
-            Err(reason) => {
-                eprintln!("{reason}");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-/// A loaded backend: store, creation timings, on-disk size, oid map, the
-/// database file path (None for the in-memory backend), and — for the
-/// `sharded-tcp` deployment — the in-process multi-shard server that
-/// must outlive the store's connections.
-type LoadedBackend = (
-    Box<dyn HyperStore>,
-    CreationTimings,
-    u64,
-    Vec<Oid>,
-    Option<PathBuf>,
-    Option<server::MultiServer>,
-);
-
-/// Box `store`, wrapping it in the chaos layer first when a fault plan
-/// is active. Wrapping happens *after* the load so crash plans target
-/// the benchmark operations, not the bulk load.
-fn boxed<S: HyperStore + 'static>(
-    store: S,
-    faults: Option<&chaos::FaultPlan>,
-) -> Box<dyn HyperStore> {
-    match faults {
-        Some(plan) => Box::new(chaos::ChaosStore::new(store, plan.clone())),
-        None => Box::new(store),
-    }
-}
-
-/// Load `db` into `store`, then box it (see [`boxed`]).
-fn loaded<S: HyperStore + 'static>(
-    mut store: S,
-    db: &TestDatabase,
-    faults: Option<&chaos::FaultPlan>,
-) -> Result<(Box<dyn HyperStore>, hypermodel::load::LoadReport)> {
-    let report = load_database(&mut store, db)?;
-    Ok((boxed(store, faults), report))
-}
-
-/// Load a database into the chosen backend.
-fn load_backend(
-    backend: &str,
-    db: &TestDatabase,
-    pool_frames: usize,
-    faults: Option<&chaos::FaultPlan>,
-) -> Result<LoadedBackend> {
-    match backend {
-        "mem" => {
-            let mut store = MemStore::new();
-            let report = load_database(&mut store, db)?;
-            Ok((
-                boxed(store, faults),
-                report.timings,
-                0,
-                report.oids,
-                None,
-                None,
-            ))
-        }
-        "disk" => {
-            let path = tmp_db_path(&format!("disk-l{}", db.config.leaf_level));
-            let mut store = disk_backend::DiskStore::create(&path, pool_frames)?;
-            let report = load_database(&mut store, db)?;
-            let size = store.file_size();
-            Ok((
-                boxed(store, faults),
-                report.timings,
-                size,
-                report.oids,
-                Some(path),
-                None,
-            ))
-        }
-        "rel" => {
-            let path = tmp_db_path(&format!("rel-l{}", db.config.leaf_level));
-            let mut store = rel_backend::RelStore::create(&path, pool_frames)?;
-            let report = load_database(&mut store, db)?;
-            let size = store.file_size();
-            Ok((
-                boxed(store, faults),
-                report.timings,
-                size,
-                report.oids,
-                Some(path),
-                None,
-            ))
-        }
-        "remote" => {
-            use server::client::{RemoteStore, RetryPolicy};
-            use server::server::serve;
-            use server::transport::ChannelTransport;
-            use std::time::Duration;
-            let mut backing = MemStore::new();
-            let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-            // Under a fault plan the *transport* degrades (drops, dupes,
-            // latency) and the client survives it with a retry policy.
-            let client_end: Box<dyn server::Transport> = match faults {
-                Some(plan) => {
-                    let mut server_side = chaos::FaultyTransport::new(server_end, plan.clone());
-                    std::thread::spawn(move || {
-                        let _ = serve(&mut backing, &mut server_side);
-                    });
-                    Box::new(chaos::FaultyTransport::new(client_end, plan.clone()))
-                }
-                None => {
-                    std::thread::spawn(move || {
-                        let _ = serve(&mut backing, &mut server_end);
-                    });
-                    Box::new(client_end)
-                }
-            };
-            let mut store = RemoteStore::new(client_end);
-            if faults.is_some() {
-                store = store.with_retry(RetryPolicy {
-                    request_timeout: Duration::from_millis(50),
-                    max_retries: 10,
-                    backoff_base: Duration::from_millis(1),
-                    backoff_max: Duration::from_millis(20),
-                });
-            }
-            // Loading through the wire measures marshalling + dispatch.
-            let report = load_database(&mut store, db)?;
-            Ok((
-                boxed(store, faults),
-                report.timings,
-                0,
-                report.oids,
-                None,
-                None,
-            ))
-        }
-        spec => match parse_sharded(spec) {
-            Ok(("sharded-mem", n, k, placement)) => {
-                let shards: Vec<MemStore> = (0..n * k).map(|_| MemStore::new()).collect();
-                let (store, report) = if k == 1 {
-                    loaded(
-                        shard::ShardedStore::new(shards, placement, "sharded-mem"),
-                        db,
-                        faults,
-                    )?
-                } else {
-                    loaded(
-                        shard::ShardedStore::new_replicated(shards, k, placement, "sharded-mem"),
-                        db,
-                        faults,
-                    )?
-                };
-                Ok((store, report.timings, 0, report.oids, None, None))
-            }
-            Ok(("sharded-tcp", n, k, placement)) => {
-                // One process, N*K shard servers: mem shards behind the
-                // nonblocking event loop, a `connect_sharded` router in
-                // front. Loading and every operation cross real TCP.
-                let shards: Vec<MemStore> = (0..n * k).map(|_| MemStore::new()).collect();
-                let srv = server::serve_multi(shards)?;
-                let (store, report) = if k == 1 {
-                    loaded(
-                        shard::connect_sharded(&srv.addr_strings(), placement)?,
-                        db,
-                        faults,
-                    )?
-                } else if let Some(plan) = faults {
-                    // Transport faults hit exactly one replica connection
-                    // (the first mirror of shard 0) so the run exercises
-                    // failover + repair, not a total outage.
-                    use server::client::RemoteStore;
-                    use server::transport::TcpTransport;
-                    let faulty_member = 1usize;
-                    let mut shards = Vec::new();
-                    for (i, addr) in srv.addr_strings().iter().enumerate() {
-                        let stream = std::net::TcpStream::connect(addr).map_err(|e| {
-                            hypermodel::HmError::Backend(format!("connect {addr}: {e}"))
-                        })?;
-                        let transport = TcpTransport::new(stream)?;
-                        let transport: Box<dyn server::Transport> = if i == faulty_member {
-                            Box::new(chaos::FaultyTransport::new(transport, plan.clone()))
-                        } else {
-                            Box::new(transport)
-                        };
-                        shards.push(RemoteStore::new(transport));
-                    }
-                    loaded(
-                        shard::ShardedStore::new_replicated(shards, k, placement, "sharded-remote"),
-                        db,
-                        faults,
-                    )?
-                } else {
-                    loaded(
-                        shard::connect_sharded_replicated(&srv.addr_strings(), k, placement)?,
-                        db,
-                        faults,
-                    )?
-                };
-                Ok((store, report.timings, 0, report.oids, None, Some(srv)))
-            }
-            Ok(("sharded-disk", n, _k, placement)) => {
-                let dir = {
-                    let mut p = std::env::temp_dir();
-                    p.push(format!(
-                        "hyperbench-{}-sharded-disk-l{}",
-                        std::process::id(),
-                        db.config.leaf_level
-                    ));
-                    let _ = std::fs::remove_dir_all(&p);
-                    std::fs::create_dir_all(&p).map_err(|e| {
-                        hypermodel::HmError::Backend(format!("create {}: {e}", p.display()))
-                    })?;
-                    p
-                };
-                let shards = (0..n)
-                    .map(|i| {
-                        disk_backend::DiskStore::create(
-                            &dir.join(format!("shard-{i}.db")),
-                            pool_frames,
-                        )
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                // Crash-safe cross-shard commit: the coordinator's
-                // decision log lives next to the shard files.
-                let mut store = shard::ShardedStore::new(shards, placement, "sharded-disk")
-                    .with_commit_log(&dir.join("decisions.log"))?;
-                let report = load_database(&mut store, db)?;
-                Ok((
-                    boxed(store, faults),
-                    report.timings,
-                    0,
-                    report.oids,
-                    Some(dir),
-                    None,
-                ))
-            }
-            _ => panic!("unknown backend {spec}"),
-        },
     }
 }
 
@@ -544,11 +216,8 @@ fn cmd_create(level: u32, backend: &str, pool_frames: usize) -> Result<()> {
     let db = TestDatabase::generate(&GenConfig::level(level));
     let mut rows = Vec::new();
     for b in backends(backend) {
-        let (_store, timings, size, _oids, path, _srv) = load_backend(&b, &db, pool_frames, None)?;
-        rows.push((b, level, timings, size));
-        if let Some(p) = path {
-            cleanup_db(&p);
-        }
+        let dep = b.deploy(&db, &std::env::temp_dir(), pool_frames, None)?;
+        rows.push((b.to_string(), level, dep.load.timings, dep.file_bytes));
     }
     println!("{}", render_creation_table(&rows));
     println!("{}", creation_csv(&rows));
@@ -638,11 +307,11 @@ fn cmd_run(
     let mut resilience = Vec::new();
     let mut scraped = Vec::new();
     let mut rebalance_rows = Vec::new();
-    for b in backends(backend) {
+    let specs = backends(backend);
+    for b in &specs {
         eprintln!("running {b} backend...");
-        let (mut store, _timings, _size, oids, path, srv) =
-            load_backend(&b, &db, pool_frames, faults)?;
-        let mut workload = Workload::new(db.clone(), oids, 0xBEEF);
+        let mut dep = b.deploy(&db, &std::env::temp_dir(), pool_frames, faults)?;
+        let mut workload = Workload::new(db.clone(), dep.load.oids.clone(), 0xBEEF);
         if let Some(s) = skew {
             workload = workload.with_skew(s);
         }
@@ -650,30 +319,27 @@ fn cmd_run(
             reps,
             input_seed: 0xBEEF,
         };
-        let measurements = run_all_ops(store.as_mut(), &mut workload, opts)?;
-        if let Some(loads) = store.shard_balance() {
-            balances.push((b.clone(), loads));
+        let measurements = run_all_ops(dep.store.as_mut(), &mut workload, opts)?;
+        if let Some(loads) = dep.store.shard_balance() {
+            balances.push((b.to_string(), loads));
         }
-        if let Some(summary) = store.resilience_summary() {
-            resilience.push((b.clone(), summary));
+        if let Some(summary) = dep.store.resilience_summary() {
+            resilience.push((b.to_string(), summary));
         }
         // Scrape each listener's registry over the wire while the
         // in-process server is still up.
         if metrics.is_some() {
-            if let Some(srv) = &srv {
+            if let Some(srv) = dep.server() {
                 for addr in srv.addr_strings() {
                     scraped.push((addr.clone(), scrape_stats(&addr)?));
                 }
             }
         }
         columns.push(RunColumn {
-            backend: b,
+            backend: b.to_string(),
             level,
             measurements,
         });
-        if let Some(p) = path {
-            cleanup_db(&p);
-        }
     }
     println!("{}", render_ops_table(&columns));
     for (b, loads) in &balances {
@@ -688,12 +354,19 @@ fn cmd_run(
         // benchmark loop above measures operations, not migrations):
         // drive the Zipf mix, let the rebalancer act between windows,
         // and sweep the result against the generator oracle.
-        for b in backends(backend) {
-            let Ok(("sharded-mem", n, _k, placement)) = parse_sharded(&b) else {
+        for b in &specs {
+            let BackendSpec::Sharded {
+                shards: ShardKind::Mem,
+                n,
+                placement,
+                ..
+            } = *b
+            else {
                 eprintln!("--rebalance: skipping {b} (needs a sharded-mem backend)");
                 continue;
             };
-            let row = harness::rebalance_pass(&db, n, placement, skew.unwrap_or(0.0), 300, 4)?;
+            let row =
+                harness::rebalance_pass(&db, n, placement.into(), skew.unwrap_or(0.0), 300, 4)?;
             println!("rebalance experiment: {row}");
             rebalance_rows.push(row);
         }
@@ -736,8 +409,8 @@ fn cmd_run(
 fn cmd_ext(level: u32, pool_frames: usize) -> Result<()> {
     println!("== Extension operations (paper 6.8: R4 schema, R5 versions, R11 access) ==\n");
     let db = TestDatabase::generate(&GenConfig::level(level));
-    let path = tmp_db_path("ext");
-    let mut store = disk_backend::DiskStore::create(&path, pool_frames)?;
+    let files = DbFiles::new(&std::env::temp_dir(), "ext");
+    let mut store = disk_backend::DiskStore::create(files.path(), pool_frames)?;
     let report = load_database(&mut store, &db)?;
     let oids = report.oids;
 
@@ -806,7 +479,6 @@ fn cmd_ext(level: u32, pool_frames: usize) -> Result<()> {
     println!(
         "R11 semantics: read-on-A={read_ok}, write-on-A-denied={write_denied}, cross-links-intact={cross_link_intact}"
     );
-    cleanup_db(&path);
     Ok(())
 }
 
@@ -862,9 +534,9 @@ fn cmd_simple(persons: u64, pool_frames: usize) -> storage::Result<()> {
         authors_per_doc: 3,
         seed: 0x5349_4D50,
     };
-    let path = tmp_db_path("simple");
+    let files = DbFiles::new(&std::env::temp_dir(), "simple");
     let t = Instant::now();
-    let mut db = simple_ops::SimpleDb::create(&path, pool_frames, cfg)?;
+    let mut db = simple_ops::SimpleDb::create(files.path(), pool_frames, cfg)?;
     println!(
         "create: {} persons, {} documents in {:.2}s ({} bytes on disk)",
         cfg.persons,
@@ -943,13 +615,12 @@ fn cmd_simple(persons: u64, pool_frames: usize) -> storage::Result<()> {
     // 7: database open.
     drop(db);
     let t = Instant::now();
-    let _db = simple_ops::SimpleDb::open(&path, pool_frames)?;
+    let _db = simple_ops::SimpleDb::open(files.path(), pool_frames)?;
     println!(
         "{:<20} {:>14.3} ms",
         "7 databaseOpen",
         t.elapsed().as_secs_f64() * 1e3
     );
-    cleanup_db(&path);
     Ok(())
 }
 
@@ -958,14 +629,10 @@ fn cmd_verify(level: u32, backend: &str, pool_frames: usize) -> Result<()> {
     let db = TestDatabase::generate(&GenConfig::level(level));
     let mut all_ok = true;
     for b in backends(backend) {
-        let (mut store, _t, _sz, oids, path, _srv) = load_backend(&b, &db, pool_frames, None)?;
-        let report = hypermodel::verify::verify_store(store.as_mut(), &db, &oids)?;
-        print!("{b:<5} level {level}: {report}");
+        let mut dep = b.deploy(&db, &std::env::temp_dir(), pool_frames, None)?;
+        let report = hypermodel::verify::verify_store(dep.store.as_mut(), &db, &dep.load.oids)?;
+        print!("{:<5} level {level}: {report}", b.to_string());
         all_ok &= report.is_ok();
-        drop(store);
-        if let Some(p) = path {
-            cleanup_db(&p);
-        }
     }
     if !all_ok {
         return Err(hypermodel::HmError::Backend("verification failed".into()));

@@ -9,12 +9,14 @@
 //!
 //! plus the §5.3 creation measurements, the §6.8 extension operations, the
 //! §7 multi-user experiment, and the §4 simple-operations baseline. The
-//! [`report`] module renders the paper-style tables; the `hyperbench`
-//! binary drives everything.
+//! [`backend`] module names and builds every store composition a run can
+//! target, the [`report`] module renders the paper-style tables, and the
+//! `hyperbench` binary drives everything.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod backend;
 pub mod input;
 pub mod multiuser;
 pub mod protocol;

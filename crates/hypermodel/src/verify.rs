@@ -9,8 +9,11 @@
 //!
 //! The checks are exhaustive, not sampled: every node's attributes, kind,
 //! ordered children, parent, parts, inverse parts, references in both
-//! directions, and every leaf's content; plus the scan count and spot
-//! range-lookup cross-checks.
+//! directions, and every leaf's content; the read-only closures (O10, O11,
+//! O13, O14, O15, O18) from every closure-start node; plus the scan count
+//! and spot range-lookup cross-checks. It is the one oracle sweep: the
+//! conformance tests, `hyperbench verify` and hyperperf's end-of-run gate
+//! all run it.
 
 use crate::error::Result;
 use crate::generate::TestDatabase;
@@ -27,6 +30,8 @@ pub struct VerifyReport {
     pub relationship_checks: usize,
     /// Text/form contents compared byte-for-byte.
     pub content_checks: usize,
+    /// Closure answers compared, in order, against the oracle's.
+    pub closure_checks: usize,
     /// Divergences found (capped at [`VerifyReport::MAX_ERRORS`]).
     pub errors: Vec<String>,
 }
@@ -52,10 +57,11 @@ impl std::fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "verified {} nodes, {} relationship endpoints, {} contents: {}",
+            "verified {} nodes, {} relationship endpoints, {} contents, {} closures: {}",
             self.nodes_checked,
             self.relationship_checks,
             self.content_checks,
+            self.closure_checks,
             if self.is_ok() { "OK" } else { "DIVERGENT" }
         )?;
         for e in &self.errors {
@@ -77,6 +83,7 @@ pub fn verify_store<S: HyperStore + ?Sized>(
         nodes_checked: 0,
         relationship_checks: 0,
         content_checks: 0,
+        closure_checks: 0,
         errors: Vec::new(),
     };
     if oids.len() != db.len() {
@@ -213,6 +220,40 @@ pub fn verify_store<S: HyperStore + ?Sized>(
         ));
     }
 
+    // The six read-only closures (O10, O11, O13, O14, O15, O18) from every
+    // closure-start node, with the benchmark's own inputs, compared as
+    // object ids in the oracle's order.
+    let to_oids = |idx: Vec<u32>| -> Vec<Oid> { idx.iter().map(|&i| oids[i as usize]).collect() };
+    for idx in db.level_indices(oracle.closure_start_level()) {
+        let start = oids[idx as usize];
+        report.closure_checks += 6;
+        if store.closure_1n(start)? != to_oids(oracle.closure_1n(idx)) {
+            report.error(format!("node {idx}: closure1N (O10) diverges"));
+        }
+        if store.closure_1n_att_sum(start)? != oracle.closure_1n_att_sum(idx) {
+            report.error(format!("node {idx}: closure1NAttSum (O11) diverges"));
+        }
+        if store.closure_1n_pred(start, 250_000, 750_000)?
+            != to_oids(oracle.closure_1n_pred(idx, 250_000, 750_000))
+        {
+            report.error(format!("node {idx}: closure1NPred (O13) diverges"));
+        }
+        if store.closure_mn(start)? != to_oids(oracle.closure_mn(idx)) {
+            report.error(format!("node {idx}: closureMN (O14) diverges"));
+        }
+        if store.closure_mnatt(start, 25)? != to_oids(oracle.closure_mnatt(idx, 25)) {
+            report.error(format!("node {idx}: closureMNAtt (O15) diverges"));
+        }
+        let want: Vec<(Oid, u64)> = oracle
+            .closure_mnatt_linksum(idx, 25)
+            .into_iter()
+            .map(|(i, d)| (oids[i as usize], d))
+            .collect();
+        if store.closure_mnatt_linksum(start, 25)? != want {
+            report.error(format!("node {idx}: closureMNAttLinkSum (O18) diverges"));
+        }
+    }
+
     // Range-lookup cross-checks at the paper's selectivities.
     for (lo, hi) in [(1u32, 10), (46, 55), (91, 100)] {
         let got = store.range_hundred(lo, hi)?;
@@ -225,14 +266,16 @@ pub fn verify_store<S: HyperStore + ?Sized>(
             report.error(format!("rangeHundred({lo},{hi}) diverges"));
         }
     }
-    let got = store.range_million(1, 10_000)?;
-    let mut got_idx: Vec<u32> = Vec::new();
-    for o in got {
-        got_idx.push(uid_to_idx(store, o)?);
-    }
-    got_idx.sort_unstable();
-    if got_idx != oracle.range_million(1, 10_000) {
-        report.error("rangeMillion(1,10000) diverges".to_string());
+    for (lo, hi) in [(1u32, 10_000), (500_000, 509_999)] {
+        let got = store.range_million(lo, hi)?;
+        let mut got_idx: Vec<u32> = Vec::new();
+        for o in got {
+            got_idx.push(uid_to_idx(store, o)?);
+        }
+        got_idx.sort_unstable();
+        if got_idx != oracle.range_million(lo, hi) {
+            report.error(format!("rangeMillion({lo},{hi}) diverges"));
+        }
     }
 
     Ok(report)
@@ -251,6 +294,7 @@ mod tests {
             nodes_checked: 10,
             relationship_checks: 20,
             content_checks: 5,
+            closure_checks: 6,
             errors: Vec::new(),
         };
         assert!(r.is_ok());

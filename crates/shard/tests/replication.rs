@@ -11,9 +11,8 @@ use hypermodel::config::GenConfig;
 use hypermodel::error::HmError;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::model::Oid;
-use hypermodel::oracle::Oracle;
 use hypermodel::store::HyperStore;
+use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
 use proptest::prelude::*;
 use shard::{Placement, ReplicaGroup, ScanPolicy, ShardedStore, WriteAck};
@@ -79,92 +78,6 @@ fn total<S: HyperStore + Send + 'static>(
         .sum()
 }
 
-fn uids(store: &mut dyn HyperStore, oids: &[Oid]) -> Vec<u32> {
-    oids.iter()
-        .map(|&o| (store.unique_id_of(o).unwrap() - 1) as u32)
-        .collect()
-}
-
-/// The full benchmark read-op sweep against the oracle — same checks as
-/// the unreplicated conformance suite, reused here so a mid-run replica
-/// kill can be bracketed by complete sweeps.
-fn check_against_oracle(store: &mut dyn HyperStore, oids: &[Oid], db: &TestDatabase) {
-    let oracle = Oracle::new(db);
-    let name = store.backend_name();
-
-    assert_eq!(
-        store.seq_scan_ten().unwrap(),
-        oracle.seq_scan_count(),
-        "{name}: O9"
-    );
-
-    for (lo, hi) in [(1u32, 10), (42, 51)] {
-        let got = store.range_hundred(lo, hi).unwrap();
-        let mut got = uids(store, &got);
-        got.sort_unstable();
-        assert_eq!(got, oracle.range_hundred(lo, hi), "{name}: O3");
-    }
-
-    for idx in 0..db.len() as u32 {
-        let oid = oids[idx as usize];
-        let kids = store.children(oid).unwrap();
-        assert_eq!(
-            uids(store, &kids),
-            oracle.children(idx),
-            "{name}: children of {idx}"
-        );
-        let parent = store.parent(oid).unwrap();
-        assert_eq!(
-            parent.map(|p| (store.unique_id_of(p).unwrap() - 1) as u32),
-            oracle.parent(idx),
-            "{name}: parent of {idx}"
-        );
-        let parts = store.parts(oid).unwrap();
-        assert_eq!(
-            uids(store, &parts),
-            oracle.parts(idx),
-            "{name}: parts of {idx}"
-        );
-    }
-
-    let start_level = oracle.closure_start_level();
-    for idx in db.level_indices(start_level) {
-        let start = oids[idx as usize];
-        let c = store.closure_1n(start).unwrap();
-        assert_eq!(
-            uids(store, &c),
-            oracle.closure_1n(idx),
-            "{name}: O10 from {idx}"
-        );
-        let (sum, count) = store.closure_1n_att_sum(start).unwrap();
-        assert_eq!((sum, count), oracle.closure_1n_att_sum(idx), "{name}: O11");
-        let c = store.closure_1n_pred(start, 250_000, 750_000).unwrap();
-        assert_eq!(
-            uids(store, &c),
-            oracle.closure_1n_pred(idx, 250_000, 750_000),
-            "{name}: O13"
-        );
-        let c = store.closure_mn(start).unwrap();
-        assert_eq!(uids(store, &c), oracle.closure_mn(idx), "{name}: O14");
-        let c = store.closure_mnatt(start, 25).unwrap();
-        assert_eq!(
-            uids(store, &c),
-            oracle.closure_mnatt(idx, 25),
-            "{name}: O15"
-        );
-        let pairs = store.closure_mnatt_linksum(start, 25).unwrap();
-        let pairs_u: Vec<(u32, u64)> = pairs
-            .iter()
-            .map(|&(o, d)| ((store.unique_id_of(o).unwrap() - 1) as u32, d))
-            .collect();
-        assert_eq!(
-            pairs_u,
-            oracle.closure_mnatt_linksum(idx, 25),
-            "{name}: O18"
-        );
-    }
-}
-
 /// The acceptance test: K = 2, the primary of group 0 dies mid-run.
 /// Reads fail over transparently, writes keep landing on the surviving
 /// mirror, no error surfaces, and the next commit resyncs the dead
@@ -181,12 +94,14 @@ fn replicated_run_survives_replica_kill_and_repairs_it() {
         assert_eq!(replication_factor(&s), 2);
 
         // Healthy sweep first, then kill the primary of group 0 mid-run.
-        check_against_oracle(&mut s, &r.oids, &db);
+        let report = verify_store(&mut s, &db, &r.oids).unwrap();
+        assert!(report.is_ok(), "{report}");
         mark_member_down(&s, 0);
 
         // Every op still completes: reads fail over to the sibling,
         // writes fan to the healthy members only.
-        check_against_oracle(&mut s, &r.oids, &db);
+        let report = verify_store(&mut s, &db, &r.oids).unwrap();
+        assert!(report.is_ok(), "{report}");
         s.closure_1n_att_set(root).unwrap(); // O12 writes while degraded
         s.closure_1n_att_set(root).unwrap(); // involution: restores values
         assert!(
@@ -211,7 +126,8 @@ fn replicated_run_survives_replica_kill_and_repairs_it() {
         // Prove the repaired member serves correct reads on its own:
         // take its sibling away so every group-0 read must land on it.
         mark_member_down(&s, 1);
-        check_against_oracle(&mut s, &r.oids, &db);
+        let report = verify_store(&mut s, &db, &r.oids).unwrap();
+        assert!(report.is_ok(), "{report}");
         s.commit().unwrap();
         assert_eq!(member_health(&s), &[true; 4]);
 
@@ -304,7 +220,8 @@ fn crashed_replica_is_replaced_and_resynced_from_scratch() {
     // the whole database correctly on its own.
     s.closure_1n_att_set(root).unwrap();
     mark_member_down(&s, 0);
-    check_against_oracle(&mut s, &r.oids, &db);
+    let report = verify_store(&mut s, &db, &r.oids).unwrap();
+    assert!(report.is_ok(), "{report}");
 }
 
 /// Write acknowledgement policies: `Primary` needs one healthy member,
@@ -441,7 +358,8 @@ fn replication_soak_kill_and_repair_every_epoch() {
     // O12 ran once per epoch; an even epoch count restores the values,
     // so the full conformance sweep must pass bit-for-bit.
     assert_eq!(epochs % 2, 0);
-    check_against_oracle(&mut s, &r.oids, &db);
+    let report = verify_store(&mut s, &db, &r.oids).unwrap();
+    assert!(report.is_ok(), "{report}");
     let summary = s.resilience_summary().unwrap();
     assert!(summary.contains(&format!("repairs={epochs}")), "{summary}");
 }

@@ -10,6 +10,7 @@ use hypermodel::model::Oid;
 use hypermodel::oracle::Oracle;
 use hypermodel::store::HyperStore;
 use hypermodel::text::{VERSION_1, VERSION_2};
+use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
 use server::{serve, ChannelTransport, RemoteStore};
 use shard::{Placement, ShardedStore};
@@ -19,89 +20,6 @@ fn sharded_mem(n: usize, placement: Placement) -> ShardedStore<MemStore> {
     ShardedStore::new(shards, placement, "sharded-mem")
 }
 
-fn uids(store: &mut dyn HyperStore, oids: &[Oid]) -> Vec<u32> {
-    oids.iter()
-        .map(|&o| (store.unique_id_of(o).unwrap() - 1) as u32)
-        .collect()
-}
-
-fn check_against_oracle(store: &mut dyn HyperStore, oids: &[Oid], db: &TestDatabase) {
-    let oracle = Oracle::new(db);
-    let name = store.backend_name();
-
-    assert_eq!(
-        store.seq_scan_ten().unwrap(),
-        oracle.seq_scan_count(),
-        "{name}: O9"
-    );
-
-    for (lo, hi) in [(1u32, 10), (42, 51)] {
-        let got = store.range_hundred(lo, hi).unwrap();
-        let mut got = uids(store, &got);
-        got.sort_unstable();
-        assert_eq!(got, oracle.range_hundred(lo, hi), "{name}: O3");
-    }
-
-    for idx in 0..db.len() as u32 {
-        let oid = oids[idx as usize];
-        let kids = store.children(oid).unwrap();
-        assert_eq!(
-            uids(store, &kids),
-            oracle.children(idx),
-            "{name}: children of {idx}"
-        );
-        let parent = store.parent(oid).unwrap();
-        assert_eq!(
-            parent.map(|p| (store.unique_id_of(p).unwrap() - 1) as u32),
-            oracle.parent(idx),
-            "{name}: parent of {idx}"
-        );
-        let parts = store.parts(oid).unwrap();
-        assert_eq!(
-            uids(store, &parts),
-            oracle.parts(idx),
-            "{name}: parts of {idx}"
-        );
-    }
-
-    let start_level = oracle.closure_start_level();
-    for idx in db.level_indices(start_level) {
-        let start = oids[idx as usize];
-        let c = store.closure_1n(start).unwrap();
-        assert_eq!(
-            uids(store, &c),
-            oracle.closure_1n(idx),
-            "{name}: O10 from {idx}"
-        );
-        let (sum, count) = store.closure_1n_att_sum(start).unwrap();
-        assert_eq!((sum, count), oracle.closure_1n_att_sum(idx), "{name}: O11");
-        let c = store.closure_1n_pred(start, 250_000, 750_000).unwrap();
-        assert_eq!(
-            uids(store, &c),
-            oracle.closure_1n_pred(idx, 250_000, 750_000),
-            "{name}: O13"
-        );
-        let c = store.closure_mn(start).unwrap();
-        assert_eq!(uids(store, &c), oracle.closure_mn(idx), "{name}: O14");
-        let c = store.closure_mnatt(start, 25).unwrap();
-        assert_eq!(
-            uids(store, &c),
-            oracle.closure_mnatt(idx, 25),
-            "{name}: O15"
-        );
-        let pairs = store.closure_mnatt_linksum(start, 25).unwrap();
-        let pairs_u: Vec<(u32, u64)> = pairs
-            .iter()
-            .map(|&(o, d)| ((store.unique_id_of(o).unwrap() - 1) as u32, d))
-            .collect();
-        assert_eq!(
-            pairs_u,
-            oracle.closure_mnatt_linksum(idx, 25),
-            "{name}: O18"
-        );
-    }
-}
-
 #[test]
 fn sharded_mem_matches_oracle_under_both_placements() {
     let db = TestDatabase::generate(&GenConfig::level(3));
@@ -109,7 +27,8 @@ fn sharded_mem_matches_oracle_under_both_placements() {
         for n in [1usize, 3] {
             let mut s = sharded_mem(n, placement);
             let r = load_database(&mut s, &db).unwrap();
-            check_against_oracle(&mut s, &r.oids, &db);
+            let report = verify_store(&mut s, &db, &r.oids).unwrap();
+            assert!(report.is_ok(), "{report}");
         }
     }
 }
@@ -264,7 +183,8 @@ fn remote_sharded_deployment_matches_oracle() {
     }
     let mut s = ShardedStore::new(remotes, Placement::affinity(), "sharded-remote");
     let r = load_database(&mut s, &db).unwrap();
-    check_against_oracle(&mut s, &r.oids, &db);
+    let report = verify_store(&mut s, &db, &r.oids).unwrap();
+    assert!(report.is_ok(), "{report}");
     drop(s);
     for h in servers {
         h.join().unwrap();

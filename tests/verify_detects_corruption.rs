@@ -1,9 +1,13 @@
 //! The load verifier must pass on faithful loads and flag every class of
 //! divergence a broken port could introduce.
 
+use hypermodel::bitmap::Bitmap;
 use hypermodel::config::GenConfig;
+use hypermodel::error::Result;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
+use hypermodel::migrate::NodeExport;
+use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::HyperStore;
 use hypermodel::text::{VERSION_1, VERSION_2};
 use hypermodel::verify::verify_store;
@@ -100,5 +104,52 @@ fn error_cap_keeps_reports_bounded() {
     assert_eq!(
         report.errors.len(),
         hypermodel::verify::VerifyReport::MAX_ERRORS
+    );
+}
+
+/// A store whose M-N closures lose their last node: every primitive is
+/// intact, so only a check of the closure answers themselves can see it.
+struct ShortClosureMn(MemStore);
+
+macro_rules! forward {
+    ($(
+        $class:ident $tag:literal $variant:ident
+        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
+    )*) => {$(
+        forward_one! { fn $name($($($arg: [$($ty)+]),+)?) -> $ret }
+    )*};
+}
+macro_rules! forward_one {
+    (fn closure_mn $($rest:tt)*) => {};
+    (fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty) => {
+        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
+            self.0.$name($($arg),*)
+        }
+    };
+}
+
+impl HyperStore for ShortClosureMn {
+    hypermodel::store_ops!(forward);
+
+    fn closure_mn(&mut self, start: Oid) -> Result<Vec<Oid>> {
+        let mut closure = self.0.closure_mn(start)?;
+        closure.pop();
+        Ok(closure)
+    }
+
+    fn backend_name(&self) -> &'static str {
+        "short-closure-mn"
+    }
+}
+
+#[test]
+fn closure_corruption_is_flagged() {
+    let (store, db, oids) = loaded();
+    let mut store = ShortClosureMn(store);
+    let report = verify_store(&mut store, &db, &oids).unwrap();
+    assert!(!report.is_ok());
+    assert!(
+        report.errors.iter().all(|e| e.contains("closureMN (O14)")),
+        "{report}"
     );
 }
