@@ -4,7 +4,7 @@
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::{HyperStore, ShardLoad};
-use hypermodel::{Bitmap, NodeExport};
+use hypermodel::{BatchWrite, Bitmap, NodeExport};
 
 use crate::plan::{CrashPoint, FaultPlan};
 

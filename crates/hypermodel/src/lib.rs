@@ -64,5 +64,5 @@ pub use ops::{InputKind, OpCategory, OpId};
 pub use oracle::Oracle;
 pub use rng::Rng;
 pub use schema::Schema;
-pub use store::{HyperStore, ShardLoad};
+pub use store::{BatchWrite, HyperStore, ShardLoad};
 pub use verify::{verify_store, VerifyReport};

@@ -58,6 +58,30 @@ pub struct ShardLoad {
     pub migrated: u64,
 }
 
+/// One write of a [`HyperStore::write_batch`]: the creation and linking
+/// primitives of §5.3 and `set_hundred`, as data.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BatchWrite {
+    /// [`create_node_clustered(value, near)`](HyperStore::create_node_clustered).
+    Create {
+        /// The node to create.
+        value: NodeValue,
+        /// The placement hint.
+        near: Option<Oid>,
+    },
+    /// [`insert_extra_node`](HyperStore::insert_extra_node).
+    Extra(NodeValue),
+    /// [`add_child(parent, child)`](HyperStore::add_child).
+    Child(Oid, Oid),
+    /// [`add_part(owner, part)`](HyperStore::add_part).
+    Part(Oid, Oid),
+    /// [`add_ref(from, ..)`](HyperStore::add_ref), the edge's `target`
+    /// being the reference's `to`.
+    Ref(Oid, RefEdge),
+    /// [`set_hundred(oid, value)`](HyperStore::set_hundred).
+    SetHundred(Oid, u32),
+}
+
 /// Primitive and derived HyperModel operations over one test database.
 pub trait HyperStore {
     // ---- identity and lookup (O1/O2) --------------------------------
@@ -366,12 +390,28 @@ pub trait HyperStore {
         oids.iter().map(|&o| self.million_of(o)).collect()
     }
 
-    /// [`set_hundred`](HyperStore::set_hundred) for each `(oid, value)`.
-    fn set_hundred_batch(&mut self, updates: &[(Oid, u32)]) -> Result<()> {
-        for &(o, v) in updates {
-            self.set_hundred(o, v)?;
+    /// Apply `writes` in order, as the scalar method each item names;
+    /// returns the id of each `Create` and `Extra` item, in order. The
+    /// loader sends a creation phase as a few of these instead of one
+    /// request per node or edge. On failure, the items before the failing
+    /// one stay applied, as they would after the same scalar calls.
+    fn write_batch(&mut self, writes: &[BatchWrite]) -> Result<Vec<Oid>> {
+        let mut created = Vec::new();
+        for w in writes {
+            match w {
+                BatchWrite::Create { value, near } => {
+                    created.push(self.create_node_clustered(value, *near)?)
+                }
+                BatchWrite::Extra(value) => created.push(self.insert_extra_node(value)?),
+                BatchWrite::Child(parent, child) => self.add_child(*parent, *child)?,
+                BatchWrite::Part(owner, part) => self.add_part(*owner, *part)?,
+                BatchWrite::Ref(from, e) => {
+                    self.add_ref(*from, e.target, e.offset_from, e.offset_to)?
+                }
+                BatchWrite::SetHundred(oid, value) => self.set_hundred(*oid, *value)?,
+            }
         }
-        Ok(())
+        Ok(created)
     }
 
     // =====================================================================
@@ -647,7 +687,8 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 ///   before the caller goes on: the commit family and restart).
 /// * `tag`, `Variant` — the operation's byte on the wire and its
 ///   `server::protocol::Request` variant. Tags are never reused; 37, 47
-///   and 48 belong to the protocol's own session messages.
+///   and 48 belong to the protocol's own session messages, and 43 is
+///   retired (a batch of `set_hundred`, now [`BatchWrite::SetHundred`]).
 /// * the method's name and signature as in the trait, each argument type
 ///   in brackets so a consumer can tell a borrowed argument from a
 ///   by-value one (see [`own!`](crate::own) and [`lend!`](crate::lend)).
@@ -656,8 +697,8 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 /// * `about arg` — the one node the operation addresses, for operations a
 ///   server answers with a redirect once that node has migrated away.
 ///
-/// The rows name `Oid`, `NodeKind`, `NodeValue`, `RefEdge`, `Bitmap` and
-/// `NodeExport` unqualified; a consumer imports them.
+/// The rows name `Oid`, `NodeKind`, `NodeValue`, `RefEdge`, `Bitmap`,
+/// `NodeExport` and `BatchWrite` unqualified; a consumer imports them.
 #[macro_export]
 macro_rules! store_ops {
     ($consumer:ident) => {
@@ -706,7 +747,6 @@ macro_rules! store_ops {
             read    40 RefsToBatch         fn refs_to_batch(oids: [&[Oid]]) -> Vec<Vec<RefEdge>>;
             read    41 HundredBatch        fn hundred_batch(oids: [&[Oid]]) -> Vec<u32>;
             read    42 MillionBatch        fn million_batch(oids: [&[Oid]]) -> Vec<u32>;
-            write   43 SetHundredBatch     fn set_hundred_batch(updates: [&[(Oid, u32)]]) -> ();
             barrier 44 PrepareCommit       fn prepare_commit(txid: [u64]) -> ();
             barrier 45 CommitPrepared      fn commit_prepared(txid: [u64]) -> ();
             barrier 46 AbortPrepared       fn abort_prepared(txid: [u64]) -> ();
@@ -716,6 +756,7 @@ macro_rules! store_ops {
             write   52 InstallNodes        fn install_nodes(batch: [&[NodeExport]]) -> Vec<Oid>;
             write   53 ActivateNodes       fn activate_nodes(oids: [&[Oid]]) -> ();
             write   54 RetireNodes         fn retire_nodes(oids: [&[Oid]], moved_to: [u16], epoch: [u64]) -> ();
+            write   55 WriteBatch          fn write_batch(writes: [&[BatchWrite]]) -> Vec<Oid>;
         }
     };
 }

@@ -15,7 +15,7 @@
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::HyperStore;
-use hypermodel::{Bitmap, NodeExport};
+use hypermodel::{BatchWrite, Bitmap, NodeExport};
 
 use crate::protocol::{unexpected, Reply, Request, Response};
 use crate::transport::Transport;

@@ -9,7 +9,7 @@
 
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeValue, Oid, RefEdge};
-use hypermodel::{Bitmap, NodeExport};
+use hypermodel::{BatchWrite, Bitmap, NodeExport};
 
 /// Element-count cap for preallocating from an untrusted length prefix.
 ///
@@ -296,6 +296,69 @@ impl Wire for NodeValue {
         NodeValue::decode(r.bytes_ref()?)
     }
 }
+
+/// A tag byte, then the fields: each item is encoded exactly as the
+/// request of the scalar operation it stands for, tag included, so a
+/// batch is a counted run of scalar request bodies.
+impl Wire for BatchWrite {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            BatchWrite::Create { value, near } => {
+                w.u8(BATCH_CREATE);
+                value.put(w);
+                near.put(w);
+            }
+            BatchWrite::Extra(value) => {
+                w.u8(BATCH_EXTRA);
+                value.put(w);
+            }
+            BatchWrite::Child(parent, child) => {
+                w.u8(BATCH_CHILD);
+                parent.put(w);
+                child.put(w);
+            }
+            BatchWrite::Part(owner, part) => {
+                w.u8(BATCH_PART);
+                owner.put(w);
+                part.put(w);
+            }
+            BatchWrite::Ref(from, edge) => {
+                w.u8(BATCH_REF);
+                from.put(w);
+                edge.put(w);
+            }
+            BatchWrite::SetHundred(oid, value) => {
+                w.u8(BATCH_SET_HUNDRED);
+                oid.put(w);
+                w.u32(*value);
+            }
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        Ok(match r.u8()? {
+            BATCH_CREATE => BatchWrite::Create {
+                value: NodeValue::get(r)?,
+                near: Option::get(r)?,
+            },
+            BATCH_EXTRA => BatchWrite::Extra(NodeValue::get(r)?),
+            BATCH_CHILD => BatchWrite::Child(Oid::get(r)?, Oid::get(r)?),
+            BATCH_PART => BatchWrite::Part(Oid::get(r)?, Oid::get(r)?),
+            BATCH_REF => BatchWrite::Ref(Oid::get(r)?, RefEdge::get(r)?),
+            BATCH_SET_HUNDRED => BatchWrite::SetHundred(Oid::get(r)?, r.u32()?),
+            tag => return Err(HmError::Backend(format!("unknown batch write tag {tag}"))),
+        })
+    }
+}
+
+/// [`BatchWrite`] item tags: the catalogue tags of `create_node_clustered`,
+/// `insert_extra_node`, `add_child`, `add_part`, `add_ref` and
+/// `set_hundred`.
+const BATCH_CREATE: u8 = 21;
+const BATCH_EXTRA: u8 = 25;
+const BATCH_CHILD: u8 = 22;
+const BATCH_PART: u8 = 23;
+const BATCH_REF: u8 = 24;
+const BATCH_SET_HUNDRED: u8 = 6;
 
 /// A migration batch in `hypermodel::migrate`'s own portable format,
 /// length-prefixed. (`NodeExport` alone has no wire form, so this does

@@ -17,7 +17,7 @@
 
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::{Bitmap, NodeExport};
+use hypermodel::{BatchWrite, Bitmap, NodeExport};
 
 use crate::codec::{Reader, Wire, Writer};
 

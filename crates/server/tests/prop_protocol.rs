@@ -1,12 +1,62 @@
 //! Property tests for the wire protocol: arbitrary messages round-trip
 //! through `encode_into` (which appends and never disturbs what the
 //! buffer already holds), and arbitrary garbage never panics the
-//! decoder.
+//! decoder, nor makes it reserve more than `codec::prealloc_cap` lets a
+//! list take: a frame's worth of bytes.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::{Bitmap, NodeExport};
+use hypermodel::{BatchWrite, Bitmap, NodeExport};
 use proptest::prelude::*;
 use server::protocol::{Request, Response};
+use server::transport::MAX_FRAME;
+
+/// The system allocator, noting the largest single allocation each thread
+/// asks for, so a test can bound what a decode reserves.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: nothing to note once the thread's locals are gone.
+    let _ = PEAK.try_with(|peak| peak.set(peak.get().max(size)));
+}
+
+// SAFETY: every method hands its arguments unchanged to `System`, so the
+// caller gets exactly `System`'s guarantees; the bookkeeping reads a size
+// and sets a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: forwarded; the caller meets `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded; `ptr` came from `System` through this type.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: forwarded; the caller meets `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// The largest allocation `f` makes on this thread.
+fn peak_allocation(f: impl FnOnce()) -> usize {
+    PEAK.with(|peak| peak.set(0));
+    f();
+    PEAK.with(Cell::get)
+}
 
 fn arb_oid() -> impl Strategy<Value = Oid> {
     (0u64..1 << 55).prop_map(Oid)
@@ -89,6 +139,27 @@ fn arb_export() -> impl Strategy<Value = NodeExport> {
         )
 }
 
+fn arb_batch_write() -> impl Strategy<Value = BatchWrite> {
+    prop_oneof![
+        (arb_node_value(), proptest::option::of(arb_oid()))
+            .prop_map(|(value, near)| BatchWrite::Create { value, near }),
+        arb_node_value().prop_map(BatchWrite::Extra),
+        (arb_oid(), arb_oid()).prop_map(|(a, b)| BatchWrite::Child(a, b)),
+        (arb_oid(), arb_oid()).prop_map(|(a, b)| BatchWrite::Part(a, b)),
+        (arb_oid(), arb_oid(), 0u8..10, 0u8..10).prop_map(|(a, target, offset_from, offset_to)| {
+            BatchWrite::Ref(
+                a,
+                RefEdge {
+                    target,
+                    offset_from,
+                    offset_to,
+                },
+            )
+        }),
+        (arb_oid(), any::<u32>()).prop_map(|(o, v)| BatchWrite::SetHundred(o, v)),
+    ]
+}
+
 fn bitmap((w, h): (u16, u16)) -> Bitmap {
     Bitmap::white(w, h)
 }
@@ -151,7 +222,6 @@ fn arb_plain_request() -> impl Strategy<Value = Request> {
         arb_oids().prop_map(Request::RefsToBatch),
         arb_oids().prop_map(Request::HundredBatch),
         arb_oids().prop_map(Request::MillionBatch),
-        proptest::collection::vec((oid(), any::<u32>()), 0..20).prop_map(Request::SetHundredBatch),
         any::<u64>().prop_map(Request::PrepareCommit),
         any::<u64>().prop_map(Request::CommitPrepared),
         any::<u64>().prop_map(Request::AbortPrepared),
@@ -162,6 +232,7 @@ fn arb_plain_request() -> impl Strategy<Value = Request> {
         arb_oids().prop_map(Request::ActivateNodes),
         (arb_oids(), any::<u16>(), any::<u64>())
             .prop_map(|(o, to, epoch)| Request::RetireNodes(o, to, epoch)),
+        proptest::collection::vec(arb_batch_write(), 0..8).prop_map(Request::WriteBatch),
     ]
 }
 
@@ -298,22 +369,30 @@ proptest! {
     }
 
     // Mutated *valid* frames: a flipped byte lands in a length prefix, a
-    // tag or a flag far more often than random garbage does.
+    // tag or a flag far more often than random garbage does — in a batch
+    // of writes, mutated in every case, nearly always. The decode errors
+    // or succeeds; it never panics or reserves more than a frame's worth.
     #[test]
     fn mutated_valid_frames_error_or_decode_never_panic(
         req in arb_request(),
+        writes in proptest::collection::vec(arb_batch_write(), 1..8),
         resp in arb_response(),
         at in any::<usize>(),
         byte in any::<u8>(),
     ) {
-        let mut bytes = request_bytes(&req);
-        let i = at % bytes.len();
-        bytes[i] = byte;
-        let _ = Request::decode(&bytes);
-        let mut bytes = response_bytes(&resp);
-        let i = at % bytes.len();
-        bytes[i] = byte;
-        let _ = Response::decode(&bytes);
+        let mutated = |mut bytes: Vec<u8>| {
+            let i = at % bytes.len();
+            bytes[i] = byte;
+            bytes
+        };
+        for frame in [request_bytes(&req), request_bytes(&Request::WriteBatch(writes))] {
+            let bytes = mutated(frame);
+            let peak = peak_allocation(|| drop(Request::decode(&bytes)));
+            prop_assert!(peak <= MAX_FRAME, "{peak} bytes reserved");
+        }
+        let bytes = mutated(response_bytes(&resp));
+        let peak = peak_allocation(|| drop(Response::decode(&bytes)));
+        prop_assert!(peak <= MAX_FRAME, "{peak} bytes reserved");
     }
 
     // An option's presence byte is 0 or 1. Anything else used to decode
@@ -335,4 +414,19 @@ proptest! {
         bytes[1] = flag;
         prop_assert!(Response::decode(&bytes).is_err());
     }
+}
+
+/// A batch announcing four billion writes and carrying one: refused on the
+/// missing items, after reserving no more than a frame's worth of them.
+#[test]
+fn lying_write_batch_count_reserves_at_most_prealloc_cap() {
+    let mut bytes = request_bytes(&Request::WriteBatch(vec![BatchWrite::SetHundred(
+        Oid(1),
+        2,
+    )]));
+    bytes[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut decoded = None;
+    let peak = peak_allocation(|| decoded = Some(Request::decode(&bytes)));
+    assert!(decoded.unwrap().is_err());
+    assert!(peak <= MAX_FRAME, "{peak} bytes reserved");
 }

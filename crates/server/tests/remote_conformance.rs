@@ -7,9 +7,9 @@
 use hypermodel::config::GenConfig;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::model::{NodeKind, Oid};
+use hypermodel::model::{NodeKind, Oid, RefEdge};
 use hypermodel::oracle::Oracle;
-use hypermodel::store::{self, HyperStore};
+use hypermodel::store::{self, BatchWrite, HyperStore};
 use hypermodel::text::{VERSION_1, VERSION_2};
 use mem_backend::MemStore;
 use server::client::RemoteStore;
@@ -220,13 +220,31 @@ fn every_catalogued_operation_is_one_round_trip_and_agrees_with_the_store_behind
         value
     };
     let (a, b, c) = (fresh(1001), fresh(1002), fresh(1003));
+    let writes = [
+        BatchWrite::Create {
+            value: fresh(1005),
+            near: Some(inner),
+        },
+        BatchWrite::Extra(fresh(1006)),
+        BatchWrite::Child(leaf, inner),
+        BatchWrite::Part(leaf, inner),
+        BatchWrite::Ref(
+            leaf,
+            RefEdge {
+                target: inner,
+                offset_from: 2,
+                offset_to: 5,
+            },
+        ),
+        BatchWrite::SetHundred(root, 7),
+    ];
     // Inputs a script cannot make up: a snapshot, and an exported node
-    // re-installed as a new record.
+    // re-installed as a new record (after the five creates above).
     let snapshot = local.sync_export().unwrap();
     let mut batch = local.export_nodes(&[leaf]).unwrap();
     batch[0].reuse = None;
     batch[0].value.attrs.unique_id = 1004;
-    let installed = Oid(db.len() as u64 + 4);
+    let installed = Oid(db.len() as u64 + 6);
 
     type Step<'a> = (
         &'static str,
@@ -280,7 +298,7 @@ fn every_catalogued_operation_is_one_round_trip_and_agrees_with_the_store_behind
         step!(refs_to_batch(&frontier)),
         step!(hundred_batch(&frontier)),
         step!(million_batch(&frontier)),
-        step!(set_hundred_batch(&[(root, 7), (inner, 93)])),
+        step!(write_batch(&writes)),
         step!(prepare_commit(900)),
         step!(commit_prepared(900)),
         step!(abort_prepared(901)),

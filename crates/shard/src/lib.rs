@@ -22,6 +22,9 @@
 //!   after which [`ShardedStore::revive_shard`] or
 //!   [`ShardedStore::replace_shard`] re-admits a shard health tracking
 //!   had written off;
+//! * `write` — every creation and edge write: placement of new nodes and
+//!   the ghost stand-ins of cross-shard edges, a batch of writes sent as
+//!   at most two requests per shard;
 //! * [`migrate`] — online subtree migration
 //!   ([`ShardedStore::migrate_subtree`]);
 //! * [`remote`] — composition with `server::RemoteStore`: N TCP servers
@@ -65,6 +68,7 @@ pub mod remote;
 pub mod replica;
 pub mod router;
 pub mod store;
+mod write;
 
 pub use coordinator::{recover_sharded, CommitLog, ShardResolution};
 pub use remote::{connect_sharded, connect_sharded_replicated};

@@ -16,6 +16,7 @@ use hypermodel::model::{Oid, RefEdge};
 use hypermodel::store::HyperStore;
 
 use crate::store::ShardedStore;
+use crate::write::ghost_value;
 
 impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// The router's placement-map epoch: bumped once per migrated node,
@@ -42,6 +43,19 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// Subtree migrations completed (ownership flipped) so far.
     pub fn migrations(&self) -> u64 {
         self.migrations
+    }
+
+    /// Create (once) a ghost stand-in for `global` on `shard`, so the
+    /// shard can hold edges whose other end lives elsewhere.
+    fn ensure_ghost(&mut self, global: Oid, shard: usize) -> Result<Oid> {
+        if let Some(l) = self.router.ghost_of(global, shard) {
+            return Ok(l);
+        }
+        self.router.to_local(global)?; // the real node must exist
+        let value = ghost_value(global);
+        let local = self.call(shard, |sh| sh.insert_extra_node(&value))?;
+        self.router.register_ghost(global, shard, local);
+        Ok(local)
     }
 
     /// Map one source-shard-local endpoint of a migrating edge into the

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use hypermodel::error::{HmError, Result};
 use hypermodel::migrate::NodeExport;
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::store::{HyperStore, ShardLoad};
+use hypermodel::store::{BatchWrite, HyperStore, ShardLoad};
 use hypermodel::Bitmap;
 
 use exec::{ExecError, ShardExecutor};

@@ -1,5 +1,6 @@
-//! [`ShardedStore`]: one `HyperStore` over N shard backends — routing,
-//! ghosts and level-batched closures.
+//! [`ShardedStore`]: one `HyperStore` over N shard backends — routing
+//! and level-batched closures. Its writes (placement and the ghosts of
+//! cross-shard edges) are `crate::write`.
 //!
 //! Point operations route to the owning shard; range lookups and
 //! sequential scans fan out to every shard in parallel (persistent
@@ -27,15 +28,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hypermodel::error::{HmError, Result};
-use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::store::{HyperStore, ShardLoad};
+use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
+use hypermodel::store::{BatchWrite, HyperStore, ShardLoad};
 use hypermodel::Bitmap;
 
 use exec::{ExecError, ShardExecutor};
 
 use crate::coordinator::{CommitLog, Coordinator};
 use crate::replica::{self, ReplicaGroup};
-use crate::router::{Placement, ShardRouter, GHOST_UID_BASE};
+use crate::router::{Placement, ShardRouter};
 
 /// Per-shard scatter positions: `scatter[s][j]` is the index in the
 /// original request slice answered by shard `s`'s `j`-th result.
@@ -171,20 +172,6 @@ where
         out[s] = Some(r);
     }
     out
-}
-
-fn ghost_value(global: Oid) -> NodeValue {
-    NodeValue {
-        kind: NodeKind::INTERNAL,
-        attrs: NodeAttrs {
-            unique_id: GHOST_UID_BASE + global.0,
-            ten: 1,
-            hundred: 1,
-            thousand: 1,
-            million: 1,
-        },
-        content: Content::None,
-    }
 }
 
 impl<S: HyperStore + Send + 'static> ShardedStore<S> {
@@ -450,40 +437,6 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             }
         }
         Ok(out)
-    }
-
-    /// Create (once) a ghost stand-in for `global` on `shard`, so the
-    /// shard can hold edges whose other end lives elsewhere.
-    pub(crate) fn ensure_ghost(&mut self, global: Oid, shard: usize) -> Result<Oid> {
-        if let Some(l) = self.router.ghost_of(global, shard) {
-            return Ok(l);
-        }
-        self.router.to_local(global)?; // the real node must exist
-        let value = ghost_value(global);
-        let local = self.call(shard, |sh| sh.insert_extra_node(&value))?;
-        self.router.register_ghost(global, shard, local);
-        Ok(local)
-    }
-
-    /// Add a cross-shard edge by issuing it on both sides against ghosts,
-    /// so each side's adjacency lists read correctly after translation.
-    fn two_sided_edge(
-        &mut self,
-        a: Oid,
-        b: Oid,
-        apply: impl Fn(&mut S, Oid, Oid) -> Result<()>,
-    ) -> Result<()> {
-        let (sa, la) = self.router.to_local(a)?;
-        let (sb, lb) = self.router.to_local(b)?;
-        self.check(sa)?;
-        self.check(sb)?;
-        if sa == sb {
-            return self.call(sa, |sh| apply(sh, la, lb));
-        }
-        let ghost_b = self.ensure_ghost(b, sa)?;
-        self.call(sa, |sh| apply(sh, la, ghost_b))?;
-        let ghost_a = self.ensure_ghost(a, sb)?;
-        self.call(sb, |sh| apply(sh, ghost_a, lb))
     }
 
     /// Closure executions per start node since the last
@@ -796,43 +749,38 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
         self.create_node_clustered(value, None)
     }
 
+    // ---- writes: every creation and edge is a batch (`crate::write`) --
+
     fn create_node_clustered(&mut self, value: &NodeValue, near: Option<Oid>) -> Result<Oid> {
-        let g = self.router.mint();
-        let (s, depth) = self.router.place(g.0, near);
-        // Forward the placement hint only when it resolves on this shard
-        // (the real node or an existing ghost of it).
-        let local_near = near.and_then(|p| match self.router.to_local(p) {
-            Ok((ps, pl)) if ps == s => Some(pl),
-            _ => self.router.ghost_of(p, s),
-        });
-        let local = self.call(s, |sh| sh.create_node_clustered(value, local_near))?;
-        self.router
-            .register(g, s, local, depth, value.attrs.unique_id);
-        self.router.nodes[s] += 1;
-        Ok(g)
+        let value = value.clone();
+        self.write_one(BatchWrite::Create { value, near })?
+            .ok_or_else(|| HmError::Backend("create returned no id".into()))
     }
 
     fn add_child(&mut self, parent: Oid, child: Oid) -> Result<()> {
-        self.two_sided_edge(parent, child, |shard, p, c| shard.add_child(p, c))
+        self.write_one(BatchWrite::Child(parent, child)).map(drop)
     }
 
     fn add_part(&mut self, owner: Oid, part: Oid) -> Result<()> {
-        self.two_sided_edge(owner, part, |shard, o, p| shard.add_part(o, p))
+        self.write_one(BatchWrite::Part(owner, part)).map(drop)
     }
 
     fn add_ref(&mut self, from: Oid, to: Oid, offset_from: u8, offset_to: u8) -> Result<()> {
-        self.two_sided_edge(from, to, |shard, f, t| {
-            shard.add_ref(f, t, offset_from, offset_to)
-        })
+        let edge = RefEdge {
+            target: to,
+            offset_from,
+            offset_to,
+        };
+        self.write_one(BatchWrite::Ref(from, edge)).map(drop)
     }
 
     fn insert_extra_node(&mut self, value: &NodeValue) -> Result<Oid> {
-        let g = self.router.mint();
-        let (s, depth) = self.router.place(g.0, None);
-        let local = self.call(s, |sh| sh.insert_extra_node(value))?;
-        self.router
-            .register(g, s, local, depth, value.attrs.unique_id);
-        Ok(g)
+        self.write_one(BatchWrite::Extra(value.clone()))?
+            .ok_or_else(|| HmError::Backend("insert returned no id".into()))
+    }
+
+    fn write_batch(&mut self, writes: &[BatchWrite]) -> Result<Vec<Oid>> {
+        self.write_rounds(writes)
     }
 
     fn commit(&mut self) -> Result<()> {
@@ -940,19 +888,6 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
         self.batch_read(oids, |shard, ls| shard.million_batch(&ls), |_, _, v| Ok(v))
     }
 
-    fn set_hundred_batch(&mut self, updates: &[(Oid, u32)]) -> Result<()> {
-        let mut per: Vec<Vec<(Oid, u32)>> = vec![Vec::new(); self.router.shard_count()];
-        for &(g, v) in updates {
-            let (s, l) = self.router.to_local(g)?;
-            per[s].push((l, v));
-        }
-        let work = self.admit(per)?;
-        self.gather(work, |shard, w: Vec<(Oid, u32)>| {
-            shard.set_hundred_batch(&w)
-        })?;
-        Ok(())
-    }
-
     // ---- closures: level-batched frontier exchange + local replay -----
 
     fn closure_1n(&mut self, start: Oid) -> Result<Vec<Oid>> {
@@ -971,12 +906,12 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
     fn closure_1n_att_set(&mut self, start: Oid) -> Result<usize> {
         let closure = self.closure_1n(start)?;
         let hundreds = self.hundred_batch(&closure)?;
-        let updates: Vec<(Oid, u32)> = closure
+        let updates: Vec<BatchWrite> = closure
             .iter()
             .zip(hundreds)
-            .map(|(&o, h)| (o, 99u32.wrapping_sub(h)))
+            .map(|(&o, h)| BatchWrite::SetHundred(o, 99u32.wrapping_sub(h)))
             .collect();
-        self.set_hundred_batch(&updates)?;
+        self.write_batch(&updates)?;
         Ok(updates.len())
     }
 

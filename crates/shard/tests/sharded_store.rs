@@ -6,9 +6,9 @@ use std::time::Duration;
 use hypermodel::config::GenConfig;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::model::Oid;
+use hypermodel::model::{Oid, RefEdge};
 use hypermodel::oracle::Oracle;
-use hypermodel::store::HyperStore;
+use hypermodel::store::{BatchWrite, HyperStore};
 use hypermodel::text::{VERSION_1, VERSION_2};
 use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
@@ -55,6 +55,67 @@ fn att_set_applies_once_per_node_and_restores_on_second_pass() {
         .map(|i| s.hundred_of(r.oids[i as usize]).unwrap())
         .collect();
     assert_eq!(before, after_two, "O12 twice must restore");
+}
+
+/// A batch may name nodes it creates itself. The sharded store then sends
+/// it in rounds, and reads back exactly as one store that applied the
+/// writes in order.
+#[test]
+fn a_batch_linking_the_nodes_it_creates_reads_back_as_on_one_store() {
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let fresh = |unique_id: u64| {
+        let mut value = db.nodes[3].value.clone();
+        value.attrs.unique_id = unique_id;
+        value
+    };
+    // Both stores number nodes 1, 2, ... in creation order.
+    let (x, y) = (Oid(db.len() as u64 + 1), Oid(db.len() as u64 + 2));
+    let answers = |store: &mut dyn HyperStore| {
+        let root = load_database(store, &db).unwrap().oids[0];
+        let edge = RefEdge {
+            target: root,
+            offset_from: 1,
+            offset_to: 7,
+        };
+        let created = store.write_batch(&[
+            BatchWrite::Create {
+                value: fresh(901),
+                near: Some(root),
+            },
+            BatchWrite::Create {
+                value: fresh(902),
+                near: Some(x),
+            },
+            BatchWrite::Child(x, y),
+            BatchWrite::Part(root, y),
+            BatchWrite::Ref(y, edge),
+            BatchWrite::SetHundred(y, 42),
+            BatchWrite::Extra(fresh(903)),
+        ]);
+        let mut owners = store.part_of(y).unwrap();
+        owners.sort();
+        format!(
+            "{created:?} {:?} {:?} {owners:?} {:?} {:?} {:?} {:?}",
+            store.children(x),
+            store.parent(y),
+            store.refs_to(y),
+            store.hundred_of(y),
+            store.lookup_unique(902),
+            store.seq_scan_ten(),
+        )
+    };
+    let single = answers(&mut MemStore::new());
+    assert!(
+        single.starts_with(&format!("Ok([{x:?}, {y:?}, ")),
+        "{single}"
+    );
+    for placement in [Placement::OidHash, Placement::affinity()] {
+        assert_eq!(
+            answers(&mut sharded_mem(3, placement)),
+            single,
+            "{placement:?}"
+        );
+    }
 }
 
 #[test]

@@ -7,8 +7,9 @@
 //! bar the in-process backends clear in `cross_backend.rs`. The second drives two concurrent clients (one
 //! behind a deliberately slow transport) through all 20 operations
 //! against one process, proving the loop never blocks on a slow reader.
-//! The third pins at-most-once execution of a tagged request retried on
-//! a second connection while its first copy is still executing.
+//! The last two pin at-most-once execution of a tagged request retried on
+//! a second connection while its first copy is still executing: a single
+//! create, and a batch of them.
 
 use std::time::Duration;
 
@@ -18,10 +19,13 @@ use harness::Workload;
 use hypermodel::config::GenConfig;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
+use hypermodel::store::BatchWrite;
 use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
 use server::protocol::{Request, Response};
-use server::{serve, serve_multi, ChannelTransport, RemoteStore, TcpTransport, Transport};
+use server::{
+    serve, serve_multi, ChannelTransport, MultiStats, RemoteStore, TcpTransport, Transport,
+};
 
 /// Acceptance: one `serve_multi` process hosting four mem shards, fronted
 /// by a hash-placed router, passes the oracle sweep end to end over real
@@ -166,12 +170,11 @@ fn recv(t: &mut TcpTransport) -> Vec<u8> {
     out
 }
 
-/// A tagged mutation retried on a second connection *while the first
-/// copy is still executing* must not run twice: the dedup decision is
-/// taken on the shard's worker, in execution order, not on the loop
-/// thread when the frame arrives.
-#[test]
-fn tagged_retry_racing_its_first_copy_executes_once() {
+/// Send `request` tagged on one connection and, while that copy is
+/// parked executing inside the store, again on a second connection; then
+/// let it finish. Returns both replies, what the server counted, and the
+/// store the requests reached.
+fn race_tagged_retry(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, MemStore) {
     // The shard `serve_multi` hosts is a remote store whose first
     // request parks inside `send`, so the test decides how long the
     // first copy of the mutation stays "executing".
@@ -193,18 +196,17 @@ fn tagged_retry_racing_its_first_copy_executes_once() {
         || TcpTransport::new(std::net::TcpStream::connect(ms.addrs()[0]).unwrap()).unwrap();
     let (mut a, mut b, mut c) = (connect(), connect(), connect());
 
-    let db = TestDatabase::generate(&GenConfig::tiny());
-    let mut create = Vec::new();
-    Request::Tagged(7, Box::new(Request::CreateNode(db.nodes[0].value.clone())))
-        .encode_into(&mut create);
+    let mut frame = Vec::new();
+    Request::Tagged(7, Box::new(request)).encode_into(&mut frame);
 
-    a.send(&create).unwrap();
+    a.send(&frame).unwrap();
     entered.recv().unwrap(); // A's copy is now executing, parked in the store
-    b.send(&create).unwrap(); // the retry, on a second connection
-                              // Barrier: the loop answers malformed frames itself, one connection
-                              // step per tick, so the third reply on C is written at least two
-                              // ticks after B's bytes (sent before C's first) were in B's socket —
-                              // B's frame has been admitted by then.
+    b.send(&frame).unwrap(); // the retry, on a second connection
+
+    // Barrier: the loop answers malformed frames itself, one connection
+    // step per tick, so the third reply on C is written at least two
+    // ticks after B's bytes (sent before C's first) were in B's socket —
+    // B's frame has been admitted by then.
     for _ in 0..3 {
         c.send(&[255]).unwrap();
         recv(&mut c);
@@ -212,13 +214,47 @@ fn tagged_retry_racing_its_first_copy_executes_once() {
     release.send(()).unwrap();
 
     let (reply_a, reply_b) = (recv(&mut a), recv(&mut b));
+    drop((a, b, c));
+    let stats = ms.stop().unwrap();
+    (reply_a, reply_b, stats, backing.join().unwrap())
+}
+
+/// A tagged mutation retried on a second connection *while the first
+/// copy is still executing* must not run twice: the dedup decision is
+/// taken on the shard's worker, in execution order, not on the loop
+/// thread when the frame arrives.
+#[test]
+fn tagged_retry_racing_its_first_copy_executes_once() {
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let create = Request::CreateNode(db.nodes[0].value.clone());
+    let (reply_a, reply_b, stats, store) = race_tagged_retry(create);
     assert_eq!(reply_a, reply_b, "the retry gets the first copy's bytes");
     assert!(matches!(
         Response::decode(&reply_a).unwrap(),
         Response::Oid(_)
     ));
-    drop((a, b, c));
-    let stats = ms.stop().unwrap();
     assert_eq!((stats.requests, stats.replayed), (1, 1));
-    assert_eq!(backing.join().unwrap().node_count(), 1, "one node created");
+    assert_eq!(store.node_count(), 1, "one node created");
+}
+
+/// The same race for a batch of creates: each node is created once and
+/// the retry replays the first copy's id list.
+#[test]
+fn tagged_write_batch_retry_creates_each_node_once() {
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let creates = db.nodes[..3]
+        .iter()
+        .map(|n| BatchWrite::Create {
+            value: n.value.clone(),
+            near: None,
+        })
+        .collect();
+    let (reply_a, reply_b, stats, store) = race_tagged_retry(Request::WriteBatch(creates));
+    assert_eq!(reply_a, reply_b, "the retry gets the first copy's bytes");
+    let Response::Oids(ids) = Response::decode(&reply_a).unwrap() else {
+        panic!("a batch answers with its ids");
+    };
+    assert_eq!(ids.len(), 3);
+    assert_eq!((stats.requests, stats.replayed), (1, 1));
+    assert_eq!(store.node_count(), 3, "each node created once");
 }

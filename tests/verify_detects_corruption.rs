@@ -8,7 +8,7 @@ use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::migrate::NodeExport;
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::store::HyperStore;
+use hypermodel::store::{BatchWrite, HyperStore};
 use hypermodel::text::{VERSION_1, VERSION_2};
 use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
