@@ -10,6 +10,10 @@
 //! holder does not poison the lock — the next `lock()` simply acquires it.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "this crate implements the parking_lot locks on top of the std ones"
+)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

@@ -68,7 +68,8 @@ fn a_destination_killed_between_install_and_activate_recovers_presumed_old() {
     // Restart the killed member from its durable state and re-admit it.
     let mut restored = MemStore::new();
     restored.sync_import(&durable).unwrap();
-    s.replace_shard(dst, ChaosStore::new(restored, FaultPlan::none(SEED)));
+    s.replace_shard(dst, ChaosStore::new(restored, FaultPlan::none(SEED)))
+        .unwrap();
 
     // Every node is readable at exactly one placement.
     let per = s.per_shard_scan().unwrap();

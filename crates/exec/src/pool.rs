@@ -208,6 +208,10 @@ impl<S> ShardExecutor<S> {
                 let worker_store = Arc::clone(&store);
                 let worker_poison = Arc::clone(&poisoned);
                 let worker_load = Arc::clone(&load);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a pool that cannot start its workers has no error path to report through"
+                )]
                 let worker = std::thread::Builder::new()
                     .name(format!("shard-exec-{i}"))
                     .spawn(move || {
@@ -262,27 +266,27 @@ impl<S> ShardExecutor<S> {
     }
 
     /// True once a job panicked on `shard` and it awaits replacement.
-    pub fn is_poisoned(&self, shard: usize) -> bool {
-        self.slots[shard].poisoned.load(Ordering::SeqCst)
+    pub fn is_poisoned(&self, shard: usize) -> Result<bool, ExecError> {
+        Ok(self.slot(shard)?.poisoned.load(Ordering::SeqCst))
     }
 
     /// Jobs currently enqueued for `shard` and not yet picked up by its
     /// worker.
-    pub fn queue_depth(&self, shard: usize) -> usize {
-        self.slots[shard].load.depth.load(Ordering::Relaxed)
+    pub fn queue_depth(&self, shard: usize) -> Result<usize, ExecError> {
+        Ok(self.slot(shard)?.load.depth.load(Ordering::Relaxed))
     }
 
     /// Exponentially-weighted moving average of job execution time on
     /// `shard` (microseconds of shard-lock hold per job); the busy-time
     /// signal a load balancer would act on.
-    pub fn busy_ewma_us(&self, shard: usize) -> u64 {
-        self.slots[shard].load.busy_ewma_us.load(Ordering::Relaxed)
+    pub fn busy_ewma_us(&self, shard: usize) -> Result<u64, ExecError> {
+        Ok(self.slot(shard)?.load.busy_ewma_us.load(Ordering::Relaxed))
     }
 
     /// Jobs executed on `shard`'s worker so far (direct
     /// [`ShardExecutor::with_shard`] calls not included).
-    pub fn jobs_run(&self, shard: usize) -> u64 {
-        self.slots[shard].load.jobs.load(Ordering::Relaxed)
+    pub fn jobs_run(&self, shard: usize) -> Result<u64, ExecError> {
+        Ok(self.slot(shard)?.load.jobs.load(Ordering::Relaxed))
     }
 
     fn slot(&self, shard: usize) -> Result<&Slot<S>, ExecError> {
@@ -398,12 +402,12 @@ impl<S> ShardExecutor<S> {
     /// Swap in a replacement backend for `shard` (e.g. a store reopened
     /// by recovery) and clear the poison flag. Returns the previous
     /// backend. Waits for any running job on the shard to finish first.
-    pub fn replace_shard(&self, shard: usize, store: S) -> S {
-        let slot = &self.slots[shard];
+    pub fn replace_shard(&self, shard: usize, store: S) -> Result<S, ExecError> {
+        let slot = self.slot(shard)?;
         let mut guard = slot.store.lock();
         let old = std::mem::replace(&mut *guard, store);
         slot.poisoned.store(false, Ordering::SeqCst);
-        old
+        Ok(old)
     }
 
     /// Graceful shutdown: close every queue, let the workers drain all

@@ -25,7 +25,15 @@ fn fan_out_runs_on_the_right_shards() {
     let no_shard = ExecError::NoSuchShard(4);
     assert_eq!(exec.with_shard(4, |v| *v), Err(no_shard.clone()));
     assert_eq!(exec.submit(4, |v| *v).map(|_| ()), Err(no_shard.clone()));
-    assert_eq!(exec.submit_detached(4, |v| *v, |_| ()), Err(no_shard));
+    assert_eq!(
+        exec.submit_detached(4, |v| *v, |_| ()),
+        Err(no_shard.clone())
+    );
+    assert_eq!(exec.is_poisoned(4), Err(no_shard.clone()));
+    assert_eq!(exec.queue_depth(4), Err(no_shard.clone()));
+    assert_eq!(exec.busy_ewma_us(4), Err(no_shard.clone()));
+    assert_eq!(exec.jobs_run(4), Err(no_shard.clone()));
+    assert_eq!(exec.replace_shard(4, 0), Err(no_shard));
 }
 
 #[test]
@@ -36,8 +44,8 @@ fn panicking_job_poisons_only_its_shard() {
         .unwrap();
     let err = h.wait().unwrap_err();
     assert_eq!(err, ExecError::Poisoned(1));
-    assert!(exec.is_poisoned(1));
-    assert!(!exec.is_poisoned(0), "shard 0 is unaffected");
+    assert_eq!(exec.is_poisoned(1), Ok(true));
+    assert_eq!(exec.is_poisoned(0), Ok(false), "shard 0 is unaffected");
 
     // Submissions to the poisoned shard fail fast, without enqueueing.
     let err = exec.submit(1, |v: &mut u64| *v).unwrap_err();
@@ -56,9 +64,9 @@ fn panicking_job_poisons_only_its_shard() {
     assert_eq!(h.unwrap().wait().unwrap(), 7);
 
     // Replacing the backend clears the poison and revives the shard.
-    let old = exec.replace_shard(1, 99);
+    let old = exec.replace_shard(1, 99).unwrap();
     assert_eq!(old, 0, "panicking job never wrote");
-    assert!(!exec.is_poisoned(1));
+    assert_eq!(exec.is_poisoned(1), Ok(false));
     let h = exec.submit(1, |v: &mut u64| *v).unwrap();
     assert_eq!(h.wait().unwrap(), 99);
 }

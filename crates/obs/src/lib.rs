@@ -23,11 +23,14 @@
 //!
 //! The crate deliberately has no dependencies and uses `std::sync`
 //! directly: it must be callable from inside the lock-discipline shims
-//! (`sanity::sync`) without recursing into them, and it is outside the
-//! `direct-sync` lint scope.
+//! (`sanity::sync`) without recursing into them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "obs sits beneath the sanity::sync shims and must not recurse into them"
+)]
 
 pub mod hist;
 pub mod trace;

@@ -20,6 +20,11 @@
 //! [`Report::distinct`] counts distinct interleavings actually explored
 //! so tests can assert coverage.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the scheduler's token passing runs on real std primitives beneath the modeled ones"
+)]
+
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};

@@ -1,6 +1,6 @@
 //! Lock-order tracking: a global acquisition-order graph fed by the
 //! [`crate::sync`] shims, cycle (potential-deadlock) detection, and
-//! lock-held-across-channel-send hazards.
+//! lock-held-across-blocking-channel (and condvar-wait) hazards.
 //!
 //! The graph and violation types are always compiled (and unit-tested in
 //! ordinary builds); the global registry that the shims feed only exists
@@ -95,11 +95,6 @@ impl OrderGraph {
         self.edges.len()
     }
 
-    /// Recorded edges as `(held_site, acquired_site)` pairs.
-    pub fn site_pairs(&self) -> Vec<(Site, Site)> {
-        self.edges.values().copied().collect()
-    }
-
     pub fn clear(&mut self) {
         self.edges.clear();
         self.adj.clear();
@@ -125,8 +120,10 @@ pub enum Violation {
         lock_site: String,
         send_site: String,
     },
-    /// A blocking channel receive was executed while a lock was held —
-    /// the sender that would wake us may need that lock first.
+    /// A blocking channel receive, or a `Condvar::wait`, was executed
+    /// while a lock was held (for a wait: a lock other than the one it
+    /// releases) — the thread that would wake us may need that lock
+    /// first.
     LockAcrossRecv {
         lock_site: String,
         recv_site: String,
@@ -158,8 +155,8 @@ impl fmt::Display for Violation {
                 recv_site,
             } => write!(
                 f,
-                "blocking channel recv at {recv_site} while holding lock acquired at \
-                 {lock_site}"
+                "blocking channel recv or condvar wait at {recv_site} while holding \
+                 lock acquired at {lock_site}"
             ),
         }
     }
@@ -306,19 +303,6 @@ mod registry {
         std::mem::take(&mut st.violations)
     }
 
-    pub(crate) fn graph_sites() -> Vec<(String, String)> {
-        let st = locked();
-        let mut v: Vec<(String, String)> = st
-            .graph
-            .site_pairs()
-            .into_iter()
-            .map(|(h, a)| (fmt_site(h), fmt_site(a)))
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
     pub(crate) fn snapshot() -> Vec<Violation> {
         locked().violations.clone()
     }
@@ -387,64 +371,6 @@ pub fn violations() -> Vec<Violation> {
 pub fn reset() {
     #[cfg(sanity_check)]
     registry::reset();
-}
-
-/// Edges of the runtime lock-order graph as `(held_site,
-/// acquired_site)` pairs formatted `file:line:column`, sorted and
-/// deduplicated. Always empty in default builds.
-pub fn graph_edges() -> Vec<(String, String)> {
-    #[cfg(sanity_check)]
-    {
-        registry::graph_sites()
-    }
-    #[cfg(not(sanity_check))]
-    {
-        Vec::new()
-    }
-}
-
-/// The runtime lock-order graph as JSON — the same `edges` array shape
-/// `hyperstatic --graph-json` emits, with the site fields only (lock
-/// ids are runtime artifacts with no stable cross-run identity).
-pub fn graph_json() -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut out = String::from("{\"edges\":[");
-    for (i, (held, acq)) in graph_edges().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"from_site\":\"{}\",\"to_site\":\"{}\"}}",
-            esc(held),
-            esc(acq)
-        ));
-    }
-    out.push_str("]}\n");
-    out
-}
-
-/// Write [`graph_json`] to the path named by the `SANITY_GRAPH_OUT`
-/// environment variable, if set. Call at the end of an instrumented
-/// run (the lock-gate tests do); returns the path written, or `None`
-/// when the variable is unset, the build is uninstrumented, or the
-/// write fails (with a note on stderr).
-pub fn export_graph() -> Option<std::path::PathBuf> {
-    let path = std::path::PathBuf::from(std::env::var_os("SANITY_GRAPH_OUT")?);
-    if !instrumented() {
-        return None;
-    }
-    match std::fs::write(&path, graph_json()) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!(
-                "sanity: cannot write SANITY_GRAPH_OUT={}: {e}",
-                path.display()
-            );
-            None
-        }
-    }
 }
 
 /// Panic with a formatted report if any violation has been recorded.

@@ -12,19 +12,46 @@
 //! * blocking `mpsc` sends and receives while a lock is held are
 //!   reported as hazards (`try_send` / `try_recv` / `recv_timeout` are
 //!   bounded and exempt);
+//! * a `Condvar::wait` is a blocking receive: any *other* lock held
+//!   across it is reported like a lock held across `recv`;
 //! * reviewed-benign patterns can be annotated with
 //!   [`crate::order::allow`], which suppresses recording on the current
 //!   thread for the guard's lifetime.
 //!
-//! `hyperlint` enforces that `crates/{shard,exec,server}` import locks
-//! and channels only through this module.
+//! The root `clippy.toml` disallows the raw `std::sync` locks and
+//! channel constructors everywhere else, so workspace code reaches them
+//! only through this module.
+
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "this module is the one place the raw std primitives are wrapped"
+)]
 
 #[cfg(not(sanity_check))]
 pub use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 #[cfg(not(sanity_check))]
-pub use std::sync::mpsc;
-#[cfg(not(sanity_check))]
 pub use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+
+/// Default-build `std::sync::mpsc`: the std types, and constructors that
+/// forward to std's unchanged.
+#[cfg(not(sanity_check))]
+pub mod mpsc {
+    pub use std::sync::mpsc::{
+        Receiver, RecvError, RecvTimeoutError, SendError, Sender, SyncSender, TryRecvError,
+        TrySendError,
+    };
+
+    #[inline]
+    pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
+        std::sync::mpsc::channel()
+    }
+
+    #[inline]
+    pub fn sync_channel<T>(bound: usize) -> (SyncSender<T>, Receiver<T>) {
+        std::sync::mpsc::sync_channel(bound)
+    }
+}
 
 #[cfg(sanity_check)]
 pub use instrumented::{
@@ -150,10 +177,13 @@ mod instrumented {
         /// The wait releases the lock (popped from the held stack) and
         /// re-acquires it before returning — the re-acquisition is
         /// recorded like any other, attributed to the `wait` call site.
+        /// In between it blocks like a channel receive, so a second lock
+        /// still held here is reported as [`order::Violation::LockAcrossRecv`].
         #[track_caller]
         pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
             let site = Location::caller();
             order::on_release(guard.id);
+            order::on_recv(site);
             self.inner.wait(&mut guard.inner);
             order::on_acquire(guard.id, site);
         }

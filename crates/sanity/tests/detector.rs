@@ -7,7 +7,8 @@
 #![cfg(sanity_check)]
 
 use sanity::order::{self, Violation};
-use sanity::sync::{mpsc, Mutex};
+use sanity::sync::{mpsc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// Global detector state means the scenarios must not overlap.
 static SCENARIO: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -99,6 +100,51 @@ fn blocking_recv_under_lock_is_reported() {
     assert!(matches!(violations[0], Violation::LockAcrossRecv { .. }));
 }
 
+/// Wait on `gate`'s condvar until a helper thread raises its flag. The
+/// caller's lock on `gate` is taken before the helper starts, so the
+/// helper can only raise the flag once the wait has released it: the
+/// wait runs at least once.
+fn wait_for_helper(gate: &Arc<(Mutex<bool>, Condvar)>) {
+    let mut raised = gate.0.lock();
+    let helper = {
+        let gate = Arc::clone(gate);
+        std::thread::spawn(move || {
+            *gate.0.lock() = true;
+            gate.1.notify_all();
+        })
+    };
+    while !*raised {
+        gate.1.wait(&mut raised);
+    }
+    drop(raised);
+    helper.join().unwrap();
+}
+
+#[test]
+fn condvar_wait_holding_a_second_lock_is_reported() {
+    let violations = isolated(|| {
+        let a = Arc::new((Mutex::new(false), Condvar::new()));
+        let b = Mutex::new(0u32);
+        let _gb = b.lock();
+        wait_for_helper(&a);
+        order::take_violations()
+    });
+    assert_eq!(violations.len(), 1, "one hazard expected: {violations:?}");
+    assert!(
+        matches!(violations[0], Violation::LockAcrossRecv { .. }),
+        "a wait is a blocking receive: {violations:?}"
+    );
+}
+
+#[test]
+fn condvar_wait_holding_only_its_own_lock_is_clean() {
+    isolated(|| {
+        let a = Arc::new((Mutex::new(false), Condvar::new()));
+        wait_for_helper(&a);
+        order::assert_clean();
+    });
+}
+
 #[test]
 fn allow_scope_suppresses_reviewed_patterns() {
     let violations = isolated(|| {
@@ -138,8 +184,8 @@ fn allow_scope_suppresses_reviewed_patterns() {
 #[test]
 fn consistent_ordering_and_unlocked_channels_stay_clean() {
     isolated(|| {
-        let a = std::sync::Arc::new(Mutex::new(0u32));
-        let b = std::sync::Arc::new(Mutex::new(0u32));
+        let a = Arc::new(Mutex::new(0u32));
+        let b = Arc::new(Mutex::new(0u32));
         let (tx, rx) = mpsc::channel::<u32>();
         let mut joins = Vec::new();
         for i in 0..4u32 {

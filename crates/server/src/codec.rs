@@ -111,7 +111,10 @@ impl<'a> Reader<'a> {
 
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        match self.take(1)? {
+            [b] => Ok(*b),
+            _ => Err(short()),
+        }
     }
 
     /// Read a `u16`.

@@ -226,14 +226,17 @@ impl<S: HyperStore + Send + 'static> ReplicaGroup<S> {
     /// (or the next commit) has resynced it from a healthy sibling — an
     /// empty replacement must never serve reads. Returns the previous
     /// backend.
-    pub fn replace_member(&mut self, m: usize, store: S) -> S {
-        let old = self.exec.replace_shard(m, store);
+    pub fn replace_member(&mut self, m: usize, store: S) -> Result<S> {
+        let old = self
+            .exec
+            .replace_shard(m, store)
+            .map_err(ExecError::into_hm)?;
         self.health[m] = false;
         self.lag[m].store(true, Ordering::Release);
         // A fresh backend deserves a prompt repair attempt.
         self.repair_defer[m] = 0;
         self.repair_fails[m] = 0;
-        old
+        Ok(old)
     }
 
     /// Run `f` against member `m`'s backend directly — for
@@ -381,7 +384,13 @@ impl<S: HyperStore + Send + 'static> ReplicaGroup<S> {
             self.demote_lagging();
             let m = self
                 .healthy()
-                .min_by_key(|&m| (self.exec.queue_depth(m), self.exec.busy_ewma_us(m), m))
+                .min_by_key(|&m| {
+                    (
+                        self.exec.queue_depth(m).unwrap_or(usize::MAX),
+                        self.exec.busy_ewma_us(m).unwrap_or(u64::MAX),
+                        m,
+                    )
+                })
                 .ok_or_else(no_replica)?;
             if !self.health[0] {
                 self.failovers += 1;
@@ -439,7 +448,7 @@ impl<S: HyperStore + Send + 'static> ReplicaGroup<S> {
     pub fn repair_replicas(&mut self) {
         self.demote_lagging();
         for m in 0..self.health.len() {
-            if self.health[m] || self.exec.is_poisoned(m) {
+            if self.health[m] || self.exec.is_poisoned(m).unwrap_or(true) {
                 continue;
             }
             if self.repair_defer[m] > 0 {
@@ -461,7 +470,7 @@ impl<S: HyperStore + Send + 'static> ReplicaGroup<S> {
     /// while `m`'s worker is poisoned by a panic
     /// ([`ReplicaGroup::replace_member`] first).
     pub fn revive_member(&mut self, m: usize) -> Result<()> {
-        if self.exec.is_poisoned(m) {
+        if self.exec.is_poisoned(m).map_err(ExecError::into_hm)? {
             return Err(unavailable(format!(
                 "member {m} poisoned by a panic; replace the backend first"
             )));
@@ -568,10 +577,10 @@ impl<S: HyperStore + Send + 'static> HyperStore for ReplicaGroup<S> {
             requests: 0,
             queued: members
                 .clone()
-                .map(|m| self.exec.queue_depth(m) as u64)
+                .map(|m| self.exec.queue_depth(m).unwrap_or(0) as u64)
                 .sum(),
             busy_us: members
-                .map(|m| self.exec.busy_ewma_us(m))
+                .map(|m| self.exec.busy_ewma_us(m).unwrap_or(0))
                 .max()
                 .unwrap_or(0),
             migrated: 0,

@@ -241,7 +241,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// while the executor still flags the shard poisoned by a panic
     /// (swap the backend with [`ShardedStore::replace_shard`] first).
     pub fn revive_shard(&mut self, shard: usize) -> Result<()> {
-        if self.exec.is_poisoned(shard) {
+        if self.exec.is_poisoned(shard).map_err(ExecError::into_hm)? {
             return Err(HmError::ShardUnavailable {
                 shard,
                 msg: "shard worker poisoned by a panic; replace the backend first".into(),
@@ -257,9 +257,13 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// Swap in a replacement backend for `shard` (e.g. a store reopened
     /// by recovery), clearing the executor's poison flag and re-admitting
     /// the shard. Returns the previous backend.
-    pub fn replace_shard(&mut self, shard: usize, store: S) -> S {
+    pub fn replace_shard(&mut self, shard: usize, store: S) -> Result<S> {
+        let old = self
+            .exec
+            .replace_shard(shard, store)
+            .map_err(ExecError::into_hm)?;
         self.health[shard] = true;
-        self.exec.replace_shard(shard, store)
+        Ok(old)
     }
 
     /// Choose how fan-out reads treat dead shards.
@@ -818,11 +822,11 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
                         nodes: self.router.nodes[s],
                         requests: self.router.requests[s],
                         queued: behind.iter().map(|l| l.queued).sum::<u64>()
-                            + self.exec.queue_depth(s) as u64,
+                            + self.exec.queue_depth(s).unwrap_or(0) as u64,
                         busy_us: behind
                             .iter()
                             .map(|l| l.busy_us)
-                            .fold(self.exec.busy_ewma_us(s), u64::max),
+                            .fold(self.exec.busy_ewma_us(s).unwrap_or(0), u64::max),
                         migrated: self.migrated[s],
                     }
                 })

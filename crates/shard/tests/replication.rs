@@ -53,6 +53,7 @@ fn replace_member<S: HyperStore + Send + 'static>(s: &Replicated<S>, m: usize, s
     let k = replication_factor(s);
     s.with_shard(m / k, |g| g.replace_member(m % k, store))
         .unwrap()
+        .unwrap()
 }
 
 fn set_write_ack<S: HyperStore + Send + 'static>(s: &Replicated<S>, ack: WriteAck) {

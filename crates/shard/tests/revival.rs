@@ -52,6 +52,26 @@ fn mark_down_then_revive_readmits_the_shard() {
     assert_eq!(s.seq_scan_ten().unwrap(), db.len() as u64);
 }
 
+/// A shard index the deployment does not have is an error, not a panic,
+/// on both re-admission entry points, and leaves health untouched.
+#[test]
+fn out_of_range_shard_is_unavailable_not_a_panic() {
+    let mut s = ShardedStore::new(
+        vec![MemStore::new(), MemStore::new()],
+        Placement::OidHash,
+        "sharded-mem",
+    );
+    assert!(matches!(
+        s.revive_shard(99).unwrap_err(),
+        HmError::ShardUnavailable { shard: 99, .. }
+    ));
+    assert!(matches!(
+        s.replace_shard(99, MemStore::new()).unwrap_err(),
+        HmError::ShardUnavailable { shard: 99, .. }
+    ));
+    assert_eq!(s.health(), &[true, true]);
+}
+
 /// The full recovery arc: a shard crashes mid-2PC and is marked dead;
 /// `revive_shard` refuses while the backend is still broken; after
 /// `recover_sharded`, `replace_shard` swaps in the reopened store and
@@ -103,11 +123,9 @@ fn recovered_shard_is_readmitted_via_replace() {
 
     // Resolve the in-doubt shard against the decision log, reopen it,
     // and swap it into the live deployment.
-    let old = s.replace_shard(1, {
-        recover_sharded(&[&p0, &p1], &log).unwrap();
-        ChaosStore::new(DiskStore::open(&p1, 1024).unwrap(), FaultPlan::none(3))
-    });
-    drop(old);
+    recover_sharded(&[&p0, &p1], &log).unwrap();
+    let reopened = ChaosStore::new(DiskStore::open(&p1, 1024).unwrap(), FaultPlan::none(3));
+    drop(s.replace_shard(1, reopened).unwrap());
     assert_eq!(s.health(), &[true, true]);
 
     // The aborted transaction left no trace, point ops and fan-outs

@@ -6,10 +6,10 @@
 //! detector recorded no lock-order cycle and no blocking channel use
 //! under a lock.
 //!
-//! Every lock in this path flows through `sanity::sync` (enforced by
-//! `hyperlint`'s direct-sync rule), so a clean run here is evidence the
-//! shard/executor locking discipline holds on real code, not just on
-//! the `dsched` models.
+//! Every lock in this path flows through `sanity::sync` (the root
+//! `clippy.toml` disallows the raw `std::sync` ones), so a clean run
+//! here is evidence the shard/executor locking discipline holds on real
+//! code, not just on the `dsched` models.
 #![cfg(sanity_check)]
 
 use hypermodel::config::GenConfig;
@@ -25,47 +25,6 @@ fn temp_dir(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
-}
-
-fn workspace_root() -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if std::fs::read_to_string(&manifest).is_ok_and(|t| t.contains("[workspace]")) {
-            return dir;
-        }
-        assert!(dir.pop(), "no workspace root above CARGO_MANIFEST_DIR");
-    }
-}
-
-/// `file:line:column` → `file:line` (static sites carry no column).
-fn trim_col(site: &str) -> String {
-    match site.rsplit_once(':') {
-        Some((p, _)) => p.to_string(),
-        None => site.to_string(),
-    }
-}
-
-/// Every lock-order edge the instrumented run actually observed must
-/// already be an edge of `hyperstatic`'s static lock graph: the static
-/// analysis is an over-approximation, so a runtime edge it lacks means
-/// the parser or call-graph linking lost a real acquisition path.
-fn assert_static_graph_covers_runtime() {
-    let static_pairs = sanity::static_graph::analyze(&workspace_root()).edge_site_pairs();
-    assert!(
-        !static_pairs.is_empty(),
-        "static analysis found no lock edges at all — parser regression"
-    );
-    // With today's locking discipline the instrumented workloads never
-    // nest shim locks, so this loop is usually empty; it bites the
-    // moment a change introduces real nesting the parser cannot see.
-    for (held, acq) in sanity::order::graph_edges() {
-        let pair = (trim_col(&held), trim_col(&acq));
-        assert!(
-            static_pairs.contains(&pair),
-            "runtime lock edge {held} -> {acq} missing from the static lock graph"
-        );
-    }
 }
 
 /// Load, traverse across shards, and run four real multi-shard
@@ -113,9 +72,4 @@ fn sharded_two_phase_commit_records_no_hazards() {
         "2pc-r2",
     );
     sanity::order::assert_clean();
-
-    // Observed graph: export when SANITY_GRAPH_OUT is set (CI archives
-    // it), and cross-check the static over-approximation.
-    sanity::order::export_graph();
-    assert_static_graph_covers_runtime();
 }

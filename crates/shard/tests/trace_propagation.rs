@@ -4,6 +4,11 @@
 //! the shard executor's worker — stitched together by the 8-byte trace
 //! field in the wire frame header and the executor's job capture.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "serializes tests on a process-wide switch, outside the code the lock detector watches"
+)]
+
 use std::collections::BTreeSet;
 
 use hypermodel::config::GenConfig;

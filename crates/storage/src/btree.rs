@@ -213,13 +213,9 @@ impl BTree {
                 sep,
                 right,
             } => {
-                // Grow a new root. The static analyzer's name-based call
-                // matching links collection `.insert(..)` calls back to
-                // this method and reports a spurious self-cycle on the
-                // freshly allocated (unshared) page latch.
+                // Grow a new root.
                 let (new_root, handle) = pool.allocate()?;
                 {
-                    // lint:allow(static-lock-cycle)
                     let mut page = handle.lock();
                     page.clear_payload();
                     page.set_kind(PageKind::BTreeInternal);

@@ -324,7 +324,6 @@ impl BufferPool {
                 // so the frame cannot be mutated mid-flush; this is a
                 // per-page latch, not a pool-wide lock.
                 let mut page = frame.page.lock();
-                // lint:allow(lock-across-blocking)
                 self.disk.write_page(&mut page)?;
             }
             frame.dirty = false;

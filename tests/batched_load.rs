@@ -4,6 +4,11 @@
 //! while a sharded load over TCP crosses the wire about a hundred times
 //! at level 4 instead of thousands.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "serializes tests on a process-wide counter, outside the code the lock detector watches"
+)]
+
 use std::path::Path;
 use std::sync::Mutex;
 

@@ -11,6 +11,11 @@
 //! a second connection while its first copy is still executing: a single
 //! create, and a batch of them.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test's own gate channels, outside the code the lock detector watches"
+)]
+
 use std::time::Duration;
 
 use harness::backend::BackendSpec;
