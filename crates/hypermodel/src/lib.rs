@@ -17,6 +17,8 @@
 //!   operation for correctness checking;
 //! * [`schema`] / [`ext`] — the §6.8 extension operations (dynamic schema
 //!   R4, versions R5, access control R11);
+//! * [`codec`] — the one byte codec behind the node record, the schema
+//!   catalogue, the wire protocol, migration batches and repair snapshots;
 //! * [`rng`], [`text`], [`bitmap`] — deterministic generation primitives.
 //!
 //! ## Quick example
@@ -38,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bitmap;
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod ext;

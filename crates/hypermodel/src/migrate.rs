@@ -13,11 +13,12 @@
 //! i)` names the `i`-th record of the batch, and the installer resolves
 //! slots after assigning all locals.
 //!
-//! The batch codec ([`encode_batch`]/[`decode_batch`]) lets the export
-//! cross a wire protocol; it reuses the canonical [`NodeValue`] record
-//! encoding so the format stays backend-agnostic.
+//! A batch crosses the wire as a `Vec<NodeExport>` through the shared
+//! [`Wire`] codec; each value is the canonical [`NodeValue`] record, so
+//! the format stays backend-agnostic.
 
-use crate::error::{HmError, Result};
+use crate::codec::{Reader, Wire, Writer};
+use crate::error::Result;
 use crate::model::{NodeValue, Oid, RefEdge};
 
 /// Oid values at or above this base are slot references into the
@@ -59,151 +60,41 @@ pub struct NodeExport {
     pub reuse: Option<Oid>,
 }
 
-// ---------------------------------------------------------------------
-// Batch wire codec (little-endian, mirrors the NodeValue record codec).
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_oids(out: &mut Vec<u8>, oids: &[Oid]) {
-    put_u32(out, oids.len() as u32);
-    for o in oids {
-        put_u64(out, o.0);
+/// The value, the structure flag, the parent (oid 0 for none), the four
+/// edge lists, then the promoted ghost (oid 0 for none).
+impl Wire for NodeExport {
+    fn put(&self, w: &mut Writer) {
+        self.value.put(w);
+        self.in_structure.put(w);
+        self.parent.map_or(0, |p| p.0).put(w);
+        self.children.put(w);
+        self.parts.put(w);
+        self.part_of.put(w);
+        self.refs_to.put(w);
+        self.refs_from.put(w);
+        self.reuse.map_or(0, |l| l.0).put(w);
     }
-}
-
-fn put_edges(out: &mut Vec<u8>, edges: &[RefEdge]) {
-    put_u32(out, edges.len() as u32);
-    for e in edges {
-        put_u64(out, e.target.0);
-        out.push(e.offset_from);
-        out.push(e.offset_to);
+    fn get(r: &mut Reader) -> Result<Self> {
+        // Fields in encoding order: a struct literal evaluates in the
+        // order it is written.
+        Ok(NodeExport {
+            value: NodeValue::get(r)?,
+            in_structure: bool::get(r)?,
+            parent: Some(Oid::get(r)?).filter(|p| p.0 != 0),
+            children: Vec::get(r)?,
+            parts: Vec::get(r)?,
+            part_of: Vec::get(r)?,
+            refs_to: Vec::get(r)?,
+            refs_from: Vec::get(r)?,
+            reuse: Some(Oid::get(r)?).filter(|l| l.0 != 0),
+        })
     }
-}
-
-/// Serialize a migration batch for the wire.
-pub fn encode_batch(batch: &[NodeExport]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96 * batch.len() + 8);
-    put_u32(&mut out, batch.len() as u32);
-    for n in batch {
-        let rec = n.value.encode();
-        put_u32(&mut out, rec.len() as u32);
-        out.extend_from_slice(&rec);
-        out.push(n.in_structure as u8);
-        put_u64(&mut out, n.parent.map_or(0, |p| p.0));
-        put_oids(&mut out, &n.children);
-        put_oids(&mut out, &n.parts);
-        put_oids(&mut out, &n.part_of);
-        put_edges(&mut out, &n.refs_to);
-        put_edges(&mut out, &n.refs_from);
-        put_u64(&mut out, n.reuse.map_or(0, |r| r.0));
-    }
-    out
-}
-
-struct BatchReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BatchReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| HmError::Backend("truncated migration batch".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn oids(&mut self) -> Result<Vec<Oid>> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() {
-            return Err(HmError::Backend("oid count exceeds batch size".into()));
-        }
-        (0..n).map(|_| Ok(Oid(self.u64()?))).collect()
-    }
-    fn edges(&mut self) -> Result<Vec<RefEdge>> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() {
-            return Err(HmError::Backend("edge count exceeds batch size".into()));
-        }
-        (0..n)
-            .map(|_| {
-                Ok(RefEdge {
-                    target: Oid(self.u64()?),
-                    offset_from: self.u8()?,
-                    offset_to: self.u8()?,
-                })
-            })
-            .collect()
-    }
-}
-
-/// Deserialize a migration batch produced by [`encode_batch`].
-pub fn decode_batch(buf: &[u8]) -> Result<Vec<NodeExport>> {
-    let mut r = BatchReader { buf, pos: 0 };
-    let n = r.u32()? as usize;
-    if n > buf.len() {
-        return Err(HmError::Backend("batch count exceeds buffer size".into()));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.u32()? as usize;
-        let value = NodeValue::decode(r.take(len)?)?;
-        let in_structure = r.u8()? != 0;
-        let parent = match r.u64()? {
-            0 => None,
-            p => Some(Oid(p)),
-        };
-        let children = r.oids()?;
-        let parts = r.oids()?;
-        let part_of = r.oids()?;
-        let refs_to = r.edges()?;
-        let refs_from = r.edges()?;
-        let reuse = match r.u64()? {
-            0 => None,
-            l => Some(Oid(l)),
-        };
-        out.push(NodeExport {
-            value,
-            in_structure,
-            parent,
-            children,
-            parts,
-            part_of,
-            refs_to,
-            refs_from,
-            reuse,
-        });
-    }
-    if r.pos != buf.len() {
-        return Err(HmError::Backend(
-            "trailing bytes after migration batch".into(),
-        ));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{from_bytes, to_bytes};
     use crate::model::{Content, NodeAttrs, NodeKind};
 
     fn export(uid: u64) -> NodeExport {
@@ -237,9 +128,13 @@ mod tests {
     #[test]
     fn batch_round_trips() {
         let batch = vec![export(1), export(2)];
-        let bytes = encode_batch(&batch);
-        assert_eq!(decode_batch(&bytes).unwrap(), batch);
-        assert_eq!(decode_batch(&encode_batch(&[])).unwrap(), vec![]);
+        let bytes = to_bytes(&batch);
+        assert_eq!(from_bytes::<Vec<NodeExport>>(&bytes).unwrap(), batch);
+        let empty: Vec<NodeExport> = vec![];
+        assert_eq!(
+            from_bytes::<Vec<NodeExport>>(&to_bytes(&empty)).unwrap(),
+            empty
+        );
     }
 
     #[test]
@@ -252,11 +147,16 @@ mod tests {
 
     #[test]
     fn corrupt_batches_are_rejected() {
-        let bytes = encode_batch(&[export(1)]);
-        assert!(decode_batch(&bytes[..bytes.len() - 1]).is_err());
-        assert!(decode_batch(&[]).is_err());
+        let decode = from_bytes::<Vec<NodeExport>>;
+        let bytes = to_bytes(&vec![export(1)]);
+        assert!(decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(decode(&[]).is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(decode_batch(&trailing).is_err());
+        assert!(decode(&trailing).is_err());
+        // The structure flag is a bool: 0 or 1.
+        let mut flag = bytes;
+        flag[4 + 4 + export(1).value.encode().len()] = 2;
+        assert!(decode(&flag).is_err());
     }
 }

@@ -15,6 +15,7 @@
 //! generated from the same seed are byte-comparable.
 
 use crate::bitmap::Bitmap;
+use crate::codec::{Reader, Wire, Writer};
 use crate::error::{HmError, Result};
 
 /// A backend-assigned object identifier.
@@ -129,85 +130,39 @@ const TAG_TEXT: u8 = 1;
 const TAG_FORM: u8 = 2;
 const TAG_DYNAMIC: u8 = 3;
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(HmError::Backend(format!(
-                "truncated node record: need {n} bytes at {}",
-                self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-}
-
 impl NodeValue {
     /// Serialize to the canonical little-endian record format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(40);
-        self.encode_into(&mut out);
+        self.put_record(&mut Writer::over(&mut out));
         out
     }
 
-    /// Serialize by appending to a caller-owned buffer — the wire path
-    /// reuses one scratch buffer across frames instead of allocating a
-    /// fresh `Vec` per value.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u16(out, self.kind.0);
-        put_u64(out, self.attrs.unique_id);
-        put_u32(out, self.attrs.ten);
-        put_u32(out, self.attrs.hundred);
-        put_u32(out, self.attrs.thousand);
-        put_u32(out, self.attrs.million);
+    /// Append the record: the attribute header, a content tag, then the
+    /// content (a form's bits unprefixed — its size follows from the
+    /// dimensions).
+    pub(crate) fn put_record(&self, w: &mut Writer) {
+        w.u16(self.kind.0);
+        w.u64(self.attrs.unique_id);
+        w.u32(self.attrs.ten);
+        w.u32(self.attrs.hundred);
+        w.u32(self.attrs.thousand);
+        w.u32(self.attrs.million);
         match &self.content {
-            Content::None => out.push(TAG_NONE),
+            Content::None => w.u8(TAG_NONE),
             Content::Text(s) => {
-                out.push(TAG_TEXT);
-                put_u32(out, s.len() as u32);
-                out.extend_from_slice(s.as_bytes());
+                w.u8(TAG_TEXT);
+                s.put(w);
             }
             Content::Form(bm) => {
-                out.push(TAG_FORM);
-                put_u16(out, bm.width());
-                put_u16(out, bm.height());
-                out.extend_from_slice(bm.bits());
+                w.u8(TAG_FORM);
+                w.u16(bm.width());
+                w.u16(bm.height());
+                w.raw(bm.bits());
             }
             Content::Dynamic(bytes) => {
-                out.push(TAG_DYNAMIC);
-                put_u32(out, bytes.len() as u32);
-                out.extend_from_slice(bytes);
+                w.u8(TAG_DYNAMIC);
+                bytes.put(w);
             }
         }
     }
@@ -215,35 +170,16 @@ impl NodeValue {
     /// Deserialize from the canonical record format.
     pub fn decode(buf: &[u8]) -> Result<NodeValue> {
         let mut r = Reader::new(buf);
-        let kind = NodeKind(r.u16()?);
-        let attrs = NodeAttrs {
-            unique_id: r.u64()?,
-            ten: r.u32()?,
-            hundred: r.u32()?,
-            thousand: r.u32()?,
-            million: r.u32()?,
-        };
+        let (kind, attrs) = Self::get_header(&mut r)?;
         let content = match r.u8()? {
             TAG_NONE => Content::None,
-            TAG_TEXT => {
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?;
-                Content::Text(
-                    String::from_utf8(bytes.to_vec())
-                        .map_err(|_| HmError::Backend("text content is not utf-8".into()))?,
-                )
-            }
+            TAG_TEXT => Content::Text(String::get(&mut r)?),
             TAG_FORM => {
-                let w = r.u16()?;
-                let h = r.u16()?;
-                let nbytes = Bitmap::byte_len(w, h);
-                let bits = r.take(nbytes)?.to_vec();
+                let (w, h) = (r.u16()?, r.u16()?);
+                let bits = r.take(Bitmap::byte_len(w, h))?.to_vec();
                 Content::Form(Bitmap::from_bits(w, h, bits).map_err(HmError::Backend)?)
             }
-            TAG_DYNAMIC => {
-                let len = r.u32()? as usize;
-                Content::Dynamic(r.take(len)?.to_vec())
-            }
+            TAG_DYNAMIC => Content::Dynamic(Vec::get(&mut r)?),
             other => {
                 return Err(HmError::Backend(format!("unknown content tag {other}")));
             }
@@ -257,9 +193,15 @@ impl NodeValue {
 
     /// Decode only the fixed attribute header — cheap when an operation
     /// needs an attribute but not the (possibly large) content, e.g. the
-    /// sequential scan touching `ten`.
+    /// sequential scan touching `ten`. Inlined into the backends' scan
+    /// loops, where it runs once per record.
+    #[inline]
     pub fn decode_attrs(buf: &[u8]) -> Result<(NodeKind, NodeAttrs)> {
-        let mut r = Reader::new(buf);
+        Self::get_header(&mut Reader::new(buf))
+    }
+
+    #[inline]
+    fn get_header(r: &mut Reader) -> Result<(NodeKind, NodeAttrs)> {
         let kind = NodeKind(r.u16()?);
         let attrs = NodeAttrs {
             unique_id: r.u64()?,
@@ -385,6 +327,59 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] = 200;
         assert!(NodeValue::decode(&bytes).is_err());
+    }
+
+    /// One record of each content kind with the bytes the hand-written
+    /// encoder before the shared codec produced: what every `disk` and
+    /// `rel` database holds, so these may never change.
+    #[test]
+    fn records_match_their_on_disk_goldens() {
+        let attrs = |unique_id| NodeAttrs {
+            unique_id,
+            ten: 4,
+            hundred: 5,
+            thousand: 6,
+            million: 7,
+        };
+        let mut bm = Bitmap::white(9, 2);
+        bm.set(8, 1, true);
+        let goldens = [
+            (
+                NodeKind::INTERNAL,
+                1,
+                Content::None,
+                "000001000000000000000400000005000000060000000700000000",
+            ),
+            (
+                NodeKind::TEXT,
+                3,
+                Content::Text("version1 tail".into()),
+                "0100030000000000000004000000050000000600000007000000010d00000076657273696f6e31207461696c",
+            ),
+            (
+                NodeKind::FORM,
+                8,
+                Content::Form(bm),
+                "02000800000000000000040000000500000006000000070000000209000200000002",
+            ),
+            (
+                NodeKind(16),
+                20,
+                Content::Dynamic(vec![1, 2, 3]),
+                "10001400000000000000040000000500000006000000070000000303000000010203",
+            ),
+        ];
+        for (kind, uid, content, golden) in goldens {
+            let v = NodeValue {
+                kind,
+                attrs: attrs(uid),
+                content,
+            };
+            let bytes = v.encode();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden, "{v:?}");
+            assert_eq!(NodeValue::decode(&bytes).unwrap(), v);
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! it through the catalog); the core provides the registry logic and its
 //! serialization so all backends behave identically.
 
+use crate::codec::{self, Reader, Wire, Writer};
 use crate::error::{HmError, Result};
 use crate::model::NodeKind;
 
@@ -176,78 +177,66 @@ impl Schema {
 
     // ---- serialization (for persistent backends) ----------------------
 
-    /// Serialize to a byte buffer (little-endian, length-prefixed strings).
+    /// Serialize to the catalogue record (little-endian, counted lists,
+    /// length-prefixed strings).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.next_kind.to_le_bytes());
-        out.extend_from_slice(&(self.types.len() as u32).to_le_bytes());
-        for t in &self.types {
-            out.extend_from_slice(&t.kind.0.to_le_bytes());
-            out.extend_from_slice(&t.parent.map_or(u16::MAX, |p| p.0).to_le_bytes());
-            out.extend_from_slice(&(t.name.len() as u32).to_le_bytes());
-            out.extend_from_slice(t.name.as_bytes());
-        }
-        out.extend_from_slice(&(self.attrs.len() as u32).to_le_bytes());
-        for a in &self.attrs {
-            out.extend_from_slice(&a.id.0.to_le_bytes());
-            out.extend_from_slice(&a.owner.0.to_le_bytes());
-            out.extend_from_slice(&a.default.to_le_bytes());
-            out.extend_from_slice(&(a.name.len() as u32).to_le_bytes());
-            out.extend_from_slice(a.name.as_bytes());
-        }
-        out
+        codec::to_bytes(self)
     }
 
     /// Deserialize a buffer produced by [`Schema::encode`].
     pub fn decode(buf: &[u8]) -> Result<Schema> {
-        let err = |msg: &str| HmError::Schema(format!("schema decode: {msg}"));
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if *pos + n > buf.len() {
-                return Err(err("truncated"));
-            }
-            let s = &buf[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let next_kind = u16::from_le_bytes(take(&mut pos, 2)?.try_into().expect("2"));
-        let n_types = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
-        let mut types = Vec::with_capacity(n_types);
-        for _ in 0..n_types {
-            let kind = NodeKind(u16::from_le_bytes(
-                take(&mut pos, 2)?.try_into().expect("2"),
-            ));
-            let parent_raw = u16::from_le_bytes(take(&mut pos, 2)?.try_into().expect("2"));
-            let parent = (parent_raw != u16::MAX).then_some(NodeKind(parent_raw));
-            let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
-            let name = String::from_utf8(take(&mut pos, len)?.to_vec())
-                .map_err(|_| err("type name not utf-8"))?;
-            types.push(TypeDef { kind, name, parent });
-        }
-        let n_attrs = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
-        let mut attrs = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let id = AttrId(u32::from_le_bytes(
-                take(&mut pos, 4)?.try_into().expect("4"),
-            ));
-            let owner = NodeKind(u16::from_le_bytes(
-                take(&mut pos, 2)?.try_into().expect("2"),
-            ));
-            let default = i64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
-            let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
-            let name = String::from_utf8(take(&mut pos, len)?.to_vec())
-                .map_err(|_| err("attr name not utf-8"))?;
-            attrs.push(AttrDef {
-                id,
-                name,
-                owner,
-                default,
-            });
-        }
+        codec::from_bytes(buf)
+    }
+}
+
+/// `next_kind`, then the types, then the attributes.
+impl Wire for Schema {
+    fn put(&self, w: &mut Writer) {
+        w.u16(self.next_kind);
+        self.types.put(w);
+        self.attrs.put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
         Ok(Schema {
-            types,
-            attrs,
-            next_kind,
+            next_kind: r.u16()?,
+            types: Vec::get(r)?,
+            attrs: Vec::get(r)?,
+        })
+    }
+}
+
+/// Kind, supertype (`u16::MAX` for none), name.
+impl Wire for TypeDef {
+    fn put(&self, w: &mut Writer) {
+        w.u16(self.kind.0);
+        w.u16(self.parent.map_or(u16::MAX, |p| p.0));
+        self.name.put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        let kind = NodeKind(r.u16()?);
+        let parent = Some(NodeKind(r.u16()?)).filter(|p| p.0 != u16::MAX);
+        Ok(TypeDef {
+            kind,
+            name: String::get(r)?,
+            parent,
+        })
+    }
+}
+
+/// Id, owner, default, name.
+impl Wire for AttrDef {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.id.0);
+        w.u16(self.owner.0);
+        self.default.put(w);
+        self.name.put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        Ok(AttrDef {
+            id: AttrId(r.u32()?),
+            owner: NodeKind(r.u16()?),
+            default: i64::get(r)?,
+            name: String::get(r)?,
         })
     }
 }
@@ -327,6 +316,36 @@ mod tests {
         let bytes = s.encode();
         assert!(Schema::decode(&bytes[..bytes.len() - 1]).is_err());
         assert!(Schema::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn lying_type_count_is_refused_without_reserving_it() {
+        // Four billion types announced, none present: before the shared
+        // codec this reserved 128 GiB and aborted the process.
+        assert!(Schema::decode(&[0, 0, 0xff, 0xff, 0xff, 0xff]).is_err());
+    }
+
+    /// The catalogue record the hand-written encoder before the shared
+    /// codec produced: what every `disk` and `rel` database holds.
+    #[test]
+    fn catalogue_record_matches_its_on_disk_golden() {
+        let mut s = Schema::builtin();
+        s.add_type("DrawNode", "Node").unwrap();
+        s.add_attribute("DrawNode", "circles", -5).unwrap();
+        let hex: String = s.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "1100",
+                "04000000",
+                "0000ffff040000004e6f6465",
+                "0100000008000000546578744e6f6465",
+                "0200000008000000466f726d4e6f6465",
+                "1000000008000000447261774e6f6465",
+                "01000000",
+                "000000001000fbffffffffffffff07000000636972636c6573",
+            )
+        );
     }
 
     #[test]

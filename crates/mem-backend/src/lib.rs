@@ -18,15 +18,22 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use std::collections::BTreeMap;
 
+use hypermodel::codec::{Reader, Wire, Writer};
 use hypermodel::error::{HmError, Result};
 use hypermodel::ext::{
     AccessControlledStore, AccessMode, DynamicSchemaStore, VersionNo, VersionedStore,
 };
 use hypermodel::migrate::{self, NodeExport};
-use hypermodel::model::{Content, NodeKind, NodeValue, Oid, RefEdge};
+use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::schema::{AttrId, Schema};
 use hypermodel::store::HyperStore;
 use hypermodel::Bitmap;
@@ -102,23 +109,20 @@ impl MemStore {
             .ok_or(HmError::NodeNotFound(oid))
     }
 
+    fn versions_of(&mut self, oid: Oid) -> Result<&mut Vec<NodeValue>> {
+        self.versions
+            .get_mut((oid.0 as usize).wrapping_sub(1))
+            .ok_or(HmError::NodeNotFound(oid))
+    }
+
     fn snap_err(what: &str) -> HmError {
         HmError::Backend(format!("mem snapshot: {what}"))
     }
 
-    fn create(&mut self, value: &NodeValue, in_structure: bool) -> Result<Oid> {
-        let oid = Oid(self.nodes.len() as u64 + 1);
-        if self.uid_index.contains_key(&value.attrs.unique_id) {
-            return Err(HmError::InvalidArgument(format!(
-                "uniqueId {} already exists",
-                value.attrs.unique_id
-            )));
-        }
-        self.uid_index.insert(value.attrs.unique_id, oid);
-        self.hundred_index.insert((value.attrs.hundred, oid.0), ());
-        self.million_index.insert((value.attrs.million, oid.0), ());
+    /// Append a record with no relationships and an empty version chain.
+    fn push_record(&mut self, value: NodeValue, in_structure: bool, indexed: bool) -> Oid {
         self.nodes.push(NodeRecord {
-            value: value.clone(),
+            value,
             children: Vec::new(),
             parent: None,
             parts: Vec::new(),
@@ -127,9 +131,40 @@ impl MemStore {
             refs_from: Vec::new(),
             access: AccessMode::default(),
             in_structure,
-            indexed: true,
+            indexed,
         });
         self.versions.push(Vec::new());
+        Oid(self.nodes.len() as u64)
+    }
+
+    /// Enter `oid` in the uid/hundred/million indexes.
+    fn index(&mut self, oid: Oid, a: NodeAttrs) {
+        self.uid_index.insert(a.unique_id, oid);
+        self.hundred_index.insert((a.hundred, oid.0), ());
+        self.million_index.insert((a.million, oid.0), ());
+    }
+
+    /// Take `oid` out of the attribute indexes (its uid entry only if the
+    /// uid still names it).
+    fn deindex(&mut self, oid: Oid) -> Result<()> {
+        let a = self.record(oid)?.value.attrs;
+        if self.uid_index.get(&a.unique_id) == Some(&oid) {
+            self.uid_index.remove(&a.unique_id);
+        }
+        self.hundred_index.remove(&(a.hundred, oid.0));
+        self.million_index.remove(&(a.million, oid.0));
+        Ok(())
+    }
+
+    fn create(&mut self, value: &NodeValue, in_structure: bool) -> Result<Oid> {
+        if self.uid_index.contains_key(&value.attrs.unique_id) {
+            return Err(HmError::InvalidArgument(format!(
+                "uniqueId {} already exists",
+                value.attrs.unique_id
+            )));
+        }
+        let oid = self.push_record(value.clone(), in_structure, true);
+        self.index(oid, value.attrs);
         if in_structure {
             self.structure.push(oid);
         }
@@ -222,8 +257,7 @@ impl HyperStore for MemStore {
         // Access the `ten` attribute of each structure member without
         // returning it (§6.4.1). `std::hint::black_box` keeps the access
         // from being optimized away.
-        for i in 0..self.structure.len() {
-            let oid = self.structure[i];
+        for &oid in &self.structure {
             let rec = self.record(oid)?;
             debug_assert!(rec.in_structure, "structure list must only hold members");
             std::hint::black_box(rec.value.attrs.ten);
@@ -336,149 +370,59 @@ impl HyperStore for MemStore {
 
     fn sync_export(&mut self) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(64 * self.nodes.len() + 64);
-        put_u32(&mut out, SNAPSHOT_VERSION);
-        put_bytes(&mut out, &self.schema.encode());
-        put_u64(&mut out, self.commits);
-        put_u64(&mut out, self.nodes.len() as u64);
-        for rec in &self.nodes {
-            put_bytes(&mut out, &rec.value.encode());
-            put_u64(&mut out, rec.parent.map_or(0, |p| p.0));
-            put_oids(&mut out, &rec.children);
-            put_oids(&mut out, &rec.parts);
-            put_oids(&mut out, &rec.part_of);
-            put_edges(&mut out, &rec.refs_to);
-            put_edges(&mut out, &rec.refs_from);
-            out.push(match rec.access {
-                AccessMode::PublicWrite => 0,
-                AccessMode::PublicRead => 1,
-                AccessMode::NoAccess => 2,
-            });
-            out.push(rec.in_structure as u8);
-            out.push(rec.indexed as u8);
-        }
-        for chain in &self.versions {
-            put_u32(&mut out, chain.len() as u32);
-            for v in chain {
-                put_bytes(&mut out, &v.encode());
-            }
-        }
+        let w = &mut Writer::over(&mut out);
+        w.u32(SNAPSHOT_VERSION);
+        self.schema.put(w);
+        w.u64(self.commits);
+        self.nodes.put(w);
+        self.versions.put(w);
         // Structure order is load order, not oid order — ship it explicitly.
-        put_oids(&mut out, &self.structure);
-        put_u32(&mut out, self.dyn_attrs.len() as u32);
-        for (&(oid, attr), &v) in &self.dyn_attrs {
-            put_u64(&mut out, oid);
-            put_u32(&mut out, attr);
-            put_u64(&mut out, v as u64);
-        }
-        put_u32(&mut out, self.moved.len() as u32);
-        for (&oid, &(shard, epoch)) in &self.moved {
-            put_u64(&mut out, oid);
-            put_u32(&mut out, shard as u32);
-            put_u64(&mut out, epoch);
-        }
+        self.structure.put(w);
+        self.dyn_attrs.put(w);
+        self.moved.put(w);
         Ok(out)
     }
 
     fn sync_import(&mut self, snapshot: &[u8]) -> Result<()> {
-        let mut r = SnapReader::new(snapshot);
+        let r = &mut Reader::new(snapshot);
         let version = r.u32()?;
         if version != SNAPSHOT_VERSION {
             return Err(Self::snap_err(&format!(
                 "unsupported snapshot version {version}"
             )));
         }
-        let schema = Schema::decode(r.bytes()?)?;
+        let schema = Schema::get(r)?;
         let commits = r.u64()?;
-        let node_count = r.u64()? as usize;
-        if node_count > snapshot.len() {
-            return Err(Self::snap_err("node count exceeds snapshot size"));
+        let nodes = Vec::<NodeRecord>::get(r)?;
+        let versions = Vec::<Vec<NodeValue>>::get(r)?;
+        let structure = Vec::get(r)?;
+        let dyn_attrs = Wire::get(r)?;
+        let moved = Wire::get(r)?;
+        if !r.is_exhausted() {
+            return Err(Self::snap_err("trailing bytes after snapshot"));
         }
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let value = NodeValue::decode(r.bytes()?)?;
-            let parent = match r.u64()? {
-                0 => None,
-                p => Some(Oid(p)),
-            };
-            let children = r.oids()?;
-            let parts = r.oids()?;
-            let part_of = r.oids()?;
-            let refs_to = r.edges()?;
-            let refs_from = r.edges()?;
-            let access = match r.u8()? {
-                0 => AccessMode::PublicWrite,
-                1 => AccessMode::PublicRead,
-                2 => AccessMode::NoAccess,
-                other => return Err(Self::snap_err(&format!("bad access mode {other}"))),
-            };
-            let in_structure = r.u8()? != 0;
-            let indexed = r.u8()? != 0;
-            nodes.push(NodeRecord {
-                value,
-                children,
-                parent,
-                parts,
-                part_of,
-                refs_to,
-                refs_from,
-                access,
-                in_structure,
-                indexed,
-            });
+        if versions.len() != nodes.len() {
+            return Err(Self::snap_err(
+                "version chain count differs from node count",
+            ));
         }
-        let mut versions = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let n = r.u32()? as usize;
-            let mut chain = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                chain.push(NodeValue::decode(r.bytes()?)?);
-            }
-            versions.push(chain);
-        }
-        let structure = r.oids()?;
-        let n_dyn = r.u32()? as usize;
-        let mut dyn_attrs = BTreeMap::new();
-        for _ in 0..n_dyn {
-            let oid = r.u64()?;
-            let attr = r.u32()?;
-            let v = r.u64()? as i64;
-            dyn_attrs.insert((oid, attr), v);
-        }
-        let n_moved = r.u32()? as usize;
-        let mut moved = BTreeMap::new();
-        for _ in 0..n_moved {
-            let oid = r.u64()?;
-            let shard = r.u32()? as u16;
-            let epoch = r.u64()?;
-            moved.insert(oid, (shard, epoch));
-        }
-        r.finish()?;
 
         // Only replace state once the whole snapshot decoded cleanly.
         // Inert and retired records (indexed = false) stay out of the
         // attribute indexes, matching the exporter's live state.
-        let mut uid_index = BTreeMap::new();
-        let mut hundred_index = BTreeMap::new();
-        let mut million_index = BTreeMap::new();
-        for (i, rec) in nodes.iter().enumerate() {
-            if !rec.indexed {
-                continue;
-            }
-            let oid = Oid(i as u64 + 1);
-            uid_index.insert(rec.value.attrs.unique_id, oid);
-            hundred_index.insert((rec.value.attrs.hundred, oid.0), ());
-            million_index.insert((rec.value.attrs.million, oid.0), ());
+        let mut store = MemStore {
+            structure,
+            schema,
+            versions,
+            dyn_attrs,
+            commits,
+            moved,
+            ..MemStore::default()
+        };
+        for (oid, rec) in (1..).zip(&nodes).filter(|(_, rec)| rec.indexed) {
+            store.index(Oid(oid), rec.value.attrs);
         }
-        self.nodes = nodes;
-        self.uid_index = uid_index;
-        self.hundred_index = hundred_index;
-        self.million_index = million_index;
-        self.structure = structure;
-        self.schema = schema;
-        self.versions = versions;
-        self.dyn_attrs = dyn_attrs;
-        self.commits = commits;
-        self.moved = moved;
+        *self = MemStore { nodes, ..store };
         Ok(())
     }
 
@@ -509,40 +453,16 @@ impl HyperStore for MemStore {
         // installing the same batch assign identical ids.
         let mut locals = Vec::with_capacity(batch.len());
         for n in batch {
-            match n.reuse {
+            let local = match n.reuse {
                 Some(l) => {
                     // Deindex the ghost being promoted; the record is
                     // overwritten below and reindexed at activation.
-                    let (uid, h, m) = {
-                        let rec = self.record(l)?;
-                        let a = rec.value.attrs;
-                        (a.unique_id, a.hundred, a.million)
-                    };
-                    if self.uid_index.get(&uid) == Some(&l) {
-                        self.uid_index.remove(&uid);
-                    }
-                    self.hundred_index.remove(&(h, l.0));
-                    self.million_index.remove(&(m, l.0));
-                    locals.push(l);
+                    self.deindex(l)?;
+                    l
                 }
-                None => {
-                    let oid = Oid(self.nodes.len() as u64 + 1);
-                    self.nodes.push(NodeRecord {
-                        value: n.value.clone(),
-                        children: Vec::new(),
-                        parent: None,
-                        parts: Vec::new(),
-                        part_of: Vec::new(),
-                        refs_to: Vec::new(),
-                        refs_from: Vec::new(),
-                        access: AccessMode::default(),
-                        in_structure: n.in_structure,
-                        indexed: false,
-                    });
-                    self.versions.push(Vec::new());
-                    locals.push(oid);
-                }
-            }
+                None => self.push_record(n.value.clone(), n.in_structure, false),
+            };
+            locals.push(local);
         }
         // Pass 2: resolve intra-batch slot references now that every
         // slot has a local, then write each record's full state. The
@@ -560,17 +480,10 @@ impl HyperStore for MemStore {
         };
         for (n, &l) in batch.iter().zip(&locals) {
             let parent = n.parent.map(resolve).transpose()?;
-            let children: Vec<Oid> = n
-                .children
-                .iter()
-                .map(|&c| resolve(c))
-                .collect::<Result<_>>()?;
-            let parts: Vec<Oid> = n.parts.iter().map(|&p| resolve(p)).collect::<Result<_>>()?;
-            let part_of: Vec<Oid> = n
-                .part_of
-                .iter()
-                .map(|&p| resolve(p))
-                .collect::<Result<_>>()?;
+            let map_oids = |oids: &[Oid]| oids.iter().map(|&o| resolve(o)).collect::<Result<_>>();
+            let children = map_oids(&n.children)?;
+            let parts = map_oids(&n.parts)?;
+            let part_of = map_oids(&n.part_of)?;
             let map_edges = |edges: &[RefEdge]| -> Result<Vec<RefEdge>> {
                 edges
                     .iter()
@@ -601,30 +514,20 @@ impl HyperStore for MemStore {
 
     fn activate_nodes(&mut self, oids: &[Oid]) -> Result<()> {
         for &o in oids {
-            let (uid, h, m, in_structure, already_live) = {
-                let rec = self.record(o)?;
-                let a = rec.value.attrs;
-                (
-                    a.unique_id,
-                    a.hundred,
-                    a.million,
-                    rec.in_structure,
-                    rec.indexed,
-                )
-            };
-            if already_live {
+            let rec = self.record(o)?;
+            let (attrs, in_structure) = (rec.value.attrs, rec.in_structure);
+            if rec.indexed {
                 continue; // idempotent re-activation
             }
-            if let Some(&other) = self.uid_index.get(&uid) {
+            if let Some(&other) = self.uid_index.get(&attrs.unique_id) {
                 if other != o {
                     return Err(HmError::InvalidArgument(format!(
-                        "uniqueId {uid} already exists at {other}"
+                        "uniqueId {} already exists at {other}",
+                        attrs.unique_id
                     )));
                 }
             }
-            self.uid_index.insert(uid, o);
-            self.hundred_index.insert((h, o.0), ());
-            self.million_index.insert((m, o.0), ());
+            self.index(o, attrs);
             self.record_mut(o)?.indexed = true;
             // A node migrated back home is live again: drop its tombstone.
             self.moved.remove(&o.0);
@@ -637,16 +540,7 @@ impl HyperStore for MemStore {
 
     fn retire_nodes(&mut self, oids: &[Oid], moved_to: u16, epoch: u64) -> Result<()> {
         for &o in oids {
-            let (uid, h, m) = {
-                let rec = self.record(o)?;
-                let a = rec.value.attrs;
-                (a.unique_id, a.hundred, a.million)
-            };
-            if self.uid_index.get(&uid) == Some(&o) {
-                self.uid_index.remove(&uid);
-            }
-            self.hundred_index.remove(&(h, o.0));
-            self.million_index.remove(&(m, o.0));
+            self.deindex(o)?;
             let rec = self.record_mut(o)?;
             rec.in_structure = false;
             rec.indexed = false;
@@ -662,120 +556,41 @@ impl HyperStore for MemStore {
     }
 }
 
-/// Snapshot wire-format version for [`MemStore::sync_export`].
-/// Version 2 added the per-record `indexed` flag and the migration
-/// tombstone map.
-const SNAPSHOT_VERSION: u32 = 2;
+/// Snapshot format version for [`MemStore::sync_export`], which writes
+/// every field in its [`Wire`] encoding. Version 3 moved the snapshot onto
+/// the shared codec (counted lists throughout, no prefix on the schema).
+const SNAPSHOT_VERSION: u32 = 3;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-fn put_oids(out: &mut Vec<u8>, oids: &[Oid]) {
-    put_u32(out, oids.len() as u32);
-    for o in oids {
-        put_u64(out, o.0);
+/// The value, the parent (oid 0 for none), the four edge lists, then the
+/// access mode and the two flags.
+impl Wire for NodeRecord {
+    fn put(&self, w: &mut Writer) {
+        self.value.put(w);
+        self.parent.map_or(0, |p| p.0).put(w);
+        self.children.put(w);
+        self.parts.put(w);
+        self.part_of.put(w);
+        self.refs_to.put(w);
+        self.refs_from.put(w);
+        self.access.put(w);
+        self.in_structure.put(w);
+        self.indexed.put(w);
     }
-}
-
-fn put_edges(out: &mut Vec<u8>, edges: &[RefEdge]) {
-    put_u32(out, edges.len() as u32);
-    for e in edges {
-        put_u64(out, e.target.0);
-        out.push(e.offset_from);
-        out.push(e.offset_to);
-    }
-}
-
-/// Bounds-checked little-endian cursor over a snapshot buffer.
-struct SnapReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapReader<'a> {
-    fn new(buf: &'a [u8]) -> SnapReader<'a> {
-        SnapReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| MemStore::snap_err("truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8]> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
-    fn oids(&mut self) -> Result<Vec<Oid>> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() {
-            return Err(MemStore::snap_err("oid list count exceeds snapshot size"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(Oid(self.u64()?));
-        }
-        Ok(out)
-    }
-
-    fn edges(&mut self) -> Result<Vec<RefEdge>> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() {
-            return Err(MemStore::snap_err("edge list count exceeds snapshot size"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let target = Oid(self.u64()?);
-            let offset_from = self.u8()?;
-            let offset_to = self.u8()?;
-            out.push(RefEdge {
-                target,
-                offset_from,
-                offset_to,
-            });
-        }
-        Ok(out)
-    }
-
-    fn finish(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(MemStore::snap_err("trailing bytes after snapshot"))
-        }
+    fn get(r: &mut Reader) -> Result<Self> {
+        // Fields in encoding order: a struct literal evaluates in the
+        // order it is written.
+        Ok(NodeRecord {
+            value: NodeValue::get(r)?,
+            parent: Some(Oid::get(r)?).filter(|p| p.0 != 0),
+            children: Vec::get(r)?,
+            parts: Vec::get(r)?,
+            part_of: Vec::get(r)?,
+            refs_to: Vec::get(r)?,
+            refs_from: Vec::get(r)?,
+            access: AccessMode::get(r)?,
+            in_structure: bool::get(r)?,
+            indexed: bool::get(r)?,
+        })
     }
 }
 
@@ -819,19 +634,17 @@ impl DynamicSchemaStore for MemStore {
 impl VersionedStore for MemStore {
     fn create_version(&mut self, oid: Oid) -> Result<VersionNo> {
         let value = self.record(oid)?.value.clone();
-        let chain = &mut self.versions[(oid.0 - 1) as usize];
+        let chain = self.versions_of(oid)?;
         chain.push(value);
         Ok(VersionNo(chain.len() as u32 - 1))
     }
 
     fn version_count(&mut self, oid: Oid) -> Result<u32> {
-        self.record(oid)?;
-        Ok(self.versions[(oid.0 - 1) as usize].len() as u32)
+        Ok(self.versions_of(oid)?.len() as u32)
     }
 
     fn version(&mut self, oid: Oid, version: VersionNo) -> Result<NodeValue> {
-        self.record(oid)?;
-        self.versions[(oid.0 - 1) as usize]
+        self.versions_of(oid)?
             .get(version.0 as usize)
             .cloned()
             .ok_or_else(|| HmError::Version(format!("node {oid} has no version {}", version.0)))
@@ -1223,6 +1036,27 @@ mod tests {
         assert!(copy.sync_import(&snap[..snap.len() - 1]).is_err());
         assert!(copy.sync_import(&[]).is_err());
         assert_eq!(copy.node_count(), before);
+    }
+
+    #[test]
+    fn hostile_snapshots_are_refused_without_reserving_their_counts() {
+        let (mut store, ..) = loaded(&GenConfig::tiny());
+        let before = store.node_count();
+        // Four billion schema types (in the version-2 layout, which once
+        // aborted the process, and in today's), then four billion records
+        // behind a valid schema: each is refused on the missing bytes.
+        let mut lying_records = SNAPSHOT_VERSION.to_le_bytes().to_vec();
+        lying_records.extend(Schema::builtin().encode());
+        lying_records.extend(0u64.to_le_bytes());
+        lying_records.extend(u32::MAX.to_le_bytes());
+        for snapshot in [
+            &[2, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff][..],
+            &[3, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff][..],
+            &lying_records[..],
+        ] {
+            assert!(store.sync_import(snapshot).is_err(), "{snapshot:?}");
+        }
+        assert_eq!(store.node_count(), before);
     }
 
     #[test]

@@ -76,7 +76,6 @@
 )]
 
 pub mod client;
-pub mod codec;
 pub mod multi;
 pub mod protocol;
 pub mod server;

@@ -15,11 +15,10 @@
 //! here. Fields are encoded by their [`Wire`] impl, results become
 //! responses by their [`Reply`] impl, so a new operation adds no codec.
 
+use hypermodel::codec::{self, Reader, Wire, Writer};
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::{BatchWrite, Bitmap, NodeExport};
-
-use crate::codec::{Reader, Wire, Writer};
 
 const TAG_SHUTDOWN: u8 = 37;
 const TAG_TAGGED: u8 = 47;
@@ -304,14 +303,14 @@ replies! {
     Vec<u8>           { v => Response::Subtree(v),       Response::Subtree(v) => v }
 }
 
-/// A migration batch travels as [`Response::Subtree`] in
-/// `hypermodel::migrate`'s portable encoding.
+/// A migration batch travels as [`Response::Subtree`] holding its
+/// encoding.
 impl Reply for Vec<NodeExport> {
     fn into_response(self) -> Response {
-        Response::Subtree(hypermodel::migrate::encode_batch(&self))
+        Response::Subtree(codec::to_bytes(&self))
     }
     fn from_response(resp: Response) -> Result<Self> {
-        hypermodel::migrate::decode_batch(&Vec::<u8>::from_response(resp)?)
+        codec::from_bytes(&Vec::<u8>::from_response(resp)?)
     }
 }
 

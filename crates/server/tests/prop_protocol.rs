@@ -2,13 +2,22 @@
 //! through `encode_into` (which appends and never disturbs what the
 //! buffer already holds), and arbitrary garbage never panics the
 //! decoder, nor makes it reserve more than `codec::prealloc_cap` lets a
-//! list take: a frame's worth of bytes.
+//! list take: no more than the bytes behind it. The two payloads a shard
+//! decodes beyond the protocol's own fields — `MemStore`'s repair
+//! snapshot and a migration batch — are held to twice their input's
+//! length (see [`GROWTH`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::OnceLock;
 
+use hypermodel::config::GenConfig;
+use hypermodel::generate::TestDatabase;
+use hypermodel::load::load_database;
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
+use hypermodel::store::HyperStore;
 use hypermodel::{BatchWrite, Bitmap, NodeExport};
+use mem_backend::MemStore;
 use proptest::prelude::*;
 use server::protocol::{Request, Response};
 use server::transport::MAX_FRAME;
@@ -290,6 +299,41 @@ fn response_bytes(resp: &Response) -> Vec<u8> {
     bytes
 }
 
+/// A loaded 13-node database's repair snapshot (what `InstallSubtree`
+/// carries) and the `InstallNodes` frame migrating all of it.
+fn shipped() -> &'static (Vec<u8>, Vec<u8>) {
+    static SHIPPED: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    SHIPPED.get_or_init(|| {
+        let mut cfg = GenConfig::tiny();
+        cfg.fanout = 3;
+        let db = TestDatabase::generate(&cfg);
+        let mut store = MemStore::new();
+        let oids = load_database(&mut store, &db).unwrap().oids;
+        let batch = Request::InstallNodes(store.export_nodes(&oids).unwrap());
+        (store.sync_export().unwrap(), request_bytes(&batch))
+    })
+}
+
+/// The most a hostile snapshot or batch may make the decoder allocate at
+/// once, as a multiple of its length. No count reserves more than the
+/// bytes left behind it; past that a list grows only for elements it has
+/// actually decoded. Any 10 bytes decode as a reference edge, which takes
+/// 16 in memory, so a lying count in front of a run of garbage may grow
+/// that list once (doubling) to twice the input.
+const GROWTH: f64 = 2.0;
+
+/// The largest single allocation importing `snapshot` into a store makes,
+/// over the snapshot's length.
+fn import_peak(snapshot: &[u8]) -> f64 {
+    let mut store = MemStore::new();
+    peak_allocation(|| drop(store.sync_import(snapshot))) as f64 / snapshot.len() as f64
+}
+
+/// The largest single allocation decoding `frame` makes, over its length.
+fn decode_peak(frame: &[u8]) -> f64 {
+    peak_allocation(|| drop(Request::decode(frame))) as f64 / frame.len() as f64
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 
@@ -395,6 +439,26 @@ proptest! {
         prop_assert!(peak <= MAX_FRAME, "{peak} bytes reserved");
     }
 
+    // The repair snapshot and the migration batch with one byte
+    // replaced: the decode errors or succeeds, and never allocates more
+    // than `GROWTH` times the input at once.
+    #[test]
+    fn mutated_snapshots_and_batches_allocate_at_most_twice_their_length(
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let (snapshot, batch) = shipped();
+        let mutated = |bytes: &[u8]| {
+            let mut bytes = bytes.to_vec();
+            let i = at % bytes.len();
+            bytes[i] = byte;
+            bytes
+        };
+        let (imported, decoded) = (import_peak(&mutated(snapshot)), decode_peak(&mutated(batch)));
+        prop_assert!(imported <= GROWTH, "import allocated {imported}× its input");
+        prop_assert!(decoded <= GROWTH, "decode allocated {decoded}× its input");
+    }
+
     // An option's presence byte is 0 or 1. Anything else used to decode
     // as `None`: a corrupted `CreateNodeClustered` silently lost its
     // placement hint instead of being refused.
@@ -429,4 +493,45 @@ fn lying_write_batch_count_reserves_at_most_prealloc_cap() {
     let peak = peak_allocation(|| decoded = Some(Request::decode(&bytes)));
     assert!(decoded.unwrap().is_err());
     assert!(peak <= MAX_FRAME, "{peak} bytes reserved");
+}
+
+/// `bytes` with one `u32` window below 256 overwritten with half the
+/// input's length, for each such window, so every count lies once — by
+/// an amount a `count <= input length` check lets through. (Counts of four
+/// billion are refused by the same clamp; the unit tests send those.)
+fn lying_counts(bytes: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+    let lie = (bytes.len() as u32 / 2).to_le_bytes();
+    (0..bytes.len() - 3).filter_map(move |i| {
+        let window: [u8; 4] = bytes[i..i + 4].try_into().unwrap();
+        (u32::from_le_bytes(window) < 256).then(|| {
+            let mut lying = bytes.to_vec();
+            lying[i..i + 4].copy_from_slice(&lie);
+            (i, lying)
+        })
+    })
+}
+
+/// Every count field of the repair snapshot and of the migration batch
+/// lies ([`lying_counts`]): the import or decode never allocates more than
+/// `GROWTH` times the input at once. (Before the shared codec a lying
+/// snapshot reserved 208 and a lying batch 224 times their input; a lying
+/// schema, 128 GiB.)
+#[test]
+fn lying_counts_in_snapshots_and_batches_allocate_at_most_twice_their_length() {
+    let (snapshot, batch) = shipped();
+    assert!(import_peak(snapshot) <= 1.0 && decode_peak(batch) <= 1.0);
+    for (i, snapshot) in lying_counts(snapshot) {
+        let ratio = import_peak(&snapshot);
+        assert!(
+            ratio <= GROWTH,
+            "count at {i}: import allocated {ratio}× its input"
+        );
+    }
+    for (i, batch) in lying_counts(batch) {
+        let ratio = decode_peak(&batch);
+        assert!(
+            ratio <= GROWTH,
+            "count at {i}: decode allocated {ratio}× its input"
+        );
+    }
 }

@@ -6,7 +6,9 @@
 //! every earlier build. `WriteBatch` (tag 55) came later; its golden is
 //! composed by hand from the scalar goldens its items repeat. Tag 43 (a
 //! batch of `set_hundred`, now a `WriteBatch` of `SetHundred` items) is
-//! retired and refused.
+//! retired and refused. `InstallNodes` (tag 52) dropped the redundant
+//! `u32` length that once wrapped its counted batch, so its golden is the
+//! captured frame without those four bytes.
 //!
 //! `request_golden` / `response_golden` match on the variant without a
 //! wildcard: a new catalogue row (or response variant) does not compile
@@ -225,7 +227,7 @@ fn request_golden(req: &Request) -> &'static str {
         Request::SyncSubtree => "31",
         Request::InstallSubtree(..) => "32 05000000010000002a",
         Request::ExportNodes(..) => "33 020000002b000000000000002c00000000000000",
-        Request::InstallNodes(..) => "34 7b000000010000002c0000000100030000000000000004000000050000000600000007000000010d00000076657273696f6e31207461696c0109000000000000000200000001000000000000010c00000000000000010000000300000000000000000000000100000000000000000000010405000000004d00000000000000",
+        Request::InstallNodes(..) => "34 010000002c0000000100030000000000000004000000050000000600000007000000010d00000076657273696f6e31207461696c0109000000000000000200000001000000000000010c00000000000000010000000300000000000000000000000100000000000000000000010405000000004d00000000000000",
         Request::ActivateNodes(..) => "35 010000002d00000000000000",
         Request::RetireNodes(..) => "36 020000002e000000000000002f0000000000000002000b00000000000000",
         // The item count, then each item as its scalar request's frame.

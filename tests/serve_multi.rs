@@ -7,9 +7,9 @@
 //! bar the in-process backends clear in `cross_backend.rs`. The second drives two concurrent clients (one
 //! behind a deliberately slow transport) through all 20 operations
 //! against one process, proving the loop never blocks on a slow reader.
-//! The last two pin at-most-once execution of a tagged request retried on
+//! The next two pin at-most-once execution of a tagged request retried on
 //! a second connection while its first copy is still executing: a single
-//! create, and a batch of them.
+//! create, and a batch of them. The last sends a hostile repair snapshot.
 
 #![allow(
     clippy::disallowed_methods,
@@ -262,4 +262,36 @@ fn tagged_write_batch_retry_creates_each_node_once() {
     assert_eq!(ids.len(), 3);
     assert_eq!((stats.requests, stats.replayed), (1, 1));
     assert_eq!(store.node_count(), 3, "each node created once");
+}
+
+/// A repair snapshot announcing four billion schema types, sent to a
+/// `MemStore` shard as a 19-byte `InstallSubtree` request, is refused and
+/// the connection keeps serving from the untouched store. (It used to
+/// make `sync_import` reserve 128 GiB and abort the whole server.) The
+/// second snapshot is the same schema in the current snapshot layout.
+#[test]
+fn hostile_install_subtree_is_refused_and_the_connection_keeps_serving() {
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let mut shard = MemStore::new();
+    load_database(&mut shard, &db).unwrap();
+    let ms = serve_multi(vec![shard]).unwrap();
+    let mut conn = TcpTransport::new(std::net::TcpStream::connect(ms.addrs()[0]).unwrap()).unwrap();
+    let mut call = |req: Request| {
+        let mut frame = Vec::new();
+        req.encode_into(&mut frame);
+        conn.send(&frame).unwrap();
+        Response::decode(&recv(&mut conn)).unwrap()
+    };
+    for snapshot in [
+        vec![2, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff],
+        vec![3, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff],
+    ] {
+        let reply = call(Request::InstallSubtree(snapshot));
+        assert!(matches!(reply, Response::Err(_)), "{reply:?}");
+        let reply = call(Request::LookupUnique(1));
+        assert!(matches!(reply, Response::Oid(_)), "{reply:?}");
+    }
+    drop(conn);
+    let stats = ms.stop().unwrap();
+    assert_eq!(stats.errors, 2);
 }
