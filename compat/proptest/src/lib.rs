@@ -2,7 +2,7 @@
 //!
 //! This workspace must build without crates.io access, so the external
 //! property-testing dependency is replaced by an API-compatible subset:
-//! the `proptest!`/`prop_assert*`/`prop_oneof!` macros, the [`Strategy`]
+//! the `proptest!`/`prop_assert*`/`prop_oneof!` macros, the [`Strategy`](strategy::Strategy)
 //! trait with `prop_map`/`boxed`, integer-range and tuple strategies,
 //! `any::<T>()`, `Just`, `collection::{vec, hash_set}`, `option::of` and
 //! simple `"[class]{lo,hi}"` string-pattern strategies.

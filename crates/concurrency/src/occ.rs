@@ -44,16 +44,6 @@ impl OccTxn {
     pub fn new() -> OccTxn {
         OccTxn::default()
     }
-
-    /// Number of objects read.
-    pub fn read_count(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Number of objects written.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
-    }
 }
 
 /// The shared validator: current committed version of every object.

@@ -41,9 +41,8 @@ pub enum HmError {
     Timeout(String),
     /// A specific shard of a sharded deployment is down or crashed.
     /// Point operations routed to it fail fast with this error; fan-out
-    /// operations consult the caller-chosen [scan policy].
-    ///
-    /// [scan policy]: HmError::ShardUnavailable#structured-degradation
+    /// operations consult the caller-chosen scan policy
+    /// (`shard::ScanPolicy`).
     ShardUnavailable {
         /// Index of the unavailable shard.
         shard: usize,

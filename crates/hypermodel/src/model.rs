@@ -47,11 +47,6 @@ impl NodeKind {
     pub const FORM: NodeKind = NodeKind(2);
     /// First code available for dynamically added types.
     pub const FIRST_DYNAMIC: u16 = 16;
-
-    /// True for the built-in kinds.
-    pub fn is_builtin(self) -> bool {
-        self.0 < Self::FIRST_DYNAMIC
-    }
 }
 
 /// The five integer attributes every node carries (paper Figure 1).
@@ -80,19 +75,6 @@ pub enum Content {
     Form(Bitmap),
     /// Content of a dynamically added node type (R4), opaque bytes.
     Dynamic(Vec<u8>),
-}
-
-impl Content {
-    /// The kind this content implies, for dynamic content the caller must
-    /// track the kind separately.
-    pub fn natural_kind(&self) -> Option<NodeKind> {
-        match self {
-            Content::None => Some(NodeKind::INTERNAL),
-            Content::Text(_) => Some(NodeKind::TEXT),
-            Content::Form(_) => Some(NodeKind::FORM),
-            Content::Dynamic(_) => None,
-        }
-    }
 }
 
 /// A complete node value: attributes plus content.

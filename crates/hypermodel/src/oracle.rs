@@ -108,11 +108,6 @@ impl<'a> Oracle<'a> {
         self.db.len() as u64
     }
 
-    /// Sum of `ten` over all nodes (a checkable scan side-product).
-    pub fn sum_ten(&self) -> u64 {
-        self.db.nodes.iter().map(|n| n.value.attrs.ten as u64).sum()
-    }
-
     /// O10: pre-order 1-N closure from `start`.
     pub fn closure_1n(&self, start: u32) -> Vec<u32> {
         let mut out = Vec::new();

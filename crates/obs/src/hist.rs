@@ -68,11 +68,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record the elapsed time of `start` in microseconds.
-    pub fn record_elapsed(&self, start: std::time::Instant) {
-        self.record(start.elapsed().as_micros() as u64);
-    }
-
     /// Copy the histogram out. `count` is read before the buckets (see
     /// [`Histogram::record`]).
     pub fn snapshot(&self) -> HistSnapshot {

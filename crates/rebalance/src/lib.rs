@@ -75,7 +75,6 @@ pub struct Migration {
 pub struct Rebalancer {
     high: f64,
     low: f64,
-    min_touches: u64,
     /// Weight each window's request delta by the shard's busy-time
     /// EWMA (the default). Off = score by request counts alone.
     weight_busy: bool,
@@ -110,7 +109,6 @@ impl Rebalancer {
         Rebalancer {
             high,
             low,
-            min_touches: 1,
             weight_busy: true,
             last_requests: Vec::new(),
             active: false,
@@ -125,12 +123,6 @@ impl Rebalancer {
     /// signal away for scores that depend only on the traffic itself.
     pub fn score_requests_only(&mut self) {
         self.weight_busy = false;
-    }
-
-    /// Ignore subtrees touched fewer than `n` times in the current
-    /// window when picking a migration candidate.
-    pub fn set_min_touches(&mut self, n: u64) {
-        self.min_touches = n.max(1);
     }
 
     /// Migrations performed by this rebalancer so far.
@@ -209,9 +201,7 @@ impl Rebalancer {
         let candidate = store
             .touch_counts()
             .into_iter()
-            .find(|&(root, touches)| {
-                touches >= self.min_touches && store.owner_of(root) == Some(donor)
-            })
+            .find(|&(root, _)| store.owner_of(root) == Some(donor))
             .map(|(root, _)| root);
         let root = match candidate {
             Some(r) => r,

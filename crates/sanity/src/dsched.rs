@@ -28,7 +28,6 @@
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
@@ -999,26 +998,6 @@ struct RunOutcome {
     preemptions: usize,
     /// Choice points with more than one live option this run hit.
     decisions: usize,
-}
-
-// Poison flags in models are fine as plain atomics: only one virtual
-// thread runs at a time, so every read is deterministic given the
-// schedule.
-pub type SimFlag = Arc<AtomicBool>;
-
-/// Convenience: a fresh shared boolean flag for models.
-pub fn flag() -> SimFlag {
-    Arc::new(AtomicBool::new(false))
-}
-
-/// Convenience: read a [`SimFlag`].
-pub fn flag_get(f: &SimFlag) -> bool {
-    f.load(Ordering::SeqCst)
-}
-
-/// Convenience: set a [`SimFlag`].
-pub fn flag_set(f: &SimFlag, v: bool) {
-    f.store(v, Ordering::SeqCst)
 }
 
 #[cfg(test)]

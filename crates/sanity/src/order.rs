@@ -86,11 +86,6 @@ impl OrderGraph {
         None
     }
 
-    /// Representative acquisition sites for a recorded edge.
-    pub fn edge_sites(&self, held: u64, acquired: u64) -> Option<(Site, Site)> {
-        self.edges.get(&(held, acquired)).copied()
-    }
-
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }

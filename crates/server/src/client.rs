@@ -64,15 +64,11 @@ impl RetryPolicy {
     }
 }
 
-/// Builds a replacement connection after the current one turns suspect.
-pub type ReconnectFn = Box<dyn FnMut() -> Result<Box<dyn Transport>> + Send>;
-
 /// A `HyperStore` backed by a remote server.
 pub struct RemoteStore {
     transport: Box<dyn Transport>,
     round_trips: u64,
     policy: Option<RetryPolicy>,
-    reconnect: Option<ReconnectFn>,
     next_request_id: u64,
     retries: u64,
     gave_up: u64,
@@ -94,7 +90,6 @@ impl RemoteStore {
             transport,
             round_trips: 0,
             policy: None,
-            reconnect: None,
             next_request_id: 1,
             retries: 0,
             gave_up: 0,
@@ -107,15 +102,6 @@ impl RemoteStore {
     /// Enable timeout-and-retry handling for every call.
     pub fn with_retry(mut self, policy: RetryPolicy) -> RemoteStore {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Install a factory that replaces the connection when a retry finds
-    /// the current one suspect (after a timeout a stream transport may
-    /// hold a half-read frame). Without one, retries reuse the transport
-    /// — fine for message-framed transports like channels.
-    pub fn with_reconnect(mut self, f: ReconnectFn) -> RemoteStore {
-        self.reconnect = Some(f);
         self
     }
 
@@ -219,14 +205,6 @@ impl RemoteStore {
                     self.retries += 1;
                     obs::incr("client.retries", 1);
                     std::thread::sleep(policy.backoff(retry - 1));
-                    if let Some(factory) = &mut self.reconnect {
-                        // Swap in a fresh connection; if that fails too,
-                        // keep the old one and let the next attempt's
-                        // timeout decide.
-                        if let Ok(t) = factory() {
-                            self.transport = t;
-                        }
-                    }
                 }
             }
         }
@@ -243,8 +221,8 @@ impl RemoteStore {
         self.round_trips += 1;
         obs::incr("client.round_trips", 1);
         if !self.transport.recv_into(&mut self.rframe, timeout)? {
-            // Under a retry policy a close is transient: the next
-            // attempt reconnects.
+            // Under a retry policy a close is transient: the policy
+            // resends on the same transport until its budget runs out.
             return Err(match timeout {
                 Some(_) => HmError::Timeout("connection closed mid-request".into()),
                 None => HmError::Backend("server disconnected".into()),

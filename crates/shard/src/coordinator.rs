@@ -2,7 +2,7 @@
 //! (the decision log), and recovery of a sharded deployment from disk
 //! after a crash.
 //!
-//! [`Coordinator`] runs a sharded store's commit. With a decision log
+//! `Coordinator` runs a sharded store's commit. With a decision log
 //! attached it is two-phase: prepare everywhere in parallel under one
 //! deadline, durably record the decision, then tell every shard to
 //! finish. The fsynced decision record is the commit point — once it is

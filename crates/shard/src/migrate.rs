@@ -1,6 +1,5 @@
 //! Online subtree migration (shard rebalancing): an operation over the
-//! router's placement map plus one per-shard call
-//! ([`ShardedStore::call`]) for each step.
+//! router's placement map plus one request to a shard for each step.
 //!
 //! The protocol is two-step on the destination — an *inert* install
 //! followed by an *activate*, the commit point — then an ownership flip
@@ -12,9 +11,10 @@ use std::collections::{HashMap, HashSet};
 
 use hypermodel::error::{HmError, Result};
 use hypermodel::migrate::{NodeExport, MIGRATE_SLOT_BASE};
-use hypermodel::model::{Oid, RefEdge};
+use hypermodel::model::Oid;
 use hypermodel::store::HyperStore;
 
+use crate::router::MapIds;
 use crate::store::ShardedStore;
 use crate::write::ghost_value;
 
@@ -81,35 +81,6 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.ensure_ghost(g, dst)
     }
 
-    fn migrate_oids(
-        &mut self,
-        src: usize,
-        v: Vec<Oid>,
-        slot_of: &HashMap<u64, usize>,
-        dst: usize,
-    ) -> Result<Vec<Oid>> {
-        v.into_iter()
-            .map(|l| self.migrate_endpoint(src, l, slot_of, dst))
-            .collect()
-    }
-
-    fn migrate_edges(
-        &mut self,
-        src: usize,
-        v: Vec<RefEdge>,
-        slot_of: &HashMap<u64, usize>,
-        dst: usize,
-    ) -> Result<Vec<RefEdge>> {
-        v.into_iter()
-            .map(|e| {
-                Ok(RefEdge {
-                    target: self.migrate_endpoint(src, e.target, slot_of, dst)?,
-                    ..e
-                })
-            })
-            .collect()
-    }
-
     /// Best-effort undo of a failed activation: retire the orphaned
     /// destination records back toward their (still-owning) sources, so
     /// a partially-activated batch cannot double-report in scans.
@@ -156,14 +127,9 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.check(dst)?;
         // The full 1-N closure, not counted as a touch (the rebalancer's
         // own bookkeeping must not inflate its traffic signal).
-        let adj = self.collect_oid_adjacency(root, false)?;
-        let closure = Self::replay_preorder(root, &adj);
-        let mut moved = Vec::new();
-        for &g in &closure {
-            if self.router.to_local(g)?.0 != dst {
-                moved.push(g);
-            }
-        }
+        let moved: Vec<Oid> = (self.subtree(root)?.into_iter())
+            .filter(|&g| self.router.owner_of(g) != Some(dst))
+            .collect();
         if moved.is_empty() {
             return Ok(0);
         }
@@ -198,20 +164,18 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
                     "migration export batch is missing a node".into(),
                 ));
             };
-            let parent = match n.parent {
-                Some(p) => Some(self.migrate_endpoint(src, p, &slot_of, dst)?),
-                None => None,
-            };
+            let reuse = self.router.ghost_of(moved[i], dst);
+            let mut to_dst = |l| self.migrate_endpoint(src, l, &slot_of, dst);
             batch.push(NodeExport {
                 value: n.value,
                 in_structure: n.in_structure,
-                parent,
-                children: self.migrate_oids(src, n.children, &slot_of, dst)?,
-                parts: self.migrate_oids(src, n.parts, &slot_of, dst)?,
-                part_of: self.migrate_oids(src, n.part_of, &slot_of, dst)?,
-                refs_to: self.migrate_edges(src, n.refs_to, &slot_of, dst)?,
-                refs_from: self.migrate_edges(src, n.refs_from, &slot_of, dst)?,
-                reuse: self.router.ghost_of(moved[i], dst),
+                parent: n.parent.map_ids(&mut to_dst)?,
+                children: n.children.map_ids(&mut to_dst)?,
+                parts: n.parts.map_ids(&mut to_dst)?,
+                part_of: n.part_of.map_ids(&mut to_dst)?,
+                refs_to: n.refs_to.map_ids(&mut to_dst)?,
+                refs_from: n.refs_from.map_ids(&mut to_dst)?,
+                reuse,
             });
         }
         let structural: Vec<bool> = batch.iter().map(|n| n.in_structure).collect();

@@ -18,7 +18,8 @@
 use std::collections::HashMap;
 
 use hypermodel::error::{HmError, Result};
-use hypermodel::model::Oid;
+use hypermodel::model::{NodeKind, Oid, RefEdge};
+use hypermodel::Bitmap;
 
 /// Ghost nodes get `uniqueId = GHOST_UID_BASE + global`, far above any
 /// benchmark uid, so they never collide with real nodes inside a shard's
@@ -76,6 +77,53 @@ fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
+
+/// A shard's answer whose node ids can be rewritten one by one: back to
+/// global ids ([`ShardRouter::globals`]), or into the destination's id
+/// space when a subtree migrates. Scalars, text and bitmaps name no node
+/// and pass through unchanged.
+pub(crate) trait MapIds: Sized {
+    /// `self` with every node id `o` in it replaced by `f(o)`, in order.
+    fn map_ids(self, f: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<Self>;
+}
+
+impl MapIds for Oid {
+    fn map_ids(self, f: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<Oid> {
+        f(self)
+    }
+}
+
+impl MapIds for RefEdge {
+    fn map_ids(self, f: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<RefEdge> {
+        Ok(RefEdge {
+            target: f(self.target)?,
+            ..self
+        })
+    }
+}
+
+impl<T: MapIds> MapIds for Option<T> {
+    fn map_ids(self, f: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<Option<T>> {
+        self.map(|v| v.map_ids(f)).transpose()
+    }
+}
+
+impl<T: MapIds> MapIds for Vec<T> {
+    fn map_ids(self, f: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<Vec<T>> {
+        self.into_iter().map(|v| v.map_ids(f)).collect()
+    }
+}
+
+macro_rules! no_ids {
+    ($($t:ty),*) => {$(
+        impl MapIds for $t {
+            fn map_ids(self, _: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<$t> {
+                Ok(self)
+            }
+        }
+    )*};
+}
+no_ids!((), u32, u64, usize, NodeKind, String, Bitmap);
 
 /// Per-global-id record: owning shard, local id there, and 1-N depth.
 #[derive(Debug, Clone, Copy)]
@@ -281,6 +329,12 @@ impl ShardRouter {
         self.global_of[shard].get(&local.0).copied().ok_or_else(|| {
             HmError::Backend(format!("shard {shard} returned unknown local id {local}"))
         })
+    }
+
+    /// `answer` from `shard` with each of its local ids (real or ghost)
+    /// translated back to global.
+    pub(crate) fn globals<T: MapIds>(&self, shard: usize, answer: T) -> Result<T> {
+        answer.map_ids(&mut |local| self.to_global(shard, local))
     }
 
     /// Whether `local` on `shard` is that shard's *own* node under its

@@ -1,21 +1,14 @@
-//! [`ShardedStore`]: one `HyperStore` over N shard backends — routing
-//! and level-batched closures. Its writes (placement and the ghosts of
-//! cross-shard edges) are `crate::write`.
+//! [`ShardedStore`]: one `HyperStore` over N shard backends — health,
+//! routing and fan-out.
 //!
-//! Point operations route to the owning shard; range lookups and
-//! sequential scans fan out to every shard in parallel (persistent
-//! per-shard executor workers — see [`exec::ShardExecutor`]) and merge;
-//! closure traversals run **level-batched frontier exchange**: per BFS
-//! level the frontier is grouped by owning shard and fetched with one
-//! batched request per shard, so cross-shard round trips scale with
-//! traversal *depth*, not node count. The fetched adjacency is then
-//! replayed as a local depth-first traversal, reproducing the exact
-//! output order of the trait's default implementations.
-//!
-//! Fan-outs cost one bounded-channel round trip per shard (~3 µs)
-//! instead of the scoped-thread spawn+join (~15 µs) this store paid per
-//! shard per operation before the executor existed; point operations
-//! skip the queue entirely and lock the owning shard directly.
+//! Every catalogue operation that addresses one node (a `store_ops!` row
+//! with an `about` column, closures aside) is generated as a *point
+//! route*: it runs on the owning shard on the calling thread — no
+//! executor hop — and its answer and errors are mapped back to global
+//! ids. Range lookups and sequential scans fan out to every shard in
+//! parallel on persistent per-shard workers ([`exec::ShardExecutor`],
+//! one bounded-channel round trip per shard) and merge. The closures
+//! are level-batched in `crate::closure`, writes are `crate::write`.
 //!
 //! The store knows nothing about what a shard *is*. Replication is a
 //! shard that happens to be a [`ReplicaGroup`]
@@ -36,11 +29,7 @@ use exec::{ExecError, ShardExecutor};
 
 use crate::coordinator::{CommitLog, Coordinator};
 use crate::replica::{self, ReplicaGroup};
-use crate::router::{Placement, ShardRouter};
-
-/// Per-shard scatter positions: `scatter[s][j]` is the index in the
-/// original request slice answered by shard `s`'s `j`-th result.
-type Scatter = Vec<Vec<usize>>;
+use crate::router::{MapIds, Placement, ShardRouter};
 
 /// What the executor hands back for one shard job: the shard's own
 /// answer, or the reason the job produced none.
@@ -94,48 +83,34 @@ pub struct ShardedStore<S> {
     touches: HashMap<u64, u64>,
 }
 
-fn unavailable(s: usize) -> HmError {
-    HmError::ShardUnavailable {
-        shard: s,
-        msg: "shard marked unavailable".into(),
-    }
+fn unavailable(shard: usize, msg: String) -> HmError {
+    HmError::ShardUnavailable { shard, msg }
 }
 
-/// Classify a failure shard `s` reported. A timeout means the shard
-/// stopped answering: it is marked dead and the error rewrapped as the
-/// structured [`HmError::ShardUnavailable`]. A `ShardUnavailable` of the
-/// shard's *own* is the verdict of a deployment that tracks its own
-/// health and already fails fast (a replica group with no mirror left,
-/// or refusing one quorum write): it is relabelled with the logical
-/// shard index and passed on without writing the whole shard off.
-fn note_err(health: &mut [bool], s: usize, e: HmError) -> HmError {
-    match e {
-        HmError::ShardUnavailable { msg, .. } => HmError::ShardUnavailable { shard: s, msg },
-        e if e.is_transient() => {
-            health[s] = false;
-            HmError::ShardUnavailable {
-                shard: s,
-                msg: e.to_string(),
-            }
-        }
-        e => e,
-    }
+fn marked_down(shard: usize) -> HmError {
+    unavailable(shard, "shard marked unavailable".into())
 }
 
-/// [`note_err`] for an executor job: a job that produced no answer
-/// (missed deadline, poisoned or lost worker) marks the shard dead too.
+/// Classify what shard `s` answered to one job. A job that produced no
+/// answer (missed deadline, poisoned or lost worker) or failed
+/// transiently means the shard stopped answering: it is marked dead and
+/// the error rewrapped as the structured [`HmError::ShardUnavailable`].
+/// A `ShardUnavailable` of the shard's *own* is the verdict of a
+/// deployment that tracks its own health and already fails fast (a
+/// replica group with no mirror left, or refusing one quorum write): it
+/// is relabelled with the logical shard index and passed on without
+/// writing the whole shard off.
 pub(crate) fn note_exec<T>(health: &mut [bool], s: usize, r: ExecResult<T>) -> Result<T> {
-    match r {
-        Ok(answer) => answer.map_err(|e| note_err(health, s, e)),
-        Err(ExecError::Shutdown) => Err(ExecError::Shutdown.into_hm()),
-        Err(e) => {
-            health[s] = false;
-            Err(HmError::ShardUnavailable {
-                shard: s,
-                msg: e.to_string(),
-            })
-        }
-    }
+    let msg = match r {
+        Ok(Ok(answer)) => return Ok(answer),
+        Ok(Err(HmError::ShardUnavailable { msg, .. })) => return Err(unavailable(s, msg)),
+        Ok(Err(e)) if !e.is_transient() => return Err(e),
+        Err(ExecError::Shutdown) => return Err(ExecError::Shutdown.into_hm()),
+        Ok(Err(e)) => e.to_string(),
+        Err(e) => e.to_string(),
+    };
+    health[s] = false;
+    Err(unavailable(s, msg))
 }
 
 /// Run `f` on each shard that has work (`Some`), concurrently on the
@@ -242,10 +217,8 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// (swap the backend with [`ShardedStore::replace_shard`] first).
     pub fn revive_shard(&mut self, shard: usize) -> Result<()> {
         if self.exec.is_poisoned(shard).map_err(ExecError::into_hm)? {
-            return Err(HmError::ShardUnavailable {
-                shard,
-                msg: "shard worker poisoned by a panic; replace the backend first".into(),
-            });
+            let msg = "shard worker poisoned by a panic; replace the backend first";
+            return Err(unavailable(shard, msg.into()));
         }
         self.exec
             .with_shard(shard, |sh| sh.seq_scan_ten())
@@ -316,7 +289,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         if self.health[s] {
             Ok(())
         } else {
-            Err(unavailable(s))
+            Err(marked_down(s))
         }
     }
 
@@ -329,19 +302,25 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         note_exec(&mut self.health, s, self.exec.with_shard(s, f))
     }
 
-    /// Route to the shard owning `oid` and run `f` there.
-    fn on_shard<T>(
+    /// Every point operation: route to the shard owning `oid`, run `f`
+    /// there on the local id, map the ids in the answer back to global,
+    /// and name `oid` — not the shard-local id — in a missing-node or
+    /// wrong-kind error.
+    fn point<T: MapIds>(
         &mut self,
         oid: Oid,
         f: impl FnOnce(&mut S, Oid) -> Result<T>,
-    ) -> Result<(usize, T)> {
+    ) -> Result<T> {
         let (s, l) = self.router.to_local(oid)?;
-        Ok((s, self.call(s, |sh| f(sh, l))?))
-    }
-
-    /// [`Self::on_shard`] for answers with no ids to translate back.
-    fn at<T>(&mut self, oid: Oid, f: impl FnOnce(&mut S, Oid) -> Result<T>) -> Result<T> {
-        self.on_shard(oid, f).map(|(_, v)| v)
+        match self.call(s, |sh| f(sh, l)) {
+            Ok(answer) => self.router.globals(s, answer),
+            Err(HmError::NodeNotFound(named)) if named == l => Err(HmError::NodeNotFound(oid)),
+            Err(HmError::WrongKind {
+                oid: named,
+                expected,
+            }) if named == l => Err(HmError::WrongKind { oid, expected }),
+            Err(e) => Err(e),
+        }
     }
 
     /// Run `f` against shard `shard`'s backend directly — for
@@ -386,58 +365,37 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.gather(vec![Some(()); n], |shard, ()| shard.seq_scan_ten())
     }
 
-    /// Turn per-shard work lists into executor work: shards with nothing
-    /// to do get `None`; the others must be alive (batched primitives
-    /// feed closures, whose results are meaningless when incomplete:
-    /// always fail fast) and are counted one request each — the unit the
-    /// skew statistics measure.
-    fn admit<W>(&mut self, per: Vec<Vec<W>>) -> Result<Vec<Option<Vec<W>>>> {
-        let mut work = Vec::with_capacity(per.len());
-        for (s, w) in per.into_iter().enumerate() {
-            if w.is_empty() {
-                work.push(None);
-            } else {
-                self.check(s)?;
-                self.router.requests[s] += 1;
-                work.push(Some(w));
-            }
-        }
-        Ok(work)
-    }
-
-    /// Group globals by owning shard; returns per-shard locals plus the
-    /// positions each answer scatters back to.
-    fn group_by_shard(&mut self, globals: &[Oid]) -> Result<(Vec<Option<Vec<Oid>>>, Scatter)> {
-        let n = self.router.shard_count();
-        let mut locals: Vec<Vec<Oid>> = vec![Vec::new(); n];
-        let mut pos: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, &g) in globals.iter().enumerate() {
-            let (s, l) = self.router.to_local(g)?;
-            locals[s].push(l);
-            pos[s].push(i);
-        }
-        Ok((self.admit(locals)?, pos))
-    }
-
-    /// One batched read per shard with work: `fetch` answers a shard's
-    /// locals in order, `translate` maps each answer back into the
-    /// global id space, and the results scatter to the callers' order.
-    fn batch_read<T, U>(
+    /// One batched read per shard with work, in parallel: `fetch` answers
+    /// a shard's locals in order, the ids in each answer are mapped back
+    /// to global, and the results scatter to the callers' order. A shard
+    /// with work must be alive (batched reads feed closures, whose results
+    /// are meaningless when incomplete) and counts one request — the unit
+    /// the skew statistics measure.
+    fn batch_read<T>(
         &mut self,
         oids: &[Oid],
         fetch: impl Fn(&mut S, Vec<Oid>) -> Result<Vec<T>> + Send + Sync + 'static,
-        translate: impl Fn(&ShardRouter, usize, T) -> Result<U>,
-    ) -> Result<Vec<U>>
+    ) -> Result<Vec<T>>
     where
-        T: Send + 'static,
-        U: Default + Clone,
+        T: MapIds + Send + Default + Clone + 'static,
     {
-        let (work, pos) = self.group_by_shard(oids)?;
+        let n = self.router.shard_count();
+        let mut work: Vec<Option<Vec<Oid>>> = vec![None; n];
+        let mut pos: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, &g) in oids.iter().enumerate() {
+            let (s, l) = self.router.to_local(g)?;
+            work[s].get_or_insert_with(Vec::new).push(l);
+            pos[s].push(i);
+        }
+        for s in (0..n).filter(|&s| work[s].is_some()) {
+            self.check(s)?;
+            self.router.requests[s] += 1;
+        }
         let results = self.gather(work, fetch)?;
-        let mut out = vec![U::default(); oids.len()];
+        let mut out = vec![T::default(); oids.len()];
         for (s, items) in results.into_iter().enumerate() {
             for (j, item) in items.into_iter().enumerate() {
-                out[pos[s][j]] = translate(&self.router, s, item)?;
+                out[pos[s][j]] = self.router.globals(s, item)?;
             }
         }
         Ok(out)
@@ -457,7 +415,8 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.touches.clear();
     }
 
-    fn touch(&mut self, start: Oid) {
+    /// Count one closure execution from `start`.
+    pub(crate) fn touch(&mut self, start: Oid) {
         *self.touches.entry(start.0).or_insert(0) += 1;
     }
 
@@ -474,7 +433,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         let policy = self.scan_policy;
         if let Some(dead) = self.health.iter().position(|h| !*h) {
             match policy {
-                ScanPolicy::FailFast => return Err(unavailable(dead)),
+                ScanPolicy::FailFast => return Err(marked_down(dead)),
                 ScanPolicy::Partial => self.last_scan_partial = true,
             }
         }
@@ -527,105 +486,6 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         }
         Ok(out)
     }
-
-    /// BFS over `children`/`parts` with one batched request per shard per
-    /// level; returns the full adjacency in global ids.
-    pub(crate) fn collect_oid_adjacency(
-        &mut self,
-        start: Oid,
-        parts: bool,
-    ) -> Result<HashMap<Oid, Vec<Oid>>> {
-        let mut cache: HashMap<Oid, Vec<Oid>> = HashMap::new();
-        let mut frontier = vec![start];
-        while !frontier.is_empty() {
-            let lists = if parts {
-                self.parts_batch(&frontier)?
-            } else {
-                self.children_batch(&frontier)?
-            };
-            for (&o, list) in frontier.iter().zip(lists) {
-                cache.insert(o, list);
-            }
-            let mut next = Vec::new();
-            for o in &frontier {
-                for &t in &cache[o] {
-                    if !cache.contains_key(&t) && !next.contains(&t) {
-                        next.push(t);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        Ok(cache)
-    }
-
-    /// BFS over attributed references to `depth` levels (the deepest any
-    /// depth-first path can need), batched per shard per level.
-    fn collect_ref_adjacency(
-        &mut self,
-        start: Oid,
-        depth: u32,
-    ) -> Result<HashMap<Oid, Vec<RefEdge>>> {
-        let mut cache: HashMap<Oid, Vec<RefEdge>> = HashMap::new();
-        let mut frontier = vec![start];
-        for _ in 0..depth {
-            if frontier.is_empty() {
-                break;
-            }
-            let lists = self.refs_to_batch(&frontier)?;
-            for (&o, list) in frontier.iter().zip(lists) {
-                cache.insert(o, list);
-            }
-            let mut next = Vec::new();
-            for o in &frontier {
-                for e in &cache[o] {
-                    if !cache.contains_key(&e.target) && !next.contains(&e.target) {
-                        next.push(e.target);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        Ok(cache)
-    }
-
-    /// Depth-first replay over cached adjacency: identical order to the
-    /// trait's default stack traversal, with zero further shard requests.
-    pub(crate) fn replay_preorder(start: Oid, adj: &HashMap<Oid, Vec<Oid>>) -> Vec<Oid> {
-        let mut out = Vec::new();
-        let mut stack = vec![start];
-        while let Some(oid) = stack.pop() {
-            out.push(oid);
-            for &k in adj[&oid].iter().rev() {
-                stack.push(k);
-            }
-        }
-        out
-    }
-}
-
-/// Translate one shard's local ids (real or ghost) back to global.
-fn to_global_oids(router: &ShardRouter, shard: usize, locals: Vec<Oid>) -> Result<Vec<Oid>> {
-    locals
-        .into_iter()
-        .map(|l| router.to_global(shard, l))
-        .collect()
-}
-
-fn to_global_edges(
-    router: &ShardRouter,
-    shard: usize,
-    edges: Vec<RefEdge>,
-) -> Result<Vec<RefEdge>> {
-    edges
-        .into_iter()
-        .map(|e| {
-            Ok(RefEdge {
-                target: router.to_global(shard, e.target)?,
-                ..e
-            })
-        })
-        .collect()
 }
 
 impl<S: HyperStore + Send + 'static> ShardedStore<ReplicaGroup<S>> {
@@ -654,37 +514,44 @@ impl<S: HyperStore + Send + 'static> ShardedStore<ReplicaGroup<S>> {
     }
 }
 
+/// Route each catalogue operation that addresses one node (`about`)
+/// through [`ShardedStore::point`].
+macro_rules! point_routes {
+    ($(
+        $class:ident $tag:literal $variant:ident
+        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
+    )*) => {$(
+        point_route! { fn $name($($($arg: [$($ty)+]),+)?) -> $ret $(, about $subject)? }
+    )*};
+}
+macro_rules! point_route {
+    // The closures, level-batched in `crate::closure`: written out in the
+    // impl.
+    (fn closure_1n $($rest:tt)*) => {};
+    (fn closure_1n_att_sum $($rest:tt)*) => {};
+    (fn closure_1n_att_set $($rest:tt)*) => {};
+    (fn closure_1n_pred $($rest:tt)*) => {};
+    (fn closure_mn $($rest:tt)*) => {};
+    (fn closure_mnatt $($rest:tt)*) => {};
+    (fn closure_mnatt_linksum $($rest:tt)*) => {};
+    (fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty, about $subject:ident) => {
+        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
+            self.point($subject, |sh, $subject| sh.$name($($arg),*))
+        }
+    };
+    // Rows that address no single node: written out in the impl.
+    (fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty) => {};
+}
+
 impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
+    hypermodel::store_ops!(point_routes);
+
     fn lookup_unique(&mut self, unique_id: u64) -> Result<Oid> {
         let g = self.router.global_for_uid(unique_id)?;
         let (s, l) = self.router.to_local(g)?;
         let local = self.call(s, |sh| sh.lookup_unique(unique_id))?;
         debug_assert_eq!(local, l, "shard uid index disagrees with router");
         Ok(g)
-    }
-
-    fn unique_id_of(&mut self, oid: Oid) -> Result<u64> {
-        self.at(oid, |sh, l| sh.unique_id_of(l))
-    }
-
-    fn kind_of(&mut self, oid: Oid) -> Result<NodeKind> {
-        self.at(oid, |sh, l| sh.kind_of(l))
-    }
-
-    fn ten_of(&mut self, oid: Oid) -> Result<u32> {
-        self.at(oid, |sh, l| sh.ten_of(l))
-    }
-
-    fn hundred_of(&mut self, oid: Oid) -> Result<u32> {
-        self.at(oid, |sh, l| sh.hundred_of(l))
-    }
-
-    fn million_of(&mut self, oid: Oid) -> Result<u32> {
-        self.at(oid, |sh, l| sh.million_of(l))
-    }
-
-    fn set_hundred(&mut self, oid: Oid, value: u32) -> Result<()> {
-        self.at(oid, |sh, l| sh.set_hundred(l, value))
     }
 
     fn range_hundred(&mut self, lo: u32, hi: u32) -> Result<Vec<Oid>> {
@@ -695,58 +562,12 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
         self.fan_out_owned(move |shard| shard.range_million(lo, hi))
     }
 
-    fn children(&mut self, oid: Oid) -> Result<Vec<Oid>> {
-        let (s, kids) = self.on_shard(oid, |sh, l| sh.children(l))?;
-        to_global_oids(&self.router, s, kids)
-    }
-
-    fn parent(&mut self, oid: Oid) -> Result<Option<Oid>> {
-        let (s, p) = self.on_shard(oid, |sh, l| sh.parent(l))?;
-        p.map(|p| self.router.to_global(s, p)).transpose()
-    }
-
-    fn parts(&mut self, oid: Oid) -> Result<Vec<Oid>> {
-        let (s, ps) = self.on_shard(oid, |sh, l| sh.parts(l))?;
-        to_global_oids(&self.router, s, ps)
-    }
-
-    fn part_of(&mut self, oid: Oid) -> Result<Vec<Oid>> {
-        let (s, owners) = self.on_shard(oid, |sh, l| sh.part_of(l))?;
-        to_global_oids(&self.router, s, owners)
-    }
-
-    fn refs_to(&mut self, oid: Oid) -> Result<Vec<RefEdge>> {
-        let (s, edges) = self.on_shard(oid, |sh, l| sh.refs_to(l))?;
-        to_global_edges(&self.router, s, edges)
-    }
-
-    fn refs_from(&mut self, oid: Oid) -> Result<Vec<RefEdge>> {
-        let (s, edges) = self.on_shard(oid, |sh, l| sh.refs_from(l))?;
-        to_global_edges(&self.router, s, edges)
-    }
-
     fn seq_scan_ten(&mut self) -> Result<u64> {
         Ok(self
             .fan_out_policy(|shard| shard.seq_scan_ten())?
             .into_iter()
             .map(|(_, v)| v)
             .sum())
-    }
-
-    fn text_of(&mut self, oid: Oid) -> Result<String> {
-        self.at(oid, |sh, l| sh.text_of(l))
-    }
-
-    fn set_text(&mut self, oid: Oid, text: &str) -> Result<()> {
-        self.at(oid, |sh, l| sh.set_text(l, text))
-    }
-
-    fn form_of(&mut self, oid: Oid) -> Result<Bitmap> {
-        self.at(oid, |sh, l| sh.form_of(l))
-    }
-
-    fn set_form(&mut self, oid: Oid, bitmap: &Bitmap) -> Result<()> {
-        self.at(oid, |sh, l| sh.set_form(l, bitmap))
     }
 
     fn create_node(&mut self, value: &NodeValue) -> Result<Oid> {
@@ -790,7 +611,7 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
     fn commit(&mut self) -> Result<()> {
         // A commit must touch every shard: fail fast on a known-dead one.
         if let Some(dead) = self.health.iter().position(|h| !*h) {
-            return Err(unavailable(dead));
+            return Err(marked_down(dead));
         }
         self.coordinator.commit(&self.exec, &mut self.health)
     }
@@ -873,153 +694,54 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
     // ---- batched primitives: one request per shard with work ----------
 
     fn children_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
-        self.batch_read(oids, |shard, ls| shard.children_batch(&ls), to_global_oids)
+        self.batch_read(oids, |shard, ls| shard.children_batch(&ls))
     }
 
     fn parts_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
-        self.batch_read(oids, |shard, ls| shard.parts_batch(&ls), to_global_oids)
+        self.batch_read(oids, |shard, ls| shard.parts_batch(&ls))
     }
 
     fn refs_to_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<RefEdge>>> {
-        self.batch_read(oids, |shard, ls| shard.refs_to_batch(&ls), to_global_edges)
+        self.batch_read(oids, |shard, ls| shard.refs_to_batch(&ls))
     }
 
     fn hundred_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
-        self.batch_read(oids, |shard, ls| shard.hundred_batch(&ls), |_, _, v| Ok(v))
+        self.batch_read(oids, |shard, ls| shard.hundred_batch(&ls))
     }
 
     fn million_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
-        self.batch_read(oids, |shard, ls| shard.million_batch(&ls), |_, _, v| Ok(v))
+        self.batch_read(oids, |shard, ls| shard.million_batch(&ls))
     }
 
-    // ---- closures: level-batched frontier exchange + local replay -----
+    // ---- closures: level-batched (`crate::closure`) -------------------
 
     fn closure_1n(&mut self, start: Oid) -> Result<Vec<Oid>> {
-        self.touch(start);
-        let adj = self.collect_oid_adjacency(start, false)?;
-        Ok(Self::replay_preorder(start, &adj))
+        self.node_closure(start, Self::children_batch, None)
     }
 
     fn closure_1n_att_sum(&mut self, start: Oid) -> Result<(u64, usize)> {
-        let closure = self.closure_1n(start)?;
-        let hundreds = self.hundred_batch(&closure)?;
-        let sum = hundreds.iter().map(|&h| h as u64).sum();
-        Ok((sum, closure.len()))
+        self.att_sum(start)
     }
 
     fn closure_1n_att_set(&mut self, start: Oid) -> Result<usize> {
-        let closure = self.closure_1n(start)?;
-        let hundreds = self.hundred_batch(&closure)?;
-        let updates: Vec<BatchWrite> = closure
-            .iter()
-            .zip(hundreds)
-            .map(|(&o, h)| BatchWrite::SetHundred(o, 99u32.wrapping_sub(h)))
-            .collect();
-        self.write_batch(&updates)?;
-        Ok(updates.len())
+        self.att_set(start)
     }
 
     fn closure_1n_pred(&mut self, start: Oid, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        self.touch(start);
-        // BFS: fetch `million` for each level, expand only nodes outside
-        // the excluded range (their subtrees are pruned, so their
-        // children are never requested).
-        let mut million: HashMap<Oid, u32> = HashMap::new();
-        let mut kids: HashMap<Oid, Vec<Oid>> = HashMap::new();
-        let mut frontier = vec![start];
-        while !frontier.is_empty() {
-            let ms = self.million_batch(&frontier)?;
-            for (&o, m) in frontier.iter().zip(ms) {
-                million.insert(o, m);
-            }
-            let expand: Vec<Oid> = frontier
-                .iter()
-                .copied()
-                .filter(|o| !(lo..=hi).contains(&million[o]))
-                .collect();
-            if expand.is_empty() {
-                break;
-            }
-            let lists = self.children_batch(&expand)?;
-            let mut next = Vec::new();
-            for (&o, list) in expand.iter().zip(lists) {
-                for &t in &list {
-                    if !million.contains_key(&t) && !next.contains(&t) {
-                        next.push(t);
-                    }
-                }
-                kids.insert(o, list);
-            }
-            frontier = next;
-        }
-        let mut out = Vec::new();
-        let mut stack = vec![start];
-        while let Some(oid) = stack.pop() {
-            if (lo..=hi).contains(&million[&oid]) {
-                continue;
-            }
-            out.push(oid);
-            for &k in kids[&oid].iter().rev() {
-                stack.push(k);
-            }
-        }
-        Ok(out)
+        self.node_closure(start, Self::children_batch, Some(lo..=hi))
     }
 
     fn closure_mn(&mut self, start: Oid) -> Result<Vec<Oid>> {
-        self.touch(start);
-        let adj = self.collect_oid_adjacency(start, true)?;
-        Ok(Self::replay_preorder(start, &adj))
+        self.node_closure(start, Self::parts_batch, None)
     }
 
     fn closure_mnatt(&mut self, start: Oid, depth: u32) -> Result<Vec<Oid>> {
-        self.touch(start);
-        let adj = self.collect_ref_adjacency(start, depth)?;
-        let mut out = Vec::new();
-        let mut stack = vec![(start, depth)];
-        while let Some((oid, d)) = stack.pop() {
-            if d == 0 {
-                continue;
-            }
-            for e in adj[&oid].iter().rev() {
-                out.push(e.target);
-                stack.push((e.target, d - 1));
-            }
-        }
-        Ok(out)
+        let pairs = self.ref_closure(start, depth)?;
+        Ok(pairs.into_iter().map(|(o, _)| o).collect())
     }
 
     fn closure_mnatt_linksum(&mut self, start: Oid, depth: u32) -> Result<Vec<(Oid, u64)>> {
-        self.touch(start);
-        let adj = self.collect_ref_adjacency(start, depth)?;
-        let mut out = Vec::new();
-        let mut stack = vec![(start, depth, 0u64)];
-        while let Some((oid, d, dist)) = stack.pop() {
-            if d == 0 {
-                continue;
-            }
-            for e in adj[&oid].iter().rev() {
-                let total = dist + e.offset_to as u64;
-                out.push((e.target, total));
-                stack.push((e.target, d - 1, total));
-            }
-        }
-        Ok(out)
-    }
-
-    fn text_node_edit(&mut self, oid: Oid, from: &str, to: &str) -> Result<usize> {
-        match self.at(oid, |sh, l| sh.text_node_edit(l, from, to)) {
-            // Kind errors must name the caller's id, not the shard-local one.
-            Err(HmError::WrongKind { expected, .. }) => Err(HmError::WrongKind { oid, expected }),
-            other => other,
-        }
-    }
-
-    fn form_node_edit(&mut self, oid: Oid, x0: u16, y0: u16, x1: u16, y1: u16) -> Result<()> {
-        match self.at(oid, |sh, l| sh.form_node_edit(l, x0, y0, x1, y1)) {
-            Err(HmError::WrongKind { expected, .. }) => Err(HmError::WrongKind { oid, expected }),
-            other => other,
-        }
+        self.ref_closure(start, depth)
     }
 }
 

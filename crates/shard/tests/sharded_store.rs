@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use hypermodel::config::GenConfig;
+use hypermodel::error::HmError;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::model::{Oid, RefEdge};
@@ -18,6 +19,44 @@ use shard::{Placement, ShardedStore};
 fn sharded_mem(n: usize, placement: Placement) -> ShardedStore<MemStore> {
     let shards = (0..n).map(|_| MemStore::new()).collect();
     ShardedStore::new(shards, placement, "sharded-mem")
+}
+
+type Servers = Vec<std::thread::JoinHandle<()>>;
+
+/// Two `MemStore` servers behind one router, each shard a wire client
+/// that counts its round trips. Drop the store, then join the servers.
+fn sharded_remote(placement: Placement) -> (ShardedStore<RemoteStore>, Servers) {
+    let mut remotes = Vec::new();
+    let mut servers = Vec::new();
+    for _ in 0..2 {
+        let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
+        servers.push(std::thread::spawn(move || {
+            let mut store = MemStore::new();
+            serve(&mut store, &mut server_end).unwrap();
+        }));
+        remotes.push(RemoteStore::new(Box::new(client_end)));
+    }
+    let store = ShardedStore::new(remotes, placement, "sharded-remote");
+    (store, servers)
+}
+
+fn join(s: ShardedStore<RemoteStore>, servers: Servers) {
+    drop(s);
+    for h in servers {
+        h.join().unwrap();
+    }
+}
+
+fn reset_trips(s: &mut ShardedStore<RemoteStore>) {
+    for shard in 0..s.shard_count() {
+        s.with_shard(shard, |sh| sh.reset_round_trips()).unwrap();
+    }
+}
+
+fn round_trips(s: &ShardedStore<RemoteStore>) -> Vec<u64> {
+    (0..s.shard_count())
+        .map(|shard| s.with_shard(shard, |sh| sh.round_trips()).unwrap())
+        .collect()
 }
 
 #[test]
@@ -159,29 +198,15 @@ fn per_shard_scans_partition_the_database() {
 #[test]
 fn cross_shard_closure_round_trips_scale_with_depth_not_nodes() {
     let db = TestDatabase::generate(&GenConfig::level(3));
-    let mut remotes = Vec::new();
-    let mut servers = Vec::new();
-    for _ in 0..2 {
-        let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-        servers.push(std::thread::spawn(move || {
-            let mut store = MemStore::new();
-            serve(&mut store, &mut server_end).unwrap();
-        }));
-        remotes.push(RemoteStore::new(Box::new(client_end)));
-    }
     // Hash placement is the adversarial case: nearly every frontier
     // level straddles both shards.
-    let mut s = ShardedStore::new(remotes, Placement::OidHash, "sharded-remote");
+    let (mut s, servers) = sharded_remote(Placement::OidHash);
     let r = load_database(&mut s, &db).unwrap();
     let root = r.oids[0];
 
-    for shard in 0..s.shard_count() {
-        s.with_shard(shard, |sh| sh.reset_round_trips()).unwrap();
-    }
+    reset_trips(&mut s);
     let closure = s.closure_1n(root).unwrap();
-    let trips: u64 = (0..s.shard_count())
-        .map(|shard| s.with_shard(shard, |sh| sh.round_trips()).unwrap())
-        .sum();
+    let trips: u64 = round_trips(&s).iter().sum();
 
     let nodes = closure.len() as u64;
     assert_eq!(nodes, db.len() as u64, "root closure covers the structure");
@@ -210,44 +235,108 @@ fn cross_shard_closure_round_trips_scale_with_depth_not_nodes() {
     ];
     for (oid, edit) in edits {
         let owner = s.owner_of(oid).unwrap();
-        for shard in 0..s.shard_count() {
-            s.with_shard(shard, |sh| sh.reset_round_trips()).unwrap();
-        }
+        reset_trips(&mut s);
         edit(&mut s);
-        for shard in 0..s.shard_count() {
+        for (shard, &frames) in round_trips(&s).iter().enumerate() {
             assert_eq!(
-                s.with_shard(shard, |sh| sh.round_trips()).unwrap(),
+                frames,
                 u64::from(shard == owner),
                 "edit of {oid:?} (owner {owner}), frames to shard {shard}"
             );
         }
     }
+    join(s, servers);
+}
 
-    drop(s);
-    for h in servers {
-        h.join().unwrap();
+/// The exact wire traffic of every closure and of a subtree migration:
+/// round trips per shard under hash placement at level 3. Each BFS level
+/// sends one batched request to each shard holding part of its frontier
+/// (O13 first fetches the frontier's `million` to prune by), and O11 and
+/// O12 add one attribute batch (and O12 one write batch) per shard.
+#[test]
+fn closure_and_migration_round_trips_per_shard_are_pinned() {
+    let db = TestDatabase::generate(&GenConfig::level(3));
+    let (mut s, servers) = sharded_remote(Placement::OidHash);
+    let r = load_database(&mut s, &db).unwrap();
+    let (root, child) = (r.oids[0], r.oids[1]);
+    // Prune the first child's subtree (and whatever shares its value).
+    let m = s.million_of(child).unwrap();
+
+    // Each operation answers how many nodes it returned or moved.
+    type Op<'a> = &'a dyn Fn(&mut ShardedStore<RemoteStore>) -> usize;
+    let ops: [(&str, Op); 11] = [
+        ("O10", &|s| s.closure_1n(root).unwrap().len()),
+        ("O11", &|s| s.closure_1n_att_sum(root).unwrap().1),
+        ("O12", &|s| s.closure_1n_att_set(root).unwrap()),
+        ("O13", &|s| s.closure_1n_pred(root, m, m).unwrap().len()),
+        ("O14", &|s| s.closure_mn(root).unwrap().len()),
+        ("O15/3", &|s| s.closure_mnatt(root, 3).unwrap().len()),
+        ("O15/25", &|s| s.closure_mnatt(root, 25).unwrap().len()),
+        ("O18/3", &|s| {
+            s.closure_mnatt_linksum(root, 3).unwrap().len()
+        }),
+        ("O18/25", &|s| {
+            s.closure_mnatt_linksum(root, 25).unwrap().len()
+        }),
+        ("migrate child", &|s| s.migrate_subtree(child, 0).unwrap()),
+        ("migrate root", &|s| s.migrate_subtree(root, 1).unwrap()),
+    ];
+    let mut table = Vec::new();
+    for (name, op) in ops {
+        reset_trips(&mut s);
+        assert!(op(&mut s) > 0, "{name} did nothing");
+        table.push((name, round_trips(&s)));
+    }
+    let expected: Vec<(&str, Vec<u64>)> = vec![
+        ("O10", vec![3, 4]),
+        ("O11", vec![4, 5]),
+        ("O12", vec![5, 6]),
+        ("O13", vec![6, 8]),
+        ("O14", vec![3, 4]),
+        ("O15/3", vec![1, 2]),
+        ("O15/25", vec![7, 9]),
+        ("O18/3", vec![1, 2]),
+        ("O18/25", vec![7, 9]),
+        ("migrate child", vec![5, 4]),
+        ("migrate root", vec![5, 6]),
+    ];
+    assert_eq!(table, expected);
+    join(s, servers);
+}
+
+/// A kind error names the id the caller passed, not the shard-local id
+/// the owning shard saw.
+#[test]
+fn kind_errors_name_the_callers_global_id() {
+    fn names<T: std::fmt::Debug>(op: &str, oid: Oid, answer: hypermodel::error::Result<T>) {
+        assert!(
+            matches!(answer, Err(HmError::WrongKind { oid: named, .. }) if named == oid),
+            "{op}({oid:?}) -> {answer:?}"
+        );
+    }
+    let db = TestDatabase::generate(&GenConfig::level(4));
+    let mut s = sharded_mem(2, Placement::affinity());
+    let r = load_database(&mut s, &db).unwrap();
+    let (texts, forms) = (db.text_indices(), db.form_indices());
+    let bitmap = s.form_of(r.oids[forms[0] as usize]).unwrap();
+    for &i in &forms {
+        let oid = r.oids[i as usize];
+        names("text_of", oid, s.text_of(oid));
+        names("set_text", oid, s.set_text(oid, "x"));
+    }
+    for &i in &texts {
+        let oid = r.oids[i as usize];
+        names("form_of", oid, s.form_of(oid));
+        names("set_form", oid, s.set_form(oid, &bitmap));
     }
 }
 
 #[test]
 fn remote_sharded_deployment_matches_oracle() {
     let db = TestDatabase::generate(&GenConfig::tiny());
-    let mut remotes = Vec::new();
-    let mut servers = Vec::new();
-    for _ in 0..2 {
-        let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-        servers.push(std::thread::spawn(move || {
-            let mut store = MemStore::new();
-            serve(&mut store, &mut server_end).unwrap();
-        }));
-        remotes.push(RemoteStore::new(Box::new(client_end)));
-    }
-    let mut s = ShardedStore::new(remotes, Placement::affinity(), "sharded-remote");
+    let (mut s, servers) = sharded_remote(Placement::affinity());
     let r = load_database(&mut s, &db).unwrap();
     let report = verify_store(&mut s, &db, &r.oids).unwrap();
     assert!(report.is_ok(), "{report}");
-    drop(s);
-    for h in servers {
-        h.join().unwrap();
-    }
+    join(s, servers);
 }

@@ -151,13 +151,6 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Mutable access to the underlying disk manager. Intended for recovery,
-    /// which writes page images below the cache; the caller must ensure the
-    /// pool is empty (see [`BufferPool::drop_all`]).
-    pub fn disk_mut(&mut self) -> &mut DiskManager {
-        &mut self.disk
-    }
-
     fn touch(&mut self, idx: usize) {
         self.tick += 1;
         self.frames[idx].last_used = self.tick;
