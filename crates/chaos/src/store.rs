@@ -138,10 +138,6 @@ impl<S: HyperStore> HyperStore for ChaosStore<S> {
         self.live()?.activate_nodes(oids)
     }
 
-    fn moved_hint(&mut self, oid: Oid) -> Option<(u16, u64)> {
-        self.inner.as_mut().and_then(|s| s.moved_hint(oid))
-    }
-
     fn commit(&mut self) -> Result<()> {
         self.commits_seen += 1;
         let n = self.commits_seen;

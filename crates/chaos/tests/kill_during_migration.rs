@@ -54,11 +54,9 @@ fn a_destination_killed_between_install_and_activate_recovers_presumed_old() {
         "the kill fired"
     );
 
-    // Presumed-old: ownership untouched, no forwarding entry minted,
-    // the migration never counted.
+    // Presumed-old: ownership untouched, the migration never counted.
     assert_eq!(s.owner_of(root), Some(home));
     assert_eq!(s.migrations(), 0);
-    assert_eq!(s.forward_len(), 0);
 
     // The subtree reads correctly at its old placement even while the
     // would-be destination is still dead.

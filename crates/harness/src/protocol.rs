@@ -100,16 +100,6 @@ impl OpMeasurement {
     pub fn warm_ms_per_node(&self) -> f64 {
         ms_per_node(self.warm_total, self.warm_nodes)
     }
-
-    /// Cold/warm speedup factor (>1 means warm is faster).
-    pub fn warm_speedup(&self) -> f64 {
-        let w = self.warm_ms_per_node();
-        if w == 0.0 {
-            f64::INFINITY
-        } else {
-            self.cold_ms_per_node() / w
-        }
-    }
 }
 
 fn ms_per_node(total: Duration, nodes: u64) -> f64 {
@@ -427,7 +417,6 @@ mod tests {
         };
         assert!((m.cold_ms_per_node() - 2.0).abs() < 1e-9);
         assert!((m.warm_ms_per_node() - 0.2).abs() < 1e-9);
-        assert!((m.warm_speedup() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -176,14 +176,13 @@ pub fn results_json(columns: &[RunColumn], rebalance: &[crate::skew::RebalanceRe
             out,
             "  {{\"backend\": \"{}\", \"skew\": {:.3}, \"imbalance_before\": {:.4}, \
              \"imbalance_after\": {:.4}, \"migrations\": {}, \"moved_nodes\": {}, \
-             \"forwards\": {}, \"verified\": {}}}",
+             \"verified\": {}}}",
             json_escape(&r.backend),
             r.skew,
             r.imbalance_before,
             r.imbalance_after,
             r.migrations,
             r.moved_nodes,
-            r.forwards,
             r.verified
         );
     }
@@ -359,7 +358,6 @@ mod tests {
             imbalance_after: 1.1,
             migrations: 2,
             moved_nodes: 12,
-            forwards: 12,
             verified: true,
         };
         let wrapped = results_json(&columns, &[row]);

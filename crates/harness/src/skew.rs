@@ -35,8 +35,6 @@ pub struct RebalanceReport {
     pub migrations: u64,
     /// Total nodes moved across those migrations.
     pub moved_nodes: usize,
-    /// Forwarding-table entries left behind (pre-compaction residue).
-    pub forwards: usize,
     /// Whether the post-rebalance oracle sweep found every node intact.
     pub verified: bool,
 }
@@ -46,14 +44,13 @@ impl std::fmt::Display for RebalanceReport {
         write!(
             f,
             "{} skew={:.2}: imbalance {:.2} -> {:.2} after {} migration(s) \
-             ({} nodes moved, {} forwards), oracle sweep {}",
+             ({} nodes moved), oracle sweep {}",
             self.backend,
             self.skew,
             self.imbalance_before,
             self.imbalance_after,
             self.migrations,
             self.moved_nodes,
-            self.forwards,
             if self.verified { "ok" } else { "FAILED" }
         )
     }
@@ -147,7 +144,6 @@ pub fn rebalance_pass(
         imbalance_after,
         migrations: rb.migrations(),
         moved_nodes,
-        forwards: store.forward_len(),
         verified: sweep.is_ok(),
     })
 }

@@ -119,9 +119,10 @@ impl<'a> Writer<'a> {
         self.raw(v);
     }
 
-    /// Write bytes with no length prefix: the reader knows the length.
+    /// Write bytes with no length prefix: the reader knows the length,
+    /// or they run to the end of the record ([`Reader::rest`]).
     #[inline]
-    pub(crate) fn raw(&mut self, v: &[u8]) {
+    pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 }
@@ -194,6 +195,15 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Every byte not yet consumed, as a borrow of the buffer: the last
+    /// field of a record that runs to its end.
+    #[inline]
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        self.pos = self.buf.len();
+        rest
     }
 
     /// Read a length-prefixed byte string as a borrow of the buffer: the

@@ -317,23 +317,15 @@ pub trait HyperStore {
 
     /// Demote migrated-away records to ghost stand-ins: remove them from
     /// every index and the scan extent but keep the records and their
-    /// edges, and remember `(moved_to, epoch)` so stale direct requests
-    /// can be answered with a redirect (see
-    /// [`moved_hint`](HyperStore::moved_hint)).
-    fn retire_nodes(&mut self, oids: &[Oid], moved_to: u16, epoch: u64) -> Result<()> {
-        let _ = (oids, moved_to, epoch);
+    /// edges, so edges on this store that point at a moved node keep
+    /// resolving through its stand-in. Where the node now lives is the
+    /// sharded router's business, not this store's.
+    fn retire_nodes(&mut self, oids: &[Oid]) -> Result<()> {
+        let _ = oids;
         Err(crate::error::HmError::Backend(format!(
             "{} backend does not support node migration retire",
             self.backend_name()
         )))
-    }
-
-    /// Where a retired node went: `(destination shard, forwarding epoch)`
-    /// recorded by [`retire_nodes`](HyperStore::retire_nodes), or `None`
-    /// if the node was never migrated away.
-    fn moved_hint(&mut self, oid: Oid) -> Option<(u16, u64)> {
-        let _ = oid;
-        None
     }
 
     /// A short backend name for reports ("mem", "disk", "rel").
@@ -694,8 +686,9 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 ///   by-value one (see [`own!`](crate::own) and [`lend!`](crate::lend)).
 ///   A method without arguments is written without parentheses, so that
 ///   `Variant $(( ... ))?` yields a unit variant for it.
-/// * `about arg` — the one node the operation addresses, for operations a
-///   server answers with a redirect once that node has migrated away.
+/// * `about arg` — the one node the operation addresses: a sharded store
+///   routes the operation to that node's shard and translates the ids in
+///   the answer back.
 ///
 /// The rows name `Oid`, `NodeKind`, `NodeValue`, `RefEdge`, `Bitmap`,
 /// `NodeExport` and `BatchWrite` unqualified; a consumer imports them.
@@ -755,7 +748,7 @@ macro_rules! store_ops {
             read    51 ExportNodes         fn export_nodes(oids: [&[Oid]]) -> Vec<NodeExport>;
             write   52 InstallNodes        fn install_nodes(batch: [&[NodeExport]]) -> Vec<Oid>;
             write   53 ActivateNodes       fn activate_nodes(oids: [&[Oid]]) -> ();
-            write   54 RetireNodes         fn retire_nodes(oids: [&[Oid]], moved_to: [u16], epoch: [u64]) -> ();
+            write   54 RetireNodes         fn retire_nodes(oids: [&[Oid]]) -> ();
             write   55 WriteBatch          fn write_batch(writes: [&[BatchWrite]]) -> Vec<Oid>;
         }
     };

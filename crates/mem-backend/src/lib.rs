@@ -72,9 +72,6 @@ pub struct MemStore {
     versions: Vec<Vec<NodeValue>>,
     dyn_attrs: BTreeMap<(u64, u32), i64>,
     commits: u64,
-    /// Migration tombstones: local oid → (destination shard, epoch),
-    /// recorded by `retire_nodes` and served by `moved_hint`.
-    moved: BTreeMap<u64, (u16, u64)>,
 }
 
 impl MemStore {
@@ -379,7 +376,6 @@ impl HyperStore for MemStore {
         // Structure order is load order, not oid order — ship it explicitly.
         self.structure.put(w);
         self.dyn_attrs.put(w);
-        self.moved.put(w);
         Ok(out)
     }
 
@@ -397,7 +393,6 @@ impl HyperStore for MemStore {
         let versions = Vec::<Vec<NodeValue>>::get(r)?;
         let structure = Vec::get(r)?;
         let dyn_attrs = Wire::get(r)?;
-        let moved = Wire::get(r)?;
         if !r.is_exhausted() {
             return Err(Self::snap_err("trailing bytes after snapshot"));
         }
@@ -416,7 +411,6 @@ impl HyperStore for MemStore {
             versions,
             dyn_attrs,
             commits,
-            moved,
             ..MemStore::default()
         };
         for (oid, rec) in (1..).zip(&nodes).filter(|(_, rec)| rec.indexed) {
@@ -529,8 +523,6 @@ impl HyperStore for MemStore {
             }
             self.index(o, attrs);
             self.record_mut(o)?.indexed = true;
-            // A node migrated back home is live again: drop its tombstone.
-            self.moved.remove(&o.0);
             if in_structure {
                 self.structure.push(o);
             }
@@ -538,28 +530,24 @@ impl HyperStore for MemStore {
         Ok(())
     }
 
-    fn retire_nodes(&mut self, oids: &[Oid], moved_to: u16, epoch: u64) -> Result<()> {
+    fn retire_nodes(&mut self, oids: &[Oid]) -> Result<()> {
         for &o in oids {
             self.deindex(o)?;
             let rec = self.record_mut(o)?;
             rec.in_structure = false;
             rec.indexed = false;
-            self.moved.insert(o.0, (moved_to, epoch));
         }
         let gone: std::collections::BTreeSet<u64> = oids.iter().map(|o| o.0).collect();
         self.structure.retain(|o| !gone.contains(&o.0));
         Ok(())
     }
-
-    fn moved_hint(&mut self, oid: Oid) -> Option<(u16, u64)> {
-        self.moved.get(&oid.0).copied()
-    }
 }
 
 /// Snapshot format version for [`MemStore::sync_export`], which writes
 /// every field in its [`Wire`] encoding. Version 3 moved the snapshot onto
-/// the shared codec (counted lists throughout, no prefix on the schema).
-const SNAPSHOT_VERSION: u32 = 3;
+/// the shared codec (counted lists throughout, no prefix on the schema);
+/// version 4 dropped the trailing table of migration tombstones.
+const SNAPSHOT_VERSION: u32 = 4;
 
 /// The value, the parent (oid 0 for none), the four edge lists, then the
 /// access mode and the two flags.
@@ -1051,7 +1039,7 @@ mod tests {
         lying_records.extend(u32::MAX.to_le_bytes());
         for snapshot in [
             &[2, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff][..],
-            &[3, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff][..],
+            &[4, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff][..],
             &lying_records[..],
         ] {
             assert!(store.sync_import(snapshot).is_err(), "{snapshot:?}");
@@ -1136,11 +1124,9 @@ mod tests {
         dst.activate_nodes(&locals).unwrap();
         assert_eq!(dst.seq_scan_ten().unwrap(), 2);
 
-        // Retire the source copies: demoted to stand-ins, tombstoned.
-        store.retire_nodes(&[a, b], 3, 7).unwrap();
+        // Retire the source copies: demoted to stand-ins.
+        store.retire_nodes(&[a, b]).unwrap();
         assert!(store.lookup_unique(uid_a).is_err());
-        assert_eq!(store.moved_hint(a), Some((3, 7)));
-        assert_eq!(store.moved_hint(oids[0]), None);
         assert_eq!(store.seq_scan_ten().unwrap(), 29);
         // The record survives as a stand-in: edges through it resolve.
         assert!(store.children(a).is_ok());
@@ -1150,7 +1136,6 @@ mod tests {
         let mut copy = MemStore::new();
         copy.sync_import(&snap).unwrap();
         assert!(copy.lookup_unique(uid_a).is_err());
-        assert_eq!(copy.moved_hint(a), Some((3, 7)));
         assert_eq!(copy.seq_scan_ten().unwrap(), 29);
         assert_eq!(
             copy.range_hundred(0, u32::MAX).unwrap().len(),

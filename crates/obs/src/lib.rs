@@ -337,29 +337,6 @@ impl Snapshot {
         }
     }
 
-    /// Human-readable one-metric-per-line dump.
-    pub fn export_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            let _ = writeln!(out, "counter {k} = {v}");
-        }
-        for (k, v) in &self.gauges {
-            let _ = writeln!(out, "gauge   {k} = {v}");
-        }
-        for (k, h) in &self.hists {
-            let _ = writeln!(
-                out,
-                "hist    {k}: count={} p50={} p95={} p99={} max={}",
-                h.count,
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99),
-                h.max
-            );
-        }
-        out
-    }
-
     /// Machine-readable JSON export. Hand-rolled — the workspace carries
     /// no serialization dependency.
     pub fn export_json(&self) -> String {
@@ -548,17 +525,6 @@ mod tests {
         assert!(json.contains("\"g\": -2"));
         assert!(json.contains("\"h_us\": {\"count\": 1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn export_text_mentions_quantiles() {
-        let r = Registry::new();
-        for v in 1..=100 {
-            r.histogram("h").record(v);
-        }
-        let text = r.snapshot().export_text();
-        assert!(text.contains("hist    h: count=100"));
-        assert!(text.contains("p99="));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! oscillates around a single threshold nor stops half-way through a
 //! hot spot.
 //!
-//! Migrations leave forwarding-table entries behind; the rebalancer
-//! compacts them ([`ShardedStore::compact_forwards`]) once the table
-//! grows past a bound — safe here because the store's `&mut self`
-//! access model makes every call a quiesce point.
+//! A migration only rewrites the router's directory entry of each moved
+//! node; nothing is left behind to compact, because the store's
+//! `&mut self` access model makes every call a quiesce point and no
+//! request can still hold the old placement.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,22 +26,6 @@ use hypermodel::error::{HmError, Result};
 use hypermodel::model::Oid;
 use hypermodel::store::{HyperStore, ShardLoad};
 use shard::ShardedStore;
-
-/// Forwarding-table entries tolerated before the rebalancer compacts
-/// the placement directory at its next quiesce point.
-const COMPACT_AFTER_FORWARDS: usize = 64;
-
-/// The load imbalance of a balance report: `max / mean` of the
-/// per-shard busy-time EWMA (1.0 = perfectly even). Falls back to the
-/// cumulative request counts when no busy time registered (operations
-/// faster than the executor's microsecond clock).
-pub fn busy_imbalance(loads: &[ShardLoad]) -> f64 {
-    if loads.iter().any(|l| l.busy_us > 0) {
-        imbalance_of(&loads.iter().map(|l| l.busy_us).collect::<Vec<_>>())
-    } else {
-        imbalance_of(&loads.iter().map(|l| l.requests).collect::<Vec<_>>())
-    }
-}
 
 /// `max / mean` of a set of per-shard scores (1.0 = perfectly even;
 /// empty or all-zero scores also read as even).
@@ -214,10 +198,6 @@ impl Rebalancer {
         self.active = true;
         self.migrations += 1;
         store.reset_touches();
-        if store.forward_len() > COMPACT_AFTER_FORWARDS {
-            // `&mut store` is a quiesce point: no request in flight.
-            store.compact_forwards();
-        }
         Ok(Some(Migration {
             root,
             from: donor,
@@ -279,25 +259,6 @@ mod tests {
         assert_eq!(imbalance_of(&[]), 1.0);
         assert_eq!(imbalance_of(&[0, 0]), 1.0);
         assert!((imbalance_of(&[30, 10]) - 1.5).abs() < 1e-9);
-        let loads = [
-            ShardLoad {
-                shard: 0,
-                nodes: 0,
-                requests: 300,
-                queued: 0,
-                busy_us: 0,
-                migrated: 0,
-            },
-            ShardLoad {
-                shard: 1,
-                nodes: 0,
-                requests: 100,
-                queued: 0,
-                busy_us: 0,
-                migrated: 0,
-            },
-        ];
-        assert!((busy_imbalance(&loads) - 1.5).abs() < 1e-9, "fallback");
     }
 
     /// Arrange one closure-start subtree per shard (migrating if the

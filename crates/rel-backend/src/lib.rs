@@ -44,7 +44,14 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
+use hypermodel::codec::{Reader, Writer};
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid};
 use hypermodel::Bitmap;
@@ -59,60 +66,77 @@ pub type RelStore = PagedStore<RelationalLayout>;
 const STRUCT_TEST: u8 = 0;
 const STRUCT_EXTRA: u8 = 1;
 
+/// Bytes in a `NODE` row.
+const NODE_ROW_LEN: usize = 27;
+
 /// Fixed-width `NODE` row: uid, kind, structure, ten, hundred, thousand,
 /// million.
-fn encode_node_row(uid: u64, kind: NodeKind, structure: u8, a: &NodeAttrs) -> Vec<u8> {
-    let mut out = Vec::with_capacity(27);
-    out.extend_from_slice(&uid.to_le_bytes());
-    out.extend_from_slice(&kind.0.to_le_bytes());
-    out.push(structure);
-    out.extend_from_slice(&a.ten.to_le_bytes());
-    out.extend_from_slice(&a.hundred.to_le_bytes());
-    out.extend_from_slice(&a.thousand.to_le_bytes());
-    out.extend_from_slice(&a.million.to_le_bytes());
+fn encode_node_row(kind: NodeKind, structure: u8, a: &NodeAttrs) -> Vec<u8> {
+    let mut out = Vec::with_capacity(NODE_ROW_LEN);
+    let w = &mut Writer::over(&mut out);
+    w.u64(a.unique_id);
+    w.u16(kind.0);
+    w.u8(structure);
+    for v in [a.ten, a.hundred, a.thousand, a.million] {
+        w.u32(v);
+    }
     out
 }
 
-/// Byte offset of `hundred` within a `NODE` row.
-const ROW_HUNDRED: usize = 8 + 2 + 1 + 4;
-
 fn decode_node_row(bytes: &[u8]) -> Result<(NodeKind, u8, NodeAttrs)> {
-    if bytes.len() < 27 {
+    // One length check up front lets the compiler drop the reader's
+    // per-field checks: a scan decodes every row of the table.
+    if bytes.len() < NODE_ROW_LEN {
         return Err(HmError::Backend("short NODE row".into()));
     }
-    let uid = u64::from_le_bytes(bytes[0..8].try_into().expect("8"));
-    let kind = NodeKind(u16::from_le_bytes(bytes[8..10].try_into().expect("2")));
-    let structure = bytes[10];
-    let rd = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4"));
-    Ok((
-        kind,
-        structure,
-        NodeAttrs {
-            unique_id: uid,
-            ten: rd(11),
-            hundred: rd(ROW_HUNDRED),
-            thousand: rd(19),
-            million: rd(23),
-        },
-    ))
+    let r = &mut Reader::new(bytes);
+    // Fields in row order: a struct literal evaluates in the order it is
+    // written.
+    let unique_id = r.u64()?;
+    let kind = NodeKind(r.u16()?);
+    let structure = r.u8()?;
+    let attrs = NodeAttrs {
+        unique_id,
+        ten: r.u32()?,
+        hundred: r.u32()?,
+        thousand: r.u32()?,
+        million: r.u32()?,
+    };
+    Ok((kind, structure, attrs))
 }
 
 /// `TEXTNODE` row: uid, text.
 fn encode_text_row(uid: u64, text: &str) -> Vec<u8> {
     let mut rec = Vec::with_capacity(8 + text.len());
-    rec.extend_from_slice(&uid.to_le_bytes());
-    rec.extend_from_slice(text.as_bytes());
+    let w = &mut Writer::over(&mut rec);
+    w.u64(uid);
+    w.raw(text.as_bytes());
     rec
+}
+
+fn decode_text_row(row: &[u8]) -> Result<String> {
+    let r = &mut Reader::new(row);
+    r.u64()?;
+    String::from_utf8(r.rest().to_vec())
+        .map_err(|_| HmError::Backend("text row is not utf-8".into()))
 }
 
 /// `FORMNODE` row: uid, width, height, bits.
 fn encode_form_row(uid: u64, bitmap: &Bitmap) -> Vec<u8> {
     let mut rec = Vec::with_capacity(12 + bitmap.bits().len());
-    rec.extend_from_slice(&uid.to_le_bytes());
-    rec.extend_from_slice(&bitmap.width().to_le_bytes());
-    rec.extend_from_slice(&bitmap.height().to_le_bytes());
-    rec.extend_from_slice(bitmap.bits());
+    let w = &mut Writer::over(&mut rec);
+    w.u64(uid);
+    w.u16(bitmap.width());
+    w.u16(bitmap.height());
+    w.raw(bitmap.bits());
     rec
+}
+
+fn decode_form_row(row: &[u8]) -> Result<Bitmap> {
+    let r = &mut Reader::new(row);
+    r.u64()?;
+    let (w, h) = (r.u16()?, r.u16()?);
+    Bitmap::from_bits(w, h, r.rest().to_vec()).map_err(HmError::Backend)
 }
 
 /// One table: a heap of rows and its primary-key index `uid → row id`.
@@ -211,6 +235,10 @@ impl NodeLayout for RelationalLayout {
         })
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`PagedStore` passes one catalogue value per `ROOTS` name"
+    )]
     fn from_roots(roots: &[u64]) -> Self {
         let table = |at: usize| Table {
             rows: HeapFile::open(PageId(roots[at])),
@@ -254,10 +282,11 @@ impl NodeLayout for RelationalLayout {
 
     fn patch_hundred(&mut self, pool: &mut BufferPool, oid: Oid, value: u32) -> Result<u32> {
         let rid = self.node_row_id(pool, oid)?;
-        let mut row = self.node.row(pool, rid)?;
-        let old = decode_node_row(&row)?.2.hundred;
+        let (kind, structure, mut attrs) = decode_node_row(&self.node.row(pool, rid)?)?;
+        let old = attrs.hundred;
         if old != value {
-            row[ROW_HUNDRED..ROW_HUNDRED + 4].copy_from_slice(&value.to_le_bytes());
+            attrs.hundred = value;
+            let row = encode_node_row(kind, structure, &attrs);
             self.node.update(pool, oid.0, rid, &row)?;
         }
         Ok(old)
@@ -273,7 +302,7 @@ impl NodeLayout for RelationalLayout {
         // No clustering: rows land in insertion order, whatever the hint.
         let uid = value.attrs.unique_id;
         let structure = if extra { STRUCT_EXTRA } else { STRUCT_TEST };
-        let row = encode_node_row(uid, value.kind, structure, &value.attrs);
+        let row = encode_node_row(value.kind, structure, &value.attrs);
         self.node.insert(pool, uid, &row)?;
         // Subtype tables (vertical partitioning per /BLAH88/).
         match &value.content {
@@ -287,9 +316,7 @@ impl NodeLayout for RelationalLayout {
     fn text(&self, pool: &mut BufferPool, oid: Oid) -> Result<String> {
         self.exists(pool, oid)?;
         let rid = subtype_row_id(&self.text, pool, oid, "TextNode")?;
-        let row = self.text.row(pool, rid)?;
-        String::from_utf8(row[8..].to_vec())
-            .map_err(|_| HmError::Backend("text row is not utf-8".into()))
+        decode_text_row(&self.text.row(pool, rid)?)
     }
 
     fn set_text(&mut self, pool: &mut BufferPool, oid: Oid, text: &str) -> Result<()> {
@@ -301,10 +328,7 @@ impl NodeLayout for RelationalLayout {
     fn form(&self, pool: &mut BufferPool, oid: Oid) -> Result<Bitmap> {
         self.exists(pool, oid)?;
         let rid = subtype_row_id(&self.form, pool, oid, "FormNode")?;
-        let row = self.form.row(pool, rid)?;
-        let w = u16::from_le_bytes(row[8..10].try_into().expect("2"));
-        let h = u16::from_le_bytes(row[10..12].try_into().expect("2"));
-        Bitmap::from_bits(w, h, row[12..].to_vec()).map_err(HmError::Backend)
+        decode_form_row(&self.form.row(pool, rid)?)
     }
 
     fn set_form(&mut self, pool: &mut BufferPool, oid: Oid, bitmap: &Bitmap) -> Result<()> {
@@ -380,6 +404,84 @@ mod tests {
         let mut store = RelStore::create(&path, 2048).unwrap();
         let report = load_database(&mut store, &db).unwrap();
         (store, db, report.oids, path)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn rows_keep_their_byte_layout() {
+        let attrs = NodeAttrs {
+            unique_id: 7,
+            ten: 3,
+            hundred: 45,
+            thousand: 678,
+            million: 910_111,
+        };
+        let node = encode_node_row(NodeKind::TEXT, STRUCT_EXTRA, &attrs);
+        assert_eq!(
+            hex(&node),
+            "0700000000000000010001030000002d000000a60200001fe30d00"
+        );
+        assert_eq!(
+            decode_node_row(&node).unwrap(),
+            (NodeKind::TEXT, STRUCT_EXTRA, attrs)
+        );
+
+        let text = encode_text_row(7, "version1 tail");
+        assert_eq!(hex(&text), "070000000000000076657273696f6e31207461696c");
+        assert_eq!(decode_text_row(&text).unwrap(), "version1 tail");
+
+        let mut bm = Bitmap::white(10, 2);
+        bm.set(1, 0, true);
+        bm.set(9, 1, true);
+        let form = encode_form_row(7, &bm);
+        assert_eq!(hex(&form), "07000000000000000a000200020008");
+        assert_eq!(decode_form_row(&form).unwrap(), bm);
+    }
+
+    #[test]
+    fn subtype_rows_shorter_than_their_header_are_errors() {
+        let path = dbpath("short-rows");
+        let mut engine = storage::engine::Engine::create(&path, 64).unwrap();
+        let pool = engine.pool();
+        let mut layout = RelationalLayout::create(pool).unwrap();
+        let node = |uid, kind, content| NodeValue {
+            kind,
+            attrs: NodeAttrs {
+                unique_id: uid,
+                ten: 0,
+                hundred: 0,
+                thousand: 0,
+                million: 0,
+            },
+            content,
+        };
+        let text = layout
+            .insert(
+                pool,
+                &node(1, NodeKind::TEXT, Content::Text("abc".into())),
+                None,
+                false,
+            )
+            .unwrap();
+        let form = layout
+            .insert(
+                pool,
+                &node(2, NodeKind::FORM, Content::Form(Bitmap::white(8, 1))),
+                None,
+                false,
+            )
+            .unwrap();
+        for (mut table, oid) in [(layout.text, text), (layout.form, form)] {
+            let rid = table.row_id(pool, oid.0).unwrap().unwrap();
+            table.update(pool, oid.0, rid, &[1, 2, 3]).unwrap();
+        }
+        assert!(layout.text(pool, text).is_err());
+        assert!(layout.form(pool, form).is_err());
+        drop(engine);
+        cleanup(&path);
     }
 
     #[test]

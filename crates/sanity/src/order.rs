@@ -86,10 +86,6 @@ impl OrderGraph {
         None
     }
 
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     pub fn clear(&mut self) {
         self.edges.clear();
         self.adj.clear();
@@ -403,7 +399,6 @@ mod tests {
         assert_eq!(g.record(1, site(), 3, site()), None);
         // Re-recording a known edge is silent.
         assert_eq!(g.record(1, site(), 2, site()), None);
-        assert_eq!(g.edge_count(), 3);
     }
 
     #[test]

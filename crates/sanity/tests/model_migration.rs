@@ -1,23 +1,24 @@
 //! Deterministic-scheduler model of the online subtree migration in
 //! `shard::ShardedStore`: inert install, one-step activation (the
-//! commit point), router ownership flip, and retire-as-tombstone on
-//! the source — against concurrent point reads and full scans.
+//! commit point), router ownership flip, and retire-to-stand-in on the
+//! source — against concurrent full scans.
 //!
-//! The two properties the protocol stakes its correctness on, asserted
-//! across every explored interleaving of migration × reader × scanner:
+//! The property the protocol stakes its correctness on, asserted across
+//! every explored interleaving of migration × scanner: **scans count
+//! every node at exactly one placement.** The window where both the
+//! source record and the activated destination copy exist is hidden by
+//! the canonical filter (a record only counts where the router's
+//! directory says the node lives). The window is not only a concurrent
+//! one: a retire that fails after the commit point leaves both records
+//! active until repair, and every scan in between sees both.
 //!
-//! 1. **Every read lands.** A reader routed by a stale placement must
-//!    be redirected (bounded forwarding chase) and still observe the
-//!    node's value — never a miss, never a stale copy.
-//! 2. **Scans count every node at exactly one placement.** The window
-//!    where both the source record and the activated destination copy
-//!    exist is hidden by the canonical filter (a record only counts
-//!    where the router says the node lives).
+//! Concurrent point reads are not modelled. Every `ShardedStore` call takes
+//! `&mut self`, so a read looks its node up in the router's directory
+//! and finishes before a migration can start, and no reader can hold a
+//! placement that a migration has since replaced.
 //!
-//! The buggy variants the model exists to catch: a retire that deletes
-//! the source record instead of tombstoning it with the new placement
-//! (stale readers get a miss instead of a redirect), and a scan that
-//! skips the canonical filter (double-counts mid-migration).
+//! The buggy variant the model exists to catch: a scan that skips the
+//! canonical filter (double-counts mid-migration).
 
 use sanity::dsched::{Explorer, Sim, SimSender};
 
@@ -31,52 +32,32 @@ fn value_of(node: usize) -> u64 {
     node as u64 * 10 + 7
 }
 
-enum ReadReply {
-    /// The node's value, served by its owning placement.
-    Value(u64),
-    /// Tombstone hit: the node moved to this shard (forwarding).
-    Moved(usize),
-    /// No record at all — the failure the tombstone exists to prevent.
-    Missing,
-}
-
 enum Job {
-    /// Point read of a node by id.
-    Read(usize, SimSender<ReadReply>),
-    /// Scan: count records this shard serves.
-    Scan(SimSender<usize>),
+    /// Point read of a node by id: its value if the record is active.
+    Read(usize, SimSender<Option<u64>>),
+    /// Scan: count records this shard serves, filtered against the
+    /// directory the scan was started with.
+    Scan([usize; NODES], SimSender<usize>),
     /// Export the subtree's values (migration step 1).
     Export(Vec<usize>, SimSender<Vec<u64>>),
     /// Install records **inert**: present but outside the scan extent.
     Install(Vec<(usize, u64)>, SimSender<()>),
     /// Activate installed records — the migration's commit point.
     Activate(Vec<usize>, SimSender<()>),
-    /// Retire records: tombstone with the new placement (or, in the
-    /// buggy variant, delete outright).
-    Retire(Vec<usize>, usize, SimSender<()>),
+    /// Retire records: they leave the scan extent but stay as stand-ins.
+    Retire(Vec<usize>, SimSender<()>),
 }
 
 #[derive(Clone, Copy)]
 struct Rec {
     value: u64,
     active: bool,
-    moved_to: Option<usize>,
 }
 
-/// One modeled run. `retire_deletes` and `canonical_scan` select the
-/// implementation under test: the shipped protocol is
-/// `(false, true)`; each flipped flag is a bug class a property must
-/// catch. `with_reader` / `with_scanner` pick the concurrent
-/// observers — the bug-hunting tests run only the observer whose
-/// property is under attack, so the explorer's bounded schedule
-/// budget is spent on the interleavings that matter.
-fn migration_model(
-    sim: &Sim,
-    retire_deletes: bool,
-    canonical_scan: bool,
-    with_reader: bool,
-    with_scanner: bool,
-) {
+/// One modeled run. `canonical_scan` selects the implementation under
+/// test: the shipped protocol filters; without the filter is the bug
+/// class the property must catch.
+fn migration_model(sim: &Sim, canonical_scan: bool) {
     // The router's placement directory, shared like the real
     // `ShardRouter` behind the store lock.
     let router = sim.mutex([0usize; NODES]);
@@ -87,7 +68,6 @@ fn migration_model(
     for m in 0..SHARDS {
         let (tx, rx) = sim.channel::<Job>(None);
         queues.push(tx);
-        let router = router.clone();
         joins.push(sim.spawn(move || {
             // Shard 0 boots owning every node; shard 1 empty.
             let mut recs: Vec<Option<Rec>> = (0..NODES)
@@ -95,24 +75,16 @@ fn migration_model(
                     (m == 0).then_some(Rec {
                         value: value_of(n),
                         active: true,
-                        moved_to: None,
                     })
                 })
                 .collect();
             while let Some(job) = rx.recv() {
                 match job {
                     Job::Read(n, reply) => {
-                        reply.send(match recs[n] {
-                            Some(Rec {
-                                moved_to: Some(d), ..
-                            }) => ReadReply::Moved(d),
-                            Some(r) if r.active => ReadReply::Value(r.value),
-                            // Inert installs are invisible to lookups.
-                            _ => ReadReply::Missing,
-                        });
+                        // Inert and retired records are invisible to lookups.
+                        reply.send(recs[n].filter(|r| r.active).map(|r| r.value));
                     }
-                    Job::Scan(reply) => {
-                        let owners = *router.lock();
+                    Job::Scan(owners, reply) => {
                         let count = recs
                             .iter()
                             .enumerate()
@@ -134,7 +106,6 @@ fn migration_model(
                             recs[n] = Some(Rec {
                                 value,
                                 active: false,
-                                moved_to: None,
                             });
                         }
                         reply.send(());
@@ -147,13 +118,10 @@ fn migration_model(
                         }
                         reply.send(());
                     }
-                    Job::Retire(ns, dst, reply) => {
+                    Job::Retire(ns, reply) => {
                         for n in ns {
-                            if retire_deletes {
-                                recs[n] = None;
-                            } else if let Some(r) = recs[n].as_mut() {
+                            if let Some(r) = recs[n].as_mut() {
                                 r.active = false;
-                                r.moved_to = Some(dst);
                             }
                         }
                         reply.send(());
@@ -192,55 +160,26 @@ fn migration_model(
             }
 
             let (tx, rx) = sim.channel::<()>(None);
-            queues[0].send(Job::Retire(SUBTREE.to_vec(), 1, tx));
+            queues[0].send(Job::Retire(SUBTREE.to_vec(), tx));
             rx.recv().expect("retire reply");
         })
     };
 
-    // --- A concurrent reader of the migrating node: route by the
-    // router, chase at most one redirect (the chain is one hop long —
-    // a single migration is in flight). One pass: the interleavings
-    // that matter are where the pass lands relative to the five
-    // migration steps, and more passes only blow up the schedule
-    // space past what the explorer can cover.
-    let reader = with_reader.then(|| {
+    // --- A concurrent scanner: fan out to both shards, sum. Exactness
+    // is the exactly-one-placement invariant. The scan holds the store
+    // lock, as `ShardedStore`'s `&mut self` does, so the whole scan
+    // filters against one directory; the shards' own migration steps
+    // still interleave with it.
+    let scanner = {
         let sim = sim.clone();
         let router = router.clone();
         let queues: Vec<SimSender<Job>> = queues.clone();
         sim.clone().spawn(move || {
-            let mut target = router.lock()[1];
-            let mut hops = 0;
-            loop {
-                let (tx, rx) = sim.channel::<ReadReply>(None);
-                queues[target].send(Job::Read(1, tx));
-                match rx.recv().expect("read reply") {
-                    ReadReply::Value(v) => {
-                        assert_eq!(v, value_of(1), "read observed a wrong value");
-                        break;
-                    }
-                    ReadReply::Moved(d) => {
-                        hops += 1;
-                        assert!(hops <= 2, "forwarding chase unbounded");
-                        target = d;
-                    }
-                    ReadReply::Missing => {
-                        panic!("node 1 became unreadable: no placement served it")
-                    }
-                }
-            }
-        })
-    });
-
-    // --- A concurrent scanner: fan out to both shards, sum. Exactness
-    // is the exactly-one-placement invariant.
-    let scanner = with_scanner.then(|| {
-        let sim = sim.clone();
-        let queues: Vec<SimSender<Job>> = queues.clone();
-        sim.clone().spawn(move || {
+            let owners = router.lock();
             let mut total = 0;
             for q in &queues {
                 let (tx, rx) = sim.channel::<usize>(None);
-                q.send(Job::Scan(tx));
+                q.send(Job::Scan(*owners, tx));
                 total += rx.recv().expect("scan reply");
             }
             assert_eq!(
@@ -248,31 +187,27 @@ fn migration_model(
                 "scan must count every node at exactly one placement"
             );
         })
-    });
+    };
 
     migration.join();
-    if let Some(reader) = reader {
-        reader.join();
-    }
-    if let Some(scanner) = scanner {
-        scanner.join();
-    }
+    scanner.join();
 
-    // --- Final audit: the move committed, and a reader with a stale
-    // placement still lands via the tombstone.
-    let (tx, rx) = sim.channel::<ReadReply>(None);
-    queues[0].send(Job::Read(1, tx));
-    match rx.recv().expect("audit reply") {
-        ReadReply::Moved(1) => {}
-        ReadReply::Value(_) => panic!("source still serves a migrated node"),
-        _ => panic!("source lost the tombstone for a migrated node"),
-    }
-    let (tx, rx) = sim.channel::<ReadReply>(None);
-    queues[1].send(Job::Read(1, tx));
-    assert!(
-        matches!(rx.recv(), Some(ReadReply::Value(v)) if v == value_of(1)),
-        "destination must serve the migrated node"
+    // --- Final audit: the move committed. The directory names the
+    // destination for every moved node, and the destination serves it.
+    assert_eq!(
+        *router.lock(),
+        [0, 1, 1],
+        "directory must name the destination"
     );
+    for n in SUBTREE {
+        let (tx, rx) = sim.channel::<Option<u64>>(None);
+        queues[1].send(Job::Read(n, tx));
+        assert_eq!(
+            rx.recv(),
+            Some(Some(value_of(n))),
+            "destination must serve the migrated node"
+        );
+    }
 
     drop(queues);
     for j in joins {
@@ -281,14 +216,14 @@ fn migration_model(
 }
 
 /// The shipped protocol: across every explored interleaving of the
-/// five migration steps with concurrent reads and scans, every read
-/// lands on the right value and every scan counts each node once.
+/// five migration steps with a concurrent scan, the scan counts each
+/// node once.
 #[test]
-fn migration_is_invisible_to_concurrent_reads_and_scans() {
+fn migration_is_invisible_to_concurrent_scans() {
     let report = Explorer::exhaustive()
         .preemption_bound(1)
         .max_schedules(8_000)
-        .explore(|sim| migration_model(sim, false, true, true, true));
+        .explore(|sim| migration_model(sim, true));
     println!("{}", report.summary("migration"));
     report.assert_ok();
     assert!(
@@ -311,28 +246,7 @@ fn migration_is_invisible_to_concurrent_reads_and_scans() {
     );
 }
 
-/// Bug class 1: retiring by deletion instead of tombstoning. A reader
-/// that routed before the flip arrives at the source after the retire
-/// and finds nothing — the explorer must find that schedule.
-#[test]
-fn without_tombstones_stale_readers_miss() {
-    let report = Explorer::exhaustive()
-        .preemption_bound(1)
-        .max_schedules(8_000)
-        .explore(|sim| migration_model(sim, true, true, true, false));
-    assert!(
-        !report.failures.is_empty(),
-        "explorer missed the stale-read miss ({} runs)",
-        report.runs
-    );
-    let msg = &report.failures[0].message;
-    assert!(
-        msg.contains("unreadable") || msg.contains("tombstone"),
-        "unexpected failure: {msg}"
-    );
-}
-
-/// Bug class 2: scans without the canonical filter. Between activation
+/// The bug class: scans without the canonical filter. Between activation
 /// and retire both placements hold an active record; some interleaving
 /// runs a scan inside that window and double-counts.
 #[test]
@@ -340,7 +254,7 @@ fn without_the_canonical_filter_scans_double_count() {
     let report = Explorer::exhaustive()
         .preemption_bound(1)
         .max_schedules(8_000)
-        .explore(|sim| migration_model(sim, false, false, false, true));
+        .explore(|sim| migration_model(sim, false));
     assert!(
         !report.failures.is_empty(),
         "explorer missed the double-count ({} runs)",

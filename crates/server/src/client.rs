@@ -72,10 +72,6 @@ pub struct RemoteStore {
     next_request_id: u64,
     retries: u64,
     gave_up: u64,
-    /// Placement hints learned from [`Response::Moved`] redirects:
-    /// node → `(destination shard, forwarding epoch)`. Only the highest
-    /// epoch seen per node is kept.
-    moved: std::collections::HashMap<Oid, (u16, u64)>,
     /// Request-encode scratch, reused across calls so the steady-state
     /// wire path allocates nothing on the send side.
     scratch: Vec<u8>,
@@ -93,7 +89,6 @@ impl RemoteStore {
             next_request_id: 1,
             retries: 0,
             gave_up: 0,
-            moved: std::collections::HashMap::new(),
             scratch: Vec::new(),
             rframe: Vec::new(),
         }
@@ -148,7 +143,6 @@ impl RemoteStore {
             _ => None,
         };
         let _span = obs::trace::span("client.call");
-        let subject = crate::protocol::redirect_subject(&req);
         let resp = match self.policy.clone() {
             None => {
                 self.scratch.clear();
@@ -160,20 +154,6 @@ impl RemoteStore {
         match resp? {
             // A server-reported error is permanent (never retried).
             Response::Err(msg) => Err(HmError::Backend(format!("remote: {msg}"))),
-            Response::Moved(to, epoch) => {
-                // The node migrated away: remember where it went (newest
-                // epoch wins) and surface the redirect as an error the
-                // caller can act on via `moved_hint`.
-                if let Some(o) = subject {
-                    let slot = self.moved.entry(o).or_insert((to, epoch));
-                    if epoch >= slot.1 {
-                        *slot = (to, epoch);
-                    }
-                }
-                Err(HmError::Backend(format!(
-                    "remote: node moved to shard {to} (epoch {epoch})"
-                )))
-            }
             other => Ok(other),
         }
     }
@@ -265,12 +245,6 @@ impl HyperStore for RemoteStore {
             )
         })
     }
-
-    /// Placement hints learned from [`Response::Moved`] redirects on
-    /// earlier calls; no extra round trip is made here.
-    fn moved_hint(&mut self, oid: Oid) -> Option<(u16, u64)> {
-        self.moved.get(&oid).copied()
-    }
 }
 
 impl std::fmt::Debug for RemoteStore {
@@ -348,30 +322,6 @@ mod tests {
 
         assert!(remote.retries() > 0, "losses must have forced retries");
         assert_eq!(remote.gave_up(), 0);
-        remote.shutdown().unwrap();
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn moved_redirects_surface_and_teach_the_client_placement() {
-        let db = TestDatabase::generate(&GenConfig::tiny());
-        let mut store = MemStore::new();
-        let report = load_database(&mut store, &db).unwrap();
-        // Retire a node exactly as a finished migration would: the
-        // server then answers direct requests about it with a redirect.
-        let gone = *report.oids.last().unwrap();
-        store.retire_nodes(&[gone], 2, 9).unwrap();
-        let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-        let handle = std::thread::spawn(move || serve(&mut store, &mut server_end).unwrap());
-        let mut remote = RemoteStore::new(Box::new(client_end));
-
-        assert_eq!(remote.moved_hint(gone), None);
-        let err = remote.hundred_of(gone).unwrap_err();
-        assert!(err.to_string().contains("moved to shard 2"), "{err}");
-        // The redirect taught the client the new placement and epoch.
-        assert_eq!(remote.moved_hint(gone), Some((2, 9)));
-        // Nodes that never moved are served normally.
-        assert!(remote.hundred_of(report.oids[0]).is_ok());
         remote.shutdown().unwrap();
         handle.join().unwrap();
     }

@@ -128,23 +128,6 @@ macro_rules! define_requests {
                 }
             }
         }
-
-        /// The single node a request is *about*, for requests the server
-        /// can answer with [`Response::Moved`] when that node has been
-        /// migrated away: the catalogue's `about` column. Batches,
-        /// structural mutations between two nodes and the migration
-        /// internals themselves have none: they either have no single
-        /// subject or must observe the store directly.
-        pub fn redirect_subject(req: &Request) -> Option<Oid> {
-            match req {
-                $(Request::$variant $(( $($arg),+ ))? => {
-                    $($( let _ = $arg; )+)?
-                    None $(.or(Some(*$subject)))?
-                })*
-                Request::Tagged(_, inner) => redirect_subject(inner),
-                Request::Shutdown | Request::Stats => None,
-            }
-        }
     };
 }
 hypermodel::store_ops!(define_requests);
@@ -236,10 +219,9 @@ define_responses! {
     /// Opaque bytes: a partition snapshot (`sync_export`) or an encoded
     /// migration batch (`export_nodes`).
     17 Subtree(bytes: Vec<u8>);
-    /// The addressed node was migrated away: `(destination shard,
-    /// forwarding epoch)`. The client should refresh its placement map
-    /// and re-issue the request against the destination.
-    18 Moved(to: u16, epoch: u64);
+    // Tag 18 is retired and never reused: it redirected a request about a
+    // node migrated away. The router's directory names the node's current
+    // shard, so no request reaches the old one.
 }
 
 pub(crate) fn unexpected(resp: Response) -> HmError {
@@ -335,16 +317,6 @@ mod tests {
         let mut bytes = req_bytes(&Request::Commit);
         bytes.push(0);
         assert!(Request::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn redirect_subject_sees_through_tagging() {
-        assert_eq!(redirect_subject(&Request::Children(Oid(5))), Some(Oid(5)));
-        let tagged = Request::Tagged(1, Box::new(Request::SetHundred(Oid(9), 3)));
-        assert_eq!(redirect_subject(&tagged), Some(Oid(9)));
-        assert_eq!(redirect_subject(&Request::AddChild(Oid(1), Oid(2))), None);
-        assert_eq!(redirect_subject(&Request::ExportNodes(vec![Oid(3)])), None);
-        assert_eq!(redirect_subject(&Request::SeqScanTen), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use hypermodel::error::Result;
 use hypermodel::store::HyperStore;
 
-use crate::protocol::{redirect_subject, reply, Request, Response};
+use crate::protocol::{reply, Request, Response};
 use crate::transport::Transport;
 
 /// Per-session statistics, returned when the loop ends.
@@ -143,13 +143,6 @@ pub(crate) fn execute<S: HyperStore + ?Sized>(
 
 /// Run one request against the store and say what to answer.
 pub(crate) fn dispatch<S: HyperStore + ?Sized>(store: &mut S, req: Request) -> Response {
-    // A request about a node this server migrated away is answered with
-    // its new placement, not served from the retired ghost stand-in.
-    if let Some(o) = redirect_subject(&req) {
-        if let Some((to, epoch)) = store.moved_hint(o) {
-            return Response::Moved(to, epoch);
-        }
-    }
     // One arm per catalogue row: call the row's method with the request's
     // fields; the result type picks the response variant (`Reply`).
     macro_rules! dispatch_rows {

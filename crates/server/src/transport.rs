@@ -15,8 +15,6 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use exec::frame::{write_frame, FrameBuf, NetCounters};
@@ -46,19 +44,14 @@ pub trait Transport: Send {
 pub struct ChannelTransport {
     tx: Sender<(u64, Vec<u8>)>,
     rx: Receiver<(u64, Vec<u8>)>,
-    /// Simulated one-way latency applied before each send.
+    /// Simulated one-way latency, slept before each send.
     pub latency: Duration,
-    /// When set, latency is *accounted* on this shared virtual clock
-    /// instead of slept — see [`ChannelTransport::pair_virtual`].
-    clock: Option<Arc<AtomicU64>>,
 }
 
 impl ChannelTransport {
     /// A connected pair of endpoints with the given simulated one-way
     /// latency (applied on both directions, so a request/response round
-    /// trip costs `2 × latency`). The latency is really slept; use
-    /// [`ChannelTransport::pair_virtual`] in tests that only need the
-    /// accounting.
+    /// trip costs `2 × latency`).
     pub fn pair(latency: Duration) -> (ChannelTransport, ChannelTransport) {
         let (tx_a, rx_b) = channel();
         let (tx_b, rx_a) = channel();
@@ -67,46 +60,20 @@ impl ChannelTransport {
                 tx: tx_a,
                 rx: rx_a,
                 latency,
-                clock: None,
             },
             ChannelTransport {
                 tx: tx_b,
                 rx: rx_b,
                 latency,
-                clock: None,
             },
         )
-    }
-
-    /// Like [`ChannelTransport::pair`], but the simulated latency is
-    /// accumulated on a shared **virtual clock** instead of being slept,
-    /// so tests assert on exact simulated nanoseconds without depending
-    /// on wall-clock scheduling (flaky on loaded single-core hosts).
-    /// Returns both endpoints and the clock; read it with
-    /// [`ChannelTransport::virtual_ns`].
-    pub fn pair_virtual(latency: Duration) -> (ChannelTransport, ChannelTransport, Arc<AtomicU64>) {
-        let clock = Arc::new(AtomicU64::new(0));
-        let (mut a, mut b) = ChannelTransport::pair(latency);
-        a.clock = Some(Arc::clone(&clock));
-        b.clock = Some(Arc::clone(&clock));
-        (a, b, clock)
-    }
-
-    /// Total simulated latency in nanoseconds accumulated on `clock`.
-    pub fn virtual_ns(clock: &Arc<AtomicU64>) -> u64 {
-        clock.load(Ordering::Relaxed)
     }
 }
 
 impl Transport for ChannelTransport {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
         if !self.latency.is_zero() {
-            match &self.clock {
-                Some(clock) => {
-                    clock.fetch_add(self.latency.as_nanos() as u64, Ordering::Relaxed);
-                }
-                None => std::thread::sleep(self.latency),
-            }
+            std::thread::sleep(self.latency);
         }
         self.tx
             .send((obs::trace::current(), frame.to_vec()))
@@ -260,22 +227,6 @@ mod tests {
         let (a2, mut b2) = ChannelTransport::pair(Duration::ZERO);
         drop(a2);
         assert_eq!(recv(&mut b2, None).unwrap(), None);
-    }
-
-    #[test]
-    fn channel_latency_is_accounted_on_virtual_clock() {
-        // Virtual time instead of sleeping: exact, and immune to
-        // scheduling jitter on loaded single-core hosts.
-        let (mut a, mut b, clock) = ChannelTransport::pair_virtual(Duration::from_millis(5));
-        a.send(b"slow").unwrap();
-        recv(&mut b, None).unwrap().unwrap();
-        b.send(b"reply").unwrap();
-        recv(&mut a, None).unwrap().unwrap();
-        assert_eq!(
-            ChannelTransport::virtual_ns(&clock),
-            2 * 5_000_000,
-            "one send each way, 5 ms simulated latency per frame"
-        );
     }
 
     #[test]

@@ -239,8 +239,7 @@ fn arb_plain_request() -> impl Strategy<Value = Request> {
         arb_oids().prop_map(Request::ExportNodes),
         proptest::collection::vec(arb_export(), 0..4).prop_map(Request::InstallNodes),
         arb_oids().prop_map(Request::ActivateNodes),
-        (arb_oids(), any::<u16>(), any::<u64>())
-            .prop_map(|(o, to, epoch)| Request::RetireNodes(o, to, epoch)),
+        arb_oids().prop_map(Request::RetireNodes),
         proptest::collection::vec(arb_batch_write(), 0..8).prop_map(Request::WriteBatch),
     ]
 }
@@ -283,7 +282,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         proptest::collection::vec(any::<u32>(), 0..50).prop_map(Response::U32s),
         "[ -~]{0,100}".prop_map(Response::Stats),
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(Response::Subtree),
-        (any::<u16>(), any::<u64>()).prop_map(|(to, epoch)| Response::Moved(to, epoch)),
     ]
 }
 

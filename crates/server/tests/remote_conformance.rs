@@ -306,7 +306,7 @@ fn every_catalogued_operation_is_one_round_trip_and_agrees_with_the_store_behind
         step!(export_nodes(&frontier)),
         step!(install_nodes(&batch)),
         step!(activate_nodes(&[installed])),
-        step!(retire_nodes(&[leaf], 1, 7)),
+        step!(retire_nodes(&[leaf])),
         step!(sync_import(&snapshot)),
     ];
 

@@ -133,7 +133,7 @@ fn request_samples() -> Vec<Request> {
         Request::ExportNodes(vec![Oid(43), Oid(44)]),
         Request::InstallNodes(vec![export()]),
         Request::ActivateNodes(vec![Oid(45)]),
-        Request::RetireNodes(vec![Oid(46), Oid(47)], 2, 11),
+        Request::RetireNodes(vec![Oid(46), Oid(47)]),
         Request::WriteBatch(batch_writes()),
     ]
 }
@@ -229,7 +229,7 @@ fn request_golden(req: &Request) -> &'static str {
         Request::ExportNodes(..) => "33 020000002b000000000000002c00000000000000",
         Request::InstallNodes(..) => "34 010000002c0000000100030000000000000004000000050000000600000007000000010d00000076657273696f6e31207461696c0109000000000000000200000001000000000000010c00000000000000010000000300000000000000000000000100000000000000000000010405000000004d00000000000000",
         Request::ActivateNodes(..) => "35 010000002d00000000000000",
-        Request::RetireNodes(..) => "36 020000002e000000000000002f0000000000000002000b00000000000000",
+        Request::RetireNodes(..) => "36 020000002e000000000000002f00000000000000",
         // The item count, then each item as its scalar request's frame.
         Request::WriteBatch(..) => concat!(
             "37 07000000",
@@ -265,7 +265,6 @@ fn response_samples() -> Vec<Response> {
         Response::U32s(vec![1, 2, 3]),
         Response::Stats("{\"counters\": {}}".into()),
         Response::Subtree(vec![9, 8, 7]),
-        Response::Moved(3, 42),
     ]
 }
 
@@ -292,7 +291,6 @@ fn response_golden(resp: &Response) -> &'static str {
         Response::U32s(..) => "0f 03000000010000000200000003000000",
         Response::Stats(..) => "10 100000007b22636f756e74657273223a207b7d7d",
         Response::Subtree(..) => "11 03000000090807",
-        Response::Moved(..) => "12 03002a00000000000000",
     }
 }
 
@@ -352,6 +350,10 @@ fn every_response_encodes_to_and_decodes_from_its_golden_frame() {
     }
     assert_eq!(
         tags.into_iter().collect::<Vec<u8>>(),
-        (0..=18).collect::<Vec<u8>>()
+        (0..=17).collect::<Vec<u8>>()
+    );
+    assert!(
+        Response::decode(&unhex("12 03002a00000000000000")).is_err(),
+        "tag 18 is retired"
     );
 }

@@ -19,27 +19,6 @@ use crate::store::ShardedStore;
 use crate::write::ghost_value;
 
 impl<S: HyperStore + Send + 'static> ShardedStore<S> {
-    /// The router's placement-map epoch: bumped once per migrated node,
-    /// never reset. Remote clients compare epochs carried in `Moved`
-    /// responses against this to discard stale placement hints.
-    pub fn router_epoch(&self) -> u64 {
-        self.router.epoch()
-    }
-
-    /// Live forwarding-table entries accumulated by migrations.
-    pub fn forward_len(&self) -> usize {
-        self.router.forward_len()
-    }
-
-    /// Path-compress the placement directory and drop the forwarding
-    /// chains. Only call at a quiesce point: no request in flight may
-    /// still hold a pre-compaction placement. (Trivially satisfied by
-    /// this store's access model — every operation takes `&mut self` —
-    /// but a server fronting multiple clients must drain them first.)
-    pub fn compact_forwards(&mut self) -> usize {
-        self.router.compact_forwards()
-    }
-
     /// Subtree migrations completed (ownership flipped) so far.
     pub fn migrations(&self) -> u64 {
         self.migrations
@@ -81,30 +60,12 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.ensure_ghost(g, dst)
     }
 
-    /// Best-effort undo of a failed activation: retire the orphaned
-    /// destination records back toward their (still-owning) sources, so
-    /// a partially-activated batch cannot double-report in scans.
-    /// Errors are swallowed — the destination may be the very shard
-    /// that just died, and its inert records are invisible anyway.
-    fn abort_install(&mut self, moved: &[Oid], locals: &[Oid], dst: usize) {
-        let epoch = self.router.epoch();
-        let mut back: HashMap<usize, Vec<Oid>> = HashMap::new();
-        for (&g, &l) in moved.iter().zip(locals) {
-            if let Ok((s, _)) = self.router.to_local(g) {
-                back.entry(s).or_default().push(l);
-            }
-        }
-        for (src, ls) in back {
-            let _ = self.with_shard(dst, |sh| sh.retire_nodes(&ls, src as u16, epoch));
-        }
-    }
-
     /// Migrate the 1-N subtree rooted at `root` onto shard `dst`,
     /// online: reads and writes against the old placement stay correct
     /// throughout. The batch is installed **inert** on the destination
     /// (invisible to scans and index lookups), activated in one step —
     /// the commit point — and only then does the router flip ownership
-    /// (one forwarding-table entry and epoch bump per node) and retire
+    /// (each node's directory entry names the destination) and retire
     /// the source records into ghost stand-ins.
     ///
     /// **Presumed old**: a failure or crash before activation aborts
@@ -186,7 +147,12 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
 
         // Activate: the commit point. Failure here aborts presumed-old.
         if let Err(e) = self.call(dst, |sh| sh.activate_nodes(&locals)) {
-            self.abort_install(&moved, &locals, dst);
+            // Best-effort undo: retire the orphaned destination records,
+            // so a partially-activated batch cannot double-report in
+            // scans. Errors are swallowed — the destination may be the
+            // very shard that just died, and its inert records are
+            // invisible anyway.
+            let _ = self.with_shard(dst, |sh| sh.retire_nodes(&locals));
             // Ghosts minted for this batch are referenced only by the
             // just-retired install — and if the destination died they
             // never existed durably. Forget them so a retry recreates
@@ -200,13 +166,12 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             return Err(e);
         }
 
-        // Ownership flip: stale placements now redirect through the
-        // forwarding table; the promoted destination records stop being
-        // ghosts and the superseded source records become them.
-        let mut epoch = self.router.epoch();
+        // Ownership flip: each directory entry now names the destination;
+        // the promoted destination records stop being ghosts and the
+        // superseded source records become them.
         for (i, (&g, &l)) in moved.iter().zip(&locals).enumerate() {
             let (src, _) = self.router.to_local(g)?;
-            epoch = self.router.move_node(g, dst, l)?;
+            self.router.move_node(g, dst, l)?;
             if structural[i] {
                 self.router.nodes[src] -= 1;
                 self.router.nodes[dst] += 1;
@@ -218,12 +183,11 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         obs::incr("shard.rebalance.migrations", 1);
         obs::incr("shard.rebalance.moved_nodes", moved.len() as u64);
 
-        // Retire the source records: deindexed, out of the scan extent,
-        // tombstoned with the new placement so a stale remote client
-        // probing the old local learns where the node went.
+        // Retire the source records: deindexed and out of the scan
+        // extent, they stay as the stand-ins other edges point at.
         for (&src, items) in &by_src {
             let ls: Vec<Oid> = items.iter().map(|&(_, l)| l).collect();
-            self.call(src, |sh| sh.retire_nodes(&ls, dst as u16, epoch))?;
+            self.call(src, |sh| sh.retire_nodes(&ls))?;
         }
         Ok(moved.len())
     }

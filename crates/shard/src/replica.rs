@@ -558,10 +558,6 @@ impl<S: HyperStore + Send + 'static> HyperStore for ReplicaGroup<S> {
         self.barrier(move |sh| sh.prepare_commit(txid))
     }
 
-    fn moved_hint(&mut self, oid: Oid) -> Option<(u16, u64)> {
-        self.read_one(move |sh| Ok(sh.moved_hint(oid))).ok()?
-    }
-
     fn backend_name(&self) -> &'static str {
         self.name
     }

@@ -14,6 +14,13 @@
 //! directory maps ghost locals back to the real global id, and ownership
 //! (`owner_of`) distinguishes a shard's real nodes from its ghosts when
 //! fan-out results are merged.
+//!
+//! A migration ([`ShardRouter::move_node`]) rewrites the node's directory
+//! entry to name its new shard and local id, and registers the retired
+//! source record as the node's ghost there. The entry is the only record
+//! of where a node lives: every [`crate::ShardedStore`] call takes
+//! `&mut self`, so no request can still hold the placement a migration
+//! replaced, and nothing has to redirect one.
 
 use std::collections::HashMap;
 
@@ -25,25 +32,6 @@ use hypermodel::Bitmap;
 /// benchmark uid, so they never collide with real nodes inside a shard's
 /// uid index.
 pub const GHOST_UID_BASE: u64 = 1 << 48;
-
-/// Longest forwarding chain a single directory entry may accumulate.
-/// When a node's chain would exceed this, [`ShardRouter::move_node`]
-/// path-compresses that entry in place (safe at any time: the chain
-/// itself stays resolvable); full compaction that drops the chains is
-/// [`ShardRouter::compact_forwards`], legal only after a quiesce.
-pub const MAX_FORWARD_HOPS: u32 = 8;
-
-/// One forwarding-table entry: where a superseded placement moved to,
-/// stamped with the router epoch of the move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Forward {
-    /// The shard the node now lives on (or the next hop of the chain).
-    pub to_shard: usize,
-    /// The node's local id there.
-    pub to_local: Oid,
-    /// Router epoch at which this hop was created (monotone).
-    pub epoch: u64,
-}
 
 /// How global ids map to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,14 +135,6 @@ pub struct ShardRouter {
     ghosts: Vec<HashMap<u64, Oid>>,
     /// `uniqueId` → global id, for routing `lookup_unique`.
     uid_to_global: HashMap<u64, Oid>,
-    /// Forwarding table: a placement superseded by a migration, keyed by
-    /// `(shard, local)`, pointing at where the node went. Entries chain
-    /// when a node moves repeatedly without compaction.
-    forwards: HashMap<(usize, u64), Forward>,
-    /// Monotone version of the placement map, bumped by every
-    /// [`move_node`](ShardRouter::move_node). Remote clients compare
-    /// epochs carried in `Moved` responses to discard stale hints.
-    epoch: u64,
     /// Structure nodes placed per shard (balance statistic).
     pub nodes: Vec<u64>,
     /// Primitive requests issued per shard (skew statistic).
@@ -172,8 +152,6 @@ impl ShardRouter {
             global_of: vec![HashMap::new(); n],
             ghosts: vec![HashMap::new(); n],
             uid_to_global: HashMap::new(),
-            forwards: HashMap::new(),
-            epoch: 0,
             nodes: vec![0; n],
             requests: vec![0; n],
         }
@@ -206,8 +184,7 @@ impl ShardRouter {
                             // Inherit the parent's *current* shard: a
                             // migrated subtree keeps growing at its new
                             // home, not its birthplace.
-                            let (shard, _, _) = self.chase(e.shard, e.local);
-                            (shard, depth)
+                            (e.shard, depth)
                         }
                     }
                 },
@@ -270,41 +247,9 @@ impl ShardRouter {
         self.entries.get(idx).copied()
     }
 
-    /// Follow the forwarding chain from a (possibly superseded)
-    /// placement to the current one. Chains are acyclic by construction
-    /// ([`move_node`](ShardRouter::move_node) deletes the back edge when
-    /// a node returns to a former home), so the walk terminates; the
-    /// guard only caps a corrupted table. Returns the final placement
-    /// and the hop count.
-    fn chase(&self, mut shard: usize, mut local: Oid) -> (usize, Oid, u32) {
-        let mut hops = 0u32;
-        while let Some(f) = self.forwards.get(&(shard, local.0)) {
-            hops += 1;
-            debug_assert!(
-                hops as usize <= self.forwards.len(),
-                "forwarding cycle at shard {shard} local {local}"
-            );
-            if hops as usize > self.forwards.len() {
-                break;
-            }
-            shard = f.to_shard;
-            local = f.to_local;
-        }
-        if hops > 0 {
-            obs::incr("shard.rebalance.forward_hits", hops as u64);
-        }
-        (shard, local, hops)
-    }
-
     /// The shard owning `global` (its real placement, never a ghost).
     pub fn owner_of(&self, global: Oid) -> Option<usize> {
-        self.lookup(global).map(|e| {
-            if self.forwards.is_empty() {
-                e.shard
-            } else {
-                self.chase(e.shard, e.local).0
-            }
-        })
+        self.lookup(global).map(|e| e.shard)
     }
 
     /// The node's 1-N depth as tracked from placement hints.
@@ -312,16 +257,10 @@ impl ShardRouter {
         self.lookup(global).map(|e| e.depth)
     }
 
-    /// Translate a global id to `(owning shard, local id)`, transparently
-    /// redirecting through the forwarding table when the directory entry
-    /// was superseded by a migration.
+    /// Translate a global id to `(owning shard, local id)`.
     pub fn to_local(&self, global: Oid) -> Result<(usize, Oid)> {
         let e = self.lookup(global).ok_or(HmError::NodeNotFound(global))?;
-        if self.forwards.is_empty() {
-            return Ok((e.shard, e.local));
-        }
-        let (shard, local, _) = self.chase(e.shard, e.local);
-        Ok((shard, local))
+        Ok((e.shard, e.local))
     }
 
     /// Translate a shard's local id (real or ghost) back to global.
@@ -354,82 +293,28 @@ impl ShardRouter {
             .ok_or(HmError::UniqueIdNotFound(uid))
     }
 
-    // ---- migration / forwarding ---------------------------------------
+    // ---- migration -----------------------------------------------------
 
-    /// The placement-map version: bumped once per migrated node, never
-    /// reset. Stale placement hints carry the epoch they were learned
-    /// at, so holders can discard them on sight of a newer one.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of live forwarding-table entries (0 after compaction).
-    pub fn forward_len(&self) -> usize {
-        self.forwards.len()
-    }
-
-    /// Re-home `global` at `(dst_shard, dst_local)`. The superseded
-    /// placement becomes a forwarding-table entry (so anything still
-    /// holding it redirects transparently), the old record is recorded
-    /// as the node's ghost stand-in on its former shard, and the router
-    /// epoch advances. If the accumulated chain behind the node's
-    /// directory entry exceeds [`MAX_FORWARD_HOPS`], the entry is
-    /// path-compressed in place (always safe: the chain itself stays
-    /// resolvable). Returns the new epoch.
-    pub fn move_node(&mut self, global: Oid, dst_shard: usize, dst_local: Oid) -> Result<u64> {
+    /// Re-home `global` at `(dst_shard, dst_local)`: its directory entry
+    /// now names the destination, the promoted destination record stops
+    /// being a ghost there, and the superseded source record becomes the
+    /// node's ghost stand-in on its former shard.
+    pub fn move_node(&mut self, global: Oid, dst_shard: usize, dst_local: Oid) -> Result<()> {
         let (src_shard, src_local) = self.to_local(global)?;
         if src_shard == dst_shard {
             return Err(HmError::InvalidArgument(format!(
                 "{global} already lives on shard {dst_shard}"
             )));
         }
-        self.epoch += 1;
-        self.forwards.insert(
-            (src_shard, src_local.0),
-            Forward {
-                to_shard: dst_shard,
-                to_local: dst_local,
-                epoch: self.epoch,
-            },
-        );
-        // A node returning to a former home would close a cycle through
-        // its own old forward; the new placement is current again.
-        self.forwards.remove(&(dst_shard, dst_local.0));
+        let idx = (global.0 - 1) as usize;
+        if let Some(e) = self.entries.get_mut(idx) {
+            e.shard = dst_shard;
+            e.local = dst_local;
+        }
         self.global_of[dst_shard].insert(dst_local.0, global);
-        // The promoted destination record is no longer a ghost there;
-        // the superseded source record becomes one.
         self.ghosts[dst_shard].remove(&global.0);
         self.ghosts[src_shard].insert(global.0, src_local);
-
-        let idx = (global.0 - 1) as usize;
-        let e = self.entries[idx];
-        let (s, l, hops) = self.chase(e.shard, e.local);
-        if hops > MAX_FORWARD_HOPS {
-            self.entries[idx].shard = s;
-            self.entries[idx].local = l;
-        }
-        Ok(self.epoch)
-    }
-
-    /// Path-compress every directory entry to its final placement and
-    /// drop the forwarding chains. Only legal after a quiesce point — no
-    /// request in flight may still hold a pre-compaction placement.
-    /// Returns the number of chain entries dropped.
-    pub fn compact_forwards(&mut self) -> usize {
-        if self.forwards.is_empty() {
-            return 0;
-        }
-        for i in 0..self.entries.len() {
-            let e = self.entries[i];
-            let (s, l, hops) = self.chase(e.shard, e.local);
-            if hops > 0 {
-                self.entries[i].shard = s;
-                self.entries[i].local = l;
-            }
-        }
-        let dropped = self.forwards.len();
-        self.forwards.clear();
-        dropped
+        Ok(())
     }
 }
 
@@ -504,63 +389,36 @@ mod tests {
     }
 
     #[test]
-    fn moves_redirect_stale_placements_and_bump_the_epoch() {
+    fn a_move_rewrites_the_directory_entry_and_ghosts_the_source() {
         let mut r = ShardRouter::new(3, Placement::OidHash);
         let g = r.mint();
         let (s0, _) = r.place(g.0, None);
         r.register(g, s0, Oid(10), 0, 1);
-        assert_eq!(r.epoch(), 0);
 
         let d1 = (s0 + 1) % 3;
-        let e1 = r.move_node(g, d1, Oid(20)).unwrap();
-        assert_eq!(e1, 1);
+        r.move_node(g, d1, Oid(20)).unwrap();
         // Current placement is the destination; the node is no longer
         // "owned" at its old local (retired record = ghost stand-in).
         assert_eq!(r.to_local(g).unwrap(), (d1, Oid(20)));
         assert_eq!(r.owner_of(g), Some(d1));
         assert!(!r.is_owned_local(s0, Oid(10)).unwrap());
         assert!(r.is_owned_local(d1, Oid(20)).unwrap());
-        // The stale local still translates back and the ghost map knows
+        // The old local still translates back and the ghost map knows
         // the stand-in.
         assert_eq!(r.to_global(s0, Oid(10)).unwrap(), g);
         assert_eq!(r.ghost_of(g, s0), Some(Oid(10)));
 
-        // A second hop chains; epochs stay strictly monotone.
         let d2 = (s0 + 2) % 3;
-        let e2 = r.move_node(g, d2, Oid(30)).unwrap();
-        assert!(e2 > e1);
+        r.move_node(g, d2, Oid(30)).unwrap();
         assert_eq!(r.to_local(g).unwrap(), (d2, Oid(30)));
-        assert_eq!(r.forward_len(), 2);
+        assert!(!r.is_owned_local(d1, Oid(20)).unwrap());
 
         // Moving to the current shard is rejected.
         assert!(r.move_node(g, d2, Oid(31)).is_err());
     }
 
     #[test]
-    fn compaction_drops_chains_without_changing_resolution() {
-        let mut r = ShardRouter::new(4, Placement::OidHash);
-        let g = r.mint();
-        let (s0, _) = r.place(g.0, None);
-        r.register(g, s0, Oid(10), 0, 1);
-        let mut local = 10u64;
-        let mut shard = s0;
-        for _ in 0..3 {
-            shard = (shard + 1) % 4;
-            local += 10;
-            r.move_node(g, shard, Oid(local)).unwrap();
-        }
-        assert_eq!(r.forward_len(), 3);
-        let before = r.to_local(g).unwrap();
-        let epoch_before = r.epoch();
-        assert_eq!(r.compact_forwards(), 3);
-        assert_eq!(r.forward_len(), 0);
-        assert_eq!(r.to_local(g).unwrap(), before);
-        assert_eq!(r.epoch(), epoch_before, "compaction is not a move");
-        assert_eq!(r.compact_forwards(), 0);
-    }
-
-    #[test]
-    fn moving_back_home_reuses_the_ghost_and_breaks_the_cycle() {
+    fn moving_back_home_reuses_the_ghost() {
         let mut r = ShardRouter::new(2, Placement::OidHash);
         let g = r.mint();
         let (s0, _) = r.place(g.0, None);
@@ -572,34 +430,7 @@ mod tests {
         assert_eq!(r.to_local(g).unwrap(), (s0, Oid(10)));
         assert!(r.is_owned_local(s0, Oid(10)).unwrap());
         assert!(!r.is_owned_local(other, Oid(20)).unwrap());
-        // The old outgoing forward was deleted, not chained into a loop.
-        assert_eq!(r.forward_len(), 1);
         assert_eq!(r.ghost_of(g, s0), None, "promoted record is not a ghost");
         assert_eq!(r.ghost_of(g, other), Some(Oid(20)));
-    }
-
-    #[test]
-    fn long_chains_are_path_compressed_at_the_bound() {
-        let mut r = ShardRouter::new(2, Placement::OidHash);
-        let g = r.mint();
-        let (s0, _) = r.place(g.0, None);
-        r.register(g, s0, Oid(1), 0, 1);
-        // Bounce the node back and forth with fresh locals each time so
-        // the chain grows past MAX_FORWARD_HOPS.
-        let mut shard = s0;
-        for i in 0..(MAX_FORWARD_HOPS + 4) as u64 {
-            shard = 1 - shard;
-            r.move_node(g, shard, Oid(100 + i)).unwrap();
-        }
-        // Resolution stays correct and the per-entry chain was clamped.
-        let (s, l) = r.to_local(g).unwrap();
-        assert_eq!(s, shard);
-        assert_eq!(l, Oid(100 + (MAX_FORWARD_HOPS + 3) as u64));
-        let e = r.lookup(g).unwrap();
-        let (_, _, hops) = r.chase(e.shard, e.local);
-        assert!(
-            hops <= MAX_FORWARD_HOPS,
-            "entry chain {hops} exceeds the bound"
-        );
     }
 }

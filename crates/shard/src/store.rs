@@ -165,7 +165,6 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             reg.counter("shard.2pc.aborted");
             reg.counter("shard.rebalance.migrations");
             reg.counter("shard.rebalance.moved_nodes");
-            reg.counter("shard.rebalance.forward_hits");
             reg.counter("shard.rebalance.aborts");
             reg.gauge("shard.load.imbalance");
         }
@@ -679,11 +678,7 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
             out.push_str(&summarize(&self.exec));
         }
         if self.migrations > 0 {
-            out.push_str(&format!(
-                " migrations={} forwards={}",
-                self.migrations,
-                self.router.forward_len()
-            ));
+            out.push_str(&format!(" migrations={}", self.migrations));
         }
         if !self.last_scan_skipped.is_empty() {
             out.push_str(&format!(" skipped-shards={:?}", self.last_scan_skipped));

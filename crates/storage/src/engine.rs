@@ -241,11 +241,6 @@ impl Engine {
             .map(|(_, v)| v))
     }
 
-    /// All catalog entries (for tooling / debugging).
-    pub fn catalog_entries(&mut self) -> Result<Vec<(String, u64)>> {
-        self.read_catalog()
-    }
-
     // ---- transactions --------------------------------------------------
 
     /// Stage one delta record per changed dirty page in the log buffer
@@ -472,7 +467,6 @@ mod tests {
                 Err(StorageError::CatalogMissing(_))
             ));
             assert_eq!(e.catalog_try_get("missing").unwrap(), None);
-            assert_eq!(e.catalog_entries().unwrap().len(), 2);
         }
         cleanup(&path);
     }
