@@ -3,31 +3,28 @@
 //!
 //! One thread owns N listening sockets and every accepted connection,
 //! all in nonblocking mode. Each tick the loop accepts new connections,
-//! drains completed request executions, reads whatever bytes arrived
-//! into each connection's [`FrameBuf`], hands complete frames to a
+//! reads whatever bytes arrived into each connection's [`FrameBuf`],
+//! hands at most one complete frame per connection to a
 //! [`FrameHandler`], and flushes pending writes.
 //!
 //! Wire framing is [`crate::frame`]'s. The loop installs the frame's
 //! trace id as the thread's current trace (`obs::trace`) while the
-//! handler runs, and every reply frame echoes the trace id that was
-//! current when it was produced — so one trace id follows a request
-//! from the client through the loop, across executor job dispatch, and
-//! back.
+//! handler runs, and every reply frame echoes it — so one trace id
+//! follows a request from the client through the loop and back.
 //!
-//! The handler answers immediately ([`FrameOutcome::Reply`]) or defers
-//! ([`FrameOutcome::Pending`]) after dispatching the work elsewhere —
-//! typically onto a [`crate::ShardExecutor`] worker — and later pushes
-//! the encoded response through [`Completions`], which wakes the loop.
-//! At most one frame per connection is dispatched at a time, so
-//! responses leave in request order; further frames wait, unparsed, in
-//! the connection's buffer. Writes never block: partial writes park in
-//! a per-connection buffer and resume next tick, so one slow reader
+//! The handler answers every frame before it returns: the request runs
+//! on the loop thread, so responses leave in request order and nothing
+//! is ever admitted but unanswered. One frame per connection per tick
+//! keeps a pipelining client from running its whole backlog before
+//! another connection gets a turn; the frames behind it wait, unparsed,
+//! in the connection's buffer. Writes never block: partial writes park
+//! in a per-connection buffer and resume next tick, so one slow reader
 //! cannot stall the other connections.
 //!
 //! `std` exposes no `epoll`/`kqueue`, so readiness is cooperative
-//! polling: the loop spins (yielding) while work flows and parks on the
-//! completion channel with a short timeout when idle — completions wake
-//! it immediately, new socket bytes within the poll interval.
+//! polling: the loop spins (yielding) while work flows and sleeps for a
+//! short interval when idle, picking up new socket bytes on the next
+//! tick.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
@@ -37,11 +34,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hypermodel::error::{HmError, Result};
-use sanity::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 
 use crate::frame::{write_frame, FrameBuf, NetCounters, READ_CHUNK};
 
-/// How long an idle loop parks on the completion channel per tick.
+/// How long an idle loop sleeps per tick.
 const IDLE_PARK: Duration = Duration::from_micros(500);
 
 /// Ticks of busy-spinning (with yields) before parking when idle.
@@ -60,10 +56,6 @@ pub struct ConnId {
 
 /// What the handler wants done with the frame it was given.
 pub enum FrameOutcome {
-    /// The work was dispatched elsewhere; the response will arrive via
-    /// [`Completions`]. No further frame from this connection is
-    /// delivered until it does.
-    Pending,
     /// Send this payload back (the loop adds the length prefix).
     Reply(Vec<u8>),
     /// Send this payload, then close the connection once it is flushed.
@@ -75,34 +67,12 @@ pub enum FrameOutcome {
 /// Receives framed requests from the loop.
 pub trait FrameHandler {
     /// One complete frame arrived on `conn`; `frame` borrows the
-    /// connection's read buffer, so a handler that defers copies what it
-    /// needs. `done` is the completion handle for deferred
-    /// ([`FrameOutcome::Pending`]) responses — clone it into the
-    /// dispatched job.
-    fn on_frame(&mut self, conn: ConnId, frame: &[u8], done: &Completions) -> FrameOutcome;
+    /// connection's read buffer. The answer is due on return.
+    fn on_frame(&mut self, conn: ConnId, frame: &[u8]) -> FrameOutcome;
 
     /// `conn` disconnected (or was closed by an outcome).
     fn on_disconnect(&mut self, conn: ConnId) {
         let _ = conn;
-    }
-}
-
-/// Completion handle: pushes a deferred response payload back into the
-/// loop from any thread, waking it if it was parked.
-#[derive(Clone)]
-pub struct Completions {
-    tx: Sender<(ConnId, u64, Vec<u8>)>,
-}
-
-impl Completions {
-    /// Deliver the response payload for the pending frame on `conn`,
-    /// tagged with the sending thread's current trace id (executor
-    /// workers run completions inside the submitting frame's trace, so
-    /// the reply echoes the request's id). Delivery after the connection
-    /// (or the loop) is gone is silently dropped — the client is no
-    /// longer there to read it.
-    pub fn send(&self, conn: ConnId, reply: Vec<u8>) {
-        let _ = self.tx.send((conn, obs::trace::current(), reply));
     }
 }
 
@@ -113,28 +83,27 @@ pub struct LoopStats {
     pub accepted: u64,
     /// Complete frames delivered to the handler.
     pub frames: u64,
-    /// Responses written (immediate and deferred).
+    /// Responses written.
     pub replies: u64,
     /// Connections that ended (either side).
     pub disconnects: u64,
-    /// Times the idle strategy parked on the completion channel.
+    /// Times the idle strategy slept.
     pub parks: u64,
-    /// Parks cut short by a completion arriving (the cooperative-polling
-    /// cost the ROADMAP flags: wakeups without socket readiness).
-    pub idle_wakeups: u64,
 }
 
 struct Conn {
     stream: TcpStream,
-    /// Inbound bytes. The next frame is parsed out only when none is in
-    /// flight, so pipelined requests wait here in arrival order.
+    /// Inbound bytes. One frame is parsed out per tick, so pipelined
+    /// requests wait here in arrival order.
     inbound: FrameBuf,
     /// Encoded responses not yet fully written; `wpos` marks progress.
     /// Both buffers keep their capacity across frames, so a settled
     /// connection does no allocation at all.
     wbuf: Vec<u8>,
     wpos: usize,
-    inflight: bool,
+    /// The peer closed its side: nothing more will arrive, but frames
+    /// already buffered are still answered.
+    eof: bool,
     close_after_flush: bool,
 }
 
@@ -164,8 +133,6 @@ pub struct EventLoop {
     listeners: Vec<TcpListener>,
     addrs: Vec<SocketAddr>,
     stop: Arc<AtomicBool>,
-    tx: Sender<(ConnId, u64, Vec<u8>)>,
-    rx: Receiver<(ConnId, u64, Vec<u8>)>,
 }
 
 impl EventLoop {
@@ -190,13 +157,10 @@ impl EventLoop {
             );
             listeners.push(l);
         }
-        let (tx, rx) = channel();
         Ok(EventLoop {
             listeners,
             addrs: bound,
             stop: Arc::new(AtomicBool::new(false)),
-            tx,
-            rx,
         })
     }
 
@@ -210,18 +174,9 @@ impl EventLoop {
         Arc::clone(&self.stop)
     }
 
-    /// A completion handle usable before the loop runs (the same one is
-    /// passed to every [`FrameHandler::on_frame`] call).
-    pub fn completions(&self) -> Completions {
-        Completions {
-            tx: self.tx.clone(),
-        }
-    }
-
-    /// Run until the stop flag is set. Consumes the loop and the
-    /// handler; returns lifetime counters.
-    pub fn run<H: FrameHandler>(self, mut handler: H) -> Result<LoopStats> {
-        let done = self.completions();
+    /// Run until the stop flag is set. Consumes the loop; the handler
+    /// stays the caller's. Returns lifetime counters.
+    pub fn run<H: FrameHandler>(self, handler: &mut H) -> Result<LoopStats> {
         let mut conns: HashMap<ConnId, Conn> = HashMap::new();
         let mut next_conn = 0u64;
         let mut stats = LoopStats::default();
@@ -232,7 +187,6 @@ impl EventLoop {
         let net = NetCounters::new();
         let obs_frames = obs::registry().counter("loop.frames");
         let obs_parks = obs::registry().counter("loop.parks");
-        let obs_wakeups = obs::registry().counter("loop.idle_wakeups");
         let obs_accepted = obs::registry().counter("loop.accepted");
 
         while !self.stop.load(Ordering::SeqCst) {
@@ -259,7 +213,7 @@ impl EventLoop {
                                     inbound: FrameBuf::new(),
                                     wbuf: Vec::new(),
                                     wpos: 0,
-                                    inflight: false,
+                                    eof: false,
                                     close_after_flush: false,
                                 },
                             );
@@ -276,22 +230,10 @@ impl EventLoop {
                 }
             }
 
-            // 2. Deferred responses from executor workers.
-            while let Ok((id, trace, reply)) = self.rx.try_recv() {
-                progress = true;
-                if let Some(conn) = conns.get_mut(&id) {
-                    conn.inflight = false;
-                    conn.enqueue_reply(trace, &reply);
-                    stats.replies += 1;
-                }
-            }
-
-            // 3. Per-connection I/O: read, dispatch frames, and one
-            // coalesced flush of everything enqueued this tick.
+            // 2. Per-connection I/O: read, answer one frame, and one
+            // coalesced flush of everything enqueued.
             for (&id, conn) in conns.iter_mut() {
-                let stepped =
-                    Self::step_conn(id, conn, &mut handler, &done, &mut stats, &net, &obs_frames);
-                match stepped {
+                match Self::step_conn(id, conn, handler, &mut stats, &net, &obs_frames) {
                     Ok(stepped) => progress |= stepped,
                     Err(()) => dead.push(id),
                 }
@@ -303,9 +245,8 @@ impl EventLoop {
                 }
             }
 
-            // 4. Idle strategy: yield for a while (cheap on a busy host),
-            // then park on the completion channel so deferred responses
-            // wake the loop immediately.
+            // 3. Idle strategy: yield for a while (cheap on a busy host),
+            // then sleep so an idle server does not burn a core.
             if progress {
                 idle_ticks = 0;
             } else {
@@ -317,24 +258,7 @@ impl EventLoop {
                     if obs::enabled() {
                         obs_parks.incr();
                     }
-                    match self.rx.recv_timeout(IDLE_PARK) {
-                        Ok((id, trace, reply)) => {
-                            stats.idle_wakeups += 1;
-                            if obs::enabled() {
-                                obs_wakeups.incr();
-                            }
-                            if let Some(conn) = conns.get_mut(&id) {
-                                conn.inflight = false;
-                                conn.enqueue_reply(trace, &reply);
-                                stats.replies += 1;
-                            }
-                            idle_ticks = 0;
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        // We hold a sender ourselves, so this is unreachable;
-                        // treat it as a stop request rather than panic.
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
+                    std::thread::sleep(IDLE_PARK);
                 }
             }
         }
@@ -348,48 +272,34 @@ impl EventLoop {
         id: ConnId,
         conn: &mut Conn,
         handler: &mut H,
-        done: &Completions,
         stats: &mut LoopStats,
         net: &NetCounters,
         obs_frames: &obs::Counter,
     ) -> std::result::Result<bool, ()> {
         let mut progress = false;
-        // Grace flag: the tick that sees the peer close still flushes
-        // but defers the drop one tick, so a completion already in the
-        // channel gets its reply written.
-        let mut peer_closed_now = false;
 
-        if !conn.close_after_flush {
-            // Read whatever arrived, straight into the frame buffer.
-            loop {
-                match conn.inbound.fill(&mut conn.stream) {
-                    Ok(0) => {
-                        // Peer closed: nothing more will arrive and no
-                        // further frame is dispatched. Finish what is
-                        // queued for write (below), then drop.
-                        conn.close_after_flush = true;
-                        progress = true;
-                        peer_closed_now = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        net.read(n);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    // Socket error or an unframeable length prefix.
-                    Err(_) => return Err(()),
+        // Read whatever arrived, straight into the frame buffer.
+        while !conn.eof && !conn.close_after_flush {
+            match conn.inbound.fill(&mut conn.stream) {
+                Ok(0) => {
+                    conn.eof = true;
+                    progress = true;
                 }
+                Ok(n) => {
+                    net.read(n);
+                    progress = true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // Socket error or an unframeable length prefix.
+                Err(_) => return Err(()),
             }
+        }
 
-            // Dispatch, one frame in flight at a time, inside the frame's
-            // trace (so immediate replies and executor submissions inherit
-            // the client's trace id).
-            while !conn.inflight && !conn.close_after_flush {
-                let Some((trace, frame)) = conn.inbound.next_frame().map_err(|_| ())? else {
-                    break;
-                };
+        // Answer one frame, inside its trace (so the reply and anything
+        // the handler submits inherit the client's trace id).
+        if !conn.close_after_flush {
+            if let Some((trace, frame)) = conn.inbound.next_frame().map_err(|_| ())? {
                 stats.frames += 1;
                 if obs::enabled() {
                     obs_frames.incr();
@@ -397,11 +307,7 @@ impl EventLoop {
                 progress = true;
                 let _trace = obs::trace::scope(trace);
                 let _span = obs::trace::span("loop.frame");
-                let (payload, close) = match handler.on_frame(id, frame, done) {
-                    FrameOutcome::Pending => {
-                        conn.inflight = true;
-                        continue;
-                    }
+                let (payload, close) = match handler.on_frame(id, frame) {
                     FrameOutcome::Reply(payload) => (payload, false),
                     FrameOutcome::ReplyClose(payload) => (payload, true),
                     FrameOutcome::Close => return Err(()),
@@ -412,10 +318,9 @@ impl EventLoop {
             }
         }
 
-        // The tick's one flush point: backlog from earlier ticks,
-        // deferred completions drained before stepping, and immediate
-        // replies produced above all leave in as few write syscalls as
-        // the socket accepts (never blocking).
+        // The tick's one flush point: backlog from earlier ticks and the
+        // reply produced above leave in as few write syscalls as the
+        // socket accepts (never blocking).
         while !conn.flushed() {
             match conn
                 .stream
@@ -432,7 +337,10 @@ impl EventLoop {
                 Err(_) => return Err(()),
             }
         }
-        if conn.close_after_flush && conn.flushed() && !peer_closed_now {
+        // Finished once everything owed is written: after a closing
+        // reply, or when the peer is gone and no buffered frame is left.
+        let done = conn.close_after_flush || (conn.eof && !conn.inbound.has_frame());
+        if done && conn.flushed() {
             return Err(());
         }
         Ok(progress)

@@ -16,12 +16,12 @@
 //!   cannot disagree about it.
 //! * [`EventLoop`] — a single-threaded nonblocking socket loop over raw
 //!   `std::net`, hosting N listeners in one thread with per-connection
-//!   read/write buffers. Request execution is deferred onto the shard
-//!   executors via [`Completions`], so one process serves N shard ports
-//!   without a thread per connection.
+//!   read/write buffers. The [`FrameHandler`] answers each frame on the
+//!   loop thread, so one process serves N shard ports without a thread
+//!   per connection.
 //!
-//! `server::serve_multi` composes the last two into a single-process
-//! multi-shard server; `shard::ShardedStore` routes every fan-out,
+//! `server::serve_multi` builds a single-process multi-shard server on
+//! the last two; `shard::ShardedStore` routes every fan-out,
 //! level-batched closure, and parallel 2PC prepare through the pool.
 
 #![forbid(unsafe_code)]
@@ -37,5 +37,5 @@ mod event_loop;
 pub mod frame;
 mod pool;
 
-pub use event_loop::{Completions, ConnId, EventLoop, FrameHandler, FrameOutcome, LoopStats};
+pub use event_loop::{ConnId, EventLoop, FrameHandler, FrameOutcome, LoopStats};
 pub use pool::{Batch, ExecError, JobHandle, ShardExecutor};

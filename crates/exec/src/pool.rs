@@ -90,10 +90,9 @@ impl ExecError {
 }
 
 /// The body of a [`Job`]: boxed work receiving the shard *mutex*, not a
-/// guard — it locks only around the caller's closure and reports its
-/// result (one-shot send / completion callback) after the lock is
-/// released, so results never travel over a channel while the shard is
-/// locked.
+/// guard — it locks only around the caller's closure and sends its
+/// result on the one-shot channel after the lock is released, so
+/// results never travel over a channel while the shard is locked.
 type JobFn<S> = Box<dyn FnOnce(&Mutex<S>) + Send>;
 
 /// A unit of work for a shard worker. Besides the body, it carries the
@@ -350,36 +349,6 @@ impl<S> ShardExecutor<S> {
             rx,
             poisoned: Arc::clone(&slot.poisoned),
         })
-    }
-
-    /// Enqueue `f` on `shard`'s worker without a handle: `complete`
-    /// receives the result on the worker thread *after* the shard lock
-    /// is released. This is the event-loop reply path — completions
-    /// must not be sent while the shard is locked (a reply channel send
-    /// under the shard mutex is exactly the hazard `sanity::sync`
-    /// flags).
-    pub fn submit_detached<T, F, C>(&self, shard: usize, f: F, complete: C) -> Result<(), ExecError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut S) -> T + Send + 'static,
-        C: FnOnce(T) + Send + 'static,
-    {
-        let slot = self.slot(shard)?;
-        if slot.poisoned.load(Ordering::SeqCst) {
-            return Err(ExecError::Poisoned(shard));
-        }
-        let poison = Arc::clone(&slot.poisoned);
-        let run: JobFn<S> = Box::new(move |store: &Mutex<S>| {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                let mut guard = store.lock();
-                f(&mut guard)
-            }));
-            match out {
-                Ok(v) => complete(v),
-                Err(_) => poison.store(true, Ordering::SeqCst),
-            }
-        });
-        self.enqueue(shard, run)
     }
 
     /// Lock `shard`'s backend on the *calling* thread and run `f`. This

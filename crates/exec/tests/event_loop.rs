@@ -1,5 +1,6 @@
-//! Event-loop behavior on raw sockets: immediate replies, deferred
-//! (executor-completed) replies, multiple listeners, and close-on-reply.
+//! Event-loop behavior on raw sockets: inline replies, multiple
+//! listeners, close-on-reply, fairness between connections and
+//! half-closed peers.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -7,7 +8,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use exec::frame::{write_frame, FrameBuf};
-use exec::{Completions, ConnId, EventLoop, FrameHandler, FrameOutcome, ShardExecutor};
+use exec::{ConnId, EventLoop, FrameHandler, FrameOutcome, LoopStats};
 
 const TEST_TRACE: u64 = 0xABCD;
 
@@ -50,66 +51,62 @@ impl Client {
     }
 }
 
-/// Prefixes each frame with the listener index and echoes it. Frames
-/// starting with b'X' are answered via the executor (deferred path);
-/// b"bye" closes after replying; b"big" gets a [`BIG_REPLY`]-byte reply.
+/// Prefixes each frame with the listener index and echoes it. b"bye"
+/// closes after replying; b"big" gets a [`BIG_REPLY`]-byte reply;
+/// b"count" is answered with the number of frames handled before it;
+/// frames starting with b'S' take a millisecond to answer.
+#[derive(Default)]
 struct Echo {
-    exec: ShardExecutor<()>,
+    handled: u64,
 }
 
 impl FrameHandler for Echo {
-    fn on_frame(&mut self, conn: ConnId, frame: &[u8], done: &Completions) -> FrameOutcome {
-        if frame == b"bye" {
-            return FrameOutcome::ReplyClose(b"goodbye".to_vec());
-        }
-        if frame == b"big" {
-            return FrameOutcome::Reply(vec![b'z'; BIG_REPLY]);
+    fn on_frame(&mut self, conn: ConnId, frame: &[u8]) -> FrameOutcome {
+        let before = self.handled;
+        self.handled += 1;
+        match frame {
+            b"bye" => return FrameOutcome::ReplyClose(b"goodbye".to_vec()),
+            b"big" => return FrameOutcome::Reply(vec![b'z'; BIG_REPLY]),
+            b"count" => return FrameOutcome::Reply(before.to_string().into_bytes()),
+            [b'S', ..] => std::thread::sleep(Duration::from_millis(1)),
+            _ => {}
         }
         let mut reply = vec![b'0' + conn.listener as u8];
         reply.extend_from_slice(frame);
-        if frame.first() == Some(&b'X') {
-            let done = done.clone();
-            self.exec
-                .submit(0, move |_| done.send(conn, reply))
-                .unwrap();
-            return FrameOutcome::Pending;
-        }
         FrameOutcome::Reply(reply)
     }
 }
 
-#[test]
-fn event_loop_serves_immediate_and_deferred_replies_on_two_listeners() {
-    let el = EventLoop::bind(&["127.0.0.1:0".into(), "127.0.0.1:0".into()]).unwrap();
+/// Run an [`Echo`] loop on `listeners` fresh ports until the returned
+/// closure is called, which stops it and hands back its counters.
+fn spawn_echo(listeners: usize) -> (Vec<SocketAddr>, impl FnOnce() -> LoopStats) {
+    let el = EventLoop::bind(&vec!["127.0.0.1:0".to_string(); listeners]).unwrap();
     let addrs = el.local_addrs().to_vec();
     let stop = el.stop_handle();
-    let loop_thread = std::thread::spawn(move || {
-        el.run(Echo {
-            exec: ShardExecutor::new(vec![()]),
-        })
-        .unwrap()
-    });
+    let loop_thread = std::thread::spawn(move || el.run(&mut Echo::default()).unwrap());
+    (addrs, move || {
+        stop.store(true, Ordering::SeqCst);
+        loop_thread.join().unwrap()
+    })
+}
 
+#[test]
+fn event_loop_serves_inline_replies_on_two_listeners() {
+    let (addrs, stop) = spawn_echo(2);
     let mut c0 = Client::connect(addrs[0]);
     let mut c1 = Client::connect(addrs[1]);
 
-    // Immediate path, tagged per listener.
+    // Tagged per listener.
     c0.send(b"hello");
     c1.send(b"hello");
     assert_eq!(c0.recv().unwrap(), b"0hello");
     assert_eq!(c1.recv().unwrap(), b"1hello");
 
-    // Deferred path: the reply is produced on the executor worker and
-    // re-enters the loop through Completions.
-    c0.send(b"Xdeferred");
-    assert_eq!(c0.recv().unwrap(), b"0Xdeferred");
-
-    // Pipelining: several frames at once, answered in order, with the
-    // deferred one gating the frames behind it.
-    c0.send(b"Xone");
+    // Pipelining: several frames at once, answered in order.
+    c0.send(b"one");
     c0.send(b"two");
     c0.send(b"three");
-    assert_eq!(c0.recv().unwrap(), b"0Xone");
+    assert_eq!(c0.recv().unwrap(), b"0one");
     assert_eq!(c0.recv().unwrap(), b"0two");
     assert_eq!(c0.recv().unwrap(), b"0three");
 
@@ -121,52 +118,96 @@ fn event_loop_serves_immediate_and_deferred_replies_on_two_listeners() {
     drop(c0);
     // Let the loop observe the disconnects before stopping.
     std::thread::sleep(Duration::from_millis(50));
-    stop.store(true, Ordering::SeqCst);
-    let stats = loop_thread.join().unwrap();
+    let stats = stop();
     assert_eq!(stats.accepted, 2);
-    assert_eq!(stats.frames, 7);
-    assert_eq!(stats.replies, 7);
+    assert_eq!(stats.frames, 6);
+    assert_eq!(stats.replies, 6);
     assert_eq!(stats.disconnects, 2);
+}
+
+/// One frame per connection per tick: a client with a deep pipeline
+/// does not hold a second client's single request behind its backlog.
+#[test]
+fn a_pipelining_client_does_not_starve_another_connection() {
+    const PIPELINE: u64 = 64;
+    let (addrs, stop) = spawn_echo(1);
+    let mut a = Client::connect(addrs[0]);
+    let mut b = Client::connect(addrs[0]);
+    // Both connections accepted and settled before the race.
+    for c in [&mut a, &mut b] {
+        c.send(b"hello");
+        assert_eq!(c.recv().unwrap(), b"0hello");
+    }
+
+    let mut backlog = Vec::new();
+    for i in 0..PIPELINE {
+        write_frame(&mut backlog, TEST_TRACE, format!("S{i}").as_bytes());
+    }
+    a.stream.write_all(&backlog).unwrap();
+    b.send(b"count");
+    // Each of A's frames takes a millisecond, so without per-tick
+    // fairness B's frame is handled after all 64 of them.
+    let before_b: u64 = String::from_utf8(b.recv().unwrap())
+        .unwrap()
+        .parse()
+        .unwrap();
+    let a_answered = before_b - 2;
+    assert!(
+        a_answered < PIPELINE / 4,
+        "B waited for {a_answered} of A's {PIPELINE} pipelined frames"
+    );
+    for i in 0..PIPELINE {
+        assert_eq!(
+            a.recv().unwrap(),
+            format!("0S{i}").as_bytes(),
+            "A's replies stay in order"
+        );
+    }
+
+    drop((a, b));
+    let stats = stop();
+    assert_eq!(stats.frames, PIPELINE + 3);
+}
+
+/// A peer that pipelines requests and then closes its sending side
+/// still gets every reply before the server hangs up.
+#[test]
+fn frames_pipelined_before_a_half_close_are_all_answered() {
+    let (addrs, stop) = spawn_echo(1);
+    let mut c = Client::connect(addrs[0]);
+    c.send(b"one");
+    c.send(b"two");
+    c.send(b"three");
+    c.stream.shutdown(Shutdown::Write).unwrap();
+    assert_eq!(c.recv().unwrap(), b"0one");
+    assert_eq!(c.recv().unwrap(), b"0two");
+    assert_eq!(c.recv().unwrap(), b"0three");
+    assert_eq!(c.recv(), None, "then the server drops the connection");
+    let stats = stop();
+    assert_eq!((stats.frames, stats.replies, stats.disconnects), (3, 3, 1));
 }
 
 #[test]
 fn oversized_frame_drops_the_connection() {
-    let el = EventLoop::bind(&["127.0.0.1:0".into()]).unwrap();
-    let addr = el.local_addrs()[0];
-    let stop = el.stop_handle();
-    let loop_thread = std::thread::spawn(move || {
-        el.run(Echo {
-            exec: ShardExecutor::new(vec![()]),
-        })
-        .unwrap()
-    });
+    let (addrs, stop) = spawn_echo(1);
 
-    let mut c = TcpStream::connect(addr).unwrap();
+    let mut c = TcpStream::connect(addrs[0]).unwrap();
     // A length prefix claiming 1 GiB: unframeable, connection dropped.
     c.write_all(&(1u32 << 30).to_le_bytes()).unwrap();
     c.write_all(b"junk").unwrap();
     let mut probe = [0u8; 1];
     assert_eq!(c.read(&mut probe).unwrap(), 0, "server hung up");
 
-    stop.store(true, Ordering::SeqCst);
-    let stats = loop_thread.join().unwrap();
+    let stats = stop();
     assert_eq!(stats.frames, 0);
     assert_eq!(stats.disconnects, 1);
 }
 
 #[test]
 fn peer_half_close_still_flushes_the_enqueued_reply() {
-    let el = EventLoop::bind(&["127.0.0.1:0".into()]).unwrap();
-    let addr = el.local_addrs()[0];
-    let stop = el.stop_handle();
-    let loop_thread = std::thread::spawn(move || {
-        el.run(Echo {
-            exec: ShardExecutor::new(vec![()]),
-        })
-        .unwrap()
-    });
+    let (addrs, stop) = spawn_echo(1);
 
-    let mut c = Client::connect(addr);
+    let mut c = Client::connect(addrs[0]);
     c.send(b"big");
     // The first reply bytes prove the request was dispatched and its
     // reply enqueued; the rest cannot fit the socket buffers, so the
@@ -177,7 +218,6 @@ fn peer_half_close_still_flushes_the_enqueued_reply() {
     assert_eq!(c.recv().map(|r| r.len()), Some(BIG_REPLY));
     assert_eq!(c.recv(), None, "then the server drops the connection");
 
-    stop.store(true, Ordering::SeqCst);
-    let stats = loop_thread.join().unwrap();
+    let stats = stop();
     assert_eq!((stats.frames, stats.replies), (1, 1));
 }

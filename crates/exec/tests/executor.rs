@@ -25,10 +25,6 @@ fn fan_out_runs_on_the_right_shards() {
     let no_shard = ExecError::NoSuchShard(4);
     assert_eq!(exec.with_shard(4, |v| *v), Err(no_shard.clone()));
     assert_eq!(exec.submit(4, |v| *v).map(|_| ()), Err(no_shard.clone()));
-    assert_eq!(
-        exec.submit_detached(4, |v| *v, |_| ()),
-        Err(no_shard.clone())
-    );
     assert_eq!(exec.is_poisoned(4), Err(no_shard.clone()));
     assert_eq!(exec.queue_depth(4), Err(no_shard.clone()));
     assert_eq!(exec.busy_ewma_us(4), Err(no_shard.clone()));

@@ -1,8 +1,8 @@
 //! Lock-order regression gate for the executor pool. Compiled only
-//! under `RUSTFLAGS="--cfg sanity_check"`: runs real fan-out, detached
-//! completion, and panic-poisoning workloads through the instrumented
-//! shims, then asserts the detector recorded no order cycles and no
-//! blocking channel use under a shard lock.
+//! under `RUSTFLAGS="--cfg sanity_check"`: runs real fan-out and
+//! panic-poisoning workloads through the instrumented shims, then
+//! asserts the detector recorded no order cycles and no blocking
+//! channel use under a shard lock.
 //!
 //! This is the regression test for the send-under-lock hazard the shims
 //! originally flagged in `exec::pool`: job results used to be sent on
@@ -12,7 +12,6 @@
 #![cfg(sanity_check)]
 
 use exec::ShardExecutor;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[test]
@@ -46,19 +45,6 @@ fn executor_workloads_record_no_hazards() {
         j.join().expect("client thread");
     }
 
-    // Detached completions (the event-loop reply path).
-    let acc = Arc::new(AtomicU64::new(0));
-    for s in 0..4 {
-        let acc = Arc::clone(&acc);
-        exec.submit_detached(
-            s,
-            |v: &mut u64| *v,
-            move |v| {
-                acc.fetch_add(v, Ordering::SeqCst);
-            },
-        )
-        .expect("detached submit");
-    }
     // Poison one shard and keep using the others.
     let h = exec
         .submit(2, |_: &mut u64| -> u64 { panic!("injected") })

@@ -18,7 +18,7 @@
 //!   first use) or call [`set_enabled`] to turn recording off.
 //!
 //! Metric names are dotted lowercase, `area.detail[_unit]`: e.g.
-//! `exec.dispatch_wait_us`, `loop.idle_wakeups`, `shard.2pc.aborted`,
+//! `exec.dispatch_wait_us`, `loop.parks`, `shard.2pc.aborted`,
 //! `op.O7.warm_us`. Durations are recorded in microseconds.
 //!
 //! The crate deliberately has no dependencies and uses `std::sync`

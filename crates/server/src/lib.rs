@@ -21,9 +21,9 @@
 //!   fine) over any transport — the server for simulated latency and
 //!   server-side fault injection;
 //! * [`multi`] — [`serve_multi`]: one process hosting N shard servers on
-//!   N TCP ports with a single nonblocking event loop
-//!   (`exec::EventLoop`) for all connections and one persistent
-//!   executor worker per shard — no thread per connection;
+//!   N TCP ports on one thread: a single nonblocking event loop
+//!   (`exec::EventLoop`) owns every connection and runs every request
+//!   — no thread per connection;
 //! * [`client`] — [`client::RemoteStore`], a full `HyperStore` backed by
 //!   the wire: every method, conceptual operations included, is one
 //!   request.

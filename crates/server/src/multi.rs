@@ -1,53 +1,41 @@
 //! [`serve_multi`]: one process hosting N shard servers on N ports.
 //!
 //! The blocking [`crate::server::serve`] loop needs one thread per
-//! connection. This module instead composes the `exec` crate's layers:
-//! a single nonblocking [`exec::EventLoop`] owns every listener and
-//! connection, and request *execution* is deferred onto the persistent
-//! per-shard workers of an [`exec::ShardExecutor`] — listener `i`
-//! serves shard `i`. An N-shard deployment runs on N workers plus one
-//! loop thread, regardless of connection count.
+//! connection. This module instead runs a single nonblocking
+//! [`exec::EventLoop`] that owns every listener, every connection and
+//! every shard — listener `i` serves shard `i` — so an N-shard
+//! deployment is one thread, regardless of connection count.
 //!
 //! Every frame goes through the same admission routine as the blocking
-//! loop's: `admit` on the loop thread when the frame arrives, then
-//! `execute` on the shard's worker. Each shard's dedup cache lives
-//! beside its store under the shard lock, so the at-most-once decision
-//! for a tagged request is taken in the shard's execution order — a
-//! retry arriving on a second connection while the first copy is still
-//! queued or running is replayed, not run twice — and is shared by
-//! every connection to that shard, so retries survive reconnects.
-//! `Shutdown` closes the requesting connection only: the *server*
-//! outlives its clients and stops via [`MultiServer::stop`].
+//! loop's, called the same way: `admit`, then `execute`, back to back on
+//! the loop thread. Each shard's dedup cache lives beside its store, and
+//! one request runs at a time, so the at-most-once decision for a tagged
+//! request is taken in the shard's execution order and is shared by
+//! every connection to that shard — a retry arriving on a second
+//! connection is replayed, not run twice, and retries survive
+//! reconnects. A request that panics poisons its shard only: it and
+//! every later request to that shard are answered with
+//! `ShardUnavailable`, and the other shards keep serving. `Shutdown`
+//! closes the requesting connection only: the *server* outlives its
+//! clients and stops via [`MultiServer::stop`].
+//!
+//! The price of one thread: the shards share a CPU. A request to one
+//! shard waits behind a request to another, so a slow store (a remote
+//! one, say) holds up every shard in the process.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use exec::{Completions, ConnId, EventLoop, FrameHandler, FrameOutcome, LoopStats, ShardExecutor};
+use exec::{ConnId, EventLoop, ExecError, FrameHandler, FrameOutcome, LoopStats};
 use hypermodel::error::{HmError, Result};
 use hypermodel::store::HyperStore;
 
 use crate::protocol::{Request, Response};
 use crate::server::{admit, execute, Admission, DedupCache, SessionStats};
-
-/// Counters shared between the loop thread, the shard workers and
-/// [`MultiServer`].
-#[derive(Default)]
-struct Shared {
-    requests: AtomicU64,
-    errors: AtomicU64,
-    replayed: AtomicU64,
-}
-
-impl Shared {
-    fn add(&self, delta: &SessionStats) {
-        self.requests.fetch_add(delta.requests, Ordering::Relaxed);
-        self.errors.fetch_add(delta.errors, Ordering::Relaxed);
-        self.replayed.fetch_add(delta.replayed, Ordering::Relaxed);
-    }
-}
 
 /// Aggregate statistics for a stopped [`MultiServer`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +43,8 @@ pub struct MultiStats {
     /// Requests executed across all shards (excluding shutdowns and
     /// dedup replays).
     pub requests: u64,
-    /// Error responses sent (malformed frames and store errors).
+    /// Error responses sent (malformed frames, store errors and
+    /// requests refused by a poisoned shard).
     pub errors: u64,
     /// Tagged requests answered from a dedup cache without re-executing.
     pub replayed: u64,
@@ -63,67 +52,55 @@ pub struct MultiStats {
     pub loop_stats: LoopStats,
 }
 
-/// Routes frames from listener `i` onto shard `i`'s executor worker.
+/// One hosted shard: its store, the at-most-once memory of what ran
+/// against it, and whether a request panicked inside it.
+struct Shard<S> {
+    store: S,
+    cache: DedupCache,
+    poisoned: bool,
+}
+
+/// Runs frames from listener `i` against shard `i`, on the loop thread.
 struct MultiHandler<S> {
-    /// Each shard's store with the at-most-once memory of what ran
-    /// against it.
-    exec: ShardExecutor<(S, DedupCache)>,
-    shared: Arc<Shared>,
+    shards: Vec<Shard<S>>,
+    stats: SessionStats,
     /// Malformed-frame streak per connection.
     garbage: HashMap<ConnId, u32>,
 }
 
-impl<S: HyperStore + Send + 'static> MultiHandler<S> {
-    /// Queue `req` for `conn`'s shard worker; its reply arrives through
-    /// `done`.
-    fn run_on_shard(&mut self, conn: ConnId, req: Request, done: &Completions) -> FrameOutcome {
-        let shared = Arc::clone(&self.shared);
-        let done = done.clone();
-        // `execute` runs under the shard lock; the counters and the
-        // completion send happen in the completion callback after the
-        // worker has released it (`sanity::sync` flags sends performed
-        // while a lock is held).
-        let submitted = self.exec.submit_detached(
-            conn.listener,
-            move |(store, cache)| {
-                let mut stats = SessionStats::default();
-                let mut out = Vec::new();
-                execute(store, cache, req, &mut stats, &mut out);
-                (stats, out)
-            },
-            move |(stats, out)| {
-                shared.add(&stats);
-                done.send(conn, out);
-            },
-        );
-        match submitted {
-            Ok(()) => FrameOutcome::Pending,
-            Err(e) => {
-                // Poisoned or shut-down shard: answer with the structured
-                // error instead of going silent.
-                self.shared.errors.fetch_add(1, Ordering::Relaxed);
-                let mut out = Vec::new();
-                Response::Err(e.into_hm().to_string()).encode_into(&mut out);
-                FrameOutcome::Reply(out)
+impl<S: HyperStore> MultiHandler<S> {
+    /// Execute `req` against `shard`, encoding the reply into `out`. A
+    /// panic flags the shard; a flagged shard refuses with the error an
+    /// executor reports for a poisoned shard.
+    fn run_on_shard(&mut self, shard: usize, req: Request, out: &mut Vec<u8>) {
+        if let Some(s) = self.shards.get_mut(shard).filter(|s| !s.poisoned) {
+            let stats = &mut self.stats;
+            let run = || execute(&mut s.store, &mut s.cache, req, stats, out);
+            if catch_unwind(AssertUnwindSafe(run)).is_ok() {
+                return;
             }
+            s.poisoned = true;
         }
+        out.clear();
+        self.stats.errors += 1;
+        Response::Err(ExecError::Poisoned(shard).into_hm().to_string()).encode_into(out);
     }
 }
 
-impl<S: HyperStore + Send + 'static> FrameHandler for MultiHandler<S> {
-    fn on_frame(&mut self, conn: ConnId, frame: &[u8], done: &Completions) -> FrameOutcome {
-        let mut stats = SessionStats::default();
+impl<S: HyperStore> FrameHandler for MultiHandler<S> {
+    fn on_frame(&mut self, conn: ConnId, frame: &[u8]) -> FrameOutcome {
         let mut out = Vec::new();
         let streak = self.garbage.entry(conn).or_insert(0);
-        let outcome = match admit(frame, streak, &mut stats, &mut out) {
-            Admission::Execute(req) => return self.run_on_shard(conn, req, done),
+        match admit(frame, streak, &mut self.stats, &mut out) {
+            Admission::Execute(req) => {
+                self.run_on_shard(conn.listener, req, &mut out);
+                FrameOutcome::Reply(out)
+            }
             Admission::Reply => FrameOutcome::Reply(out),
             // Closes this client's connection; the server keeps running.
             Admission::ReplyClose => FrameOutcome::ReplyClose(out),
             Admission::Close => FrameOutcome::Close,
-        };
-        self.shared.add(&stats);
-        outcome
+        }
     }
 
     fn on_disconnect(&mut self, conn: ConnId) {
@@ -137,8 +114,7 @@ impl<S: HyperStore + Send + 'static> FrameHandler for MultiHandler<S> {
 pub struct MultiServer {
     addrs: Vec<SocketAddr>,
     stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<Result<LoopStats>>>,
-    shared: Arc<Shared>,
+    join: Option<JoinHandle<Result<MultiStats>>>,
 }
 
 impl MultiServer {
@@ -155,16 +131,10 @@ impl MultiServer {
 
     /// Stop the loop, join its thread, and report what was served.
     pub fn stop(mut self) -> Result<MultiStats> {
-        let loop_stats = self.halt()?.unwrap_or_default();
-        Ok(MultiStats {
-            requests: self.shared.requests.load(Ordering::Relaxed),
-            errors: self.shared.errors.load(Ordering::Relaxed),
-            replayed: self.shared.replayed.load(Ordering::Relaxed),
-            loop_stats,
-        })
+        Ok(self.halt()?.unwrap_or_default())
     }
 
-    fn halt(&mut self) -> Result<Option<LoopStats>> {
+    fn halt(&mut self) -> Result<Option<MultiStats>> {
         self.stop.store(true, Ordering::SeqCst);
         match self.join.take() {
             Some(join) => match join.join() {
@@ -182,18 +152,10 @@ impl Drop for MultiServer {
     }
 }
 
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("requests", &self.requests.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 /// Host every store in `shards` in one process, shard `i` on its own
 /// freshly-bound localhost port (read them back with
-/// [`MultiServer::addrs`]). One event-loop thread handles all
-/// connections; one persistent worker per shard executes requests.
+/// [`MultiServer::addrs`]). One event-loop thread handles every
+/// connection and executes every request.
 pub fn serve_multi<S>(shards: Vec<S>) -> Result<MultiServer>
 where
     S: HyperStore + Send + 'static,
@@ -217,25 +179,38 @@ where
     let event_loop = EventLoop::bind(binds)?;
     let addrs = event_loop.local_addrs().to_vec();
     let stop = event_loop.stop_handle();
-    let shared = Arc::new(Shared::default());
-    let handler = MultiHandler {
-        exec: ShardExecutor::new(
-            shards
-                .into_iter()
-                .map(|store| (store, DedupCache::default()))
-                .collect(),
-        ),
-        shared: Arc::clone(&shared),
+    let mut handler = MultiHandler {
+        shards: shards
+            .into_iter()
+            .map(|store| Shard {
+                store,
+                cache: DedupCache::default(),
+                poisoned: false,
+            })
+            .collect(),
+        stats: SessionStats::default(),
         garbage: HashMap::new(),
     };
     let join = std::thread::Builder::new()
         .name("serve-multi".into())
-        .spawn(move || event_loop.run(handler))
+        .spawn(move || {
+            let loop_stats = event_loop.run(&mut handler)?;
+            let SessionStats {
+                requests,
+                errors,
+                replayed,
+            } = handler.stats;
+            Ok(MultiStats {
+                requests,
+                errors,
+                replayed,
+                loop_stats,
+            })
+        })
         .map_err(|e| HmError::Backend(format!("spawn serve_multi loop: {e}")))?;
     Ok(MultiServer {
         addrs,
         stop,
         join: Some(join),
-        shared,
     })
 }

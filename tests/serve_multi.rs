@@ -1,7 +1,7 @@
 //! One process, N shard servers: conformance and concurrency tests for
 //! `server::serve_multi`, the nonblocking event-loop deployment.
 //!
-//! The first test is the acceptance bar for the executor/event-loop
+//! The first test is the acceptance bar for the event-loop
 //! subsystem: a *single* `serve_multi` process hosting four shards, with
 //! a `connect_sharded` router in front, must pass the oracle sweep — same
 //! bar the in-process backends clear in `cross_backend.rs`. The second drives two concurrent clients (one
@@ -199,7 +199,7 @@ fn race_tagged_retry(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, MemStor
     let ms = serve_multi(vec![shard]).unwrap();
     let connect =
         || TcpTransport::new(std::net::TcpStream::connect(ms.addrs()[0]).unwrap()).unwrap();
-    let (mut a, mut b, mut c) = (connect(), connect(), connect());
+    let (mut a, mut b) = (connect(), connect());
 
     let mut frame = Vec::new();
     Request::Tagged(7, Box::new(request)).encode_into(&mut frame);
@@ -207,27 +207,19 @@ fn race_tagged_retry(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, MemStor
     a.send(&frame).unwrap();
     entered.recv().unwrap(); // A's copy is now executing, parked in the store
     b.send(&frame).unwrap(); // the retry, on a second connection
-
-    // Barrier: the loop answers malformed frames itself, one connection
-    // step per tick, so the third reply on C is written at least two
-    // ticks after B's bytes (sent before C's first) were in B's socket —
-    // B's frame has been admitted by then.
-    for _ in 0..3 {
-        c.send(&[255]).unwrap();
-        recv(&mut c);
-    }
+                             // The loop thread is the one parked inside A's copy, so B's frame
+                             // waits in its socket until that copy has returned.
     release.send(()).unwrap();
 
     let (reply_a, reply_b) = (recv(&mut a), recv(&mut b));
-    drop((a, b, c));
+    drop((a, b));
     let stats = ms.stop().unwrap();
     (reply_a, reply_b, stats, backing.join().unwrap())
 }
 
 /// A tagged mutation retried on a second connection *while the first
 /// copy is still executing* must not run twice: the dedup decision is
-/// taken on the shard's worker, in execution order, not on the loop
-/// thread when the frame arrives.
+/// taken in the shard's execution order, not when the frame arrives.
 #[test]
 fn tagged_retry_racing_its_first_copy_executes_once() {
     let db = TestDatabase::generate(&GenConfig::tiny());
