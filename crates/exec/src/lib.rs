@@ -6,9 +6,11 @@
 //! * [`ShardExecutor`] — a persistent per-shard worker pool. One
 //!   long-lived thread per shard, fed over bounded channels, replaces
 //!   the scoped-thread spawn+join (~15 µs/shard) the sharded store used
-//!   to pay on every fan-out with a channel round trip (~3 µs). Panic
-//!   isolation poisons only the offending shard; [`Batch`] gives
-//!   scope-style fan-out/join with an optional shared deadline.
+//!   to pay on every fan-out with a channel round trip (~3 µs), and
+//!   [`ShardExecutor::run_here`] runs work on the calling thread with
+//!   the same panic isolation. A panic poisons only the offending shard;
+//!   [`Batch`] gives scope-style fan-out/join with an optional shared
+//!   deadline.
 //! * [`frame`] — the wire-frame format (`[u32 len][u64 trace][payload]`):
 //!   its two constants, its one header writer and its one header
 //!   parser/inbound buffer. It lives here, in the lowest crate that
@@ -21,8 +23,12 @@
 //!   per connection.
 //!
 //! `server::serve_multi` builds a single-process multi-shard server on
-//! the last two; `shard::ShardedStore` routes every fan-out,
-//! level-batched closure, and parallel 2PC prepare through the pool.
+//! the last two. `shard::ShardedStore` uses the pool on the client: a
+//! point operation runs on the calling thread (`run_here`); a fan-out
+//! (range and scan reads, each level of a batched closure, commit) runs
+//! the first involved shard's share on the calling thread and queues the
+//! others on their workers; the 2PC prepare round queues every shard
+//! under one deadline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

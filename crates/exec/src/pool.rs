@@ -10,18 +10,23 @@
 //!
 //! Ownership: the executor owns each shard behind an `Arc<Mutex<S>>`.
 //! Jobs submitted through [`ShardExecutor::submit`] run on the shard's
-//! worker thread; [`ShardExecutor::with_shard`] locks the shard directly
-//! on the calling thread for point operations, where a queue hop would
-//! *add* latency rather than remove it. Per-shard FIFO order holds for
-//! submitted jobs; a direct `with_shard` call serializes with running
-//! jobs through the mutex.
+//! worker thread. [`ShardExecutor::run_here`] runs work on the *calling*
+//! thread under the same mutex: the point path, and the one share of a
+//! fan-out the caller runs itself instead of idling in a join — there a
+//! queue hop would *add* latency rather than remove it.
+//! [`ShardExecutor::with_shard`] also locks on the caller, for
+//! instrumentation that must reach a shard whatever its state. Per-shard
+//! FIFO order holds for submitted jobs; work on the calling thread
+//! serializes with running jobs through the mutex but does not queue
+//! behind jobs still waiting in the channel.
 //!
-//! Panic isolation: a panicking job poisons only its own shard — the
-//! worker survives (the panic is caught), the shard is flagged, and
-//! every subsequent submission or pending wait reports
-//! [`ExecError::Poisoned`], which callers map onto the structured
-//! [`HmError::ShardUnavailable`]. [`ShardExecutor::replace_shard`]
-//! swaps in a recovered backend and clears the flag.
+//! Panic isolation: a panicking job, or a panic inside `run_here`,
+//! poisons only its own shard — the worker survives (the panic is
+//! caught), the shard is flagged, and every subsequent submission,
+//! `run_here` or pending wait reports [`ExecError::Poisoned`], which
+//! callers map onto the structured [`HmError::ShardUnavailable`].
+//! [`ShardExecutor::replace_shard`] swaps in a recovered backend and
+//! clears the flag.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -113,20 +118,45 @@ const EWMA_SHIFT: u32 = 3;
 struct SlotLoad {
     /// Jobs enqueued but not yet picked up by the worker.
     depth: AtomicUsize,
-    /// EWMA of job execution time (shard lock held), microseconds.
+    /// EWMA of shard-lock hold time per job or `run_here` call,
+    /// microseconds.
     busy_ewma_us: AtomicU64,
     /// Jobs executed on this shard's worker.
     jobs: AtomicU64,
 }
 
 impl SlotLoad {
-    fn observe_busy(&self, us: u64) {
-        // Single writer (the shard's worker), so load+store is race-free.
+    /// Lock `store` and, unless the shard is poisoned, run `f` on it
+    /// under `catch_unwind`, folding the lock hold into the busy EWMA.
+    /// `None` means `f` did not produce a value: the shard was poisoned
+    /// already, or `f` panicked and poisoned it. Both the check and the
+    /// flag happen under the lock, so nothing else runs on a shard
+    /// between a panic and its poisoning.
+    fn run_locked<S, T>(
+        &self,
+        store: &Mutex<S>,
+        poisoned: &AtomicBool,
+        f: impl FnOnce(&mut S) -> T,
+    ) -> Option<T> {
+        let mut guard = store.lock();
+        if poisoned.load(Ordering::SeqCst) {
+            return None;
+        }
+        let started = Instant::now();
+        let out = catch_unwind(AssertUnwindSafe(|| f(&mut guard))).ok();
+        if out.is_none() {
+            poisoned.store(true, Ordering::SeqCst);
+        }
+        // Written only with the shard lock held, so there is one writer
+        // at a time and load+store is race-free.
+        let us = started.elapsed().as_micros() as u64;
         let old = self.busy_ewma_us.load(Ordering::Relaxed);
         let new =
             old + (us.saturating_sub(old) >> EWMA_SHIFT) - (old.saturating_sub(us) >> EWMA_SHIFT);
         self.busy_ewma_us.store(new, Ordering::Relaxed);
-        self.jobs.fetch_add(1, Ordering::Relaxed);
+        out
+        // Guard drops here: callers report the result with the shard
+        // unlocked.
     }
 }
 
@@ -226,6 +256,7 @@ impl<S> ShardExecutor<S> {
                                 // the poison flag and reports `Poisoned`.
                                 continue;
                             }
+                            worker_load.jobs.fetch_add(1, Ordering::Relaxed);
                             if obs::enabled() {
                                 wait_hist.record(job.enqueued.elapsed().as_micros() as u64);
                                 jobs_ctr.incr();
@@ -234,13 +265,11 @@ impl<S> ShardExecutor<S> {
                             // duration (restored on scope drop).
                             let _trace = obs::trace::scope(job.trace);
                             let _span = obs::trace::span("exec.job");
-                            let started = Instant::now();
                             // Jobs catch their own panics (setting the
                             // poison flag *before* dropping their one-shot
                             // sender); this is only a backstop.
                             let run = job.run;
                             let ran = catch_unwind(AssertUnwindSafe(|| run(&worker_store)));
-                            worker_load.observe_busy(started.elapsed().as_micros() as u64);
                             if ran.is_err() {
                                 worker_poison.store(true, Ordering::SeqCst);
                             }
@@ -275,15 +304,17 @@ impl<S> ShardExecutor<S> {
         Ok(self.slot(shard)?.load.depth.load(Ordering::Relaxed))
     }
 
-    /// Exponentially-weighted moving average of job execution time on
-    /// `shard` (microseconds of shard-lock hold per job); the busy-time
-    /// signal a load balancer would act on.
+    /// Exponentially-weighted moving average of work time on `shard`
+    /// (microseconds of shard-lock hold per worker job or
+    /// [`ShardExecutor::run_here`] call); the busy-time signal a load
+    /// balancer acts on.
     pub fn busy_ewma_us(&self, shard: usize) -> Result<u64, ExecError> {
         Ok(self.slot(shard)?.load.busy_ewma_us.load(Ordering::Relaxed))
     }
 
-    /// Jobs executed on `shard`'s worker so far (direct
-    /// [`ShardExecutor::with_shard`] calls not included).
+    /// Jobs executed on `shard`'s worker so far — queue hops only:
+    /// [`ShardExecutor::run_here`] and [`ShardExecutor::with_shard`]
+    /// calls are not included.
     pub fn jobs_run(&self, shard: usize) -> Result<u64, ExecError> {
         Ok(self.slot(shard)?.load.jobs.load(Ordering::Relaxed))
     }
@@ -321,26 +352,15 @@ impl<S> ShardExecutor<S> {
         }
         let (done, rx) = sync_channel::<T>(1);
         let poison = Arc::clone(&slot.poisoned);
+        let load = Arc::clone(&slot.load);
         let run: JobFn<S> = Box::new(move |store: &Mutex<S>| {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                let mut guard = store.lock();
-                f(&mut guard)
-                // Guard drops here: the result is reported below with
-                // the shard unlocked.
-            }));
-            match out {
-                // The waiter may have given up (deadline) — a send
-                // failure just means nobody is listening any more.
-                Ok(v) => {
-                    let _ = done.send(v);
-                }
-                // Set the flag before `done` drops so a waiter woken by
-                // the disconnect always classifies it as `Poisoned`,
-                // never a spurious `Shutdown`.
-                Err(_) => {
-                    poison.store(true, Ordering::SeqCst);
-                    drop(done);
-                }
+            // The waiter may have given up (deadline) — a send failure
+            // just means nobody is listening any more. Without a value,
+            // `run_locked` has set the poison flag before `done` drops
+            // here, so a waiter woken by the disconnect always classifies
+            // it as `Poisoned`, never a spurious `Shutdown`.
+            if let Some(v) = load.run_locked(store, &poison, f) {
+                let _ = done.send(v);
             }
         });
         self.enqueue(shard, run)?;
@@ -351,10 +371,29 @@ impl<S> ShardExecutor<S> {
         })
     }
 
-    /// Lock `shard`'s backend on the *calling* thread and run `f`. This
-    /// is the point-operation path: no queue hop, no boxing — an
-    /// uncontended mutex acquisition. Serializes with the shard's worker
-    /// through the same mutex, so job FIFO effects stay visible.
+    /// Run `f` on `shard`'s backend on the *calling* thread, with a
+    /// worker job's panic isolation: a poisoned shard refuses, and a
+    /// panic inside `f` poisons the shard and reports
+    /// [`ExecError::Poisoned`] instead of unwinding into the caller. No
+    /// queue hop, no boxing — an uncontended mutex acquisition. The lock
+    /// hold feeds the shard's busy EWMA like a job's; it is not a queue
+    /// hop, so neither [`ShardExecutor::jobs_run`] nor the `exec.jobs`
+    /// counter counts it.
+    ///
+    /// It serializes with the shard's worker through the mutex but does
+    /// not queue behind jobs waiting in the channel: callers that need
+    /// FIFO order after submitted jobs use [`ShardExecutor::submit`].
+    pub fn run_here<T>(&self, shard: usize, f: impl FnOnce(&mut S) -> T) -> Result<T, ExecError> {
+        let slot = self.slot(shard)?;
+        slot.load
+            .run_locked(&slot.store, &slot.poisoned, f)
+            .ok_or(ExecError::Poisoned(shard))
+    }
+
+    /// Lock `shard`'s backend on the *calling* thread and run `f`, with
+    /// no poison check and no panic isolation — for instrumentation and
+    /// fault plans, which must reach a shard whatever its state.
+    /// Serializes with the shard's worker through the same mutex.
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut S) -> R) -> Result<R, ExecError> {
         let mut guard = self.slot(shard)?.store.lock();
         Ok(f(&mut guard))

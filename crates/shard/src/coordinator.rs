@@ -269,7 +269,7 @@ impl Coordinator {
     ) -> Result<()> {
         let everyone = || vec![Some(()); exec.shard_count()];
         let Some(log) = self.log.as_mut() else {
-            let done = scatter(exec, everyone(), |sh, ()| sh.commit());
+            let done = scatter(exec, health, everyone(), |sh, ()| sh.commit());
             for (s, r) in done.into_iter().flatten().enumerate() {
                 note_exec(health, s, r)?;
             }
@@ -289,7 +289,7 @@ impl Coordinator {
             for (s, r) in prepared {
                 if matches!(r, Ok(Ok(()))) {
                     // Voted yes: roll this shard back.
-                    let _ = note_exec(health, s, exec.with_shard(s, |sh| sh.abort_prepared(txid)));
+                    let _ = note_exec(health, s, exec.run_here(s, |sh| sh.abort_prepared(txid)));
                     continue;
                 }
                 if matches!(r, Err(ExecError::TimedOut(_))) {
@@ -312,7 +312,9 @@ impl Coordinator {
         obs::incr("shard.2pc.committed", 1);
         // Phase two: failures here only mark health — the decision is
         // durable, so recovery finishes the commit on the failed shard.
-        let done = scatter(exec, everyone(), move |sh, ()| sh.commit_prepared(txid));
+        let done = scatter(exec, health, everyone(), move |sh, ()| {
+            sh.commit_prepared(txid)
+        });
         for (s, r) in done.into_iter().flatten().enumerate() {
             if note_exec(health, s, r).is_ok() {
                 self.acked[s] = txid;
@@ -333,13 +335,18 @@ impl Coordinator {
 /// one shared deadline. A shard that misses the deadline is a vote to
 /// abort — its prepare keeps running on its worker and the abort is
 /// queued behind it (per-shard FIFO), so no reordering is possible.
+///
+/// Unlike [`scatter`], no share runs on the calling thread: an inline
+/// prepare could not miss the deadline, and a shard that hangs would
+/// hang the coordinator with it. A one-shard deployment has no deadline
+/// to share and runs on the calling thread.
 fn prepare<S: HyperStore + Send + 'static>(
     exec: &ShardExecutor<S>,
     txid: u64,
     timeout: Duration,
 ) -> Vec<(usize, ExecResult<()>)> {
     if exec.shard_count() == 1 {
-        return vec![(0, exec.with_shard(0, |sh| sh.prepare_commit(txid)))];
+        return vec![(0, exec.run_here(0, |sh| sh.prepare_commit(txid)))];
     }
     let mut batch = exec.batch();
     for s in 0..exec.shard_count() {

@@ -11,8 +11,9 @@
 //! * [`store`] — [`ShardedStore`]: shard health, point routes generated
 //!   from the operation catalogue (`hypermodel::store_ops!`, every row
 //!   with an `about` column except the closures), and range lookups and
-//!   scans fanned out across all shards on persistent per-shard executor
-//!   workers (`exec::ShardExecutor`) and merged;
+//!   scans fanned out across all shards and merged — the first shard's
+//!   share on the calling thread, the others on persistent per-shard
+//!   executor workers (`exec::ShardExecutor`);
 //! * `closure` — the O10–O15 and O18 closures and the subtree of a
 //!   migration: one level collector (one batched request per shard per
 //!   BFS level, so cross-shard round trips scale with traversal depth

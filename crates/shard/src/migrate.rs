@@ -152,7 +152,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             // scans. Errors are swallowed — the destination may be the
             // very shard that just died, and its inert records are
             // invisible anyway.
-            let _ = self.with_shard(dst, |sh| sh.retire_nodes(&locals));
+            let _ = self.exec.run_here(dst, |sh| sh.retire_nodes(&locals));
             // Ghosts minted for this batch are referenced only by the
             // just-retired install — and if the destination died they
             // never existed durably. Forget them so a retry recreates

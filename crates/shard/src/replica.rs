@@ -295,9 +295,9 @@ impl<S: HyperStore + Send + 'static> ReplicaGroup<S> {
         f: SharedOp<S, T>,
     ) -> Vec<(usize, Result<T>)> {
         // A group inside a `ShardedStore` runs with that store's shard
-        // mutex held (by the caller on the point path, by the outer
-        // worker on fan-outs), which the instrumented build reports as
-        // send/recv under a lock. It cannot cycle: the member workers
+        // mutex held (by the caller on the point path and in a fan-out's
+        // inline share, by an outer worker in the other shares), which
+        // the instrumented build reports as send/recv under a lock. It cannot cycle: the member workers
         // woken here only ever take their own member mutex.
         let _reviewed =
             sanity::order::allow("member workers never take the lock the group is called under");

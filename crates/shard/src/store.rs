@@ -5,10 +5,24 @@
 //! with an `about` column, closures aside) is generated as a *point
 //! route*: it runs on the owning shard on the calling thread — no
 //! executor hop — and its answer and errors are mapped back to global
-//! ids. Range lookups and sequential scans fan out to every shard in
-//! parallel on persistent per-shard workers ([`exec::ShardExecutor`],
-//! one bounded-channel round trip per shard) and merge. The closures
-//! are level-batched in `crate::closure`, writes are `crate::write`.
+//! ids. Range lookups and sequential scans fan out to every shard and
+//! merge. A fan-out (`scatter`) runs the first involved shard's share
+//! on the calling thread and the others in parallel on their persistent
+//! workers ([`exec::ShardExecutor`], one bounded-channel round trip
+//! each), so a fan-out with one involved shard makes no hop at all. The
+//! closures are level-batched in `crate::closure`, writes are
+//! `crate::write`.
+//!
+//! **Invariant: a healthy shard has no queued job between
+//! `ShardedStore` calls.** Every call joins every job it queued before
+//! returning. The one exception is a 2PC prepare that missed its
+//! deadline: its shard is marked dead, and the abort queued behind it
+//! drains before [`ShardedStore::revive_shard`] — whose probe goes
+//! through the same queue — can re-admit the shard. Work on the calling
+//! thread (the point path, a fan-out's inline share) serializes with a
+//! running job through the shard mutex but cannot wait for a queued
+//! one. It only ever runs on healthy shards, and the invariant is why
+//! it never has to wait.
 //!
 //! The store knows nothing about what a shard *is*. Replication is a
 //! shard that happens to be a [`ReplicaGroup`]
@@ -25,7 +39,7 @@ use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::{BatchWrite, HyperStore, ShardLoad};
 use hypermodel::Bitmap;
 
-use exec::{ExecError, ShardExecutor};
+use exec::{ExecError, JobHandle, ShardExecutor};
 
 use crate::coordinator::{CommitLog, Coordinator};
 use crate::replica::{self, ReplicaGroup};
@@ -113,12 +127,17 @@ pub(crate) fn note_exec<T>(health: &mut [bool], s: usize, r: ExecResult<T>) -> R
     Err(unavailable(s, msg))
 }
 
-/// Run `f` on each shard that has work (`Some`), concurrently on the
-/// executor pool; `out[s]` is `None` for shards without. A single-shard
-/// deployment is locked on the calling thread instead: there is no
-/// parallelism to buy with the queue hop.
+/// Run `f` on each shard that has work (`Some`); `out[s]` is `None` for
+/// shards without. The first healthy shard with work runs on the calling
+/// thread ([`ShardExecutor::run_here`], with a worker job's panic
+/// isolation) after the others are queued on their workers, so the
+/// caller works instead of idling in the join, and a fan-out with one
+/// involved shard makes no queue hop at all. A shard marked dead in
+/// `health` may still have a job queued (the abort behind a missed
+/// prepare), so its share always keeps FIFO order on its worker.
 pub(crate) fn scatter<S, W, T, F>(
     exec: &ShardExecutor<S>,
+    health: &[bool],
     work: Vec<Option<W>>,
     f: F,
 ) -> Vec<Option<ExecResult<T>>>
@@ -127,22 +146,22 @@ where
     T: Send + 'static,
     F: Fn(&mut S, W) -> Result<T> + Send + Sync + 'static,
 {
-    let n = exec.shard_count();
-    if n == 1 {
-        return work
-            .into_iter()
-            .map(|w| w.map(|w| exec.with_shard(0, |sh| f(sh, w))))
-            .collect();
-    }
     let f = Arc::new(f);
+    let mut here = None;
     let mut batch = exec.batch();
     for (s, w) in work.into_iter().enumerate() {
-        if let Some(w) = w {
+        let Some(w) = w else { continue };
+        if here.is_none() && health[s] {
+            here = Some((s, w));
+        } else {
             let f = Arc::clone(&f);
             batch.spawn(s, move |sh| f(sh, w));
         }
     }
-    let mut out: Vec<Option<ExecResult<T>>> = (0..n).map(|_| None).collect();
+    let mut out: Vec<Option<ExecResult<T>>> = (0..exec.shard_count()).map(|_| None).collect();
+    if let Some((s, w)) = here {
+        out[s] = Some(exec.run_here(s, |sh| f(sh, w)));
+    }
     for (s, r) in batch.join() {
         out[s] = Some(r);
     }
@@ -214,13 +233,19 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// probes it with a cheap scan before flipping health back. Refuses
     /// while the executor still flags the shard poisoned by a panic
     /// (swap the backend with [`ShardedStore::replace_shard`] first).
+    ///
+    /// The probe goes through the shard's worker queue, so it runs after
+    /// every job still queued there — the abort behind a prepare that
+    /// missed its deadline — and the shard is healthy again only once
+    /// its queue is empty, as the module invariant requires.
     pub fn revive_shard(&mut self, shard: usize) -> Result<()> {
         if self.exec.is_poisoned(shard).map_err(ExecError::into_hm)? {
             let msg = "shard worker poisoned by a panic; replace the backend first";
             return Err(unavailable(shard, msg.into()));
         }
         self.exec
-            .with_shard(shard, |sh| sh.seq_scan_ten())
+            .submit(shard, |sh| sh.seq_scan_ten())
+            .and_then(JobHandle::wait)
             .map_err(ExecError::into_hm)??;
         self.health[shard] = true;
         Ok(())
@@ -294,11 +319,12 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
 
     /// One request to shard `s`: fail fast if it is marked dead, count
     /// it, run `f` under the shard's lock on the calling thread — the
-    /// point path, no executor hop — and track health on the way out.
+    /// point path, no executor hop, a panic poisons the shard like a
+    /// worker job's — and track health on the way out.
     pub(crate) fn call<T>(&mut self, s: usize, f: impl FnOnce(&mut S) -> Result<T>) -> Result<T> {
         self.check(s)?;
         self.router.requests[s] += 1;
-        note_exec(&mut self.health, s, self.exec.with_shard(s, f))
+        note_exec(&mut self.health, s, self.exec.run_here(s, f))
     }
 
     /// Every point operation: route to the shard owning `oid`, run `f`
@@ -322,9 +348,10 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         }
     }
 
-    /// Run `f` against shard `shard`'s backend directly — for
-    /// instrumentation (round-trip counters, fault plans), recovery
-    /// probes, and reaching into a shard that is itself a deployment
+    /// Run `f` against shard `shard`'s backend directly, whatever its
+    /// health or poison state — for instrumentation (round-trip
+    /// counters, fault plans) and reaching into a shard that is itself a
+    /// deployment
     /// (`|group| group.mark_member_down(1)`). Mutating the *data*
     /// through this bypasses the router and breaks the deployment.
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut S) -> R) -> Result<R> {
@@ -340,7 +367,10 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         F: Fn(&mut S, W) -> Result<T> + Send + Sync + 'static,
     {
         let mut out = Vec::with_capacity(work.len());
-        for (s, r) in scatter(&self.exec, work, f).into_iter().enumerate() {
+        for (s, r) in scatter(&self.exec, &self.health, work, f)
+            .into_iter()
+            .enumerate()
+        {
             out.push(match r {
                 Some(r) => note_exec(&mut self.health, s, r)?,
                 None => T::default(),
@@ -419,8 +449,8 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         *self.touches.entry(start.0).or_insert(0) += 1;
     }
 
-    /// Fan `f` out to every *healthy* shard at once via the executor
-    /// pool, applying the [`ScanPolicy`] to dead shards and to shards
+    /// Fan `f` out to every *healthy* shard at once ([`scatter`]),
+    /// applying the [`ScanPolicy`] to dead shards and to shards
     /// that fail transiently mid-scan. Returns `(shard, value)` pairs in
     /// shard order for the shards that answered.
     fn fan_out_policy<T: Send + 'static>(
@@ -441,7 +471,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             *req += w.is_some() as u64;
         }
         let mut out = Vec::new();
-        for (s, r) in scatter(&self.exec, work, move |sh, ()| f(sh))
+        for (s, r) in scatter(&self.exec, &self.health, work, move |sh, ()| f(sh))
             .into_iter()
             .enumerate()
         {

@@ -8,10 +8,12 @@ use std::time::Duration;
 use chaos::{ChaosStore, CrashPoint, CrashSpec, FaultPlan};
 use disk_backend::DiskStore;
 use hypermodel::config::GenConfig;
-use hypermodel::error::HmError;
+use hypermodel::error::{HmError, Result};
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
+use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::HyperStore;
+use hypermodel::{BatchWrite, Bitmap, NodeExport};
 use mem_backend::MemStore;
 use server::{serve, ChannelTransport, RemoteStore};
 use shard::{recover_sharded, CommitLog, Placement, ShardedStore};
@@ -174,12 +176,98 @@ fn prepare_deadline_miss_is_a_vote_to_abort() {
     assert_eq!(s.health(), &[true, false]);
 
     // With a workable deadline the same deployment revives and commits.
-    // (The revival probe also drains the queued-behind abort: per-shard
-    // FIFO means it ran before the probe.)
+    // (The revival probe goes through the shard's worker queue, so the
+    // abort queued behind the missed prepare ran before it: per-shard
+    // FIFO, pinned by the `Recorder` tests below.)
     s.set_prepare_timeout(Duration::from_secs(5));
     s.revive_shard(1).unwrap();
     s.commit().unwrap();
     assert_eq!(s.commit_aborts(), 1, "no further aborts");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `MemStore` that logs the name of every call it serves, and takes
+/// `prepare_delay` to answer `prepare_commit`.
+struct Recorder {
+    inner: MemStore,
+    calls: Vec<&'static str>,
+    prepare_delay: Duration,
+}
+
+macro_rules! record_and_forward {
+    ($(
+        $class:ident $tag:literal $variant:ident
+        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
+    )*) => {$(
+        fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
+            self.calls.push(stringify!($name));
+            if stringify!($name) == "prepare_commit" {
+                std::thread::sleep(self.prepare_delay);
+            }
+            self.inner.$name($($($arg),+)?)
+        }
+    )*};
+}
+
+impl HyperStore for Recorder {
+    hypermodel::store_ops!(record_and_forward);
+
+    fn backend_name(&self) -> &'static str {
+        "recorder"
+    }
+}
+
+/// A two-shard deployment with 2PC on, whose shard `slow` has just
+/// missed its prepare deadline: it is marked dead, and its prepare is
+/// still running with the coordinator's abort queued behind it.
+fn missed_prepare(slow: usize, name: &str) -> (ShardedStore<Recorder>, PathBuf) {
+    let dir = temp_dir(name);
+    let shards = (0..2)
+        .map(|s| Recorder {
+            inner: MemStore::new(),
+            calls: Vec::new(),
+            prepare_delay: Duration::from_millis(if s == slow { 100 } else { 0 }),
+        })
+        .collect();
+    let mut store = ShardedStore::new(shards, Placement::OidHash, "sharded-recorder")
+        .with_commit_log(&dir.join("decisions.log"))
+        .unwrap();
+    store.set_prepare_timeout(Duration::from_millis(10));
+    let err = store.commit().unwrap_err();
+    assert!(
+        matches!(err, HmError::ShardUnavailable { shard, .. } if shard == slow),
+        "{err}"
+    );
+    (store, dir)
+}
+
+fn calls(store: &ShardedStore<Recorder>, shard: usize) -> Vec<&'static str> {
+    store.with_shard(shard, |sh| sh.calls.clone()).unwrap()
+}
+
+/// `revive_shard` probes through the shard's worker queue, so the abort
+/// queued behind a missed prepare runs before the probe and the shard is
+/// re-admitted with an empty queue.
+#[test]
+fn revival_probe_runs_after_the_abort_queued_behind_a_missed_prepare() {
+    let (mut s, dir) = missed_prepare(1, "probe-order");
+    s.revive_shard(1).unwrap();
+    let probed = ["prepare_commit", "abort_prepared", "seq_scan_ten"];
+    assert_eq!(calls(&s, 1), probed);
+    let rolled_back = ["prepare_commit", "abort_prepared"];
+    assert_eq!(calls(&s, 0), rolled_back, "the yes-voter rolled back");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fan-out keeps a dead shard's share on its worker instead of running
+/// it on the caller, so it too runs after the abort queued there.
+#[test]
+fn a_dead_shards_fan_out_share_runs_after_the_queued_abort() {
+    let (mut s, dir) = missed_prepare(0, "share-order");
+    s.cold_restart().unwrap();
+    let restarted = ["prepare_commit", "abort_prepared", "cold_restart"];
+    assert_eq!(calls(&s, 0), restarted);
+    assert_eq!(calls(&s, 1), restarted);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

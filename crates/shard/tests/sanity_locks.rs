@@ -1,10 +1,11 @@
 //! Lock-order regression gate for the sharded store. Compiled only
-//! under `RUSTFLAGS="--cfg sanity_check"`: drives a real workload —
+//! under `RUSTFLAGS="--cfg sanity_check"`: drives real workloads —
 //! loading a generated database through `ShardedStore`, cross-shard
-//! closure traversal, and the full two-phase `commit` with a live
-//! `CommitLog` — through the instrumented shims, then asserts the
-//! detector recorded no lock-order cycle and no blocking channel use
-//! under a lock.
+//! closure traversal, the full two-phase `commit` with a live
+//! `CommitLog`, and range and scan fan-outs whose shares run on the
+//! caller and on the workers at once — through the instrumented shims,
+//! then asserts the detector recorded no lock-order cycle and no
+//! blocking channel use under a lock.
 //!
 //! Every lock in this path flows through `sanity::sync` (the root
 //! `clippy.toml` disallows the raw `std::sync` ones), so a clean run
@@ -55,6 +56,18 @@ fn two_phase_workload<S: HyperStore + Send + 'static>(store: ShardedStore<S>, na
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Load and run the fan-out reads against `store`: range lookups and a
+/// sequential scan reach every shard, so the caller runs one shard's
+/// share under its lock while the workers run the others.
+fn scan_workload<S: HyperStore + Send + 'static>(mut store: ShardedStore<S>) {
+    let db = TestDatabase::generate(&GenConfig::level(3));
+    load_database(&mut store, &db).expect("load");
+    let all = db.len();
+    assert_eq!(store.seq_scan_ten().expect("scan"), all as u64);
+    assert_eq!(store.range_hundred(1, 100).expect("range").len(), all);
+    assert_eq!(store.range_million(1, 1_000_000).expect("range").len(), all);
+}
+
 #[test]
 fn sharded_two_phase_commit_records_no_hazards() {
     sanity::order::reset();
@@ -71,5 +84,14 @@ fn sharded_two_phase_commit_records_no_hazards() {
         ShardedStore::new_replicated(mem(4), 2, Placement::OidHash, "sanity-gate"),
         "2pc-r2",
     );
+    scan_workload(ShardedStore::new(mem(3), Placement::OidHash, "sanity-gate"));
+    // The caller holds an outer shard mutex for its inline share while
+    // that group fans out to its member workers.
+    scan_workload(ShardedStore::new_replicated(
+        mem(4),
+        2,
+        Placement::OidHash,
+        "sanity-gate",
+    ));
     sanity::order::assert_clean();
 }
