@@ -1,6 +1,6 @@
 //! Executor-pool edge cases: panic isolation, graceful shutdown with
-//! queued jobs, submit-after-shutdown, deadline misses, and work run on
-//! the calling thread.
+//! queued jobs, submit-after-shutdown, and work run on the calling
+//! thread.
 
 #![allow(
     clippy::disallowed_types,
@@ -125,51 +125,6 @@ fn submit_after_shutdown_reports_shutdown() {
     let joined = batch.join();
     assert_eq!(joined.len(), 1);
     assert_eq!(joined[0].1, Err(ExecError::Shutdown));
-}
-
-#[test]
-fn deadline_miss_reports_timed_out_but_job_still_runs() {
-    let _turn = turn();
-    let exec = ShardExecutor::new(vec![Arc::new(AtomicU64::new(0))]);
-    let h = exec
-        .submit(0, |v: &mut Arc<AtomicU64>| {
-            std::thread::sleep(Duration::from_millis(80));
-            v.store(1, Ordering::SeqCst);
-        })
-        .unwrap();
-    let err = h.wait_within(Duration::from_millis(5)).unwrap_err();
-    assert_eq!(err, ExecError::TimedOut(0));
-    assert!(matches!(err.into_hm(), HmError::Timeout(_)));
-
-    // FIFO survives the abandonment: a follow-up job sees the slow job's
-    // effect, proving it completed on the worker.
-    let h = exec
-        .submit(0, |v: &mut Arc<AtomicU64>| v.load(Ordering::SeqCst))
-        .unwrap();
-    assert_eq!(h.wait().unwrap(), 1);
-}
-
-#[test]
-fn batch_join_within_shares_one_deadline() {
-    let _turn = turn();
-    let exec = ShardExecutor::new(vec![0u8, 0, 0]);
-    let mut batch = exec.batch();
-    for s in 0..3 {
-        batch.spawn(s, move |_: &mut u8| {
-            if s == 1 {
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            s
-        });
-    }
-    let joined = batch.join_within(Duration::from_millis(30));
-    assert_eq!(joined[0].1, Ok(0));
-    assert_eq!(joined[1].1, Err(ExecError::TimedOut(1)));
-    assert_eq!(
-        joined[2].1,
-        Ok(2),
-        "fast shards are unaffected by the slow one"
-    );
 }
 
 #[test]

@@ -39,9 +39,11 @@ use crate::text;
 /// primitive requests the router issued to it. Their spread across shards
 /// is the balance/skew a placement policy is judged by. `queued` and
 /// `busy_us` describe the shard's executor at snapshot time: jobs waiting
-/// in its queue and an exponentially-weighted moving average of per-job
-/// busy time in microseconds. Backends without a per-shard executor leave
-/// both at zero.
+/// in its queue and an exponentially-weighted moving average of per-call
+/// busy time in microseconds. A replica group calls its members on the
+/// caller's thread: its `queued` is always 0, and its `busy_us` is the
+/// busiest member's EWMA, measured on the caller around each member
+/// call. Backends without a per-shard executor leave both at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLoad {
     /// Shard index, `0..shard_count`.
@@ -238,7 +240,7 @@ pub trait HyperStore {
 
     // ---- anti-entropy (replica repair) ----------------------------------
     //
-    // A replicated deployment resyncs a lagging replica by exporting the
+    // A replicated deployment resyncs a demoted replica by exporting the
     // full state of a healthy copy and installing it wholesale on the
     // stale one. The format is backend-private — the two ends of a sync
     // are always the same backend type — so the trait only moves opaque
@@ -755,7 +757,7 @@ macro_rules! store_ops {
 }
 
 /// An owned copy of a catalogue argument, for code that must keep it past
-/// the call (a message to send, a job that outlives its caller): a
+/// the call (a request message to send): a
 /// borrowed argument (`[&T]`) is cloned through `ToOwned`, a by-value one
 /// is `Copy` and passes through.
 #[macro_export]

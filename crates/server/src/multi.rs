@@ -25,12 +25,11 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use exec::{ConnId, EventLoop, ExecError, FrameHandler, FrameOutcome, LoopStats};
+use exec::{ConnId, EventLoop, ExecError, FrameHandler, FrameOutcome, Isolated, LoopStats};
 use hypermodel::error::{HmError, Result};
 use hypermodel::store::HyperStore;
 
@@ -52,12 +51,11 @@ pub struct MultiStats {
     pub loop_stats: LoopStats,
 }
 
-/// One hosted shard: its store, the at-most-once memory of what ran
-/// against it, and whether a request panicked inside it.
+/// One hosted shard: its store, poisoned by a request that panics inside
+/// it, and the at-most-once memory of what ran against it.
 struct Shard<S> {
-    store: S,
+    store: Isolated<S>,
     cache: DedupCache,
-    poisoned: bool,
 }
 
 /// Runs frames from listener `i` against shard `i`, on the loop thread.
@@ -70,16 +68,17 @@ struct MultiHandler<S> {
 
 impl<S: HyperStore> MultiHandler<S> {
     /// Execute `req` against `shard`, encoding the reply into `out`. A
-    /// panic flags the shard; a flagged shard refuses with the error an
-    /// executor reports for a poisoned shard.
+    /// panic poisons the shard; a poisoned shard refuses with the error
+    /// an executor reports for a poisoned shard.
     fn run_on_shard(&mut self, shard: usize, req: Request, out: &mut Vec<u8>) {
-        if let Some(s) = self.shards.get_mut(shard).filter(|s| !s.poisoned) {
+        if let Some(Shard { store, cache }) = self.shards.get_mut(shard) {
             let stats = &mut self.stats;
-            let run = || execute(&mut s.store, &mut s.cache, req, stats, out);
-            if catch_unwind(AssertUnwindSafe(run)).is_ok() {
+            if store
+                .run(|store| execute(store, cache, req, stats, out))
+                .is_some()
+            {
                 return;
             }
-            s.poisoned = true;
         }
         out.clear();
         self.stats.errors += 1;
@@ -183,9 +182,8 @@ where
         shards: shards
             .into_iter()
             .map(|store| Shard {
-                store,
+                store: Isolated::new(store),
                 cache: DedupCache::default(),
-                poisoned: false,
             })
             .collect(),
         stats: SessionStats::default(),

@@ -3,12 +3,14 @@
 //! after a crash.
 //!
 //! `Coordinator` runs a sharded store's commit. With a decision log
-//! attached it is two-phase: prepare everywhere in parallel under one
-//! deadline, durably record the decision, then tell every shard to
-//! finish. The fsynced decision record is the commit point — once it is
-//! on disk, recovery completes the transaction even if every later
-//! message is lost. Without a log every shard commits independently
-//! (not crash-atomic across shards).
+//! attached it is two-phase: prepare everywhere through the ordinary
+//! fan-out (`scatter`: the first shard on the caller, the others on
+//! their workers, so disk shards overlap their fsyncs), durably record
+//! the decision, then tell every shard to finish. Both rounds are
+//! joined in full. The fsynced decision record is the commit point —
+//! once it is on disk, recovery completes the transaction even if every
+//! later message is lost. Without a log every shard commits
+//! independently (not crash-atomic across shards).
 //!
 //! Two-phase commit needs exactly one durable bit per transaction — the
 //! coordinator's decision. [`CommitLog`] stores it: an append-only file
@@ -17,6 +19,12 @@
 //! that finds *no* decision for its transaction aborts, so only commit
 //! decisions are strictly required; abort decisions are logged too for
 //! operator clarity.
+//!
+//! There is no prepare deadline. An in-process shard cannot hang short
+//! of a bug, and a remote shard waits as long as its transport lets it
+//! (`server::client::RetryPolicy::request_timeout`), the rule for every
+//! other shard call too; a prepare that times out there is a transient
+//! error, so a vote to abort.
 //!
 //! Without bound, the log grows one record per transaction forever.
 //! [`CommitLog::checkpoint`] truncates it: once every shard has
@@ -32,13 +40,12 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
-use exec::{ExecError, ShardExecutor};
+use exec::ShardExecutor;
 use hypermodel::error::{HmError, Result};
 use hypermodel::store::HyperStore;
 
-use crate::store::{note_exec, scatter, ExecResult};
+use crate::store::{note_exec, scatter};
 
 /// On-disk record size: 8-byte little-endian txid + 1 decision byte.
 const RECORD: usize = 9;
@@ -211,11 +218,6 @@ impl CommitLog {
     }
 }
 
-/// Default deadline for the parallel 2PC prepare fan-out: generous
-/// enough to never fire on a healthy local shard, tight enough that a
-/// hung remote shard cannot stall the coordinator forever.
-const DEFAULT_PREPARE_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// Checkpoint the commit log once it holds this many decision records.
 const DEFAULT_CHECKPOINT_AFTER: usize = 64;
 
@@ -227,9 +229,6 @@ pub(crate) struct Coordinator {
     next_txid: u64,
     /// Cross-shard transactions aborted in phase one so far.
     pub(crate) aborts: u64,
-    /// Deadline for the parallel prepare fan-out; a miss is a vote to
-    /// abort.
-    pub(crate) prepare_timeout: Duration,
     /// Checkpoint the log once it holds this many records.
     pub(crate) checkpoint_after: usize,
     /// Highest txid each shard acknowledged in phase two. The log may
@@ -244,7 +243,6 @@ impl Coordinator {
             log: None,
             next_txid: 1,
             aborts: 0,
-            prepare_timeout: DEFAULT_PREPARE_TIMEOUT,
             checkpoint_after: DEFAULT_CHECKPOINT_AFTER,
             acked: vec![0; shards],
         }
@@ -269,7 +267,7 @@ impl Coordinator {
     ) -> Result<()> {
         let everyone = || vec![Some(()); exec.shard_count()];
         let Some(log) = self.log.as_mut() else {
-            let done = scatter(exec, health, everyone(), |sh, ()| sh.commit());
+            let done = scatter(exec, everyone(), |sh, ()| sh.commit());
             for (s, r) in done.into_iter().flatten().enumerate() {
                 note_exec(health, s, r)?;
             }
@@ -278,27 +276,24 @@ impl Coordinator {
         let txid = self.next_txid;
         self.next_txid += 1;
         obs::incr("shard.2pc.prepared", 1);
-        let prepared = prepare(exec, txid, self.prepare_timeout);
-        if !prepared.iter().all(|(_, r)| matches!(r, Ok(Ok(())))) {
+        // Every shard is prepared even after a no vote: a shard never
+        // prepared would keep its staged changes into the next commit.
+        let prepared: Vec<_> = scatter(exec, everyone(), move |sh, ()| sh.prepare_commit(txid))
+            .into_iter()
+            .flatten()
+            .collect();
+        if !prepared.iter().all(|r| matches!(r, Ok(Ok(())))) {
             self.aborts += 1;
             obs::incr("shard.2pc.aborted", 1);
             // The abort record is best-effort: presumed abort means an
             // absent decision already reads as "abort" during recovery.
             let _ = log.record(txid, false);
             let mut first = None;
-            for (s, r) in prepared {
+            for (s, r) in prepared.into_iter().enumerate() {
                 if matches!(r, Ok(Ok(()))) {
                     // Voted yes: roll this shard back.
                     let _ = note_exec(health, s, exec.run_here(s, |sh| sh.abort_prepared(txid)));
                     continue;
-                }
-                if matches!(r, Err(ExecError::TimedOut(_))) {
-                    // The prepare is still running on the shard's worker;
-                    // queue the abort behind it (FIFO) without waiting —
-                    // the deadline was already missed.
-                    let _ = exec.submit(s, move |sh| {
-                        let _ = sh.abort_prepared(txid);
-                    });
                 }
                 if let Err(e) = note_exec(health, s, r) {
                     first.get_or_insert(e);
@@ -312,9 +307,7 @@ impl Coordinator {
         obs::incr("shard.2pc.committed", 1);
         // Phase two: failures here only mark health — the decision is
         // durable, so recovery finishes the commit on the failed shard.
-        let done = scatter(exec, health, everyone(), move |sh, ()| {
-            sh.commit_prepared(txid)
-        });
+        let done = scatter(exec, everyone(), move |sh, ()| sh.commit_prepared(txid));
         for (s, r) in done.into_iter().flatten().enumerate() {
             if note_exec(health, s, r).is_ok() {
                 self.acked[s] = txid;
@@ -329,30 +322,6 @@ impl Coordinator {
         }
         Ok(())
     }
-}
-
-/// Phase one: fan `prepare_commit` out to every shard in parallel under
-/// one shared deadline. A shard that misses the deadline is a vote to
-/// abort — its prepare keeps running on its worker and the abort is
-/// queued behind it (per-shard FIFO), so no reordering is possible.
-///
-/// Unlike [`scatter`], no share runs on the calling thread: an inline
-/// prepare could not miss the deadline, and a shard that hangs would
-/// hang the coordinator with it. A one-shard deployment has no deadline
-/// to share and runs on the calling thread.
-fn prepare<S: HyperStore + Send + 'static>(
-    exec: &ShardExecutor<S>,
-    txid: u64,
-    timeout: Duration,
-) -> Vec<(usize, ExecResult<()>)> {
-    if exec.shard_count() == 1 {
-        return vec![(0, exec.run_here(0, |sh| sh.prepare_commit(txid)))];
-    }
-    let mut batch = exec.batch();
-    for s in 0..exec.shard_count() {
-        batch.spawn(s, move |sh| sh.prepare_commit(txid));
-    }
-    batch.join_within(timeout)
 }
 
 /// What [`recover_sharded`] did for one shard.

@@ -13,7 +13,8 @@
 //!   with an `about` column except the closures), and range lookups and
 //!   scans fanned out across all shards and merged — the first shard's
 //!   share on the calling thread, the others on persistent per-shard
-//!   executor workers (`exec::ShardExecutor`);
+//!   executor workers (`exec::ShardExecutor`), every job joined before
+//!   the call returns;
 //! * `closure` — the O10–O15 and O18 closures and the subtree of a
 //!   migration: one level collector (one batched request per shard per
 //!   BFS level, so cross-shard round trips scale with traversal depth
@@ -23,11 +24,12 @@
 //!   at most two requests per shard;
 //! * [`replica`] — [`ReplicaGroup`]: K mirrors behind one `HyperStore`,
 //!   so a replicated deployment is a `ShardedStore<ReplicaGroup<S>>`
-//!   ([`ShardedStore::new_replicated`]) on the same code path, with
-//!   [`WriteAck`] policies, read failover and anti-entropy repair;
+//!   ([`ShardedStore::new_replicated`]) on the same code path. The group
+//!   calls its members one after another on the caller's thread: reads
+//!   with failover, writes to every healthy member, anti-entropy repair;
 //! * [`coordinator`] — crash-safe cross-shard commit: the two-phase
-//!   protocol (presumed abort, parallel prepare with a per-shard
-//!   deadline) and its durable decision log ([`CommitLog`]), plus
+//!   protocol (presumed abort, prepare through the ordinary fan-out)
+//!   and its durable decision log ([`CommitLog`]), plus
 //!   [`recover_sharded`], which resolves in-doubt shards after a crash —
 //!   after which [`ShardedStore::revive_shard`] or
 //!   [`ShardedStore::replace_shard`] re-admits a shard health tracking
@@ -63,6 +65,6 @@ mod write;
 
 pub use coordinator::{recover_sharded, CommitLog, ShardResolution};
 pub use remote::{connect_sharded, connect_sharded_replicated};
-pub use replica::{ReplicaGroup, WriteAck};
+pub use replica::ReplicaGroup;
 pub use router::{Placement, ShardRouter, GHOST_UID_BASE};
 pub use store::{ScanPolicy, ShardedStore};

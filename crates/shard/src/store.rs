@@ -13,16 +13,13 @@
 //! closures are level-batched in `crate::closure`, writes are
 //! `crate::write`.
 //!
-//! **Invariant: a healthy shard has no queued job between
-//! `ShardedStore` calls.** Every call joins every job it queued before
-//! returning. The one exception is a 2PC prepare that missed its
-//! deadline: its shard is marked dead, and the abort queued behind it
-//! drains before [`ShardedStore::revive_shard`] — whose probe goes
-//! through the same queue — can re-admit the shard. Work on the calling
-//! thread (the point path, a fan-out's inline share) serializes with a
-//! running job through the shard mutex but cannot wait for a queued
-//! one. It only ever runs on healthy shards, and the invariant is why
-//! it never has to wait.
+//! **Invariant: no shard has a queued job between `ShardedStore`
+//! calls.** Every call — the 2PC prepare round included — joins every
+//! job it queued before returning. Work on the calling thread (the
+//! point path, a fan-out's inline share, the probe of
+//! [`ShardedStore::revive_shard`]) serializes with a running job through
+//! the shard mutex but cannot wait for a queued one; the invariant is
+//! why it never has to.
 //!
 //! The store knows nothing about what a shard *is*. Replication is a
 //! shard that happens to be a [`ReplicaGroup`]
@@ -32,14 +29,13 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::{BatchWrite, HyperStore, ShardLoad};
 use hypermodel::Bitmap;
 
-use exec::{ExecError, JobHandle, ShardExecutor};
+use exec::{ExecError, ShardExecutor};
 
 use crate::coordinator::{CommitLog, Coordinator};
 use crate::replica::{self, ReplicaGroup};
@@ -106,13 +102,12 @@ fn marked_down(shard: usize) -> HmError {
 }
 
 /// Classify what shard `s` answered to one job. A job that produced no
-/// answer (missed deadline, poisoned or lost worker) or failed
-/// transiently means the shard stopped answering: it is marked dead and
-/// the error rewrapped as the structured [`HmError::ShardUnavailable`].
-/// A `ShardUnavailable` of the shard's *own* is the verdict of a
-/// deployment that tracks its own health and already fails fast (a
-/// replica group with no mirror left, or refusing one quorum write): it
-/// is relabelled with the logical shard index and passed on without
+/// answer (poisoned shard, lost worker) or failed transiently means the
+/// shard stopped answering: it is marked dead and the error rewrapped as
+/// the structured [`HmError::ShardUnavailable`]. A `ShardUnavailable` of
+/// the shard's *own* is the verdict of a deployment that tracks its own
+/// health and already fails fast (a replica group with no mirror left):
+/// it is relabelled with the logical shard index and passed on without
 /// writing the whole shard off.
 pub(crate) fn note_exec<T>(health: &mut [bool], s: usize, r: ExecResult<T>) -> Result<T> {
     let msg = match r {
@@ -128,16 +123,14 @@ pub(crate) fn note_exec<T>(health: &mut [bool], s: usize, r: ExecResult<T>) -> R
 }
 
 /// Run `f` on each shard that has work (`Some`); `out[s]` is `None` for
-/// shards without. The first healthy shard with work runs on the calling
-/// thread ([`ShardExecutor::run_here`], with a worker job's panic
-/// isolation) after the others are queued on their workers, so the
-/// caller works instead of idling in the join, and a fan-out with one
-/// involved shard makes no queue hop at all. A shard marked dead in
-/// `health` may still have a job queued (the abort behind a missed
-/// prepare), so its share always keeps FIFO order on its worker.
+/// shards without. The first shard with work runs on the calling thread
+/// ([`ShardExecutor::run_here`], with a worker job's panic isolation)
+/// after the others are queued on their workers, so the caller works
+/// instead of idling in the join, and a fan-out with one involved shard
+/// makes no queue hop at all. Every queued job is joined before this
+/// returns.
 pub(crate) fn scatter<S, W, T, F>(
     exec: &ShardExecutor<S>,
-    health: &[bool],
     work: Vec<Option<W>>,
     f: F,
 ) -> Vec<Option<ExecResult<T>>>
@@ -151,7 +144,7 @@ where
     let mut batch = exec.batch();
     for (s, w) in work.into_iter().enumerate() {
         let Some(w) = w else { continue };
-        if here.is_none() && health[s] {
+        if here.is_none() {
             here = Some((s, w));
         } else {
             let f = Arc::clone(&f);
@@ -230,22 +223,13 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
 
     /// Re-admit a shard previously marked dead, e.g. after
     /// [`crate::coordinator::recover_sharded`] repaired its backend:
-    /// probes it with a cheap scan before flipping health back. Refuses
-    /// while the executor still flags the shard poisoned by a panic
-    /// (swap the backend with [`ShardedStore::replace_shard`] first).
-    ///
-    /// The probe goes through the shard's worker queue, so it runs after
-    /// every job still queued there — the abort behind a prepare that
-    /// missed its deadline — and the shard is healthy again only once
-    /// its queue is empty, as the module invariant requires.
+    /// probes it with a cheap scan on the calling thread before flipping
+    /// health back. Refuses, without running the probe, while the shard
+    /// is poisoned by a panic (swap the backend with
+    /// [`ShardedStore::replace_shard`] first).
     pub fn revive_shard(&mut self, shard: usize) -> Result<()> {
-        if self.exec.is_poisoned(shard).map_err(ExecError::into_hm)? {
-            let msg = "shard worker poisoned by a panic; replace the backend first";
-            return Err(unavailable(shard, msg.into()));
-        }
         self.exec
-            .submit(shard, |sh| sh.seq_scan_ten())
-            .and_then(JobHandle::wait)
+            .run_here(shard, |sh| sh.seq_scan_ten())
             .map_err(ExecError::into_hm)??;
         self.health[shard] = true;
         Ok(())
@@ -289,13 +273,6 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// Cross-shard transactions aborted in phase one so far.
     pub fn commit_aborts(&self) -> u64 {
         self.coordinator.aborts
-    }
-
-    /// Deadline for the parallel 2PC prepare fan-out. A shard that
-    /// misses it counts as a vote to abort (its prepare keeps running
-    /// on its worker; the abort is queued behind it in FIFO order).
-    pub fn set_prepare_timeout(&mut self, timeout: Duration) {
-        self.coordinator.prepare_timeout = timeout;
     }
 
     /// Checkpoint the commit log once it holds `every` decision records
@@ -367,10 +344,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         F: Fn(&mut S, W) -> Result<T> + Send + Sync + 'static,
     {
         let mut out = Vec::with_capacity(work.len());
-        for (s, r) in scatter(&self.exec, &self.health, work, f)
-            .into_iter()
-            .enumerate()
-        {
+        for (s, r) in scatter(&self.exec, work, f).into_iter().enumerate() {
             out.push(match r {
                 Some(r) => note_exec(&mut self.health, s, r)?,
                 None => T::default(),
@@ -471,7 +445,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             *req += w.is_some() as u64;
         }
         let mut out = Vec::new();
-        for (s, r) in scatter(&self.exec, &self.health, work, move |sh, ()| f(sh))
+        for (s, r) in scatter(&self.exec, work, move |sh, ()| f(sh))
             .into_iter()
             .enumerate()
         {

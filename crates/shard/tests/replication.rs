@@ -1,4 +1,4 @@
-//! K-way replication: failover reads, quorum writes, automatic repair.
+//! K-way replication: failover reads, in-order writes, automatic repair.
 //!
 //! The acceptance property for the replicated deployment: with K = 2
 //! and a replica killed mid-run, every benchmark operation completes
@@ -8,14 +8,16 @@
 
 use chaos::{ChaosStore, CrashPoint, CrashSpec, FaultPlan};
 use hypermodel::config::GenConfig;
-use hypermodel::error::HmError;
+use hypermodel::error::{HmError, Result};
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
+use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::HyperStore;
 use hypermodel::verify::verify_store;
+use hypermodel::{BatchWrite, Bitmap, NodeExport};
 use mem_backend::MemStore;
 use proptest::prelude::*;
-use shard::{Placement, ReplicaGroup, ScanPolicy, ShardedStore, WriteAck};
+use shard::{Placement, ReplicaGroup, ScanPolicy, ShardedStore};
 
 type Replicated<S> = ShardedStore<ReplicaGroup<S>>;
 
@@ -54,12 +56,6 @@ fn replace_member<S: HyperStore + Send + 'static>(s: &Replicated<S>, m: usize, s
     s.with_shard(m / k, |g| g.replace_member(m % k, store))
         .unwrap()
         .unwrap()
-}
-
-fn set_write_ack<S: HyperStore + Send + 'static>(s: &Replicated<S>, ack: WriteAck) {
-    for shard in 0..s.shard_count() {
-        s.with_shard(shard, |g| g.set_write_ack(ack)).unwrap();
-    }
 }
 
 /// Health of every member, group-major.
@@ -134,7 +130,6 @@ fn replicated_run_survives_replica_kill_and_repairs_it() {
 
         let summary = s.resilience_summary().unwrap();
         assert!(summary.contains("replicas=2"), "summary: {summary}");
-        assert!(summary.contains("ack=primary"), "summary: {summary}");
     }
 }
 
@@ -163,6 +158,118 @@ fn repair_carries_writes_acked_during_the_outage() {
         after,
         "repaired member must have the write acked during its outage"
     );
+}
+
+/// A mirror whose `fail_write`-th write (counted from construction)
+/// fails transiently without being applied, as a member behind a
+/// dropped connection would; every other call forwards to `inner`.
+struct FailNth {
+    inner: MemStore,
+    writes: usize,
+    fail_write: Option<usize>,
+}
+
+macro_rules! forward {
+    ($(
+        $class:ident $tag:literal $variant:ident
+        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
+    )*) => {$(
+        fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
+            if stringify!($class) == "write" {
+                self.writes += 1;
+                if self.fail_write == Some(self.writes) {
+                    return Err(HmError::Timeout(format!("injected failure of write {}", self.writes)));
+                }
+            }
+            self.inner.$name($($($arg),+)?)
+        }
+    )*};
+}
+
+impl HyperStore for FailNth {
+    hypermodel::store_ops!(forward);
+
+    fn backend_name(&self) -> &'static str {
+        "fail-nth"
+    }
+}
+
+/// The two properties replicated writes stake their correctness on, for
+/// every (member, write) pair of a K ∈ {2, 3} × 3-write grid in which
+/// that member's copy of that write fails transiently:
+/// * after each acked write, every healthy member holds every acked
+///   write, and no read returns a value from before one of them;
+/// * after `commit` (whose repair resyncs the failed member), every
+///   member holds every acked write.
+#[test]
+fn no_acked_write_is_lost_and_no_read_is_stale_when_one_member_write_fails() {
+    const WRITES: usize = 3;
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let mut scenarios = 0;
+    for k in [2usize, 3] {
+        for victim in 0..k {
+            for failing in 1..=WRITES {
+                let members = (0..k)
+                    .map(|_| FailNth {
+                        inner: MemStore::new(),
+                        writes: 0,
+                        fail_write: None,
+                    })
+                    .collect();
+                let mut g = ReplicaGroup::new(members);
+                let oids = load_database(&mut g, &db).unwrap().oids;
+                let targets = [oids[1], oids[2], oids[3]];
+                let values: Vec<u32> = targets
+                    .iter()
+                    .map(|&t| g.hundred_of(t).unwrap() % 100 + 1)
+                    .collect();
+                g.with_member(victim, |sh| sh.fail_write = Some(sh.writes + failing))
+                    .unwrap();
+                let scenario = format!("K={k}, member {victim} fails write {failing}");
+
+                let holds_acked = |g: &mut ReplicaGroup<FailNth>, m: usize, acked: usize| {
+                    (0..acked).all(|j| {
+                        g.with_member(m, |sh| sh.hundred_of(targets[j]).unwrap())
+                            .unwrap()
+                            == values[j]
+                    })
+                };
+                for i in 0..WRITES {
+                    g.set_hundred(targets[i], values[i]).unwrap();
+                    for m in 0..k {
+                        if g.member_health()[m] {
+                            assert!(
+                                holds_acked(&mut g, m, i + 1),
+                                "{scenario}: healthy member {m} misses an acked write after write {}",
+                                i + 1
+                            );
+                        }
+                    }
+                    for j in 0..=i {
+                        assert_eq!(
+                            g.hundred_of(targets[j]).unwrap(),
+                            values[j],
+                            "{scenario}: stale read of write {} after write {}",
+                            j + 1,
+                            i + 1
+                        );
+                    }
+                }
+                assert_eq!(g.demotions(), 1, "{scenario}");
+
+                g.commit().unwrap();
+                assert!(g.member_health().iter().all(|&h| h), "{scenario}");
+                for m in 0..k {
+                    assert!(
+                        holds_acked(&mut g, m, WRITES),
+                        "{scenario}: member {m} lost an acked write to repair"
+                    );
+                }
+                scenarios += 1;
+            }
+        }
+    }
+    assert_eq!(scenarios, (2 + 3) * WRITES);
 }
 
 /// A crashed mirror cannot be repaired in place (its backend is gone):
@@ -225,52 +332,27 @@ fn crashed_replica_is_replaced_and_resynced_from_scratch() {
     assert!(report.is_ok(), "{report}");
 }
 
-/// Write acknowledgement policies: `Primary` needs one healthy member,
-/// `Quorum` a majority of the replica set, `All` every healthy member.
-/// A write refused for lack of quorum must not land anywhere.
+/// A write accepted by the last healthy member of a group is repaired
+/// onto the other two by the next commit, and a read from a repaired
+/// member sees it.
 #[test]
-fn write_ack_policies_enforce_quorum() {
+fn a_write_on_the_last_healthy_member_is_repaired_onto_the_others() {
     let db = TestDatabase::generate(&GenConfig::tiny());
     let mut s = replicated_mem(1, 3, Placement::OidHash);
     let r = load_database(&mut s, &db).unwrap();
     let target = r.oids[2];
-    let before = s.hundred_of(target).unwrap();
-    assert_eq!(
-        s.with_shard(0, |g| g.write_ack()).unwrap(),
-        WriteAck::Primary
-    );
+    let after = (s.hundred_of(target).unwrap() + 4) % 100;
 
-    set_write_ack(&s, WriteAck::All);
-    s.set_hundred(target, (before + 1) % 100).unwrap();
-
-    // Quorum (2 of 3) holds with one member down...
-    set_write_ack(&s, WriteAck::Quorum);
     mark_member_down(&s, 1);
-    s.set_hundred(target, (before + 2) % 100).unwrap();
-
-    // ...but not with two down: the write is refused up front and the
-    // surviving member's state is untouched.
     mark_member_down(&s, 2);
-    let err = s.set_hundred(target, (before + 3) % 100).unwrap_err();
-    match &err {
-        HmError::ShardUnavailable { msg, .. } => {
-            assert!(msg.contains("quorum"), "unexpected message: {msg}")
-        }
-        other => panic!("expected ShardUnavailable, got {other}"),
-    }
-    assert_eq!(s.hundred_of(target).unwrap(), (before + 2) % 100);
-
-    // Primary-ack still accepts writes on the last healthy member, and
-    // the next commit repairs the other two from it.
-    set_write_ack(&s, WriteAck::Primary);
-    s.set_hundred(target, (before + 4) % 100).unwrap();
+    s.set_hundred(target, after).unwrap();
     s.commit().unwrap();
     assert_eq!(member_health(&s), &[true, true, true]);
     assert_eq!(total(&s, ReplicaGroup::repairs), 2);
-    for dead in [0usize, 1] {
-        mark_member_down(&s, dead); // read must come from a repaired member
+    for m in [0usize, 1] {
+        mark_member_down(&s, m); // the read must come from repaired member 2
     }
-    assert_eq!(s.hundred_of(target).unwrap(), (before + 4) % 100);
+    assert_eq!(s.hundred_of(target).unwrap(), after);
 }
 
 /// Satellite fix: a partial fan-out read reports *which* logical shards
@@ -304,7 +386,7 @@ fn partial_scans_surface_skipped_shard_ids() {
     // One dead mirror of shard 1 is a dead *replica*; no shard is dead.
     assert_eq!(
         s.resilience_summary().unwrap(),
-        "2pc=off commit-aborts=0 dead-shards=0/2 replicas=2 ack=primary \
+        "2pc=off commit-aborts=0 dead-shards=0/2 replicas=2 \
          dead-replicas=1/4 failover-reads=1 demotions=0 repairs=0"
     );
     mark_member_down(&s, 3);

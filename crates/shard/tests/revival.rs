@@ -1,9 +1,8 @@
 //! Shard revival and the 2PC ROADMAP follow-ups: re-admitting a shard
-//! health tracking wrote off, parallel prepare deadlines as abort
-//! votes, and the commit log staying bounded under checkpointing.
+//! health tracking wrote off, a prepare that times out as a vote to
+//! abort, and the commit log staying bounded under checkpointing.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use chaos::{ChaosStore, CrashPoint, CrashSpec, FaultPlan};
 use disk_backend::DiskStore;
@@ -15,7 +14,6 @@ use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::HyperStore;
 use hypermodel::{BatchWrite, Bitmap, NodeExport};
 use mem_backend::MemStore;
-use server::{serve, ChannelTransport, RemoteStore};
 use shard::{recover_sharded, CommitLog, Placement, ShardedStore};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -139,59 +137,14 @@ fn recovered_shard_is_readmitted_via_replace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Parallel prepare with a deadline: a shard behind a high-latency link
-/// misses the prepare deadline, which counts as a vote to abort — the
-/// transaction aborts, the slow shard is marked dead, and after raising
-/// the deadline and reviving, the same deployment commits fine.
-#[test]
-fn prepare_deadline_miss_is_a_vote_to_abort() {
-    let dir = temp_dir("slow-prepare");
-    let log = dir.join("decisions.log");
-
-    // Shard 0 answers instantly; shard 1 sits behind a 30 ms one-way
-    // channel link.
-    let mut remotes = Vec::new();
-    for latency_ms in [0u64, 30] {
-        let (client_end, mut server_end) =
-            ChannelTransport::pair(Duration::from_millis(latency_ms));
-        std::thread::spawn(move || {
-            let mut store = MemStore::new();
-            serve(&mut store, &mut server_end).unwrap();
-        });
-        remotes.push(RemoteStore::new(Box::new(client_end)));
-    }
-    let mut s = ShardedStore::new(remotes, Placement::OidHash, "sharded-remote")
-        .with_commit_log(&log)
-        .unwrap();
-
-    // Tighter deadline than the link latency: shard 1 cannot answer the
-    // prepare in time.
-    s.set_prepare_timeout(Duration::from_millis(10));
-    let err = s.commit().unwrap_err();
-    assert!(
-        matches!(err, HmError::ShardUnavailable { shard: 1, .. }),
-        "deadline miss surfaces as the slow shard being unavailable, got {err}"
-    );
-    assert_eq!(s.commit_aborts(), 1);
-    assert_eq!(s.health(), &[true, false]);
-
-    // With a workable deadline the same deployment revives and commits.
-    // (The revival probe goes through the shard's worker queue, so the
-    // abort queued behind the missed prepare ran before it: per-shard
-    // FIFO, pinned by the `Recorder` tests below.)
-    s.set_prepare_timeout(Duration::from_secs(5));
-    s.revive_shard(1).unwrap();
-    s.commit().unwrap();
-    assert_eq!(s.commit_aborts(), 1, "no further aborts");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A `MemStore` that logs the name of every call it serves, and takes
-/// `prepare_delay` to answer `prepare_commit`.
+/// A `MemStore` that logs the name of every call it serves, and whose
+/// next `prepare_commit` fails with a timeout — what a remote shard's
+/// transport reports when its request timeout runs out — while
+/// `prepare_times_out` is set.
 struct Recorder {
     inner: MemStore,
     calls: Vec<&'static str>,
-    prepare_delay: Duration,
+    prepare_times_out: bool,
 }
 
 macro_rules! record_and_forward {
@@ -201,8 +154,8 @@ macro_rules! record_and_forward {
     )*) => {$(
         fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
             self.calls.push(stringify!($name));
-            if stringify!($name) == "prepare_commit" {
-                std::thread::sleep(self.prepare_delay);
+            if stringify!($name) == "prepare_commit" && std::mem::take(&mut self.prepare_times_out) {
+                return Err(HmError::Timeout("injected prepare timeout".into()));
             }
             self.inner.$name($($($arg),+)?)
         }
@@ -217,57 +170,43 @@ impl HyperStore for Recorder {
     }
 }
 
-/// A two-shard deployment with 2PC on, whose shard `slow` has just
-/// missed its prepare deadline: it is marked dead, and its prepare is
-/// still running with the coordinator's abort queued behind it.
-fn missed_prepare(slow: usize, name: &str) -> (ShardedStore<Recorder>, PathBuf) {
-    let dir = temp_dir(name);
-    let shards = (0..2)
-        .map(|s| Recorder {
-            inner: MemStore::new(),
-            calls: Vec::new(),
-            prepare_delay: Duration::from_millis(if s == slow { 100 } else { 0 }),
-        })
-        .collect();
-    let mut store = ShardedStore::new(shards, Placement::OidHash, "sharded-recorder")
-        .with_commit_log(&dir.join("decisions.log"))
-        .unwrap();
-    store.set_prepare_timeout(Duration::from_millis(10));
-    let err = store.commit().unwrap_err();
-    assert!(
-        matches!(err, HmError::ShardUnavailable { shard, .. } if shard == slow),
-        "{err}"
-    );
-    (store, dir)
-}
-
 fn calls(store: &ShardedStore<Recorder>, shard: usize) -> Vec<&'static str> {
     store.with_shard(shard, |sh| sh.calls.clone()).unwrap()
 }
 
-/// `revive_shard` probes through the shard's worker queue, so the abort
-/// queued behind a missed prepare runs before the probe and the shard is
-/// re-admitted with an empty queue.
+/// A prepare that times out is a vote to abort: the transaction aborts,
+/// the shard that timed out is marked dead, the yes-voter is rolled
+/// back, and once `revive_shard` re-admits the shard the same
+/// deployment commits.
 #[test]
-fn revival_probe_runs_after_the_abort_queued_behind_a_missed_prepare() {
-    let (mut s, dir) = missed_prepare(1, "probe-order");
-    s.revive_shard(1).unwrap();
-    let probed = ["prepare_commit", "abort_prepared", "seq_scan_ten"];
-    assert_eq!(calls(&s, 1), probed);
+fn a_prepare_timeout_is_a_vote_to_abort_and_revival_commits_again() {
+    let dir = temp_dir("prepare-timeout");
+    let shards = (0..2)
+        .map(|s| Recorder {
+            inner: MemStore::new(),
+            calls: Vec::new(),
+            prepare_times_out: s == 1,
+        })
+        .collect();
+    let mut s = ShardedStore::new(shards, Placement::OidHash, "sharded-recorder")
+        .with_commit_log(&dir.join("decisions.log"))
+        .unwrap();
+
+    let err = s.commit().unwrap_err();
+    assert!(
+        matches!(err, HmError::ShardUnavailable { shard: 1, .. }),
+        "the timeout surfaces as shard 1 being unavailable, got {err}"
+    );
+    assert_eq!(s.commit_aborts(), 1);
+    assert_eq!(s.health(), &[true, false]);
     let rolled_back = ["prepare_commit", "abort_prepared"];
     assert_eq!(calls(&s, 0), rolled_back, "the yes-voter rolled back");
-    let _ = std::fs::remove_dir_all(&dir);
-}
+    assert_eq!(calls(&s, 1), ["prepare_commit"]);
 
-/// A fan-out keeps a dead shard's share on its worker instead of running
-/// it on the caller, so it too runs after the abort queued there.
-#[test]
-fn a_dead_shards_fan_out_share_runs_after_the_queued_abort() {
-    let (mut s, dir) = missed_prepare(0, "share-order");
-    s.cold_restart().unwrap();
-    let restarted = ["prepare_commit", "abort_prepared", "cold_restart"];
-    assert_eq!(calls(&s, 0), restarted);
-    assert_eq!(calls(&s, 1), restarted);
+    s.revive_shard(1).unwrap();
+    assert_eq!(s.health(), &[true, true]);
+    s.commit().unwrap();
+    assert_eq!(s.commit_aborts(), 1, "no further aborts");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

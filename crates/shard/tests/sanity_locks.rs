@@ -78,15 +78,15 @@ fn sharded_two_phase_commit_records_no_hazards() {
         ShardedStore::new(mem(3), Placement::OidHash, "sanity-gate"),
         "2pc",
     );
-    // sharded-mem:2:r2 — every shard a replica group, whose member
-    // workers are driven while the outer shard lock is held.
+    // sharded-mem:2:r2 — every shard a replica group, which calls its
+    // members on whichever thread holds the outer shard lock.
     two_phase_workload(
         ShardedStore::new_replicated(mem(4), 2, Placement::OidHash, "sanity-gate"),
         "2pc-r2",
     );
     scan_workload(ShardedStore::new(mem(3), Placement::OidHash, "sanity-gate"));
     // The caller holds an outer shard mutex for its inline share while
-    // that group fans out to its member workers.
+    // that group calls its members.
     scan_workload(ShardedStore::new_replicated(
         mem(4),
         2,

@@ -3,7 +3,9 @@
 //! runs itself, and a share queued on a shard worker: the panic poisons
 //! that shard only and surfaces as `ShardUnavailable`, never as an
 //! unwind through the caller. The poisoned shard refuses `revive_shard`
-//! until `replace_shard` swaps in a sound backend.
+//! until `replace_shard` swaps in a sound backend. A replica group's
+//! member follows the same rule inside its group: the panic poisons and
+//! demotes that member only, and it stays out until `replace_member`.
 
 use hypermodel::config::GenConfig;
 use hypermodel::error::{HmError, Result};
@@ -11,9 +13,10 @@ use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::HyperStore;
+use hypermodel::verify::verify_store;
 use hypermodel::{BatchWrite, Bitmap, NodeExport};
 use mem_backend::MemStore;
-use shard::{Placement, ShardedStore};
+use shard::{Placement, ReplicaGroup, ShardedStore};
 
 /// A store that panics when `panic_on` names the method called and
 /// otherwise forwards to `inner`. Before panicking it notes the thread it
@@ -181,4 +184,51 @@ fn a_panic_in_a_worker_share_of_a_closure_level_poisons_the_shard() {
     let err = f.store.closure_1n(start).unwrap_err();
     f.assert_poisoned(1, err, Some("shard-exec-1"));
     f.restore(1);
+}
+
+#[test]
+fn a_panicking_member_is_poisoned_and_demoted_and_its_sibling_carries_the_group() {
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let members = (0..2).map(|_| PanicOn::new(MemStore::new())).collect();
+    let mut g = ReplicaGroup::new(members);
+    let oids = load_database(&mut g, &db).unwrap().oids;
+    let target = oids[1];
+    let before = g.hundred_of(target).unwrap();
+    let after = before % 100 + 1;
+
+    // Member 0 panics in the next write: the write still lands on its
+    // sibling, and the panic does not unwind through the caller.
+    g.with_member(0, |sh| sh.panic_on = "set_hundred").unwrap();
+    g.set_hundred(target, after).unwrap();
+    assert_eq!(g.member_health(), &[false, true], "member 0 demoted");
+    assert_eq!(g.demotions(), 1);
+    let seen = g.with_member(0, |sh| sh.panicked_on.take()).unwrap();
+    assert_eq!(seen.as_deref(), std::thread::current().name());
+
+    // Reads and writes go on through member 1.
+    assert_eq!(g.hundred_of(target).unwrap(), after);
+    g.set_hundred(target, before).unwrap();
+    assert_eq!(g.hundred_of(target).unwrap(), before);
+
+    // Repair skips the poisoned member, and reviving it is refused.
+    g.with_member(0, |sh| sh.panic_on = "").unwrap();
+    g.commit().unwrap();
+    assert_eq!(g.member_health(), &[false, true]);
+    assert_eq!(g.repairs(), 0);
+    let refused = g.revive_member(0).unwrap_err();
+    assert!(
+        matches!(refused, HmError::ShardUnavailable { .. }),
+        "{refused}"
+    );
+
+    // A fresh backend stays demoted until the commit resyncs it; then it
+    // gives oracle answers on its own.
+    drop(g.replace_member(0, PanicOn::new(MemStore::new())).unwrap());
+    assert_eq!(g.member_health(), &[false, true]);
+    g.commit().unwrap();
+    assert_eq!(g.member_health(), &[true, true]);
+    assert_eq!(g.repairs(), 1);
+    g.mark_member_down(1);
+    let report = verify_store(&mut g, &db, &oids).unwrap();
+    assert!(report.is_ok(), "{report}");
 }

@@ -3,7 +3,8 @@
 //! the client's executor worker, its call site, and the server event
 //! loop's frame dispatch — stitched together by the executor's job
 //! capture and the 8-byte trace field in the wire frame header. A
-//! fan-out with one involved shard has no executor hop at all.
+//! fan-out with one involved shard has no executor hop at all, and a
+//! replica group adds none.
 
 #![allow(
     clippy::disallowed_types,
@@ -69,10 +70,8 @@ fn one_trace_spans_client_loop_and_executor() {
         "the scan fanned out to both shards"
     );
 
-    // Workers record their span after handing the result back. A commit
-    // runs shard 1's share on its worker, queued behind the scan's, so
-    // once it returns the scan job's span is in the log.
-    store.commit().expect("commit");
+    // A worker job records its span before it hands its result back, so
+    // the scan job's span is in the log once the scan returns.
     reg.set_record_spans(false);
 
     let names = hops(trace);
@@ -128,12 +127,9 @@ fn a_single_shard_closure_makes_no_executor_hop() {
     let reached = (0..2).filter(|&s| after[s] > before[s]).count();
     assert_eq!(reached, 1, "the closure stayed on one shard");
 
-    // `revive_shard` probes through the shard's worker queue: once it
-    // returns for both shards, any job the closure had queued has
-    // recorded its span.
-    for s in 0..2 {
-        store.revive_shard(s).expect("probe");
-    }
+    // A worker job records its span before it hands its result back, and
+    // the closure joined every job it queued: any such job's span is in
+    // the log by now.
     reg.set_record_spans(false);
 
     let names = hops(trace);
@@ -149,13 +145,12 @@ fn a_single_shard_closure_makes_no_executor_hop() {
     );
 }
 
-/// Replication adds a hop (the group's member worker) but not a trace:
-/// a point read against a replicated TCP deployment is one causal
-/// chain — the member worker's `exec.job` around the client call,
-/// around the server's `loop.frame`, which executes the request inline —
-/// under the one id minted here.
+/// Replication adds no hop: a replica group calls its members on the
+/// caller's thread, so a point read against a replicated TCP deployment
+/// is the client call around the server's `loop.frame`, which executes
+/// the request inline, under the one id minted here.
 #[test]
-fn a_replicated_point_read_is_one_trace_of_three_nested_hops() {
+fn a_replicated_point_read_is_one_trace_of_two_nested_hops_and_no_replication_hop() {
     let _turn = RECORDING.lock().unwrap_or_else(|p| p.into_inner());
     let shards: Vec<MemStore> = (0..4).map(|_| MemStore::new()).collect();
     let srv = server::serve_multi(shards).expect("serve_multi");
@@ -173,10 +168,8 @@ fn a_replicated_point_read_is_one_trace_of_three_nested_hops() {
         let _scope = obs::trace::scope(trace);
         store.hundred_of(report.oids[0]).expect("point read");
     }
-    // Workers record their span after handing the result back. A commit
-    // is a barrier through every member worker, so once it returns the
-    // spans of the read above are in the log.
-    store.commit().expect("commit");
+    // The loop records a frame's span before it writes the reply, so
+    // both spans are in the log once the read returns.
     reg.set_record_spans(false);
 
     let mut spans: Vec<_> = reg
@@ -187,11 +180,7 @@ fn a_replicated_point_read_is_one_trace_of_three_nested_hops() {
     spans.sort_by_key(|s| s.seq);
     let names: Vec<_> = spans.iter().map(|s| s.name).collect();
     // Innermost first: each hop's span closes before the one around it.
-    assert_eq!(
-        names,
-        ["loop.frame", "client.call", "exec.job"],
-        "{spans:?}"
-    );
+    assert_eq!(names, ["loop.frame", "client.call"], "{spans:?}");
     assert!(
         spans.windows(2).all(|w| w[0].dur_us <= w[1].dur_us),
         "each hop lasts at least as long as the one inside it: {spans:?}"
