@@ -10,9 +10,10 @@
 //! * [`FaultyTransport`] — wraps any [`server::transport::Transport`]
 //!   and drops, duplicates, delays frames or tears the connection down
 //!   mid-write, per the plan's rates;
-//! * [`ChaosStore`] — wraps any [`hypermodel::store::HyperStore`] and
-//!   kills it (destructors skipped, as in a process crash) before or
-//!   after a chosen commit, or between prepare and decision.
+//! * [`ChaosStore`] — wraps any [`hypermodel::store::HyperStore`] as a
+//!   [`hypermodel::Service`] and kills it (destructors skipped, as in a
+//!   process crash) before or after a chosen commit, between prepare and
+//!   decision, or between a migration's install and activate.
 //!
 //! Everything is driven by [`hypermodel::rng::Rng`] (SplitMix64) from
 //! the plan's seed: the same `seed:plan` injects the same faults at the
@@ -20,6 +21,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod plan;
 pub mod store;

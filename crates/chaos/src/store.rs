@@ -1,10 +1,11 @@
 //! A [`HyperStore`] wrapper that kills its inner store at a planned
-//! crash point, simulating a process death for recovery testing.
+//! crash point, simulating a process death for recovery testing. It is a
+//! [`Service`](hypermodel::Service): the requests with a crash point are
+//! match arms, and every other request goes to the inner store as it is.
 
 use hypermodel::error::{HmError, Result};
-use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
+use hypermodel::protocol::{Request, Response};
 use hypermodel::store::{HyperStore, ShardLoad};
-use hypermodel::{BatchWrite, Bitmap, NodeExport};
 
 use crate::plan::{CrashPoint, FaultPlan};
 
@@ -48,13 +49,13 @@ impl<S: HyperStore> ChaosStore<S> {
         self.plan = plan;
     }
 
-    /// How many [`HyperStore::prepare_commit`] calls this store has seen
+    /// How many [`HyperStore::prepare_commit`] requests this store has seen
     /// — the occurrence counter crash points are matched against.
     pub fn prepares_seen(&self) -> u64 {
         self.prepares_seen
     }
 
-    /// How many [`HyperStore::commit`] calls this store has seen.
+    /// How many [`HyperStore::commit`] requests this store has seen.
     pub fn commits_seen(&self) -> u64 {
         self.commits_seen
     }
@@ -90,80 +91,55 @@ impl<S: HyperStore> ChaosStore<S> {
         self.crashed = true;
     }
 
-    fn crash_due(&self, point: CrashPoint, occurrence: u64) -> bool {
-        self.plan.crash
-            == Some(crate::plan::CrashSpec {
-                point,
-                nth: occurrence,
-            })
-    }
-}
-
-/// Forward every catalogue operation to the live inner store, failing
-/// transiently once the store has crashed.
-macro_rules! forward {
-    ($(
-        $class:ident $tag:literal $variant:ident
-        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-    )*) => {$(
-        forward_one! { fn $name($($($arg: [$($ty)+]),+)?) -> $ret }
-    )*};
-}
-macro_rules! forward_one {
-    // The planned crash points, written out in the impl.
-    (fn commit $($rest:tt)*) => {};
-    (fn prepare_commit $($rest:tt)*) => {};
-    (fn activate_nodes $($rest:tt)*) => {};
-    (fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty) => {
-        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
-            self.live()?.$name($($arg),*)
-        }
-    };
-}
-
-impl<S: HyperStore> HyperStore for ChaosStore<S> {
-    hypermodel::store_ops!(forward);
-
-    fn activate_nodes(&mut self, oids: &[Oid]) -> Result<()> {
-        self.activates_seen += 1;
-        let n = self.activates_seen;
-        if self.crash_due(CrashPoint::DuringMigration, n) {
-            // The kill lands *between* install and activate: the inert
-            // copies exist, ownership never flips.
+    /// Crash here if the plan's crash point is `point` at its `nth`
+    /// occurrence, failing the call transiently.
+    fn crash_at(&mut self, point: CrashPoint, nth: u64, when: &str) -> Result<()> {
+        if self.plan.crash == Some(crate::plan::CrashSpec { point, nth }) {
             self.crash();
-            return Err(HmError::Timeout(
-                "crashed between install and activate (injected)".into(),
-            ));
-        }
-        self.live()?.activate_nodes(oids)
-    }
-
-    fn commit(&mut self) -> Result<()> {
-        self.commits_seen += 1;
-        let n = self.commits_seen;
-        if self.crash_due(CrashPoint::BeforeCommit, n) {
-            self.crash();
-            return Err(HmError::Timeout("crashed before commit (injected)".into()));
-        }
-        self.live()?.commit()?;
-        if self.crash_due(CrashPoint::AfterCommit, n) {
-            self.crash();
-            return Err(HmError::Timeout("crashed after commit (injected)".into()));
+            return Err(HmError::Timeout(format!("crashed {when} (injected)")));
         }
         Ok(())
     }
+}
 
-    fn prepare_commit(&mut self, txid: u64) -> Result<()> {
-        self.prepares_seen += 1;
-        let n = self.prepares_seen;
-        self.live()?.prepare_commit(txid)?;
-        if self.crash_due(CrashPoint::AfterPrepare, n) {
-            self.crash();
-            return Err(HmError::Timeout(
-                "crashed after prepare, before decision (injected)".into(),
-            ));
+/// Forward each request to the live inner store, failing transiently once
+/// the store has crashed, and fire the planned crash points.
+impl<S: HyperStore> hypermodel::Service for ChaosStore<S> {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        match req {
+            Request::ActivateNodes(_) => {
+                self.activates_seen += 1;
+                // The kill lands *between* install and activate: the inert
+                // copies exist, ownership never flips.
+                let n = self.activates_seen;
+                self.crash_at(
+                    CrashPoint::DuringMigration,
+                    n,
+                    "between install and activate",
+                )?;
+                self.live()?.call(req)
+            }
+            Request::Commit => {
+                self.commits_seen += 1;
+                let n = self.commits_seen;
+                self.crash_at(CrashPoint::BeforeCommit, n, "before commit")?;
+                let resp = self.live()?.call(req)?;
+                self.crash_at(CrashPoint::AfterCommit, n, "after commit")?;
+                Ok(resp)
+            }
+            Request::PrepareCommit(_) => {
+                self.prepares_seen += 1;
+                let resp = self.live()?.call(req)?;
+                let n = self.prepares_seen;
+                self.crash_at(
+                    CrashPoint::AfterPrepare,
+                    n,
+                    "after prepare, before decision",
+                )?;
+                Ok(resp)
+            }
+            _ => self.live()?.call(req),
         }
-        Ok(())
     }
 
     fn backend_name(&self) -> &'static str {

@@ -11,7 +11,9 @@
 //! * [`ops`] — the 20-operation catalog of §6;
 //! * [`store`] — the [`store::HyperStore`] trait every backend implements;
 //!   closure and editing operations ship as default methods over the
-//!   primitives;
+//!   primitives; beside it the operation catalogue, `store_ops!`;
+//! * [`protocol`] / [`service`] — one request per catalogue row, and the
+//!   one call boundary every forwarding layer implements;
 //! * [`load`] — database creation with the §5.3 per-phase timings;
 //! * [`oracle`] — an independent reference implementation of every
 //!   operation for correctness checking;
@@ -50,8 +52,10 @@ pub mod migrate;
 pub mod model;
 pub mod ops;
 pub mod oracle;
+pub mod protocol;
 pub mod rng;
 pub mod schema;
+pub mod service;
 pub mod store;
 pub mod text;
 pub mod verify;
@@ -67,5 +71,6 @@ pub use ops::{InputKind, OpCategory, OpId};
 pub use oracle::Oracle;
 pub use rng::Rng;
 pub use schema::Schema;
+pub use service::Service;
 pub use store::{BatchWrite, HyperStore, ShardLoad};
 pub use verify::{verify_store, VerifyReport};

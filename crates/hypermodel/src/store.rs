@@ -14,9 +14,12 @@
 //! than others"* (§4).
 //!
 //! Beside the trait sits the operation catalogue, [`store_ops!`](crate::store_ops):
-//! one row per operation, from which the layers that forward every
-//! operation alike (wire protocol, remote client, replica group, crash
-//! wrapper) generate their per-operation code.
+//! one row per operation, from which [`crate::protocol`] generates the
+//! [`Request`] type and [`crate::service`] the dispatcher and the typed
+//! facade. A layer that forwards every operation alike (the wire client,
+//! a replica group, a sharded router, a fault injector) implements
+//! [`Service`](crate::service::Service) and handles requests, not
+//! methods.
 //!
 //! # Conventions
 //!
@@ -31,7 +34,14 @@
 use crate::bitmap::Bitmap;
 use crate::error::{HmError, Result};
 use crate::model::{NodeKind, NodeValue, Oid, RefEdge};
+use crate::protocol::{Request, Response};
 use crate::text;
+
+/// The error a store answers for a catalogue operation it does not
+/// support, e.g. `unsupported("disk", "anti-entropy export")`.
+pub fn unsupported(backend: &str, what: &str) -> HmError {
+    HmError::Backend(format!("{backend} backend does not support {what}"))
+}
 
 /// Load counters for one shard of a sharded deployment.
 ///
@@ -203,14 +213,11 @@ pub trait HyperStore {
 
     // ---- two-phase commit (participant side) ----------------------------
     //
-    // A sharded deployment commits atomically across stores by running
-    // the classic presumed-abort protocol: the coordinator calls
-    // `prepare_commit(txid)` on every participant, records its decision
-    // durably, then calls `commit_prepared(txid)` (or `abort_prepared` on
-    // any prepare failure). The defaults make every store a trivially
-    // correct participant — `prepare_commit` is a full local commit, which
-    // is exactly the pre-2PC behaviour — so only backends with a real
-    // prepare/decide split (WAL-backed stores) need to override them.
+    // A sharded deployment's presumed-abort coordinator calls
+    // `prepare_commit(txid)` everywhere, logs its decision, then
+    // `commit_prepared` or `abort_prepared`. The defaults make any store a
+    // correct participant whose prepare is a full commit; only stores with
+    // a real prepare/decide split (WAL-backed) override them.
 
     /// Phase one: durably stage all changes since the last commit under
     /// transaction id `txid`, such that a subsequent `commit_prepared` or
@@ -240,21 +247,15 @@ pub trait HyperStore {
 
     // ---- anti-entropy (replica repair) ----------------------------------
     //
-    // A replicated deployment resyncs a demoted replica by exporting the
-    // full state of a healthy copy and installing it wholesale on the
-    // stale one. The format is backend-private — the two ends of a sync
-    // are always the same backend type — so the trait only moves opaque
-    // bytes. Backends that cannot serve as replication members simply
-    // keep the defaults and the repair path reports them unsupported.
+    // A replica group resyncs a demoted mirror wholesale from a healthy
+    // one, in a backend-private format (both ends are the same backend).
+    // A store that cannot be a mirror keeps the defaults: unsupported.
 
     /// Serialize this store's entire logical state into an opaque,
     /// backend-private snapshot that [`sync_import`](HyperStore::sync_import)
     /// on another instance of the *same* backend can install.
     fn sync_export(&mut self) -> Result<Vec<u8>> {
-        Err(crate::error::HmError::Backend(format!(
-            "{} backend does not support anti-entropy export",
-            self.backend_name()
-        )))
+        Err(unsupported(self.backend_name(), "anti-entropy export"))
     }
 
     /// Replace this store's entire logical state with the snapshot
@@ -262,34 +263,22 @@ pub trait HyperStore {
     /// replica of the same backend type.
     fn sync_import(&mut self, snapshot: &[u8]) -> Result<()> {
         let _ = snapshot;
-        Err(crate::error::HmError::Backend(format!(
-            "{} backend does not support anti-entropy import",
-            self.backend_name()
-        )))
+        Err(unsupported(self.backend_name(), "anti-entropy import"))
     }
 
     // ---- node migration (shard rebalancing) ------------------------------
     //
-    // A sharded deployment rebalances load by moving a batch of nodes to
-    // another shard. The protocol is two-step on the destination — an
-    // *inert* install (records exist but are invisible to scans, index
-    // lookups and the sequential-scan extent) followed by an *activate*
-    // (the migration's commit point) — so a crash between the two leaves
-    // the batch readable at its old placement only ("presumed old", the
-    // rebalancing analogue of 2PC's presumed abort). The source then
-    // *retires* its copies: they stay as ghost stand-ins (edges through
-    // them keep resolving) but leave every index and the scan extent.
-    // The defaults report the backend unsupported, mirroring the
-    // anti-entropy pair above.
+    // A batch of nodes moves to another shard in two steps on the
+    // destination — an *inert* install, then an *activate* (the commit
+    // point; a crash before it leaves the batch at its old placement,
+    // "presumed old") — after which the source *retires* its copies into
+    // ghost stand-ins. The defaults report the backend unsupported.
 
     /// Export the full relationship state of each of `oids` (edges in
     /// this store's local id space; the migration driver rewrites them).
     fn export_nodes(&mut self, oids: &[Oid]) -> Result<Vec<crate::migrate::NodeExport>> {
         let _ = oids;
-        Err(crate::error::HmError::Backend(format!(
-            "{} backend does not support node migration export",
-            self.backend_name()
-        )))
+        Err(unsupported(self.backend_name(), "node migration export"))
     }
 
     /// Install a migration batch *inert*: create (or, for
@@ -300,10 +289,7 @@ pub trait HyperStore {
     /// independently and must assign identical locals.
     fn install_nodes(&mut self, batch: &[crate::migrate::NodeExport]) -> Result<Vec<Oid>> {
         let _ = batch;
-        Err(crate::error::HmError::Backend(format!(
-            "{} backend does not support node migration install",
-            self.backend_name()
-        )))
+        Err(unsupported(self.backend_name(), "node migration install"))
     }
 
     /// Make inert-installed records live: index their attributes and add
@@ -311,10 +297,7 @@ pub trait HyperStore {
     /// commit point on the destination.
     fn activate_nodes(&mut self, oids: &[Oid]) -> Result<()> {
         let _ = oids;
-        Err(crate::error::HmError::Backend(format!(
-            "{} backend does not support node migration activate",
-            self.backend_name()
-        )))
+        Err(unsupported(self.backend_name(), "node migration activate"))
     }
 
     /// Demote migrated-away records to ghost stand-ins: remove them from
@@ -324,10 +307,7 @@ pub trait HyperStore {
     /// sharded router's business, not this store's.
     fn retire_nodes(&mut self, oids: &[Oid]) -> Result<()> {
         let _ = oids;
-        Err(crate::error::HmError::Backend(format!(
-            "{} backend does not support node migration retire",
-            self.backend_name()
-        )))
+        Err(unsupported(self.backend_name(), "node migration retire"))
     }
 
     /// A short backend name for reports ("mem", "disk", "rel").
@@ -347,6 +327,13 @@ pub trait HyperStore {
     /// report what the run survived.
     fn resilience_summary(&self) -> Option<String> {
         None
+    }
+
+    /// Run one catalogue operation given as a [`Request`]: the call a
+    /// layer forwards with, whatever the store behind it. A store runs the
+    /// request's typed method ([`dispatch`](crate::service::dispatch)).
+    fn call(&mut self, req: Request) -> Result<Response> {
+        crate::service::dispatch(self, req)
     }
 
     // =====================================================================
@@ -661,36 +648,31 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 // =========================================================================
 
 /// Every store operation that can cross a process or thread boundary,
-/// declared once: `store_ops!(consumer)` expands to `consumer! { rows }`,
-/// and a layer that must treat each operation alike (the wire protocol
-/// and its client, a replica group, a crash wrapper) generates its
-/// per-operation code from the rows instead of restating them. An
+/// declared once: `store_ops!(consumer)` expands to `consumer! { rows }`.
+/// Its consumers, all in this crate, generate everything that is one arm
+/// per operation: the [`Request`] type and its codec, the dispatcher and
+/// the typed facade over a [`Service`](crate::service::Service). An
 /// operation is thus spelled in two places: its [`HyperStore`] method and
-/// its row here. DESIGN.md "One operation catalogue" lists who consumes
-/// which column.
-///
-/// A row reads
+/// its row here (DESIGN.md "One operation catalogue"). A row reads
 ///
 /// ```text
-/// class tag Variant fn method[(arg: [Type], ...)] -> Ret [, about arg];
+/// Class tag Variant fn method[(arg: [Type], ...)] -> Ret [, about arg];
 /// ```
 ///
-/// * `class` — `read` (any one up-to-date copy can answer; repeating it
-///   is harmless), `write` (every copy must apply it; repeating it blindly
-///   could apply it twice) or `barrier` (a write every copy must finish
-///   before the caller goes on: the commit family and restart).
+/// * `Class` — the [`Class`](crate::protocol::Class) variant: how a
+///   layer holding several copies treats the operation.
 /// * `tag`, `Variant` — the operation's byte on the wire and its
-///   `server::protocol::Request` variant. Tags are never reused; 37, 47
-///   and 48 belong to the protocol's own session messages, and 43 is
-///   retired (a batch of `set_hundred`, now [`BatchWrite::SetHundred`]).
-/// * the method's name and signature as in the trait, each argument type
-///   in brackets so a consumer can tell a borrowed argument from a
-///   by-value one (see [`own!`](crate::own) and [`lend!`](crate::lend)).
-///   A method without arguments is written without parentheses, so that
-///   `Variant $(( ... ))?` yields a unit variant for it.
-/// * `about arg` — the one node the operation addresses: a sharded store
-///   routes the operation to that node's shard and translates the ids in
-///   the answer back.
+///   [`Request`] variant. Tags are never reused; 37, 47 and 48 are the
+///   session messages', and 43 is retired (now
+///   [`BatchWrite::SetHundred`]).
+/// * the method's signature as in the trait, each argument type in
+///   brackets so a consumer can tell a borrowed argument (the request
+///   carries its owned form) from a by-value one. A method without
+///   arguments drops its parentheses, so `Variant $(( ... ))?` is a unit
+///   variant.
+/// * `about arg` — the one node the operation addresses
+///   ([`Request::about_mut`]): a sharded store routes the operation to
+///   that node's shard and translates the ids in the answer back.
 ///
 /// The rows name `Oid`, `NodeKind`, `NodeValue`, `RefEdge`, `Bitmap`,
 /// `NodeExport` and `BatchWrite` unqualified; a consumer imports them.
@@ -698,88 +680,61 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 macro_rules! store_ops {
     ($consumer:ident) => {
         $consumer! {
-            read     0 LookupUnique        fn lookup_unique(unique_id: [u64]) -> Oid;
-            read     1 UniqueIdOf          fn unique_id_of(oid: [Oid]) -> u64, about oid;
-            read     2 KindOf              fn kind_of(oid: [Oid]) -> NodeKind, about oid;
-            read     3 TenOf               fn ten_of(oid: [Oid]) -> u32, about oid;
-            read     4 HundredOf           fn hundred_of(oid: [Oid]) -> u32, about oid;
-            read     5 MillionOf           fn million_of(oid: [Oid]) -> u32, about oid;
-            write    6 SetHundred          fn set_hundred(oid: [Oid], value: [u32]) -> (), about oid;
-            read     7 RangeHundred        fn range_hundred(lo: [u32], hi: [u32]) -> Vec<Oid>;
-            read     8 RangeMillion        fn range_million(lo: [u32], hi: [u32]) -> Vec<Oid>;
-            read     9 Children            fn children(oid: [Oid]) -> Vec<Oid>, about oid;
-            read    10 Parent              fn parent(oid: [Oid]) -> Option<Oid>, about oid;
-            read    11 Parts               fn parts(oid: [Oid]) -> Vec<Oid>, about oid;
-            read    12 PartOf              fn part_of(oid: [Oid]) -> Vec<Oid>, about oid;
-            read    13 RefsTo              fn refs_to(oid: [Oid]) -> Vec<RefEdge>, about oid;
-            read    14 RefsFrom            fn refs_from(oid: [Oid]) -> Vec<RefEdge>, about oid;
-            read    15 SeqScanTen          fn seq_scan_ten -> u64;
-            read    16 TextOf              fn text_of(oid: [Oid]) -> String, about oid;
-            write   17 SetText             fn set_text(oid: [Oid], text: [&str]) -> (), about oid;
-            read    18 FormOf              fn form_of(oid: [Oid]) -> Bitmap, about oid;
-            write   19 SetForm             fn set_form(oid: [Oid], bitmap: [&Bitmap]) -> (), about oid;
+            Read     0 LookupUnique        fn lookup_unique(unique_id: [u64]) -> Oid;
+            Read     1 UniqueIdOf          fn unique_id_of(oid: [Oid]) -> u64, about oid;
+            Read     2 KindOf              fn kind_of(oid: [Oid]) -> NodeKind, about oid;
+            Read     3 TenOf               fn ten_of(oid: [Oid]) -> u32, about oid;
+            Read     4 HundredOf           fn hundred_of(oid: [Oid]) -> u32, about oid;
+            Read     5 MillionOf           fn million_of(oid: [Oid]) -> u32, about oid;
+            Write    6 SetHundred          fn set_hundred(oid: [Oid], value: [u32]) -> (), about oid;
+            Read     7 RangeHundred        fn range_hundred(lo: [u32], hi: [u32]) -> Vec<Oid>;
+            Read     8 RangeMillion        fn range_million(lo: [u32], hi: [u32]) -> Vec<Oid>;
+            Read     9 Children            fn children(oid: [Oid]) -> Vec<Oid>, about oid;
+            Read    10 Parent              fn parent(oid: [Oid]) -> Option<Oid>, about oid;
+            Read    11 Parts               fn parts(oid: [Oid]) -> Vec<Oid>, about oid;
+            Read    12 PartOf              fn part_of(oid: [Oid]) -> Vec<Oid>, about oid;
+            Read    13 RefsTo              fn refs_to(oid: [Oid]) -> Vec<RefEdge>, about oid;
+            Read    14 RefsFrom            fn refs_from(oid: [Oid]) -> Vec<RefEdge>, about oid;
+            Read    15 SeqScanTen          fn seq_scan_ten -> u64;
+            Read    16 TextOf              fn text_of(oid: [Oid]) -> String, about oid;
+            Write   17 SetText             fn set_text(oid: [Oid], text: [&str]) -> (), about oid;
+            Read    18 FormOf              fn form_of(oid: [Oid]) -> Bitmap, about oid;
+            Write   19 SetForm             fn set_form(oid: [Oid], bitmap: [&Bitmap]) -> (), about oid;
             // Each copy runs the identical create / install, so the local
             // ids handed back match on every copy.
-            write   20 CreateNode          fn create_node(value: [&NodeValue]) -> Oid;
-            write   21 CreateNodeClustered fn create_node_clustered(value: [&NodeValue], near: [Option<Oid>]) -> Oid;
-            write   22 AddChild            fn add_child(parent: [Oid], child: [Oid]) -> ();
-            write   23 AddPart             fn add_part(owner: [Oid], part: [Oid]) -> ();
-            write   24 AddRef              fn add_ref(from: [Oid], to: [Oid], offset_from: [u8], offset_to: [u8]) -> ();
-            write   25 InsertExtraNode     fn insert_extra_node(value: [&NodeValue]) -> Oid;
-            barrier 26 Commit              fn commit -> ();
-            barrier 27 ColdRestart         fn cold_restart -> ();
-            read    28 Closure1N           fn closure_1n(start: [Oid]) -> Vec<Oid>, about start;
-            read    29 Closure1NAttSum     fn closure_1n_att_sum(start: [Oid]) -> (u64, usize), about start;
-            write   30 Closure1NAttSet     fn closure_1n_att_set(start: [Oid]) -> usize, about start;
-            read    31 Closure1NPred       fn closure_1n_pred(start: [Oid], lo: [u32], hi: [u32]) -> Vec<Oid>, about start;
-            read    32 ClosureMN           fn closure_mn(start: [Oid]) -> Vec<Oid>, about start;
-            read    33 ClosureMNAtt        fn closure_mnatt(start: [Oid], depth: [u32]) -> Vec<Oid>, about start;
-            read    34 ClosureMNAttLinkSum fn closure_mnatt_linksum(start: [Oid], depth: [u32]) -> Vec<(Oid, u64)>, about start;
-            write   35 TextNodeEdit        fn text_node_edit(oid: [Oid], from: [&str], to: [&str]) -> usize, about oid;
-            write   36 FormNodeEdit        fn form_node_edit(oid: [Oid], x0: [u16], y0: [u16], x1: [u16], y1: [u16]) -> (), about oid;
-            read    38 ChildrenBatch       fn children_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
-            read    39 PartsBatch          fn parts_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
-            read    40 RefsToBatch         fn refs_to_batch(oids: [&[Oid]]) -> Vec<Vec<RefEdge>>;
-            read    41 HundredBatch        fn hundred_batch(oids: [&[Oid]]) -> Vec<u32>;
-            read    42 MillionBatch        fn million_batch(oids: [&[Oid]]) -> Vec<u32>;
-            barrier 44 PrepareCommit       fn prepare_commit(txid: [u64]) -> ();
-            barrier 45 CommitPrepared      fn commit_prepared(txid: [u64]) -> ();
-            barrier 46 AbortPrepared       fn abort_prepared(txid: [u64]) -> ();
-            read    49 SyncSubtree         fn sync_export -> Vec<u8>;
-            write   50 InstallSubtree      fn sync_import(snapshot: [&[u8]]) -> ();
-            read    51 ExportNodes         fn export_nodes(oids: [&[Oid]]) -> Vec<NodeExport>;
-            write   52 InstallNodes        fn install_nodes(batch: [&[NodeExport]]) -> Vec<Oid>;
-            write   53 ActivateNodes       fn activate_nodes(oids: [&[Oid]]) -> ();
-            write   54 RetireNodes         fn retire_nodes(oids: [&[Oid]]) -> ();
-            write   55 WriteBatch          fn write_batch(writes: [&[BatchWrite]]) -> Vec<Oid>;
+            Write   20 CreateNode          fn create_node(value: [&NodeValue]) -> Oid;
+            Write   21 CreateNodeClustered fn create_node_clustered(value: [&NodeValue], near: [Option<Oid>]) -> Oid;
+            Write   22 AddChild            fn add_child(parent: [Oid], child: [Oid]) -> ();
+            Write   23 AddPart             fn add_part(owner: [Oid], part: [Oid]) -> ();
+            Write   24 AddRef              fn add_ref(from: [Oid], to: [Oid], offset_from: [u8], offset_to: [u8]) -> ();
+            Write   25 InsertExtraNode     fn insert_extra_node(value: [&NodeValue]) -> Oid;
+            Barrier 26 Commit              fn commit -> ();
+            Barrier 27 ColdRestart         fn cold_restart -> ();
+            Read    28 Closure1N           fn closure_1n(start: [Oid]) -> Vec<Oid>, about start;
+            Read    29 Closure1NAttSum     fn closure_1n_att_sum(start: [Oid]) -> (u64, usize), about start;
+            Write   30 Closure1NAttSet     fn closure_1n_att_set(start: [Oid]) -> usize, about start;
+            Read    31 Closure1NPred       fn closure_1n_pred(start: [Oid], lo: [u32], hi: [u32]) -> Vec<Oid>, about start;
+            Read    32 ClosureMN           fn closure_mn(start: [Oid]) -> Vec<Oid>, about start;
+            Read    33 ClosureMNAtt        fn closure_mnatt(start: [Oid], depth: [u32]) -> Vec<Oid>, about start;
+            Read    34 ClosureMNAttLinkSum fn closure_mnatt_linksum(start: [Oid], depth: [u32]) -> Vec<(Oid, u64)>, about start;
+            Write   35 TextNodeEdit        fn text_node_edit(oid: [Oid], from: [&str], to: [&str]) -> usize, about oid;
+            Write   36 FormNodeEdit        fn form_node_edit(oid: [Oid], x0: [u16], y0: [u16], x1: [u16], y1: [u16]) -> (), about oid;
+            Read    38 ChildrenBatch       fn children_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
+            Read    39 PartsBatch          fn parts_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
+            Read    40 RefsToBatch         fn refs_to_batch(oids: [&[Oid]]) -> Vec<Vec<RefEdge>>;
+            Read    41 HundredBatch        fn hundred_batch(oids: [&[Oid]]) -> Vec<u32>;
+            Read    42 MillionBatch        fn million_batch(oids: [&[Oid]]) -> Vec<u32>;
+            Barrier 44 PrepareCommit       fn prepare_commit(txid: [u64]) -> ();
+            Barrier 45 CommitPrepared      fn commit_prepared(txid: [u64]) -> ();
+            Barrier 46 AbortPrepared       fn abort_prepared(txid: [u64]) -> ();
+            Read    49 SyncSubtree         fn sync_export -> Vec<u8>;
+            Write   50 InstallSubtree      fn sync_import(snapshot: [&[u8]]) -> ();
+            Read    51 ExportNodes         fn export_nodes(oids: [&[Oid]]) -> Vec<NodeExport>;
+            Write   52 InstallNodes        fn install_nodes(batch: [&[NodeExport]]) -> Vec<Oid>;
+            Write   53 ActivateNodes       fn activate_nodes(oids: [&[Oid]]) -> ();
+            Write   54 RetireNodes         fn retire_nodes(oids: [&[Oid]]) -> ();
+            Write   55 WriteBatch          fn write_batch(writes: [&[BatchWrite]]) -> Vec<Oid>;
         }
-    };
-}
-
-/// An owned copy of a catalogue argument, for code that must keep it past
-/// the call (a request message to send): a
-/// borrowed argument (`[&T]`) is cloned through `ToOwned`, a by-value one
-/// is `Copy` and passes through.
-#[macro_export]
-macro_rules! own {
-    ($arg:ident: & $($ty:tt)+) => {
-        $arg.to_owned()
-    };
-    ($arg:ident: $($ty:tt)+) => {
-        $arg
-    };
-}
-
-/// Hands a value made by [`own!`](crate::own) back to the method it was
-/// declared for: by reference where the argument is borrowed, by value
-/// otherwise.
-#[macro_export]
-macro_rules! lend {
-    ($arg:ident: & $($ty:tt)+) => {
-        &$arg
-    };
-    ($arg:ident: $($ty:tt)+) => {
-        $arg
     };
 }
 

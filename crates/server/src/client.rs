@@ -1,23 +1,20 @@
-//! The remote client: a full [`HyperStore`] over a [`Transport`].
+//! The remote client: a [`Service`] over a [`Transport`], and so a full
+//! `HyperStore`.
 //!
 //! [`RemoteStore`] is the "workstation" half of the paper's R6
-//! architecture. Every method is **one round trip**: a conceptual
-//! operation (`remote.closure_1n(start)`) is shipped to the server whole
-//! ("some systems support higher level conceptual operations more
-//! efficiently"). The §4 trade-off's other side, the naive navigational
-//! interface, is the same traversal run on the workstation —
-//! `hypermodel::store::closure_1n(&mut remote, start)` — which pays **one
-//! round trip per relationship access**.
-//!
-//! The difference dominates as soon as any real latency exists — shown by
-//! `tests/remote_conformance.rs` and the `remote` harness experiment.
+//! architecture. Its `call` encodes the request it is given, so every
+//! typed method — and every request a layer above forwards — is **one
+//! round trip**: a conceptual operation (`remote.closure_1n(start)`) is
+//! shipped to the server whole. The §4 trade-off's other side is the same
+//! traversal run on the workstation,
+//! `hypermodel::store::closure_1n(&mut remote, start)`, at **one round
+//! trip per relationship access** (`tests/remote_conformance.rs`).
 
 use hypermodel::error::{HmError, Result};
-use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::store::HyperStore;
-use hypermodel::{BatchWrite, Bitmap, NodeExport};
+use hypermodel::protocol::unexpected;
+use hypermodel::service::Service;
 
-use crate::protocol::{unexpected, Reply, Request, Response};
+use crate::protocol::{Request, Response};
 use crate::transport::Transport;
 
 /// How a [`RemoteStore`] survives a lossy or slow transport.
@@ -122,71 +119,16 @@ impl RemoteStore {
 
     /// Ask the server to stop serving this session.
     pub fn shutdown(mut self) -> Result<()> {
-        let _ = self.call(Request::Shutdown)?;
+        let _ = Service::call(&mut self, Request::Shutdown)?;
         Ok(())
     }
 
     /// Scrape the server's metrics registry: one [`Request::Stats`]
     /// round trip returning the registry's JSON export.
     pub fn fetch_stats(&mut self) -> Result<String> {
-        match self.call(Request::Stats)? {
+        match Service::call(self, Request::Stats)? {
             Response::Stats(json) => Ok(json),
             other => Err(unexpected(other)),
-        }
-    }
-
-    fn call(&mut self, req: Request) -> Result<Response> {
-        // Each call runs inside a trace: the caller's, or a fresh one
-        // minted (and uninstalled again) for this round trip.
-        let _trace = match obs::trace::current() {
-            0 => Some(obs::trace::scope(obs::trace::mint())),
-            _ => None,
-        };
-        let _span = obs::trace::span("client.call");
-        let resp = match self.policy.clone() {
-            None => {
-                self.scratch.clear();
-                req.encode_into(&mut self.scratch);
-                self.round_trip(None)
-            }
-            Some(policy) => self.call_with_retry(req, &policy),
-        };
-        match resp? {
-            // A server-reported error is permanent (never retried).
-            Response::Err(msg) => Err(HmError::Backend(format!("remote: {msg}"))),
-            other => Ok(other),
-        }
-    }
-
-    fn call_with_retry(&mut self, req: Request, policy: &RetryPolicy) -> Result<Response> {
-        // Tag mutations so the server can deduplicate a retry whose
-        // original was executed but whose response was lost. Reads are
-        // naturally idempotent and go untagged.
-        let req = if req.mutates() {
-            let id = self.next_request_id;
-            self.next_request_id += 1;
-            Request::Tagged(id, Box::new(req))
-        } else {
-            req
-        };
-        self.scratch.clear();
-        req.encode_into(&mut self.scratch);
-        let mut retry = 0u32;
-        loop {
-            match self.round_trip(Some(policy.request_timeout)) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    if retry >= policy.max_retries {
-                        self.gave_up += 1;
-                        obs::incr("client.gave_up", 1);
-                        return Err(e);
-                    }
-                    retry += 1;
-                    self.retries += 1;
-                    obs::incr("client.retries", 1);
-                    std::thread::sleep(policy.backoff(retry - 1));
-                }
-            }
         }
     }
 
@@ -210,28 +152,58 @@ impl RemoteStore {
         }
         Response::decode(&self.rframe)
     }
-
-    /// One round trip: send `req`, read the answer as the type the
-    /// calling method returns.
-    fn rpc<T: Reply>(&mut self, req: Request) -> Result<T> {
-        T::from_response(self.call(req)?)
-    }
 }
 
-/// One method per catalogue row, each a single round trip.
-macro_rules! remote_methods {
-    ($(
-        $class:ident $tag:literal $variant:ident
-        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-    )*) => {$(
-        fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
-            self.rpc(Request::$variant $(( $(hypermodel::own!($arg: $($ty)+)),+ ))?)
+/// A request is one round trip: encoded as it is, answered by the
+/// server's store.
+impl Service for RemoteStore {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        // Each call runs inside a trace: the caller's, or a fresh one
+        // minted (and uninstalled again) for this round trip.
+        let _trace = match obs::trace::current() {
+            0 => Some(obs::trace::scope(obs::trace::mint())),
+            _ => None,
+        };
+        let _span = obs::trace::span("client.call");
+        let policy = self.policy.clone();
+        // Under a retry policy, tag mutations so the server can
+        // deduplicate a retry whose original was executed but whose
+        // response was lost. Reads are naturally idempotent.
+        let req = match policy {
+            Some(_) if req.mutates() => {
+                let id = self.next_request_id;
+                self.next_request_id += 1;
+                Request::Tagged(id, Box::new(req))
+            }
+            _ => req,
+        };
+        self.scratch.clear();
+        req.encode_into(&mut self.scratch);
+        let mut retry = 0u32;
+        let resp = loop {
+            let timeout = policy.as_ref().map(|p| p.request_timeout);
+            match (self.round_trip(timeout), &policy) {
+                (Ok(resp), _) => break resp,
+                (Err(e), None) => return Err(e),
+                (Err(e), Some(p)) if retry >= p.max_retries => {
+                    self.gave_up += 1;
+                    obs::incr("client.gave_up", 1);
+                    return Err(e);
+                }
+                (Err(_), Some(p)) => {
+                    retry += 1;
+                    self.retries += 1;
+                    obs::incr("client.retries", 1);
+                    std::thread::sleep(p.backoff(retry - 1));
+                }
+            }
+        };
+        match resp {
+            // A server-reported error is permanent (never retried).
+            Response::Err(msg) => Err(HmError::Backend(format!("remote: {msg}"))),
+            other => Ok(other),
         }
-    )*};
-}
-
-impl HyperStore for RemoteStore {
-    hypermodel::store_ops!(remote_methods);
+    }
 
     fn backend_name(&self) -> &'static str {
         "remote"
@@ -266,6 +238,7 @@ mod tests {
     use hypermodel::config::GenConfig;
     use hypermodel::generate::TestDatabase;
     use hypermodel::load::load_database;
+    use hypermodel::store::HyperStore;
     use mem_backend::MemStore;
     use std::time::Duration;
 

@@ -8,25 +8,24 @@
 //! This crate supplies the pieces to run the benchmark in exactly that
 //! architecture:
 //!
-//! * [`protocol`] — a binary request/response protocol covering every
-//!   [`hypermodel::store::HyperStore`] primitive **and** the conceptual
-//!   closure/editing operations as single messages;
+//! * [`protocol`] — the binary request/response protocol: every
+//!   `HyperStore` primitive **and** conceptual operation as one message
+//!   (re-exported from `hypermodel`, where it is also the in-process call
+//!   boundary);
 //! * [`transport`] — the two-method [`Transport`] trait and its framed
 //!   implementations: in-process channels (with simulated one-way
 //!   latency, for controlled experiments) and real TCP, which frames
 //!   through `exec::frame` exactly as the event-loop server does;
-//! * [`server`] — the dispatcher, the request-admission routine both
-//!   servers share, and the blocking loop ([`server::serve`]) that
-//!   serves any local store (mem, disk or rel backend; borrowed is
-//!   fine) over any transport — the server for simulated latency and
-//!   server-side fault injection;
+//! * [`server`] — the request-admission routine both servers share (the
+//!   session messages, then the store's `call`), and the blocking loop
+//!   ([`server::serve`]) that serves any local store over any transport —
+//!   the server for simulated latency and server-side fault injection;
 //! * [`multi`] — [`serve_multi`]: one process hosting N shard servers on
 //!   N TCP ports on one thread: a single nonblocking event loop
 //!   (`exec::EventLoop`) owns every connection and runs every request
 //!   — no thread per connection;
-//! * [`client`] — [`client::RemoteStore`], a full `HyperStore` backed by
-//!   the wire: every method, conceptual operations included, is one
-//!   request.
+//! * [`client`] — [`client::RemoteStore`], a `hypermodel::Service`: every
+//!   `HyperStore` method, conceptual operations included, is one request.
 //!
 //! Running a traversal on the workstation instead
 //! (`hypermodel::store::closure_1n(&mut remote, start)`, one round trip
@@ -77,9 +76,10 @@
 
 pub mod client;
 pub mod multi;
-pub mod protocol;
 pub mod server;
 pub mod transport;
+
+pub use hypermodel::protocol;
 
 pub use client::RemoteStore;
 pub use multi::{serve_multi, serve_multi_on, MultiServer, MultiStats};

@@ -1,12 +1,12 @@
 //! Serving requests against a local store: the one admission path both
 //! servers run every inbound frame through (`admit` then
-//! `execute`), the dispatcher, and the blocking per-connection loop
-//! ([`serve`]).
+//! `execute`), the session messages no store answers, and the blocking
+//! per-connection loop ([`serve`]).
 
 use hypermodel::error::Result;
 use hypermodel::store::HyperStore;
 
-use crate::protocol::{reply, Request, Response};
+use crate::protocol::{Request, Response};
 use crate::transport::Transport;
 
 /// Per-session statistics, returned when the loop ends.
@@ -112,7 +112,7 @@ pub(crate) fn admit(
 /// store several connections share, in that store's execution order,
 /// which is what makes the dedup decision race-free: a tagged request
 /// whose id `cache` remembers is answered with the stored bytes,
-/// anything else is dispatched, encoded and (if tagged) remembered.
+/// anything else is answered, encoded and (if tagged) remembered.
 /// `out` arrives empty and leaves holding the reply.
 pub(crate) fn execute<S: HyperStore + ?Sized>(
     store: &mut S,
@@ -130,7 +130,7 @@ pub(crate) fn execute<S: HyperStore + ?Sized>(
         out.extend_from_slice(bytes);
         return;
     }
-    let resp = dispatch(store, req);
+    let resp = answer(store, req);
     if matches!(resp, Response::Err(_)) {
         stats.errors += 1;
     }
@@ -141,34 +141,21 @@ pub(crate) fn execute<S: HyperStore + ?Sized>(
     }
 }
 
-/// Run one request against the store and say what to answer.
-pub(crate) fn dispatch<S: HyperStore + ?Sized>(store: &mut S, req: Request) -> Response {
-    // One arm per catalogue row: call the row's method with the request's
-    // fields; the result type picks the response variant (`Reply`).
-    macro_rules! dispatch_rows {
-        ($(
-            $class:ident $tag:literal $variant:ident
-            fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-        )*) => {
-            match req {
-                $(Request::$variant $(( $($arg),+ ))? => {
-                    reply(store.$name($($(hypermodel::lend!($arg: $($ty)+)),+)?))
-                })*
-                // Dedup is `execute`'s job; a direct dispatch just unwraps.
-                // (decode rejects nested Tagged, so this recurses at most once.)
-                Request::Tagged(_, inner) => dispatch(store, *inner),
-                // `admit` intercepts Shutdown before dispatch; reaching
-                // here means it arrived somewhere it cannot be honoured
-                // (e.g. inside a Tagged envelope) — refuse rather than
-                // panic.
-                Request::Shutdown => Response::Err("shutdown must be a top-level request".into()),
-                // A stats scrape is answered from the process-global
-                // metrics registry; the store itself plays no part.
-                Request::Stats => Response::Stats(obs::registry().snapshot().export_json()),
-            }
-        };
-    }
-    hypermodel::store_ops!(dispatch_rows)
+/// Run one request against the store and say what to answer: a store
+/// operation is the store's [`HyperStore::call`], and its error becomes
+/// the [`Response::Err`] text; the session messages are answered here.
+pub(crate) fn answer<S: HyperStore + ?Sized>(store: &mut S, req: Request) -> Response {
+    let result = match req {
+        // Dedup is `execute`'s job; decode rejects a nested Tagged.
+        Request::Tagged(_, inner) => return answer(store, *inner),
+        // `admit` answers a top-level Shutdown; one inside a Tagged
+        // envelope cannot be honoured.
+        Request::Shutdown => return Response::Err("shutdown must be a top-level request".into()),
+        // Answered from the process-global metrics registry.
+        Request::Stats => return Response::Stats(obs::registry().snapshot().export_json()),
+        op => store.call(op),
+    };
+    result.unwrap_or_else(|e| Response::Err(e.to_string()))
 }
 
 /// Serve requests from `transport` against `store` until the client sends
@@ -185,7 +172,7 @@ pub fn serve<S: HyperStore + ?Sized>(
     let mut cache = DedupCache::default();
     let mut streak = 0u32;
     // One receive buffer and one encode scratch for the whole session:
-    // the steady-state loop allocates only inside dispatch itself.
+    // the steady-state loop allocates only inside the store's call.
     let mut frame = Vec::new();
     let mut out = Vec::new();
     while transport.recv_into(&mut frame, None)? {

@@ -4,17 +4,22 @@
 //! round-trip economics must match the paper's §4 claim about conceptual
 //! operations.
 
+mod catalogue;
+
 use hypermodel::config::GenConfig;
+use hypermodel::error::Result;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::model::{NodeKind, Oid, RefEdge};
+use hypermodel::model::Oid;
 use hypermodel::oracle::Oracle;
-use hypermodel::store::{self, BatchWrite, HyperStore};
+use hypermodel::store::{self, HyperStore};
 use hypermodel::text::{VERSION_1, VERSION_2};
 use mem_backend::MemStore;
 use server::client::RemoteStore;
+use server::protocol::{Request, Response};
 use server::server::serve;
 use server::transport::{ChannelTransport, TcpTransport};
+use std::collections::HashMap;
 use std::convert::identity as same;
 use std::time::Duration;
 
@@ -186,13 +191,13 @@ fn server_side_closures_save_round_trips() {
     handle.join().unwrap();
 }
 
-/// The trait method of every catalogue row.
+/// The trait method and the request variant of every catalogue row.
 macro_rules! catalogued_methods {
     ($(
         $class:ident $tag:literal $variant:ident
         fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
     )*) => {
-        [$(stringify!($name)),*]
+        [$((stringify!($name), stringify!($variant))),*]
     };
 }
 
@@ -200,131 +205,76 @@ macro_rules! catalogued_methods {
 fn every_catalogued_operation_is_one_round_trip_and_agrees_with_the_store_behind_it() {
     // The same script runs against a remote and against a
     // local store loaded identically to the one behind the server. A
-    // method `RemoteStore` lost would still compile — the trait default
-    // loops over scalars or reports "unsupported" — and show up here as
-    // more than one round trip or a different answer.
+    // row the facade lost would no longer compile; a request the server
+    // answered differently shows up here as more than one round trip or
+    // a different answer.
     let (mut remote, db, oids, handle) = remote_over_channel(&GenConfig::tiny(), Duration::ZERO);
     let mut local = MemStore::new();
     load_database(&mut local, &db).unwrap();
-
-    let kind = |k: NodeKind| {
-        let at = db.nodes.iter().rposition(|n| n.value.kind == k).unwrap();
-        oids[at]
-    };
-    let (root, inner, leaf) = (oids[0], oids[1], oids[db.len() - 1]);
-    let (text, form) = (kind(NodeKind::TEXT), kind(NodeKind::FORM));
-    let frontier = [root, inner];
-    let fresh = |unique_id: u64| {
-        let mut value = db.nodes[3].value.clone();
-        value.attrs.unique_id = unique_id;
-        value
-    };
-    let (a, b, c) = (fresh(1001), fresh(1002), fresh(1003));
-    let writes = [
-        BatchWrite::Create {
-            value: fresh(1005),
-            near: Some(inner),
-        },
-        BatchWrite::Extra(fresh(1006)),
-        BatchWrite::Child(leaf, inner),
-        BatchWrite::Part(leaf, inner),
-        BatchWrite::Ref(
-            leaf,
-            RefEdge {
-                target: inner,
-                offset_from: 2,
-                offset_to: 5,
-            },
-        ),
-        BatchWrite::SetHundred(root, 7),
-    ];
-    // Inputs a script cannot make up: a snapshot, and an exported node
-    // re-installed as a new record (after the five creates above).
-    let snapshot = local.sync_export().unwrap();
-    let mut batch = local.export_nodes(&[leaf]).unwrap();
-    batch[0].reuse = None;
-    batch[0].value.attrs.unique_id = 1004;
-    let installed = Oid(db.len() as u64 + 6);
-
-    type Step<'a> = (
-        &'static str,
-        Box<dyn Fn(&mut dyn HyperStore) -> String + 'a>,
-    );
-    macro_rules! step {
-        ($name:ident($($arg:expr),*)) => {
-            (stringify!($name), Box::new(|s: &mut dyn HyperStore| format!("{:?}", s.$name($($arg),*))))
-        };
-    }
-    let script: Vec<Step> = vec![
-        step!(lookup_unique(2)),
-        step!(unique_id_of(inner)),
-        step!(kind_of(text)),
-        step!(ten_of(inner)),
-        step!(hundred_of(inner)),
-        step!(million_of(inner)),
-        step!(set_hundred(inner, 42)),
-        step!(range_hundred(10, 60)),
-        step!(range_million(1, 500_000)),
-        step!(children(root)),
-        step!(parent(inner)),
-        step!(parts(root)),
-        step!(part_of(leaf)),
-        step!(refs_to(inner)),
-        step!(refs_from(inner)),
-        step!(seq_scan_ten()),
-        step!(text_of(text)),
-        step!(set_text(text, "version1 and version1")),
-        step!(form_of(form)),
-        step!(set_form(form, &hypermodel::Bitmap::white(7, 3))),
-        step!(create_node(&a)),
-        step!(create_node_clustered(&b, Some(inner))),
-        step!(add_child(leaf, Oid(db.len() as u64 + 1))),
-        step!(add_part(leaf, Oid(db.len() as u64 + 2))),
-        step!(add_ref(leaf, inner, 3, 9)),
-        step!(insert_extra_node(&c)),
-        step!(commit()),
-        step!(cold_restart()),
-        step!(closure_1n(root)),
-        step!(closure_1n_att_sum(root)),
-        step!(closure_1n_att_set(inner)),
-        step!(closure_1n_pred(root, 1, 500_000)),
-        step!(closure_mn(root)),
-        step!(closure_mnatt(inner, 4)),
-        step!(closure_mnatt_linksum(inner, 4)),
-        step!(text_node_edit(text, "version1", "version-2")),
-        step!(form_node_edit(form, 1, 1, 3, 2)),
-        step!(children_batch(&frontier)),
-        step!(parts_batch(&frontier)),
-        step!(refs_to_batch(&frontier)),
-        step!(hundred_batch(&frontier)),
-        step!(million_batch(&frontier)),
-        step!(write_batch(&writes)),
-        step!(prepare_commit(900)),
-        step!(commit_prepared(900)),
-        step!(abort_prepared(901)),
-        step!(sync_export()),
-        step!(export_nodes(&frontier)),
-        step!(install_nodes(&batch)),
-        step!(activate_nodes(&[installed])),
-        step!(retire_nodes(&[leaf])),
-        step!(sync_import(&snapshot)),
-    ];
+    let inputs = catalogue::Inputs::new(&db, &oids, &mut local);
+    let script = catalogue::script();
 
     let mut scripted: Vec<&str> = script.iter().map(|(name, _)| *name).collect();
-    let mut catalogued = hypermodel::store_ops!(catalogued_methods);
+    let mut catalogued = hypermodel::store_ops!(catalogued_methods).map(|(name, _)| name);
     scripted.sort_unstable();
     catalogued.sort_unstable();
     assert_eq!(scripted, catalogued, "one step per catalogue row");
     for (name, step) in &script {
         let before = remote.round_trips();
-        let over_the_wire = step(&mut remote);
+        let over_the_wire = format!("{:?}", step(&mut remote, &inputs));
         assert_eq!(remote.round_trips() - before, 1, "{name}");
         assert!(over_the_wire.starts_with("Ok("), "{name}: {over_the_wire}");
-        assert_eq!(over_the_wire, step(&mut local), "{name}");
+        assert_eq!(
+            over_the_wire,
+            format!("{:?}", step(&mut local, &inputs)),
+            "{name}"
+        );
     }
 
     remote.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// A service that records every request it is handed, then runs it on
+/// `inner`.
+struct Recording {
+    inner: MemStore,
+    seen: Vec<Request>,
+}
+
+impl hypermodel::Service for Recording {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        self.seen.push(req.clone());
+        self.inner.call(req)
+    }
+
+    fn backend_name(&self) -> &'static str {
+        "recording"
+    }
+}
+
+#[test]
+fn every_typed_call_on_a_service_is_one_request_of_its_rows_variant() {
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let (mut local, mut inner) = (MemStore::new(), MemStore::new());
+    let oids = load_database(&mut local, &db).unwrap().oids;
+    load_database(&mut inner, &db).unwrap();
+    let inputs = catalogue::Inputs::new(&db, &oids, &mut local);
+    let variant: HashMap<&str, &str> = hypermodel::store_ops!(catalogued_methods).into();
+    let mut service = Recording {
+        inner,
+        seen: Vec::new(),
+    };
+    for (name, step) in catalogue::script() {
+        let answer = format!("{:?}", step(&mut service, &inputs));
+        let seen = std::mem::take(&mut service.seen);
+        let [req] = &seen[..] else {
+            panic!("{name}: {} requests, {seen:?}", seen.len());
+        };
+        let debug = format!("{req:?}");
+        assert_eq!(debug.split('(').next(), Some(variant[name]), "{name}");
+        assert_eq!(answer, format!("{:?}", step(&mut local, &inputs)), "{name}");
+    }
 }
 
 #[test]

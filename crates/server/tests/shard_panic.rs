@@ -11,9 +11,7 @@ use hypermodel::config::GenConfig;
 use hypermodel::error::Result;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::HyperStore;
-use hypermodel::{BatchWrite, Bitmap, NodeExport};
 use mem_backend::MemStore;
 use server::protocol::{Request, Response};
 use server::{serve_multi, RemoteStore, TcpTransport, Transport};
@@ -22,29 +20,20 @@ use server::{serve_multi, RemoteStore, TcpTransport, Transport};
 /// fails the test instead of hanging it.
 const DEADLINE: Duration = Duration::from_secs(10);
 
-/// A store that panics when `panic_on` names the method called and
-/// otherwise forwards to `inner`.
+/// A store that panics on the requests `panic_on` picks and otherwise
+/// passes them to `inner`.
 struct PanicOn {
     inner: MemStore,
-    panic_on: &'static str,
+    panic_on: fn(&Request) -> bool,
 }
 
-macro_rules! forward {
-    ($(
-        $class:ident $tag:literal $variant:ident
-        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-    )*) => {$(
-        fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
-            if self.panic_on == stringify!($name) {
-                panic!("injected panic in {}", stringify!($name));
-            }
-            self.inner.$name($($($arg),+)?)
+impl hypermodel::Service for PanicOn {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        if (self.panic_on)(&req) {
+            panic!("injected panic in {req:?}");
         }
-    )*};
-}
-
-impl HyperStore for PanicOn {
-    hypermodel::store_ops!(forward);
+        self.inner.call(req)
+    }
 
     fn backend_name(&self) -> &'static str {
         "panic-on"
@@ -75,8 +64,8 @@ fn a_panicking_request_poisons_its_shard_and_is_answered() {
         let oids = load_database(&mut inner, &db).unwrap().oids;
         (PanicOn { inner, panic_on }, oids)
     };
-    let (doomed, oids) = loaded("hundred_of");
-    let (healthy, _) = loaded("");
+    let (doomed, oids) = loaded(|req| matches!(req, Request::HundredOf(_)));
+    let (healthy, _) = loaded(|_| false);
     let mut local = MemStore::new();
     load_database(&mut local, &db).unwrap();
     let srv = serve_multi(vec![doomed, healthy]).unwrap();

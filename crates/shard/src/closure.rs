@@ -16,13 +16,14 @@ use std::ops::RangeInclusive;
 
 use hypermodel::error::Result;
 use hypermodel::model::{Oid, RefEdge};
+use hypermodel::protocol::{Reply, Request};
 use hypermodel::store::{BatchWrite, HyperStore};
 
 use crate::store::ShardedStore;
 
 /// One entry of a node's fetched list: a node id, or an attributed edge
 /// to one.
-trait Adjacent {
+trait Adjacent: Clone {
     /// The node the entry leads to.
     fn target(&self) -> Oid;
 }
@@ -40,26 +41,29 @@ impl Adjacent for RefEdge {
 }
 
 impl<S: HyperStore + Send + 'static> ShardedStore<S> {
-    /// Breadth-first from `start`: each level's lists come from `fetch`,
-    /// one batched request per shard holding part of the frontier, and
-    /// each node enters a frontier once. Stops after `depth` levels if
+    /// Breadth-first from `start`: each level's lists come from the batch
+    /// request `list` makes, one per shard holding part of the frontier,
+    /// and each node enters a frontier once. Stops after `depth` levels if
     /// given. With `prune`, each level first fetches its frontier's
     /// `million` the same way and drops the nodes inside the range: they
     /// are not expanded and, having no list, not replayed.
     fn levels<E: Adjacent>(
         &mut self,
         start: Oid,
-        fetch: impl Fn(&mut Self, &[Oid]) -> Result<Vec<Vec<E>>>,
+        list: fn(Vec<Oid>) -> Request,
         depth: Option<u32>,
         prune: Option<RangeInclusive<u32>>,
-    ) -> Result<HashMap<Oid, Vec<E>>> {
+    ) -> Result<HashMap<Oid, Vec<E>>>
+    where
+        Vec<Vec<E>>: Reply,
+    {
         let mut adj = HashMap::new();
         let mut seen = HashSet::from([start]);
         let mut frontier = vec![start];
         let mut level = 0;
         while !frontier.is_empty() && depth.is_none_or(|d| level < d) {
             if let Some(range) = &prune {
-                let millions = self.million_batch(&frontier)?;
+                let millions = self.batch_read::<u32>(&frontier, Request::MillionBatch)?;
                 frontier = frontier
                     .into_iter()
                     .zip(millions)
@@ -70,7 +74,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
                     break;
                 }
             }
-            let lists = fetch(self, &frontier)?;
+            let lists = self.batch_read::<Vec<E>>(&frontier, list)?;
             let mut next = Vec::new();
             for (node, list) in frontier.into_iter().zip(lists) {
                 next.extend(list.iter().map(E::target).filter(|&t| seen.insert(t)));
@@ -85,49 +89,50 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// The 1-N subtree under `root` in pre-order, not counted as a touch:
     /// the node list of a migration.
     pub(crate) fn subtree(&mut self, root: Oid) -> Result<Vec<Oid>> {
-        let adj = self.levels(root, Self::children_batch, None, None)?;
+        let adj = self.levels(root, Request::ChildrenBatch, None, None)?;
         Ok(preorder(root, &adj))
     }
 
-    /// O10 and O14 (`fetch` = children or parts), and O13 with `prune`:
-    /// the nodes reached from `start` in pre-order.
+    /// O10 and O14 (`list` = the children or parts batch), and O13 with
+    /// `prune`: the nodes reached from `start` in pre-order.
     pub(crate) fn node_closure(
         &mut self,
         start: Oid,
-        fetch: impl Fn(&mut Self, &[Oid]) -> Result<Vec<Vec<Oid>>>,
+        list: fn(Vec<Oid>) -> Request,
         prune: Option<RangeInclusive<u32>>,
     ) -> Result<Vec<Oid>> {
         self.touch(start);
-        let adj = self.levels(start, fetch, None, prune)?;
+        let adj = self.levels(start, list, None, prune)?;
         Ok(preorder(start, &adj))
     }
 
     /// O11: the 1-N closure, then one `hundred` batch per shard.
     pub(crate) fn att_sum(&mut self, start: Oid) -> Result<(u64, usize)> {
-        let closure = self.closure_1n(start)?;
-        let hundreds = self.hundred_batch(&closure)?;
+        let closure = self.node_closure(start, Request::ChildrenBatch, None)?;
+        let hundreds = self.batch_read::<u32>(&closure, Request::HundredBatch)?;
         let sum = hundreds.iter().map(|&h| u64::from(h)).sum();
         Ok((sum, closure.len()))
     }
 
     /// O12: the 1-N closure, its `hundred` values, then one write batch.
     pub(crate) fn att_set(&mut self, start: Oid) -> Result<usize> {
-        let closure = self.closure_1n(start)?;
-        let hundreds = self.hundred_batch(&closure)?;
+        let closure = self.node_closure(start, Request::ChildrenBatch, None)?;
+        let hundreds = self.batch_read::<u32>(&closure, Request::HundredBatch)?;
         let updates: Vec<BatchWrite> = closure
             .iter()
             .zip(hundreds)
             .map(|(&o, h)| BatchWrite::SetHundred(o, 99u32.wrapping_sub(h)))
             .collect();
-        self.write_batch(&updates)?;
-        Ok(updates.len())
+        let n = updates.len();
+        self.write_rounds(updates)?;
+        Ok(n)
     }
 
     /// O18, and O15 as its projection: attributed references to `depth`
     /// levels, the deepest any depth-first path can need.
     pub(crate) fn ref_closure(&mut self, start: Oid, depth: u32) -> Result<Vec<(Oid, u64)>> {
         self.touch(start);
-        let adj = self.levels(start, Self::refs_to_batch, Some(depth), None)?;
+        let adj = self.levels(start, Request::RefsToBatch, Some(depth), None)?;
         Ok(edge_walk(start, depth, &adj))
     }
 }

@@ -4,40 +4,29 @@
 //! presenting a single [`hypermodel::HyperStore`]. One module per
 //! decision:
 //!
-//! * [`router`] — deterministic placement ([`Placement::OidHash`] and
-//!   [`Placement::SubtreeAffinity`]), the global ↔ local id directory,
-//!   ghost-node bookkeeping, and the one mapping of the ids in a shard's
-//!   answer back to global ids;
-//! * [`store`] — [`ShardedStore`]: shard health, point routes generated
-//!   from the operation catalogue (`hypermodel::store_ops!`, every row
-//!   with an `about` column except the closures), and range lookups and
-//!   scans fanned out across all shards and merged — the first shard's
-//!   share on the calling thread, the others on persistent per-shard
-//!   executor workers (`exec::ShardExecutor`), every job joined before
-//!   the call returns;
-//! * `closure` — the O10–O15 and O18 closures and the subtree of a
-//!   migration: one level collector (one batched request per shard per
-//!   BFS level, so cross-shard round trips scale with traversal depth
-//!   rather than node count) replayed in the trait defaults' order;
-//! * `write` — every creation and edge write: placement of new nodes and
-//!   the ghost stand-ins of cross-shard edges, a batch of writes sent as
-//!   at most two requests per shard;
-//! * [`replica`] — [`ReplicaGroup`]: K mirrors behind one `HyperStore`,
-//!   so a replicated deployment is a `ShardedStore<ReplicaGroup<S>>`
-//!   ([`ShardedStore::new_replicated`]) on the same code path. The group
-//!   calls its members one after another on the caller's thread: reads
-//!   with failover, writes to every healthy member, anti-entropy repair;
-//! * [`coordinator`] — crash-safe cross-shard commit: the two-phase
-//!   protocol (presumed abort, prepare through the ordinary fan-out)
-//!   and its durable decision log ([`CommitLog`]), plus
-//!   [`recover_sharded`], which resolves in-doubt shards after a crash —
-//!   after which [`ShardedStore::revive_shard`] or
-//!   [`ShardedStore::replace_shard`] re-admits a shard health tracking
-//!   had written off;
+//! * [`router`] — placement ([`Placement::OidHash`],
+//!   [`Placement::SubtreeAffinity`]), the global ↔ local id directory and
+//!   ghost bookkeeping, and the one mapping of a shard's answer back to
+//!   global ids;
+//! * [`store`] — [`ShardedStore`], a `hypermodel::Service`: shard health,
+//!   point routes by a request's subject, and fan-outs, the first shard's
+//!   share on the calling thread and the others on per-shard executor
+//!   workers (`exec::ShardExecutor`);
+//! * `closure` — the O10–O15 and O18 closures and a migration's subtree:
+//!   one batched request per shard per BFS level, replayed in the trait
+//!   defaults' order;
+//! * `write` — every creation and edge write: placement and the ghost
+//!   stand-ins of cross-shard edges, at most two requests per shard;
+//! * [`replica`] — [`ReplicaGroup`]: K mirrors behind one store, so a
+//!   replicated deployment is a `ShardedStore<ReplicaGroup<S>>`
+//!   ([`ShardedStore::new_replicated`]) on the same code path;
+//! * [`coordinator`] — crash-safe cross-shard commit (two-phase,
+//!   presumed abort), its decision log ([`CommitLog`]) and
+//!   [`recover_sharded`] for in-doubt shards after a crash;
 //! * [`migrate`] — online subtree migration
 //!   ([`ShardedStore::migrate_subtree`]);
-//! * [`remote`] — composition with `server::RemoteStore`: N TCP servers
-//!   behind one router, each shard one wire connection.
+//! * [`remote`] — N TCP servers behind one router, each shard one
+//!   `server::RemoteStore` connection.
 //!
 //! The store also degrades gracefully: per-shard health is tracked, point
 //! operations to a dead shard fail fast with the structured

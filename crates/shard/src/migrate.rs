@@ -32,7 +32,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         }
         self.router.to_local(global)?; // the real node must exist
         let value = ghost_value(global);
-        let local = self.call(shard, |sh| sh.insert_extra_node(&value))?;
+        let local = self.on_shard(shard, |sh| sh.insert_extra_node(&value))?;
         self.router.register_ghost(global, shard, local);
         Ok(local)
     }
@@ -108,7 +108,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             (0..moved.len()).map(|_| None).collect();
         for (&src, items) in &by_src {
             let locals: Vec<Oid> = items.iter().map(|&(_, l)| l).collect();
-            let batch = self.call(src, |sh| sh.export_nodes(&locals))?;
+            let batch = self.on_shard(src, |sh| sh.export_nodes(&locals))?;
             for (&(i, _), n) in items.iter().zip(batch) {
                 exports[i] = Some((src, n));
             }
@@ -143,10 +143,10 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
 
         // Inert install: the records exist on the destination but stay
         // invisible to scans and index lookups.
-        let locals = self.call(dst, |sh| sh.install_nodes(&batch))?;
+        let locals = self.on_shard(dst, |sh| sh.install_nodes(&batch))?;
 
         // Activate: the commit point. Failure here aborts presumed-old.
-        if let Err(e) = self.call(dst, |sh| sh.activate_nodes(&locals)) {
+        if let Err(e) = self.on_shard(dst, |sh| sh.activate_nodes(&locals)) {
             // Best-effort undo: retire the orphaned destination records,
             // so a partially-activated batch cannot double-report in
             // scans. Errors are swallowed — the destination may be the
@@ -187,7 +187,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         // extent, they stay as the stand-ins other edges point at.
         for (&src, items) in &by_src {
             let ls: Vec<Oid> = items.iter().map(|&(_, l)| l).collect();
-            self.call(src, |sh| sh.retire_nodes(&ls))?;
+            self.on_shard(src, |sh| sh.retire_nodes(&ls))?;
         }
         Ok(moved.len())
     }

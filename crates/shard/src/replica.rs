@@ -3,14 +3,10 @@
 //!
 //! Every mirror receives the identical deterministic operation sequence,
 //! so backend-local ids match across copies and whatever sits above the
-//! group — a [`crate::ShardedStore`] shard slot, a conformance test,
-//! nothing at all — sees one ordinary store. The group owns its mirrors
-//! as a plain `Vec` and calls them one after another on whatever thread
-//! calls the group; it is the only code that knows about read routing
-//! with failover, demotion and anti-entropy repair.
-//!
-//! Each operation's route is its class in the operation catalogue
-//! (`hypermodel::store_ops!`):
+//! group sees one ordinary store. The group calls its mirrors one after
+//! another on the calling thread. It is a [`Service`](hypermodel::Service):
+//! each operation arrives as one request, routed by its catalogue class
+//! ([`Request::class`]):
 //!
 //! * a **read** goes to the healthy member with the lowest busy EWMA
 //!   (the time of its recent calls, measured here on the caller). A
@@ -22,6 +18,7 @@
 //!   member that fails transiently is demoted before the call returns.
 //!   The write succeeds if at least one member applied it and none
 //!   failed deterministically; on return it is on every healthy member.
+//!   Every member but the last gets its own copy of the request.
 //! * a **barrier** (the commit family, restart) goes to every healthy
 //!   member the same way. `commit` and `prepare_commit` run
 //!   anti-entropy repair first.
@@ -33,10 +30,8 @@
 use std::fmt;
 
 use hypermodel::error::{HmError, Result};
-use hypermodel::migrate::NodeExport;
-use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::store::{BatchWrite, HyperStore, ShardLoad};
-use hypermodel::Bitmap;
+use hypermodel::protocol::{Class, Request, Response};
+use hypermodel::store::{HyperStore, ShardLoad};
 
 use exec::{Isolated, ShardExecutor};
 
@@ -80,13 +75,7 @@ pub(crate) fn summarize<S: HyperStore>(exec: &ShardExecutor<ReplicaGroup<S>>) ->
 }
 
 /// K mirror backends presenting one `HyperStore` (member 0 is the
-/// designated primary).
-///
-/// Reads route to the least-busy healthy member; writes go to every
-/// healthy member in order; a member that fails transiently or panics
-/// is demoted and later resynced wholesale from a healthy sibling
-/// ([`ReplicaGroup::repair_replicas`], run at every `commit` /
-/// `prepare_commit`).
+/// designated primary), routed as the module describes.
 pub struct ReplicaGroup<S> {
     /// The mirrors, each panic-isolated, called on the caller's thread.
     members: Vec<Isolated<S>>,
@@ -234,7 +223,7 @@ impl<S: HyperStore> ReplicaGroup<S> {
 
     /// Run `f` on member `m`, panic-isolated. A panic poisons and
     /// demotes the member and reads as a transient failure.
-    fn call<T>(&mut self, m: usize, f: impl FnOnce(&mut S) -> Result<T>) -> Result<T> {
+    fn run_member<T>(&mut self, m: usize, f: impl FnOnce(&mut S) -> Result<T>) -> Result<T> {
         let answer = self.members[m].run(f);
         answer.unwrap_or_else(|| {
             self.demote(m);
@@ -244,7 +233,10 @@ impl<S: HyperStore> ReplicaGroup<S> {
 
     /// A read: served by the least-busy healthy member, failing over —
     /// and demoting — on transient errors until the group is exhausted.
-    fn read_one<T>(&mut self, f: impl Fn(&mut S) -> Result<T>) -> Result<T> {
+    /// The request is copied only while a sibling could still take it
+    /// over.
+    fn read_one(&mut self, req: Request) -> Result<Response> {
+        let mut req = Some(req);
         loop {
             let m = (0..self.members.len())
                 .filter(|&m| self.health[m])
@@ -254,28 +246,36 @@ impl<S: HyperStore> ReplicaGroup<S> {
                 self.failovers += 1;
                 obs::incr("shard.replica.failover_reads", 1);
             }
-            match self.call(m, &f) {
+            let spare = self.health.iter().filter(|h| **h).count() > 1;
+            let this = if spare { req.clone() } else { req.take() };
+            let this = this.ok_or_else(no_replica)?;
+            match self.run_member(m, |sh| sh.call(this)) {
                 Err(e) if e.is_transient() => self.demote(m),
                 r => return r,
             }
         }
     }
 
-    /// A write or a barrier: every healthy member runs `f`, in member
-    /// order. A member that fails transiently is demoted while its
-    /// siblings carry the group. A deterministic error (wrong kind,
-    /// unknown node — identical on every mirror) demotes no one and is
-    /// returned once every member has run `f`; otherwise the call fails
-    /// only when no member applied it.
-    fn apply_all<T>(&mut self, f: impl Fn(&mut S) -> Result<T>) -> Result<T> {
+    /// A write or a barrier: every healthy member runs `req`, in member
+    /// order, each but the last on its own copy. A member that fails
+    /// transiently is demoted while its siblings carry the group. A
+    /// deterministic error (wrong kind, unknown node — identical on every
+    /// mirror) demotes no one and is returned once every member has run
+    /// `req`; otherwise the call fails only when no member applied it.
+    fn apply_all(&mut self, req: Request) -> Result<Response> {
+        let last = self.health.iter().rposition(|h| *h);
+        let mut req = Some(req);
         let mut value = None;
         let mut failed = None;
         let mut lost = None;
         for m in 0..self.members.len() {
-            if !self.health[m] {
-                continue;
-            }
-            match self.call(m, &f) {
+            let this = match (self.health[m], Some(m) == last) {
+                (false, _) => continue,
+                (true, false) => req.clone(),
+                (true, true) => req.take(),
+            };
+            let Some(this) = this else { break };
+            match self.run_member(m, |sh| sh.call(this)) {
                 Ok(v) => {
                     value.get_or_insert(v);
                 }
@@ -329,7 +329,7 @@ impl<S: HyperStore> ReplicaGroup<S> {
         let src = (0..self.members.len())
             .find(|&o| o != m && self.health[o])
             .ok_or_else(no_replica)?;
-        let snapshot = match self.call(src, |sh| sh.sync_export()) {
+        let snapshot = match self.run_member(src, |sh| sh.sync_export()) {
             Ok(bytes) => bytes,
             Err(e) if e.is_transient() => {
                 self.demote(src);
@@ -337,7 +337,7 @@ impl<S: HyperStore> ReplicaGroup<S> {
             }
             Err(e) => return Err(e),
         };
-        self.call(m, |sh| {
+        self.run_member(m, |sh| {
             sh.sync_import(&snapshot)?;
             sh.seq_scan_ten() // probe before re-admission
         })?;
@@ -348,46 +348,24 @@ impl<S: HyperStore> ReplicaGroup<S> {
     }
 }
 
-/// Forward each catalogue operation to the members by its class.
-macro_rules! replicate {
-    ($(
-        $class:ident $tag:literal $variant:ident
-        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-    )*) => {$(
-        replicate_one! { $class fn $name($($($arg: [$($ty)+]),+)?) -> $ret }
-    )*};
-}
-macro_rules! replicate_one {
-    // Barriers that run anti-entropy repair first, written out in the impl.
-    (barrier fn commit $($rest:tt)*) => {};
-    (barrier fn prepare_commit $($rest:tt)*) => {};
-    (read fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty) => {
-        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
-            self.read_one(|sh| sh.$name($($arg),*))
+/// Route each request by its class. `commit` and `prepare_commit` run
+/// anti-entropy repair first. A mirror whose prepare fails transiently is
+/// demoted and the group still votes yes on the strength of its
+/// siblings: the demoted mirror is never asked about the txid again —
+/// its only way back is a wholesale resync from a sibling that took the
+/// decision.
+impl<S: HyperStore> hypermodel::Service for ReplicaGroup<S> {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        match req.class() {
+            Class::Read => self.read_one(req),
+            Class::Write => self.apply_all(req),
+            Class::Barrier => {
+                if matches!(req, Request::Commit | Request::PrepareCommit(_)) {
+                    self.repair_replicas();
+                }
+                self.apply_all(req)
+            }
         }
-    };
-    ($class:ident fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty) => {
-        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
-            self.apply_all(|sh| sh.$name($($arg),*))
-        }
-    };
-}
-
-impl<S: HyperStore> HyperStore for ReplicaGroup<S> {
-    hypermodel::store_ops!(replicate);
-
-    fn commit(&mut self) -> Result<()> {
-        self.repair_replicas();
-        self.apply_all(|sh| sh.commit())
-    }
-
-    /// A mirror whose prepare fails transiently is demoted and the group
-    /// still votes yes on the strength of its siblings: the demoted
-    /// mirror is never asked about `txid` again — its only way back is a
-    /// wholesale resync from a sibling that took the decision.
-    fn prepare_commit(&mut self, txid: u64) -> Result<()> {
-        self.repair_replicas();
-        self.apply_all(|sh| sh.prepare_commit(txid))
     }
 
     fn backend_name(&self) -> &'static str {

@@ -25,8 +25,8 @@
 use std::collections::HashMap;
 
 use hypermodel::error::{HmError, Result};
-use hypermodel::model::{NodeKind, Oid, RefEdge};
-use hypermodel::Bitmap;
+use hypermodel::model::{Oid, RefEdge};
+use hypermodel::protocol::Response;
 
 /// Ghost nodes get `uniqueId = GHOST_UID_BASE + global`, far above any
 /// benchmark uid, so they never collide with real nodes inside a shard's
@@ -102,16 +102,26 @@ impl<T: MapIds> MapIds for Vec<T> {
     }
 }
 
-macro_rules! no_ids {
-    ($($t:ty),*) => {$(
-        impl MapIds for $t {
-            fn map_ids(self, _: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<$t> {
-                Ok(self)
-            }
-        }
-    )*};
+/// Every answer a shard gives over the one call boundary: each variant
+/// that carries node ids has them rewritten, the others pass through.
+impl MapIds for Response {
+    fn map_ids(self, f: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<Response> {
+        Ok(match self {
+            Response::Oid(o) => Response::Oid(f(o)?),
+            Response::OptOid(o) => Response::OptOid(o.map_ids(f)?),
+            Response::Oids(v) => Response::Oids(v.map_ids(f)?),
+            Response::Edges(v) => Response::Edges(v.map_ids(f)?),
+            Response::OidLists(v) => Response::OidLists(v.map_ids(f)?),
+            Response::EdgeLists(v) => Response::EdgeLists(v.map_ids(f)?),
+            Response::Pairs(v) => Response::Pairs(
+                v.into_iter()
+                    .map(|(o, d)| Ok((f(o)?, d)))
+                    .collect::<Result<_>>()?,
+            ),
+            other => other,
+        })
+    }
 }
-no_ids!((), u32, u64, usize, NodeKind, String, Bitmap);
 
 /// Per-global-id record: owning shard, local id there, and 1-N depth.
 #[derive(Debug, Clone, Copy)]

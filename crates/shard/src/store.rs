@@ -1,17 +1,15 @@
 //! [`ShardedStore`]: one `HyperStore` over N shard backends — health,
 //! routing and fan-out.
 //!
-//! Every catalogue operation that addresses one node (a `store_ops!` row
-//! with an `about` column, closures aside) is generated as a *point
-//! route*: it runs on the owning shard on the calling thread — no
-//! executor hop — and its answer and errors are mapped back to global
-//! ids. Range lookups and sequential scans fan out to every shard and
-//! merge. A fan-out (`scatter`) runs the first involved shard's share
-//! on the calling thread and the others in parallel on their persistent
-//! workers ([`exec::ShardExecutor`], one bounded-channel round trip
-//! each), so a fan-out with one involved shard makes no hop at all. The
-//! closures are level-batched in `crate::closure`, writes are
-//! `crate::write`.
+//! The store is a [`Service`](hypermodel::Service). A request that
+//! addresses one node ([`Request::about_mut`], closures aside) is a
+//! *point route*: its subject is rewritten to the owning shard's local
+//! id, the request runs there on the calling thread, and the ids in its
+//! answer and errors are mapped back to global ids. The other rows are
+//! match arms; range lookups and scans fan out to every shard (`scatter`:
+//! the first involved shard's share on the calling thread, the others on
+//! their [`exec::ShardExecutor`] workers). The closures are level-batched
+//! in `crate::closure`, writes are `crate::write`.
 //!
 //! **Invariant: no shard has a queued job between `ShardedStore`
 //! calls.** Every call — the 2PC prepare round included — joins every
@@ -31,15 +29,16 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hypermodel::error::{HmError, Result};
-use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::store::{BatchWrite, HyperStore, ShardLoad};
-use hypermodel::Bitmap;
+use hypermodel::model::{Oid, RefEdge};
+use hypermodel::protocol::{Reply, Request, Response};
+use hypermodel::service::not_an_operation;
+use hypermodel::store::{unsupported, BatchWrite, HyperStore, ShardLoad};
 
 use exec::{ExecError, ShardExecutor};
 
 use crate::coordinator::{CommitLog, Coordinator};
 use crate::replica::{self, ReplicaGroup};
-use crate::router::{MapIds, Placement, ShardRouter};
+use crate::router::{Placement, ShardRouter};
 
 /// What the executor hands back for one shard job: the shard's own
 /// answer, or the reason the job produced none.
@@ -298,23 +297,28 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// it, run `f` under the shard's lock on the calling thread — the
     /// point path, no executor hop, a panic poisons the shard like a
     /// worker job's — and track health on the way out.
-    pub(crate) fn call<T>(&mut self, s: usize, f: impl FnOnce(&mut S) -> Result<T>) -> Result<T> {
+    pub(crate) fn on_shard<T>(
+        &mut self,
+        s: usize,
+        f: impl FnOnce(&mut S) -> Result<T>,
+    ) -> Result<T> {
         self.check(s)?;
         self.router.requests[s] += 1;
         note_exec(&mut self.health, s, self.exec.run_here(s, f))
     }
 
-    /// Every point operation: route to the shard owning `oid`, run `f`
-    /// there on the local id, map the ids in the answer back to global,
-    /// and name `oid` — not the shard-local id — in a missing-node or
-    /// wrong-kind error.
-    fn point<T: MapIds>(
-        &mut self,
-        oid: Oid,
-        f: impl FnOnce(&mut S, Oid) -> Result<T>,
-    ) -> Result<T> {
+    /// Every point operation: rewrite the request's subject to its local
+    /// id on the owning shard, run the request there, map the ids in the
+    /// answer back to global, and name the subject — not the shard-local
+    /// id — in a missing-node or wrong-kind error.
+    fn point(&mut self, mut req: Request) -> Result<Response> {
+        let Some(subject) = req.about_mut() else {
+            return Err(not_an_operation(&req));
+        };
+        let oid = *subject;
         let (s, l) = self.router.to_local(oid)?;
-        match self.call(s, |sh| f(sh, l)) {
+        *subject = l;
+        match self.on_shard(s, |sh| sh.call(req)) {
             Ok(answer) => self.router.globals(s, answer),
             Err(HmError::NodeNotFound(named)) if named == l => Err(HmError::NodeNotFound(oid)),
             Err(HmError::WrongKind {
@@ -368,19 +372,22 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.gather(vec![Some(()); n], |shard, ()| shard.seq_scan_ten())
     }
 
-    /// One batched read per shard with work, in parallel: `fetch` answers
-    /// a shard's locals in order, the ids in each answer are mapped back
-    /// to global, and the results scatter to the callers' order. A shard
-    /// with work must be alive (batched reads feed closures, whose results
-    /// are meaningless when incomplete) and counts one request — the unit
-    /// the skew statistics measure.
-    fn batch_read<T>(
+    /// One batched read per shard with work, in parallel: `list` makes
+    /// the request for a shard's locals, whose answer is one `T` per
+    /// local in order; the ids in each answer are mapped back to global
+    /// like a point route's, and the results scatter to the callers'
+    /// order. A shard with work
+    /// must be alive (batched reads feed closures, whose results are
+    /// meaningless when incomplete) and counts one request — the unit the
+    /// skew statistics measure.
+    pub(crate) fn batch_read<T>(
         &mut self,
         oids: &[Oid],
-        fetch: impl Fn(&mut S, Vec<Oid>) -> Result<Vec<T>> + Send + Sync + 'static,
+        list: fn(Vec<Oid>) -> Request,
     ) -> Result<Vec<T>>
     where
-        T: MapIds + Send + Default + Clone + 'static,
+        T: Default + Clone,
+        Vec<T>: Reply,
     {
         let n = self.router.shard_count();
         let mut work: Vec<Option<Vec<Oid>>> = vec![None; n];
@@ -394,11 +401,13 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             self.check(s)?;
             self.router.requests[s] += 1;
         }
-        let results = self.gather(work, fetch)?;
+        let answers = self.gather(work, move |shard, ls| shard.call(list(ls)).map(Some))?;
         let mut out = vec![T::default(); oids.len()];
-        for (s, items) in results.into_iter().enumerate() {
+        for (s, answer) in answers.into_iter().enumerate() {
+            let Some(answer) = answer else { continue };
+            let items = Vec::<T>::from_response(self.router.globals(s, answer)?)?;
             for (j, item) in items.into_iter().enumerate() {
-                out[pos[s][j]] = self.router.globals(s, item)?;
+                out[pos[s][j]] = item;
             }
         }
         Ok(out)
@@ -470,11 +479,12 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// Fan a read out across the shards (per the scan policy), translate
     /// each shard's results to global ids and drop ghosts (results whose
     /// owner is a different shard). Results come back in shard order — a
-    /// deterministic set order, per the trait's set-result convention.
+    /// deterministic set order, per the trait's set-result convention —
+    /// as the one answer of a range lookup.
     fn fan_out_owned(
         &mut self,
         f: impl Fn(&mut S) -> Result<Vec<Oid>> + Send + Sync + 'static,
-    ) -> Result<Vec<Oid>> {
+    ) -> Result<Response> {
         let per_shard = self.fan_out_policy(f)?;
         let mut out = Vec::new();
         for (s, locals) in per_shard {
@@ -487,7 +497,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
                 }
             }
         }
-        Ok(out)
+        Ok(Response::Oids(out))
     }
 }
 
@@ -517,112 +527,119 @@ impl<S: HyperStore + Send + 'static> ShardedStore<ReplicaGroup<S>> {
     }
 }
 
-/// Route each catalogue operation that addresses one node (`about`)
-/// through [`ShardedStore::point`].
-macro_rules! point_routes {
-    ($(
-        $class:ident $tag:literal $variant:ident
-        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-    )*) => {$(
-        point_route! { fn $name($($($arg: [$($ty)+]),+)?) -> $ret $(, about $subject)? }
-    )*};
-}
-macro_rules! point_route {
-    // The closures, level-batched in `crate::closure`: written out in the
-    // impl.
-    (fn closure_1n $($rest:tt)*) => {};
-    (fn closure_1n_att_sum $($rest:tt)*) => {};
-    (fn closure_1n_att_set $($rest:tt)*) => {};
-    (fn closure_1n_pred $($rest:tt)*) => {};
-    (fn closure_mn $($rest:tt)*) => {};
-    (fn closure_mnatt $($rest:tt)*) => {};
-    (fn closure_mnatt_linksum $($rest:tt)*) => {};
-    (fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty, about $subject:ident) => {
-        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
-            self.point($subject, |sh, $subject| sh.$name($($arg),*))
-        }
-    };
-    // Rows that address no single node: written out in the impl.
-    (fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty) => {};
-}
-
-impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
-    hypermodel::store_ops!(point_routes);
-
-    fn lookup_unique(&mut self, unique_id: u64) -> Result<Oid> {
+impl<S: HyperStore + Send + 'static> ShardedStore<S> {
+    /// `lookup_unique`: the router knows the uid's global id; the owning
+    /// shard resolves it too, so a missing node fails there.
+    fn lookup(&mut self, unique_id: u64) -> Result<Oid> {
         let g = self.router.global_for_uid(unique_id)?;
         let (s, l) = self.router.to_local(g)?;
-        let local = self.call(s, |sh| sh.lookup_unique(unique_id))?;
+        let local = self.on_shard(s, |sh| sh.lookup_unique(unique_id))?;
         debug_assert_eq!(local, l, "shard uid index disagrees with router");
         Ok(g)
     }
 
-    fn range_hundred(&mut self, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        self.fan_out_owned(move |shard| shard.range_hundred(lo, hi))
+    /// A creation or an edge, as a batch of one write; answers the new
+    /// global id of a creation.
+    fn write_one(&mut self, w: BatchWrite) -> Result<Response> {
+        let creates = matches!(w, BatchWrite::Create { .. } | BatchWrite::Extra(_));
+        let created = self.write_rounds(vec![w])?.pop();
+        match (creates, created) {
+            (false, _) => Ok(Response::Unit),
+            (true, Some(g)) => Ok(Response::Oid(g)),
+            (true, None) => Err(HmError::Backend("create returned no id".into())),
+        }
     }
 
-    fn range_million(&mut self, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        self.fan_out_owned(move |shard| shard.range_million(lo, hi))
-    }
-
-    fn seq_scan_ten(&mut self) -> Result<u64> {
-        Ok(self
-            .fan_out_policy(|shard| shard.seq_scan_ten())?
-            .into_iter()
-            .map(|(_, v)| v)
-            .sum())
-    }
-
-    fn create_node(&mut self, value: &NodeValue) -> Result<Oid> {
-        self.create_node_clustered(value, None)
-    }
-
-    // ---- writes: every creation and edge is a batch (`crate::write`) --
-
-    fn create_node_clustered(&mut self, value: &NodeValue, near: Option<Oid>) -> Result<Oid> {
-        let value = value.clone();
-        self.write_one(BatchWrite::Create { value, near })?
-            .ok_or_else(|| HmError::Backend("create returned no id".into()))
-    }
-
-    fn add_child(&mut self, parent: Oid, child: Oid) -> Result<()> {
-        self.write_one(BatchWrite::Child(parent, child)).map(drop)
-    }
-
-    fn add_part(&mut self, owner: Oid, part: Oid) -> Result<()> {
-        self.write_one(BatchWrite::Part(owner, part)).map(drop)
-    }
-
-    fn add_ref(&mut self, from: Oid, to: Oid, offset_from: u8, offset_to: u8) -> Result<()> {
-        let edge = RefEdge {
-            target: to,
-            offset_from,
-            offset_to,
-        };
-        self.write_one(BatchWrite::Ref(from, edge)).map(drop)
-    }
-
-    fn insert_extra_node(&mut self, value: &NodeValue) -> Result<Oid> {
-        self.write_one(BatchWrite::Extra(value.clone()))?
-            .ok_or_else(|| HmError::Backend("insert returned no id".into()))
-    }
-
-    fn write_batch(&mut self, writes: &[BatchWrite]) -> Result<Vec<Oid>> {
-        self.write_rounds(writes)
-    }
-
-    fn commit(&mut self) -> Result<()> {
-        // A commit must touch every shard: fail fast on a known-dead one.
+    /// A commit must touch every shard: fail fast on a known-dead one.
+    fn commit_all(&mut self) -> Result<()> {
         if let Some(dead) = self.health.iter().position(|h| !*h) {
             return Err(marked_down(dead));
         }
         self.coordinator.commit(&self.exec, &mut self.health)
     }
+}
 
-    fn cold_restart(&mut self) -> Result<()> {
-        let n = self.router.shard_count();
-        self.gather(vec![Some(()); n], |shard, ()| shard.cold_restart())?;
-        Ok(())
+impl<S: HyperStore + Send + 'static> hypermodel::Service for ShardedStore<S> {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        use Request as R;
+        fn ok<T: Reply>(answer: T) -> Response {
+            answer.into_response()
+        }
+        let name = self.name;
+        let refuse = |what| Err(unsupported(name, what));
+        let create = |value, near| BatchWrite::Create { value, near };
+        let answer = match req {
+            R::LookupUnique(uid) => ok(self.lookup(uid)?),
+            R::RangeHundred(lo, hi) => self.fan_out_owned(move |sh| sh.range_hundred(lo, hi))?,
+            R::RangeMillion(lo, hi) => self.fan_out_owned(move |sh| sh.range_million(lo, hi))?,
+            R::SeqScanTen => {
+                let counts = self.fan_out_policy(|sh| sh.seq_scan_ten())?;
+                ok(counts.iter().map(|(_, n)| n).sum::<u64>())
+            }
+
+            // ---- writes: every creation and edge is a batch (`crate::write`)
+            R::CreateNode(value) => self.write_one(create(value, None))?,
+            R::CreateNodeClustered(value, near) => self.write_one(create(value, near))?,
+            R::InsertExtraNode(value) => self.write_one(BatchWrite::Extra(value))?,
+            R::AddChild(parent, child) => self.write_one(BatchWrite::Child(parent, child))?,
+            R::AddPart(owner, part) => self.write_one(BatchWrite::Part(owner, part))?,
+            R::AddRef(from, target, offset_from, offset_to) => {
+                let edge = RefEdge {
+                    target,
+                    offset_from,
+                    offset_to,
+                };
+                self.write_one(BatchWrite::Ref(from, edge))?
+            }
+            R::WriteBatch(writes) => ok(self.write_rounds(writes)?),
+
+            // ---- the commit family: the store commits through its own
+            // coordinator (`crate::coordinator`), so to a coordinator
+            // above it it is a participant whose prepare is a full commit.
+            R::Commit | R::PrepareCommit(_) => ok(self.commit_all()?),
+            R::CommitPrepared(_) | R::AbortPrepared(_) => Response::Unit,
+            R::ColdRestart => {
+                let n = self.router.shard_count();
+                self.gather(vec![Some(()); n], |sh, ()| sh.cold_restart())?;
+                Response::Unit
+            }
+
+            // ---- batched primitives: one request per shard with work
+            R::ChildrenBatch(o) => ok(self.batch_read::<Vec<Oid>>(&o, R::ChildrenBatch)?),
+            R::PartsBatch(o) => ok(self.batch_read::<Vec<Oid>>(&o, R::PartsBatch)?),
+            R::RefsToBatch(o) => ok(self.batch_read::<Vec<RefEdge>>(&o, R::RefsToBatch)?),
+            R::HundredBatch(o) => ok(self.batch_read::<u32>(&o, R::HundredBatch)?),
+            R::MillionBatch(o) => ok(self.batch_read::<u32>(&o, R::MillionBatch)?),
+
+            // ---- closures: level-batched (`crate::closure`)
+            R::Closure1N(start) => ok(self.node_closure(start, R::ChildrenBatch, None)?),
+            R::Closure1NAttSum(start) => ok(self.att_sum(start)?),
+            R::Closure1NAttSet(start) => ok(self.att_set(start)?),
+            R::Closure1NPred(start, lo, hi) => {
+                ok(self.node_closure(start, R::ChildrenBatch, Some(lo..=hi))?)
+            }
+            R::ClosureMN(start) => ok(self.node_closure(start, R::PartsBatch, None)?),
+            R::ClosureMNAtt(start, depth) => {
+                let pairs = self.ref_closure(start, depth)?;
+                ok(pairs.into_iter().map(|(o, _)| o).collect::<Vec<_>>())
+            }
+            R::ClosureMNAttLinkSum(start, depth) => ok(self.ref_closure(start, depth)?),
+
+            // ---- whole-store repair and migration steps are a shard's
+            // own business (`ReplicaGroup`, `migrate_subtree`), not the
+            // deployment's.
+            R::SyncSubtree => return refuse("anti-entropy export"),
+            R::InstallSubtree(_) => return refuse("anti-entropy import"),
+            R::ExportNodes(_) => return refuse("node migration export"),
+            R::InstallNodes(_) => return refuse("node migration install"),
+            R::ActivateNodes(_) => return refuse("node migration activate"),
+            R::RetireNodes(_) => return refuse("node migration retire"),
+
+            // Every other row addresses one node; `point` refuses a
+            // session message.
+            point => self.point(point)?,
+        };
+        Ok(answer)
     }
 
     fn backend_name(&self) -> &'static str {
@@ -688,59 +705,6 @@ impl<S: HyperStore + Send + 'static> HyperStore for ShardedStore<S> {
             out.push_str(&format!(" skipped-shards={:?}", self.last_scan_skipped));
         }
         Some(out)
-    }
-
-    // ---- batched primitives: one request per shard with work ----------
-
-    fn children_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
-        self.batch_read(oids, |shard, ls| shard.children_batch(&ls))
-    }
-
-    fn parts_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
-        self.batch_read(oids, |shard, ls| shard.parts_batch(&ls))
-    }
-
-    fn refs_to_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<RefEdge>>> {
-        self.batch_read(oids, |shard, ls| shard.refs_to_batch(&ls))
-    }
-
-    fn hundred_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
-        self.batch_read(oids, |shard, ls| shard.hundred_batch(&ls))
-    }
-
-    fn million_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
-        self.batch_read(oids, |shard, ls| shard.million_batch(&ls))
-    }
-
-    // ---- closures: level-batched (`crate::closure`) -------------------
-
-    fn closure_1n(&mut self, start: Oid) -> Result<Vec<Oid>> {
-        self.node_closure(start, Self::children_batch, None)
-    }
-
-    fn closure_1n_att_sum(&mut self, start: Oid) -> Result<(u64, usize)> {
-        self.att_sum(start)
-    }
-
-    fn closure_1n_att_set(&mut self, start: Oid) -> Result<usize> {
-        self.att_set(start)
-    }
-
-    fn closure_1n_pred(&mut self, start: Oid, lo: u32, hi: u32) -> Result<Vec<Oid>> {
-        self.node_closure(start, Self::children_batch, Some(lo..=hi))
-    }
-
-    fn closure_mn(&mut self, start: Oid) -> Result<Vec<Oid>> {
-        self.node_closure(start, Self::parts_batch, None)
-    }
-
-    fn closure_mnatt(&mut self, start: Oid, depth: u32) -> Result<Vec<Oid>> {
-        let pairs = self.ref_closure(start, depth)?;
-        Ok(pairs.into_iter().map(|(o, _)| o).collect())
-    }
-
-    fn closure_mnatt_linksum(&mut self, start: Oid, depth: u32) -> Result<Vec<(Oid, u64)>> {
-        self.ref_closure(start, depth)
     }
 }
 

@@ -13,6 +13,7 @@ use std::collections::HashSet;
 
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
+use hypermodel::protocol::{Reply, Request};
 use hypermodel::store::{BatchWrite, HyperStore};
 
 use crate::router::GHOST_UID_BASE;
@@ -68,28 +69,23 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// [`HyperStore::write_batch`], sent in rounds: a round ends before
     /// the first write that names a node created earlier in it, whose
     /// local id is only known once the round has been applied (the loader
-    /// never sends such a batch).
-    pub(crate) fn write_rounds(&mut self, writes: &[BatchWrite]) -> Result<Vec<Oid>> {
+    /// never sends such a batch). The writes are taken by value: each
+    /// moves into the request for its shard, uncopied.
+    pub(crate) fn write_rounds(&mut self, mut writes: Vec<BatchWrite>) -> Result<Vec<Oid>> {
         let mut created = Vec::new();
-        let mut rest = writes;
-        while !rest.is_empty() {
+        while !writes.is_empty() {
             // Ids from `base` on are created by this round (or unknown).
             let base = self.router.mint().0;
-            let len = rest
+            let len = writes
                 .iter()
                 .skip(1)
                 .position(|w| named(w).iter().flatten().any(|g| g.0 >= base))
-                .map_or(rest.len(), |at| at + 1);
-            let (round, later) = rest.split_at(len);
-            created.extend(self.write_round(round)?);
-            rest = later;
+                .map_or(writes.len(), |at| at + 1);
+            let later = writes.split_off(len);
+            created.extend(self.write_round(writes)?);
+            writes = later;
         }
         Ok(created)
-    }
-
-    /// A batch of one write.
-    pub(crate) fn write_one(&mut self, w: BatchWrite) -> Result<Option<Oid>> {
-        Ok(self.write_rounds(&[w])?.pop())
     }
 
     /// One `write_batch` per shard with work, in shard order, each on the
@@ -101,12 +97,16 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// record what the shards that answered did, and how the sends ended.
     fn send_writes(&mut self, per: Vec<Vec<BatchWrite>>) -> (Vec<Vec<Oid>>, Result<()>) {
         let mut answers = vec![Vec::new(); per.len()];
-        let busy: Vec<usize> = (0..per.len()).filter(|&s| !per[s].is_empty()).collect();
-        if let Err(e) = busy.iter().try_for_each(|&s| self.check(s)) {
+        let mut busy = (0..per.len()).filter(|&s| !per[s].is_empty());
+        if let Err(e) = busy.try_for_each(|s| self.check(s)) {
             return (answers, Err(e));
         }
-        for s in busy {
-            match self.call(s, |sh| sh.write_batch(&per[s])) {
+        for (s, writes) in per.into_iter().enumerate() {
+            if writes.is_empty() {
+                continue;
+            }
+            let sent = self.on_shard(s, |sh| sh.call(Request::WriteBatch(writes)));
+            match sent.and_then(Vec::<Oid>::from_response) {
                 Ok(ids) => answers[s] = ids,
                 Err(e) => return (answers, Err(e)),
             }
@@ -120,7 +120,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// pass 2 the writes — an edge between shards on both sides, against
     /// the ghosts. Creates are placed as they come, exactly as
     /// [`HyperStore::create_node_clustered`] alone would place them.
-    fn write_round(&mut self, writes: &[BatchWrite]) -> Result<Vec<Oid>> {
+    fn write_round(&mut self, writes: Vec<BatchWrite>) -> Result<Vec<Oid>> {
         let n = self.router.shard_count();
 
         // Pass 1: ghosts, per shard in first-use order.
@@ -161,42 +161,41 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         for w in writes {
             match w {
                 BatchWrite::Create { value, near } => {
-                    let (s, depth) = self.router.place(base + placed.len() as u64, *near);
+                    let (s, depth) = self.router.place(base + placed.len() as u64, near);
                     // Forward the hint only where it resolves on this
                     // shard (the real node or an existing ghost of it).
                     let near = near.and_then(|p| match self.router.to_local(p) {
                         Ok((ps, pl)) if ps == s => Some(pl),
                         _ => self.router.ghost_of(p, s),
                     });
-                    let value = value.clone();
                     placed.push((s, depth, value.attrs.unique_id, true));
                     per[s].push(BatchWrite::Create { value, near });
                 }
                 BatchWrite::Extra(value) => {
                     let (s, depth) = self.router.place(base + placed.len() as u64, None);
                     placed.push((s, depth, value.attrs.unique_id, false));
-                    per[s].push(BatchWrite::Extra(value.clone()));
+                    per[s].push(BatchWrite::Extra(value));
                 }
                 BatchWrite::SetHundred(oid, value) => {
-                    let (s, l) = self.router.to_local(*oid)?;
-                    per[s].push(BatchWrite::SetHundred(l, *value));
+                    let (s, l) = self.router.to_local(oid)?;
+                    per[s].push(BatchWrite::SetHundred(l, value));
                 }
                 edge @ (BatchWrite::Child(a, b)
                 | BatchWrite::Part(a, b)
                 | BatchWrite::Ref(a, RefEdge { target: b, .. })) => {
-                    let (sa, la) = self.router.to_local(*a)?;
-                    let (sb, lb) = self.router.to_local(*b)?;
+                    let (sa, la) = self.router.to_local(a)?;
+                    let (sb, lb) = self.router.to_local(b)?;
                     if sa == sb {
-                        per[sa].push(relink(edge, la, lb));
+                        per[sa].push(relink(&edge, la, lb));
                     } else {
                         let ghost = |g: Oid, s: usize| {
                             self.router.ghost_of(g, s).ok_or_else(|| {
                                 HmError::Backend(format!("no ghost of {g} on shard {s}"))
                             })
                         };
-                        let (ghost_b, ghost_a) = (ghost(*b, sa)?, ghost(*a, sb)?);
-                        per[sa].push(relink(edge, la, ghost_b));
-                        per[sb].push(relink(edge, ghost_a, lb));
+                        let (ghost_b, ghost_a) = (ghost(b, sa)?, ghost(a, sb)?);
+                        per[sa].push(relink(&edge, la, ghost_b));
+                        per[sb].push(relink(&edge, ghost_a, lb));
                     }
                 }
             }

@@ -11,10 +11,9 @@ use hypermodel::config::GenConfig;
 use hypermodel::error::{HmError, Result};
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
+use hypermodel::protocol::{Class, Request, Response};
 use hypermodel::store::HyperStore;
 use hypermodel::verify::verify_store;
-use hypermodel::{BatchWrite, Bitmap, NodeExport};
 use mem_backend::MemStore;
 use proptest::prelude::*;
 use shard::{Placement, ReplicaGroup, ScanPolicy, ShardedStore};
@@ -169,25 +168,17 @@ struct FailNth {
     fail_write: Option<usize>,
 }
 
-macro_rules! forward {
-    ($(
-        $class:ident $tag:literal $variant:ident
-        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-    )*) => {$(
-        fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
-            if stringify!($class) == "write" {
-                self.writes += 1;
-                if self.fail_write == Some(self.writes) {
-                    return Err(HmError::Timeout(format!("injected failure of write {}", self.writes)));
-                }
+impl hypermodel::Service for FailNth {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        if req.class() == Class::Write {
+            self.writes += 1;
+            if self.fail_write == Some(self.writes) {
+                let msg = format!("injected failure of write {}", self.writes);
+                return Err(HmError::Timeout(msg));
             }
-            self.inner.$name($($($arg),+)?)
         }
-    )*};
-}
-
-impl HyperStore for FailNth {
-    hypermodel::store_ops!(forward);
+        self.inner.call(req)
+    }
 
     fn backend_name(&self) -> &'static str {
         "fail-nth"

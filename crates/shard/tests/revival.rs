@@ -10,9 +10,8 @@ use hypermodel::config::GenConfig;
 use hypermodel::error::{HmError, Result};
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
+use hypermodel::protocol::{Request, Response};
 use hypermodel::store::HyperStore;
-use hypermodel::{BatchWrite, Bitmap, NodeExport};
 use mem_backend::MemStore;
 use shard::{recover_sharded, CommitLog, Placement, ShardedStore};
 
@@ -137,40 +136,31 @@ fn recovered_shard_is_readmitted_via_replace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `MemStore` that logs the name of every call it serves, and whose
-/// next `prepare_commit` fails with a timeout — what a remote shard's
+/// A `MemStore` that logs every request it serves, and whose next
+/// `prepare_commit` fails with a timeout — what a remote shard's
 /// transport reports when its request timeout runs out — while
 /// `prepare_times_out` is set.
 struct Recorder {
     inner: MemStore,
-    calls: Vec<&'static str>,
+    calls: Vec<Request>,
     prepare_times_out: bool,
 }
 
-macro_rules! record_and_forward {
-    ($(
-        $class:ident $tag:literal $variant:ident
-        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-    )*) => {$(
-        fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
-            self.calls.push(stringify!($name));
-            if stringify!($name) == "prepare_commit" && std::mem::take(&mut self.prepare_times_out) {
-                return Err(HmError::Timeout("injected prepare timeout".into()));
-            }
-            self.inner.$name($($($arg),+)?)
+impl hypermodel::Service for Recorder {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        self.calls.push(req.clone());
+        if matches!(req, Request::PrepareCommit(_)) && std::mem::take(&mut self.prepare_times_out) {
+            return Err(HmError::Timeout("injected prepare timeout".into()));
         }
-    )*};
-}
-
-impl HyperStore for Recorder {
-    hypermodel::store_ops!(record_and_forward);
+        self.inner.call(req)
+    }
 
     fn backend_name(&self) -> &'static str {
         "recorder"
     }
 }
 
-fn calls(store: &ShardedStore<Recorder>, shard: usize) -> Vec<&'static str> {
+fn calls(store: &ShardedStore<Recorder>, shard: usize) -> Vec<Request> {
     store.with_shard(shard, |sh| sh.calls.clone()).unwrap()
 }
 
@@ -199,9 +189,15 @@ fn a_prepare_timeout_is_a_vote_to_abort_and_revival_commits_again() {
     );
     assert_eq!(s.commit_aborts(), 1);
     assert_eq!(s.health(), &[true, false]);
-    let rolled_back = ["prepare_commit", "abort_prepared"];
-    assert_eq!(calls(&s, 0), rolled_back, "the yes-voter rolled back");
-    assert_eq!(calls(&s, 1), ["prepare_commit"]);
+    let (yes, timed_out) = (calls(&s, 0), calls(&s, 1));
+    assert!(
+        matches!(yes[..], [Request::PrepareCommit(t), Request::AbortPrepared(u)] if t == u),
+        "the yes-voter rolled back: {yes:?}"
+    );
+    assert!(
+        matches!(timed_out[..], [Request::PrepareCommit(_)]),
+        "{timed_out:?}"
+    );
 
     s.revive_shard(1).unwrap();
     assert_eq!(s.health(), &[true, true]);

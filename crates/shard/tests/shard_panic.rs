@@ -11,19 +11,19 @@ use hypermodel::config::GenConfig;
 use hypermodel::error::{HmError, Result};
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
+use hypermodel::model::Oid;
+use hypermodel::protocol::{Request, Response};
 use hypermodel::store::HyperStore;
 use hypermodel::verify::verify_store;
-use hypermodel::{BatchWrite, Bitmap, NodeExport};
 use mem_backend::MemStore;
 use shard::{Placement, ReplicaGroup, ShardedStore};
 
-/// A store that panics when `panic_on` names the method called and
-/// otherwise forwards to `inner`. Before panicking it notes the thread it
-/// runs on, so a test can tell the caller's share from a worker's.
+/// A store that panics on the requests `panic_on` picks and otherwise
+/// passes them to `inner`. Before panicking it notes the thread it runs
+/// on, so a test can tell the caller's share from a worker's.
 struct PanicOn {
     inner: MemStore,
-    panic_on: &'static str,
+    panic_on: fn(&Request) -> bool,
     panicked_on: Option<String>,
 }
 
@@ -31,29 +31,20 @@ impl PanicOn {
     fn new(inner: MemStore) -> PanicOn {
         PanicOn {
             inner,
-            panic_on: "",
+            panic_on: |_| false,
             panicked_on: None,
         }
     }
 }
 
-macro_rules! forward {
-    ($(
-        $class:ident $tag:literal $variant:ident
-        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-    )*) => {$(
-        fn $name(&mut self $($(, $arg: $($ty)+)+)?) -> Result<$ret> {
-            if self.panic_on == stringify!($name) {
-                self.panicked_on = std::thread::current().name().map(String::from);
-                panic!("injected panic in {}", stringify!($name));
-            }
-            self.inner.$name($($($arg),+)?)
+impl hypermodel::Service for PanicOn {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        if (self.panic_on)(&req) {
+            self.panicked_on = std::thread::current().name().map(String::from);
+            panic!("injected panic in {req:?}");
         }
-    )*};
-}
-
-impl HyperStore for PanicOn {
-    hypermodel::store_ops!(forward);
+        self.inner.call(req)
+    }
 
     fn backend_name(&self) -> &'static str {
         "panic-on"
@@ -92,10 +83,10 @@ impl Fixture {
             .expect("hash placement uses both shards")
     }
 
-    /// Make `shard` panic in `method`.
-    fn arm(&mut self, shard: usize, method: &'static str) {
+    /// Make `shard` panic on the requests `panic_on` picks.
+    fn arm(&mut self, shard: usize, panic_on: fn(&Request) -> bool) {
         self.store
-            .with_shard(shard, |sh| sh.panic_on = method)
+            .with_shard(shard, |sh| sh.panic_on = panic_on)
             .unwrap();
     }
 
@@ -142,7 +133,7 @@ impl Fixture {
 fn a_panic_in_a_point_operation_poisons_the_shard() {
     let mut f = Fixture::new();
     let (doomed, healthy) = (f.on(1), f.on(0));
-    f.arm(1, "hundred_of");
+    f.arm(1, |req| matches!(req, Request::HundredOf(_)));
     let err = f.store.hundred_of(doomed).unwrap_err();
     f.assert_poisoned(1, err, std::thread::current().name());
     // The other shard keeps answering point operations.
@@ -157,7 +148,7 @@ fn a_panic_in_the_inline_share_of_a_closure_level_poisons_the_shard() {
     // The first level's only work is on the start node's shard, which
     // the caller runs itself.
     let start = f.on(1);
-    f.arm(1, "children_batch");
+    f.arm(1, |req| matches!(req, Request::ChildrenBatch(_)));
     let err = f.store.closure_1n(start).unwrap_err();
     f.assert_poisoned(1, err, std::thread::current().name());
     f.restore(1);
@@ -180,7 +171,7 @@ fn a_panic_in_a_worker_share_of_a_closure_level_poisons_the_shard() {
                     .all(|&s| kids.iter().any(|&k| f.store.owner_of(k) == Some(s)))
         })
         .expect("a shard-0 node with children on both shards");
-    f.arm(1, "children_batch");
+    f.arm(1, |req| matches!(req, Request::ChildrenBatch(_)));
     let err = f.store.closure_1n(start).unwrap_err();
     f.assert_poisoned(1, err, Some("shard-exec-1"));
     f.restore(1);
@@ -198,7 +189,10 @@ fn a_panicking_member_is_poisoned_and_demoted_and_its_sibling_carries_the_group(
 
     // Member 0 panics in the next write: the write still lands on its
     // sibling, and the panic does not unwind through the caller.
-    g.with_member(0, |sh| sh.panic_on = "set_hundred").unwrap();
+    g.with_member(0, |sh| {
+        sh.panic_on = |req| matches!(req, Request::SetHundred(..))
+    })
+    .unwrap();
     g.set_hundred(target, after).unwrap();
     assert_eq!(g.member_health(), &[false, true], "member 0 demoted");
     assert_eq!(g.demotions(), 1);
@@ -211,7 +205,7 @@ fn a_panicking_member_is_poisoned_and_demoted_and_its_sibling_carries_the_group(
     assert_eq!(g.hundred_of(target).unwrap(), before);
 
     // Repair skips the poisoned member, and reviving it is refused.
-    g.with_member(0, |sh| sh.panic_on = "").unwrap();
+    g.with_member(0, |sh| sh.panic_on = |_| false).unwrap();
     g.commit().unwrap();
     assert_eq!(g.member_health(), &[false, true]);
     assert_eq!(g.repairs(), 0);

@@ -1,14 +1,12 @@
 //! The load verifier must pass on faithful loads and flag every class of
 //! divergence a broken port could introduce.
 
-use hypermodel::bitmap::Bitmap;
 use hypermodel::config::GenConfig;
 use hypermodel::error::Result;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
-use hypermodel::migrate::NodeExport;
-use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::store::{BatchWrite, HyperStore};
+use hypermodel::protocol::{Request, Response};
+use hypermodel::store::HyperStore;
 use hypermodel::text::{VERSION_1, VERSION_2};
 use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
@@ -111,30 +109,16 @@ fn error_cap_keeps_reports_bounded() {
 /// intact, so only a check of the closure answers themselves can see it.
 struct ShortClosureMn(MemStore);
 
-macro_rules! forward {
-    ($(
-        $class:ident $tag:literal $variant:ident
-        fn $name:ident $(( $($arg:ident: [$($ty:tt)+]),+ ))? -> $ret:ty $(, about $subject:ident)?;
-    )*) => {$(
-        forward_one! { fn $name($($($arg: [$($ty)+]),+)?) -> $ret }
-    )*};
-}
-macro_rules! forward_one {
-    (fn closure_mn $($rest:tt)*) => {};
-    (fn $name:ident($($arg:ident: [$($ty:tt)+]),*) -> $ret:ty) => {
-        fn $name(&mut self $(, $arg: $($ty)+)*) -> Result<$ret> {
-            self.0.$name($($arg),*)
+impl hypermodel::Service for ShortClosureMn {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        match req {
+            Request::ClosureMN(start) => {
+                let mut closure = self.0.closure_mn(start)?;
+                closure.pop();
+                Ok(Response::Oids(closure))
+            }
+            other => self.0.call(other),
         }
-    };
-}
-
-impl HyperStore for ShortClosureMn {
-    hypermodel::store_ops!(forward);
-
-    fn closure_mn(&mut self, start: Oid) -> Result<Vec<Oid>> {
-        let mut closure = self.0.closure_mn(start)?;
-        closure.pop();
-        Ok(closure)
     }
 
     fn backend_name(&self) -> &'static str {
