@@ -262,7 +262,7 @@ impl BackendSpec {
         // error path too.
         let mut files = None;
         let mut server = None;
-        let (store, load, file_bytes) = match *self {
+        let (store, load, stored_bytes) = match *self {
             BackendSpec::Mem => loaded(MemStore::new(), db, faults)?,
             BackendSpec::Disk => {
                 let path = files
@@ -270,7 +270,7 @@ impl BackendSpec {
                     .path();
                 let mut store = DiskStore::create(path, pool_frames)?;
                 let load = load_database(&mut store, db)?;
-                let size = store.file_size();
+                let size = store.stored_bytes();
                 (boxed(store, faults), load, size)
             }
             BackendSpec::Rel => {
@@ -279,7 +279,7 @@ impl BackendSpec {
                     .path();
                 let mut store = RelStore::create(path, pool_frames)?;
                 let load = load_database(&mut store, db)?;
-                let size = store.file_size();
+                let size = store.stored_bytes();
                 (boxed(store, faults), load, size)
             }
             BackendSpec::Remote => {
@@ -396,7 +396,7 @@ impl BackendSpec {
         Ok(Deployment {
             store,
             load,
-            file_bytes,
+            stored_bytes,
             server,
             _files: files,
         })
@@ -404,7 +404,7 @@ impl BackendSpec {
 }
 
 /// A loaded store, boxed (see [`BackendSpec::deploy`]), with its load
-/// report and database file bytes.
+/// report and stored bytes.
 type Loaded = (Box<dyn HyperStore>, LoadReport, u64);
 
 /// Load `db` into `store`, then box it; a store without files has 0 bytes.
@@ -432,8 +432,9 @@ pub struct Deployment {
     pub store: Box<dyn HyperStore>,
     /// The load's oid map and creation timings.
     pub load: LoadReport,
-    /// Bytes of the database file (`disk` and `rel`; 0 otherwise).
-    pub file_bytes: u64,
+    /// Bytes of the database file and its write-ahead log (`disk` and
+    /// `rel`; 0 otherwise).
+    pub stored_bytes: u64,
     server: Option<MultiServer>,
     _files: Option<DbFiles>,
 }

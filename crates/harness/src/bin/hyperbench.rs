@@ -217,7 +217,7 @@ fn cmd_create(level: u32, backend: &str, pool_frames: usize) -> Result<()> {
     let mut rows = Vec::new();
     for b in backends(backend) {
         let dep = b.deploy(&db, &std::env::temp_dir(), pool_frames, None)?;
-        rows.push((b.to_string(), level, dep.load.timings, dep.file_bytes));
+        rows.push((b.to_string(), level, dep.load.timings, dep.stored_bytes));
     }
     println!("{}", render_creation_table(&rows));
     println!("{}", creation_csv(&rows));

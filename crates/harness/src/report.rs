@@ -238,7 +238,7 @@ pub fn render_creation_table(rows: &[(String, u32, CreationTimings, u64)]) -> St
         "MN ms/rel",
         "ref ms/rel",
         "total s",
-        "db bytes"
+        "stored bytes"
     );
     out.push_str(&"-".repeat(124));
     out.push('\n');
@@ -263,7 +263,7 @@ pub fn render_creation_table(rows: &[(String, u32, CreationTimings, u64)]) -> St
 /// CSV for the creation table.
 pub fn creation_csv(rows: &[(String, u32, CreationTimings, u64)]) -> String {
     let mut out = String::from(
-        "backend,level,internal_ms_per_node,leaf_ms_per_node,child_ms_per_rel,part_ms_per_rel,ref_ms_per_rel,total_s,db_bytes\n",
+        "backend,level,internal_ms_per_node,leaf_ms_per_node,child_ms_per_rel,part_ms_per_rel,ref_ms_per_rel,total_s,stored_bytes\n",
     );
     for (backend, level, t, bytes) in rows {
         let _ = writeln!(

@@ -370,6 +370,11 @@ impl<L: NodeLayout> PagedStore<L> {
         self.engine.file_size()
     }
 
+    /// Bytes stored for the database: its file plus its write-ahead log.
+    pub fn stored_bytes(&self) -> u64 {
+        self.engine.stored_bytes()
+    }
+
     fn exists(&mut self, oid: Oid) -> Result<()> {
         self.layout.exists(self.engine.pool(), oid)
     }

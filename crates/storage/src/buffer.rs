@@ -13,12 +13,13 @@
 //! # Write policy
 //!
 //! The pool is **no-steal**: dirty frames are never written back by
-//! eviction. Dirtied pages stay resident until [`BufferPool::flush_all`]
-//! (called by the engine's commit). If every frame is dirty or pinned,
-//! `fetch` reports [`StorageError::PoolExhausted`] — the transaction's write
-//! set exceeded the pool, which the engine surfaces as "commit more often or
-//! enlarge the pool". No-steal means uncommitted data never reaches the
-//! database file, so the write-ahead log only ever needs *redo*.
+//! eviction. Dirtied pages stay resident until the engine's commit writes
+//! them ([`BufferPool::flush_from`], [`BufferPool::flush_all`]). If every
+//! frame is dirty or pinned, `fetch` reports [`StorageError::PoolExhausted`]
+//! — the transaction's write set exceeded the pool, which the engine
+//! surfaces as "commit more often or enlarge the pool". No-steal means
+//! uncommitted data never overwrites a page committed state can reach, so
+//! the write-ahead log only ever needs *redo*.
 //!
 //! # Before-images
 //!
@@ -31,9 +32,12 @@
 //! therefore go through a handle obtained from `fetch_mut` (or
 //! [`BufferPool::allocate`]) *before* the first byte is written: a change
 //! made through a plain [`BufferPool::fetch`] handle would be missing from
-//! the log. A frame that was never clean (a freshly allocated page) has no
-//! before-image and is logged whole. The copy is made on the write path
-//! only; reads never pay for it.
+//! the log. A page the file has never held (one [`BufferPool::allocate`]
+//! added to its end) has no before-image: the engine writes it to the file
+//! before the commit marker ([`BufferPool::flush_from`]) and logs nothing
+//! (see [`crate::engine`]). A frame whose before-image a failed commit
+//! already spent is logged whole. The copy is made on the write path only;
+//! reads never pay for it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -306,12 +310,20 @@ impl BufferPool {
     /// Returns how many were written. Does **not** fsync; callers pair
     /// this with [`BufferPool::sync`] according to their durability protocol.
     pub fn flush_all(&mut self) -> Result<usize> {
-        let mut written = 0;
-        // Popping from the back of a descending list writes in file order
-        // and leaves exactly the unwritten frames listed if a write fails.
+        self.flush_from(PageId::META)
+    }
+
+    /// [`BufferPool::flush_all`] for the dirty frames whose id is `first`
+    /// or higher; the others stay dirty, before-images and all.
+    pub fn flush_from(&mut self, first: PageId) -> Result<usize> {
+        // Sorted descending, the frames due are a prefix. Walking it back
+        // to front writes in file order, and a failed write leaves exactly
+        // the unwritten frames listed.
         self.dirty_ids.sort_unstable_by(|a, b| b.cmp(a));
-        while let Some(&id) = self.dirty_ids.last() {
-            let frame = &mut self.frames[self.map[&id]];
+        let due = self.dirty_ids.partition_point(|&id| id >= first.0);
+        let mut written = 0;
+        let result = self.dirty_ids[..due].iter().rev().try_for_each(|id| {
+            let frame = &mut self.frames[self.map[id]];
             {
                 // The page latch must stay held across the disk write
                 // so the frame cannot be mutated mid-flush; this is a
@@ -321,10 +333,11 @@ impl BufferPool {
             }
             frame.dirty = false;
             frame.before = None;
-            self.dirty_ids.pop();
             written += 1;
-        }
-        Ok(written)
+            Ok(())
+        });
+        self.dirty_ids.drain(due - written..due);
+        result.map(|()| written)
     }
 
     /// Visit every dirty frame in page-id order with its before-image

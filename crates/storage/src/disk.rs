@@ -160,6 +160,7 @@ impl DiskManager {
     pub fn sync(&mut self) -> Result<()> {
         self.file.sync_data()?;
         self.stats.syncs += 1;
+        obs::incr("storage.db.fsyncs", 1);
         Ok(())
     }
 }

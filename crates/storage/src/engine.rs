@@ -7,14 +7,33 @@
 //! # Transactions
 //!
 //! The engine exposes coarse *engine transactions*: mutate pages through
-//! the pool, then [`Engine::commit`]. Commit logs what changed on every
-//! dirty page (a [`crate::wal::PageDelta`] against the before-image the
-//! pool kept) plus a commit marker, writes and fsyncs the log once, and
-//! flushes the changed pages. The benchmark measures commit time as part
-//! of update operations, as the paper requires ("database-commit-time
-//! should be included"), so the cost is kept proportional to the bytes a
-//! transaction changed: a page fetched for writing but left as it was is
-//! neither logged nor flushed.
+//! the pool, then [`Engine::commit`]. One function stages a transaction
+//! for [`Engine::commit`], [`Engine::prepare`] and
+//! [`Engine::commit_with_crash`] alike, in three steps:
+//!
+//! 1. The dirty pages at or past the file's **durable end** are written to
+//!    the database file, and the file is `fdatasync`ed. The durable end is
+//!    the file's page count after the last commit or prepare: 0 at
+//!    [`Engine::create`], the file's length at [`Engine::open`]. A page
+//!    past it is one the file has never held, so no committed state can
+//!    reach it, and nothing is logged for it.
+//! 2. Every other changed dirty page is logged as a
+//!    [`crate::wal::PageDelta`] against the before-image the pool kept.
+//! 3. The commit (or prepare) marker is appended, and the log is written
+//!    and fsynced once.
+//!
+//! A commit then writes its logged pages to the file without an fsync.
+//! A crash before the marker leaves only unreferenced pages past the old
+//! end, which leak like those of an aborted prepare. Every extension of
+//! the file is synced before a marker can name it, so recovery never grows
+//! the file. A bulk load writes its pages once, to the file, and leaves
+//! the log nearly empty; the first later change to such a page logs its
+//! image (the base rule of [`crate::wal`]).
+//!
+//! The benchmark measures commit time as part of update operations, as
+//! the paper requires ("database-commit-time should be included"), so the
+//! cost is kept proportional to the bytes a transaction changed: a page
+//! fetched for writing but left as it was is neither logged nor flushed.
 //!
 //! Higher-level concurrency (locking, optimistic validation, workspaces)
 //! lives in the `concurrency` crate; the engine itself is single-writer.
@@ -38,7 +57,8 @@ const CAT_ENTRIES_OFF: usize = HEADER_SIZE + 14;
 /// Statistics returned by [`Engine::commit`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitStats {
-    /// Pages whose changes were logged and flushed.
+    /// Pages the commit wrote: those past the durable end, and those
+    /// whose changes it logged.
     pub pages: usize,
     /// Bytes appended to the log for this commit.
     pub wal_bytes: u64,
@@ -47,6 +67,10 @@ pub struct CommitStats {
 /// Failure-injection points for crash tests. See [`Engine::commit_with_crash`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
+    /// Crash after the pages past the durable end are written and synced,
+    /// before anything is logged: recovery must discard the transaction
+    /// and the pages leak.
+    AfterFreshPagesSynced,
     /// Crash after logging page images but *before* the commit marker:
     /// recovery must discard the transaction.
     BeforeCommitRecord,
@@ -65,6 +89,15 @@ pub struct Engine {
     commits: u64,
     /// Transaction staged by [`Engine::prepare`], awaiting a decision.
     prepared: Option<u64>,
+    /// The file's page count after the last commit or prepare: a dirty
+    /// page at or past it goes to the file, not the log.
+    durable_end: u64,
+}
+
+/// The record that ends a staged transaction.
+enum Marker {
+    Commit(u64),
+    Prepare(u64),
 }
 
 /// The write-ahead-log path the engine uses for a database at `db_path`
@@ -78,6 +111,7 @@ pub fn wal_path_for(db_path: &Path) -> PathBuf {
 
 impl Engine {
     /// Create a new database at `db_path` with a pool of `pool_frames`.
+    /// Its empty catalog is committed before this returns.
     pub fn create(db_path: &Path, pool_frames: usize) -> Result<Engine> {
         let wal_path = wal_path_for(db_path);
         let _ = std::fs::remove_file(&wal_path); // stale log from a deleted db
@@ -90,8 +124,12 @@ impl Engine {
             txn_counter: 0,
             commits: 0,
             prepared: None,
+            durable_end: 0,
         };
         engine.init_catalog()?;
+        // The meta page too goes to the file before any marker, so an
+        // aborted first transaction finds the empty catalog there.
+        engine.commit()?;
         Ok(engine)
     }
 
@@ -101,6 +139,7 @@ impl Engine {
         let wal_path = wal_path_for(db_path);
         let report = recover(db_path, &wal_path)?;
         let disk = DiskManager::open(db_path)?;
+        let durable_end = disk.page_count();
         let mut engine = Engine {
             pool: BufferPool::new(disk, pool_frames),
             wal: Wal::open(&wal_path)?,
@@ -109,6 +148,7 @@ impl Engine {
             txn_counter: 0,
             commits: 0,
             prepared: None,
+            durable_end,
         };
         engine.read_catalog()?; // validates the catalog magic
         Ok((engine, report))
@@ -142,6 +182,11 @@ impl Engine {
     /// Total database file size in bytes.
     pub fn file_size(&self) -> u64 {
         self.pool.disk().file_size()
+    }
+
+    /// Bytes stored for this database: the file plus its log.
+    pub fn stored_bytes(&self) -> u64 {
+        self.file_size() + self.wal.durable_len()
     }
 
     // ---- catalog -------------------------------------------------------
@@ -243,6 +288,35 @@ impl Engine {
 
     // ---- transactions --------------------------------------------------
 
+    /// Stage the open transaction, ended by `marker`, as the module doc
+    /// describes; `crash` stops the protocol at that point instead.
+    fn stage(&mut self, marker: Marker, crash: Option<CrashPoint>) -> Result<CommitStats> {
+        let before = self.wal.appended_bytes();
+        let mut pages = 0;
+        let end = self.pool.disk().page_count();
+        if end > self.durable_end {
+            pages = self.pool.flush_from(PageId(self.durable_end))?;
+            self.pool.sync()?;
+            // A marker may name these pages from here on, so whatever
+            // changes them next is logged, even if this commit fails.
+            self.durable_end = end;
+        }
+        if crash == Some(CrashPoint::AfterFreshPagesSynced) {
+            return Ok(CommitStats::default());
+        }
+        pages += self.log_dirty_pages();
+        match (crash, marker) {
+            (Some(CrashPoint::BeforeCommitRecord), _) => {}
+            (_, Marker::Commit(txn)) => self.wal.append_commit(txn),
+            (_, Marker::Prepare(txid)) => self.wal.append_prepare(txid),
+        }
+        self.wal.sync()?;
+        Ok(CommitStats {
+            pages,
+            wal_bytes: self.wal.appended_bytes() - before,
+        })
+    }
+
     /// Stage one delta record per changed dirty page in the log buffer
     /// (no I/O) and return how many. What each record is a delta against
     /// is the log's decision (the base rule of [`crate::wal`]).
@@ -270,8 +344,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Commit all dirty pages: log their changes + a commit marker, write
-    /// and fsync the log once, then flush pages to the database file.
+    /// Commit all dirty pages: stage them (see the module doc), then write
+    /// the logged ones to the database file.
     pub fn commit(&mut self) -> Result<CommitStats> {
         if let Some(txid) = self.prepared {
             return Err(StorageError::InvalidArgument(format!(
@@ -284,26 +358,21 @@ impl Engine {
         // A write set that turns out unchanged still gets its marker and
         // its fsync: one log force per transaction that fetched a page for
         // writing is the engine's flush policy, whatever the diff finds.
-        let before = self.wal.appended_bytes();
-        let pages = self.log_dirty_pages();
-        self.wal.append_commit(self.txn_counter + 1);
-        self.wal.sync()?;
+        let stats = self.stage(Marker::Commit(self.txn_counter + 1), None)?;
         self.txn_counter += 1;
         self.finish_commit()?;
-        Ok(CommitStats {
-            pages,
-            wal_bytes: self.wal.appended_bytes() - before,
-        })
+        Ok(stats)
     }
 
     // ---- two-phase commit (participant side) ---------------------------
 
     /// Phase one: durably stage all dirty pages under coordinator
-    /// transaction id `txid`. Logs every changed page plus a prepare
-    /// marker and fsyncs — but does **not** flush pages to the database
-    /// file, so the on-disk state is unchanged until the decision. After
-    /// a successful prepare the engine can finish either way, even across
-    /// a crash (recovery reports the transaction as in-doubt and
+    /// transaction id `txid`, as a commit does, but with a prepare marker
+    /// and without writing the logged pages to the database file. Only
+    /// pages past the old durable end, which nothing committed references,
+    /// reach the file before the decision. After a successful prepare the
+    /// engine can finish either way, even across a crash (recovery reports
+    /// the transaction as in-doubt and
     /// [`crate::recovery::resolve_in_doubt`] applies the decision).
     pub fn prepare(&mut self, txid: u64) -> Result<CommitStats> {
         if let Some(other) = self.prepared {
@@ -311,15 +380,9 @@ impl Engine {
                 "prepare({txid}) while transaction {other} is prepared"
             )));
         }
-        let before = self.wal.appended_bytes();
-        let pages = self.log_dirty_pages();
-        self.wal.append_prepare(txid);
-        self.wal.sync()?;
+        let stats = self.stage(Marker::Prepare(txid), None)?;
         self.prepared = Some(txid);
-        Ok(CommitStats {
-            pages,
-            wal_bytes: self.wal.appended_bytes() - before,
-        })
+        Ok(stats)
     }
 
     /// Phase two, commit side: make the transaction prepared as `txid`
@@ -346,9 +409,9 @@ impl Engine {
     /// next fetch reads clean state). The zero-based records the
     /// transaction logged are forgotten with it: a page it imaged for the
     /// first time is imaged again by the next transaction that touches it.
-    /// Pages allocated by the aborted transaction leak in the file —
-    /// harmless, reclaimed by no one, the standard cost of redo-only
-    /// abort. Idempotent like [`Engine::commit_prepared`].
+    /// Pages the aborted transaction added to the end of the file leak
+    /// there — harmless, reclaimed by no one, the standard cost of
+    /// redo-only abort. Idempotent like [`Engine::commit_prepared`].
     ///
     /// The caller must treat all in-memory structures layered on this
     /// engine (heap/index handles, cached roots) as invalid afterwards
@@ -374,19 +437,12 @@ impl Engine {
         self.prepared
     }
 
-    /// Failure-injection variant of [`Engine::commit`]: performs the commit
-    /// protocol up to `point` and then *stops*, leaving the engine in a
+    /// Failure-injection variant of [`Engine::commit`]: runs the same
+    /// staging up to `point` and then *stops*, leaving the engine in a
     /// state that must be abandoned (as if the process died). Tests reopen
     /// the database afterwards and assert on recovery behaviour.
     pub fn commit_with_crash(mut self, point: CrashPoint) -> Result<()> {
-        self.log_dirty_pages();
-        match point {
-            // "crash": drop without commit marker or page flush.
-            CrashPoint::BeforeCommitRecord => {}
-            // "crash": drop without flushing pages to the db file.
-            CrashPoint::AfterWalSync => self.wal.append_commit(self.txn_counter + 1),
-        }
-        self.wal.sync()?;
+        self.stage(Marker::Commit(self.txn_counter + 1), Some(point))?;
         std::mem::forget(self.pool); // do not let Drop paths touch the file
         Ok(())
     }
@@ -480,13 +536,16 @@ mod tests {
             let mut heap = HeapFile::create(e.pool()).unwrap();
             rid = heap.insert(e.pool(), b"persist me").unwrap();
             e.catalog_set("heap", heap.first_page().0).unwrap();
+            // Heap page + meta page. NOT checkpointed: the new heap page
+            // went to the file, synced before the marker, and only the
+            // meta page's change is logged.
             let stats = e.commit().unwrap();
-            assert!(stats.pages >= 2); // heap page + meta page
-                                       // NOT checkpointed: durability must come from the log alone.
+            assert_eq!(stats.pages, 2);
+            assert_eq!(logged_deltas(&path), vec![(0, true)]);
         }
         {
             let (mut e, report) = Engine::open(&path, 64).unwrap();
-            assert!(report.pages_redone >= 2);
+            assert_eq!(report.pages_redone, 1);
             let heap = HeapFile::open(PageId(e.catalog_get("heap").unwrap()));
             assert_eq!(heap.get(e.pool(), rid).unwrap(), b"persist me");
         }
@@ -614,6 +673,21 @@ mod tests {
     }
 
     #[test]
+    fn an_aborted_first_transaction_leaves_the_empty_catalog() {
+        let path = dbpath("2pc-first");
+        {
+            let mut e = Engine::create(&path, 64).unwrap();
+            e.catalog_set("doomed", 2).unwrap();
+            e.prepare(1).unwrap();
+            e.abort_prepared(1).unwrap();
+            assert_eq!(e.catalog_try_get("doomed").unwrap(), None);
+        }
+        let (mut e, _) = Engine::open(&path, 64).unwrap();
+        assert_eq!(e.catalog_try_get("doomed").unwrap(), None);
+        cleanup(&path);
+    }
+
+    #[test]
     fn crash_while_prepared_leaves_in_doubt_until_resolved() {
         let path = dbpath("2pc-indoubt");
         {
@@ -672,7 +746,7 @@ mod tests {
         let path = dbpath("untouched");
         let (mut e, mut heap, rid) = engine_with_record(&path, 7, 100);
         let log_len = std::fs::metadata(wal_path_for(&path)).unwrap().len();
-        let writes = e.pool_ref().io_stats().writes;
+        let io = e.pool_ref().io_stats();
         drop(e.pool().fetch_mut(rid.page).unwrap());
         // Writing back what is already there is no change either.
         heap.update(e.pool(), rid, &[7; 100]).unwrap();
@@ -681,12 +755,14 @@ mod tests {
         let stats = e.commit().unwrap();
         assert_eq!((stats.pages, stats.wal_bytes), (0, 17));
         assert_eq!(e.pool_ref().dirty_count(), 0);
-        assert_eq!(e.pool_ref().io_stats().writes, writes);
+        // No page write, and no database fsync: the file did not grow.
+        assert_eq!(e.pool_ref().io_stats(), io);
         assert_eq!(
             std::fs::metadata(wal_path_for(&path)).unwrap().len(),
             log_len + 17
         );
-        assert_eq!(logged_deltas(&path).len(), 2, "the set-up's two pages");
+        // The set-up's meta page; its heap page went to the file.
+        assert_eq!(logged_deltas(&path), vec![(0, true)]);
         cleanup(&path);
     }
 
@@ -694,13 +770,24 @@ mod tests {
     fn commit_logs_the_change_and_a_checkpoint_resets_the_base() {
         let path = dbpath("base-rule");
         let (mut e, mut heap, rid) = engine_with_record(&path, 7, 4000);
-        // The page's first record was its image; a four-byte edit now logs
-        // a few dozen bytes, one page, one fsync.
+        // The page went to the file, not the log, so its first change
+        // logs its image ...
         heap.update(e.pool(), rid, &[[8; 4].as_slice(), &[7; 3996]].concat())
+            .unwrap();
+        let first = e.commit().unwrap();
+        assert_eq!(first.pages, 1);
+        assert!(first.wal_bytes > 4000, "{first:?}");
+        // ... and a four-byte edit after that logs a few dozen bytes, one
+        // page, one fsync.
+        heap.update(e.pool(), rid, &[[9; 4].as_slice(), &[7; 3996]].concat())
             .unwrap();
         let small = e.commit().unwrap();
         assert_eq!(small.pages, 1);
         assert!(small.wal_bytes < 64, "{small:?}");
+        assert_eq!(
+            logged_deltas(&path),
+            vec![(0, true), (rid.page.0, true), (rid.page.0, false)]
+        );
         // After a checkpoint the log is empty, so the same edit must carry
         // the whole page again: nothing else could repair a torn write.
         e.checkpoint().unwrap();
@@ -728,15 +815,18 @@ mod tests {
             rid = r;
             heap.update(e.pool(), rid, &[8; 4000]).unwrap();
             e.commit().unwrap();
-            // Both commits reached the file; now half of the page is lost
-            // to a write the crash interrupted.
+            // The set-up synced the page to the file; the update, its
+            // first change there, logged its image. Both commits reached
+            // the file; now half of the page is lost to a write the crash
+            // interrupted.
+            assert_eq!(logged_deltas(&path), vec![(0, true), (rid.page.0, true)]);
         }
         let mut bytes = std::fs::read(&path).unwrap();
         let at = rid.page.0 as usize * PAGE_SIZE + PAGE_SIZE / 2;
         bytes[at..at + PAGE_SIZE / 2].fill(0xA5);
         std::fs::write(&path, bytes).unwrap();
         let (mut e, report) = Engine::open(&path, 64).unwrap();
-        assert!(report.pages_redone >= 2);
+        assert_eq!(report.pages_redone, 2);
         let heap = HeapFile::open(PageId(e.catalog_get("heap").unwrap()));
         assert_eq!(heap.get(e.pool(), rid).unwrap(), vec![8; 4000]);
         cleanup(&path);

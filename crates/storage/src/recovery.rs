@@ -31,8 +31,8 @@
 //!
 //! # Why torn pages are safe
 //!
-//! Commit writes pages to the database file without an fsync, so a crash
-//! can leave any page written since the last checkpoint half old, half
+//! After its marker, a commit writes the pages it logged to the database
+//! file without an fsync, so a crash can leave any of them half old, half
 //! new. Recovery never reads such a page: the writer guarantees
 //! ([`crate::wal`], the base rule) that a page's first record in the log
 //! is zero-based, so every page a logged transaction touched is rebuilt
@@ -40,7 +40,14 @@
 //! whose page has no zero-based record before it cannot come from the
 //! writer and is reported as [`StorageError::WalCorrupt`] rather than
 //! applied to the file's copy. Pages the log does not mention were last
-//! written before a checkpoint's fsync and are intact.
+//! written either before a checkpoint's fsync or, as pages the file had
+//! never held, before the fsync that precedes their transaction's marker
+//! (see [`crate::engine`]), and are intact.
+//!
+//! That fsync also covers the file's length, so every page a committed
+//! record names lies inside the file. Recovery never grows it: a page past
+//! the end is reported as [`StorageError::Corruption`] before anything is
+//! written.
 //!
 //! Recovery is idempotent: crashing during recovery and re-running it
 //! reaches the same state.
@@ -206,12 +213,18 @@ pub fn recover(db_path: &Path, wal_path: &Path) -> Result<RecoveryReport> {
     let mut redo: Vec<_> = fold.committed.into_iter().collect();
     redo.sort_unstable_by_key(|(id, _)| *id);
     let mut disk = DiskManager::open(db_path)?;
-    for (id, image) in redo {
-        // The crash may have lost the file extension performed by
-        // `allocate`; regrow the file as needed.
-        while disk.page_count() <= id {
-            disk.allocate()?;
+    if let Some(&(id, _)) = redo.last() {
+        if id >= disk.page_count() {
+            return Err(StorageError::Corruption {
+                page: Some(id),
+                detail: format!(
+                    "the log rebuilds a page past the file's {} pages",
+                    disk.page_count()
+                ),
+            });
         }
+    }
+    for (id, image) in redo {
         let mut page = Page::from_bytes(image);
         if page.id() != PageId(id) {
             return Err(StorageError::Corruption {
@@ -385,21 +398,32 @@ mod tests {
 
     #[test]
     fn recovery_extends_short_file() {
+        // A committed page past the end of the file cannot come from the
+        // writer, which syncs every extension before a marker can name it:
+        // recovery refuses the log rather than growing the file.
         let (db, walp) = paths("extend");
-        {
-            DiskManager::create(&db).unwrap(); // only the meta page exists
-        }
+        db_with_decoys(&db, 1);
+        let len = std::fs::metadata(&db).unwrap().len();
+        let far = u64::MAX - 1;
         {
             let mut wal = Wal::open(&walp).unwrap();
-            // The crash lost the allocation of pages 1..=3.
-            log_image(&mut wal, 3, 33);
+            log_image(&mut wal, 1, 11);
+            wal.append_page_delta(PageId(far), None, page_with(far, 33).bytes());
             wal.append_commit(1);
             wal.sync().unwrap();
         }
-        recover(&db, &walp).unwrap();
+        let err = recover(&db, &walp).unwrap_err();
+        assert!(
+            matches!(err, StorageError::Corruption { page: Some(p), ref detail }
+                if p == far && detail.contains("2 pages")),
+            "{err}"
+        );
+        // Nothing was written, the file kept its length, and the log is
+        // kept for inspection.
+        assert_eq!(std::fs::metadata(&db).unwrap().len(), len);
         let mut dm = DiskManager::open(&db).unwrap();
-        assert!(dm.page_count() >= 4);
-        assert_eq!(dm.read_page(PageId(3)).unwrap().read_u64(100), 33);
+        assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 0xDEC0);
+        assert!(!log_is_empty(&walp));
         std::fs::remove_file(&db).unwrap();
         std::fs::remove_file(&walp).unwrap();
     }

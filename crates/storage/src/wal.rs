@@ -1,15 +1,17 @@
 //! Write-ahead log with physical page-delta redo records.
 //!
 //! The engine uses a **no-steal / redo-only** protocol (see
-//! [`crate::buffer`]): uncommitted data never reaches the database file, so
-//! the log never needs undo information. Commit stages one
-//! [`WalRecord::PageDelta`] per *changed* dirty page followed by a
-//! [`WalRecord::Commit`] in one buffer, hands the buffer to the kernel with
-//! a single `write`, and `fdatasync`s — so what a commit costs follows the
-//! bytes it changed, not the pages it touched. Recovery folds the deltas of
-//! every *committed* transaction per page in log order; records after the
-//! last commit marker belong to a transaction that never committed and are
-//! ignored.
+//! [`crate::buffer`]): no page that committed state can reach is written
+//! before its transaction commits, so the log never needs undo
+//! information. Commit stages one [`WalRecord::PageDelta`] per *changed*
+//! dirty page the database file already holds (a page past its end goes
+//! to the file instead, see [`crate::engine`]), then a
+//! [`WalRecord::Commit`], in one buffer, hands the buffer to the kernel
+//! with a single `write`, and `fdatasync`s — so what a commit costs follows
+//! the bytes it changed, not the pages it touched. Recovery folds the
+//! deltas of every *committed* transaction per page in log order; records
+//! after the last commit marker belong to a transaction that never
+//! committed and are ignored.
 //!
 //! # Record framing
 //!
@@ -35,13 +37,17 @@
 //! # The base rule
 //!
 //! A delta is only as good as the state it is applied to, and the database
-//! file cannot be that state: commit writes pages to it without an fsync,
-//! so after a crash any of them may be torn. Therefore a page's **first**
-//! record since the log was last truncated is its delta against the
-//! all-zero page — a full image minus its zero runs — and every later
-//! record is a delta against the page as the previous record left it.
-//! Recovery rebuilds each page from its zero-based record onward and never
-//! reads the file. The rule lives in [`Wal::append_page_delta`]: the writer
+//! file cannot be that state: commit writes the pages it logged to it
+//! without an fsync, so after a crash any of them may be torn. Therefore a
+//! page's **first** record since the log was last truncated is its delta
+//! against the all-zero page — a full image minus its zero runs — and
+//! every later record is a delta against the page as the previous record
+//! left it. Recovery rebuilds each page from its zero-based record onward
+//! and never reads the file. A page the file has never held is not logged
+//! at all: the engine writes it to the file and fsyncs before the
+//! transaction's marker (see [`crate::engine`]), so its first record —
+//! zero-based — comes with the first later change, as after a checkpoint.
+//! The rule lives in [`Wal::append_page_delta`]: the writer
 //! keeps the set of pages with a committed zero-based record in the log as
 //! it stands and diffs a page against the before-image it is handed only
 //! when the page is in that set. A page joins the set when the commit
@@ -303,6 +309,12 @@ impl Wal {
     /// Bytes appended since this handle was opened or last truncated.
     pub fn appended_bytes(&self) -> u64 {
         self.appended
+    }
+
+    /// Length of the log file as the last successful sync or truncate
+    /// left it.
+    pub fn durable_len(&self) -> u64 {
+        self.durable_len
     }
 
     /// Number of fsyncs issued through this handle.

@@ -1,9 +1,10 @@
 //! Model test of delta logging and recovery: random transactions over a
 //! heap file and a B+Tree, ended in every way the engine can end one —
-//! commit, two-phase commit and abort, checkpoint, a crash on either side
-//! of the commit record, a crash while prepared, a log cut short, a page
-//! of the database file torn after its commit — and after every reopen
-//! the file is compared with a shadow of the committed state.
+//! commit, two-phase commit and abort, checkpoint, a crash once the pages
+//! new to the file are synced, a crash on either side of the commit
+//! record, a crash while prepared, a log cut short, a page of the database
+//! file torn after its commit — and after every reopen the file is
+//! compared with a shadow of the committed state.
 //!
 //! What it is after: a page's log records are deltas against the page as
 //! the *log* last saw it, so any path on which the engine's idea of that
@@ -197,6 +198,7 @@ fn arb_end() -> impl Strategy<Value = End> {
         6 => Just(End::Commit),
         2 => any::<bool>().prop_map(|commit| End::TwoPhase { commit }),
         1 => Just(End::CommitThenCheckpoint),
+        1 => Just(End::Crash(CrashPoint::AfterFreshPagesSynced)),
         1 => Just(End::Crash(CrashPoint::BeforeCommitRecord)),
         1 => Just(End::Crash(CrashPoint::AfterWalSync)),
         1 => any::<bool>().prop_map(|commit| End::CrashPrepared { commit }),
@@ -289,9 +291,11 @@ fn run(path: &Path, txns: &[(Vec<Edit>, End)]) -> (Db, Shadow) {
                 None
             }
             End::CutLog { permille } => {
-                // The log write is the first thing a commit does to either
-                // file, so a crash inside it finds the database file as it
-                // was before.
+                // Before the log write a commit only adds pages to the end
+                // of the database file. Putting the file back as it was
+                // loses those too, which a crash inside the log write
+                // cannot do, but must recover all the same: no record
+                // short of the marker may name them.
                 let file_before = std::fs::read(path).unwrap();
                 let log_before = std::fs::metadata(&wal).unwrap().len();
                 db.engine.commit().unwrap();
@@ -367,4 +371,85 @@ proptest! {
         }
         remove(&path);
     }
+}
+
+/// A committed database with pages on its free list, then a transaction
+/// that needs more pages than the list holds, lost by `lose` after its
+/// new pages reached the file. Reopened, the database is the committed
+/// one: same catalog, same free list, and once the list is used up the
+/// next page allocated lies past the leaked ones.
+fn lose_a_transaction_that_grows_the_file(tag: &str, lose: impl FnOnce(Db, &Path)) {
+    let path = db_path(tag);
+    let mut db = Db::create(&path);
+    let mut committed = Shadow::new();
+    for k in 0..20 {
+        db.apply(&Edit::Put(k, vec![k as u8; 6000]), &mut committed);
+    }
+    db.apply(&Edit::PutRun(100, 300), &mut committed);
+    db.engine.commit().unwrap();
+    for k in 0..10 {
+        db.apply(&Edit::Delete(k), &mut committed);
+    }
+    db.engine.commit().unwrap();
+    let catalog = |db: &mut Db| {
+        let e = &mut db.engine;
+        (
+            e.catalog_get("heap").unwrap(),
+            e.catalog_get("tree").unwrap(),
+        )
+    };
+    let roots = catalog(&mut db);
+    let free = db.engine.pool().free_page_count().unwrap();
+    assert!(free > 0, "the deletes freed overflow pages");
+    let end = db.engine.pool_ref().disk().page_count();
+
+    let mut working = committed.clone();
+    for k in 500..540 {
+        db.apply(&Edit::Put(k, vec![k as u8; 6000]), &mut working);
+    }
+    assert!(db.engine.pool_ref().disk().page_count() > end + 10);
+    lose(db, &path);
+    let file = std::fs::read(&path).unwrap();
+    let leaked_end = (file.len() / PAGE_SIZE) as u64;
+    assert!(leaked_end > end + 10, "{tag}");
+    let leaked = &file[end as usize * PAGE_SIZE..];
+    assert!(
+        leaked.chunks(PAGE_SIZE).all(|p| p.iter().any(|&b| b != 0)),
+        "{tag}: every new page reached the file"
+    );
+
+    let mut db = Db::open(&path);
+    db.check(&committed, tag);
+    assert_eq!(catalog(&mut db), roots, "{tag}");
+    let pool = db.engine.pool();
+    assert_eq!(pool.free_page_count().unwrap(), free, "{tag}");
+    for _ in 0..free {
+        assert!(
+            pool.allocate().unwrap().0 .0 < end,
+            "{tag}: from the free list"
+        );
+    }
+    assert_eq!(pool.allocate().unwrap().0, PageId(leaked_end), "{tag}");
+    drop(db);
+    remove(&path);
+}
+
+#[test]
+fn a_crash_once_the_new_pages_are_synced_leaves_the_committed_database() {
+    lose_a_transaction_that_grows_the_file("fresh-synced", |db, _| {
+        db.engine
+            .commit_with_crash(CrashPoint::AfterFreshPagesSynced)
+            .unwrap();
+    });
+}
+
+#[test]
+fn a_prepared_transaction_that_grew_the_file_aborts_after_a_crash() {
+    lose_a_transaction_that_grows_the_file("fresh-prepared", |mut db, path| {
+        db.engine.prepare(77).unwrap();
+        drop(db);
+        let wal = wal_path_for(path);
+        assert_eq!(in_doubt_txn(&wal).unwrap(), Some(77));
+        resolve_in_doubt(path, &wal, 77, false).unwrap();
+    });
 }
