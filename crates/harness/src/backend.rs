@@ -387,10 +387,16 @@ impl BackendSpec {
                     .collect::<Result<Vec<_>>>()?;
                 // Crash-safe cross-shard commit: the coordinator's
                 // decision log lives next to the shard files.
-                let store = ShardedStore::new(shards, placement.into(), "sharded-disk")
-                    .with_commit_log(&shard_dir.join("decisions.log"))?;
-                let (store, load, _) = loaded(store, db, faults)?;
-                (store, load, 0)
+                let log = shard_dir.join("decisions.log");
+                let mut store = ShardedStore::new(shards, placement.into(), "sharded-disk")
+                    .with_commit_log(&log)?;
+                let load = load_database(&mut store, db)?;
+                // Every shard's file and log, and the decision log.
+                let mut size = std::fs::metadata(&log).map_or(0, |m| m.len());
+                for i in 0..n {
+                    size += store.with_shard(i, |sh| sh.stored_bytes())?;
+                }
+                (boxed(store, faults), load, size)
             }
         };
         Ok(Deployment {

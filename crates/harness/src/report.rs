@@ -227,9 +227,14 @@ pub fn render_shard_balance(loads: &[hypermodel::store::ShardLoad]) -> String {
 /// Render the §5.3 creation-time table.
 pub fn render_creation_table(rows: &[(String, u32, CreationTimings, u64)]) -> String {
     let mut out = String::new();
+    // The backend column is as wide as its longest name.
+    let w = rows
+        .iter()
+        .map(|r| r.0.len())
+        .fold("backend".len(), usize::max);
     let _ = writeln!(
         out,
-        "{:<10} {:>5} | {:>12} {:>12} {:>12} {:>12} {:>12} | {:>10} {:>12}",
+        "{:<w$} {:>5} | {:>12} {:>12} {:>12} {:>12} {:>12} | {:>10} {:>12}",
         "backend",
         "level",
         "int ms/node",
@@ -240,12 +245,12 @@ pub fn render_creation_table(rows: &[(String, u32, CreationTimings, u64)]) -> St
         "total s",
         "stored bytes"
     );
-    out.push_str(&"-".repeat(124));
+    out.push_str(&"-".repeat(w + 114));
     out.push('\n');
     for (backend, level, t, bytes) in rows {
         let _ = writeln!(
             out,
-            "{:<10} {:>5} | {:>12} {:>12} {:>12} {:>12} {:>12} | {:>10.2} {:>12}",
+            "{:<w$} {:>5} | {:>12} {:>12} {:>12} {:>12} {:>12} | {:>10.2} {:>12}",
             backend,
             level,
             fmt_ms(t.internal_nodes.ms_per_element()),
@@ -408,6 +413,16 @@ mod tests {
         assert!(table.contains("123456"));
         let csv = creation_csv(&[("disk".into(), 4, t, 123_456)]);
         assert_eq!(csv.lines().count(), 2);
+        // A long backend name widens its column instead of shifting its
+        // row: the header and every row are as wide.
+        let rows = [
+            ("disk".into(), 4, t, 1),
+            ("sharded-tcp:2:r2:hash".into(), 4, t, 2),
+        ];
+        let table = render_creation_table(&rows);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines[2].len(), lines[0].len(), "{table}");
+        assert_eq!(lines[3].len(), lines[0].len(), "{table}");
     }
 
     #[test]

@@ -155,3 +155,26 @@ fn dropped_deployments_leave_no_files() {
         assert!(left.is_empty(), "{spec} left {left:?}");
     }
 }
+
+/// The bytes a deployment reports stored are the bytes of the files it
+/// created: each database file and its log, and for `sharded-disk` every
+/// shard's pair plus the decision log.
+#[test]
+fn stored_bytes_are_the_sizes_of_the_files_a_deployment_made() {
+    fn bytes_under(path: &std::path::Path) -> u64 {
+        let meta = std::fs::metadata(path).unwrap();
+        if !meta.is_dir() {
+            return meta.len();
+        }
+        let entries = std::fs::read_dir(path).unwrap();
+        entries.map(|e| bytes_under(&e.unwrap().path())).sum()
+    }
+    let db = TestDatabase::generate(&GenConfig::level(3));
+    let dir = DbFiles::dir(&std::env::temp_dir(), "spec-bytes").unwrap();
+    for spec in ["disk", "rel", "sharded-disk:2", "sharded-disk:3:hash"] {
+        let spec: BackendSpec = spec.parse().unwrap();
+        let dep = spec.deploy(&db, dir.path(), 256, None).unwrap();
+        assert!(dep.stored_bytes > 0, "{spec}");
+        assert_eq!(dep.stored_bytes, bytes_under(dir.path()), "{spec}");
+    }
+}

@@ -22,7 +22,7 @@ use crate::bitmap::Bitmap;
 use crate::error::{HmError, Result};
 use crate::ext::AccessMode;
 use crate::model::{NodeValue, Oid, RefEdge};
-use crate::store::BatchWrite;
+use crate::store::{BatchWrite, Reached, Rel};
 
 /// Element-count cap for preallocating `n` elements of `elem_size` bytes
 /// each from an untrusted count, when the input has `remaining` bytes
@@ -484,6 +484,40 @@ impl Wire for BatchWrite {
     }
 }
 
+/// One byte: 0 children, 1 parts, 2 refsTo.
+impl Wire for Rel {
+    fn put(&self, w: &mut Writer) {
+        w.u8(match self {
+            Rel::Children => 0,
+            Rel::Parts => 1,
+            Rel::RefsTo => 2,
+        });
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        match r.u8()? {
+            0 => Ok(Rel::Children),
+            1 => Ok(Rel::Parts),
+            2 => Ok(Rel::RefsTo),
+            rel => Err(HmError::Backend(format!("relationship {rel}"))),
+        }
+    }
+}
+
+impl Wire for Reached {
+    fn put(&self, w: &mut Writer) {
+        self.node.put(w);
+        w.u32(self.depth);
+        self.list.put(w);
+    }
+    fn get(r: &mut Reader) -> Result<Self> {
+        Ok(Reached {
+            node: Oid::get(r)?,
+            depth: r.u32()?,
+            list: Option::get(r)?,
+        })
+    }
+}
+
 /// [`BatchWrite`] item tags: the catalogue tags of `create_node_clustered`,
 /// `insert_extra_node`, `add_child`, `add_part`, `add_ref` and
 /// `set_hundred`.
@@ -538,6 +572,19 @@ mod tests {
         round_trip(BTreeMap::from([((1u64, 2u32), -3i64), ((4, 5), 6)]));
         round_trip(vec![true, false]);
         round_trip(vec![AccessMode::NoAccess, AccessMode::PublicRead]);
+        round_trip(vec![Rel::Children, Rel::Parts, Rel::RefsTo]);
+        round_trip(vec![
+            Reached {
+                node: Oid(2),
+                depth: u32::MAX,
+                list: Some(vec![]),
+            },
+            Reached {
+                node: Oid(3),
+                depth: 0,
+                list: None,
+            },
+        ]);
         let mut bm = Bitmap::white(20, 10);
         bm.set(3, 3, true);
         round_trip(bm);
@@ -579,6 +626,7 @@ mod tests {
             assert!(bool::get(&mut Reader::new(&bytes)).is_err());
         }
         assert!(AccessMode::get(&mut Reader::new(&[3])).is_err());
+        assert!(Rel::get(&mut Reader::new(&[3])).is_err());
     }
 
     #[test]

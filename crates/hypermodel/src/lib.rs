@@ -72,5 +72,5 @@ pub use oracle::Oracle;
 pub use rng::Rng;
 pub use schema::Schema;
 pub use service::Service;
-pub use store::{BatchWrite, HyperStore, ShardLoad};
+pub use store::{BatchWrite, HyperStore, Reached, Rel, ShardLoad};
 pub use verify::{verify_store, VerifyReport};

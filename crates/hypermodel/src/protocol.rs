@@ -24,7 +24,7 @@ use crate::codec::{self, Reader, Wire, Writer};
 use crate::error::{HmError, Result};
 use crate::migrate::NodeExport;
 use crate::model::{NodeKind, NodeValue, Oid, RefEdge};
-use crate::store::BatchWrite;
+use crate::store::{BatchWrite, Reached, Rel};
 
 const TAG_SHUTDOWN: u8 = 37;
 const TAG_TAGGED: u8 = 47;
@@ -233,10 +233,9 @@ define_responses! {
     11 Pairs(pairs: Vec<(Oid, u64)>);
     /// The operation failed; the message is the error's display form.
     12 Err(msg: String);
-    /// One oid list per batched input oid.
-    13 OidLists(lists: Vec<Vec<Oid>>);
-    /// One edge list per batched input oid.
-    14 EdgeLists(lists: Vec<Vec<RefEdge>>);
+    // Tags 13 and 14 are retired and never reused: one oid or edge list
+    // per batched input oid, the answers of the per-level batches that
+    // `Expand` replaced.
     /// One `u32` per batched input oid.
     15 U32s(values: Vec<u32>);
     /// The server's metrics registry exported as JSON (see
@@ -248,6 +247,8 @@ define_responses! {
     // Tag 18 is retired and never reused: it redirected a request about a
     // node migrated away. The router's directory names the node's current
     // shard, so no request reaches the old one.
+    /// The records an `expand` reached.
+    19 Reached(reached: Vec<Reached>);
 }
 
 /// The error for an answer that is not the variant the caller expected.
@@ -299,10 +300,9 @@ replies! {
     String            { v => Response::Text(v),          Response::Text(v) => v }
     Bitmap            { v => Response::Form(v),          Response::Form(v) => v }
     Vec<(Oid, u64)>   { v => Response::Pairs(v),         Response::Pairs(v) => v }
-    Vec<Vec<Oid>>     { v => Response::OidLists(v),      Response::OidLists(v) => v }
-    Vec<Vec<RefEdge>> { v => Response::EdgeLists(v),     Response::EdgeLists(v) => v }
     Vec<u32>          { v => Response::U32s(v),          Response::U32s(v) => v }
     Vec<u8>           { v => Response::Subtree(v),       Response::Subtree(v) => v }
+    Vec<Reached>      { v => Response::Reached(v),       Response::Reached(v) => v }
 }
 
 /// A migration batch travels as [`Response::Subtree`] holding its

@@ -28,7 +28,7 @@ use crate::error::{HmError, Result};
 use crate::migrate::NodeExport;
 use crate::model::{NodeKind, NodeValue, Oid, RefEdge};
 use crate::protocol::{Reply, Request, Response};
-use crate::store::{BatchWrite, HyperStore, ShardLoad};
+use crate::store::{BatchWrite, HyperStore, Reached, Rel, ShardLoad};
 
 /// A store as one call, and through the typed facade a [`HyperStore`].
 pub trait Service {

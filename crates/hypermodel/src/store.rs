@@ -31,6 +31,8 @@
 //!   protocol) commits, because the paper measures commit time as part of
 //!   the operation.
 
+use std::collections::{BinaryHeap, HashSet};
+
 use crate::bitmap::Bitmap;
 use crate::error::{HmError, Result};
 use crate::model::{NodeKind, NodeValue, Oid, RefEdge};
@@ -92,6 +94,30 @@ pub enum BatchWrite {
     Ref(Oid, RefEdge),
     /// [`set_hundred(oid, value)`](HyperStore::set_hundred).
     SetHundred(Oid, u32),
+}
+
+/// The relationship an [`expand`](HyperStore::expand) follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rel {
+    /// The 1-N `children` (O10–O13, a migration's subtree).
+    Children,
+    /// The M-N `parts` (O14).
+    Parts,
+    /// The attributed `refsTo` (O15, O18).
+    RefsTo,
+}
+
+/// One record an [`expand`](HyperStore::expand) reached.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reached {
+    /// The record.
+    pub node: Oid,
+    /// The largest remaining depth it was reached with.
+    pub depth: u32,
+    /// Its list along the relationship, in order — `children` and
+    /// `parts` as edges with zero offsets — or `None` when it was not
+    /// expanded: pruned, or at depth 0.
+    pub list: Option<Vec<RefEdge>>,
 }
 
 /// Primitive and derived HyperModel operations over one test database.
@@ -339,36 +365,53 @@ pub trait HyperStore {
     // =====================================================================
     // Batched primitives.
     //
-    // Defaults loop over the scalar accessors; stores with per-request
-    // overhead (a network round trip, a shard fan-out) override these to
-    // amortise it. Traversal layers (the sharded closure engine) call the
-    // batch forms so one BFS level costs one request per shard rather
-    // than one per node.
+    // Stores with per-request overhead (a network round trip, a shard
+    // fan-out) answer these in one request where the scalar forms would
+    // cost one per node: the sharded closures send each shard one
+    // `expand` per round, then one `hundred_batch`.
     // =====================================================================
 
-    /// [`children`](HyperStore::children) for each of `oids`, in order.
-    fn children_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
-        oids.iter().map(|&o| self.children(o)).collect()
-    }
-
-    /// [`parts`](HyperStore::parts) for each of `oids`, in order.
-    fn parts_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<Oid>>> {
-        oids.iter().map(|&o| self.parts(o)).collect()
-    }
-
-    /// [`refs_to`](HyperStore::refs_to) for each of `oids`, in order.
-    fn refs_to_batch(&mut self, oids: &[Oid]) -> Result<Vec<Vec<RefEdge>>> {
-        oids.iter().map(|&o| self.refs_to(o)).collect()
+    /// The part of a closure this store can walk alone: breadth-first
+    /// along `rel` from each of `starts`, a node with its remaining depth
+    /// (`u32::MAX` is no bound; a node's neighbours get one less). Each
+    /// record is expanded once, at the largest remaining depth it is
+    /// reached with; with `prune`, a node whose `million` lies in
+    /// `lo..=hi` is reported but not expanded. Answers every record
+    /// reached, in [`expand_with`]'s order. The walk goes through every
+    /// record alike — a sharded store's ghost stand-ins and retired
+    /// records too: telling them apart is its router's business.
+    fn expand(
+        &mut self,
+        rel: Rel,
+        starts: &[(Oid, u32)],
+        prune: Option<(u32, u32)>,
+    ) -> Result<Vec<Reached>> {
+        let plain = |oids: Vec<Oid>| {
+            let edge = |target| RefEdge {
+                target,
+                offset_from: 0,
+                offset_to: 0,
+            };
+            oids.into_iter().map(edge).collect()
+        };
+        expand_with(starts, |node| {
+            if let Some((lo, hi)) = prune {
+                if (lo..=hi).contains(&self.million_of(node)?) {
+                    return Ok(None);
+                }
+            }
+            let list = match rel {
+                Rel::Children => plain(self.children(node)?),
+                Rel::Parts => plain(self.parts(node)?),
+                Rel::RefsTo => self.refs_to(node)?,
+            };
+            Ok(Some(list))
+        })
     }
 
     /// [`hundred_of`](HyperStore::hundred_of) for each of `oids`, in order.
     fn hundred_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
         oids.iter().map(|&o| self.hundred_of(o)).collect()
-    }
-
-    /// [`million_of`](HyperStore::million_of) for each of `oids`, in order.
-    fn million_batch(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
-        oids.iter().map(|&o| self.million_of(o)).collect()
     }
 
     /// Apply `writes` in order, as the scalar method each item names;
@@ -469,6 +512,41 @@ pub trait HyperStore {
 // (one round trip per primitive). Generic (not `dyn`) so each backend's
 // default closure is monomorphised over its own accessors.
 // =========================================================================
+
+/// [`HyperStore::expand`] over any source of lists: `list(node)` is the
+/// node's list, or `None` if it is pruned. Records come out largest
+/// remaining depth first, then highest id first; a record at depth 0 is
+/// reported without calling `list`. A sharded store answers `expand` by
+/// running this over the lists its shards' homes sent, so it answers
+/// exactly as one store would.
+pub fn expand_with(
+    starts: &[(Oid, u32)],
+    mut list: impl FnMut(Oid) -> Result<Option<Vec<RefEdge>>>,
+) -> Result<Vec<Reached>> {
+    let mut heap: BinaryHeap<(u32, Oid)> = starts.iter().map(|&(o, d)| (d, o)).collect();
+    let mut done = HashSet::new();
+    let mut out = Vec::new();
+    // Every edge takes one level off the depth, so no record is pushed
+    // deeper than what is left in the heap: the first pop is the largest.
+    while let Some((depth, node)) = heap.pop() {
+        if !done.insert(node) {
+            continue;
+        }
+        let list = if depth == 0 { None } else { list(node)? };
+        let next = if depth == u32::MAX {
+            depth
+        } else {
+            depth.saturating_sub(1)
+        };
+        for e in list.iter().flatten() {
+            if !done.contains(&e.target) {
+                heap.push((next, e.target));
+            }
+        }
+        out.push(Reached { node, depth, list });
+    }
+    Ok(out)
+}
 
 /// [`HyperStore::closure_1n`] by one `children` call per node.
 pub fn closure_1n<S: HyperStore + ?Sized>(store: &mut S, start: Oid) -> Result<Vec<Oid>> {
@@ -663,8 +741,9 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 ///   layer holding several copies treats the operation.
 /// * `tag`, `Variant` — the operation's byte on the wire and its
 ///   [`Request`] variant. Tags are never reused; 37, 47 and 48 are the
-///   session messages', and 43 is retired (now
-///   [`BatchWrite::SetHundred`]).
+///   session messages', 43 is retired (now [`BatchWrite::SetHundred`]),
+///   and 38–40 and 42 are retired (the per-level `children`, `parts`,
+///   `refsTo` and `million` batches, now [`Expand`](Request::Expand)).
 /// * the method's signature as in the trait, each argument type in
 ///   brackets so a consumer can tell a borrowed argument (the request
 ///   carries its owned form) from a by-value one. A method without
@@ -675,7 +754,8 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 ///   that node's shard and translates the ids in the answer back.
 ///
 /// The rows name `Oid`, `NodeKind`, `NodeValue`, `RefEdge`, `Bitmap`,
-/// `NodeExport` and `BatchWrite` unqualified; a consumer imports them.
+/// `NodeExport`, `BatchWrite`, `Rel` and `Reached` unqualified; a
+/// consumer imports them.
 #[macro_export]
 macro_rules! store_ops {
     ($consumer:ident) => {
@@ -719,11 +799,7 @@ macro_rules! store_ops {
             Read    34 ClosureMNAttLinkSum fn closure_mnatt_linksum(start: [Oid], depth: [u32]) -> Vec<(Oid, u64)>, about start;
             Write   35 TextNodeEdit        fn text_node_edit(oid: [Oid], from: [&str], to: [&str]) -> usize, about oid;
             Write   36 FormNodeEdit        fn form_node_edit(oid: [Oid], x0: [u16], y0: [u16], x1: [u16], y1: [u16]) -> (), about oid;
-            Read    38 ChildrenBatch       fn children_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
-            Read    39 PartsBatch          fn parts_batch(oids: [&[Oid]]) -> Vec<Vec<Oid>>;
-            Read    40 RefsToBatch         fn refs_to_batch(oids: [&[Oid]]) -> Vec<Vec<RefEdge>>;
             Read    41 HundredBatch        fn hundred_batch(oids: [&[Oid]]) -> Vec<u32>;
-            Read    42 MillionBatch        fn million_batch(oids: [&[Oid]]) -> Vec<u32>;
             Barrier 44 PrepareCommit       fn prepare_commit(txid: [u64]) -> ();
             Barrier 45 CommitPrepared      fn commit_prepared(txid: [u64]) -> ();
             Barrier 46 AbortPrepared       fn abort_prepared(txid: [u64]) -> ();
@@ -734,6 +810,7 @@ macro_rules! store_ops {
             Write   53 ActivateNodes       fn activate_nodes(oids: [&[Oid]]) -> ();
             Write   54 RetireNodes         fn retire_nodes(oids: [&[Oid]]) -> ();
             Write   55 WriteBatch          fn write_batch(writes: [&[BatchWrite]]) -> Vec<Oid>;
+            Read    56 Expand              fn expand(rel: [Rel], starts: [&[(Oid, u32)]], prune: [Option<(u32, u32)>]) -> Vec<Reached>;
         }
     };
 }

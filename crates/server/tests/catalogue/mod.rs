@@ -13,7 +13,7 @@ use hypermodel::generate::TestDatabase;
 use hypermodel::migrate::NodeExport;
 use hypermodel::model::{NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::protocol::{Reply, Response};
-use hypermodel::store::{BatchWrite, HyperStore};
+use hypermodel::store::{BatchWrite, HyperStore, Rel};
 use mem_backend::MemStore;
 
 /// What the steps call with: nodes of each shape, fresh values, and the
@@ -151,11 +151,8 @@ pub fn script() -> Vec<Step> {
         closure_mnatt_linksum(i.inner, 4),
         text_node_edit(i.text, "version1", "version-2"),
         form_node_edit(i.form, 1, 1, 3, 2),
-        children_batch(&i.frontier),
-        parts_batch(&i.frontier),
-        refs_to_batch(&i.frontier),
         hundred_batch(&i.frontier),
-        million_batch(&i.frontier),
+        expand(Rel::Children, &[(i.root, u32::MAX), (i.leaf, 1)], Some((1, 500_000))),
         write_batch(&i.writes),
         prepare_commit(900),
         commit_prepared(900),

@@ -16,7 +16,7 @@ use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::store::HyperStore;
-use hypermodel::{BatchWrite, Bitmap, NodeExport};
+use hypermodel::{BatchWrite, Bitmap, NodeExport, Reached, Rel};
 use mem_backend::MemStore;
 use proptest::prelude::*;
 use server::protocol::{Request, Response};
@@ -120,6 +120,15 @@ fn arb_edges() -> impl Strategy<Value = Vec<RefEdge>> {
             })
             .collect()
     })
+}
+
+fn arb_rel() -> impl Strategy<Value = Rel> {
+    prop_oneof![Just(Rel::Children), Just(Rel::Parts), Just(Rel::RefsTo)]
+}
+
+fn arb_reached() -> impl Strategy<Value = Reached> {
+    (arb_oid(), any::<u32>(), proptest::option::of(arb_edges()))
+        .prop_map(|(node, depth, list)| Reached { node, depth, list })
 }
 
 fn arb_export() -> impl Strategy<Value = NodeExport> {
@@ -226,11 +235,13 @@ fn arb_plain_request() -> impl Strategy<Value = Request> {
             .prop_map(|(o, a, b, c, d)| Request::FormNodeEdit(o, a, b, c, d)),
         Just(Request::Shutdown),
         Just(Request::Stats),
-        arb_oids().prop_map(Request::ChildrenBatch),
-        arb_oids().prop_map(Request::PartsBatch),
-        arb_oids().prop_map(Request::RefsToBatch),
         arb_oids().prop_map(Request::HundredBatch),
-        arb_oids().prop_map(Request::MillionBatch),
+        (
+            arb_rel(),
+            proptest::collection::vec((arb_oid(), any::<u32>()), 0..20),
+            proptest::option::of(range()),
+        )
+            .prop_map(|(rel, starts, prune)| Request::Expand(rel, starts, prune)),
         any::<u64>().prop_map(Request::PrepareCommit),
         any::<u64>().prop_map(Request::CommitPrepared),
         any::<u64>().prop_map(Request::AbortPrepared),
@@ -277,11 +288,10 @@ fn arb_response() -> impl Strategy<Value = Response> {
         (1u16..50, 1u16..50).prop_map(|d| Response::Form(bitmap(d))),
         proptest::collection::vec((arb_oid(), any::<u64>()), 0..30).prop_map(Response::Pairs),
         "[ -~]{0,100}".prop_map(Response::Err),
-        proptest::collection::vec(arb_oids(), 0..8).prop_map(Response::OidLists),
-        proptest::collection::vec(arb_edges(), 0..8).prop_map(Response::EdgeLists),
         proptest::collection::vec(any::<u32>(), 0..50).prop_map(Response::U32s),
         "[ -~]{0,100}".prop_map(Response::Stats),
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(Response::Subtree),
+        proptest::collection::vec(arb_reached(), 0..8).prop_map(Response::Reached),
     ]
 }
 

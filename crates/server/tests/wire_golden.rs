@@ -8,7 +8,11 @@
 //! batch of `set_hundred`, now a `WriteBatch` of `SetHundred` items) is
 //! retired and refused. `InstallNodes` (tag 52) dropped the redundant
 //! `u32` length that once wrapped its counted batch, so its golden is the
-//! captured frame without those four bytes.
+//! captured frame without those four bytes. `Expand` (tag 56) and its
+//! answer, `Response::Reached` (tag 19), came later too, composed by hand
+//! from the field layouts above; the per-level batches they replaced
+//! (request tags 38–40 and 42, response tags 13 and 14) are retired and
+//! refused.
 //!
 //! `request_golden` / `response_golden` match on the variant without a
 //! wildcard: a new catalogue row (or response variant) does not compile
@@ -16,7 +20,7 @@
 
 use hypermodel::migrate::{NodeExport, MIGRATE_SLOT_BASE};
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
-use hypermodel::{BatchWrite, Bitmap};
+use hypermodel::{BatchWrite, Bitmap, Reached, Rel};
 use server::protocol::{Request, Response};
 
 fn bitmap() -> Bitmap {
@@ -118,11 +122,7 @@ fn request_samples() -> Vec<Request> {
         Request::TextNodeEdit(Oid(31), "version1".into(), "version-2".into()),
         Request::FormNodeEdit(Oid(32), 25, 25, 50, 50),
         Request::Shutdown,
-        Request::ChildrenBatch(vec![Oid(33), Oid(34)]),
-        Request::PartsBatch(vec![]),
-        Request::RefsToBatch(vec![Oid(35)]),
         Request::HundredBatch(vec![Oid(36), Oid(37), Oid(38)]),
-        Request::MillionBatch(vec![Oid(39)]),
         Request::PrepareCommit(900),
         Request::CommitPrepared(901),
         Request::AbortPrepared(902),
@@ -135,6 +135,11 @@ fn request_samples() -> Vec<Request> {
         Request::ActivateNodes(vec![Oid(45)]),
         Request::RetireNodes(vec![Oid(46), Oid(47)]),
         Request::WriteBatch(batch_writes()),
+        Request::Expand(
+            Rel::RefsTo,
+            vec![(Oid(33), 25), (Oid(34), u32::MAX)],
+            Some((1, 10_000)),
+        ),
     ]
 }
 
@@ -214,11 +219,7 @@ fn request_golden(req: &Request) -> &'static str {
         Request::TextNodeEdit(..) => "23 1f000000000000000800000076657273696f6e310900000076657273696f6e2d32",
         Request::FormNodeEdit(..) => "24 20000000000000001900190032003200",
         Request::Shutdown => "25",
-        Request::ChildrenBatch(..) => "26 0200000021000000000000002200000000000000",
-        Request::PartsBatch(..) => "27 00000000",
-        Request::RefsToBatch(..) => "28 010000002300000000000000",
         Request::HundredBatch(..) => "29 03000000240000000000000025000000000000002600000000000000",
-        Request::MillionBatch(..) => "2a 010000002700000000000000",
         Request::PrepareCommit(..) => "2c 8403000000000000",
         Request::CommitPrepared(..) => "2d 8503000000000000",
         Request::AbortPrepared(..) => "2e 8603000000000000",
@@ -241,6 +242,13 @@ fn request_golden(req: &Request) -> &'static str {
             " 18 160000000000000017000000000000000309",
             " 06 06000000000000004d000000",
         ),
+        // The relationship byte, the counted (oid, depth) starts, then the
+        // prune range as an option.
+        Request::Expand(..) => concat!(
+            "38 02 02000000",
+            " 2100000000000000 19000000 2200000000000000 ffffffff",
+            " 01 01000000 10270000",
+        ),
     }
 }
 
@@ -260,11 +268,21 @@ fn response_samples() -> Vec<Response> {
         Response::Form(bitmap()),
         Response::Pairs(vec![(Oid(4), 17), (Oid(5), 26)]),
         Response::Err("backend error: boom".into()),
-        Response::OidLists(vec![vec![Oid(6), Oid(7)], vec![]]),
-        Response::EdgeLists(vec![vec![edge(8)], vec![]]),
         Response::U32s(vec![1, 2, 3]),
         Response::Stats("{\"counters\": {}}".into()),
         Response::Subtree(vec![9, 8, 7]),
+        Response::Reached(vec![
+            Reached {
+                node: Oid(6),
+                depth: 3,
+                list: Some(vec![edge(8)]),
+            },
+            Reached {
+                node: Oid(7),
+                depth: 0,
+                list: None,
+            },
+        ]),
     ]
 }
 
@@ -286,11 +304,15 @@ fn response_golden(resp: &Response) -> &'static str {
             "0b 020000000400000000000000110000000000000005000000000000001a00000000000000"
         }
         Response::Err(..) => "0c 130000006261636b656e64206572726f723a20626f6f6d",
-        Response::OidLists(..) => "0d 02000000020000000600000000000000070000000000000000000000",
-        Response::EdgeLists(..) => "0e 02000000010000000800000000000000040500000000",
         Response::U32s(..) => "0f 03000000010000000200000003000000",
         Response::Stats(..) => "10 100000007b22636f756e74657273223a207b7d7d",
         Response::Subtree(..) => "11 03000000090807",
+        // The count, then each record: node, depth, list as an option.
+        Response::Reached(..) => concat!(
+            "13 02000000",
+            " 0600000000000000 03000000 01 01000000 0800000000000000 0405",
+            " 0700000000000000 00000000 00",
+        ),
     }
 }
 
@@ -313,16 +335,19 @@ fn every_request_encodes_to_and_decodes_from_its_golden_frame() {
         assert_eq!(Request::decode(&frame).unwrap(), req);
         tags.insert(frame[0]);
     }
-    // Tags are dense but for the retired 43: a sample list that skipped a
-    // variant leaves a hole.
+    // Tags are dense but for the retired ones: a sample list that skipped
+    // a variant leaves a hole.
+    let retired = [38, 39, 40, 42, 43];
     assert_eq!(
         tags.into_iter().collect::<Vec<u8>>(),
-        (0..=55).filter(|&t| t != 43).collect::<Vec<u8>>()
+        (0..=56)
+            .filter(|t| !retired.contains(t))
+            .collect::<Vec<u8>>()
     );
-    assert!(
-        Request::decode(&unhex("2b 00000000")).is_err(),
-        "tag 43 is retired"
-    );
+    for tag in retired {
+        let frame = [vec![tag], unhex("01000000 2700000000000000")].concat();
+        assert!(Request::decode(&frame).is_err(), "tag {tag} is retired");
+    }
 }
 
 #[test]
@@ -348,12 +373,21 @@ fn every_response_encodes_to_and_decodes_from_its_golden_frame() {
         assert_eq!(Response::decode(&frame).unwrap(), resp);
         tags.insert(frame[0]);
     }
+    let retired = [13, 14, 18];
     assert_eq!(
         tags.into_iter().collect::<Vec<u8>>(),
-        (0..=17).collect::<Vec<u8>>()
+        (0..=19)
+            .filter(|t| !retired.contains(t))
+            .collect::<Vec<u8>>()
     );
     assert!(
         Response::decode(&unhex("12 03002a00000000000000")).is_err(),
         "tag 18 is retired"
     );
+    for golden in ["0d 01000000 00000000", "0e 01000000 00000000"] {
+        assert!(
+            Response::decode(&unhex(golden)).is_err(),
+            "{golden} is retired"
+        );
+    }
 }

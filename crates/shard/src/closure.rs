@@ -1,123 +1,123 @@
-//! The sharded closures (O10–O15, O18) and the one traversal behind them
-//! and [`ShardedStore::migrate_subtree`]: a level collector and two
-//! replays.
+//! The sharded closures (O10–O15, O18), a migration's subtree and an
+//! `Expand` request: rounds of [`HyperStore::expand`], then a replay.
 //!
-//! The collector walks breadth-first. Per level it groups the frontier by
-//! owning shard and sends one batched request to each shard with work, so
-//! cross-shard round trips scale with traversal *depth*, not node count.
-//! The adjacency it gathers is then replayed depth-first on the calling
-//! thread — as nodes in pre-order (O10, O13, O14 and the migration's
-//! subtree) or as attributed edges (O18, with O15 its projection) — in
-//! exactly the order of the trait's default implementations, with no
-//! further requests.
+//! Each round sends every shard with work one `expand`, which walks the
+//! closure as far as the shard's records reach, its ghost stand-ins and
+//! retired records included. `crate::write` links both ends of every
+//! cross-shard edge, so a stand-in's edges are a subset of its node's:
+//! what it reaches is truly reachable, but its own list may be partial.
+//! Only home lists are kept, and a stand-in reached at depth d > 0 goes
+//! home next round unless home already expanded it at depth ≥ d. Round
+//! trips thus count shard crossings, not levels. The home lists are
+//! replayed from the start alone, in the trait defaults' order: nodes in
+//! pre-order (O10, O13, O14, the subtree) or attributed edges (O18, O15).
 
-use std::collections::{HashMap, HashSet};
-use std::ops::RangeInclusive;
+use std::collections::HashMap;
 
-use hypermodel::error::Result;
-use hypermodel::model::{Oid, RefEdge};
+use hypermodel::error::{HmError, Result};
+use hypermodel::model::Oid;
 use hypermodel::protocol::{Reply, Request};
-use hypermodel::store::{BatchWrite, HyperStore};
+use hypermodel::store::{expand_with, BatchWrite, HyperStore, Reached, Rel};
 
 use crate::store::ShardedStore;
 
-/// One entry of a node's fetched list: a node id, or an attributed edge
-/// to one.
-trait Adjacent: Clone {
-    /// The node the entry leads to.
-    fn target(&self) -> Oid;
-}
-
-impl Adjacent for Oid {
-    fn target(&self) -> Oid {
-        *self
-    }
-}
-
-impl Adjacent for RefEdge {
-    fn target(&self) -> Oid {
-        self.target
-    }
-}
+/// Per node, in global ids: its home shard's expansion at the largest
+/// remaining depth home was asked for.
+type Home = HashMap<Oid, Reached>;
 
 impl<S: HyperStore + Send + 'static> ShardedStore<S> {
-    /// Breadth-first from `start`: each level's lists come from the batch
-    /// request `list` makes, one per shard holding part of the frontier,
-    /// and each node enters a frontier once. Stops after `depth` levels if
-    /// given. With `prune`, each level first fetches its frontier's
-    /// `million` the same way and drops the nodes inside the range: they
-    /// are not expanded and, having no list, not replayed.
-    fn levels<E: Adjacent>(
+    /// The home expansion of every node reachable from `starts` along
+    /// `rel`, in rounds of one `expand` per shard with work.
+    fn rounds(
         &mut self,
-        start: Oid,
-        list: fn(Vec<Oid>) -> Request,
-        depth: Option<u32>,
-        prune: Option<RangeInclusive<u32>>,
-    ) -> Result<HashMap<Oid, Vec<E>>>
-    where
-        Vec<Vec<E>>: Reply,
-    {
-        let mut adj = HashMap::new();
-        let mut seen = HashSet::from([start]);
-        let mut frontier = vec![start];
-        let mut level = 0;
-        while !frontier.is_empty() && depth.is_none_or(|d| level < d) {
-            if let Some(range) = &prune {
-                let millions = self.batch_read::<u32>(&frontier, Request::MillionBatch)?;
-                frontier = frontier
-                    .into_iter()
-                    .zip(millions)
-                    .filter(|(_, m)| !range.contains(m))
-                    .map(|(o, _)| o)
-                    .collect();
-                if frontier.is_empty() {
-                    break;
+        rel: Rel,
+        starts: &[(Oid, u32)],
+        prune: Option<(u32, u32)>,
+    ) -> Result<Home> {
+        let n = self.router.shard_count();
+        let mut home = Home::new();
+        let mut work: HashMap<Oid, u32> = starts.iter().copied().collect();
+        while !work.is_empty() {
+            let mut per: Vec<Option<Vec<(Oid, u32)>>> = vec![None; n];
+            for (g, depth) in work.drain() {
+                let (s, l) = self.router.to_local(g)?;
+                per[s].get_or_insert_with(Vec::new).push((l, depth));
+            }
+            let requests = per
+                .into_iter()
+                .map(|w| w.map(|starts| Request::Expand(rel, starts, prune)));
+            let mut stand_ins = Vec::new();
+            for (s, answer) in self.each_shard(requests.collect())?.into_iter().enumerate() {
+                let Some(answer) = answer else { continue };
+                for r in Vec::<Reached>::from_response(answer)? {
+                    let own = self.router.is_owned_local(s, r.node)?;
+                    let r = self.router.globals(s, r)?;
+                    if !own {
+                        stand_ins.push((r.node, r.depth));
+                    } else if home.get(&r.node).is_none_or(|h| h.depth < r.depth) {
+                        home.insert(r.node, r);
+                    }
                 }
             }
-            let lists = self.batch_read::<Vec<E>>(&frontier, list)?;
-            let mut next = Vec::new();
-            for (node, list) in frontier.into_iter().zip(lists) {
-                next.extend(list.iter().map(E::target).filter(|&t| seen.insert(t)));
-                adj.insert(node, list);
+            // Only now: another shard's answer may have been home's.
+            for (g, depth) in stand_ins {
+                if depth > 0 && home.get(&g).is_none_or(|h| h.depth < depth) {
+                    let at = work.entry(g).or_insert(depth);
+                    *at = (*at).max(depth);
+                }
             }
-            frontier = next;
-            level += 1;
         }
-        Ok(adj)
+        Ok(home)
+    }
+
+    /// An `Expand` request: the home expansions, walked from `starts` as
+    /// one store's default would walk its own records.
+    pub(crate) fn expand_all(
+        &mut self,
+        rel: Rel,
+        starts: &[(Oid, u32)],
+        prune: Option<(u32, u32)>,
+    ) -> Result<Vec<Reached>> {
+        let home = self.rounds(rel, starts, prune)?;
+        expand_with(starts, |node| {
+            let h = home.get(&node);
+            h.map(|h| h.list.clone())
+                .ok_or_else(|| HmError::Backend(format!("no home expansion of {node}")))
+        })
     }
 
     /// The 1-N subtree under `root` in pre-order, not counted as a touch:
     /// the node list of a migration.
     pub(crate) fn subtree(&mut self, root: Oid) -> Result<Vec<Oid>> {
-        let adj = self.levels(root, Request::ChildrenBatch, None, None)?;
-        Ok(preorder(root, &adj))
+        let home = self.rounds(Rel::Children, &[(root, u32::MAX)], None)?;
+        Ok(preorder(root, &home))
     }
 
-    /// O10 and O14 (`list` = the children or parts batch), and O13 with
-    /// `prune`: the nodes reached from `start` in pre-order.
+    /// O10 and O14 (`rel` = children or parts), and O13 with `prune`:
+    /// the nodes reached from `start` in pre-order.
     pub(crate) fn node_closure(
         &mut self,
         start: Oid,
-        list: fn(Vec<Oid>) -> Request,
-        prune: Option<RangeInclusive<u32>>,
+        rel: Rel,
+        prune: Option<(u32, u32)>,
     ) -> Result<Vec<Oid>> {
         self.touch(start);
-        let adj = self.levels(start, list, None, prune)?;
-        Ok(preorder(start, &adj))
+        let home = self.rounds(rel, &[(start, u32::MAX)], prune)?;
+        Ok(preorder(start, &home))
     }
 
     /// O11: the 1-N closure, then one `hundred` batch per shard.
     pub(crate) fn att_sum(&mut self, start: Oid) -> Result<(u64, usize)> {
-        let closure = self.node_closure(start, Request::ChildrenBatch, None)?;
-        let hundreds = self.batch_read::<u32>(&closure, Request::HundredBatch)?;
+        let closure = self.node_closure(start, Rel::Children, None)?;
+        let hundreds = self.hundreds(&closure)?;
         let sum = hundreds.iter().map(|&h| u64::from(h)).sum();
         Ok((sum, closure.len()))
     }
 
     /// O12: the 1-N closure, its `hundred` values, then one write batch.
     pub(crate) fn att_set(&mut self, start: Oid) -> Result<usize> {
-        let closure = self.node_closure(start, Request::ChildrenBatch, None)?;
-        let hundreds = self.batch_read::<u32>(&closure, Request::HundredBatch)?;
+        let closure = self.node_closure(start, Rel::Children, None)?;
+        let hundreds = self.hundreds(&closure)?;
         let updates: Vec<BatchWrite> = closure
             .iter()
             .zip(hundreds)
@@ -129,40 +129,38 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     }
 
     /// O18, and O15 as its projection: attributed references to `depth`
-    /// levels, the deepest any depth-first path can need.
+    /// levels.
     pub(crate) fn ref_closure(&mut self, start: Oid, depth: u32) -> Result<Vec<(Oid, u64)>> {
         self.touch(start);
-        let adj = self.levels(start, Request::RefsToBatch, Some(depth), None)?;
-        Ok(edge_walk(start, depth, &adj))
+        let home = self.rounds(Rel::RefsTo, &[(start, depth)], None)?;
+        Ok(edge_walk(start, depth, &home))
     }
 }
 
-/// Depth-first pre-order over `adj` from `start`, each list in order: the
-/// trait default's stack order. A node without a list (pruned) is skipped
-/// with its subtree.
-fn preorder(start: Oid, adj: &HashMap<Oid, Vec<Oid>>) -> Vec<Oid> {
+/// Depth-first pre-order over the home lists from `start`, each list in
+/// order: the trait default's stack order. A node without a list
+/// (pruned) is skipped with its subtree.
+fn preorder(start: Oid, home: &Home) -> Vec<Oid> {
     let mut out = Vec::new();
     let mut stack = vec![start];
     while let Some(node) = stack.pop() {
-        if let Some(list) = adj.get(&node) {
+        if let Some(list) = home.get(&node).and_then(|h| h.list.as_ref()) {
             out.push(node);
-            stack.extend(list.iter().rev());
+            stack.extend(list.iter().rev().map(|e| e.target));
         }
     }
     out
 }
 
-/// Depth-first walk over the attributed edges in `adj` to `depth` levels:
-/// each edge's target with the `offset_to` summed along its path, in the
-/// trait default's order.
-fn edge_walk(start: Oid, depth: u32, adj: &HashMap<Oid, Vec<RefEdge>>) -> Vec<(Oid, u64)> {
+/// Depth-first walk over the attributed edges of the home lists to
+/// `depth` levels: each edge's target with the `offset_to` summed along
+/// its path, in the trait default's order.
+fn edge_walk(start: Oid, depth: u32, home: &Home) -> Vec<(Oid, u64)> {
     let mut out = Vec::new();
     let mut stack = vec![(start, depth, 0u64)];
     while let Some((node, d, dist)) = stack.pop() {
-        let Some(edges) = adj.get(&node).filter(|_| d > 0) else {
-            continue;
-        };
-        for e in edges.iter().rev() {
+        let edges = home.get(&node).and_then(|h| h.list.as_deref());
+        for e in edges.filter(|_| d > 0).into_iter().flatten().rev() {
             let total = dist + u64::from(e.offset_to);
             out.push((e.target, total));
             stack.push((e.target, d - 1, total));

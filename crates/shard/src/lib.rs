@@ -13,8 +13,8 @@
 //!   share on the calling thread and the others on per-shard executor
 //!   workers (`exec::ShardExecutor`);
 //! * `closure` — the O10–O15 and O18 closures and a migration's subtree:
-//!   one batched request per shard per BFS level, replayed in the trait
-//!   defaults' order;
+//!   rounds of one `expand` per shard with work, each shard walking its
+//!   part to the shard boundary, replayed in the trait defaults' order;
 //! * `write` — every creation and edge write: placement and the ghost
 //!   stand-ins of cross-shard edges, at most two requests per shard;
 //! * [`replica`] — [`ReplicaGroup`]: K mirrors behind one store, so a

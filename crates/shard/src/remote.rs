@@ -1,9 +1,9 @@
 //! Remote sharded deployment: N TCP HyperModel servers behind one router.
 //!
 //! Each shard is a [`server::RemoteStore`] over its own TCP connection;
-//! the [`ShardedStore`] on top fans batched frontier requests out to all
-//! connections in parallel, so one BFS level costs one round trip per
-//! *involved shard*, concurrently — the paper's R6 server architecture
+//! the [`ShardedStore`] on top sends each round of a closure to the
+//! connections with work in parallel, one `Expand` each, which walks the
+//! closure to the shard boundary — the paper's R6 server architecture
 //! scaled horizontally.
 
 use std::net::TcpStream;

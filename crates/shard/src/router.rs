@@ -27,6 +27,7 @@ use std::collections::HashMap;
 use hypermodel::error::{HmError, Result};
 use hypermodel::model::{Oid, RefEdge};
 use hypermodel::protocol::Response;
+use hypermodel::store::Reached;
 
 /// Ghost nodes get `uniqueId = GHOST_UID_BASE + global`, far above any
 /// benchmark uid, so they never collide with real nodes inside a shard's
@@ -90,6 +91,16 @@ impl MapIds for RefEdge {
     }
 }
 
+impl MapIds for Reached {
+    fn map_ids(self, f: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<Reached> {
+        Ok(Reached {
+            node: f(self.node)?,
+            list: self.list.map_ids(f)?,
+            ..self
+        })
+    }
+}
+
 impl<T: MapIds> MapIds for Option<T> {
     fn map_ids(self, f: &mut impl FnMut(Oid) -> Result<Oid>) -> Result<Option<T>> {
         self.map(|v| v.map_ids(f)).transpose()
@@ -111,8 +122,7 @@ impl MapIds for Response {
             Response::OptOid(o) => Response::OptOid(o.map_ids(f)?),
             Response::Oids(v) => Response::Oids(v.map_ids(f)?),
             Response::Edges(v) => Response::Edges(v.map_ids(f)?),
-            Response::OidLists(v) => Response::OidLists(v.map_ids(f)?),
-            Response::EdgeLists(v) => Response::EdgeLists(v.map_ids(f)?),
+            Response::Reached(v) => Response::Reached(v.map_ids(f)?),
             Response::Pairs(v) => Response::Pairs(
                 v.into_iter()
                     .map(|(o, d)| Ok((f(o)?, d)))

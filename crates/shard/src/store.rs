@@ -8,8 +8,9 @@
 //! answer and errors are mapped back to global ids. The other rows are
 //! match arms; range lookups and scans fan out to every shard (`scatter`:
 //! the first involved shard's share on the calling thread, the others on
-//! their [`exec::ShardExecutor`] workers). The closures are level-batched
-//! in `crate::closure`, writes are `crate::write`.
+//! their [`exec::ShardExecutor`] workers). The closures are rounds of one
+//! `expand` per shard with work, in `crate::closure`; writes are
+//! `crate::write`.
 //!
 //! **Invariant: no shard has a queued job between `ShardedStore`
 //! calls.** Every call — the 2PC prepare round included — joins every
@@ -32,7 +33,7 @@ use hypermodel::error::{HmError, Result};
 use hypermodel::model::{Oid, RefEdge};
 use hypermodel::protocol::{Reply, Request, Response};
 use hypermodel::service::not_an_operation;
-use hypermodel::store::{unsupported, BatchWrite, HyperStore, ShardLoad};
+use hypermodel::store::{unsupported, BatchWrite, HyperStore, Rel, ShardLoad};
 
 use exec::{ExecError, ShardExecutor};
 
@@ -372,23 +373,24 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         self.gather(vec![Some(()); n], |shard, ()| shard.seq_scan_ten())
     }
 
-    /// One batched read per shard with work, in parallel: `list` makes
-    /// the request for a shard's locals, whose answer is one `T` per
-    /// local in order; the ids in each answer are mapped back to global
-    /// like a point route's, and the results scatter to the callers'
-    /// order. A shard with work
-    /// must be alive (batched reads feed closures, whose results are
-    /// meaningless when incomplete) and counts one request — the unit the
-    /// skew statistics measure.
-    pub(crate) fn batch_read<T>(
+    /// One request per shard with work, in parallel ([`scatter`]). A shard
+    /// with work must be alive (the answers feed closures, whose results
+    /// are meaningless when incomplete) and counts one request — the unit
+    /// the skew statistics measure. Answers are in each shard's own ids.
+    pub(crate) fn each_shard(
         &mut self,
-        oids: &[Oid],
-        list: fn(Vec<Oid>) -> Request,
-    ) -> Result<Vec<T>>
-    where
-        T: Default + Clone,
-        Vec<T>: Reply,
-    {
+        requests: Vec<Option<Request>>,
+    ) -> Result<Vec<Option<Response>>> {
+        for s in (0..requests.len()).filter(|&s| requests[s].is_some()) {
+            self.check(s)?;
+            self.router.requests[s] += 1;
+        }
+        self.gather(requests, |shard, req| shard.call(req).map(Some))
+    }
+
+    /// `hundred` of each of `oids`, in order: one `hundred_batch` per
+    /// shard with work.
+    pub(crate) fn hundreds(&mut self, oids: &[Oid]) -> Result<Vec<u32>> {
         let n = self.router.shard_count();
         let mut work: Vec<Option<Vec<Oid>>> = vec![None; n];
         let mut pos: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -397,17 +399,12 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             work[s].get_or_insert_with(Vec::new).push(l);
             pos[s].push(i);
         }
-        for s in (0..n).filter(|&s| work[s].is_some()) {
-            self.check(s)?;
-            self.router.requests[s] += 1;
-        }
-        let answers = self.gather(work, move |shard, ls| shard.call(list(ls)).map(Some))?;
-        let mut out = vec![T::default(); oids.len()];
-        for (s, answer) in answers.into_iter().enumerate() {
+        let requests = work.into_iter().map(|w| w.map(Request::HundredBatch));
+        let mut out = vec![0; oids.len()];
+        for (s, answer) in self.each_shard(requests.collect())?.into_iter().enumerate() {
             let Some(answer) = answer else { continue };
-            let items = Vec::<T>::from_response(self.router.globals(s, answer)?)?;
-            for (j, item) in items.into_iter().enumerate() {
-                out[pos[s][j]] = item;
+            for (&i, h) in pos[s].iter().zip(Vec::<u32>::from_response(answer)?) {
+                out[i] = h;
             }
         }
         Ok(out)
@@ -605,20 +602,17 @@ impl<S: HyperStore + Send + 'static> hypermodel::Service for ShardedStore<S> {
             }
 
             // ---- batched primitives: one request per shard with work
-            R::ChildrenBatch(o) => ok(self.batch_read::<Vec<Oid>>(&o, R::ChildrenBatch)?),
-            R::PartsBatch(o) => ok(self.batch_read::<Vec<Oid>>(&o, R::PartsBatch)?),
-            R::RefsToBatch(o) => ok(self.batch_read::<Vec<RefEdge>>(&o, R::RefsToBatch)?),
-            R::HundredBatch(o) => ok(self.batch_read::<u32>(&o, R::HundredBatch)?),
-            R::MillionBatch(o) => ok(self.batch_read::<u32>(&o, R::MillionBatch)?),
+            R::HundredBatch(o) => ok(self.hundreds(&o)?),
+            R::Expand(rel, starts, prune) => ok(self.expand_all(rel, &starts, prune)?),
 
-            // ---- closures: level-batched (`crate::closure`)
-            R::Closure1N(start) => ok(self.node_closure(start, R::ChildrenBatch, None)?),
+            // ---- closures: rounds of `expand` (`crate::closure`)
+            R::Closure1N(start) => ok(self.node_closure(start, Rel::Children, None)?),
             R::Closure1NAttSum(start) => ok(self.att_sum(start)?),
             R::Closure1NAttSet(start) => ok(self.att_set(start)?),
             R::Closure1NPred(start, lo, hi) => {
-                ok(self.node_closure(start, R::ChildrenBatch, Some(lo..=hi))?)
+                ok(self.node_closure(start, Rel::Children, Some((lo, hi)))?)
             }
-            R::ClosureMN(start) => ok(self.node_closure(start, R::PartsBatch, None)?),
+            R::ClosureMN(start) => ok(self.node_closure(start, Rel::Parts, None)?),
             R::ClosureMNAtt(start, depth) => {
                 let pairs = self.ref_closure(start, depth)?;
                 ok(pairs.into_iter().map(|(o, _)| o).collect::<Vec<_>>())

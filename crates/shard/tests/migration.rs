@@ -7,11 +7,12 @@ use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::model::Oid;
 use hypermodel::oracle::Oracle;
+use hypermodel::rng::Rng;
 use hypermodel::store::HyperStore;
 use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
 use server::serve_multi;
-use shard::{connect_sharded, Placement, ReplicaGroup, ShardedStore};
+use shard::{connect_sharded, connect_sharded_replicated, Placement, ReplicaGroup, ShardedStore};
 
 fn sharded_mem(n: usize, placement: Placement) -> ShardedStore<MemStore> {
     let shards = (0..n).map(|_| MemStore::new()).collect();
@@ -96,6 +97,91 @@ fn pick_subtree<S: HyperStore + Send + 'static>(
     let root = oids[idx as usize];
     let owner = store.owner_of(root).unwrap();
     (root, (owner + 1) % store.shard_count())
+}
+
+/// O10–O15 and O18 from `idx` answer what the oracle answers. O12 runs
+/// twice, which restores every `hundred` it flipped.
+fn assert_closures_exact<S: HyperStore + Send + 'static>(
+    store: &mut ShardedStore<S>,
+    oids: &[Oid],
+    oracle: &Oracle,
+    idx: u32,
+) {
+    let start = oids[idx as usize];
+    let c = store.closure_1n(start).unwrap();
+    let want = oracle.closure_1n(idx);
+    assert_eq!(uids(store, &c), want, "O10 from {idx}");
+    let sum = store.closure_1n_att_sum(start).unwrap();
+    assert_eq!(sum, oracle.closure_1n_att_sum(idx), "O11 from {idx}");
+    for _ in 0..2 {
+        assert_eq!(store.closure_1n_att_set(start).unwrap(), want.len(), "O12");
+    }
+    let sum = store.closure_1n_att_sum(start).unwrap();
+    assert_eq!(sum, oracle.closure_1n_att_sum(idx), "O12 twice from {idx}");
+    // The first range holds a ghost stand-in's `million` (1), the second
+    // does not: a stand-in is pruned on its shard, or walked through.
+    for (lo, hi) in [(1, 300_000), (500_000, 999_999)] {
+        let c = store.closure_1n_pred(start, lo, hi).unwrap();
+        let want = oracle.closure_1n_pred(idx, lo, hi);
+        assert_eq!(uids(store, &c), want, "O13 {lo}..={hi} from {idx}");
+    }
+    let c = store.closure_mn(start).unwrap();
+    assert_eq!(uids(store, &c), oracle.closure_mn(idx), "O14 from {idx}");
+    for depth in [3, 25] {
+        let c = store.closure_mnatt(start, depth).unwrap();
+        let want = oracle.closure_mnatt(idx, depth);
+        assert_eq!(uids(store, &c), want, "O15/{depth} from {idx}");
+        let pairs = store.closure_mnatt_linksum(start, depth).unwrap();
+        let (nodes, dists): (Vec<Oid>, Vec<u64>) = pairs.into_iter().unzip();
+        let got: Vec<(u32, u64)> = uids(store, &nodes).into_iter().zip(dists).collect();
+        let want = oracle.closure_mnatt_linksum(idx, depth);
+        assert_eq!(got, want, "O18/{depth} from {idx}");
+    }
+}
+
+/// A closure walks a moved subtree's retired records and the ghosts the
+/// move left behind: after moving a depth-2 node and then a child of the
+/// root, every closure from the root, from the moved nodes and from 20
+/// drawn level-3 nodes is the oracle's.
+fn closures_stay_exact_across_migrations<S: HyperStore + Send + 'static>(
+    mut store: ShardedStore<S>,
+) {
+    let db = TestDatabase::generate(&GenConfig::level(4));
+    let oracle = Oracle::new(&db);
+    let oids = load_database(&mut store, &db).unwrap().oids;
+    let level3 = db.level_indices(oracle.closure_start_level());
+    let mut rng = Rng::new(37);
+    let drawn: Vec<u32> = (0..20)
+        .map(|_| rng.range_u32(level3.start, level3.end - 1))
+        .collect();
+    let moves = [level3.start + 7, oracle.children(0)[1]];
+    for idx in moves {
+        let node = oids[idx as usize];
+        let dst = (store.owner_of(node).unwrap() + 1) % store.shard_count();
+        assert!(store.migrate_subtree(node, dst).unwrap() > 0, "move {idx}");
+        for start in [0, idx]
+            .into_iter()
+            .chain(moves)
+            .chain(drawn.iter().copied())
+        {
+            assert_closures_exact(&mut store, &oids, &oracle, start);
+        }
+    }
+}
+
+#[test]
+fn closures_stay_exact_across_migrations_in_process() {
+    for placement in [Placement::OidHash, Placement::affinity()] {
+        closures_stay_exact_across_migrations(sharded_mem(3, placement));
+    }
+}
+
+#[test]
+fn closures_stay_exact_across_migrations_of_replicated_tcp_shards() {
+    let ms = serve_multi((0..4).map(|_| MemStore::new()).collect::<Vec<_>>()).unwrap();
+    let store = connect_sharded_replicated(&ms.addr_strings(), 2, Placement::affinity()).unwrap();
+    closures_stay_exact_across_migrations(store);
+    assert_eq!(ms.stop().unwrap().errors, 0);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::model::Oid;
 use hypermodel::protocol::{Request, Response};
-use hypermodel::store::HyperStore;
+use hypermodel::store::{HyperStore, Rel};
 use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
 use shard::{Placement, ReplicaGroup, ShardedStore};
@@ -143,36 +143,25 @@ fn a_panic_in_a_point_operation_poisons_the_shard() {
 }
 
 #[test]
-fn a_panic_in_the_inline_share_of_a_closure_level_poisons_the_shard() {
+fn a_panic_in_the_inline_share_of_a_closure_round_poisons_the_shard() {
     let mut f = Fixture::new();
-    // The first level's only work is on the start node's shard, which
+    // The first round's only work is on the start node's shard, which
     // the caller runs itself.
     let start = f.on(1);
-    f.arm(1, |req| matches!(req, Request::ChildrenBatch(_)));
+    f.arm(1, |req| matches!(req, Request::Expand(..)));
     let err = f.store.closure_1n(start).unwrap_err();
     f.assert_poisoned(1, err, std::thread::current().name());
     f.restore(1);
 }
 
 #[test]
-fn a_panic_in_a_worker_share_of_a_closure_level_poisons_the_shard() {
+fn a_panic_in_a_worker_share_of_a_closure_round_poisons_the_shard() {
     let mut f = Fixture::new();
-    // A start node on shard 0 with children on both shards: the second
-    // level runs shard 0's share on the caller and queues shard 1's.
-    let start = f
-        .oids
-        .iter()
-        .copied()
-        .find(|&o| {
-            let kids = f.store.children(o).unwrap();
-            f.store.owner_of(o) == Some(0)
-                && [0, 1]
-                    .iter()
-                    .all(|&s| kids.iter().any(|&k| f.store.owner_of(k) == Some(s)))
-        })
-        .expect("a shard-0 node with children on both shards");
-    f.arm(1, |req| matches!(req, Request::ChildrenBatch(_)));
-    let err = f.store.closure_1n(start).unwrap_err();
+    // Starts on both shards: the first round runs shard 0's share on the
+    // caller and queues shard 1's.
+    let starts = [(f.on(0), u32::MAX), (f.on(1), u32::MAX)];
+    f.arm(1, |req| matches!(req, Request::Expand(..)));
+    let err = f.store.expand(Rel::Children, &starts, None).unwrap_err();
     f.assert_poisoned(1, err, Some("shard-exec-1"));
     f.restore(1);
 }

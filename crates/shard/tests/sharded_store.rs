@@ -14,7 +14,7 @@ use hypermodel::text::{VERSION_1, VERSION_2};
 use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
 use server::{serve, ChannelTransport, RemoteStore};
-use shard::{Placement, ShardedStore};
+use shard::{connect_sharded, Placement, ShardedStore};
 
 fn sharded_mem(n: usize, placement: Placement) -> ShardedStore<MemStore> {
     let shards = (0..n).map(|_| MemStore::new()).collect();
@@ -190,16 +190,16 @@ fn per_shard_scans_partition_the_database() {
     }
 }
 
-/// The tentpole claim, measured where it is hardware-independent: the
-/// level-batched frontier exchange issues at most one batched request
-/// per involved shard per BFS level, so cross-shard round trips scale
-/// with tree depth, not node count. A per-node protocol would pay one
-/// round trip per visited node.
+/// Measured where it is hardware-independent: a sharded closure issues
+/// at most one `expand` per involved shard per round, and a round ends
+/// only where a path crosses shards, so round trips are bounded by tree
+/// depth, not node count. A per-node protocol would pay one round trip
+/// per visited node.
 #[test]
 fn cross_shard_closure_round_trips_scale_with_depth_not_nodes() {
     let db = TestDatabase::generate(&GenConfig::level(3));
-    // Hash placement is the adversarial case: nearly every frontier
-    // level straddles both shards.
+    // Hash placement is the adversarial case: nearly every edge crosses
+    // shards.
     let (mut s, servers) = sharded_remote(Placement::OidHash);
     let r = load_database(&mut s, &db).unwrap();
     let root = r.oids[0];
@@ -210,9 +210,8 @@ fn cross_shard_closure_round_trips_scale_with_depth_not_nodes() {
 
     let nodes = closure.len() as u64;
     assert_eq!(nodes, db.len() as u64, "root closure covers the structure");
-    // Level-3 tree: 4 BFS levels, 2 shards -> at most 8 batched requests
-    // (plus slack for the root fetch); a per-node protocol would need
-    // `nodes` of them.
+    // Level-3 tree: at most 4 rounds, 2 shards -> at most 8 requests
+    // (plus slack); a per-node protocol would need `nodes` of them.
     assert!(
         trips <= 10,
         "expected depth-bounded round trips, got {trips}"
@@ -249,10 +248,10 @@ fn cross_shard_closure_round_trips_scale_with_depth_not_nodes() {
 }
 
 /// The exact wire traffic of every closure and of a subtree migration:
-/// round trips per shard under hash placement at level 3. Each BFS level
-/// sends one batched request to each shard holding part of its frontier
-/// (O13 first fetches the frontier's `million` to prune by), and O11 and
-/// O12 add one attribute batch (and O12 one write batch) per shard.
+/// round trips per shard under hash placement at level 3. Each round
+/// sends one `expand` to each shard with work, which walks the closure to
+/// its shard boundary; O11 and O12 add one attribute batch (and O12 one
+/// write batch) per shard. These counts may only go down.
 #[test]
 fn closure_and_migration_round_trips_per_shard_are_pinned() {
     let db = TestDatabase::generate(&GenConfig::level(3));
@@ -288,20 +287,55 @@ fn closure_and_migration_round_trips_per_shard_are_pinned() {
         table.push((name, round_trips(&s)));
     }
     let expected: Vec<(&str, Vec<u64>)> = vec![
-        ("O10", vec![3, 4]),
-        ("O11", vec![4, 5]),
-        ("O12", vec![5, 6]),
-        ("O13", vec![6, 8]),
-        ("O14", vec![3, 4]),
-        ("O15/3", vec![1, 2]),
-        ("O15/25", vec![7, 9]),
-        ("O18/3", vec![1, 2]),
-        ("O18/25", vec![7, 9]),
-        ("migrate child", vec![5, 4]),
-        ("migrate root", vec![5, 6]),
+        ("O10", vec![1, 2]),
+        ("O11", vec![2, 3]),
+        ("O12", vec![3, 4]),
+        ("O13", vec![1, 2]),
+        ("O14", vec![1, 2]),
+        ("O15/3", vec![1, 1]),
+        ("O15/25", vec![2, 2]),
+        ("O18/3", vec![1, 1]),
+        ("O18/25", vec![2, 2]),
+        ("migrate child", vec![3, 3]),
+        ("migrate root", vec![3, 4]),
     ];
     assert_eq!(table, expected);
     join(s, servers);
+}
+
+/// Under subtree affinity a closure from a depth-2 node stays on one
+/// shard, so the whole closure is one `expand`: O10 and O13 take one
+/// frame in total, and O11 one more for its `hundred` batch.
+#[test]
+fn pushed_down_closures_take_one_round_trip_under_affinity() {
+    let db = TestDatabase::generate(&GenConfig::level(4));
+    let ms = server::serve_multi(vec![MemStore::new(), MemStore::new()]).unwrap();
+    let mut s = connect_sharded(&ms.addr_strings(), Placement::affinity()).unwrap();
+    let root = load_database(&mut s, &db).unwrap().oids[0];
+    let mut starts = Vec::new();
+    for child in s.children(root).unwrap() {
+        starts.extend(s.children(child).unwrap());
+    }
+    assert_eq!(starts.len(), 25, "a level-4 tree has 25 depth-2 nodes");
+    for start in starts {
+        // Prune the first child's subtree.
+        let first = s.children(start).unwrap()[0];
+        let m = s.million_of(first).unwrap();
+        type Op<'a> = &'a dyn Fn(&mut ShardedStore<RemoteStore>) -> usize;
+        let ops: [(&str, Op, u64); 3] = [
+            ("O10", &|s| s.closure_1n(start).unwrap().len(), 1),
+            ("O11", &|s| s.closure_1n_att_sum(start).unwrap().1, 2),
+            ("O13", &|s| s.closure_1n_pred(start, m, m).unwrap().len(), 1),
+        ];
+        for (name, op, frames) in ops {
+            reset_trips(&mut s);
+            assert!(op(&mut s) > 0, "{name} from {start:?} did nothing");
+            let sent: u64 = round_trips(&s).iter().sum();
+            assert_eq!(sent, frames, "{name} from {start:?}");
+        }
+    }
+    drop(s);
+    assert_eq!(ms.stop().unwrap().errors, 0);
 }
 
 /// A kind error names the id the caller passed, not the shard-local id
