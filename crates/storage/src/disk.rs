@@ -271,6 +271,33 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Each fault `Page::verify` catches on a page in memory, `read_page`
+    /// catches on the same page in the file.
+    #[test]
+    fn read_page_detects_every_flipped_bit_and_torn_half() {
+        let path = tmpfile("faults");
+        let mut dm = DiskManager::create(&path).unwrap();
+        let mut page = crate::page::tests::patterned_page();
+        while dm.page_count() <= page.id().0 {
+            dm.allocate().unwrap();
+        }
+        dm.write_page(&mut page).unwrap();
+        dm.read_page(page.id()).unwrap();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        let at = page.id().0 * PAGE_SIZE as u64;
+        for (fault, bad) in crate::page::tests::corruptions(&page) {
+            file.write_all_at(bad.bytes(), at).unwrap();
+            assert!(
+                matches!(
+                    dm.read_page(page.id()),
+                    Err(StorageError::Corruption { .. })
+                ),
+                "{fault} passed read_page"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn stats_count_io() {
         let path = tmpfile("stats");

@@ -260,8 +260,56 @@ impl std::fmt::Debug for Page {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A sealed heap page, id 42, whose byte `i` past the header is
+    /// `i * 7 % 251`: every byte the checksum covers is set.
+    pub(crate) fn patterned_page() -> Page {
+        let mut p = Page::new(PageId(42));
+        p.set_kind(PageKind::Heap);
+        for i in HEADER_SIZE..PAGE_SIZE {
+            p.bytes_mut()[i] = (i * 7 % 251) as u8;
+        }
+        p.seal();
+        p
+    }
+
+    /// Copies of `page` with one fault each: bit `offset % 8` flipped at
+    /// every byte offset, then each 4 KiB half zeroed (a torn sector write).
+    pub(crate) fn corruptions(page: &Page) -> impl Iterator<Item = (String, Page)> + '_ {
+        let flips = (0..PAGE_SIZE).map(move |off| {
+            let mut bad = page.clone();
+            bad.bytes_mut()[off] ^= 1 << (off % 8);
+            (format!("bit {} of byte {off} flipped", off % 8), bad)
+        });
+        let torn = [0, PAGE_SIZE / 2].into_iter().map(move |at| {
+            let mut bad = page.clone();
+            bad.bytes_mut()[at..at + PAGE_SIZE / 2].fill(0);
+            (format!("bytes {at}.. zeroed"), bad)
+        });
+        flips.chain(torn)
+    }
+
+    /// The seal of [`patterned_page`], recorded from the slice-by-8
+    /// checksum before it was braided: the on-disk format.
+    #[test]
+    fn seal_of_a_fixed_page_is_pinned() {
+        let p = patterned_page();
+        assert_eq!(p.read_u32(CHECKSUM_OFFSET), 0xC278_CD32);
+        p.verify(PageId(42)).unwrap();
+    }
+
+    #[test]
+    fn verify_detects_every_flipped_bit_and_torn_half() {
+        let page = patterned_page();
+        for (fault, bad) in corruptions(&page) {
+            assert!(
+                matches!(bad.verify(PageId(42)), Err(StorageError::Corruption { .. })),
+                "{fault} passed verification"
+            );
+        }
+    }
 
     #[test]
     fn new_page_is_self_identifying() {

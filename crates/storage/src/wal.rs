@@ -663,6 +663,38 @@ mod tests {
         )
     }
 
+    /// The bytes of a commit record and of a zero-based `PageDelta` record,
+    /// recorded from the slice-by-8 checksum before it was braided: the
+    /// log's on-disk format, CRCs included.
+    #[test]
+    fn commit_and_page_delta_records_are_pinned() {
+        let path = tmppath("golden");
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append_commit(0x0102_0304_0506_0708);
+        wal.sync().unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            [9, 0, 0, 0, 2, 8, 7, 6, 5, 4, 3, 2, 1, 100, 14, 17, 8]
+        );
+        wal.truncate().unwrap();
+        let mut page = Page::new(PageId(42));
+        page.set_kind(PageKind::Heap);
+        page.write_bytes(100, b"HyperModel");
+        page.seal();
+        wal.append_page_delta(PageId(42), None, page.bytes());
+        wal.sync().unwrap();
+        #[rustfmt::skip]
+        let delta = [
+            41, 0, 0, 0, 6, // length, type
+            42, 0, 0, 0, 0, 0, 0, 0, 0, // page id, zero base
+            0, 0, 13, 0, 133, 0, 82, 56, 42, 0, 0, 0, 0, 0, 0, 0, 2, // seal, id, kind
+            100, 0, 10, 0, 72, 121, 112, 101, 114, 77, 111, 100, 101, 108, // "HyperModel"
+            190, 49, 220, 159, // CRC
+        ];
+        assert_eq!(std::fs::read(&path).unwrap(), delta);
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn append_read_round_trip() {
         let path = tmppath("rt");
