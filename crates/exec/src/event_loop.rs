@@ -54,21 +54,26 @@ pub struct ConnId {
     pub conn: u64,
 }
 
-/// What the handler wants done with the frame it was given.
+/// What the handler wants done with the frame it was given. The reply
+/// payload itself is in the buffer the handler wrote it into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameOutcome {
-    /// Send this payload back (the loop adds the length prefix).
-    Reply(Vec<u8>),
-    /// Send this payload, then close the connection once it is flushed.
-    ReplyClose(Vec<u8>),
+    /// Send the reply back (the loop adds the length prefix).
+    Reply,
+    /// Send the reply, then close the connection once it is flushed.
+    ReplyClose,
     /// Drop the connection without a response.
     Close,
 }
 
-/// Receives framed requests from the loop.
+/// Receives framed requests from the loop (or from any other driver
+/// that owns a connection, such as `server::serve`'s transport pump).
 pub trait FrameHandler {
     /// One complete frame arrived on `conn`; `frame` borrows the
-    /// connection's read buffer. The answer is due on return.
-    fn on_frame(&mut self, conn: ConnId, frame: &[u8]) -> FrameOutcome;
+    /// connection's read buffer. The answer is due on return: the reply
+    /// payload goes into `reply`, which arrives empty and belongs to
+    /// the caller, so one buffer serves every frame.
+    fn on_frame(&mut self, conn: ConnId, frame: &[u8], reply: &mut Vec<u8>) -> FrameOutcome;
 
     /// `conn` disconnected (or was closed by an outcome).
     fn on_disconnect(&mut self, conn: ConnId) {
@@ -182,6 +187,9 @@ impl EventLoop {
         let mut stats = LoopStats::default();
         let mut idle_ticks = 0u32;
         let mut dead: Vec<ConnId> = Vec::new();
+        // One reply scratch for the whole loop: it is copied into the
+        // connection's write buffer before the next frame is handled.
+        let mut reply = Vec::new();
         // Registry handles resolved once per loop, bumped alongside the
         // local counters so a live scrape sees the loop's state.
         let net = NetCounters::new();
@@ -233,7 +241,8 @@ impl EventLoop {
             // 2. Per-connection I/O: read, answer one frame, and one
             // coalesced flush of everything enqueued.
             for (&id, conn) in conns.iter_mut() {
-                match Self::step_conn(id, conn, handler, &mut stats, &net, &obs_frames) {
+                match Self::step_conn(id, conn, handler, &mut reply, &mut stats, &net, &obs_frames)
+                {
                     Ok(stepped) => progress |= stepped,
                     Err(()) => dead.push(id),
                 }
@@ -272,6 +281,7 @@ impl EventLoop {
         id: ConnId,
         conn: &mut Conn,
         handler: &mut H,
+        reply: &mut Vec<u8>,
         stats: &mut LoopStats,
         net: &NetCounters,
         obs_frames: &obs::Counter,
@@ -307,12 +317,13 @@ impl EventLoop {
                 progress = true;
                 let _trace = obs::trace::scope(trace);
                 let _span = obs::trace::span("loop.frame");
-                let (payload, close) = match handler.on_frame(id, frame) {
-                    FrameOutcome::Reply(payload) => (payload, false),
-                    FrameOutcome::ReplyClose(payload) => (payload, true),
+                reply.clear();
+                let close = match handler.on_frame(id, frame, reply) {
+                    FrameOutcome::Reply => false,
+                    FrameOutcome::ReplyClose => true,
                     FrameOutcome::Close => return Err(()),
                 };
-                conn.enqueue_reply(trace, &payload);
+                conn.enqueue_reply(trace, reply);
                 stats.replies += 1;
                 conn.close_after_flush = close;
             }

@@ -6,7 +6,7 @@
 //! store outright and runs every call on its own thread; there is no
 //! lock and no queue here. The three owners of shard backends use it:
 //! a [`crate::ShardExecutor`] slot (behind the slot's mutex), a replica
-//! group's members and a `serve_multi` shard.
+//! group's members and a server's shard (`serve_multi` or `serve`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;

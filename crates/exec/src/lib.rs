@@ -23,16 +23,19 @@
 //! * [`EventLoop`] — a single-threaded nonblocking socket loop over raw
 //!   `std::net`, hosting N listeners in one thread with per-connection
 //!   read/write buffers. The [`FrameHandler`] answers each frame on the
-//!   loop thread, so one process serves N shard ports without a thread
-//!   per connection.
+//!   loop thread, writing the reply into one buffer the loop reuses for
+//!   every frame, and says with a [`FrameOutcome`] whether to send it,
+//!   send it and close, or hang up — so one process serves N shard
+//!   ports without a thread per connection.
 //!
-//! `server::serve_multi` builds a single-process multi-shard server on
-//! the last two. `shard::ShardedStore` uses the pool on the client: a
-//! point operation runs on the calling thread (`run_here`); a fan-out
-//! (range and scan reads, each level of a batched closure, both rounds
-//! of a commit) runs the first involved shard's share on the calling
-//! thread and queues the others on their workers, and joins every job
-//! before it returns.
+//! `server` implements [`FrameHandler`] once and drives it two ways:
+//! `serve_multi` runs it under an [`EventLoop`] over TCP, and `serve`
+//! pumps frames to it from any one `Transport`. `shard::ShardedStore`
+//! uses the pool on the client: a point operation runs on the calling
+//! thread (`run_here`); a fan-out (range and scan reads, each level of a
+//! batched closure, both rounds of a commit) runs the first involved
+//! shard's share on the calling thread and queues the others on their
+//! workers, and joins every job before it returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -61,19 +61,25 @@ struct Echo {
 }
 
 impl FrameHandler for Echo {
-    fn on_frame(&mut self, conn: ConnId, frame: &[u8]) -> FrameOutcome {
+    fn on_frame(&mut self, conn: ConnId, frame: &[u8], reply: &mut Vec<u8>) -> FrameOutcome {
         let before = self.handled;
         self.handled += 1;
         match frame {
-            b"bye" => return FrameOutcome::ReplyClose(b"goodbye".to_vec()),
-            b"big" => return FrameOutcome::Reply(vec![b'z'; BIG_REPLY]),
-            b"count" => return FrameOutcome::Reply(before.to_string().into_bytes()),
-            [b'S', ..] => std::thread::sleep(Duration::from_millis(1)),
-            _ => {}
+            b"bye" => {
+                reply.extend_from_slice(b"goodbye");
+                return FrameOutcome::ReplyClose;
+            }
+            b"big" => reply.resize(BIG_REPLY, b'z'),
+            b"count" => reply.extend_from_slice(before.to_string().as_bytes()),
+            _ => {
+                if frame.starts_with(b"S") {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                reply.push(b'0' + conn.listener as u8);
+                reply.extend_from_slice(frame);
+            }
         }
-        let mut reply = vec![b'0' + conn.listener as u8];
-        reply.extend_from_slice(frame);
-        FrameOutcome::Reply(reply)
+        FrameOutcome::Reply
     }
 }
 
@@ -110,6 +116,13 @@ fn event_loop_serves_inline_replies_on_two_listeners() {
     assert_eq!(c0.recv().unwrap(), b"0two");
     assert_eq!(c0.recv().unwrap(), b"0three");
 
+    // The loop reuses one reply buffer: a short reply after a long one
+    // carries none of the long one's tail.
+    c0.send(b"big");
+    c0.send(b"hi");
+    assert_eq!(c0.recv().map(|r| r.len()), Some(BIG_REPLY));
+    assert_eq!(c0.recv().unwrap(), b"0hi");
+
     // ReplyClose flushes the farewell, then the server closes.
     c1.send(b"bye");
     assert_eq!(c1.recv().unwrap(), b"goodbye");
@@ -120,8 +133,8 @@ fn event_loop_serves_inline_replies_on_two_listeners() {
     std::thread::sleep(Duration::from_millis(50));
     let stats = stop();
     assert_eq!(stats.accepted, 2);
-    assert_eq!(stats.frames, 6);
-    assert_eq!(stats.replies, 6);
+    assert_eq!(stats.frames, 8);
+    assert_eq!(stats.replies, 8);
     assert_eq!(stats.disconnects, 2);
 }
 

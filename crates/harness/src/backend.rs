@@ -283,19 +283,19 @@ impl BackendSpec {
                 (boxed(store, faults), load, size)
             }
             BackendSpec::Remote => {
-                let mut backing = MemStore::new();
+                let backing = MemStore::new();
                 let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
                 let client_end: Box<dyn Transport> = match faults {
                     Some(plan) => {
                         let mut server_side = FaultyTransport::new(server_end, plan.clone());
                         std::thread::spawn(move || {
-                            let _ = server::serve(&mut backing, &mut server_side);
+                            let _ = server::serve(backing, &mut server_side);
                         });
                         Box::new(FaultyTransport::new(client_end, plan.clone()))
                     }
                     None => {
                         std::thread::spawn(move || {
-                            let _ = server::serve(&mut backing, &mut server_end);
+                            let _ = server::serve(backing, &mut server_end);
                         });
                         Box::new(client_end)
                     }

@@ -674,7 +674,7 @@ fn cmd_remote(level: u32, reps: usize) -> Result<()> {
         let (client_end, mut server_end) =
             ChannelTransport::pair(Duration::from_micros(latency_us));
         let handle = std::thread::spawn(move || {
-            let _ = serve(&mut store, &mut server_end);
+            let _ = serve(store, &mut server_end);
         });
         let mut remote = RemoteStore::new(Box::new(client_end));
         for (side, closure) in sides {

@@ -270,7 +270,7 @@ mod tests {
         let report = load_database(&mut store, &db).unwrap();
         let target = report.oids[3];
         let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-        let handle = std::thread::spawn(move || serve(&mut store, &mut server_end).unwrap());
+        let handle = std::thread::spawn(move || serve(store, &mut server_end).unwrap());
 
         let lossy = DropEveryNth {
             inner: client_end,
@@ -301,9 +301,8 @@ mod tests {
 
     #[test]
     fn server_error_is_not_retried() {
-        let mut store = MemStore::new();
         let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-        let handle = std::thread::spawn(move || serve(&mut store, &mut server_end).unwrap());
+        let handle = std::thread::spawn(move || serve(MemStore::new(), &mut server_end).unwrap());
         let mut remote = RemoteStore::new(Box::new(client_end)).with_retry(RetryPolicy::default());
         // Unknown oid: the server answers with an error; the client must
         // surface it immediately instead of retrying a permanent failure.

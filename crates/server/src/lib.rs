@@ -16,14 +16,15 @@
 //!   implementations: in-process channels (with simulated one-way
 //!   latency, for controlled experiments) and real TCP, which frames
 //!   through `exec::frame` exactly as the event-loop server does;
-//! * [`server`] — the request-admission routine both servers share (the
-//!   session messages, then the store's `call`), and the blocking loop
-//!   ([`server::serve`]) that serves any local store over any transport —
-//!   the server for simulated latency and server-side fault injection;
+//! * [`server`] — the one frame handler every server runs (decode, the
+//!   session messages, dedup replay, the store's `call` under panic
+//!   isolation, encode), and [`serve`], a pump that drives it over any
+//!   one transport — the server for simulated latency and server-side
+//!   fault injection;
 //! * [`multi`] — [`serve_multi`]: one process hosting N shard servers on
 //!   N TCP ports on one thread: a single nonblocking event loop
-//!   (`exec::EventLoop`) owns every connection and runs every request
-//!   — no thread per connection;
+//!   (`exec::EventLoop`) owns every connection and drives the same
+//!   handler — no thread per connection;
 //! * [`client`] — [`client::RemoteStore`], a `hypermodel::Service`: every
 //!   `HyperStore` method, conceptual operations included, is one request.
 //!
@@ -51,7 +52,7 @@
 //! let mut store = mem_backend::MemStore::new();
 //! let report = load_database(&mut store, &db).unwrap();
 //! let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-//! let server_thread = std::thread::spawn(move || serve(&mut store, &mut server_end).unwrap());
+//! let server_thread = std::thread::spawn(move || serve(store, &mut server_end).unwrap());
 //!
 //! // Workstation side: the same HyperStore API, remotely.
 //! let mut remote = RemoteStore::new(Box::new(client_end));
@@ -82,6 +83,6 @@ pub mod transport;
 pub use hypermodel::protocol;
 
 pub use client::RemoteStore;
-pub use multi::{serve_multi, serve_multi_on, MultiServer, MultiStats};
-pub use server::{serve, SessionStats};
+pub use multi::{serve_multi, serve_multi_on, MultiServer};
+pub use server::{serve, MultiStats};
 pub use transport::{ChannelTransport, TcpTransport, Transport};

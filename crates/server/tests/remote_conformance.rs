@@ -39,7 +39,7 @@ fn remote_over_channel(
     let report = load_database(&mut store, &db).unwrap();
     let (client_end, mut server_end) = ChannelTransport::pair(latency);
     let handle = std::thread::spawn(move || {
-        serve(&mut store, &mut server_end).unwrap();
+        serve(store, &mut server_end).unwrap();
     });
     (
         RemoteStore::new(Box::new(client_end)),
@@ -330,7 +330,7 @@ fn tcp_end_to_end_with_disk_backend() {
     let handle = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let mut transport = TcpTransport::new(stream).unwrap();
-        serve(&mut store, &mut transport).unwrap();
+        serve(store, &mut transport).unwrap();
     });
 
     let stream = std::net::TcpStream::connect(addr).unwrap();

@@ -1,7 +1,9 @@
 //! A request that panics inside a `serve_multi` shard is answered: it
 //! and every later request to that shard get the `ShardUnavailable`
 //! text a poisoned executor shard reports, on the same connection and
-//! on new ones, while the other shards keep serving.
+//! on new ones, while the other shards keep serving. The `serve` pump
+//! runs the same handler, so over a channel the same holds and the
+//! session outlives the panic.
 
 use std::net::TcpStream;
 use std::time::Duration;
@@ -11,10 +13,11 @@ use hypermodel::config::GenConfig;
 use hypermodel::error::Result;
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
+use hypermodel::model::Oid;
 use hypermodel::store::HyperStore;
 use mem_backend::MemStore;
 use server::protocol::{Request, Response};
-use server::{serve_multi, RemoteStore, TcpTransport, Transport};
+use server::{serve, serve_multi, ChannelTransport, RemoteStore, TcpTransport, Transport};
 
 /// Longer than any answer takes; a request the server never answers
 /// fails the test instead of hanging it.
@@ -44,7 +47,7 @@ fn connect(addr: std::net::SocketAddr) -> TcpTransport {
     TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap()
 }
 
-fn call(conn: &mut TcpTransport, req: Request) -> Response {
+fn call(conn: &mut dyn Transport, req: Request) -> Response {
     let mut frame = Vec::new();
     req.encode_into(&mut frame);
     conn.send(&frame).unwrap();
@@ -56,21 +59,28 @@ fn call(conn: &mut TcpTransport, req: Request) -> Response {
     Response::decode(&reply).unwrap()
 }
 
+/// A loaded tiny database that panics on the requests `panic_on` picks,
+/// and its oids.
+fn loaded(db: &TestDatabase, panic_on: fn(&Request) -> bool) -> (PanicOn, Vec<Oid>) {
+    let mut inner = MemStore::new();
+    let oids = load_database(&mut inner, db).unwrap().oids;
+    (PanicOn { inner, panic_on }, oids)
+}
+
+fn refused() -> Response {
+    Response::Err(ExecError::Poisoned(0).into_hm().to_string())
+}
+
 #[test]
 fn a_panicking_request_poisons_its_shard_and_is_answered() {
     let db = TestDatabase::generate(&GenConfig::tiny());
-    let loaded = |panic_on| {
-        let mut inner = MemStore::new();
-        let oids = load_database(&mut inner, &db).unwrap().oids;
-        (PanicOn { inner, panic_on }, oids)
-    };
-    let (doomed, oids) = loaded(|req| matches!(req, Request::HundredOf(_)));
-    let (healthy, _) = loaded(|_| false);
+    let (doomed, oids) = loaded(&db, |req| matches!(req, Request::HundredOf(_)));
+    let (healthy, _) = loaded(&db, |_| false);
     let mut local = MemStore::new();
     load_database(&mut local, &db).unwrap();
     let srv = serve_multi(vec![doomed, healthy]).unwrap();
     let addrs = srv.addrs().to_vec();
-    let refused = Response::Err(ExecError::Poisoned(0).into_hm().to_string());
+    let refused = refused();
 
     // The panicking request is answered with the poisoned-shard error,
     // and so is the next one on the same connection.
@@ -95,4 +105,19 @@ fn a_panicking_request_poisons_its_shard_and_is_answered() {
     let stats = srv.stop().unwrap();
     assert_eq!(stats.errors, 3, "the three refusals");
     assert_eq!(stats.requests, 5, "the healthy shard's reads");
+}
+
+#[test]
+fn a_panicking_request_over_a_channel_is_answered_and_the_session_goes_on() {
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let (doomed, oids) = loaded(&db, |req| matches!(req, Request::HundredOf(_)));
+    let (mut client, mut server_end) = ChannelTransport::pair(Duration::ZERO);
+    let session = std::thread::spawn(move || serve(doomed, &mut server_end));
+
+    assert_eq!(call(&mut client, Request::HundredOf(oids[0])), refused());
+    assert_eq!(call(&mut client, Request::LookupUnique(1)), refused());
+
+    drop(client);
+    let stats = session.join().unwrap().unwrap();
+    assert_eq!((stats.requests, stats.errors), (0, 2), "the two refusals");
 }

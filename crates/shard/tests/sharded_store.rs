@@ -31,8 +31,7 @@ fn sharded_remote(placement: Placement) -> (ShardedStore<RemoteStore>, Servers) 
     for _ in 0..2 {
         let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
         servers.push(std::thread::spawn(move || {
-            let mut store = MemStore::new();
-            serve(&mut store, &mut server_end).unwrap();
+            serve(MemStore::new(), &mut server_end).unwrap();
         }));
         remotes.push(RemoteStore::new(Box::new(client_end)));
     }

@@ -44,7 +44,7 @@ fn main() -> hypermodel::Result<()> {
         let (stream, peer) = listener.accept().expect("accept");
         eprintln!("server: session from {peer}");
         let mut transport = TcpTransport::new(stream).expect("transport");
-        serve(&mut store, &mut transport).expect("serve");
+        serve(store, &mut transport).expect("serve");
     });
 
     // --- Workstation: the same closure, shipped whole or walked from here --

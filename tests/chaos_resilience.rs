@@ -43,10 +43,7 @@ fn retry_policy_completes_all_20_ops_over_a_lossy_transport() {
     };
     let (client_end, server_end) = ChannelTransport::pair(Duration::ZERO);
     let mut server_end = FaultyTransport::new(server_end, lossy(11));
-    let server = std::thread::spawn(move || {
-        let mut store = MemStore::new();
-        serve(&mut store, &mut server_end).unwrap()
-    });
+    let server = std::thread::spawn(move || serve(MemStore::new(), &mut server_end).unwrap());
 
     let client_end = FaultyTransport::new(client_end, lossy(12));
     let mut remote = RemoteStore::new(Box::new(client_end)).with_retry(RetryPolicy {

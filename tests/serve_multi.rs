@@ -178,17 +178,14 @@ fn recv(t: &mut TcpTransport) -> Vec<u8> {
 /// Send `request` tagged on one connection and, while that copy is
 /// parked executing inside the store, again on a second connection; then
 /// let it finish. Returns both replies, what the server counted, and the
-/// store the requests reached.
-fn race_tagged_retry(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, MemStore) {
+/// number of nodes in the store the requests reached, read over the
+/// wire (one more executed request).
+fn race_tagged_retry(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, u64) {
     // The shard `serve_multi` hosts is a remote store whose first
     // request parks inside `send`, so the test decides how long the
     // first copy of the mutation stays "executing".
     let (client_end, mut server_end) = ChannelTransport::pair(Duration::ZERO);
-    let backing = std::thread::spawn(move || {
-        let mut store = MemStore::new();
-        serve(&mut store, &mut server_end).unwrap();
-        store
-    });
+    let backing = std::thread::spawn(move || serve(MemStore::new(), &mut server_end).unwrap());
     let (entered_tx, entered) = std::sync::mpsc::channel();
     let (release, release_rx) = std::sync::mpsc::channel();
     let gated = GatedTransport {
@@ -212,9 +209,16 @@ fn race_tagged_retry(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, MemStor
     release.send(()).unwrap();
 
     let (reply_a, reply_b) = (recv(&mut a), recv(&mut b));
+    frame.clear();
+    Request::SeqScanTen.encode_into(&mut frame);
+    a.send(&frame).unwrap();
+    let Response::U64(nodes) = Response::decode(&recv(&mut a)).unwrap() else {
+        panic!("a scan answers with its count");
+    };
     drop((a, b));
     let stats = ms.stop().unwrap();
-    (reply_a, reply_b, stats, backing.join().unwrap())
+    backing.join().unwrap();
+    (reply_a, reply_b, stats, nodes)
 }
 
 /// A tagged mutation retried on a second connection *while the first
@@ -224,14 +228,14 @@ fn race_tagged_retry(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, MemStor
 fn tagged_retry_racing_its_first_copy_executes_once() {
     let db = TestDatabase::generate(&GenConfig::tiny());
     let create = Request::CreateNode(db.nodes[0].value.clone());
-    let (reply_a, reply_b, stats, store) = race_tagged_retry(create);
+    let (reply_a, reply_b, stats, nodes) = race_tagged_retry(create);
     assert_eq!(reply_a, reply_b, "the retry gets the first copy's bytes");
     assert!(matches!(
         Response::decode(&reply_a).unwrap(),
         Response::Oid(_)
     ));
-    assert_eq!((stats.requests, stats.replayed), (1, 1));
-    assert_eq!(store.node_count(), 1, "one node created");
+    assert_eq!((stats.requests, stats.replayed), (2, 1), "create, count");
+    assert_eq!(nodes, 1, "one node created");
 }
 
 /// The same race for a batch of creates: each node is created once and
@@ -246,14 +250,14 @@ fn tagged_write_batch_retry_creates_each_node_once() {
             near: None,
         })
         .collect();
-    let (reply_a, reply_b, stats, store) = race_tagged_retry(Request::WriteBatch(creates));
+    let (reply_a, reply_b, stats, nodes) = race_tagged_retry(Request::WriteBatch(creates));
     assert_eq!(reply_a, reply_b, "the retry gets the first copy's bytes");
     let Response::Oids(ids) = Response::decode(&reply_a).unwrap() else {
         panic!("a batch answers with its ids");
     };
     assert_eq!(ids.len(), 3);
-    assert_eq!((stats.requests, stats.replayed), (1, 1));
-    assert_eq!(store.node_count(), 3, "each node created once");
+    assert_eq!((stats.requests, stats.replayed), (2, 1), "batch, count");
+    assert_eq!(nodes, 3, "each node created once");
 }
 
 /// A repair snapshot announcing four billion schema types, sent to a
