@@ -12,21 +12,34 @@
 //!
 //! # Write policy
 //!
-//! The pool is **no-steal**: dirty frames are never written back by
-//! eviction. Dirtied pages stay resident until the engine's commit writes
-//! them ([`BufferPool::flush_from`], [`BufferPool::flush_all`]). If every
-//! frame is dirty or pinned, `fetch` reports [`StorageError::PoolExhausted`]
-//! — the transaction's write set exceeded the pool, which the engine
-//! surfaces as "commit more often or enlarge the pool". No-steal means
-//! uncommitted data never overwrites a page committed state can reach, so
-//! the write-ahead log only ever needs *redo*.
+//! The pool is **no-steal** and **no-force**. No-steal: a dirty frame —
+//! one an open transaction changed — is never written back by eviction.
+//! It stays resident until its transaction commits; if every frame is
+//! dirty or pinned, `fetch` reports [`StorageError::PoolExhausted`] with
+//! the counts — the transaction's write set exceeded the pool: commit more
+//! often or enlarge the pool. So uncommitted data never overwrites a page
+//! committed state can reach, and the write-ahead log only ever needs
+//! *redo*.
+//!
+//! No-force: a commit forces its log, not its pages. After the commit
+//! marker is durable, [`BufferPool::mark_committed`] makes the logged
+//! frames clean and *unwritten* — holding committed bytes the database
+//! file lacks, which the log alone can rebuild (see [`crate::recovery`]).
+//! An unwritten frame is written to the file, without an fsync, when
+//! eviction picks it, when [`BufferPool::flush_all`] runs (the engine's
+//! checkpoint, before its fsync and log truncate), and when
+//! [`BufferPool::write_back`] runs (the engine's 2PC prepare, so an abort
+//! can drop every frame and re-read committed bytes). [`BufferPool::drop_all`]
+//! and [`BufferPool::discard_all`] refuse unwritten frames as `drop_all`
+//! refuses dirty ones. Each such write counts as a *writeback*
+//! ([`PoolStats::writebacks`], `storage.buffer.writebacks`).
 //!
 //! # Before-images
 //!
 //! The log records what a transaction *changed* on a page, not the page
 //! (see [`crate::wal`]). To know what changed, [`BufferPool::fetch_mut`]
 //! copies a frame's bytes when it goes from clean to dirty — the page as
-//! the database file and the log last saw it — and commit hands that
+//! the last commit left it — and commit hands that
 //! before-image, beside the page's current bytes, to
 //! [`BufferPool::for_each_dirty`]'s caller to diff. Every mutation must
 //! therefore go through a handle obtained from `fetch_mut` (or
@@ -55,6 +68,10 @@ struct Frame {
     id: PageId,
     page: PageHandle,
     dirty: bool,
+    /// The frame holds committed bytes the database file lacks (see the
+    /// module doc's write policy). Independent of `dirty`: a frame a
+    /// transaction dirties after its last commit is both.
+    unwritten: bool,
     /// The page's bytes when the frame last went from clean to dirty;
     /// taken by [`BufferPool::for_each_dirty`].
     before: Option<Box<[u8; PAGE_SIZE]>>,
@@ -70,6 +87,9 @@ pub struct PoolStats {
     pub misses: u64,
     /// Frames evicted to make room.
     pub evictions: u64,
+    /// Committed pages written to the file after their commit: by
+    /// eviction, [`BufferPool::flush_all`] or [`BufferPool::write_back`].
+    pub writebacks: u64,
 }
 
 /// The registry's counters for this layer, looked up once per pool: a
@@ -79,6 +99,7 @@ struct Counters {
     hits: Arc<obs::Counter>,
     misses: Arc<obs::Counter>,
     evictions: Arc<obs::Counter>,
+    writebacks: Arc<obs::Counter>,
 }
 
 /// Add one to `counter` unless the registry is switched off.
@@ -120,6 +141,7 @@ impl BufferPool {
                 hits: obs::registry().counter("storage.buffer.hits"),
                 misses: obs::registry().counter("storage.buffer.misses"),
                 evictions: obs::registry().counter("storage.buffer.evictions"),
+                writebacks: obs::registry().counter("storage.buffer.writebacks"),
             },
         }
     }
@@ -170,8 +192,10 @@ impl BufferPool {
         }
         self.stats.misses += 1;
         bump(&self.counters.misses);
-        let page = self.disk.read_page(id)?;
-        self.install(id, page, false)
+        // A full pool reads into the buffer of the page it evicts.
+        let mut page = self.make_room()?.unwrap_or_else(|| Page::new(id));
+        self.disk.read_page_into(id, &mut page)?;
+        Ok(self.install(id, page, false))
     }
 
     /// Fetch page `id` and mark it dirty (the caller intends to modify it).
@@ -212,9 +236,9 @@ impl BufferPool {
             self.set_freelist_head(next)?;
             return Ok((id, handle));
         }
+        self.make_room()?;
         let id = self.disk.allocate()?;
-        let handle = self.install(id, Page::new(id), true)?;
-        Ok((id, handle))
+        Ok((id, self.install(id, Page::new(id), true)))
     }
 
     /// Return `id` to the persistent free list. The caller must ensure no
@@ -259,16 +283,15 @@ impl BufferPool {
         Ok(())
     }
 
-    fn install(&mut self, id: PageId, page: Page, dirty: bool) -> Result<PageHandle> {
-        if self.frames.len() >= self.capacity {
-            self.evict_one()?;
-        }
+    /// Add a frame for `page`; the caller has made room.
+    fn install(&mut self, id: PageId, page: Page, dirty: bool) -> PageHandle {
         let handle = Arc::new(Mutex::new(page));
         self.tick += 1;
         let frame = Frame {
             id,
             page: Arc::clone(&handle),
             dirty,
+            unwritten: false,
             before: None,
             last_used: self.tick,
         };
@@ -278,11 +301,16 @@ impl BufferPool {
         let idx = self.frames.len();
         self.frames.push(frame);
         self.map.insert(id.0, idx);
-        Ok(handle)
+        handle
     }
 
-    /// Evict the least-recently-used clean, unpinned frame.
-    fn evict_one(&mut self) -> Result<()> {
+    /// If the pool is full, evict the least-recently-used clean, unpinned
+    /// frame — writing it first if it is unwritten — and return its page,
+    /// whose buffer the caller may reuse.
+    fn make_room(&mut self) -> Result<Option<Page>> {
+        if self.frames.len() < self.capacity {
+            return Ok(None);
+        }
         let mut victim: Option<usize> = None;
         for (i, f) in self.frames.iter().enumerate() {
             // strong_count == 1 means only the pool itself holds the Arc.
@@ -293,7 +321,20 @@ impl BufferPool {
                 victim = Some(i);
             }
         }
-        let idx = victim.ok_or(StorageError::PoolExhausted)?;
+        let Some(idx) = victim else {
+            return Err(StorageError::PoolExhausted {
+                capacity: self.capacity,
+                dirty: self.dirty_ids.len(),
+                pinned: self
+                    .frames
+                    .iter()
+                    .filter(|f| Arc::strong_count(&f.page) > 1)
+                    .count(),
+            });
+        };
+        if self.frames[idx].unwritten {
+            self.write_committed(idx)?;
+        }
         let frame = self.frames.swap_remove(idx);
         self.map.remove(&frame.id.0);
         // Fix the index of the frame that swap_remove moved into `idx`.
@@ -303,14 +344,71 @@ impl BufferPool {
         }
         self.stats.evictions += 1;
         bump(&self.counters.evictions);
+        let page = Arc::into_inner(frame.page).expect("the victim is unpinned");
+        Ok(Some(page.into_inner()))
+    }
+
+    /// The dirty frames' changes are committed — logged, and the log
+    /// forced: mark them clean and unwritten, and let go of their
+    /// before-images. Writes nothing.
+    pub fn mark_committed(&mut self) {
+        for id in self.dirty_ids.drain(..) {
+            let frame = &mut self.frames[self.map[&id]];
+            frame.dirty = false;
+            frame.unwritten = true;
+            frame.before = None;
+        }
+    }
+
+    /// Write every unwritten frame's committed bytes to the database file,
+    /// in page-id order: a clean frame's current bytes, a dirty frame's
+    /// before-image. Returns how many were written. Does **not** fsync.
+    /// Afterwards dropping any frame loses nothing committed.
+    ///
+    /// Fails for a dirty unwritten frame whose before-image a failed
+    /// commit already spent: its committed bytes are in the log only, and
+    /// the next successful commit makes it clean again.
+    pub fn write_back(&mut self) -> Result<usize> {
+        let mut due: Vec<usize> = (0..self.frames.len())
+            .filter(|&i| self.frames[i].unwritten)
+            .collect();
+        due.sort_unstable_by_key(|&i| self.frames[i].id);
+        for &i in &due {
+            self.write_committed(i)?;
+        }
+        Ok(due.len())
+    }
+
+    /// Write frame `idx`'s committed bytes — its current bytes if clean,
+    /// its before-image if dirty — to the file, and count a writeback.
+    fn write_committed(&mut self, idx: usize) -> Result<()> {
+        let frame = &mut self.frames[idx];
+        match (frame.dirty, &frame.before) {
+            (false, _) => self.disk.write_page(&mut frame.page.lock())?,
+            // Seal a copy: the before-image must keep the bytes the commit
+            // will diff the page against.
+            (true, Some(before)) => self
+                .disk
+                .write_page(&mut Page::from_bytes(before.clone()))?,
+            (true, None) => {
+                return Err(StorageError::InvalidArgument(format!(
+                    "page {} holds committed bytes only the log has; commit before writing back",
+                    frame.id
+                )))
+            }
+        }
+        frame.unwritten = false;
+        self.stats.writebacks += 1;
+        bump(&self.counters.writebacks);
         Ok(())
     }
 
-    /// Write every dirty frame to the database file and clear its flag.
-    /// Returns how many were written. Does **not** fsync; callers pair
-    /// this with [`BufferPool::sync`] according to their durability protocol.
+    /// Write every unwritten frame ([`BufferPool::write_back`]) and every
+    /// dirty frame to the database file, and clear their flags. Returns
+    /// how many writes that took. Does **not** fsync; callers pair this
+    /// with [`BufferPool::sync`] according to their durability protocol.
     pub fn flush_all(&mut self) -> Result<usize> {
-        self.flush_from(PageId::META)
+        Ok(self.write_back()? + self.flush_from(PageId::META)?)
     }
 
     /// [`BufferPool::flush_all`] for the dirty frames whose id is `first`
@@ -332,6 +430,7 @@ impl BufferPool {
                 self.disk.write_page(&mut page)?;
             }
             frame.dirty = false;
+            frame.unwritten = false;
             frame.before = None;
             written += 1;
             Ok(())
@@ -372,8 +471,9 @@ impl BufferPool {
         self.disk.sync()
     }
 
-    /// Drop every cached frame. Pinned or dirty frames make this an error;
-    /// it is used to simulate a database close/open cycle (cold runs).
+    /// Drop every cached frame. Pinned, dirty or unwritten frames make
+    /// this an error; it is used to simulate a database close/open cycle
+    /// (cold runs).
     pub fn drop_all(&mut self) -> Result<()> {
         if let Some(id) = self.dirty_ids.first() {
             return Err(StorageError::InvalidArgument(format!(
@@ -381,12 +481,7 @@ impl BufferPool {
                 PageId(*id)
             )));
         }
-        if let Some(f) = self.frames.iter().find(|f| Arc::strong_count(&f.page) > 1) {
-            return Err(StorageError::InvalidArgument(format!(
-                "drop_all with pinned page {}",
-                f.id
-            )));
-        }
+        self.refuse_to_drop("drop_all")?;
         self.frames.clear();
         self.map.clear();
         Ok(())
@@ -394,19 +489,34 @@ impl BufferPool {
 
     /// Drop every cached frame **including dirty ones**, without writing
     /// them. Under the no-steal protocol the database file still holds the
-    /// pre-transaction state, so this is the abort primitive: the next
-    /// fetch re-reads clean images from disk. Pinned frames are still an
-    /// error — a caller holding a page handle across an abort is a bug.
+    /// pre-transaction state of every page that is not unwritten, so this
+    /// is the abort primitive: the next fetch re-reads clean images from
+    /// disk. Pinned and unwritten frames are still an error — a caller
+    /// holding a page handle across an abort is a bug, and an unwritten
+    /// frame must go through [`BufferPool::write_back`] first.
     pub fn discard_all(&mut self) -> Result<()> {
-        if let Some(f) = self.frames.iter().find(|f| Arc::strong_count(&f.page) > 1) {
-            return Err(StorageError::InvalidArgument(format!(
-                "discard_all with pinned page {}",
-                f.id
-            )));
-        }
+        self.refuse_to_drop("discard_all")?;
         self.frames.clear();
         self.map.clear();
         self.dirty_ids.clear();
+        Ok(())
+    }
+
+    /// The error `what` reports if a frame is pinned or unwritten.
+    fn refuse_to_drop(&self, what: &str) -> Result<()> {
+        for f in &self.frames {
+            let why = if Arc::strong_count(&f.page) > 1 {
+                "pinned"
+            } else if f.unwritten {
+                "unwritten"
+            } else {
+                continue;
+            };
+            return Err(StorageError::InvalidArgument(format!(
+                "{what} with {why} page {}",
+                f.id
+            )));
+        }
         Ok(())
     }
 }
@@ -481,7 +591,14 @@ mod tests {
             drop(h);
         }
         let err = bp.allocate().unwrap_err();
-        assert!(matches!(err, StorageError::PoolExhausted));
+        assert!(matches!(
+            err,
+            StorageError::PoolExhausted {
+                capacity: 8,
+                dirty: 8,
+                pinned: 0
+            }
+        ));
         // After a flush, eviction succeeds.
         bp.flush_all().unwrap();
         bp.allocate().unwrap();
@@ -533,6 +650,79 @@ mod tests {
         assert_eq!(bp.resident(), 0);
         let h = bp.fetch(id).unwrap();
         assert_eq!(h.lock().read_u64(200), 7, "pre-abort image re-read");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `n` pages allocated and written, then one of them changed and
+    /// committed: clean, unwritten, and the file untouched.
+    fn pool_with_a_commit(name: &str, n: usize) -> (BufferPool, PathBuf, Vec<PageId>) {
+        let (mut bp, path) = pool(name, 8);
+        let ids: Vec<PageId> = (0..n).map(|_| bp.allocate().unwrap().0).collect();
+        bp.flush_all().unwrap();
+        bp.fetch_mut(ids[0]).unwrap().lock().write_u64(64, 42);
+        let io = bp.io_stats();
+        bp.mark_committed();
+        assert_eq!(bp.dirty_count(), 0);
+        assert_eq!(bp.io_stats(), io, "a commit writes no page");
+        (bp, path, ids)
+    }
+
+    #[test]
+    fn evicting_an_unwritten_frame_writes_it_once() {
+        // Seven pages and the meta page fill the pool.
+        let (mut bp, path, ids) = pool_with_a_commit("evict-unwritten", 7);
+        for &id in [PageId::META].iter().chain(&ids[1..]) {
+            drop(bp.fetch(id).unwrap());
+        }
+        let (writes, stats) = (bp.io_stats().writes, bp.stats());
+        drop(bp.allocate().unwrap()); // evicts ids[0], the LRU frame
+        assert!(!bp.map.contains_key(&ids[0].0));
+        assert_eq!(bp.io_stats().writes, writes + 1);
+        assert_eq!(bp.stats().evictions, stats.evictions + 1);
+        assert_eq!(bp.stats().writebacks, stats.writebacks + 1);
+        // The miss reads the committed bytes back, into the buffer of the
+        // frame it evicts, and writes nothing: that frame was written.
+        assert_eq!(bp.fetch(ids[0]).unwrap().lock().read_u64(64), 42);
+        assert_eq!(bp.io_stats().writes, writes + 1);
+        assert_eq!(bp.stats().writebacks, stats.writebacks + 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn drop_all_and_discard_all_refuse_unwritten_frames() {
+        let (mut bp, path, ids) = pool_with_a_commit("drop-unwritten", 2);
+        let refused = |r: Result<()>| r.unwrap_err().to_string();
+        let unwritten = format!("unwritten page {}", ids[0]);
+        assert!(refused(bp.drop_all()).contains(&unwritten));
+        assert!(refused(bp.discard_all()).contains(&unwritten));
+        // flush_all writes it, once, and then both may drop it.
+        let writes = bp.io_stats().writes;
+        assert_eq!(bp.flush_all().unwrap(), 1);
+        assert_eq!(bp.flush_all().unwrap(), 0);
+        assert_eq!(bp.io_stats().writes, writes + 1);
+        assert_eq!(bp.stats().writebacks, 1);
+        bp.drop_all().unwrap();
+        assert_eq!(bp.fetch(ids[0]).unwrap().lock().read_u64(64), 42);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn write_back_writes_a_dirty_frames_committed_bytes() {
+        let (mut bp, path, ids) = pool_with_a_commit("write-back", 2);
+        // An open transaction changes the committed page again.
+        bp.fetch_mut(ids[0]).unwrap().lock().write_u64(64, 43);
+        assert_eq!(bp.write_back().unwrap(), 1);
+        assert_eq!(bp.write_back().unwrap(), 0);
+        // The change is still dirty, its before-image intact ...
+        let mut seen = Vec::new();
+        bp.for_each_dirty(|id, before, page| {
+            seen.push((id, before.map(|b| b[64]), page.read_u64(64)));
+            true
+        });
+        assert_eq!(seen, vec![(ids[0], Some(42), 43)]);
+        // ... and dropping it leaves the committed bytes in the file.
+        bp.discard_all().unwrap();
+        assert_eq!(bp.fetch(ids[0]).unwrap().lock().read_u64(64), 42);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -119,25 +119,31 @@ impl DiskManager {
 
     /// Read and verify page `id`.
     pub fn read_page(&mut self, id: PageId) -> Result<Page> {
+        let mut page = Page::new(id);
+        self.read_page_into(id, &mut page)?;
+        Ok(page)
+    }
+
+    /// Read and verify page `id` into `page`'s buffer, whatever it held.
+    pub fn read_page_into(&mut self, id: PageId, page: &mut Page) -> Result<()> {
         if id.0 >= self.page_count {
             return Err(StorageError::PageOutOfBounds {
                 page: id.0,
                 page_count: self.page_count,
             });
         }
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        self.file.read_exact_at(&mut buf, id.0 * PAGE_SIZE as u64)?;
+        self.file
+            .read_exact_at(page.bytes_mut(), id.0 * PAGE_SIZE as u64)?;
         self.stats.reads += 1;
-        let arr: Box<[u8; PAGE_SIZE]> = buf.try_into().expect("sized read");
-        let page = Page::from_bytes(arr);
-        // A freshly allocated, never-written page is legitimately all zeros.
+        // A freshly allocated, never-written page is legitimately all
+        // zeros. A written page's first bytes are its checksum, so the
+        // scan rarely passes them.
         if page.bytes().iter().all(|&b| b == 0) {
-            let mut fresh = Page::new(id);
-            fresh.seal();
-            return Ok(fresh);
+            page.write_u64(crate::page::PAGE_ID_OFFSET, id.0);
+            page.seal();
+            return Ok(());
         }
-        page.verify(id)?;
-        Ok(page)
+        page.verify(id)
     }
 
     /// Seal (checksum) and write page to its slot in the file.

@@ -22,7 +22,14 @@
 //! 3. The commit (or prepare) marker is appended, and the log is written
 //!    and fsynced once.
 //!
-//! A commit then writes its logged pages to the file without an fsync.
+//! A commit then writes nothing more: the pool is **no-force**
+//! ([`crate::buffer`], write policy). Its logged pages stay in the pool,
+//! clean and *unwritten*, and reach the file — without an fsync — when
+//! eviction picks them, when [`Engine::checkpoint`] flushes the pool
+//! before its fsync and log truncate, or when [`Engine::prepare`] writes
+//! the committed bytes back before it stages, so that
+//! [`Engine::abort_prepared`] can drop every frame. Until then the log
+//! alone holds them, which is all recovery reads for a logged page.
 //! A crash before the marker leaves only unreferenced pages past the old
 //! end, which leak like those of an aborted prepare. Every extension of
 //! the file is synced before a marker can name it, so recovery never grows
@@ -33,7 +40,8 @@
 //! The benchmark measures commit time as part of update operations, as
 //! the paper requires ("database-commit-time should be included"), so the
 //! cost is kept proportional to the bytes a transaction changed: a page
-//! fetched for writing but left as it was is neither logged nor flushed.
+//! fetched for writing but left as it was is neither logged nor written,
+//! and a changed page is written to the log only.
 //!
 //! Higher-level concurrency (locking, optimistic validation, workspaces)
 //! lives in the `concurrency` crate; the engine itself is single-writer.
@@ -57,8 +65,8 @@ const CAT_ENTRIES_OFF: usize = HEADER_SIZE + 14;
 /// Statistics returned by [`Engine::commit`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitStats {
-    /// Pages the commit wrote: those past the durable end, and those
-    /// whose changes it logged.
+    /// Pages the commit wrote: those past the durable end to the file,
+    /// and those whose changes it logged.
     pub pages: usize,
     /// Bytes appended to the log for this commit.
     pub wal_bytes: u64,
@@ -74,8 +82,8 @@ pub enum CrashPoint {
     /// Crash after logging page images but *before* the commit marker:
     /// recovery must discard the transaction.
     BeforeCommitRecord,
-    /// Crash after the commit marker is durable but before any database
-    /// file write: recovery must redo the transaction.
+    /// Crash after the commit marker is durable, with the logged pages
+    /// in the pool only: recovery must redo the transaction.
     AfterWalSync,
 }
 
@@ -337,15 +345,14 @@ impl Engine {
     }
 
     /// The transaction whose commit marker was just synced is complete:
-    /// write its pages to the database file and account for it.
-    fn finish_commit(&mut self) -> Result<()> {
-        self.pool.flush_all()?;
+    /// its logged pages stay in the pool, unwritten, and it is counted.
+    fn finish_commit(&mut self) {
+        self.pool.mark_committed();
         self.commits += 1;
-        Ok(())
     }
 
-    /// Commit all dirty pages: stage them (see the module doc), then write
-    /// the logged ones to the database file.
+    /// Commit all dirty pages: stage them (see the module doc) and leave
+    /// the logged ones in the pool for eviction or a checkpoint to write.
     pub fn commit(&mut self) -> Result<CommitStats> {
         if let Some(txid) = self.prepared {
             return Err(StorageError::InvalidArgument(format!(
@@ -360,7 +367,7 @@ impl Engine {
         // writing is the engine's flush policy, whatever the diff finds.
         let stats = self.stage(Marker::Commit(self.txn_counter + 1), None)?;
         self.txn_counter += 1;
-        self.finish_commit()?;
+        self.finish_commit();
         Ok(stats)
     }
 
@@ -370,9 +377,11 @@ impl Engine {
     /// transaction id `txid`, as a commit does, but with a prepare marker
     /// and without writing the logged pages to the database file. Only
     /// pages past the old durable end, which nothing committed references,
-    /// reach the file before the decision. After a successful prepare the
-    /// engine can finish either way, even across a crash (recovery reports
-    /// the transaction as in-doubt and
+    /// reach the file before the decision — and, before staging, the
+    /// committed bytes of every unwritten page ([`BufferPool::write_back`]),
+    /// so that an abort, which drops the pool, finds them in the file.
+    /// After a successful prepare the engine can finish either way, even
+    /// across a crash (recovery reports the transaction as in-doubt and
     /// [`crate::recovery::resolve_in_doubt`] applies the decision).
     pub fn prepare(&mut self, txid: u64) -> Result<CommitStats> {
         if let Some(other) = self.prepared {
@@ -380,6 +389,7 @@ impl Engine {
                 "prepare({txid}) while transaction {other} is prepared"
             )));
         }
+        self.pool.write_back()?;
         let stats = self.stage(Marker::Prepare(txid), None)?;
         self.prepared = Some(txid);
         Ok(stats)
@@ -394,7 +404,8 @@ impl Engine {
                 self.wal.append_commit(txid);
                 self.wal.sync()?;
                 self.prepared = None;
-                self.finish_commit()
+                self.finish_commit();
+                Ok(())
             }
             Some(other) => Err(StorageError::InvalidArgument(format!(
                 "commit_prepared({txid}) but transaction {other} is prepared"
@@ -404,11 +415,12 @@ impl Engine {
     }
 
     /// Phase two, abort side: discard the transaction prepared as `txid`.
-    /// Logs the abort decision, then drops every cached frame (no-steal:
-    /// the database file still holds the pre-transaction images, so the
-    /// next fetch reads clean state). The zero-based records the
-    /// transaction logged are forgotten with it: a page it imaged for the
-    /// first time is imaged again by the next transaction that touches it.
+    /// Logs the abort decision, then drops every cached frame (no-steal,
+    /// and the prepare wrote back every unwritten page: the database file
+    /// holds the pre-transaction images, so the next fetch reads clean
+    /// state). The zero-based records the transaction logged are
+    /// forgotten with it: a page it imaged for the first time is imaged
+    /// again by the next transaction that touches it.
     /// Pages the aborted transaction added to the end of the file leak
     /// there — harmless, reclaimed by no one, the standard cost of
     /// redo-only abort. Idempotent like [`Engine::commit_prepared`].
@@ -447,8 +459,9 @@ impl Engine {
         Ok(())
     }
 
-    /// Flush everything and truncate the log. After a checkpoint the
-    /// database file alone is a consistent, durable image.
+    /// Write every unwritten and dirty page, fsync, and truncate the log.
+    /// After a checkpoint the database file alone is a consistent, durable
+    /// image.
     pub fn checkpoint(&mut self) -> Result<()> {
         if let Some(txid) = self.prepared {
             // Flushing undecided pages would break the no-steal invariant
@@ -816,9 +829,9 @@ mod tests {
             heap.update(e.pool(), rid, &[8; 4000]).unwrap();
             e.commit().unwrap();
             // The set-up synced the page to the file; the update, its
-            // first change there, logged its image. Both commits reached
-            // the file; now half of the page is lost to a write the crash
-            // interrupted.
+            // first change there, logged its image and left the page in
+            // the pool. Now half of the page is lost to a write-back the
+            // crash interrupted.
             assert_eq!(logged_deltas(&path), vec![(0, true), (rid.page.0, true)]);
         }
         let mut bytes = std::fs::read(&path).unwrap();
@@ -877,6 +890,72 @@ mod tests {
             logged_deltas(&path),
             vec![(rid.page.0, true), (rid.page.0, false)]
         );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_commit_writes_its_logged_pages_to_the_log_only() {
+        let path = dbpath("no-force");
+        let rid;
+        {
+            let (mut e, mut heap, r) = engine_with_record(&path, 7, 100);
+            rid = r;
+            heap.update(e.pool(), rid, &[8; 100]).unwrap();
+            e.catalog_set("extra", 1).unwrap();
+            let io = e.pool_ref().io_stats();
+            assert_eq!(e.commit().unwrap().pages, 2);
+            assert_eq!(e.pool_ref().io_stats(), io, "no page write, no db fsync");
+            assert_eq!(e.pool_ref().stats().writebacks, 0);
+        }
+        // Dropped without a checkpoint: the log alone carries the commit.
+        let (mut e, report) = Engine::open(&path, 64).unwrap();
+        assert_eq!(report.pages_redone, 2);
+        let heap = HeapFile::open(PageId(e.catalog_get("heap").unwrap()));
+        assert_eq!(heap.get(e.pool(), rid).unwrap(), vec![8; 100]);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_checkpoint_writes_each_unwritten_page_once() {
+        let path = dbpath("checkpoint-once");
+        let (mut e, mut heap, rid) = engine_with_record(&path, 7, 100);
+        for fill in [8, 9, 10] {
+            heap.update(e.pool(), rid, &[fill; 100]).unwrap();
+            e.catalog_set("fill", fill as u64).unwrap();
+            e.commit().unwrap();
+        }
+        let io = e.pool_ref().io_stats();
+        e.checkpoint().unwrap();
+        // The heap page and the meta page, after three commits each.
+        assert_eq!(e.pool_ref().io_stats().writes, io.writes + 2);
+        assert_eq!(e.pool_ref().stats().writebacks, 2);
+        e.checkpoint().unwrap();
+        assert_eq!(e.pool_ref().io_stats().writes, io.writes + 2);
+        e.close_for_cold_run().unwrap();
+        assert_eq!(heap.get(e.pool(), rid).unwrap(), vec![10; 100]);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn an_aborted_prepare_keeps_the_commit_the_file_had_not_seen() {
+        let path = dbpath("abort-unwritten");
+        let rid;
+        {
+            let (mut e, mut heap, r) = engine_with_record(&path, 7, 100);
+            rid = r;
+            heap.update(e.pool(), rid, &[8; 100]).unwrap();
+            e.commit().unwrap();
+            // The committed page is only in the pool and the log when a
+            // prepared transaction changes it and aborts.
+            heap.update(e.pool(), rid, &[9; 100]).unwrap();
+            e.prepare(5).unwrap();
+            e.abort_prepared(5).unwrap();
+            let heap = HeapFile::open(PageId(e.catalog_get("heap").unwrap()));
+            assert_eq!(heap.get(e.pool(), rid).unwrap(), vec![8; 100]);
+        }
+        let (mut e, _) = Engine::open(&path, 64).unwrap();
+        let heap = HeapFile::open(PageId(e.catalog_get("heap").unwrap()));
+        assert_eq!(heap.get(e.pool(), rid).unwrap(), vec![8; 100]);
         cleanup(&path);
     }
 

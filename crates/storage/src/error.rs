@@ -34,8 +34,17 @@ pub enum StorageError {
     },
     /// A value was too large to store even via overflow chains.
     ValueTooLarge(usize),
-    /// The buffer pool could not find an evictable frame (all pages pinned).
-    PoolExhausted,
+    /// The buffer pool could not find an evictable frame: every frame is
+    /// dirty (no-steal keeps an open transaction's pages resident) or
+    /// pinned. Dirty and pinned frames may overlap.
+    PoolExhausted {
+        /// Frames in the pool.
+        capacity: usize,
+        /// Frames the open transaction has dirtied.
+        dirty: usize,
+        /// Frames some handle holds.
+        pinned: usize,
+    },
     /// A named catalog entry was not found.
     CatalogMissing(String),
     /// A named catalog entry already exists.
@@ -68,7 +77,15 @@ impl fmt::Display for StorageError {
                 write!(f, "record not found at page {page} slot {slot}")
             }
             StorageError::ValueTooLarge(n) => write!(f, "value of {n} bytes is too large"),
-            StorageError::PoolExhausted => write!(f, "buffer pool exhausted: all frames pinned"),
+            StorageError::PoolExhausted {
+                capacity,
+                dirty,
+                pinned,
+            } => write!(
+                f,
+                "buffer pool exhausted: of {capacity} frames, {dirty} are dirty and {pinned} \
+                 pinned; commit more often or enlarge the pool"
+            ),
             StorageError::CatalogMissing(name) => write!(f, "catalog entry `{name}` not found"),
             StorageError::CatalogExists(name) => write!(f, "catalog entry `{name}` already exists"),
             StorageError::WalCorrupt { offset, detail } => {
@@ -116,6 +133,16 @@ mod tests {
         assert_eq!(e.to_string(), "page 9 out of bounds (page count 3)");
         let e = StorageError::RecordNotFound { page: 1, slot: 2 };
         assert_eq!(e.to_string(), "record not found at page 1 slot 2");
+        let e = StorageError::PoolExhausted {
+            capacity: 64,
+            dirty: 60,
+            pinned: 4,
+        };
+        assert_eq!(
+            e.to_string(),
+            "buffer pool exhausted: of 64 frames, 60 are dirty and 4 pinned; \
+             commit more often or enlarge the pool"
+        );
     }
 
     #[test]

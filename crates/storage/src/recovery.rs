@@ -31,9 +31,10 @@
 //!
 //! # Why torn pages are safe
 //!
-//! After its marker, a commit writes the pages it logged to the database
-//! file without an fsync, so a crash can leave any of them half old, half
-//! new. Recovery never reads such a page: the writer guarantees
+//! The pages a commit logged reach the database file after its marker —
+//! when the pool evicts them or a checkpoint flushes it — without an
+//! fsync, so a crash can leave any of them stale, or half old, half new.
+//! Recovery never reads such a page: the writer guarantees
 //! ([`crate::wal`], the base rule) that a page's first record in the log
 //! is zero-based, so every page a logged transaction touched is rebuilt
 //! from the log alone and written over whatever the file holds. A delta

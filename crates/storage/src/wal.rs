@@ -37,8 +37,9 @@
 //! # The base rule
 //!
 //! A delta is only as good as the state it is applied to, and the database
-//! file cannot be that state: commit writes the pages it logged to it
-//! without an fsync, so after a crash any of them may be torn. Therefore a
+//! file cannot be that state: the pages a commit logged reach it later,
+//! by eviction or checkpoint, without an fsync, so after a crash any of
+//! them may be stale or torn. Therefore a
 //! page's **first** record since the log was last truncated is its delta
 //! against the all-zero page — a full image minus its zero runs — and
 //! every later record is a delta against the page as the previous record

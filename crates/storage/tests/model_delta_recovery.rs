@@ -4,7 +4,9 @@
 //! new to the file are synced, a crash on either side of the commit
 //! record, a crash while prepared, a log cut short, a page of the database
 //! file torn after its commit — and after every reopen the file is
-//! compared with a shadow of the committed state.
+//! compared with a shadow of the committed state. The property runs with
+//! a pool that holds the whole database and with one so small that
+//! committed pages the file lacks are evicted, written and read back.
 //!
 //! What it is after: a page's log records are deltas against the page as
 //! the *log* last saw it, so any path on which the engine's idea of that
@@ -22,6 +24,10 @@ use storage::wal::{WalReader, WalRecord};
 use storage::{PageId, PAGE_SIZE};
 
 const FRAMES: usize = 512;
+/// A pool smaller than the database [`Db::add_ballast`] makes.
+const SMALL_FRAMES: usize = 32;
+/// Records of the ballast heap, 300 bytes each: about fifty pages.
+const BALLAST: usize = 1200;
 const KEYS: u64 = 1200;
 
 type Shadow = BTreeMap<u64, Vec<u8>>;
@@ -38,32 +44,40 @@ fn remove(p: &Path) {
     let _ = std::fs::remove_file(wal_path_for(p));
 }
 
-/// An engine with one heap file and one B+Tree (key → record id) on it.
+/// An engine with one heap file and one B+Tree (key → record id) on it,
+/// and perhaps a ballast heap.
 struct Db {
     engine: Engine,
     heap: HeapFile,
     tree: BTree,
+    ballast: Option<HeapFile>,
 }
 
 impl Db {
-    fn create(path: &Path) -> Db {
-        let mut engine = Engine::create(path, FRAMES).unwrap();
+    fn create(path: &Path, frames: usize) -> Db {
+        let mut engine = Engine::create(path, frames).unwrap();
         let heap = HeapFile::create(engine.pool()).unwrap();
         let tree = BTree::create(engine.pool()).unwrap();
         engine.catalog_set("heap", heap.first_page().0).unwrap();
         engine.catalog_set("tree", tree.root().0).unwrap();
         engine.commit().unwrap();
-        Db { engine, heap, tree }
+        Db {
+            engine,
+            heap,
+            tree,
+            ballast: None,
+        }
     }
 
     /// Open after a close or a crash; recovery must leave nothing in doubt.
-    fn open(path: &Path) -> Db {
-        let (engine, report) = Engine::open(path, FRAMES).unwrap();
+    fn open(path: &Path, frames: usize) -> Db {
+        let (engine, report) = Engine::open(path, frames).unwrap();
         assert_eq!(report.in_doubt, None);
         let mut db = Db {
             engine,
             heap: HeapFile::open(PageId(0)),
             tree: BTree::open(PageId(0)),
+            ballast: None,
         };
         db.reload_roots();
         db
@@ -73,6 +87,30 @@ impl Db {
     fn reload_roots(&mut self) {
         self.heap = HeapFile::open(PageId(self.engine.catalog_get("heap").unwrap()));
         self.tree = BTree::open(PageId(self.engine.catalog_get("tree").unwrap()));
+        self.ballast = self
+            .engine
+            .catalog_try_get("ballast")
+            .unwrap()
+            .map(|first| HeapFile::open(PageId(first)));
+    }
+
+    /// A second heap of [`BALLAST`] records, a hundred per commit, that no
+    /// edit writes and every [`Db::check`] reads: a pool smaller than the
+    /// database then keeps evicting pages whose commits it has not
+    /// written, while the edits' write sets stay as small as without it.
+    fn add_ballast(&mut self) {
+        let mut heap = HeapFile::create(self.engine.pool()).unwrap();
+        self.engine
+            .catalog_set("ballast", heap.first_page().0)
+            .unwrap();
+        for n in 0..BALLAST {
+            heap.insert(self.engine.pool(), &ballast_record(n)).unwrap();
+            if n % 100 == 99 {
+                self.engine.commit().unwrap();
+            }
+        }
+        self.engine.commit().unwrap();
+        self.ballast = Some(heap);
     }
 
     fn put(&mut self, k: u64, data: &[u8]) {
@@ -123,7 +161,8 @@ impl Db {
         }
     }
 
-    /// The whole key space answers as `shadow` says.
+    /// The whole key space answers as `shadow` says, and the ballast is
+    /// intact.
     fn check(&mut self, shadow: &Shadow, context: &str) {
         let pool = self.engine.pool();
         for k in 0..KEYS {
@@ -136,7 +175,22 @@ impl Db {
         }
         assert_eq!(self.tree.len(pool).unwrap(), shadow.len(), "{context}");
         assert_eq!(self.heap.len(pool).unwrap(), shadow.len(), "{context}");
+        if let Some(ballast) = &self.ballast {
+            let mut records = Vec::new();
+            ballast
+                .scan(pool, |_, data| {
+                    records.push(data.to_vec());
+                    true
+                })
+                .unwrap();
+            let expect: Vec<_> = (0..BALLAST).map(ballast_record).collect();
+            assert!(records == expect, "{context}: ballast");
+        }
     }
+}
+
+fn ballast_record(n: usize) -> Vec<u8> {
+    vec![n as u8; 300]
 }
 
 #[derive(Debug, Clone)]
@@ -209,8 +263,8 @@ fn arb_end() -> impl Strategy<Value = End> {
     ]
 }
 
-/// Pages of the last single-phase commit in the log at `wal`: pages the
-/// engine has since written to the database file.
+/// Pages of the last single-phase commit in the log at `wal`: pages whose
+/// copy in the database file recovery must not need.
 fn last_committed_pages(wal: &Path) -> Vec<u64> {
     let mut reader = WalReader::open(wal).unwrap();
     let (mut open, mut last) = (Vec::new(), Vec::new());
@@ -232,13 +286,17 @@ fn tear_page(db: &Path, page: u64, second_half: bool) {
     std::fs::write(db, bytes).unwrap();
 }
 
-/// Run `txns` against a fresh database; returns it with its shadow.
-fn run(path: &Path, txns: &[(Vec<Edit>, End)]) -> (Db, Shadow) {
+/// Run `txns` against a fresh database with a pool of `frames`; returns
+/// it with its shadow.
+fn run(path: &Path, frames: usize, txns: &[(Vec<Edit>, End)]) -> (Db, Shadow) {
     let wal = wal_path_for(path);
-    let mut db = Db::create(path);
+    let mut db = Db::create(path, frames);
     let mut committed = Shadow::new();
+    if frames < FRAMES {
+        db.add_ballast();
+    }
     for (n, (edits, end)) in txns.iter().enumerate() {
-        let context = format!("txn {n} ended by {end:?}");
+        let context = format!("{frames} frames, txn {n} ended by {end:?}");
         let mut working = committed.clone();
         for edit in edits {
             db.apply(edit, &mut working);
@@ -322,7 +380,7 @@ fn run(path: &Path, txns: &[(Vec<Edit>, End)]) -> (Db, Shadow) {
                 None
             }
         };
-        db = survivor.unwrap_or_else(|| Db::open(path));
+        db = survivor.unwrap_or_else(|| Db::open(path, frames));
         db.check(&committed, &context);
     }
     (db, committed)
@@ -339,38 +397,47 @@ proptest! {
         ),
         last in proptest::collection::vec((0..KEYS, proptest::collection::vec(any::<u8>(), 40)), 1..4),
     ) {
-        let path = db_path("prop");
-        let wal = wal_path_for(&path);
-        let (mut db, before) = run(&path, &txns);
-
-        // One more transaction, its log write cut at every byte: all of
-        // it or none of it, and the earlier transactions either way. Every
-        // cut costs a recovery with its fsyncs, so the transaction is kept
-        // to a few hundred bytes of log: it overwrites in place records
-        // that the commit before it has just put in the log. (`CutLog`
-        // above cuts transactions of every size, at one point each.)
-        let mut before = before;
-        for (k, _) in &last {
-            db.apply(&Edit::Put(*k, vec![0xEE; 40]), &mut before);
+        for frames in [FRAMES, SMALL_FRAMES] {
+            committed_shadow_survives(frames, &txns, &last);
         }
-        db.engine.commit().unwrap();
-        let mut after = before.clone();
-        for (k, data) in &last {
-            db.apply(&Edit::Put(*k, data.clone()), &mut after);
-        }
-        let file_before = std::fs::read(&path).unwrap();
-        let log_before = std::fs::metadata(&wal).unwrap().len() as usize;
-        db.engine.commit().unwrap();
-        drop(db);
-        let log = std::fs::read(&wal).unwrap();
-        for cut in log_before..=log.len() {
-            std::fs::write(&wal, &log[..cut]).unwrap();
-            std::fs::write(&path, &file_before).unwrap();
-            let expect = if cut == log.len() { &after } else { &before };
-            Db::open(&path).check(expect, &format!("cut at {cut} of {}", log.len()));
-        }
-        remove(&path);
     }
+}
+
+fn committed_shadow_survives(frames: usize, txns: &[(Vec<Edit>, End)], last: &[(u64, Vec<u8>)]) {
+    let path = db_path("prop");
+    let wal = wal_path_for(&path);
+    let (mut db, before) = run(&path, frames, txns);
+
+    // One more transaction, its log write cut at every byte: all of
+    // it or none of it, and the earlier transactions either way. Every
+    // cut costs a recovery with its fsyncs, so the transaction is kept
+    // to a few hundred bytes of log: it overwrites in place records
+    // that the commit before it has just put in the log. (`CutLog`
+    // above cuts transactions of every size, at one point each.)
+    let mut before = before;
+    for (k, _) in last {
+        db.apply(&Edit::Put(*k, vec![0xEE; 40]), &mut before);
+    }
+    db.engine.commit().unwrap();
+    let mut after = before.clone();
+    for (k, data) in last {
+        db.apply(&Edit::Put(*k, data.clone()), &mut after);
+    }
+    let file_before = std::fs::read(&path).unwrap();
+    let log_before = std::fs::metadata(&wal).unwrap().len() as usize;
+    db.engine.commit().unwrap();
+    drop(db);
+    let log = std::fs::read(&wal).unwrap();
+    for cut in log_before..=log.len() {
+        std::fs::write(&wal, &log[..cut]).unwrap();
+        std::fs::write(&path, &file_before).unwrap();
+        let expect = if cut == log.len() { &after } else { &before };
+        Db::open(&path, frames).check(
+            expect,
+            &format!("{frames} frames, cut at {cut} of {}", log.len()),
+        );
+    }
+    remove(&path);
 }
 
 /// A committed database with pages on its free list, then a transaction
@@ -380,7 +447,7 @@ proptest! {
 /// next page allocated lies past the leaked ones.
 fn lose_a_transaction_that_grows_the_file(tag: &str, lose: impl FnOnce(Db, &Path)) {
     let path = db_path(tag);
-    let mut db = Db::create(&path);
+    let mut db = Db::create(&path, FRAMES);
     let mut committed = Shadow::new();
     for k in 0..20 {
         db.apply(&Edit::Put(k, vec![k as u8; 6000]), &mut committed);
@@ -418,7 +485,7 @@ fn lose_a_transaction_that_grows_the_file(tag: &str, lose: impl FnOnce(Db, &Path
         "{tag}: every new page reached the file"
     );
 
-    let mut db = Db::open(&path);
+    let mut db = Db::open(&path, FRAMES);
     db.check(&committed, tag);
     assert_eq!(catalog(&mut db), roots, "{tag}");
     let pool = db.engine.pool();
