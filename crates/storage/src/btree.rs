@@ -182,14 +182,11 @@ enum InsertResult {
 impl BTree {
     /// Create an empty tree (a single empty leaf).
     pub fn create(pool: &mut BufferPool) -> Result<BTree> {
-        let (id, handle) = pool.allocate()?;
-        {
-            let mut page = handle.lock();
-            page.clear_payload();
-            page.set_kind(PageKind::BTreeLeaf);
-            page.write_u16(COUNT, 0);
-            page.write_u64(LEAF_NEXT, 0);
-        }
+        let (id, page) = pool.allocate()?;
+        page.clear_payload();
+        page.set_kind(PageKind::BTreeLeaf);
+        page.write_u16(COUNT, 0);
+        page.write_u64(LEAF_NEXT, 0);
         Ok(BTree { root: id })
     }
 
@@ -214,15 +211,12 @@ impl BTree {
                 right,
             } => {
                 // Grow a new root.
-                let (new_root, handle) = pool.allocate()?;
-                {
-                    let mut page = handle.lock();
-                    page.clear_payload();
-                    page.set_kind(PageKind::BTreeInternal);
-                    page.write_u16(COUNT, 1);
-                    page.write_u64(INT_FIRST_CHILD, self.root.0);
-                    int_set_entry(&mut page, 0, sep, right.0);
-                }
+                let (new_root, page) = pool.allocate()?;
+                page.clear_payload();
+                page.set_kind(PageKind::BTreeInternal);
+                page.write_u16(COUNT, 1);
+                page.write_u64(INT_FIRST_CHILD, self.root.0);
+                int_set_entry(page, 0, sep, right.0);
                 self.root = new_root;
                 Ok(old_value)
             }
@@ -236,20 +230,12 @@ impl BTree {
         key: Key,
         value: u64,
     ) -> Result<InsertResult> {
-        let handle = pool.fetch(node)?;
-        let kind = handle.lock().kind()?;
-        match kind {
-            PageKind::BTreeLeaf => {
-                drop(handle);
-                self.leaf_insert(pool, node, key, value)
-            }
+        let page = pool.page(node)?;
+        match page.kind()? {
+            PageKind::BTreeLeaf => self.leaf_insert(pool, node, key, value),
             PageKind::BTreeInternal => {
-                let (child, route_idx) = {
-                    let page = handle.lock();
-                    let idx = int_route(&page, key);
-                    (PageId(int_child(&page, idx)), idx)
-                };
-                drop(handle);
+                let route_idx = int_route(page, key);
+                let child = PageId(int_child(page, route_idx));
                 match self.insert_rec(pool, child, key, value)? {
                     InsertResult::Done(old) => Ok(InsertResult::Done(old)),
                     InsertResult::Split {
@@ -273,35 +259,32 @@ impl BTree {
         key: Key,
         value: u64,
     ) -> Result<InsertResult> {
-        let handle = pool.fetch_mut(node)?;
-        let mut page = handle.lock();
+        let page = pool.page_mut(node)?;
         let n = page.read_u16(COUNT) as usize;
-        match leaf_search(&page, key) {
+        match leaf_search(page, key) {
             Ok(i) => {
-                let old = leaf_value(&page, i);
-                leaf_set(&mut page, i, key, value);
+                let old = leaf_value(page, i);
+                leaf_set(page, i, key, value);
                 Ok(InsertResult::Done(Some(old)))
             }
             Err(i) if n < FANOUT => {
-                leaf_shift_right(&mut page, i, n);
-                leaf_set(&mut page, i, key, value);
+                leaf_shift_right(page, i, n);
+                leaf_set(page, i, key, value);
                 page.write_u16(COUNT, (n + 1) as u16);
                 Ok(InsertResult::Done(None))
             }
             Err(i) => {
                 // Split: left keeps the lower half, right gets the rest.
                 let mid = n / 2;
-                drop(page);
-                let (right_id, right_handle) = pool.allocate()?;
-                let mut page = handle.lock();
-                let mut right = right_handle.lock();
+                let (right_id, _) = pool.allocate()?;
+                let [page, right] = pool.dirty_mut([node, right_id])?;
                 right.clear_payload();
                 right.set_kind(PageKind::BTreeLeaf);
                 let moved = n - mid;
                 for j in 0..moved {
-                    let k = leaf_key(&page, mid + j);
-                    let v = leaf_value(&page, mid + j);
-                    leaf_set(&mut right, j, k, v);
+                    let k = leaf_key(page, mid + j);
+                    let v = leaf_value(page, mid + j);
+                    leaf_set(right, j, k, v);
                 }
                 right.write_u16(COUNT, moved as u16);
                 right.write_u64(LEAF_NEXT, page.read_u64(LEAF_NEXT));
@@ -310,17 +293,17 @@ impl BTree {
                 // Insert the new entry into the proper half.
                 if i <= mid {
                     let cnt = mid;
-                    leaf_shift_right(&mut page, i, cnt);
-                    leaf_set(&mut page, i, key, value);
+                    leaf_shift_right(page, i, cnt);
+                    leaf_set(page, i, key, value);
                     page.write_u16(COUNT, (cnt + 1) as u16);
                 } else {
                     let cnt = moved;
                     let ri = i - mid;
-                    leaf_shift_right(&mut right, ri, cnt);
-                    leaf_set(&mut right, ri, key, value);
+                    leaf_shift_right(right, ri, cnt);
+                    leaf_set(right, ri, key, value);
                     right.write_u16(COUNT, (cnt + 1) as u16);
                 }
-                let sep = leaf_key(&right, 0);
+                let sep = leaf_key(right, 0);
                 Ok(InsertResult::Split {
                     old_value: None,
                     sep,
@@ -339,34 +322,31 @@ impl BTree {
         right_child: PageId,
         old_value: Option<u64>,
     ) -> Result<InsertResult> {
-        let handle = pool.fetch_mut(node)?;
-        let mut page = handle.lock();
+        let page = pool.page_mut(node)?;
         let n = page.read_u16(COUNT) as usize;
         if n < FANOUT {
-            int_shift_right(&mut page, route_idx, n);
-            int_set_entry(&mut page, route_idx, sep, right_child.0);
+            int_shift_right(page, route_idx, n);
+            int_set_entry(page, route_idx, sep, right_child.0);
             page.write_u16(COUNT, (n + 1) as u16);
             return Ok(InsertResult::Done(old_value));
         }
         // Split the interior node. Gather all n+1 entries logically, then
         // redistribute around the median which moves up.
-        let mut keys: Vec<Key> = (0..n).map(|i| int_key(&page, i)).collect();
-        let mut children: Vec<u64> = (0..=n).map(|i| int_child(&page, i)).collect();
+        let mut keys: Vec<Key> = (0..n).map(|i| int_key(page, i)).collect();
+        let mut children: Vec<u64> = (0..=n).map(|i| int_child(page, i)).collect();
         keys.insert(route_idx, sep);
         children.insert(route_idx + 1, right_child.0);
         let mid = keys.len() / 2;
         let up_key = keys[mid];
-        drop(page);
-        let (right_id, right_handle) = pool.allocate()?;
-        let mut page = handle.lock();
-        let mut right = right_handle.lock();
+        let (right_id, _) = pool.allocate()?;
+        let [page, right] = pool.dirty_mut([node, right_id])?;
         right.clear_payload();
         right.set_kind(PageKind::BTreeInternal);
         // Left: keys[..mid], children[..=mid]
         page.write_u16(COUNT, mid as u16);
         page.write_u64(INT_FIRST_CHILD, children[0]);
         for (i, (&k, &c)) in keys[..mid].iter().zip(children[1..=mid].iter()).enumerate() {
-            int_set_entry(&mut page, i, k, c);
+            int_set_entry(page, i, k, c);
         }
         // Right: keys[mid+1..], children[mid+1..]
         let rkeys = &keys[mid + 1..];
@@ -374,7 +354,7 @@ impl BTree {
         right.write_u16(COUNT, rkeys.len() as u16);
         right.write_u64(INT_FIRST_CHILD, rchildren[0]);
         for (i, (&k, &c)) in rkeys.iter().zip(rchildren[1..].iter()).enumerate() {
-            int_set_entry(&mut right, i, k, c);
+            int_set_entry(right, i, k, c);
         }
         Ok(InsertResult::Split {
             old_value,
@@ -386,16 +366,10 @@ impl BTree {
     fn find_leaf(&self, pool: &mut BufferPool, key: Key) -> Result<PageId> {
         let mut node = self.root;
         loop {
-            let handle = pool.fetch(node)?;
-            let page = handle.lock();
+            let page = pool.page(node)?;
             match page.kind()? {
                 PageKind::BTreeLeaf => return Ok(node),
-                PageKind::BTreeInternal => {
-                    let idx = int_route(&page, key);
-                    let child = PageId(int_child(&page, idx));
-                    drop(page);
-                    node = child;
-                }
+                PageKind::BTreeInternal => node = PageId(int_child(page, int_route(page, key))),
                 other => {
                     return Err(StorageError::Corruption {
                         page: Some(node.0),
@@ -409,12 +383,8 @@ impl BTree {
     /// Exact lookup.
     pub fn get(&self, pool: &mut BufferPool, key: Key) -> Result<Option<u64>> {
         let leaf = self.find_leaf(pool, key)?;
-        let handle = pool.fetch(leaf)?;
-        let page = handle.lock();
-        Ok(match leaf_search(&page, key) {
-            Ok(i) => Some(leaf_value(&page, i)),
-            Err(_) => None,
-        })
+        let page = pool.page(leaf)?;
+        Ok(leaf_search(page, key).ok().map(|i| leaf_value(page, i)))
     }
 
     /// Remove `key`, returning its value if present. Underflowing nodes
@@ -425,16 +395,12 @@ impl BTree {
         if old.is_some() {
             // Collapse the root while it is an interior node with no keys.
             loop {
-                let handle = pool.fetch(self.root)?;
-                let page = handle.lock();
+                let page = pool.page(self.root)?;
                 if page.kind()? != PageKind::BTreeInternal || page.read_u16(COUNT) != 0 {
                     break;
                 }
-                let only_child = PageId(int_child(&page, 0));
-                drop(page);
-                drop(handle);
                 let old_root = self.root;
-                self.root = only_child;
+                self.root = PageId(int_child(page, 0));
                 pool.free_page(old_root)?;
             }
         }
@@ -442,43 +408,25 @@ impl BTree {
     }
 
     fn delete_rec(&mut self, pool: &mut BufferPool, node: PageId, key: Key) -> Result<Option<u64>> {
-        let handle = pool.fetch(node)?;
-        let kind = handle.lock().kind()?;
-        match kind {
+        let page = pool.page(node)?;
+        match page.kind()? {
             PageKind::BTreeLeaf => {
-                // Searched in its own statement: the latch must be free
-                // again when `fetch_mut` copies the before-image.
-                let found = leaf_search(&handle.lock(), key);
-                match found {
-                    Ok(i) => {
-                        let handle = pool.fetch_mut(node)?;
-                        let mut page = handle.lock();
-                        let old = leaf_value(&page, i);
-                        let n = page.read_u16(COUNT) as usize;
-                        leaf_shift_left(&mut page, i, n);
-                        page.write_u16(COUNT, (n - 1) as u16);
-                        Ok(Some(old))
-                    }
-                    Err(_) => Ok(None),
-                }
+                let Ok(i) = leaf_search(page, key) else {
+                    return Ok(None);
+                };
+                let page = pool.page_mut(node)?;
+                let old = leaf_value(page, i);
+                let n = page.read_u16(COUNT) as usize;
+                leaf_shift_left(page, i, n);
+                page.write_u16(COUNT, (n - 1) as u16);
+                Ok(Some(old))
             }
             PageKind::BTreeInternal => {
-                let (idx, child) = {
-                    let page = handle.lock();
-                    let idx = int_route(&page, key);
-                    (idx, PageId(int_child(&page, idx)))
-                };
-                drop(handle);
+                let idx = int_route(page, key);
+                let child = PageId(int_child(page, idx));
                 let old = self.delete_rec(pool, child, key)?;
-                if old.is_some() {
-                    let child_count = {
-                        let h = pool.fetch(child)?;
-                        let c = h.lock().read_u16(COUNT) as usize;
-                        c
-                    };
-                    if child_count < MIN_FILL {
-                        self.fix_underflow(pool, node, idx)?;
-                    }
+                if old.is_some() && (pool.page(child)?.read_u16(COUNT) as usize) < MIN_FILL {
+                    self.fix_underflow(pool, node, idx)?;
                 }
                 Ok(old)
             }
@@ -492,20 +440,13 @@ impl BTree {
     /// Restore the fill invariant of `parent`'s child at `idx` by
     /// borrowing from a sibling or merging with one.
     fn fix_underflow(&mut self, pool: &mut BufferPool, parent: PageId, idx: usize) -> Result<()> {
-        let (n_keys, cur_id, left_id, right_id) = {
-            let h = pool.fetch(parent)?;
-            let page = h.lock();
-            let n = page.read_u16(COUNT) as usize;
-            let cur = PageId(int_child(&page, idx));
-            let left = (idx > 0).then(|| PageId(int_child(&page, idx - 1)));
-            let right = (idx < n).then(|| PageId(int_child(&page, idx + 1)));
-            (n, cur, left, right)
-        };
-        let _ = n_keys;
+        let page = pool.page(parent)?;
+        let n = page.read_u16(COUNT) as usize;
+        let cur_id = PageId(int_child(page, idx));
+        let left_id = (idx > 0).then(|| PageId(int_child(page, idx - 1)));
+        let right_id = (idx < n).then(|| PageId(int_child(page, idx + 1)));
         let count_of = |pool: &mut BufferPool, id: PageId| -> Result<usize> {
-            let h = pool.fetch(id)?;
-            let c = h.lock().read_u16(COUNT) as usize;
-            Ok(c)
+            Ok(pool.page(id)?.read_u16(COUNT) as usize)
         };
         if let Some(left) = left_id {
             if count_of(pool, left)? > MIN_FILL {
@@ -538,19 +479,14 @@ impl BTree {
         left_id: PageId,
         cur_id: PageId,
     ) -> Result<()> {
-        let parent_h = pool.fetch_mut(parent)?;
-        let left_h = pool.fetch_mut(left_id)?;
-        let cur_h = pool.fetch_mut(cur_id)?;
-        let mut parent_pg = parent_h.lock();
-        let mut left = left_h.lock();
-        let mut cur = cur_h.lock();
+        let [parent_pg, left, cur] = pool.pages_mut([parent, left_id, cur_id])?;
         let ln = left.read_u16(COUNT) as usize;
         let cn = cur.read_u16(COUNT) as usize;
         match cur.kind()? {
             PageKind::BTreeLeaf => {
-                let (k, v) = (leaf_key(&left, ln - 1), leaf_value(&left, ln - 1));
-                leaf_shift_right(&mut cur, 0, cn);
-                leaf_set(&mut cur, 0, k, v);
+                let (k, v) = (leaf_key(left, ln - 1), leaf_value(left, ln - 1));
+                leaf_shift_right(cur, 0, cn);
+                leaf_set(cur, 0, k, v);
                 cur.write_u16(COUNT, (cn + 1) as u16);
                 left.write_u16(COUNT, (ln - 1) as u16);
                 // The separator left of `cur` becomes its new first key.
@@ -558,12 +494,12 @@ impl BTree {
                 parent_pg.write_bytes(off, &k.0);
             }
             _ => {
-                let down = int_key(&parent_pg, idx - 1);
-                let moved_child = int_child(&left, ln); // left's last child
-                let up = int_key(&left, ln - 1);
-                let old_first = int_child(&cur, 0);
-                int_shift_right(&mut cur, 0, cn);
-                int_set_entry(&mut cur, 0, down, old_first);
+                let down = int_key(parent_pg, idx - 1);
+                let moved_child = int_child(left, ln); // left's last child
+                let up = int_key(left, ln - 1);
+                let old_first = int_child(cur, 0);
+                int_shift_right(cur, 0, cn);
+                int_set_entry(cur, 0, down, old_first);
                 cur.write_u64(INT_FIRST_CHILD, moved_child);
                 cur.write_u16(COUNT, (cn + 1) as u16);
                 left.write_u16(COUNT, (ln - 1) as u16);
@@ -582,34 +518,29 @@ impl BTree {
         cur_id: PageId,
         right_id: PageId,
     ) -> Result<()> {
-        let parent_h = pool.fetch_mut(parent)?;
-        let right_h = pool.fetch_mut(right_id)?;
-        let cur_h = pool.fetch_mut(cur_id)?;
-        let mut parent_pg = parent_h.lock();
-        let mut right = right_h.lock();
-        let mut cur = cur_h.lock();
+        let [parent_pg, right, cur] = pool.pages_mut([parent, right_id, cur_id])?;
         let rn = right.read_u16(COUNT) as usize;
         let cn = cur.read_u16(COUNT) as usize;
         match cur.kind()? {
             PageKind::BTreeLeaf => {
-                let (k, v) = (leaf_key(&right, 0), leaf_value(&right, 0));
-                leaf_set(&mut cur, cn, k, v);
+                let (k, v) = (leaf_key(right, 0), leaf_value(right, 0));
+                leaf_set(cur, cn, k, v);
                 cur.write_u16(COUNT, (cn + 1) as u16);
-                leaf_shift_left(&mut right, 0, rn);
+                leaf_shift_left(right, 0, rn);
                 right.write_u16(COUNT, (rn - 1) as u16);
                 let off = INT_ENTRIES + idx * ENTRY;
-                parent_pg.write_bytes(off, &leaf_key(&right, 0).0);
+                parent_pg.write_bytes(off, &leaf_key(right, 0).0);
             }
             _ => {
-                let down = int_key(&parent_pg, idx);
-                let moved_child = int_child(&right, 0);
-                let up = int_key(&right, 0);
-                int_set_entry(&mut cur, cn, down, moved_child);
+                let down = int_key(parent_pg, idx);
+                let moved_child = int_child(right, 0);
+                let up = int_key(right, 0);
+                int_set_entry(cur, cn, down, moved_child);
                 cur.write_u16(COUNT, (cn + 1) as u16);
                 // Drop right's first key and first child.
-                let new_first = int_child(&right, 1);
+                let new_first = int_child(right, 1);
                 right.write_u64(INT_FIRST_CHILD, new_first);
-                int_remove_entry(&mut right, 0, rn);
+                int_remove_entry(right, 0, rn);
                 right.write_u16(COUNT, (rn - 1) as u16);
                 let off = INT_ENTRIES + idx * ENTRY;
                 parent_pg.write_bytes(off, &up.0);
@@ -628,50 +559,32 @@ impl BTree {
         left_id: PageId,
         right_id: PageId,
     ) -> Result<()> {
-        {
-            let parent_h = pool.fetch_mut(parent)?;
-            let left_h = pool.fetch_mut(left_id)?;
-            let right_h = pool.fetch_mut(right_id)?;
-            let mut parent_pg = parent_h.lock();
-            let mut left = left_h.lock();
-            let right = right_h.lock();
-            let ln = left.read_u16(COUNT) as usize;
-            let rn = right.read_u16(COUNT) as usize;
-            match left.kind()? {
-                PageKind::BTreeLeaf => {
-                    debug_assert!(ln + rn <= FANOUT, "merged leaf must fit");
-                    for j in 0..rn {
-                        leaf_set(
-                            &mut left,
-                            ln + j,
-                            leaf_key(&right, j),
-                            leaf_value(&right, j),
-                        );
-                    }
-                    left.write_u16(COUNT, (ln + rn) as u16);
-                    left.write_u64(LEAF_NEXT, right.read_u64(LEAF_NEXT));
+        let [parent_pg, left, right] = pool.pages_mut([parent, left_id, right_id])?;
+        let ln = left.read_u16(COUNT) as usize;
+        let rn = right.read_u16(COUNT) as usize;
+        match left.kind()? {
+            PageKind::BTreeLeaf => {
+                debug_assert!(ln + rn <= FANOUT, "merged leaf must fit");
+                for j in 0..rn {
+                    leaf_set(left, ln + j, leaf_key(right, j), leaf_value(right, j));
                 }
-                _ => {
-                    debug_assert!(ln + rn < FANOUT, "merged interior must fit");
-                    let sep = int_key(&parent_pg, sep_idx);
-                    int_set_entry(&mut left, ln, sep, int_child(&right, 0));
-                    for j in 0..rn {
-                        int_set_entry(
-                            &mut left,
-                            ln + 1 + j,
-                            int_key(&right, j),
-                            int_child(&right, j + 1),
-                        );
-                    }
-                    left.write_u16(COUNT, (ln + rn + 1) as u16);
-                }
+                left.write_u16(COUNT, (ln + rn) as u16);
+                left.write_u64(LEAF_NEXT, right.read_u64(LEAF_NEXT));
             }
-            let pn = parent_pg.read_u16(COUNT) as usize;
-            int_remove_entry(&mut parent_pg, sep_idx, pn);
-            parent_pg.write_u16(COUNT, (pn - 1) as u16);
+            _ => {
+                debug_assert!(ln + rn < FANOUT, "merged interior must fit");
+                let sep = int_key(parent_pg, sep_idx);
+                int_set_entry(left, ln, sep, int_child(right, 0));
+                for j in 0..rn {
+                    int_set_entry(left, ln + 1 + j, int_key(right, j), int_child(right, j + 1));
+                }
+                left.write_u16(COUNT, (ln + rn + 1) as u16);
+            }
         }
-        pool.free_page(right_id)?;
-        Ok(())
+        let pn = parent_pg.read_u16(COUNT) as usize;
+        int_remove_entry(parent_pg, sep_idx, pn);
+        parent_pg.write_u16(COUNT, (pn - 1) as u16);
+        pool.free_page(right_id)
     }
 
     /// Visit all entries with `lo <= key <= hi` in key order. The callback
@@ -682,19 +595,12 @@ impl BTree {
     {
         let mut leaf = self.find_leaf(pool, lo)?;
         loop {
-            let handle = pool.fetch(leaf)?;
-            let page = handle.lock();
+            let page = pool.page(leaf)?;
             let n = page.read_u16(COUNT) as usize;
-            let start = match leaf_search(&page, lo) {
-                Ok(i) => i,
-                Err(i) => i,
-            };
+            let start = leaf_search(page, lo).unwrap_or_else(|i| i);
             for i in start..n {
-                let k = leaf_key(&page, i);
-                if k > hi {
-                    return Ok(());
-                }
-                if !f(k, leaf_value(&page, i)) {
+                let k = leaf_key(page, i);
+                if k > hi || !f(k, leaf_value(page, i)) {
                     return Ok(());
                 }
             }
@@ -702,7 +608,6 @@ impl BTree {
             if next == 0 {
                 return Ok(());
             }
-            drop(page);
             leaf = PageId(next);
         }
     }
@@ -742,17 +647,12 @@ impl BTree {
         let mut h = 1;
         let mut node = self.root;
         loop {
-            let handle = pool.fetch(node)?;
-            let page = handle.lock();
-            match page.kind()? {
-                PageKind::BTreeLeaf => return Ok(h),
-                _ => {
-                    let child = PageId(int_child(&page, 0));
-                    drop(page);
-                    node = child;
-                    h += 1;
-                }
+            let page = pool.page(node)?;
+            if page.kind()? == PageKind::BTreeLeaf {
+                return Ok(h);
             }
+            node = PageId(int_child(page, 0));
+            h += 1;
         }
     }
 }

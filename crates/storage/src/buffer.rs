@@ -4,18 +4,25 @@
 //! (paper §6, run protocol): a *cold* run starts with an empty pool so every
 //! page access is a disk read; a *warm* run re-touches pages already cached.
 //!
-//! # Pinning
+//! # Borrowing
 //!
-//! [`BufferPool::fetch`] returns a [`PageHandle`] — a cheap clone of an
-//! `Arc` around the frame. A frame is *pinned* while any handle to it is
-//! alive and will not be evicted. Drop the handle to unpin.
+//! The pool lends its pages: [`BufferPool::page`] returns a `&Page` and
+//! [`BufferPool::page_mut`] a `&mut Page`, each for as long as the pool
+//! stays borrowed. No page can be held across another pool call, so none
+//! can be evicted while in use. Code that changes two or three pages at
+//! once (a B+Tree split, borrow or merge) borrows them together with
+//! `pages_mut`; `dirty_mut` lends again, without a second fetch, pages
+//! already fetched for writing, which no-steal keeps resident. The one
+//! page kept resident across other pool calls is a heap scan's while it
+//! reads an overflow chain: the pool holds one *pinned* page, which
+//! eviction skips.
 //!
 //! # Write policy
 //!
 //! The pool is **no-steal** and **no-force**. No-steal: a dirty frame —
 //! one an open transaction changed — is never written back by eviction.
 //! It stays resident until its transaction commits; if every frame is
-//! dirty or pinned, `fetch` reports [`StorageError::PoolExhausted`] with
+//! dirty or pinned, a fetch reports [`StorageError::PoolExhausted`] with
 //! the counts — the transaction's write set exceeded the pool: commit more
 //! often or enlarge the pool. So uncommitted data never overwrites a page
 //! committed state can reach, and the write-ahead log only ever needs
@@ -37,36 +44,33 @@
 //! # Before-images
 //!
 //! The log records what a transaction *changed* on a page, not the page
-//! (see [`crate::wal`]). To know what changed, [`BufferPool::fetch_mut`]
+//! (see [`crate::wal`]). To know what changed, [`BufferPool::page_mut`]
 //! copies a frame's bytes when it goes from clean to dirty — the page as
-//! the last commit left it — and commit hands that
-//! before-image, beside the page's current bytes, to
-//! [`BufferPool::for_each_dirty`]'s caller to diff. Every mutation must
-//! therefore go through a handle obtained from `fetch_mut` (or
-//! [`BufferPool::allocate`]) *before* the first byte is written: a change
-//! made through a plain [`BufferPool::fetch`] handle would be missing from
-//! the log. A page the file has never held (one [`BufferPool::allocate`]
-//! added to its end) has no before-image: the engine writes it to the file
-//! before the commit marker ([`BufferPool::flush_from`]) and logs nothing
-//! (see [`crate::engine`]). A frame whose before-image a failed commit
-//! already spent is logged whole. The copy is made on the write path only;
-//! reads never pay for it.
+//! the last commit left it — and commit hands that before-image, beside
+//! the page's current bytes, to [`BufferPool::for_each_dirty`]'s caller
+//! to diff. Every mutation therefore goes through `page_mut` (or
+//! `pages_mut` or [`BufferPool::allocate`]); a `&Page` cannot change a
+//! page. A page the file has never held (one `allocate` added to its end)
+//! has no before-image: the engine writes it to the file before the
+//! commit marker ([`BufferPool::flush_from`]) and logs nothing (see
+//! [`crate::engine`]). A frame whose before-image a failed commit already
+//! spent is logged whole. The copy is made on the write path only; reads
+//! never pay for it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::disk::{DiskManager, IoStats};
 use crate::error::{Result, StorageError};
-use crate::page::{Page, PageId, PageKind, PAGE_SIZE};
+use crate::page::{Page, PageId, PageKind, PAGE_ID_OFFSET, PAGE_SIZE};
 
-/// Shared, lockable reference to a cached page. Holding one pins the frame.
-pub type PageHandle = Arc<Mutex<Page>>;
+/// The id of a slot that holds no page; never in the map.
+const FREE: PageId = PageId(u64::MAX);
 
 struct Frame {
+    /// The page in this slot, or [`FREE`].
     id: PageId,
-    page: PageHandle,
+    page: Page,
     dirty: bool,
     /// The frame holds committed bytes the database file lacks (see the
     /// module doc's write policy). Independent of `dirty`: a frame a
@@ -112,11 +116,14 @@ fn bump(counter: &obs::Counter) {
 /// An LRU page cache over a [`DiskManager`].
 pub struct BufferPool {
     disk: DiskManager,
+    /// The slots, each reused in place when its page is evicted.
     frames: Vec<Frame>,
     map: HashMap<u64, usize>,
     /// Ids of the frames whose `dirty` flag is set, so commit visits the
     /// write set and not the pool.
     dirty_ids: Vec<u64>,
+    /// The slot of the pinned page, which eviction skips.
+    pin: Option<usize>,
     capacity: usize,
     tick: u64,
     stats: PoolStats,
@@ -126,14 +133,15 @@ pub struct BufferPool {
 impl BufferPool {
     /// Wrap `disk` with a pool of at most `capacity` frames.
     ///
-    /// `capacity` must be at least 8; tiny pools deadlock real workloads
-    /// (a single B+Tree descent pins several pages).
+    /// `capacity` is raised to at least 8: a B+Tree split or merge dirties
+    /// several pages at once, and the pool is no-steal.
     pub fn new(disk: DiskManager, capacity: usize) -> BufferPool {
         BufferPool {
             disk,
             frames: Vec::new(),
             map: HashMap::new(),
             dirty_ids: Vec::new(),
+            pin: None,
             capacity: capacity.max(8),
             tick: 0,
             stats: PoolStats::default(),
@@ -148,7 +156,7 @@ impl BufferPool {
 
     /// Number of frames currently resident.
     pub fn resident(&self) -> usize {
-        self.frames.len()
+        self.map.len()
     }
 
     /// Configured capacity in frames.
@@ -182,63 +190,130 @@ impl BufferPool {
         self.frames[idx].last_used = self.tick;
     }
 
-    /// Fetch page `id`, reading it from disk on a miss.
-    pub fn fetch(&mut self, id: PageId) -> Result<PageHandle> {
+    /// The slot of page `id`, read from disk on a miss; counts a hit or
+    /// a miss.
+    fn fetch(&mut self, id: PageId) -> Result<usize> {
         if let Some(&idx) = self.map.get(&id.0) {
             self.stats.hits += 1;
             bump(&self.counters.hits);
             self.touch(idx);
-            return Ok(Arc::clone(&self.frames[idx].page));
+            return Ok(idx);
         }
         self.stats.misses += 1;
         bump(&self.counters.misses);
-        // A full pool reads into the buffer of the page it evicts.
-        let mut page = self.make_room()?.unwrap_or_else(|| Page::new(id));
-        self.disk.read_page_into(id, &mut page)?;
-        Ok(self.install(id, page, false))
+        // A full pool reads into the buffer of the page it evicts. A slot
+        // whose read fails stays free.
+        let idx = self.make_room()?;
+        self.disk.read_page_into(id, &mut self.frames[idx].page)?;
+        self.install(idx, id, false);
+        Ok(idx)
     }
 
-    /// Fetch page `id` and mark it dirty (the caller intends to modify it).
-    /// On the frame's clean→dirty transition its bytes are kept as the
-    /// before-image commit diffs against, so call this *before* mutating.
-    pub fn fetch_mut(&mut self, id: PageId) -> Result<PageHandle> {
-        let handle = self.fetch(id)?;
-        let frame = &mut self.frames[self.map[&id.0]];
+    /// `fetch`, and mark the frame dirty. On the frame's clean→dirty
+    /// transition its bytes are kept as the before-image commit diffs
+    /// against.
+    fn fetch_mut(&mut self, id: PageId) -> Result<usize> {
+        let idx = self.fetch(id)?;
+        let frame = &mut self.frames[idx];
         if !frame.dirty {
             frame.dirty = true;
-            frame.before = Some(Box::new(*handle.lock().bytes()));
+            frame.before = Some(Box::new(*frame.page.bytes()));
             self.dirty_ids.push(id.0);
         }
-        Ok(handle)
+        Ok(idx)
+    }
+
+    /// Borrow page `id`, reading it from disk on a miss.
+    pub fn page(&mut self, id: PageId) -> Result<&Page> {
+        let idx = self.fetch(id)?;
+        Ok(&self.frames[idx].page)
+    }
+
+    /// Borrow page `id` to change it, reading it from disk on a miss. The
+    /// frame becomes dirty; see the module doc's before-images.
+    pub fn page_mut(&mut self, id: PageId) -> Result<&mut Page> {
+        let idx = self.fetch_mut(id)?;
+        Ok(&mut self.frames[idx].page)
+    }
+
+    /// [`BufferPool::page_mut`] for each of `ids` in order, then borrow
+    /// them all at once.
+    pub(crate) fn pages_mut<const N: usize>(&mut self, ids: [PageId; N]) -> Result<[&mut Page; N]> {
+        for id in ids {
+            self.fetch_mut(id)?;
+        }
+        self.dirty_mut(ids)
+    }
+
+    /// Borrow pages already fetched for writing, all at once, counting no
+    /// fetch: no-steal keeps a dirty page resident. Fails if one of `ids`
+    /// is not dirty or two are the same.
+    pub(crate) fn dirty_mut<const N: usize>(&mut self, ids: [PageId; N]) -> Result<[&mut Page; N]> {
+        let mut slots = [0; N];
+        for (slot, id) in slots.iter_mut().zip(ids) {
+            *slot = match self.map.get(&id.0) {
+                Some(&idx) if self.frames[idx].dirty => idx,
+                _ => {
+                    return Err(StorageError::InvalidArgument(format!(
+                        "page {id} is not dirty"
+                    )))
+                }
+            };
+        }
+        let frames = self.frames.get_disjoint_mut(slots).map_err(|_| {
+            StorageError::InvalidArgument(format!("pages {ids:?} are not distinct"))
+        })?;
+        Ok(frames.map(|frame| &mut frame.page))
+    }
+
+    /// Fetch page `id` and keep it resident until [`BufferPool::unpin`]:
+    /// eviction skips it. One page at a time.
+    pub(crate) fn pin(&mut self, id: PageId) -> Result<()> {
+        debug_assert!(self.pin.is_none(), "one pinned page at a time");
+        self.pin = Some(self.fetch(id)?);
+        Ok(())
+    }
+
+    /// The pinned page, counting no fetch.
+    pub(crate) fn pinned(&self) -> &Page {
+        &self.frames[self.pin.expect("a page is pinned")].page
+    }
+
+    /// Let eviction pick the pinned page again.
+    pub(crate) fn unpin(&mut self) {
+        self.pin = None;
     }
 
     /// Allocate a page: pop the persistent free list if non-empty, else
     /// extend the file. The page enters the pool dirty and zeroed.
-    pub fn allocate(&mut self) -> Result<(PageId, PageHandle)> {
+    pub fn allocate(&mut self) -> Result<(PageId, &mut Page)> {
         // The free-list head lives in a fixed slot of the meta page so it
         // participates in commit/recovery like any other page content.
         let head = self.freelist_head()?;
-        if head != 0 {
-            let id = PageId(head);
-            let handle = self.fetch_mut(id)?;
-            let next = {
-                let mut page = handle.lock();
-                if page.kind()? != PageKind::Free {
-                    return Err(StorageError::Corruption {
-                        page: Some(id.0),
-                        detail: "free-list entry is not a free page".into(),
-                    });
-                }
-                let next = page.read_u64(crate::page::FREE_NEXT_OFFSET);
-                page.clear_payload();
-                next
-            };
+        let idx = if head != 0 {
+            let idx = self.fetch_mut(PageId(head))?;
+            let page = &mut self.frames[idx].page;
+            if page.kind()? != PageKind::Free {
+                return Err(StorageError::Corruption {
+                    page: Some(head),
+                    detail: "free-list entry is not a free page".into(),
+                });
+            }
+            let next = page.read_u64(crate::page::FREE_NEXT_OFFSET);
+            page.clear_payload();
             self.set_freelist_head(next)?;
-            return Ok((id, handle));
-        }
-        self.make_room()?;
-        let id = self.disk.allocate()?;
-        Ok((id, self.install(id, Page::new(id), true)))
+            idx
+        } else {
+            let idx = self.make_room()?;
+            let id = self.disk.allocate()?;
+            let page = &mut self.frames[idx].page;
+            page.write_u64(PAGE_ID_OFFSET, id.0);
+            page.clear_payload();
+            self.install(idx, id, true);
+            idx
+        };
+        let frame = &mut self.frames[idx];
+        Ok((frame.id, &mut frame.page))
     }
 
     /// Return `id` to the persistent free list. The caller must ensure no
@@ -246,13 +321,10 @@ impl BufferPool {
     pub fn free_page(&mut self, id: PageId) -> Result<()> {
         debug_assert_ne!(id, PageId::META, "cannot free the meta page");
         let head = self.freelist_head()?;
-        let handle = self.fetch_mut(id)?;
-        {
-            let mut page = handle.lock();
-            page.clear_payload();
-            page.set_kind(PageKind::Free);
-            page.write_u64(crate::page::FREE_NEXT_OFFSET, head);
-        }
+        let page = self.page_mut(id)?;
+        page.clear_payload();
+        page.set_kind(PageKind::Free);
+        page.write_u64(crate::page::FREE_NEXT_OFFSET, head);
         self.set_freelist_head(id.0)
     }
 
@@ -262,60 +334,58 @@ impl BufferPool {
         let mut n = 0usize;
         let mut cur = self.freelist_head()?;
         while cur != 0 {
-            let handle = self.fetch(PageId(cur))?;
-            cur = handle.lock().read_u64(crate::page::FREE_NEXT_OFFSET);
+            cur = self
+                .page(PageId(cur))?
+                .read_u64(crate::page::FREE_NEXT_OFFSET);
             n += 1;
         }
         Ok(n)
     }
 
     fn freelist_head(&mut self) -> Result<u64> {
-        let handle = self.fetch(PageId::META)?;
-        let head = handle.lock().read_u64(crate::page::META_FREELIST_OFFSET);
-        Ok(head)
+        Ok(self
+            .page(PageId::META)?
+            .read_u64(crate::page::META_FREELIST_OFFSET))
     }
 
     fn set_freelist_head(&mut self, head: u64) -> Result<()> {
-        let handle = self.fetch_mut(PageId::META)?;
-        handle
-            .lock()
+        self.page_mut(PageId::META)?
             .write_u64(crate::page::META_FREELIST_OFFSET, head);
         Ok(())
     }
 
-    /// Add a frame for `page`; the caller has made room.
-    fn install(&mut self, id: PageId, page: Page, dirty: bool) -> PageHandle {
-        let handle = Arc::new(Mutex::new(page));
-        self.tick += 1;
-        let frame = Frame {
-            id,
-            page: Arc::clone(&handle),
-            dirty,
-            unwritten: false,
-            before: None,
-            last_used: self.tick,
-        };
+    /// Put page `id`, whose bytes are in slot `idx`, in the map.
+    fn install(&mut self, idx: usize, id: PageId, dirty: bool) {
+        let frame = &mut self.frames[idx];
+        frame.id = id;
+        frame.dirty = dirty;
         if dirty {
             self.dirty_ids.push(id.0);
         }
-        let idx = self.frames.len();
-        self.frames.push(frame);
         self.map.insert(id.0, idx);
-        handle
+        self.touch(idx);
     }
 
-    /// If the pool is full, evict the least-recently-used clean, unpinned
-    /// frame — writing it first if it is unwritten — and return its page,
-    /// whose buffer the caller may reuse.
-    fn make_room(&mut self) -> Result<Option<Page>> {
+    /// A free slot: a new one while the pool has room, else the slot of
+    /// the least-recently-used frame that is neither dirty nor pinned,
+    /// evicted — and written first if it is unwritten. The slot keeps the
+    /// evicted page's buffer for the caller to reuse.
+    fn make_room(&mut self) -> Result<usize> {
         if self.frames.len() < self.capacity {
-            return Ok(None);
+            self.frames.push(Frame {
+                id: FREE,
+                page: Page::new(FREE),
+                dirty: false,
+                unwritten: false,
+                before: None,
+                last_used: 0,
+            });
+            return Ok(self.frames.len() - 1);
         }
         let mut victim: Option<usize> = None;
         for (i, f) in self.frames.iter().enumerate() {
-            // strong_count == 1 means only the pool itself holds the Arc.
             if !f.dirty
-                && Arc::strong_count(&f.page) == 1
+                && self.pin != Some(i)
                 && victim.is_none_or(|v| f.last_used < self.frames[v].last_used)
             {
                 victim = Some(i);
@@ -325,27 +395,21 @@ impl BufferPool {
             return Err(StorageError::PoolExhausted {
                 capacity: self.capacity,
                 dirty: self.dirty_ids.len(),
-                pinned: self
-                    .frames
-                    .iter()
-                    .filter(|f| Arc::strong_count(&f.page) > 1)
-                    .count(),
+                pinned: usize::from(self.pin.is_some()),
             });
         };
         if self.frames[idx].unwritten {
             self.write_committed(idx)?;
         }
-        let frame = self.frames.swap_remove(idx);
-        self.map.remove(&frame.id.0);
-        // Fix the index of the frame that swap_remove moved into `idx`.
-        if idx < self.frames.len() {
-            let moved_id = self.frames[idx].id;
-            self.map.insert(moved_id.0, idx);
+        let frame = &mut self.frames[idx];
+        // A free slot (its read failed) is reused without an eviction.
+        if self.map.remove(&frame.id.0).is_some() {
+            self.stats.evictions += 1;
+            bump(&self.counters.evictions);
         }
-        self.stats.evictions += 1;
-        bump(&self.counters.evictions);
-        let page = Arc::into_inner(frame.page).expect("the victim is unpinned");
-        Ok(Some(page.into_inner()))
+        frame.id = FREE;
+        frame.last_used = 0;
+        Ok(idx)
     }
 
     /// The dirty frames' changes are committed — logged, and the log
@@ -384,7 +448,7 @@ impl BufferPool {
     fn write_committed(&mut self, idx: usize) -> Result<()> {
         let frame = &mut self.frames[idx];
         match (frame.dirty, &frame.before) {
-            (false, _) => self.disk.write_page(&mut frame.page.lock())?,
+            (false, _) => self.disk.write_page(&mut frame.page)?,
             // Seal a copy: the before-image must keep the bytes the commit
             // will diff the page against.
             (true, Some(before)) => self
@@ -422,13 +486,7 @@ impl BufferPool {
         let mut written = 0;
         let result = self.dirty_ids[..due].iter().rev().try_for_each(|id| {
             let frame = &mut self.frames[self.map[id]];
-            {
-                // The page latch must stay held across the disk write
-                // so the frame cannot be mutated mid-flush; this is a
-                // per-page latch, not a pool-wide lock.
-                let mut page = frame.page.lock();
-                self.disk.write_page(&mut page)?;
-            }
+            self.disk.write_page(&mut frame.page)?;
             frame.dirty = false;
             frame.unwritten = false;
             frame.before = None;
@@ -441,7 +499,7 @@ impl BufferPool {
 
     /// Visit every dirty frame in page-id order with its before-image
     /// (`None` for a frame that was never clean, or already visited) and
-    /// its latched current bytes. `keep` answers whether the frame stays
+    /// its current bytes. `keep` answers whether the frame stays
     /// dirty: a frame it reports unchanged is clean again and will be
     /// neither logged nor flushed. The before-image is consumed either
     /// way — once a page's change is handed to the log the copy no longer
@@ -456,7 +514,7 @@ impl BufferPool {
         self.dirty_ids.retain(|id| {
             let frame = &mut frames[map[id]];
             let before = frame.before.take();
-            frame.dirty = keep(frame.id, before.as_deref(), &frame.page.lock());
+            frame.dirty = keep(frame.id, before.as_deref(), &frame.page);
             frame.dirty
         });
     }
@@ -471,9 +529,9 @@ impl BufferPool {
         self.disk.sync()
     }
 
-    /// Drop every cached frame. Pinned, dirty or unwritten frames make
-    /// this an error; it is used to simulate a database close/open cycle
-    /// (cold runs).
+    /// Drop every cached frame. Dirty or unwritten frames make this an
+    /// error; it is used to simulate a database close/open cycle (cold
+    /// runs).
     pub fn drop_all(&mut self) -> Result<()> {
         if let Some(id) = self.dirty_ids.first() {
             return Err(StorageError::InvalidArgument(format!(
@@ -481,42 +539,30 @@ impl BufferPool {
                 PageId(*id)
             )));
         }
-        self.refuse_to_drop("drop_all")?;
-        self.frames.clear();
-        self.map.clear();
-        Ok(())
+        self.clear_frames("drop_all")
     }
 
     /// Drop every cached frame **including dirty ones**, without writing
     /// them. Under the no-steal protocol the database file still holds the
     /// pre-transaction state of every page that is not unwritten, so this
     /// is the abort primitive: the next fetch re-reads clean images from
-    /// disk. Pinned and unwritten frames are still an error — a caller
-    /// holding a page handle across an abort is a bug, and an unwritten
-    /// frame must go through [`BufferPool::write_back`] first.
+    /// disk. Unwritten frames are still an error: they must go through
+    /// [`BufferPool::write_back`] first.
     pub fn discard_all(&mut self) -> Result<()> {
-        self.refuse_to_drop("discard_all")?;
-        self.frames.clear();
-        self.map.clear();
-        self.dirty_ids.clear();
-        Ok(())
+        self.clear_frames("discard_all")
     }
 
-    /// The error `what` reports if a frame is pinned or unwritten.
-    fn refuse_to_drop(&self, what: &str) -> Result<()> {
-        for f in &self.frames {
-            let why = if Arc::strong_count(&f.page) > 1 {
-                "pinned"
-            } else if f.unwritten {
-                "unwritten"
-            } else {
-                continue;
-            };
+    /// Drop every frame, or fail as `what` if one is unwritten.
+    fn clear_frames(&mut self, what: &str) -> Result<()> {
+        if let Some(f) = self.frames.iter().find(|f| f.unwritten) {
             return Err(StorageError::InvalidArgument(format!(
-                "{what} with {why} page {}",
+                "{what} with unwritten page {}",
                 f.id
             )));
         }
+        self.frames.clear();
+        self.map.clear();
+        self.dirty_ids.clear();
         Ok(())
     }
 }
@@ -525,7 +571,7 @@ impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
             .field("capacity", &self.capacity)
-            .field("resident", &self.frames.len())
+            .field("resident", &self.resident())
             .field("dirty", &self.dirty_count())
             .field("stats", &self.stats)
             .finish()
@@ -548,15 +594,12 @@ mod tests {
     #[test]
     fn fetch_caches_pages() {
         let (mut bp, path) = pool("cache", 16);
-        let (id, h) = bp.allocate().unwrap();
-        h.lock().write_u64(100, 5);
-        drop(h);
+        let (id, page) = bp.allocate().unwrap();
+        page.write_u64(100, 5);
         bp.flush_all().unwrap();
-        let h1 = bp.fetch(id).unwrap();
-        assert_eq!(h1.lock().read_u64(100), 5);
-        drop(h1);
+        assert_eq!(bp.page(id).unwrap().read_u64(100), 5);
         let before = bp.stats();
-        bp.fetch(id).unwrap();
+        bp.page(id).unwrap();
         let after = bp.stats();
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses);
@@ -565,20 +608,24 @@ mod tests {
 
     #[test]
     fn eviction_prefers_lru_and_skips_pinned() {
+        // Seven pages and the meta page fill the pool.
         let (mut bp, path) = pool("lru", 8);
-        let mut ids = Vec::new();
-        for _ in 0..8 {
-            let (id, h) = bp.allocate().unwrap();
-            drop(h);
-            ids.push(id);
-        }
+        let ids: Vec<PageId> = (0..7).map(|_| bp.allocate().unwrap().0).collect();
         bp.flush_all().unwrap();
-        // Pin the LRU page (ids[0]); eviction must pick ids[1] instead.
-        let pinned = bp.fetch(ids[0]).unwrap();
+        // Pin ids[0], then touch every other page: ids[0] is the LRU page.
+        bp.pin(ids[0]).unwrap();
+        for &id in [PageId::META].iter().chain(&ids[1..]) {
+            bp.page(id).unwrap();
+        }
         bp.allocate().unwrap(); // forces one eviction
         assert!(bp.map.contains_key(&ids[0].0), "pinned page must stay");
         assert!(!bp.map.contains_key(&ids[1].0), "LRU unpinned page evicted");
-        drop(pinned);
+        assert_eq!(bp.pinned().id(), ids[0]);
+        // Unpinned, it is the next victim.
+        bp.unpin();
+        bp.allocate().unwrap();
+        assert!(!bp.map.contains_key(&ids[0].0), "unpinned LRU page evicted");
+        assert_eq!(bp.stats().evictions, 2);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -587,8 +634,7 @@ mod tests {
         let (mut bp, path) = pool("nosteal", 8);
         // Fill the pool with dirty pages, then demand one more frame.
         for _ in 0..8 {
-            let (_, h) = bp.allocate().unwrap();
-            drop(h);
+            bp.allocate().unwrap();
         }
         let err = bp.allocate().unwrap_err();
         assert!(matches!(
@@ -606,30 +652,43 @@ mod tests {
     }
 
     #[test]
-    fn flush_all_persists_and_cleans() {
-        let (mut bp, path) = pool("flush", 8);
-        let (id, h) = bp.allocate().unwrap();
-        h.lock().write_u64(200, 99);
-        drop(h);
-        assert_eq!(bp.dirty_count(), 1);
-        assert_eq!(bp.flush_all().unwrap(), 1);
-        assert_eq!(bp.dirty_count(), 0);
-        bp.drop_all().unwrap();
-        let h = bp.fetch(id).unwrap();
-        assert_eq!(h.lock().read_u64(200), 99);
+    fn dirty_pages_are_lent_again_without_a_fetch() {
+        let (mut bp, path) = pool("lend", 8);
+        let (a, _) = bp.allocate().unwrap();
+        let (b, _) = bp.allocate().unwrap();
+        bp.flush_all().unwrap();
+        let stats = bp.stats();
+        let [pa, pb] = bp.pages_mut([a, b]).unwrap();
+        pa.write_u64(64, 1);
+        pb.write_u64(64, 2);
+        assert_eq!(bp.stats().hits, stats.hits + 2);
+        let [pb, pa] = bp.dirty_mut([b, a]).unwrap();
+        assert_eq!((pa.read_u64(64), pb.read_u64(64)), (1, 2));
+        assert_eq!(bp.stats().hits, stats.hits + 2, "no fetch counted");
+        assert!(bp.dirty_mut([a, a]).is_err(), "one page lent twice");
+        assert!(bp.dirty_mut([PageId::META]).is_err(), "a clean page");
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn drop_all_refuses_dirty_or_pinned() {
+    fn flush_all_persists_and_cleans() {
+        let (mut bp, path) = pool("flush", 8);
+        let (id, page) = bp.allocate().unwrap();
+        page.write_u64(200, 99);
+        assert_eq!(bp.dirty_count(), 1);
+        assert_eq!(bp.flush_all().unwrap(), 1);
+        assert_eq!(bp.dirty_count(), 0);
+        bp.drop_all().unwrap();
+        assert_eq!(bp.page(id).unwrap().read_u64(200), 99);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn drop_all_refuses_dirty_frames() {
         let (mut bp, path) = pool("dropall", 8);
-        let (id, h) = bp.allocate().unwrap();
-        drop(h);
+        bp.allocate().unwrap();
         assert!(bp.drop_all().is_err()); // dirty
         bp.flush_all().unwrap();
-        let h = bp.fetch(id).unwrap();
-        assert!(bp.drop_all().is_err()); // pinned
-        drop(h);
         bp.drop_all().unwrap();
         assert_eq!(bp.resident(), 0);
         std::fs::remove_file(&path).unwrap();
@@ -638,18 +697,33 @@ mod tests {
     #[test]
     fn discard_all_drops_dirty_frames_without_writing() {
         let (mut bp, path) = pool("discard", 8);
-        let (id, h) = bp.allocate().unwrap();
-        h.lock().write_u64(200, 7);
-        drop(h);
+        let (id, page) = bp.allocate().unwrap();
+        page.write_u64(200, 7);
         bp.flush_all().unwrap();
         // Dirty the page again with a value that must NOT survive.
-        let h = bp.fetch_mut(id).unwrap();
-        h.lock().write_u64(200, 8);
-        drop(h);
+        bp.page_mut(id).unwrap().write_u64(200, 8);
         bp.discard_all().unwrap();
         assert_eq!(bp.resident(), 0);
-        let h = bp.fetch(id).unwrap();
-        assert_eq!(h.lock().read_u64(200), 7, "pre-abort image re-read");
+        assert_eq!(
+            bp.page(id).unwrap().read_u64(200),
+            7,
+            "pre-abort image re-read"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_read_leaves_a_free_slot_that_is_reused_first() {
+        let (mut bp, path) = pool("failed-read", 8);
+        let ids: Vec<PageId> = (0..7).map(|_| bp.allocate().unwrap().0).collect();
+        bp.flush_all().unwrap();
+        // The miss evicts the LRU frame, ids[0], then its read fails.
+        assert!(bp.page(PageId(99)).is_err());
+        assert!(!bp.map.contains_key(&ids[0].0));
+        assert_eq!((bp.resident(), bp.stats().evictions), (7, 1));
+        // The next miss takes the free slot and evicts nothing.
+        assert_eq!(bp.page(ids[0]).unwrap().id(), ids[0]);
+        assert_eq!((bp.resident(), bp.stats().evictions), (8, 1));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -659,7 +733,7 @@ mod tests {
         let (mut bp, path) = pool(name, 8);
         let ids: Vec<PageId> = (0..n).map(|_| bp.allocate().unwrap().0).collect();
         bp.flush_all().unwrap();
-        bp.fetch_mut(ids[0]).unwrap().lock().write_u64(64, 42);
+        bp.page_mut(ids[0]).unwrap().write_u64(64, 42);
         let io = bp.io_stats();
         bp.mark_committed();
         assert_eq!(bp.dirty_count(), 0);
@@ -672,17 +746,17 @@ mod tests {
         // Seven pages and the meta page fill the pool.
         let (mut bp, path, ids) = pool_with_a_commit("evict-unwritten", 7);
         for &id in [PageId::META].iter().chain(&ids[1..]) {
-            drop(bp.fetch(id).unwrap());
+            bp.page(id).unwrap();
         }
         let (writes, stats) = (bp.io_stats().writes, bp.stats());
-        drop(bp.allocate().unwrap()); // evicts ids[0], the LRU frame
+        bp.allocate().unwrap(); // evicts ids[0], the LRU frame
         assert!(!bp.map.contains_key(&ids[0].0));
         assert_eq!(bp.io_stats().writes, writes + 1);
         assert_eq!(bp.stats().evictions, stats.evictions + 1);
         assert_eq!(bp.stats().writebacks, stats.writebacks + 1);
         // The miss reads the committed bytes back, into the buffer of the
         // frame it evicts, and writes nothing: that frame was written.
-        assert_eq!(bp.fetch(ids[0]).unwrap().lock().read_u64(64), 42);
+        assert_eq!(bp.page(ids[0]).unwrap().read_u64(64), 42);
         assert_eq!(bp.io_stats().writes, writes + 1);
         assert_eq!(bp.stats().writebacks, stats.writebacks + 1);
         std::fs::remove_file(&path).unwrap();
@@ -702,7 +776,7 @@ mod tests {
         assert_eq!(bp.io_stats().writes, writes + 1);
         assert_eq!(bp.stats().writebacks, 1);
         bp.drop_all().unwrap();
-        assert_eq!(bp.fetch(ids[0]).unwrap().lock().read_u64(64), 42);
+        assert_eq!(bp.page(ids[0]).unwrap().read_u64(64), 42);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -710,7 +784,7 @@ mod tests {
     fn write_back_writes_a_dirty_frames_committed_bytes() {
         let (mut bp, path, ids) = pool_with_a_commit("write-back", 2);
         // An open transaction changes the committed page again.
-        bp.fetch_mut(ids[0]).unwrap().lock().write_u64(64, 43);
+        bp.page_mut(ids[0]).unwrap().write_u64(64, 43);
         assert_eq!(bp.write_back().unwrap(), 1);
         assert_eq!(bp.write_back().unwrap(), 0);
         // The change is still dirty, its before-image intact ...
@@ -722,35 +796,30 @@ mod tests {
         assert_eq!(seen, vec![(ids[0], Some(42), 43)]);
         // ... and dropping it leaves the committed bytes in the file.
         bp.discard_all().unwrap();
-        assert_eq!(bp.fetch(ids[0]).unwrap().lock().read_u64(64), 42);
+        assert_eq!(bp.page(ids[0]).unwrap().read_u64(64), 42);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn for_each_dirty_visits_the_write_set_in_id_order_with_before_images() {
         let (mut bp, path) = pool("visit", 8);
-        let (fresh, h) = bp.allocate().unwrap();
-        h.lock().write_u64(64, 1);
-        drop(h);
-        let (edited, h) = bp.allocate().unwrap();
-        drop(h);
-        let (probed, h) = bp.allocate().unwrap();
-        drop(h);
-        let (clean, h) = bp.allocate().unwrap();
-        drop(h);
+        let (fresh, page) = bp.allocate().unwrap();
+        page.write_u64(64, 1);
+        let (edited, _) = bp.allocate().unwrap();
+        let (probed, _) = bp.allocate().unwrap();
+        let (clean, _) = bp.allocate().unwrap();
         bp.flush_all().unwrap();
         assert_eq!(bp.dirty_count(), 0);
 
         // One page never clean, one edited, one fetched for writing but
         // left alone, one only read.
-        let (newer, h) = bp.allocate().unwrap();
-        h.lock().write_u64(64, 5);
-        drop(h);
-        bp.fetch_mut(edited).unwrap().lock().write_u64(64, 2);
-        // A second fetch_mut of a dirty frame keeps the first before-image.
-        bp.fetch_mut(edited).unwrap().lock().write_u64(72, 3);
-        drop(bp.fetch_mut(probed).unwrap());
-        drop(bp.fetch(clean).unwrap());
+        let (newer, page) = bp.allocate().unwrap();
+        page.write_u64(64, 5);
+        bp.page_mut(edited).unwrap().write_u64(64, 2);
+        // A second page_mut of a dirty frame keeps the first before-image.
+        bp.page_mut(edited).unwrap().write_u64(72, 3);
+        bp.page_mut(probed).unwrap();
+        bp.page(clean).unwrap();
         assert_eq!(bp.dirty_count(), 3);
 
         let mut seen = Vec::new();
@@ -779,30 +848,25 @@ mod tests {
         assert_eq!(second, vec![(edited, false), (newer, false)]);
         assert_eq!(bp.flush_all().unwrap(), 2);
         bp.drop_all().unwrap();
-        assert_eq!(bp.fetch(edited).unwrap().lock().read_u64(72), 3);
-        assert_eq!(bp.fetch(probed).unwrap().lock().read_u64(64), 0);
+        assert_eq!(bp.page(edited).unwrap().read_u64(72), 3);
+        assert_eq!(bp.page(probed).unwrap().read_u64(64), 0);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn cold_reload_misses_then_hits() {
         let (mut bp, path) = pool("coldwarm", 32);
-        let mut ids = Vec::new();
-        for _ in 0..10 {
-            let (id, h) = bp.allocate().unwrap();
-            drop(h);
-            ids.push(id);
-        }
+        let ids: Vec<PageId> = (0..10).map(|_| bp.allocate().unwrap().0).collect();
         bp.flush_all().unwrap();
         bp.drop_all().unwrap();
         bp.reset_stats();
         for &id in &ids {
-            drop(bp.fetch(id).unwrap());
+            bp.page(id).unwrap();
         }
         assert_eq!(bp.stats().misses, 10);
         assert_eq!(bp.stats().hits, 0);
         for &id in &ids {
-            drop(bp.fetch(id).unwrap());
+            bp.page(id).unwrap();
         }
         assert_eq!(bp.stats().hits, 10);
         std::fs::remove_file(&path).unwrap();

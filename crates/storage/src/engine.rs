@@ -200,16 +200,14 @@ impl Engine {
     // ---- catalog -------------------------------------------------------
 
     fn init_catalog(&mut self) -> Result<()> {
-        let handle = self.pool.fetch_mut(PageId::META)?;
-        let mut page = handle.lock();
+        let page = self.pool.page_mut(PageId::META)?;
         page.write_u32(CAT_MAGIC_OFF, CATALOG_MAGIC);
         page.write_u16(CAT_COUNT_OFF, 0);
         Ok(())
     }
 
     fn read_catalog(&mut self) -> Result<Vec<(String, u64)>> {
-        let handle = self.pool.fetch(PageId::META)?;
-        let page = handle.lock();
+        let page = self.pool.page(PageId::META)?;
         if page.read_u32(CAT_MAGIC_OFF) != CATALOG_MAGIC {
             return Err(StorageError::Corruption {
                 page: Some(0),
@@ -245,8 +243,7 @@ impl Engine {
                 "catalog overflow: too many named roots".into(),
             ));
         }
-        let handle = self.pool.fetch_mut(PageId::META)?;
-        let mut page = handle.lock();
+        let page = self.pool.page_mut(PageId::META)?;
         page.write_u16(CAT_COUNT_OFF, entries.len() as u16);
         let mut off = CAT_ENTRIES_OFF;
         for (name, value) in entries {
@@ -760,7 +757,7 @@ mod tests {
         let (mut e, mut heap, rid) = engine_with_record(&path, 7, 100);
         let log_len = std::fs::metadata(wal_path_for(&path)).unwrap().len();
         let io = e.pool_ref().io_stats();
-        drop(e.pool().fetch_mut(rid.page).unwrap());
+        e.pool().page_mut(rid.page).unwrap();
         // Writing back what is already there is no change either.
         heap.update(e.pool(), rid, &[7; 100]).unwrap();
         assert_eq!(e.pool_ref().dirty_count(), 1);

@@ -42,7 +42,8 @@ pub enum StorageError {
         capacity: usize,
         /// Frames the open transaction has dirtied.
         dirty: usize,
-        /// Frames some handle holds.
+        /// Pinned frames: 1 while a heap scan holds its page resident to
+        /// read an overflow chain, else 0.
         pinned: usize,
     },
     /// A named catalog entry was not found.
@@ -135,12 +136,12 @@ mod tests {
         assert_eq!(e.to_string(), "record not found at page 1 slot 2");
         let e = StorageError::PoolExhausted {
             capacity: 64,
-            dirty: 60,
-            pinned: 4,
+            dirty: 63,
+            pinned: 1,
         };
         assert_eq!(
             e.to_string(),
-            "buffer pool exhausted: of 64 frames, 60 are dirty and 4 pinned; \
+            "buffer pool exhausted: of 64 frames, 63 are dirty and 1 pinned; \
              commit more often or enlarge the pool"
         );
     }

@@ -65,6 +65,13 @@ impl std::fmt::Display for RecordId {
     }
 }
 
+/// A stored record: its bytes, or where its overflow chain starts and
+/// how long it is.
+enum Stored<'a> {
+    Inline(&'a [u8]),
+    Overflow { head: u64, len: usize },
+}
+
 /// A heap file rooted at `first_page`. The struct itself is a lightweight
 /// cursor; all state lives in the buffer pool / on disk. The id of the
 /// first page is persisted in the engine catalog by the caller.
@@ -79,8 +86,8 @@ pub struct HeapFile {
 impl HeapFile {
     /// Create a new heap file with one empty page.
     pub fn create(pool: &mut BufferPool) -> Result<HeapFile> {
-        let (id, handle) = pool.allocate()?;
-        slotted::init(&mut handle.lock(), PageKind::Heap);
+        let (id, page) = pool.allocate()?;
+        slotted::init(page, PageKind::Heap);
         Ok(HeapFile {
             first_page: id,
             tail_hint: id,
@@ -114,15 +121,12 @@ impl HeapFile {
         let mut chunks: Vec<&[u8]> = data.chunks(OVF_CAP).collect();
         let mut first = PageId(0);
         while let Some(chunk) = chunks.pop() {
-            let (id, handle) = pool.allocate()?;
-            {
-                let mut page = handle.lock();
-                page.clear_payload();
-                page.set_kind(PageKind::Overflow);
-                page.write_u64(OVF_NEXT, next);
-                page.write_u32(OVF_LEN, chunk.len() as u32);
-                page.write_bytes(OVF_DATA, chunk);
-            }
+            let (id, page) = pool.allocate()?;
+            page.clear_payload();
+            page.set_kind(PageKind::Overflow);
+            page.write_u64(OVF_NEXT, next);
+            page.write_u32(OVF_LEN, chunk.len() as u32);
+            page.write_bytes(OVF_DATA, chunk);
             next = id.0;
             first = id;
         }
@@ -136,8 +140,7 @@ impl HeapFile {
     ) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(total);
         while page_id != 0 {
-            let handle = pool.fetch(PageId(page_id))?;
-            let page = handle.lock();
+            let page = pool.page(PageId(page_id))?;
             if page.kind()? != PageKind::Overflow {
                 return Err(StorageError::Corruption {
                     page: Some(page_id),
@@ -170,45 +173,39 @@ impl HeapFile {
         }
     }
 
-    /// If `stored` points to an overflow chain, return its first page id.
-    fn overflow_head(stored: &[u8]) -> Option<u64> {
-        if stored.first() == Some(&TAG_OVERFLOW) && stored.len() >= 13 {
-            Some(u64::from_le_bytes(
-                stored[1..9].try_into().expect("8 bytes"),
-            ))
-        } else {
-            None
-        }
-    }
-
     /// Return every page of an overflow chain to the free list.
     fn free_overflow_chain(pool: &mut BufferPool, mut page_id: u64) -> Result<()> {
         while page_id != 0 {
-            let next = {
-                let handle = pool.fetch(PageId(page_id))?;
-                let page = handle.lock();
-                if page.kind()? != PageKind::Overflow {
-                    return Err(StorageError::Corruption {
-                        page: Some(page_id),
-                        detail: "expected overflow page while freeing".into(),
-                    });
-                }
-                page.read_u64(OVF_NEXT)
-            };
+            let page = pool.page(PageId(page_id))?;
+            if page.kind()? != PageKind::Overflow {
+                return Err(StorageError::Corruption {
+                    page: Some(page_id),
+                    detail: "expected overflow page while freeing".into(),
+                });
+            }
+            let next = page.read_u64(OVF_NEXT);
             pool.free_page(PageId(page_id))?;
             page_id = next;
         }
         Ok(())
     }
 
-    fn decode(pool: &mut BufferPool, stored: &[u8], rid: RecordId) -> Result<Vec<u8>> {
+    /// The first page of the overflow chain `stored` points to, if any.
+    fn overflow_head(stored: &[u8], rid: RecordId) -> Option<u64> {
+        match Self::parse(stored, rid) {
+            Ok(Stored::Overflow { head, .. }) => Some(head),
+            _ => None,
+        }
+    }
+
+    /// Parse the record `stored` in `rid`'s slot.
+    fn parse(stored: &[u8], rid: RecordId) -> Result<Stored<'_>> {
         match stored.first() {
-            Some(&TAG_INLINE) => Ok(stored[1..].to_vec()),
-            Some(&TAG_OVERFLOW) => {
-                let first = u64::from_le_bytes(stored[1..9].try_into().expect("8 bytes"));
-                let total = u32::from_le_bytes(stored[9..13].try_into().expect("4 bytes")) as usize;
-                Self::read_overflow_chain(pool, first, total)
-            }
+            Some(&TAG_INLINE) => Ok(Stored::Inline(&stored[1..])),
+            Some(&TAG_OVERFLOW) if stored.len() >= 13 => Ok(Stored::Overflow {
+                head: u64::from_le_bytes(stored[1..9].try_into().expect("8 bytes")),
+                len: u32::from_le_bytes(stored[9..13].try_into().expect("4 bytes")) as usize,
+            }),
             _ => Err(StorageError::Corruption {
                 page: Some(rid.page.0),
                 detail: format!("bad record tag in slot {}", rid.slot),
@@ -239,22 +236,16 @@ impl HeapFile {
         encoded: &[u8],
         hint: Option<PageId>,
     ) -> Result<RecordId> {
-        // A page is probed through a read handle and fetched for writing
-        // only once it is known to take the record (`fits` is exactly
+        // A page is probed through `page` and borrowed for writing only
+        // once it is known to take the record (`fits` is exactly
         // `insert`'s own test): a page merely walked past stays clean, so
         // it costs no before-image and the no-steal pool can still evict
         // it. After `open` the tail hint is the first page, and the walk
         // may be longer than the pool.
         if let Some(hp) = hint {
-            let handle = pool.fetch(hp)?;
-            let takes = {
-                let page = handle.lock();
-                page.kind()? == PageKind::Heap && slotted::fits(&page, encoded.len())
-            };
-            if takes {
-                let handle = pool.fetch_mut(hp)?;
-                let slot = slotted::insert(&mut handle.lock(), encoded);
-                if let Some(slot) = slot {
+            let page = pool.page(hp)?;
+            if page.kind()? == PageKind::Heap && slotted::fits(page, encoded.len()) {
+                if let Some(slot) = slotted::insert(pool.page_mut(hp)?, encoded) {
                     return Ok(RecordId { page: hp, slot });
                 }
             }
@@ -262,18 +253,10 @@ impl HeapFile {
         // Try the tail hint, then walk/extend the chain.
         let mut current = self.tail_hint;
         loop {
-            let handle = pool.fetch(current)?;
-            let (takes, next) = {
-                let page = handle.lock();
-                (
-                    slotted::fits(&page, encoded.len()),
-                    slotted::next_page(&page),
-                )
-            };
-            if takes {
-                let handle = pool.fetch_mut(current)?;
-                let slot = slotted::insert(&mut handle.lock(), encoded);
-                if let Some(slot) = slot {
+            let page = pool.page(current)?;
+            let next = slotted::next_page(page);
+            if slotted::fits(page, encoded.len()) {
+                if let Some(slot) = slotted::insert(pool.page_mut(current)?, encoded) {
                     self.tail_hint = current;
                     return Ok(RecordId {
                         page: current,
@@ -286,27 +269,24 @@ impl HeapFile {
                 continue;
             }
             // Extend the chain with a fresh page.
-            drop(handle);
-            let (new_id, new_handle) = pool.allocate()?;
-            slotted::init(&mut new_handle.lock(), PageKind::Heap);
-            {
-                let handle = pool.fetch_mut(current)?;
-                let mut page = handle.lock();
-                slotted::set_next_page(&mut page, new_id.0);
-            }
+            let (new_id, page) = pool.allocate()?;
+            slotted::init(page, PageKind::Heap);
+            slotted::set_next_page(pool.page_mut(current)?, new_id.0);
             current = new_id;
         }
     }
 
     /// Read the record at `rid`.
     pub fn get(&self, pool: &mut BufferPool, rid: RecordId) -> Result<Vec<u8>> {
-        let handle = pool.fetch(rid.page)?;
-        let page = handle.lock();
-        let stored = slotted::get(&page, rid.slot).ok_or(StorageError::RecordNotFound {
+        let page = pool.page(rid.page)?;
+        let stored = slotted::get(page, rid.slot).ok_or(StorageError::RecordNotFound {
             page: rid.page.0,
             slot: rid.slot,
         })?;
-        Self::decode(pool, stored, rid)
+        match Self::parse(stored, rid)? {
+            Stored::Inline(data) => Ok(data.to_vec()),
+            Stored::Overflow { head, len } => Self::read_overflow_chain(pool, head, len),
+        }
     }
 
     /// Update the record at `rid`. Returns the (possibly new) record id:
@@ -321,20 +301,19 @@ impl HeapFile {
         let encoded = Self::encode(pool, data)?;
         let old_overflow;
         let in_place = {
-            let handle = pool.fetch_mut(rid.page)?;
-            let mut page = handle.lock();
-            let Some(old_stored) = slotted::get(&page, rid.slot) else {
+            let page = pool.page_mut(rid.page)?;
+            let Some(old_stored) = slotted::get(page, rid.slot) else {
                 return Err(StorageError::RecordNotFound {
                     page: rid.page.0,
                     slot: rid.slot,
                 });
             };
-            old_overflow = Self::overflow_head(old_stored);
-            if slotted::update(&mut page, rid.slot, &encoded) {
+            old_overflow = Self::overflow_head(old_stored, rid);
+            if slotted::update(page, rid.slot, &encoded) {
                 true
             } else {
                 // Does not fit on this page: delete, re-insert elsewhere.
-                slotted::delete(&mut page, rid.slot);
+                slotted::delete(page, rid.slot);
                 false
             }
         };
@@ -352,19 +331,15 @@ impl HeapFile {
     /// Delete the record at `rid`, returning any overflow pages to the
     /// free list. Returns an error if the record does not exist.
     pub fn delete(&mut self, pool: &mut BufferPool, rid: RecordId) -> Result<()> {
-        let old_overflow = {
-            let handle = pool.fetch_mut(rid.page)?;
-            let mut page = handle.lock();
-            let Some(stored) = slotted::get(&page, rid.slot) else {
-                return Err(StorageError::RecordNotFound {
-                    page: rid.page.0,
-                    slot: rid.slot,
-                });
-            };
-            let head = Self::overflow_head(stored);
-            slotted::delete(&mut page, rid.slot);
-            head
+        let page = pool.page_mut(rid.page)?;
+        let Some(stored) = slotted::get(page, rid.slot) else {
+            return Err(StorageError::RecordNotFound {
+                page: rid.page.0,
+                slot: rid.slot,
+            });
         };
+        let old_overflow = Self::overflow_head(stored, rid);
+        slotted::delete(page, rid.slot);
         if let Some(head) = old_overflow {
             Self::free_overflow_chain(pool, head)?;
         }
@@ -372,40 +347,54 @@ impl HeapFile {
     }
 
     /// Visit every live record in chain order, invoking `f(rid, bytes)`.
-    /// Stops early if `f` returns `false`. A page stays latched and pinned
-    /// while its records are visited.
+    /// Stops early if `f` returns `false`. A page stays pinned while its
+    /// records are visited, overflow chains and all.
     pub fn scan<F>(&self, pool: &mut BufferPool, mut f: F) -> Result<()>
     where
         F: FnMut(RecordId, &[u8]) -> bool,
     {
         let mut current = self.first_page;
         loop {
-            let handle = pool.fetch(current)?;
-            let page = handle.lock();
-            let next = slotted::next_page(&page);
-            for slot in slotted::live_slots(&page) {
-                let rid = RecordId {
-                    page: current,
-                    slot,
-                };
-                let stored = slotted::get(&page, slot).expect("live slot");
-                // An inline record is visited where it lies; only a chain
-                // of overflow pages has to be put together first.
-                let more = match stored.first() {
-                    Some(&TAG_INLINE) => f(rid, &stored[1..]),
-                    _ => f(rid, &Self::decode(pool, stored, rid)?),
-                };
-                if !more {
-                    return Ok(());
-                }
+            pool.pin(current)?;
+            let visited = Self::visit_pinned(pool, current, &mut f);
+            pool.unpin();
+            match visited? {
+                Some(next) if next != 0 => current = PageId(next),
+                _ => return Ok(()),
             }
-            drop(page);
-            drop(handle);
-            if next == 0 {
-                return Ok(());
-            }
-            current = PageId(next);
         }
+    }
+
+    /// [`HeapFile::scan`]'s visit of the pinned page `id`: its next-page
+    /// link, or `None` if `f` stopped the scan.
+    fn visit_pinned<F>(pool: &mut BufferPool, id: PageId, f: &mut F) -> Result<Option<u64>>
+    where
+        F: FnMut(RecordId, &[u8]) -> bool,
+    {
+        let mut page = pool.pinned();
+        let next = slotted::next_page(page);
+        for slot in 0..slotted::slot_count(page) {
+            let rid = RecordId { page: id, slot };
+            let Some(stored) = slotted::get(page, slot) else {
+                continue;
+            };
+            // An inline record is visited where it lies; only a chain
+            // of overflow pages has to be put together first.
+            let more = match Self::parse(stored, rid)? {
+                Stored::Inline(data) => f(rid, data),
+                Stored::Overflow { head, len } => {
+                    let data = Self::read_overflow_chain(pool, head, len)?;
+                    // Borrowed again after the chain's reads; the pin kept
+                    // the page resident.
+                    page = pool.pinned();
+                    f(rid, &data)
+                }
+            };
+            if !more {
+                return Ok(None);
+            }
+        }
+        Ok(Some(next))
     }
 
     /// Count live records (walks the whole chain).
@@ -413,11 +402,9 @@ impl HeapFile {
         let mut n = 0usize;
         let mut current = self.first_page;
         loop {
-            let handle = pool.fetch(current)?;
-            let page = handle.lock();
-            n += slotted::live_count(&page) as usize;
-            let next = slotted::next_page(&page);
-            drop(page);
+            let page = pool.page(current)?;
+            n += slotted::live_count(page) as usize;
+            let next = slotted::next_page(page);
             if next == 0 {
                 return Ok(n);
             }
@@ -436,8 +423,7 @@ impl HeapFile {
         let mut current = self.first_page;
         loop {
             n += 1;
-            let handle = pool.fetch(current)?;
-            let next = slotted::next_page(&handle.lock());
+            let next = slotted::next_page(pool.page(current)?);
             if next == 0 {
                 return Ok(n);
             }
@@ -449,6 +435,7 @@ impl HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::PoolStats;
     use crate::disk::DiskManager;
     use std::path::PathBuf;
 
@@ -524,6 +511,49 @@ mod tests {
         .unwrap();
         assert_eq!(seen, (0..500).collect::<Vec<u32>>());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn scan_keeps_a_page_resident_while_it_reads_its_overflow_chains() {
+        let mut p = std::env::temp_dir();
+        p.push(format!("hm-heap-{}-scanmixed", std::process::id()));
+        let _ = std::fs::remove_file(&p);
+        let mut pool = BufferPool::new(DiskManager::create(&p).unwrap(), 8);
+        let mut heap = HeapFile::create(&mut pool).unwrap();
+        // Inline records alternate with 400x400 form bitmaps, which are
+        // over INLINE_LIMIT and take a three-page overflow chain each.
+        let records: Vec<Vec<u8>> = (0..12u8)
+            .map(|i| vec![i; if i % 2 == 0 { 2_000 } else { 20_000 }])
+            .collect();
+        let mut rids = Vec::new();
+        for data in &records {
+            rids.push(heap.insert(&mut pool, data).unwrap());
+            pool.flush_all().unwrap();
+        }
+        assert_eq!(heap.page_count(&mut pool).unwrap(), 2);
+        pool.drop_all().unwrap();
+        pool.reset_stats();
+
+        let mut seen = Vec::new();
+        heap.scan(&mut pool, |rid, data| {
+            seen.push((rid, data.to_vec()));
+            true
+        })
+        .unwrap();
+        assert_eq!(seen, rids.into_iter().zip(records).collect::<Vec<_>>());
+        // A cold scan reads every page once: 2 heap pages and 6 chains of
+        // 3. The first heap page's four chains alone outnumber the pool's
+        // 8 frames, but the page stays resident until its last record.
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                hits: 0,
+                misses: 20,
+                evictions: 12,
+                writebacks: 0
+            }
+        );
+        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
@@ -626,10 +656,7 @@ mod tests {
         let rid = heap.insert(&mut pool, b"tiny").unwrap();
         // Fill the first page completely so the grown record must move.
         loop {
-            let handle = pool.fetch(rid.page).unwrap();
-            let full = !slotted::fits(&handle.lock(), 300);
-            drop(handle);
-            if full {
+            if !slotted::fits(pool.page(rid.page).unwrap(), 300) {
                 break;
             }
             heap.insert(&mut pool, &[7u8; 250]).unwrap();

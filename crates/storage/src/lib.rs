@@ -54,7 +54,7 @@ pub mod slotted;
 pub mod wal;
 
 pub use btree::{BTree, Key};
-pub use buffer::{BufferPool, PageHandle, PoolStats};
+pub use buffer::{BufferPool, PoolStats};
 pub use disk::{DiskManager, IoStats};
 pub use engine::{CommitStats, CrashPoint, Engine};
 pub use error::{Result, StorageError};

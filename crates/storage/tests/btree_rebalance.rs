@@ -10,11 +10,15 @@ use storage::buffer::BufferPool;
 use storage::disk::DiskManager;
 
 fn fresh(tag: &str) -> (BufferPool, PathBuf) {
+    fresh_with(tag, 4096)
+}
+
+fn fresh_with(tag: &str, frames: usize) -> (BufferPool, PathBuf) {
     let mut p = std::env::temp_dir();
     p.push(format!("hm-btdel-{}-{tag}.db", std::process::id()));
     let _ = std::fs::remove_file(&p);
     let dm = DiskManager::create(&p).unwrap();
-    (BufferPool::new(dm, 4096), p)
+    (BufferPool::new(dm, frames), p)
 }
 
 fn check_against_model(tree: &BTree, pool: &mut BufferPool, model: &BTreeMap<u64, u64>) {
@@ -96,33 +100,46 @@ fn drain_descending_and_verify_remainder_at_each_step() {
 #[test]
 fn interleaved_delete_insert_preserves_model() {
     // A deterministic pseudo-random walk mixing deletes and re-inserts,
-    // long enough to force borrows and merges at interior levels.
-    let (mut pool, path) = fresh("mix");
-    let mut tree = BTree::create(&mut pool).unwrap();
-    let mut model = BTreeMap::new();
-    let mut x: u64 = 0x1234_5678;
-    let mut step = || {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        x >> 33
-    };
-    for i in 0..3_000u64 {
-        tree.insert(&mut pool, Key::from_pair(i, 0), i).unwrap();
-        model.insert(i, i);
-    }
-    for round in 0..12_000u64 {
-        let k = step() % 3_000;
-        if step() % 3 == 0 {
-            let got = tree.insert(&mut pool, Key::from_pair(k, 0), round).unwrap();
-            assert_eq!(got, model.insert(k, round), "insert {k}");
-        } else {
-            let got = tree.delete(&mut pool, Key::from_pair(k, 0)).unwrap();
-            assert_eq!(got, model.remove(&k), "delete {k}");
+    // long enough to force borrows and merges at interior levels. In an
+    // 8-frame pool, smaller than the tree, borrows and merges re-read
+    // evicted siblings; the pool is no-steal, so every step is flushed.
+    for frames in [4096, 8] {
+        let (mut pool, path) = fresh_with(&format!("mix{frames}"), frames);
+        let mut tree = BTree::create(&mut pool).unwrap();
+        let mut model = BTreeMap::new();
+        let mut x: u64 = 0x1234_5678;
+        let mut step = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        for i in 0..3_000u64 {
+            tree.insert(&mut pool, Key::from_pair(i, 0), i).unwrap();
+            model.insert(i, i);
+            if frames < 4096 {
+                pool.flush_all().unwrap();
+            }
         }
+        for round in 0..12_000u64 {
+            let k = step() % 3_000;
+            if step() % 3 == 0 {
+                let got = tree.insert(&mut pool, Key::from_pair(k, 0), round).unwrap();
+                assert_eq!(got, model.insert(k, round), "insert {k}");
+            } else {
+                let got = tree.delete(&mut pool, Key::from_pair(k, 0)).unwrap();
+                assert_eq!(got, model.remove(&k), "delete {k}");
+            }
+            if frames < 4096 {
+                pool.flush_all().unwrap();
+            }
+        }
+        check_against_model(&tree, &mut pool, &model);
+        if frames < 4096 {
+            assert!(pool.stats().misses > 0, "the tree outgrew the pool");
+        }
+        let _ = std::fs::remove_file(&path);
     }
-    check_against_model(&tree, &mut pool, &model);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
