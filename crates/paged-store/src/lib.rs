@@ -398,14 +398,19 @@ impl<L: NodeLayout> PagedStore<L> {
 
     /// The values under every key from `(lo, 0)` to `(hi, u64::MAX)`.
     fn scan(&mut self, tree: Tree, lo: u64, hi: u64) -> Result<Vec<u64>> {
-        let entries = self.shared.trees[tree as usize]
-            .range_vec(
+        let mut values = Vec::new();
+        self.shared.trees[tree as usize]
+            .range(
                 self.engine.pool(),
                 Key::from_pair(lo, 0),
                 Key::from_pair(hi, u64::MAX),
+                |_, value| {
+                    values.push(value);
+                    true
+                },
             )
             .map_err(se)?;
-        Ok(entries.into_iter().map(|(_, value)| value).collect())
+        Ok(values)
     }
 
     /// The values `tree` holds for the (existing) node `oid`, by edge number.

@@ -6,13 +6,15 @@
 //!
 //! * [`page`] — fixed 8 KiB pages with checksums and self-identification,
 //! * [`disk`] — page-granular file I/O ([`disk::DiskManager`]),
-//! * [`buffer`] — an LRU page cache with pinning ([`buffer::BufferPool`]);
-//!   the cold/warm benchmark distinction lives here,
+//! * [`buffer`] — an LRU page cache that lends `&Page`/`&mut Page` borrows
+//!   and finds a resident page by indexing a table with its id
+//!   ([`buffer::BufferPool`]); the cold/warm benchmark distinction lives
+//!   here,
 //! * [`slotted`] — variable-size records on a page,
 //! * [`heap`] — record files with overflow chains and clustered placement
 //!   ([`heap::HeapFile`]),
-//! * [`btree`] — a disk-resident B+Tree for the paper's index requirements
-//!   ([`btree::BTree`]),
+//! * [`btree`] — a disk-resident B+Tree over 16-byte integer keys for the
+//!   paper's index requirements ([`btree::BTree`]),
 //! * [`wal`] / [`recovery`] — redo-only write-ahead logging and crash
 //!   recovery (requirement R10),
 //! * [`engine`] — the facade tying it together with a named-root catalog

@@ -1,13 +1,15 @@
 //! Property-based tests: storage structures against reference models.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use storage::btree::{BTree, Key};
-use storage::buffer::BufferPool;
+use storage::buffer::{BufferPool, PoolStats};
 use storage::disk::DiskManager;
 use storage::heap::HeapFile;
-use storage::page::{Page, PageId, PageKind};
+use storage::page::{
+    Page, PageId, PageKind, CHECKSUM_OFFSET, FREE_NEXT_OFFSET, META_FREELIST_OFFSET,
+};
 use storage::slotted;
 
 fn fresh_pool(tag: &str, frames: usize) -> (BufferPool, PathBuf) {
@@ -220,4 +222,298 @@ enum SlotOp {
     Delete(u16),
     Update(u16, Vec<u8>),
     Get(u16),
+}
+
+/// A page's bytes without its checksum, which only I/O sets.
+fn content(page: &Page) -> &[u8] {
+    &page.bytes()[CHECKSUM_OFFSET + 4..]
+}
+
+/// One step of the buffer-pool model test. A `u64` picks its page at run
+/// time, modulo the pages it may name.
+#[derive(Debug, Clone)]
+enum PoolOp {
+    /// Read a page of the file.
+    Page(u64),
+    /// Read a page at or past the file's end: an error.
+    PastEnd(u64),
+    /// Change one word of a page of the file.
+    PageMut(u64, u64),
+    Allocate,
+    /// Free a page that is neither the meta page nor on the free list.
+    Free(u64),
+    MarkCommitted,
+    FlushAll,
+    DropAll,
+}
+
+fn arb_pool_op() -> impl Strategy<Value = PoolOp> {
+    prop_oneof![
+        6 => any::<u64>().prop_map(PoolOp::Page),
+        1 => (0u64..3).prop_map(PoolOp::PastEnd),
+        4 => (any::<u64>(), any::<u64>()).prop_map(|(p, v)| PoolOp::PageMut(p, v)),
+        3 => Just(PoolOp::Allocate),
+        1 => any::<u64>().prop_map(PoolOp::Free),
+        2 => Just(PoolOp::MarkCommitted),
+        1 => Just(PoolOp::FlushAll),
+        1 => Just(PoolOp::DropAll),
+    ]
+}
+
+/// A resident page in [`PoolModel`].
+struct ModelFrame {
+    dirty: bool,
+    unwritten: bool,
+    last_used: u64,
+}
+
+/// The buffer pool's contract over a `HashMap`: the least-recently-used
+/// clean frame is evicted, a dirty one never; an unwritten one is written
+/// when evicted or flushed; the free list lives in the pages, as on disk.
+struct PoolModel {
+    capacity: usize,
+    /// Every page of the file, as the pool should lend it.
+    pages: Vec<Page>,
+    frames: HashMap<u64, ModelFrame>,
+    tick: u64,
+    stats: PoolStats,
+}
+
+impl PoolModel {
+    fn new(capacity: usize) -> PoolModel {
+        let mut meta = Page::new(PageId::META);
+        meta.set_kind(PageKind::Meta);
+        PoolModel {
+            capacity,
+            pages: vec![meta],
+            frames: HashMap::new(),
+            tick: 0,
+            stats: PoolStats::default(),
+        }
+    }
+
+    fn dirty_count(&self) -> usize {
+        self.frames.values().filter(|f| f.dirty).count()
+    }
+
+    fn make_room(&mut self) -> Result<(), ()> {
+        if self.frames.len() < self.capacity {
+            return Ok(());
+        }
+        let (&victim, frame) = self
+            .frames
+            .iter()
+            .filter(|(_, f)| !f.dirty)
+            .min_by_key(|(_, f)| f.last_used)
+            .ok_or(())?;
+        if frame.unwritten {
+            self.stats.writebacks += 1;
+        }
+        self.frames.remove(&victim);
+        self.stats.evictions += 1;
+        Ok(())
+    }
+
+    fn fetch(&mut self, id: u64, write: bool) -> Result<(), ()> {
+        if let Some(frame) = self.frames.get_mut(&id) {
+            self.stats.hits += 1;
+            self.tick += 1;
+            frame.last_used = self.tick;
+            frame.dirty |= write;
+            return Ok(());
+        }
+        self.stats.misses += 1;
+        self.make_room()?;
+        if id >= self.pages.len() as u64 {
+            return Err(());
+        }
+        self.install(id, write);
+        Ok(())
+    }
+
+    fn install(&mut self, id: u64, dirty: bool) {
+        self.tick += 1;
+        let frame = ModelFrame {
+            dirty,
+            unwritten: false,
+            last_used: self.tick,
+        };
+        self.frames.insert(id, frame);
+    }
+
+    fn page_mut(&mut self, id: u64) -> Result<&mut Page, ()> {
+        self.fetch(id, true)?;
+        Ok(&mut self.pages[id as usize])
+    }
+
+    fn head(&mut self) -> Result<u64, ()> {
+        self.fetch(0, false)?;
+        Ok(self.pages[0].read_u64(META_FREELIST_OFFSET))
+    }
+
+    fn allocate(&mut self) -> Result<u64, ()> {
+        let head = self.head()?;
+        if head != 0 {
+            let page = self.page_mut(head)?;
+            let next = page.read_u64(FREE_NEXT_OFFSET);
+            page.clear_payload();
+            self.page_mut(0)?.write_u64(META_FREELIST_OFFSET, next);
+            return Ok(head);
+        }
+        self.make_room()?;
+        let id = self.pages.len() as u64;
+        self.pages.push(Page::new(PageId(id)));
+        self.install(id, true);
+        Ok(id)
+    }
+
+    fn free_page(&mut self, id: u64) -> Result<(), ()> {
+        let head = self.head()?;
+        let page = self.page_mut(id)?;
+        page.clear_payload();
+        page.set_kind(PageKind::Free);
+        page.write_u64(FREE_NEXT_OFFSET, head);
+        self.page_mut(0)?.write_u64(META_FREELIST_OFFSET, id);
+        Ok(())
+    }
+
+    /// The pages on the free list, read from the pages themselves.
+    fn free_list(&self) -> Vec<u64> {
+        let mut list = Vec::new();
+        let mut cur = self.pages[0].read_u64(META_FREELIST_OFFSET);
+        while cur != 0 && list.len() < self.pages.len() {
+            list.push(cur);
+            cur = self.pages[cur as usize].read_u64(FREE_NEXT_OFFSET);
+        }
+        list
+    }
+
+    fn mark_committed(&mut self) {
+        for frame in self.frames.values_mut().filter(|f| f.dirty) {
+            frame.dirty = false;
+            frame.unwritten = true;
+        }
+    }
+
+    fn flush_all(&mut self) -> usize {
+        let unwritten = self.frames.values().filter(|f| f.unwritten).count();
+        self.stats.writebacks += unwritten as u64;
+        let dirty = self.dirty_count();
+        for frame in self.frames.values_mut() {
+            frame.dirty = false;
+            frame.unwritten = false;
+        }
+        unwritten + dirty
+    }
+
+    fn drop_all(&mut self) -> Result<(), ()> {
+        if self.frames.values().any(|f| f.dirty || f.unwritten) {
+            return Err(());
+        }
+        self.frames.clear();
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// An 8-frame pool and [`PoolModel`] agree, after every step, on what
+    /// is resident, on the pool's statistics, on the write set and on the
+    /// bytes of every page read; at the end, on every page of the file.
+    #[test]
+    fn buffer_pool_matches_an_lru_model(ops in proptest::collection::vec(arb_pool_op(), 1..150)) {
+        let (mut pool, path) = fresh_pool("pool-model", 8);
+        let mut model = PoolModel::new(8);
+        for op in ops {
+            let n = model.pages.len() as u64;
+            match op {
+                PoolOp::Page(pick) => {
+                    let id = pick % n;
+                    match pool.page(PageId(id)) {
+                        Ok(page) => {
+                            model.fetch(id, false).unwrap();
+                            prop_assert_eq!(content(page), content(&model.pages[id as usize]));
+                        }
+                        Err(_) => prop_assert!(model.fetch(id, false).is_err()),
+                    }
+                }
+                PoolOp::PastEnd(past) => {
+                    prop_assert!(pool.page(PageId(n + past)).is_err());
+                    prop_assert!(model.fetch(n + past, false).is_err());
+                }
+                PoolOp::PageMut(pick, value) => {
+                    let (id, off) = (pick % n, 64 + 8 * (value % 16) as usize);
+                    match pool.page_mut(PageId(id)) {
+                        Ok(page) => {
+                            page.write_u64(off, value);
+                            model.page_mut(id).unwrap().write_u64(off, value);
+                        }
+                        Err(_) => prop_assert!(model.page_mut(id).is_err()),
+                    }
+                }
+                PoolOp::Allocate => {
+                    let got = pool.allocate().map(|(id, _)| id.0).ok();
+                    prop_assert_eq!(got, model.allocate().ok());
+                }
+                PoolOp::Free(pick) => {
+                    let free = model.free_list();
+                    let live: Vec<u64> = (1..n).filter(|id| !free.contains(id)).collect();
+                    if let Some(&id) = live.get((pick % n.max(1)) as usize % live.len().max(1)) {
+                        let got = pool.free_page(PageId(id)).is_ok();
+                        prop_assert_eq!(got, model.free_page(id).is_ok());
+                    }
+                }
+                PoolOp::MarkCommitted => {
+                    pool.mark_committed();
+                    model.mark_committed();
+                }
+                PoolOp::FlushAll => prop_assert_eq!(pool.flush_all().unwrap(), model.flush_all()),
+                PoolOp::DropAll => prop_assert_eq!(pool.drop_all().is_ok(), model.drop_all().is_ok()),
+            }
+            prop_assert_eq!(pool.resident(), model.frames.len());
+            prop_assert_eq!(pool.stats(), model.stats);
+            prop_assert_eq!(pool.dirty_count(), model.dirty_count());
+            prop_assert_eq!(pool.disk().page_count(), model.pages.len() as u64);
+        }
+        pool.flush_all().unwrap();
+        model.flush_all();
+        for id in 0..model.pages.len() as u64 {
+            let page = pool.page(PageId(id)).unwrap();
+            model.fetch(id, false).unwrap();
+            prop_assert_eq!(content(page), content(&model.pages[id as usize]), "page {}", id);
+        }
+        prop_assert_eq!(pool.stats(), model.stats);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Key order is `(hi, lo)` tuple order, and a key unpacks to its pair.
+    #[test]
+    fn key_order_is_pair_order(
+        a in (prop_oneof![0u64..3, any::<u64>()], prop_oneof![0u64..3, any::<u64>()]),
+        b in (prop_oneof![0u64..3, any::<u64>()], prop_oneof![0u64..3, any::<u64>()]),
+    ) {
+        let (ka, kb) = (Key::from_pair(a.0, a.1), Key::from_pair(b.0, b.1));
+        prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+        prop_assert_eq!((ka.to_pair(), kb.to_pair()), (a, b));
+    }
+}
+
+/// The on-page format of a leaf, byte for byte: entry count, next-leaf
+/// link, then each entry as 16 big-endian key bytes and a little-endian
+/// value.
+#[test]
+fn a_leaf_stores_big_endian_keys_and_little_endian_values() {
+    let (mut pool, path) = fresh_pool("golden-leaf", 16);
+    let mut tree = BTree::create(&mut pool).unwrap();
+    tree.insert(&mut pool, Key::from_pair(1, 2), 3).unwrap();
+    let page = pool.page(tree.root()).unwrap();
+    assert_eq!(page.kind().unwrap(), PageKind::BTreeLeaf);
+    let mut want = vec![1, 0]; // one entry
+    want.extend([0; 8]); // no next leaf
+    want.extend([0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2]);
+    want.extend([3, 0, 0, 0, 0, 0, 0, 0]);
+    want.extend([0; 24]); // no second entry
+    assert_eq!(&page.bytes()[16..16 + want.len()], &want[..]);
+    let _ = std::fs::remove_file(&path);
 }
