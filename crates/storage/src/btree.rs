@@ -15,11 +15,21 @@
 //! # Structure
 //!
 //! Classic B+Tree: interior nodes route, leaves hold entries and are chained
-//! left-to-right for range scans. Deletion rebalances: an underflowing
-//! node (below half fill) first borrows from a sibling and otherwise
-//! merges with one, returning the emptied page to the engine's free list;
-//! an interior root left with zero keys collapses into its single child,
-//! so the tree shrinks back as it empties.
+//! left-to-right for range scans. A full node splits in half, except in one
+//! case: a key past the last entry of the tree's rightmost leaf leaves that
+//! leaf full and starts a new rightmost leaf holding just the new key. Keys
+//! that arrive in ascending order (six of the ten trees a load fills) thus
+//! fill their leaves instead of leaving them half empty. Interior nodes
+//! always split at the median.
+//!
+//! Every node but the root and the rightmost leaf holds at least half of
+//! [`FANOUT`] entries; the rightmost leaf may hold fewer (down to one)
+//! without any delete. Deletion rebalances: an underflowing node (below
+//! half fill, which for the rightmost leaf may mean it was already below)
+//! first borrows from a sibling and otherwise merges with one, returning
+//! the emptied page to the engine's free list; an interior root left with
+//! zero keys collapses into its single child, so the tree shrinks back as
+//! it empties.
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
@@ -131,9 +141,9 @@ fn int_remove_entry(page: &mut Page, idx: usize, count: usize) {
     page.bytes_mut().copy_within(src..src + len, dst);
 }
 
-/// Minimum fill of a non-root node: half of [`FANOUT`]. A node at the
-/// minimum can always merge with a minimum sibling plus one pulled-down
-/// separator without overflowing.
+/// Minimum fill of a node other than the root and the rightmost leaf: half
+/// of [`FANOUT`]. A node below it merges only with a sibling at or below
+/// it, which fits, with one pulled-down separator, without overflowing.
 const MIN_FILL: usize = FANOUT / 2;
 
 /// Binary search a leaf; `Ok(i)` exact hit, `Err(i)` insertion point.
@@ -286,8 +296,15 @@ impl BTree {
                 Ok(InsertResult::Done(None))
             }
             Err(i) => {
-                // Split: left keeps the lower half, right gets the rest.
-                let mid = n / 2;
+                // Split. A key past the end of the rightmost leaf leaves
+                // the leaf full and starts the new right leaf alone, so
+                // keys that arrive in order fill their leaves; any other
+                // split keeps the lower half left and moves the rest.
+                let mid = if i == n && page.read_u64(LEAF_NEXT) == 0 {
+                    n
+                } else {
+                    n / 2
+                };
                 let (right_id, _) = pool.allocate()?;
                 let [page, right] = pool.dirty_mut([node, right_id])?;
                 right.clear_payload();
@@ -303,7 +320,7 @@ impl BTree {
                 page.write_u16(COUNT, mid as u16);
                 page.write_u64(LEAF_NEXT, right_id.0);
                 // Insert the new entry into the proper half.
-                if i <= mid {
+                if i <= mid && mid < n {
                     let cnt = mid;
                     leaf_shift_right(page, i, cnt);
                     leaf_set(page, i, key, value);
@@ -405,8 +422,10 @@ impl BTree {
     /// borrow from or merge with siblings; emptied pages return to the
     /// free list, and a key-less interior root collapses into its child.
     pub fn delete(&mut self, pool: &mut BufferPool, key: Key) -> Result<Option<u64>> {
-        let old = self.delete_rec(pool, self.root, key)?;
-        if old.is_some() {
+        let Some((old, root_count)) = self.delete_rec(pool, self.root, key)? else {
+            return Ok(None);
+        };
+        if root_count == 0 {
             // Collapse the root while it is an interior node with no keys.
             loop {
                 let page = pool.page(self.root)?;
@@ -418,12 +437,22 @@ impl BTree {
                 pool.free_page(old_root)?;
             }
         }
-        Ok(old)
+        Ok(Some(old))
     }
 
-    fn delete_rec(&mut self, pool: &mut BufferPool, node: PageId, key: Key) -> Result<Option<u64>> {
+    /// Remove `key` from the subtree at `node`, fetching each level once.
+    /// Returns the removed value and `node`'s count (entries of a leaf,
+    /// keys of an interior node) afterwards, so the caller tests for
+    /// underflow without fetching `node` again.
+    fn delete_rec(
+        &mut self,
+        pool: &mut BufferPool,
+        node: PageId,
+        key: Key,
+    ) -> Result<Option<(u64, usize)>> {
         let slot = pool.fetch(node)?;
         let page = pool.at(slot, node);
+        let n = page.read_u16(COUNT) as usize;
         match page.kind()? {
             PageKind::BTreeLeaf => {
                 let Ok(i) = leaf_search(page, key) else {
@@ -431,19 +460,22 @@ impl BTree {
                 };
                 let page = pool.at_mut(slot, node);
                 let old = leaf_value(page, i);
-                let n = page.read_u16(COUNT) as usize;
                 leaf_shift_left(page, i, n);
                 page.write_u16(COUNT, (n - 1) as u16);
-                Ok(Some(old))
+                Ok(Some((old, n - 1)))
             }
             PageKind::BTreeInternal => {
                 let idx = int_route(page, key);
                 let child = PageId(int_child(page, idx));
-                let old = self.delete_rec(pool, child, key)?;
-                if old.is_some() && (pool.page(child)?.read_u16(COUNT) as usize) < MIN_FILL {
-                    self.fix_underflow(pool, node, idx)?;
-                }
-                Ok(old)
+                let Some((old, child_count)) = self.delete_rec(pool, child, key)? else {
+                    return Ok(None);
+                };
+                let n = if child_count < MIN_FILL {
+                    self.fix_underflow(pool, node, idx)?
+                } else {
+                    n
+                };
+                Ok(Some((old, n)))
             }
             other => Err(StorageError::Corruption {
                 page: Some(node.0),
@@ -453,8 +485,14 @@ impl BTree {
     }
 
     /// Restore the fill invariant of `parent`'s child at `idx` by
-    /// borrowing from a sibling or merging with one.
-    fn fix_underflow(&mut self, pool: &mut BufferPool, parent: PageId, idx: usize) -> Result<()> {
+    /// borrowing from a sibling or merging with one. Returns `parent`'s
+    /// key count afterwards.
+    fn fix_underflow(
+        &mut self,
+        pool: &mut BufferPool,
+        parent: PageId,
+        idx: usize,
+    ) -> Result<usize> {
         let page = pool.page(parent)?;
         let n = page.read_u16(COUNT) as usize;
         let cur_id = PageId(int_child(page, idx));
@@ -465,25 +503,28 @@ impl BTree {
         };
         if let Some(left) = left_id {
             if count_of(pool, left)? > MIN_FILL {
-                return self.borrow_from_left(pool, parent, idx, left, cur_id);
+                self.borrow_from_left(pool, parent, idx, left, cur_id)?;
+                return Ok(n);
             }
         }
         if let Some(right) = right_id {
             if count_of(pool, right)? > MIN_FILL {
-                return self.borrow_from_right(pool, parent, idx, cur_id, right);
+                self.borrow_from_right(pool, parent, idx, cur_id, right)?;
+                return Ok(n);
             }
         }
         // No sibling can lend: merge. Prefer absorbing `cur` into its left
         // sibling; otherwise absorb the right sibling into `cur`.
         if let Some(left) = left_id {
-            self.merge_children(pool, parent, idx - 1, left, cur_id)
+            self.merge_children(pool, parent, idx - 1, left, cur_id)?;
         } else if let Some(right) = right_id {
-            self.merge_children(pool, parent, idx, cur_id, right)
+            self.merge_children(pool, parent, idx, cur_id, right)?;
         } else {
             // Single-child parent only occurs transiently at the root,
             // which `delete` collapses; nothing to do here.
-            Ok(())
+            return Ok(n);
         }
+        Ok(n - 1)
     }
 
     fn borrow_from_left(
@@ -706,9 +747,15 @@ mod tests {
         let mut t = BTree::create(&mut pool).unwrap();
         let mut next = 1u64;
         for h in 1..=3 {
+            // Keys go in pairs, the higher first, so appends split the
+            // rightmost leaf and the lower key then splits its full left
+            // neighbour in half: leaves stay half full, and the first one
+            // has room for the insert below.
             while t.height(&mut pool).unwrap() < h || next < 100 {
-                t.insert(&mut pool, Key::from_pair(next, 0), next).unwrap();
-                next += 1;
+                for k in [next + 1, next] {
+                    t.insert(&mut pool, Key::from_pair(k, 0), k).unwrap();
+                }
+                next += 2;
             }
             pool.flush_all().unwrap();
             let leaves = (1..pool.disk().page_count())
@@ -743,7 +790,60 @@ mod tests {
                 assert_eq!((t.root(), pool.dirty_count()), (root, 1));
                 pool.flush_all().unwrap();
             }
-            t.delete(&mut pool, one).unwrap();
+            // A delete that leaves the leaf at or above half fill.
+            let delete = |p: &mut BufferPool| assert_eq!(t.delete(p, one).unwrap(), Some(8));
+            assert_eq!(hits(&mut pool, delete), h);
+            assert_eq!((t.root(), pool.dirty_count()), (root, 1));
+            pool.flush_all().unwrap();
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Entries per leaf, left to right along the leaf chain.
+    fn leaf_fills(t: &BTree, pool: &mut BufferPool) -> Vec<usize> {
+        let mut node = t.root();
+        while pool.page(node).unwrap().kind().unwrap() == PageKind::BTreeInternal {
+            node = PageId(int_child(pool.page(node).unwrap(), 0));
+        }
+        let mut fills = Vec::new();
+        loop {
+            let page = pool.page(node).unwrap();
+            fills.push(page.read_u16(COUNT) as usize);
+            match page.read_u64(LEAF_NEXT) {
+                0 => return fills,
+                next => node = PageId(next),
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_keys_fill_their_leaves() {
+        let (mut pool, path) = setup("fill", 256);
+        let n = 5 * FANOUT + 7;
+        let ascending: Vec<usize> = (0..n).collect();
+        let descending: Vec<usize> = (0..n).rev().collect();
+        let shuffled: Vec<usize> = (0..n).map(|i| i * 7919 % n).collect();
+        for (order, keys) in [
+            ("ascending", ascending),
+            ("descending", descending),
+            ("shuffled", shuffled),
+        ] {
+            let mut t = BTree::create(&mut pool).unwrap();
+            for &k in &keys {
+                t.insert(&mut pool, Key::from_pair(k as u64, 0), k as u64)
+                    .unwrap();
+            }
+            assert_eq!(t.len(&mut pool).unwrap(), n, "{order}");
+            let fills = leaf_fills(&t, &mut pool);
+            assert_eq!(fills.iter().sum::<usize>(), n, "{order}");
+            let (last, rest) = fills.split_last().unwrap();
+            assert!(*last >= 1, "{order}: {fills:?}");
+            if order == "ascending" {
+                assert_eq!(fills.len(), n.div_ceil(FANOUT), "{order}: {fills:?}");
+                assert!(rest.iter().all(|&f| f == FANOUT), "{order}: {fills:?}");
+            } else {
+                assert!(rest.iter().all(|&f| f >= MIN_FILL), "{order}: {fills:?}");
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

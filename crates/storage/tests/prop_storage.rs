@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use storage::btree::{BTree, Key};
+use storage::btree::{BTree, Key, FANOUT};
 use storage::buffer::{BufferPool, PoolStats};
 use storage::disk::DiskManager;
 use storage::heap::HeapFile;
@@ -47,6 +47,27 @@ fn arb_tree_op() -> impl Strategy<Value = TreeOp> {
     ]
 }
 
+/// Operations for the append-heavy B+Tree case: `Append(n)` inserts the
+/// `n` keys just past the current maximum, `DeleteTop(r)` removes the key
+/// of rank `r` from the top.
+#[derive(Debug, Clone)]
+enum AppendOp {
+    Append(u64),
+    Insert(u64, u64),
+    Delete(u64),
+    DeleteTop(usize),
+}
+
+fn arb_append_op() -> impl Strategy<Value = AppendOp> {
+    let fanout = FANOUT as u64;
+    prop_oneof![
+        2 => (1..2 * fanout).prop_map(AppendOp::Append),
+        2 => (0u64..4000, any::<u64>()).prop_map(|(k, v)| AppendOp::Insert(k, v)),
+        2 => (0u64..4000).prop_map(AppendOp::Delete),
+        3 => (0usize..4).prop_map(AppendOp::DeleteTop),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -84,6 +105,54 @@ proptest! {
             }
         }
         prop_assert_eq!(tree.len(&mut pool).unwrap(), model.len());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Ascending runs past the current maximum leave a rightmost leaf of
+    /// as few as one entry; random inserts and deletes (some aimed at the
+    /// largest keys) then make borrow and merge meet it. On an 8-frame
+    /// pool the tree matches a `BTreeMap` after every step.
+    #[test]
+    fn btree_appends_mixed_with_random_edits_match_model(
+        ops in proptest::collection::vec(arb_append_op(), 1..300)
+    ) {
+        let (mut pool, path) = fresh_pool("append", 8);
+        let mut tree = BTree::create(&mut pool).unwrap();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for op in ops {
+            match op {
+                AppendOp::Append(len) => {
+                    let first = model.last_key_value().map_or(0, |(&k, _)| k + 1);
+                    for k in first..first + len {
+                        prop_assert_eq!(tree.insert(&mut pool, Key::from_pair(k, 0), !k).unwrap(), None);
+                        model.insert(k, !k);
+                    }
+                }
+                AppendOp::Insert(k, v) => {
+                    let old = tree.insert(&mut pool, Key::from_pair(k, 0), v).unwrap();
+                    prop_assert_eq!(old, model.insert(k, v));
+                }
+                AppendOp::Delete(k) => {
+                    let old = tree.delete(&mut pool, Key::from_pair(k, 0)).unwrap();
+                    prop_assert_eq!(old, model.remove(&k));
+                }
+                AppendOp::DeleteTop(rank) => {
+                    if let Some(&k) = model.keys().rev().nth(rank) {
+                        let old = tree.delete(&mut pool, Key::from_pair(k, 0)).unwrap();
+                        prop_assert_eq!(old, model.remove(&k));
+                    }
+                }
+            }
+            pool.flush_all().unwrap();
+            let got: Vec<(u64, u64)> = tree
+                .range_vec(&mut pool, Key::MIN, Key::MAX)
+                .unwrap()
+                .iter()
+                .map(|&(k, v)| (k.to_pair().0, v))
+                .collect();
+            let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            prop_assert_eq!(got, want);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
