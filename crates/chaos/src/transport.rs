@@ -44,7 +44,9 @@ impl FaultCounters {
 /// Faults are injected on the **send** side only; wrap both endpoints to
 /// lose traffic in both directions. After an injected disconnect the
 /// transport stays dead: sends fail with [`HmError::Timeout`] (transient,
-/// so retry policies reconnect) and receives report a closed peer.
+/// so a retry policy resends on this same transport until its budget
+/// runs out) and receives report a closed peer. Frames that are not
+/// dropped arrive in the order they were sent.
 pub struct FaultyTransport<T: Transport> {
     inner: T,
     rng: Rng,

@@ -7,8 +7,8 @@
 //! level conceptual operations", one round trip where a client with only
 //! the primitives pays one per relationship access. [`Request`], its
 //! codec, [`Request::class`] and [`Request::about_mut`] are generated
-//! from the catalogue; the session messages (`Shutdown`, `Stats`,
-//! `Tagged`) are written here and answered by the server alone. Fields
+//! from the catalogue; the session messages (`Shutdown`, `Stats`) are
+//! written here and answered by the server alone. Fields
 //! are encoded by their [`Wire`] impl and results become responses by
 //! their [`Reply`] impl, so a new operation adds no codec.
 
@@ -27,7 +27,6 @@ use crate::model::{NodeKind, NodeValue, Oid, RefEdge};
 use crate::store::{BatchWrite, Reached, Rel};
 
 const TAG_SHUTDOWN: u8 = 37;
-const TAG_TAGGED: u8 = 47;
 const TAG_STATS: u8 = 48;
 
 /// A catalogue row's class (its first column): how a layer holding
@@ -70,16 +69,14 @@ macro_rules! define_requests {
             /// latency histograms) as a JSON document. Answered by the
             /// serving loop itself, not the store.
             Stats,
-            /// A request tagged with a client-chosen id. The server
-            /// remembers recently-seen ids and replays the stored response
-            /// instead of re-executing, so a retried mutation applies at
-            /// most once even when the first response was lost in flight.
-            /// Must not nest.
-            Tagged(u64, Box<Request>),
         }
 
         impl Request {
-            fn encode_body(&self, w: &mut Writer) {
+            /// Encode by appending to a caller-owned buffer, so the hot
+            /// path (`RemoteStore`, the serving loops) reuses one scratch
+            /// `Vec` across requests instead of allocating per call.
+            pub fn encode_into(&self, out: &mut Vec<u8>) {
+                let w = &mut Writer::over(out);
                 match self {
                     $(Request::$variant $(( $($arg),+ ))? => {
                         w.u8($tag);
@@ -87,11 +84,6 @@ macro_rules! define_requests {
                     })*
                     Request::Shutdown => w.u8(TAG_SHUTDOWN),
                     Request::Stats => w.u8(TAG_STATS),
-                    Request::Tagged(id, inner) => {
-                        w.u8(TAG_TAGGED);
-                        w.u64(*id);
-                        w.nested(|w| inner.encode_body(w));
-                    }
                 }
             }
 
@@ -104,16 +96,6 @@ macro_rules! define_requests {
                     $($tag => Request::$variant $(( $(<owned!($($ty)+) as Wire>::get(&mut r)?),+ ))?,)*
                     TAG_SHUTDOWN => Request::Shutdown,
                     TAG_STATS => Request::Stats,
-                    TAG_TAGGED => {
-                        let id = r.u64()?;
-                        // Borrow the envelope payload straight out of the
-                        // frame; the inner decode makes its own owned fields.
-                        let inner = Request::decode(r.bytes_ref()?)?;
-                        if matches!(inner, Request::Tagged(..)) {
-                            return Err(HmError::Backend("nested tagged request".into()));
-                        }
-                        Request::Tagged(id, Box::new(inner))
-                    }
                     tag => return Err(HmError::Backend(format!("unknown request tag {tag}"))),
                 };
                 if !r.is_exhausted() {
@@ -128,7 +110,6 @@ macro_rules! define_requests {
             pub fn class(&self) -> Class {
                 match self {
                     $(Request::$variant { .. } => Class::$class,)*
-                    Request::Tagged(_, inner) => inner.class(),
                     Request::Shutdown | Request::Stats => Class::Read,
                 }
             }
@@ -141,7 +122,6 @@ macro_rules! define_requests {
             pub fn about_mut(&mut self) -> Option<&mut Oid> {
                 match self {
                     $(Request::$variant $(( $($arg),+ ))? => { $(return Some($subject);)? })*
-                    Request::Tagged(_, inner) => return inner.about_mut(),
                     Request::Shutdown | Request::Stats => {}
                 }
                 None
@@ -154,16 +134,9 @@ crate::store_ops!(define_requests);
 impl Request {
     /// True when a blind re-execution of this request could change
     /// state twice: the catalogue's `write` and `barrier` classes. A
-    /// retrying client tags exactly these.
+    /// server keeps the reply of exactly these for a retry to replay.
     pub fn mutates(&self) -> bool {
         self.class() != Class::Read
-    }
-
-    /// Encode by appending to a caller-owned buffer, so the hot path
-    /// (`RemoteStore`, the serving loops) reuses one scratch `Vec`
-    /// across requests instead of allocating per call.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.encode_body(&mut Writer::over(out));
     }
 }
 
@@ -344,7 +317,7 @@ mod tests {
     fn writes_and_barriers_mutate_reads_and_session_messages_do_not() {
         assert!(Request::SetHundred(Oid(1), 2).mutates());
         assert!(Request::Commit.mutates());
-        assert!(Request::Tagged(1, Box::new(Request::ColdRestart)).mutates());
+        assert!(Request::ColdRestart.mutates());
         assert!(!Request::Closure1N(Oid(1)).mutates());
         assert!(!Request::SyncSubtree.mutates());
         assert!(!Request::Stats.mutates());
@@ -353,12 +326,5 @@ mod tests {
         *req.about_mut().unwrap() = Oid(9);
         assert_eq!(req, Request::SetText(Oid(9), "x".into()));
         assert_eq!(Request::AddChild(Oid(1), Oid(2)).about_mut(), None);
-    }
-
-    #[test]
-    fn nested_tagged_is_rejected() {
-        let inner = Request::Tagged(1, Box::new(Request::Commit));
-        let outer = Request::Tagged(2, Box::new(inner));
-        assert!(Request::decode(&req_bytes(&outer)).is_err());
     }
 }

@@ -34,8 +34,8 @@ use crate::store::{BatchWrite, HyperStore, Reached, Rel, ShardLoad};
 pub trait Service {
     /// Run one catalogue operation; a failure is the structured
     /// [`HmError`]. A session message ([`Request::Shutdown`],
-    /// [`Request::Stats`], [`Request::Tagged`]) is refused unless the
-    /// service talks to a server.
+    /// [`Request::Stats`]) is refused unless the service talks to a
+    /// server.
     fn call(&mut self, req: Request) -> Result<Response>;
 
     /// [`HyperStore::backend_name`].

@@ -740,10 +740,12 @@ pub fn form_node_edit<S: HyperStore + ?Sized>(
 /// * `Class` — the [`Class`](crate::protocol::Class) variant: how a
 ///   layer holding several copies treats the operation.
 /// * `tag`, `Variant` — the operation's byte on the wire and its
-///   [`Request`] variant. Tags are never reused; 37, 47 and 48 are the
+///   [`Request`] variant. Tags are never reused; 37 and 48 are the
 ///   session messages', 43 is retired (now [`BatchWrite::SetHundred`]),
-///   and 38–40 and 42 are retired (the per-level `children`, `parts`,
-///   `refsTo` and `million` batches, now [`Expand`](Request::Expand)).
+///   38–40 and 42 are retired (the per-level `children`, `parts`,
+///   `refsTo` and `million` batches, now [`Expand`](Request::Expand)),
+///   and 47 is retired (a retry-id envelope, now the sequence number
+///   every frame starts with).
 /// * the method's signature as in the trait, each argument type in
 ///   brackets so a consumer can tell a borrowed argument (the request
 ///   carries its owned form) from a by-value one. A method without

@@ -15,16 +15,18 @@ use hypermodel::protocol::unexpected;
 use hypermodel::service::Service;
 
 use crate::protocol::{Request, Response};
+use crate::server::{put_seq, split_seq};
 use crate::transport::Transport;
 
 /// How a [`RemoteStore`] survives a lossy or slow transport.
 ///
 /// Each request waits at most `request_timeout` for its response; a
 /// timeout (or lost connection) is retried up to `max_retries` times
-/// with bounded exponential backoff. Mutating requests are wrapped in
-/// [`Request::Tagged`] with a fresh id so the server applies a retried
+/// with bounded exponential backoff, on the same transport. A retry
+/// resends the call's sequence number, so the server applies a retried
 /// mutation **at most once** — the dangerous case is a mutation whose
-/// *response* was lost after the server already executed it.
+/// *response* was lost after the server already executed it — and a
+/// late answer to an earlier attempt still answers this call.
 ///
 /// Server-reported errors (a [`Response::Err`] that made it back) are
 /// permanent and never retried.
@@ -66,7 +68,10 @@ pub struct RemoteStore {
     transport: Box<dyn Transport>,
     round_trips: u64,
     policy: Option<RetryPolicy>,
-    next_request_id: u64,
+    /// The number of the call in flight (or of the last one): calls
+    /// are numbered from 1, and a reply carrying another number is
+    /// dropped.
+    seq: u64,
     retries: u64,
     gave_up: u64,
     /// Request-encode scratch, reused across calls so the steady-state
@@ -83,7 +88,7 @@ impl RemoteStore {
             transport,
             round_trips: 0,
             policy: None,
-            next_request_id: 1,
+            seq: 0,
             retries: 0,
             gave_up: 0,
             scratch: Vec::new(),
@@ -132,25 +137,34 @@ impl RemoteStore {
         }
     }
 
-    /// Send the request held in `self.scratch`, receive one frame
-    /// (waiting at most `timeout`, if given) and decode it — the one
-    /// place a request crosses the wire. Any `Err` is a transport-level
-    /// failure (send error, deadline expiry, lost connection, garbled
-    /// frame) and thus a candidate for retry; what the server answered,
-    /// including [`Response::Err`], is `Ok`.
+    /// Send the request held in `self.scratch`, then receive frames
+    /// (for at most `timeout` in all, if given) until one carries this
+    /// call's number, and decode it — the one place a request crosses
+    /// the wire. A reply with another number (a duplicate, or the late
+    /// answer to an earlier call) is dropped. Any `Err` is a
+    /// transport-level failure (send error, deadline expiry, lost
+    /// connection, garbled frame) and thus a candidate for retry; what
+    /// the server answered, including [`Response::Err`], is `Ok`.
     fn round_trip(&mut self, timeout: Option<std::time::Duration>) -> Result<Response> {
         self.transport.send(&self.scratch)?;
         self.round_trips += 1;
         obs::incr("client.round_trips", 1);
-        if !self.transport.recv_into(&mut self.rframe, timeout)? {
-            // Under a retry policy a close is transient: the policy
-            // resends on the same transport until its budget runs out.
-            return Err(match timeout {
-                Some(_) => HmError::Timeout("connection closed mid-request".into()),
-                None => HmError::Backend("server disconnected".into()),
-            });
+        let deadline = timeout.map(|t| std::time::Instant::now() + t);
+        loop {
+            let wait = deadline.map(|d| d.saturating_duration_since(std::time::Instant::now()));
+            if !self.transport.recv_into(&mut self.rframe, wait)? {
+                // Under a retry policy a close is transient: the policy
+                // resends on the same transport until its budget runs out.
+                return Err(match timeout {
+                    Some(_) => HmError::Timeout("connection closed mid-request".into()),
+                    None => HmError::Backend("server disconnected".into()),
+                });
+            }
+            let (seq, body) = split_seq(&self.rframe)?;
+            if seq == self.seq {
+                return Response::decode(body);
+            }
         }
-        Response::decode(&self.rframe)
     }
 }
 
@@ -166,18 +180,10 @@ impl Service for RemoteStore {
         };
         let _span = obs::trace::span("client.call");
         let policy = self.policy.clone();
-        // Under a retry policy, tag mutations so the server can
-        // deduplicate a retry whose original was executed but whose
-        // response was lost. Reads are naturally idempotent.
-        let req = match policy {
-            Some(_) if req.mutates() => {
-                let id = self.next_request_id;
-                self.next_request_id += 1;
-                Request::Tagged(id, Box::new(req))
-            }
-            _ => req,
-        };
+        // Encoded once: every attempt resends the same number.
+        self.seq += 1;
         self.scratch.clear();
+        put_seq(&mut self.scratch, self.seq);
         req.encode_into(&mut self.scratch);
         let mut retry = 0u32;
         let resp = loop {
@@ -284,7 +290,7 @@ mod tests {
             backoff_max: Duration::from_millis(5),
         });
 
-        // A mix of reads and (tagged) mutations, each of which must come
+        // A mix of reads and mutations, each of which must come
         // back correct despite every third frame vanishing.
         let before = remote.hundred_of(target).unwrap();
         remote.set_hundred(target, before + 7).unwrap();
@@ -297,6 +303,107 @@ mod tests {
         assert_eq!(remote.gave_up(), 0);
         remote.shutdown().unwrap();
         handle.join().unwrap();
+    }
+
+    /// A server-side transport that sends every reply twice.
+    struct EveryReplyTwice(ChannelTransport);
+
+    impl Transport for EveryReplyTwice {
+        fn send(&mut self, frame: &[u8]) -> Result<()> {
+            self.0.send(frame)?;
+            // The copy of the shutdown reply may find the client gone.
+            let _ = self.0.send(frame);
+            Ok(())
+        }
+        fn recv_into(&mut self, out: &mut Vec<u8>, timeout: Option<Duration>) -> Result<bool> {
+            self.0.recv_into(out, timeout)
+        }
+    }
+
+    /// A server-side transport that holds its first reply for `delay`.
+    struct LateFirstReply {
+        inner: ChannelTransport,
+        delay: Option<Duration>,
+    }
+
+    impl Transport for LateFirstReply {
+        fn send(&mut self, frame: &[u8]) -> Result<()> {
+            if let Some(delay) = self.delay.take() {
+                std::thread::sleep(delay);
+            }
+            self.inner.send(frame)
+        }
+        fn recv_into(&mut self, out: &mut Vec<u8>, timeout: Option<Duration>) -> Result<bool> {
+            self.inner.recv_into(out, timeout)
+        }
+    }
+
+    /// Serve a loaded tiny database over a channel whose server end
+    /// `wrap` wraps; returns the client end, the server thread and an
+    /// oid to edit.
+    fn serve_tiny<T: Transport + 'static>(
+        wrap: impl FnOnce(ChannelTransport) -> T,
+    ) -> (
+        ChannelTransport,
+        std::thread::JoinHandle<crate::server::MultiStats>,
+        hypermodel::model::Oid,
+    ) {
+        let db = TestDatabase::generate(&GenConfig::tiny());
+        let mut store = MemStore::new();
+        let target = load_database(&mut store, &db).unwrap().oids[3];
+        let (client_end, server_end) = ChannelTransport::pair(Duration::ZERO);
+        let mut server_end = wrap(server_end);
+        let handle = std::thread::spawn(move || serve(store, &mut server_end).unwrap());
+        (client_end, handle, target)
+    }
+
+    /// Four calls whose answers differ in kind, so a reply taken by the
+    /// wrong call fails it: a mutation, then three reads.
+    fn edit_then_read(remote: &mut RemoteStore, target: hypermodel::model::Oid) {
+        remote.set_hundred(target, 1000).unwrap();
+        assert_eq!(remote.hundred_of(target).unwrap(), 1000);
+        let root = remote.lookup_unique(1).unwrap();
+        assert_eq!(remote.closure_1n(root).unwrap().len(), 31);
+    }
+
+    #[test]
+    fn each_call_takes_its_own_reply_when_every_reply_comes_twice() {
+        let (client_end, handle, target) = serve_tiny(EveryReplyTwice);
+        let mut remote = RemoteStore::new(Box::new(client_end));
+        edit_then_read(&mut remote, target);
+        edit_then_read(&mut remote, target);
+        remote.shutdown().unwrap();
+        let stats = handle.join().unwrap();
+        assert_eq!(
+            (stats.requests, stats.replayed),
+            (8, 0),
+            "each call ran once"
+        );
+    }
+
+    #[test]
+    fn a_reply_after_the_timeout_answers_its_own_call_and_the_mutation_runs_once() {
+        let timeout = Duration::from_millis(50);
+        // The first reply is the mutation's, held past its deadline: the
+        // client resends, and the late original answers the call.
+        let (client_end, handle, target) = serve_tiny(|inner| LateFirstReply {
+            inner,
+            delay: Some(timeout * 3),
+        });
+        let mut remote = RemoteStore::new(Box::new(client_end)).with_retry(RetryPolicy {
+            request_timeout: timeout,
+            max_retries: 20,
+            backoff_base: Duration::from_millis(1),
+            backoff_max: Duration::from_millis(1),
+        });
+        edit_then_read(&mut remote, target);
+        let retries = remote.retries();
+        assert!(retries > 0, "the late reply forced a retry");
+        assert_eq!(remote.gave_up(), 0);
+        remote.shutdown().unwrap();
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.requests, 4, "the mutation ran once");
+        assert_eq!(stats.replayed, retries, "each resend was replayed");
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   implementations: in-process channels (with simulated one-way
 //!   latency, for controlled experiments) and real TCP, which frames
 //!   through `exec::frame` exactly as the event-loop server does;
-//! * [`server`] — the one frame handler every server runs (decode, the
-//!   session messages, dedup replay, the store's `call` under panic
+//! * [`server`] — the sequence number every frame starts with, and the
+//!   one frame handler every server runs (decode, the session messages,
+//!   a retried mutation's replay, the store's `call` under panic
 //!   isolation, encode), and [`serve`], a pump that drives it over any
 //!   one transport — the server for simulated latency and server-side
 //!   fault injection;
@@ -84,5 +85,5 @@ pub use hypermodel::protocol;
 
 pub use client::RemoteStore;
 pub use multi::{serve_multi, serve_multi_on, MultiServer};
-pub use server::{serve, MultiStats};
+pub use server::{put_seq, serve, split_seq, MultiStats};
 pub use transport::{ChannelTransport, TcpTransport, Transport};

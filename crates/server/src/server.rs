@@ -3,18 +3,22 @@
 //! drivers — [`crate::serve_multi`]'s event loop over TCP, and the
 //! transport pump [`serve`] over any one [`Transport`].
 //!
-//! Each hosted store sits in an [`Isolated`] beside its dedup cache, and
-//! one request runs at a time, so the at-most-once decision for a tagged
-//! request is taken in the store's execution order and is shared by
-//! every connection to it — a retry arriving on a second connection is
-//! replayed, not run twice, and retries survive reconnects. A request
-//! that panics poisons its store only: it and every later request to
-//! that store are answered with `ShardUnavailable`.
+//! Every frame in either direction starts with the request's sequence
+//! number ([`put_seq`], [`split_seq`]): the client numbers its calls,
+//! resends a number only to retry it, and drops a reply that carries
+//! another; the handler echoes the number on its reply. Per connection
+//! the handler keeps the number and reply of the last mutation it ran,
+//! and answers that number's next arrival with the same bytes, so a
+//! retried mutation runs at most once. That needs the transport to
+//! deliver in order on each connection, which TCP, the channel and
+//! `chaos::FaultyTransport` all do: a retry never overtakes a later
+//! call. A request that panics poisons its store only: it and every
+//! later request to that store are answered with `ShardUnavailable`.
 
 use std::collections::HashMap;
 
 use exec::{ConnId, ExecError, FrameHandler, FrameOutcome, Isolated, LoopStats};
-use hypermodel::error::Result;
+use hypermodel::error::{HmError, Result};
 use hypermodel::store::HyperStore;
 
 use crate::protocol::{Request, Response};
@@ -24,12 +28,13 @@ use crate::transport::Transport;
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MultiStats {
     /// Requests executed across all shards (excluding shutdowns and
-    /// dedup replays).
+    /// replays).
     pub requests: u64,
     /// Error responses sent (malformed frames, store errors and
     /// requests refused by a poisoned shard).
     pub errors: u64,
-    /// Tagged requests answered from a dedup cache without re-executing.
+    /// Retried mutations answered with their connection's last reply
+    /// instead of running again.
     pub replayed: u64,
     /// The event loop's connection/frame counters (zero from [`serve`],
     /// which runs no event loop).
@@ -41,96 +46,89 @@ pub struct MultiStats {
 /// to diagnose with; a firehose of garbage gets disconnected.
 const MAX_GARBAGE_STREAK: u32 = 8;
 
-/// Tagged responses remembered per store. Retries arrive promptly
-/// (bounded backoff), so a small window suffices.
-const DEDUP_WINDOW: usize = 64;
+/// Bytes of the sequence number that starts every frame.
+const SEQ_LEN: usize = 8;
 
-/// Remembers the responses of recently-executed [`Request::Tagged`]
-/// requests so a retried mutation applies **at most once**: when the
-/// client resends an id it already sent (because the response was lost
-/// in flight), the server replays the stored response instead of
-/// executing the request again. Bounded FIFO — old entries are evicted.
-#[derive(Debug, Default)]
-struct DedupCache {
-    entries: std::collections::VecDeque<(u64, Vec<u8>)>,
+/// Append `seq`, the sequence number a frame starts with, to `out`.
+pub fn put_seq(out: &mut Vec<u8>, seq: u64) {
+    out.extend_from_slice(&seq.to_le_bytes());
 }
 
-impl DedupCache {
-    fn lookup(&self, id: u64) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == id)
-            .map(|(_, v)| v.as_slice())
-    }
-
-    fn remember(&mut self, id: u64, resp: Vec<u8>) {
-        if self.entries.len() == DEDUP_WINDOW {
-            self.entries.pop_front();
-        }
-        self.entries.push_back((id, resp));
+/// Split a frame into its sequence number and the message behind it.
+pub fn split_seq(frame: &[u8]) -> Result<(u64, &[u8])> {
+    match frame.split_first_chunk::<SEQ_LEN>() {
+        Some((seq, body)) => Ok((u64::from_le_bytes(*seq), body)),
+        None => Err(HmError::Backend(format!(
+            "frame of {} bytes holds no sequence number",
+            frame.len()
+        ))),
     }
 }
 
-/// One hosted shard: its store, poisoned by a request that panics inside
-/// it, and the at-most-once memory of what ran against it.
-struct Shard<S> {
-    store: Isolated<S>,
-    cache: DedupCache,
+/// What the handler keeps per connection.
+#[derive(Default)]
+struct Session {
+    /// Malformed frames in a row.
+    garbage: u32,
+    /// The number and reply frame of the last mutation run here.
+    last_mutation: Option<(u64, Vec<u8>)>,
 }
 
-/// Runs frames from listener `i` against shard `i`.
+/// Runs frames from listener `i` against store `i`.
 pub(crate) struct Handler<S> {
-    shards: Vec<Shard<S>>,
+    stores: Vec<Isolated<S>>,
     pub(crate) stats: MultiStats,
-    /// Malformed-frame streak per connection.
-    garbage: HashMap<ConnId, u32>,
+    sessions: HashMap<ConnId, Session>,
 }
 
 impl<S> Handler<S> {
     pub(crate) fn new(stores: Vec<S>) -> Handler<S> {
         Handler {
-            shards: stores
-                .into_iter()
-                .map(|store| Shard {
-                    store: Isolated::new(store),
-                    cache: DedupCache::default(),
-                })
-                .collect(),
+            stores: stores.into_iter().map(Isolated::new).collect(),
             stats: MultiStats::default(),
-            garbage: HashMap::new(),
+            sessions: HashMap::new(),
         }
     }
 }
 
 impl<S: HyperStore> FrameHandler for Handler<S> {
-    /// Decode the frame; keep the connection's malformed-frame streak (a
-    /// bad frame is answered with an error until [`MAX_GARBAGE_STREAK`]
-    /// in a row, then the connection goes); answer a top-level
-    /// `Shutdown` and close; otherwise, inside the shard's isolation,
-    /// replay a remembered tagged request or run it with the store's
-    /// [`HyperStore::call`], encode the answer and remember it if
-    /// tagged.
+    /// Split off the number and echo it; decode, keeping the
+    /// connection's malformed-frame streak (a bad frame is answered with
+    /// an error until [`MAX_GARBAGE_STREAK`] in a row, then the
+    /// connection goes); answer `Shutdown` and close; replay the
+    /// connection's last mutation if this is its number; otherwise run
+    /// the request inside the store's isolation with
+    /// [`HyperStore::call`] (`Stats` is answered here), encode the
+    /// answer and, for a mutation, remember it.
     fn on_frame(&mut self, conn: ConnId, frame: &[u8], out: &mut Vec<u8>) -> FrameOutcome {
-        let streak = self.garbage.entry(conn).or_insert(0);
-        let req = match Request::decode(frame) {
+        let session = self.sessions.entry(conn).or_default();
+        // A frame too short to hold a number is answered under 0, which
+        // no client uses.
+        let (seq, decoded) = match split_seq(frame) {
+            Ok((seq, body)) => (seq, Request::decode(body)),
+            Err(e) => (0, Err(e)),
+        };
+        put_seq(out, seq);
+        let req = match decoded {
             // Closes this client's connection; the server keeps running.
             Ok(Request::Shutdown) => {
                 Response::Unit.encode_into(out);
                 return FrameOutcome::ReplyClose;
             }
             Ok(req) => {
-                *streak = 0;
+                session.garbage = 0;
                 req
             }
             Err(e) => {
                 self.stats.errors += 1;
-                *streak += 1;
-                if *streak >= MAX_GARBAGE_STREAK {
+                session.garbage += 1;
+                if session.garbage >= MAX_GARBAGE_STREAK {
                     // One bad client must not kill the server, but it
                     // need not be humoured forever either.
                     eprintln!(
-                        "server: dropping connection after {streak} \
-                         consecutive malformed frames (last: {e})"
+                        "server: dropping connection after {} \
+                         consecutive malformed frames (last: {e})",
+                        session.garbage
                     );
                     return FrameOutcome::Close;
                 }
@@ -138,61 +136,50 @@ impl<S: HyperStore> FrameHandler for Handler<S> {
                 return FrameOutcome::Reply;
             }
         };
+        if let Some((_, reply)) = session.last_mutation.as_ref().filter(|(n, _)| *n == seq) {
+            self.stats.replayed += 1;
+            out.clear();
+            out.extend_from_slice(reply);
+            return FrameOutcome::Reply;
+        }
+        let mutates = req.mutates();
         let stats = &mut self.stats;
-        let ran = self.shards.get_mut(conn.listener).and_then(|shard| {
-            let cache = &mut shard.cache;
-            shard.store.run(|store| {
-                let tag = match &req {
-                    Request::Tagged(id, _) => Some(*id),
-                    _ => None,
+        let ran = self.stores.get_mut(conn.listener).and_then(|store| {
+            store.run(|store| {
+                let resp = match req {
+                    // Answered from the process-global metrics registry.
+                    Request::Stats => Response::Stats(obs::registry().snapshot().export_json()),
+                    op => store
+                        .call(op)
+                        .unwrap_or_else(|e| Response::Err(e.to_string())),
                 };
-                if let Some(bytes) = tag.and_then(|id| cache.lookup(id)) {
-                    stats.replayed += 1;
-                    out.extend_from_slice(bytes);
-                    return;
-                }
-                let resp = answer(store, req);
                 if matches!(resp, Response::Err(_)) {
                     stats.errors += 1;
                 }
                 stats.requests += 1;
                 resp.encode_into(out);
-                if let Some(id) = tag {
-                    cache.remember(id, out.clone());
-                }
             })
         });
         if ran.is_none() {
-            // The shard panicked now or earlier: refuse with the error an
+            // The store panicked now or earlier: refuse with the error an
             // executor reports for a poisoned shard.
-            out.clear();
+            out.truncate(SEQ_LEN);
             self.stats.errors += 1;
             Response::Err(ExecError::Poisoned(conn.listener).into_hm().to_string())
                 .encode_into(out);
+        }
+        if mutates {
+            let (last, reply) = session.last_mutation.get_or_insert_default();
+            *last = seq;
+            reply.clear();
+            reply.extend_from_slice(out);
         }
         FrameOutcome::Reply
     }
 
     fn on_disconnect(&mut self, conn: ConnId) {
-        self.garbage.remove(&conn);
+        self.sessions.remove(&conn);
     }
-}
-
-/// Run one request against the store and say what to answer: a store
-/// operation is the store's [`HyperStore::call`], and its error becomes
-/// the [`Response::Err`] text; the session messages are answered here.
-fn answer<S: HyperStore + ?Sized>(store: &mut S, req: Request) -> Response {
-    let result = match req {
-        // Dedup is the handler's job; decode rejects a nested Tagged.
-        Request::Tagged(_, inner) => return answer(store, *inner),
-        // The handler answers a top-level Shutdown; one inside a Tagged
-        // envelope cannot be honoured.
-        Request::Shutdown => return Response::Err("shutdown must be a top-level request".into()),
-        // Answered from the process-global metrics registry.
-        Request::Stats => return Response::Stats(obs::registry().snapshot().export_json()),
-        op => store.call(op),
-    };
-    result.unwrap_or_else(|e| Response::Err(e.to_string()))
 }
 
 /// Serve requests from `transport` against `store` until the client sends

@@ -34,9 +34,11 @@ pub trait Transport: Send {
     ///
     /// With `timeout: None` the call blocks until a frame or a close
     /// arrives. With `Some(t)` it returns [`HmError::Timeout`] when `t`
-    /// passes with no frame; after that the connection should be
-    /// considered suspect (a frame may sit half-read on a stream
-    /// transport), so retrying callers reconnect rather than resume.
+    /// passes with no frame. The connection stays usable: a frame that
+    /// arrives later (or sits half-read on a stream transport) is
+    /// returned by a later call, so a caller that retries on the same
+    /// transport must tell a late reply from the one it waits for, as
+    /// `RemoteStore` does by the reply's sequence number.
     fn recv_into(&mut self, out: &mut Vec<u8>, timeout: Option<Duration>) -> Result<bool>;
 }
 

@@ -17,7 +17,9 @@ use hypermodel::model::Oid;
 use hypermodel::store::HyperStore;
 use mem_backend::MemStore;
 use server::protocol::{Request, Response};
-use server::{serve, serve_multi, ChannelTransport, RemoteStore, TcpTransport, Transport};
+use server::{
+    put_seq, serve, serve_multi, split_seq, ChannelTransport, RemoteStore, TcpTransport, Transport,
+};
 
 /// Longer than any answer takes; a request the server never answers
 /// fails the test instead of hanging it.
@@ -47,8 +49,11 @@ fn connect(addr: std::net::SocketAddr) -> TcpTransport {
     TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap()
 }
 
+/// One read, numbered 1 each time: only a mutation's number is
+/// remembered for replay.
 fn call(conn: &mut dyn Transport, req: Request) -> Response {
     let mut frame = Vec::new();
+    put_seq(&mut frame, 1);
     req.encode_into(&mut frame);
     conn.send(&frame).unwrap();
     let mut reply = Vec::new();
@@ -56,7 +61,9 @@ fn call(conn: &mut dyn Transport, req: Request) -> Response {
         conn.recv_into(&mut reply, Some(DEADLINE)).unwrap(),
         "server hung up"
     );
-    Response::decode(&reply).unwrap()
+    let (seq, body) = split_seq(&reply).unwrap();
+    assert_eq!(seq, 1);
+    Response::decode(body).unwrap()
 }
 
 /// A loaded tiny database that panics on the requests `panic_on` picks,

@@ -1,9 +1,10 @@
 //! One scripted conversation covering every decision of the one frame
-//! handler — malformed frames and the hangup streak, dedup replay, a
-//! refused tagged `Shutdown`, a store error, `Shutdown` — must produce
-//! the right replies, connection-closed points and counters whichever
-//! driver feeds it: the `serve` pump over a channel, or a one-shard
-//! `serve_multi` event loop over TCP.
+//! handler — malformed frames (one too short to hold its number) and the
+//! hangup streak, the replay of a resent mutation, a store error,
+//! `Shutdown` — must produce the right replies, echoed numbers,
+//! connection-closed points and counters whichever driver feeds it: the
+//! `serve` pump over a channel, or a one-shard `serve_multi` event loop
+//! over TCP.
 
 use std::time::Duration;
 
@@ -14,29 +15,40 @@ use hypermodel::load::load_database;
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid};
 use mem_backend::MemStore;
 use server::protocol::{Request, Response};
-use server::{serve, serve_multi, ChannelTransport, TcpTransport, Transport};
+use server::{put_seq, serve, serve_multi, split_seq, ChannelTransport, TcpTransport, Transport};
 
 /// What the client saw for one connection: the reply to each frame it
 /// sent (`None` = the server hung up instead of replying, which ends
 /// the script), then whether the connection was closed afterwards.
 type Transcript = (Vec<Option<Vec<u8>>>, bool);
 
-fn bytes(req: &Request) -> Vec<u8> {
+/// `req` as a frame numbered `seq`.
+fn bytes(seq: u64, req: &Request) -> Vec<u8> {
     let mut out = Vec::new();
+    put_seq(&mut out, seq);
     req.encode_into(&mut out);
     out
 }
 
+/// A numbered frame whose message has an unknown tag.
 fn malformed() -> Vec<u8> {
+    let mut out = Vec::new();
+    put_seq(&mut out, 90);
+    out.extend([255, 0, 1]);
+    out
+}
+
+/// A frame too short to hold a number: answered under number 0.
+fn too_short() -> Vec<u8> {
     vec![255, 0, 1]
 }
 
 /// Two connections' worth of frames, covering every decision the handler
 /// takes.
 fn scripts() -> Vec<Vec<Vec<u8>>> {
-    let create = bytes(&Request::Tagged(
-        77,
-        Box::new(Request::CreateNode(NodeValue {
+    let create = bytes(
+        2,
+        &Request::CreateNode(NodeValue {
             kind: NodeKind::TEXT,
             attrs: NodeAttrs {
                 unique_id: 1_000_001,
@@ -46,18 +58,19 @@ fn scripts() -> Vec<Vec<Vec<u8>>> {
                 million: 1,
             },
             content: Content::Text("retry me".into()),
-        })),
-    ));
-    let mut first = vec![malformed(); 7]; // one short of the limit: 7 error replies
+        }),
+    );
+    // One short of the limit: 7 error replies.
+    let mut first = vec![malformed(); 6];
     first.extend([
-        bytes(&Request::LookupUnique(1)), // a good frame resets the streak
+        too_short(),
+        bytes(1, &Request::LookupUnique(1)), // a good frame resets the streak
         create.clone(),
-        create,                      // the retry is replayed, not re-executed
-        bytes(&Request::SeqScanTen), // ... so exactly one node was added
-        bytes(&Request::Tagged(78, Box::new(Request::Shutdown))), // refused
-        bytes(&Request::HundredOf(Oid(999_999))), // unknown oid: error, session lives
-        malformed(),                 // streak restarted from zero
-        bytes(&Request::Shutdown),   // Unit, then the server closes
+        create,                                      // the retry is replayed, not re-executed
+        bytes(3, &Request::SeqScanTen),              // ... so exactly one node was added
+        bytes(4, &Request::HundredOf(Oid(999_999))), // unknown oid: error, session lives
+        malformed(),                                 // streak restarted from zero
+        bytes(5, &Request::Shutdown),                // Unit, then the server closes
     ]);
     // Eight malformed frames in a row: seven error replies, then a hangup.
     vec![first, vec![malformed(); 8]]
@@ -93,15 +106,23 @@ type Counters = (u64, u64, u64);
 
 /// Every transcript and counter the script must produce.
 fn check((transcripts, counters): (Vec<Transcript>, Counters)) {
-    // 5 executed (lookup, create, scan, refused tagged shutdown, unknown
-    // oid); 16 malformed frames + 2 error responses; 1 replay.
-    assert_eq!(counters, (5, 18, 1));
+    // 4 executed (lookup, create, scan, unknown oid); 16 malformed
+    // frames + 1 error response; 1 replay.
+    assert_eq!(counters, (4, 17, 1));
 
     let (replies, closed) = &transcripts[0];
-    let decoded: Vec<Response> = replies
+    let (seqs, decoded): (Vec<u64>, Vec<Response>) = replies
         .iter()
-        .map(|r| Response::decode(r.as_ref().expect("no hangup mid-script")).unwrap())
-        .collect();
+        .map(|r| {
+            let (seq, body) = split_seq(r.as_ref().expect("no hangup mid-script")).unwrap();
+            (seq, Response::decode(body).unwrap())
+        })
+        .unzip();
+    assert_eq!(
+        seqs,
+        [90, 90, 90, 90, 90, 90, 0, 1, 2, 2, 3, 4, 90, 5],
+        "each reply echoes its frame's number"
+    );
     assert!(decoded[..7].iter().all(|r| matches!(r, Response::Err(_))));
     assert!(matches!(decoded[7], Response::Oid(_)));
     assert!(matches!(decoded[8], Response::Oid(_)));
@@ -109,8 +130,7 @@ fn check((transcripts, counters): (Vec<Transcript>, Counters)) {
     assert_eq!(decoded[10], Response::U64(32), "31 loaded + 1 created once");
     assert!(matches!(decoded[11], Response::Err(_)));
     assert!(matches!(decoded[12], Response::Err(_)));
-    assert!(matches!(decoded[13], Response::Err(_)));
-    assert_eq!(decoded[14], Response::Unit);
+    assert_eq!(decoded[13], Response::Unit);
     assert!(closed, "Shutdown closes the connection");
 
     let (replies, closed) = &transcripts[1];

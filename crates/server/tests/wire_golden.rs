@@ -12,7 +12,9 @@
 //! answer, `Response::Reached` (tag 19), came later too, composed by hand
 //! from the field layouts above; the per-level batches they replaced
 //! (request tags 38–40 and 42, response tags 13 and 14) are retired and
-//! refused.
+//! refused. Tag 47, an envelope that carried a retry id around a
+//! mutation, is retired too: every frame now starts with its `u64`
+//! sequence number instead, in front of the message's golden bytes.
 //!
 //! `request_golden` / `response_golden` match on the variant without a
 //! wildcard: a new catalogue row (or response variant) does not compile
@@ -22,6 +24,7 @@ use hypermodel::migrate::{NodeExport, MIGRATE_SLOT_BASE};
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue, Oid, RefEdge};
 use hypermodel::{BatchWrite, Bitmap, Reached, Rel};
 use server::protocol::{Request, Response};
+use server::{put_seq, split_seq};
 
 fn bitmap() -> Bitmap {
     let mut bm = Bitmap::white(9, 2);
@@ -126,7 +129,6 @@ fn request_samples() -> Vec<Request> {
         Request::PrepareCommit(900),
         Request::CommitPrepared(901),
         Request::AbortPrepared(902),
-        Request::Tagged(555, Box::new(Request::SetHundred(Oid(42), 13))),
         Request::Stats,
         Request::SyncSubtree,
         Request::InstallSubtree(vec![1, 0, 0, 0, 42]),
@@ -223,7 +225,6 @@ fn request_golden(req: &Request) -> &'static str {
         Request::PrepareCommit(..) => "2c 8403000000000000",
         Request::CommitPrepared(..) => "2d 8503000000000000",
         Request::AbortPrepared(..) => "2e 8603000000000000",
-        Request::Tagged(..) => "2f 2b020000000000000d000000062a000000000000000d000000",
         Request::Stats => "30",
         Request::SyncSubtree => "31",
         Request::InstallSubtree(..) => "32 05000000010000002a",
@@ -337,7 +338,7 @@ fn every_request_encodes_to_and_decodes_from_its_golden_frame() {
     }
     // Tags are dense but for the retired ones: a sample list that skipped
     // a variant leaves a hole.
-    let retired = [38, 39, 40, 42, 43];
+    let retired = [38, 39, 40, 42, 43, 47];
     assert_eq!(
         tags.into_iter().collect::<Vec<u8>>(),
         (0..=56)
@@ -389,5 +390,43 @@ fn every_response_encodes_to_and_decodes_from_its_golden_frame() {
             Response::decode(&unhex(golden)).is_err(),
             "{golden} is retired"
         );
+    }
+}
+
+#[test]
+fn tag_47_is_an_unknown_request() {
+    let frame = unhex("2f 2b020000000000000d000000062a000000000000000d000000");
+    let err = Request::decode(&frame).unwrap_err();
+    assert!(err.to_string().contains("unknown request tag 47"), "{err}");
+}
+
+/// A frame is its little-endian `u64` sequence number, then the message
+/// as its golden above: a request from the client, and the reply that
+/// echoes its number.
+#[test]
+fn the_envelope_is_the_number_then_the_message() {
+    let req = Request::SetHundred(Oid(42), 13);
+    let mut frame = Vec::new();
+    put_seq(&mut frame, 555);
+    req.encode_into(&mut frame);
+    assert_eq!(
+        frame,
+        unhex("2b02000000000000 06 2a00000000000000 0d000000")
+    );
+    let (seq, body) = split_seq(&frame).unwrap();
+    assert_eq!((seq, Request::decode(body).unwrap()), (555, req));
+
+    let mut reply = Vec::new();
+    put_seq(&mut reply, 555);
+    Response::U32(100).encode_into(&mut reply);
+    assert_eq!(reply, unhex("2b02000000000000 04 64000000"));
+    let (seq, body) = split_seq(&reply).unwrap();
+    assert_eq!(
+        (seq, Response::decode(body).unwrap()),
+        (555, Response::U32(100))
+    );
+
+    for short in 0..8 {
+        assert!(split_seq(&frame[..short]).is_err(), "{short} bytes");
     }
 }

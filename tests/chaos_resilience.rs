@@ -1,11 +1,13 @@
 //! End-to-end resilience: the full 20-operation benchmark protocol over
 //! a transport that drops 10% of frames, survived by the client's
-//! retry policy and the server's idempotent request handling.
+//! retry policy and the server's idempotent request handling; and the
+//! `remote` deployment under the fault plans the CI chaos matrix runs.
 
 use std::time::Duration;
 
 use chaos::{FaultPlan, FaultyTransport};
-use harness::protocol::{run_all_ops, RunOptions};
+use harness::backend::BackendSpec;
+use harness::protocol::{run_all_ops, OpMeasurement, RunOptions};
 use harness::Workload;
 use hypermodel::config::GenConfig;
 use hypermodel::generate::TestDatabase;
@@ -35,8 +37,8 @@ fn retry_policy_completes_all_20_ops_over_a_lossy_transport() {
     let baseline = run_all_ops(&mut local, &mut workload, opts).unwrap();
 
     // Lossy deployment: both directions drop 10% of frames, seeded and
-    // reproducible. The server keeps running (its dedup cache replays
-    // responses for retried mutations); the client retries on timeout.
+    // reproducible. The server keeps running (it replays the reply of a
+    // resent mutation); the client retries on timeout.
     let lossy = |seed| FaultPlan {
         drop_per_mille: 100,
         ..FaultPlan::none(seed)
@@ -67,7 +69,7 @@ fn retry_policy_completes_all_20_ops_over_a_lossy_transport() {
         );
     }
     // The navigational client — three small frames per node, one of them
-    // a tagged mutation — survives the same loss (a level-1 subtree).
+    // a mutation — survives the same loss (a level-1 subtree).
     let start = |s: &mut dyn HyperStore| s.lookup_unique(2).unwrap();
     let (l_start, r_start) = (start(&mut local), start(&mut remote));
     assert_eq!(
@@ -88,6 +90,43 @@ fn retry_policy_completes_all_20_ops_over_a_lossy_transport() {
     let stats = server.join().unwrap();
     assert!(
         stats.replayed > 0,
-        "some retried mutations must have been answered from the dedup cache"
+        "some retried mutations must have been answered with their first reply"
     );
+}
+
+/// `hyperbench run --level 3 --reps 5 --backend remote --faults <plan>`
+/// for the plans the CI chaos matrix runs against `remote`: every
+/// operation returns the nodes a fault-free run returns, and no call
+/// exhausts its retries. Under `flaky` a reply can arrive after its
+/// call's deadline, and under `dupes` every tenth frame arrives twice;
+/// neither may answer the call after it.
+#[test]
+fn remote_under_the_ci_fault_plans_returns_what_a_fault_free_run_does() {
+    let db = TestDatabase::generate(&GenConfig::level(3));
+    let run = |faults: Option<&FaultPlan>| -> (Vec<OpMeasurement>, Option<String>) {
+        let mut dep = BackendSpec::Remote
+            .deploy(&db, &std::env::temp_dir(), 8192, faults)
+            .unwrap();
+        let mut workload = Workload::new(db.clone(), dep.load.oids.clone(), 0xBEEF);
+        let opts = RunOptions {
+            reps: 5,
+            input_seed: 0xBEEF,
+        };
+        let measured = run_all_ops(dep.store.as_mut(), &mut workload, opts).unwrap();
+        (measured, dep.store.resilience_summary())
+    };
+    let (baseline, _) = run(None);
+    for spec in ["7:flaky", "1234:dupes"] {
+        let (measured, summary) = run(Some(&FaultPlan::parse(spec).unwrap()));
+        assert_eq!(measured.len(), 20, "{spec}");
+        for (m, b) in measured.iter().zip(&baseline) {
+            assert_eq!(
+                (m.op, m.cold_nodes, m.warm_nodes),
+                (b.op, b.cold_nodes, b.warm_nodes),
+                "{spec}"
+            );
+        }
+        let summary = summary.expect("a fault plan reports resilience");
+        assert!(summary.contains(" gave-up=0 "), "{spec}: {summary}");
+    }
 }

@@ -7,8 +7,8 @@
 //! bar the in-process backends clear in `cross_backend.rs`. The second drives two concurrent clients (one
 //! behind a deliberately slow transport) through all 20 operations
 //! against one process, proving the loop never blocks on a slow reader.
-//! The next two pin at-most-once execution of a tagged request retried on
-//! a second connection while its first copy is still executing: a single
+//! The next two pin at-most-once execution of a numbered request resent
+//! on its connection while its first copy is still executing: a single
 //! create, and a batch of them. The last sends a hostile repair snapshot.
 
 #![allow(
@@ -29,7 +29,8 @@ use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
 use server::protocol::{Request, Response};
 use server::{
-    serve, serve_multi, ChannelTransport, MultiStats, RemoteStore, TcpTransport, Transport,
+    put_seq, serve, serve_multi, split_seq, ChannelTransport, MultiStats, RemoteStore,
+    TcpTransport, Transport,
 };
 
 /// Acceptance: one `serve_multi` process hosting four mem shards, fronted
@@ -175,12 +176,27 @@ fn recv(t: &mut TcpTransport) -> Vec<u8> {
     out
 }
 
-/// Send `request` tagged on one connection and, while that copy is
-/// parked executing inside the store, again on a second connection; then
-/// let it finish. Returns both replies, what the server counted, and the
-/// number of nodes in the store the requests reached, read over the
-/// wire (one more executed request).
-fn race_tagged_retry(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, u64) {
+/// `req` as a frame numbered `seq`.
+fn numbered(seq: u64, req: &Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    put_seq(&mut frame, seq);
+    req.encode_into(&mut frame);
+    frame
+}
+
+/// The response a reply frame carries, checking it answers `seq`.
+fn answer(seq: u64, reply: &[u8]) -> Response {
+    let (got, body) = split_seq(reply).unwrap();
+    assert_eq!(got, seq, "the reply echoes its request's number");
+    Response::decode(body).unwrap()
+}
+
+/// Send `request` numbered 7 and, while that copy is parked executing
+/// inside the store, send it again under the same number on the same
+/// connection; then let it finish. Returns both replies, what the
+/// server counted, and the number of nodes in the store the requests
+/// reached, read over the wire (one more executed request).
+fn race_resent_mutation(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, u64) {
     // The shard `serve_multi` hosts is a remote store whose first
     // request parks inside `send`, so the test decides how long the
     // first copy of the mutation stays "executing".
@@ -194,46 +210,37 @@ fn race_tagged_retry(request: Request) -> (Vec<u8>, Vec<u8>, MultiStats, u64) {
     };
     let shard = RemoteStore::new(Box::new(gated));
     let ms = serve_multi(vec![shard]).unwrap();
-    let connect =
-        || TcpTransport::new(std::net::TcpStream::connect(ms.addrs()[0]).unwrap()).unwrap();
-    let (mut a, mut b) = (connect(), connect());
+    let mut a = TcpTransport::new(std::net::TcpStream::connect(ms.addrs()[0]).unwrap()).unwrap();
 
-    let mut frame = Vec::new();
-    Request::Tagged(7, Box::new(request)).encode_into(&mut frame);
-
+    let frame = numbered(7, &request);
     a.send(&frame).unwrap();
-    entered.recv().unwrap(); // A's copy is now executing, parked in the store
-    b.send(&frame).unwrap(); // the retry, on a second connection
-                             // The loop thread is the one parked inside A's copy, so B's frame
-                             // waits in its socket until that copy has returned.
+    entered.recv().unwrap(); // the first copy is now executing, parked in the store
+                             // The retry. The loop thread is the one parked inside the first
+                             // copy, so this frame waits in the socket until that copy returns.
+    a.send(&frame).unwrap();
     release.send(()).unwrap();
 
-    let (reply_a, reply_b) = (recv(&mut a), recv(&mut b));
-    frame.clear();
-    Request::SeqScanTen.encode_into(&mut frame);
-    a.send(&frame).unwrap();
-    let Response::U64(nodes) = Response::decode(&recv(&mut a)).unwrap() else {
+    let (first, retry) = (recv(&mut a), recv(&mut a));
+    a.send(&numbered(8, &Request::SeqScanTen)).unwrap();
+    let Response::U64(nodes) = answer(8, &recv(&mut a)) else {
         panic!("a scan answers with its count");
     };
-    drop((a, b));
+    drop(a);
     let stats = ms.stop().unwrap();
     backing.join().unwrap();
-    (reply_a, reply_b, stats, nodes)
+    (first, retry, stats, nodes)
 }
 
-/// A tagged mutation retried on a second connection *while the first
-/// copy is still executing* must not run twice: the dedup decision is
-/// taken in the shard's execution order, not when the frame arrives.
+/// A mutation resent under its number *while the first copy is still
+/// executing* must not run twice: the replay decision is taken when the
+/// connection's frames are handled in order, not when they arrive.
 #[test]
 fn tagged_retry_racing_its_first_copy_executes_once() {
     let db = TestDatabase::generate(&GenConfig::tiny());
     let create = Request::CreateNode(db.nodes[0].value.clone());
-    let (reply_a, reply_b, stats, nodes) = race_tagged_retry(create);
-    assert_eq!(reply_a, reply_b, "the retry gets the first copy's bytes");
-    assert!(matches!(
-        Response::decode(&reply_a).unwrap(),
-        Response::Oid(_)
-    ));
+    let (first, retry, stats, nodes) = race_resent_mutation(create);
+    assert_eq!(first, retry, "the retry gets the first copy's bytes");
+    assert!(matches!(answer(7, &first), Response::Oid(_)));
     assert_eq!((stats.requests, stats.replayed), (2, 1), "create, count");
     assert_eq!(nodes, 1, "one node created");
 }
@@ -250,9 +257,9 @@ fn tagged_write_batch_retry_creates_each_node_once() {
             near: None,
         })
         .collect();
-    let (reply_a, reply_b, stats, nodes) = race_tagged_retry(Request::WriteBatch(creates));
-    assert_eq!(reply_a, reply_b, "the retry gets the first copy's bytes");
-    let Response::Oids(ids) = Response::decode(&reply_a).unwrap() else {
+    let (first, retry, stats, nodes) = race_resent_mutation(Request::WriteBatch(creates));
+    assert_eq!(first, retry, "the retry gets the first copy's bytes");
+    let Response::Oids(ids) = answer(7, &first) else {
         panic!("a batch answers with its ids");
     };
     assert_eq!(ids.len(), 3);
@@ -272,11 +279,11 @@ fn hostile_install_subtree_is_refused_and_the_connection_keeps_serving() {
     load_database(&mut shard, &db).unwrap();
     let ms = serve_multi(vec![shard]).unwrap();
     let mut conn = TcpTransport::new(std::net::TcpStream::connect(ms.addrs()[0]).unwrap()).unwrap();
+    let mut seq = 0;
     let mut call = |req: Request| {
-        let mut frame = Vec::new();
-        req.encode_into(&mut frame);
-        conn.send(&frame).unwrap();
-        Response::decode(&recv(&mut conn)).unwrap()
+        seq += 1;
+        conn.send(&numbered(seq, &req)).unwrap();
+        answer(seq, &recv(&mut conn))
     };
     for snapshot in [
         vec![2, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff],
