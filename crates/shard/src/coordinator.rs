@@ -172,8 +172,11 @@ impl CommitLog {
     ///
     /// Crash-safe via write-new-then-rename: the log is rewritten to a
     /// temporary file (checkpoint marker first, surviving records
-    /// after), fsynced, then renamed over the old file. A crash at any
-    /// point leaves either the old complete log or the new complete log.
+    /// after), fsynced, then renamed over the old file, and the rename is
+    /// made durable by an fsync of the directory before the log is
+    /// reopened. A crash at any point leaves either the old complete log
+    /// or the new complete log, and a decision recorded after this
+    /// returns is never in a file the directory may not name.
     pub fn checkpoint(&mut self, up_to: u64) -> Result<()> {
         if up_to <= self.checkpoint {
             return Ok(());
@@ -207,6 +210,13 @@ impl CommitLog {
         drop(tmp);
         std::fs::rename(&tmp_path, &self.path)
             .map_err(|e| HmError::Backend(format!("checkpoint commit log (rename): {e}")))?;
+        let dir = match self.path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| HmError::Backend(format!("checkpoint commit log (dir sync): {e}")))?;
         self.file = OpenOptions::new()
             .read(true)
             .append(true)

@@ -714,13 +714,14 @@ impl BTree {
 mod tests {
     use super::*;
     use crate::disk::DiskManager;
+    use crate::vfs::OsFs;
     use std::path::PathBuf;
 
     fn setup(name: &str, frames: usize) -> (BufferPool, PathBuf) {
         let mut p = std::env::temp_dir();
         p.push(format!("hm-btree-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_file(&p);
-        let dm = DiskManager::create(&p).unwrap();
+        let dm = DiskManager::create(&OsFs, &p).unwrap();
         (BufferPool::new(dm, frames), p)
     }
 
@@ -996,7 +997,7 @@ mod tests {
         let _ = std::fs::remove_file(&p);
         let root;
         {
-            let dm = DiskManager::create(&p).unwrap();
+            let dm = DiskManager::create(&OsFs, &p).unwrap();
             let mut pool = BufferPool::new(dm, 128);
             let mut t = BTree::create(&mut pool).unwrap();
             for i in 0..2000u64 {
@@ -1007,7 +1008,7 @@ mod tests {
             pool.sync().unwrap();
         }
         {
-            let dm = DiskManager::open(&p).unwrap();
+            let dm = DiskManager::open(&OsFs, &p).unwrap();
             let mut pool = BufferPool::new(dm, 128);
             let t = BTree::open(root);
             for i in (0..2000u64).step_by(97) {

@@ -624,13 +624,14 @@ impl std::fmt::Debug for BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::OsFs;
     use std::path::PathBuf;
 
     fn pool(name: &str, cap: usize) -> (BufferPool, PathBuf) {
         let mut p = std::env::temp_dir();
         p.push(format!("hm-pool-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_file(&p);
-        let dm = DiskManager::create(&p).unwrap();
+        let dm = DiskManager::create(&OsFs, &p).unwrap();
         (BufferPool::new(dm, cap), p)
     }
 

@@ -8,12 +8,11 @@
 //! Freed pages are tracked in an in-memory free list that is persisted via
 //! the catalog by higher layers; the disk manager itself only grows the file.
 
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PageId, PAGE_SIZE};
+use crate::vfs::{OpenMode, Vfs, VfsFile};
 
 /// Counters describing physical I/O, used by the benchmark harness to report
 /// cold/warm behaviour and by tests to assert caching works.
@@ -29,21 +28,17 @@ pub struct IoStats {
 
 /// Page-granular access to a single database file.
 pub struct DiskManager {
-    file: File,
+    file: Box<dyn VfsFile>,
     path: PathBuf,
     page_count: u64,
     stats: IoStats,
 }
 
 impl DiskManager {
-    /// Create a new database file at `path`, failing if it already exists.
-    /// The file starts with a single sealed meta page (page 0).
-    pub fn create(path: &Path) -> Result<DiskManager> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(path)?;
+    /// Create a new database file at `path` in `fs`, failing if it already
+    /// exists. The file starts with a single sealed meta page (page 0).
+    pub fn create(fs: &dyn Vfs, path: &Path) -> Result<DiskManager> {
+        let file = fs.open(path, OpenMode::CreateNew)?;
         let mut dm = DiskManager {
             file,
             path: path.to_path_buf(),
@@ -58,10 +53,10 @@ impl DiskManager {
         Ok(dm)
     }
 
-    /// Open an existing database file.
-    pub fn open(path: &Path) -> Result<DiskManager> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
+    /// Open the existing database file at `path` in `fs`.
+    pub fn open(fs: &dyn Vfs, path: &Path) -> Result<DiskManager> {
+        let file = fs.open(path, OpenMode::Write)?;
+        let len = file.size()?;
         if len % PAGE_SIZE as u64 != 0 {
             return Err(StorageError::Corruption {
                 page: None,
@@ -185,6 +180,8 @@ impl std::fmt::Debug for DiskManager {
 mod tests {
     use super::*;
     use crate::page::PageKind;
+    use crate::vfs::OsFs;
+    use std::fs::OpenOptions;
     use std::io::{Read, Seek, SeekFrom, Write};
 
     fn tmpfile(name: &str) -> PathBuf {
@@ -198,7 +195,7 @@ mod tests {
     fn create_open_round_trip() {
         let path = tmpfile("roundtrip");
         {
-            let mut dm = DiskManager::create(&path).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &path).unwrap();
             let id = dm.allocate().unwrap();
             let mut page = Page::new(id);
             page.set_kind(PageKind::Heap);
@@ -207,7 +204,7 @@ mod tests {
             dm.sync().unwrap();
         }
         {
-            let mut dm = DiskManager::open(&path).unwrap();
+            let mut dm = DiskManager::open(&OsFs, &path).unwrap();
             assert_eq!(dm.page_count(), 2);
             let page = dm.read_page(PageId(1)).unwrap();
             assert_eq!(page.read_u64(100), 4242);
@@ -219,15 +216,15 @@ mod tests {
     #[test]
     fn create_refuses_existing_file() {
         let path = tmpfile("existing");
-        DiskManager::create(&path).unwrap();
-        assert!(DiskManager::create(&path).is_err());
+        DiskManager::create(&OsFs, &path).unwrap();
+        assert!(DiskManager::create(&OsFs, &path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn out_of_bounds_read_is_reported() {
         let path = tmpfile("oob");
-        let mut dm = DiskManager::create(&path).unwrap();
+        let mut dm = DiskManager::create(&OsFs, &path).unwrap();
         let err = dm.read_page(PageId(99)).unwrap_err();
         assert!(matches!(
             err,
@@ -239,7 +236,7 @@ mod tests {
     #[test]
     fn fresh_allocated_page_reads_as_zeroed() {
         let path = tmpfile("fresh");
-        let mut dm = DiskManager::create(&path).unwrap();
+        let mut dm = DiskManager::create(&OsFs, &path).unwrap();
         let id = dm.allocate().unwrap();
         let page = dm.read_page(id).unwrap();
         assert_eq!(page.id(), id);
@@ -251,7 +248,7 @@ mod tests {
     fn corruption_on_disk_is_detected() {
         let path = tmpfile("corrupt");
         {
-            let mut dm = DiskManager::create(&path).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &path).unwrap();
             let id = dm.allocate().unwrap();
             let mut page = Page::new(id);
             page.set_kind(PageKind::Heap);
@@ -272,7 +269,7 @@ mod tests {
             f.seek(SeekFrom::Start(PAGE_SIZE as u64 + 300)).unwrap();
             f.write_all(&b).unwrap();
         }
-        let mut dm = DiskManager::open(&path).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &path).unwrap();
         assert!(dm.read_page(PageId(1)).is_err());
         std::fs::remove_file(&path).unwrap();
     }
@@ -282,7 +279,7 @@ mod tests {
     #[test]
     fn read_page_detects_every_flipped_bit_and_torn_half() {
         let path = tmpfile("faults");
-        let mut dm = DiskManager::create(&path).unwrap();
+        let mut dm = DiskManager::create(&OsFs, &path).unwrap();
         let mut page = crate::page::tests::patterned_page();
         while dm.page_count() <= page.id().0 {
             dm.allocate().unwrap();
@@ -307,7 +304,7 @@ mod tests {
     #[test]
     fn stats_count_io() {
         let path = tmpfile("stats");
-        let mut dm = DiskManager::create(&path).unwrap();
+        let mut dm = DiskManager::create(&OsFs, &path).unwrap();
         let id = dm.allocate().unwrap();
         let mut page = Page::new(id);
         dm.write_page(&mut page).unwrap();

@@ -8,8 +8,7 @@
 //!
 //! The engine exposes coarse *engine transactions*: mutate pages through
 //! the pool, then [`Engine::commit`]. One function stages a transaction
-//! for [`Engine::commit`], [`Engine::prepare`] and
-//! [`Engine::commit_with_crash`] alike, in three steps:
+//! for [`Engine::commit`] and [`Engine::prepare`] alike, in three steps:
 //!
 //! 1. The dirty pages at or past the file's **durable end** are written to
 //!    the database file, and the file is `fdatasync`ed. The durable end is
@@ -33,9 +32,10 @@
 //! A crash before the marker leaves only unreferenced pages past the old
 //! end, which leak like those of an aborted prepare. Every extension of
 //! the file is synced before a marker can name it, so recovery never grows
-//! the file. A bulk load writes its pages once, to the file, and leaves
-//! the log nearly empty; the first later change to such a page logs its
-//! image (the base rule of [`crate::wal`]).
+//! the file. What a crash may leave of each step is the crash model of
+//! [`crate::vfs`]. A bulk load writes its pages once, to the file, and
+//! leaves the log nearly empty; the first later change to such a page logs
+//! its image (the base rule of [`crate::wal`]).
 //!
 //! The benchmark measures commit time as part of update operations, as
 //! the paper requires ("database-commit-time should be included"), so the
@@ -53,6 +53,7 @@ use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
 use crate::page::{PageId, HEADER_SIZE, PAGE_SIZE};
 use crate::recovery::{recover, RecoveryReport};
+use crate::vfs::{OsFs, Vfs};
 use crate::wal::Wal;
 
 const CATALOG_MAGIC: u32 = 0x4859_4D43; // "HYMC"
@@ -70,21 +71,6 @@ pub struct CommitStats {
     pub pages: usize,
     /// Bytes appended to the log for this commit.
     pub wal_bytes: u64,
-}
-
-/// Failure-injection points for crash tests. See [`Engine::commit_with_crash`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Crash after the pages past the durable end are written and synced,
-    /// before anything is logged: recovery must discard the transaction
-    /// and the pages leak.
-    AfterFreshPagesSynced,
-    /// Crash after logging page images but *before* the commit marker:
-    /// recovery must discard the transaction.
-    BeforeCommitRecord,
-    /// Crash after the commit marker is durable, with the logged pages
-    /// in the pool only: recovery must redo the transaction.
-    AfterWalSync,
 }
 
 /// A single-file storage engine with page cache, redo log and catalog.
@@ -121,12 +107,17 @@ impl Engine {
     /// Create a new database at `db_path` with a pool of `pool_frames`.
     /// Its empty catalog is committed before this returns.
     pub fn create(db_path: &Path, pool_frames: usize) -> Result<Engine> {
+        Engine::create_in(&OsFs, db_path, pool_frames)
+    }
+
+    /// [`Engine::create`] with the database and its log in `fs`.
+    pub fn create_in(fs: &dyn Vfs, db_path: &Path, pool_frames: usize) -> Result<Engine> {
         let wal_path = wal_path_for(db_path);
-        let _ = std::fs::remove_file(&wal_path); // stale log from a deleted db
-        let disk = DiskManager::create(db_path)?;
+        let _ = fs.remove(&wal_path); // stale log from a deleted db
+        let disk = DiskManager::create(fs, db_path)?;
         let mut engine = Engine {
             pool: BufferPool::new(disk, pool_frames),
-            wal: Wal::open(&wal_path)?,
+            wal: Wal::open(fs, &wal_path)?,
             db_path: db_path.to_path_buf(),
             wal_path,
             txn_counter: 0,
@@ -144,13 +135,22 @@ impl Engine {
     /// Open an existing database, running crash recovery first if the log
     /// is non-empty. Returns the engine and the recovery report.
     pub fn open(db_path: &Path, pool_frames: usize) -> Result<(Engine, RecoveryReport)> {
+        Engine::open_in(&OsFs, db_path, pool_frames)
+    }
+
+    /// [`Engine::open`] with the database and its log in `fs`.
+    pub fn open_in(
+        fs: &dyn Vfs,
+        db_path: &Path,
+        pool_frames: usize,
+    ) -> Result<(Engine, RecoveryReport)> {
         let wal_path = wal_path_for(db_path);
-        let report = recover(db_path, &wal_path)?;
-        let disk = DiskManager::open(db_path)?;
+        let report = recover(fs, db_path, &wal_path)?;
+        let disk = DiskManager::open(fs, db_path)?;
         let durable_end = disk.page_count();
         let mut engine = Engine {
             pool: BufferPool::new(disk, pool_frames),
-            wal: Wal::open(&wal_path)?,
+            wal: Wal::open(fs, &wal_path)?,
             db_path: db_path.to_path_buf(),
             wal_path,
             txn_counter: 0,
@@ -294,8 +294,8 @@ impl Engine {
     // ---- transactions --------------------------------------------------
 
     /// Stage the open transaction, ended by `marker`, as the module doc
-    /// describes; `crash` stops the protocol at that point instead.
-    fn stage(&mut self, marker: Marker, crash: Option<CrashPoint>) -> Result<CommitStats> {
+    /// describes.
+    fn stage(&mut self, marker: Marker) -> Result<CommitStats> {
         let before = self.wal.appended_bytes();
         let mut pages = 0;
         let end = self.pool.disk().page_count();
@@ -306,14 +306,10 @@ impl Engine {
             // changes them next is logged, even if this commit fails.
             self.durable_end = end;
         }
-        if crash == Some(CrashPoint::AfterFreshPagesSynced) {
-            return Ok(CommitStats::default());
-        }
         pages += self.log_dirty_pages();
-        match (crash, marker) {
-            (Some(CrashPoint::BeforeCommitRecord), _) => {}
-            (_, Marker::Commit(txn)) => self.wal.append_commit(txn),
-            (_, Marker::Prepare(txid)) => self.wal.append_prepare(txid),
+        match marker {
+            Marker::Commit(txn) => self.wal.append_commit(txn),
+            Marker::Prepare(txid) => self.wal.append_prepare(txid),
         }
         self.wal.sync()?;
         Ok(CommitStats {
@@ -362,7 +358,7 @@ impl Engine {
         // A write set that turns out unchanged still gets its marker and
         // its fsync: one log force per transaction that fetched a page for
         // writing is the engine's flush policy, whatever the diff finds.
-        let stats = self.stage(Marker::Commit(self.txn_counter + 1), None)?;
+        let stats = self.stage(Marker::Commit(self.txn_counter + 1))?;
         self.txn_counter += 1;
         self.finish_commit();
         Ok(stats)
@@ -387,7 +383,7 @@ impl Engine {
             )));
         }
         self.pool.write_back()?;
-        let stats = self.stage(Marker::Prepare(txid), None)?;
+        let stats = self.stage(Marker::Prepare(txid))?;
         self.prepared = Some(txid);
         Ok(stats)
     }
@@ -444,16 +440,6 @@ impl Engine {
     /// The transaction id currently prepared on this engine, if any.
     pub fn prepared_txid(&self) -> Option<u64> {
         self.prepared
-    }
-
-    /// Failure-injection variant of [`Engine::commit`]: runs the same
-    /// staging up to `point` and then *stops*, leaving the engine in a
-    /// state that must be abandoned (as if the process died). Tests reopen
-    /// the database afterwards and assert on recovery behaviour.
-    pub fn commit_with_crash(mut self, point: CrashPoint) -> Result<()> {
-        self.stage(Marker::Commit(self.txn_counter + 1), Some(point))?;
-        std::mem::forget(self.pool); // do not let Drop paths touch the file
-        Ok(())
     }
 
     /// Write every unwritten and dirty page, fsync, and truncate the log.
@@ -558,53 +544,6 @@ mod tests {
             assert_eq!(report.pages_redone, 1);
             let heap = HeapFile::open(PageId(e.catalog_get("heap").unwrap()));
             assert_eq!(heap.get(e.pool(), rid).unwrap(), b"persist me");
-        }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn crash_before_commit_record_discards_txn() {
-        let path = dbpath("crash-nocommit");
-        {
-            let mut e = Engine::create(&path, 64).unwrap();
-            e.commit().unwrap();
-            e.checkpoint().unwrap();
-        }
-        {
-            let (mut e, _) = Engine::open(&path, 64).unwrap();
-            let mut heap = HeapFile::create(e.pool()).unwrap();
-            heap.insert(e.pool(), b"doomed").unwrap();
-            e.catalog_set("heap", heap.first_page().0).unwrap();
-            e.commit_with_crash(CrashPoint::BeforeCommitRecord).unwrap();
-        }
-        {
-            let (mut e, report) = Engine::open(&path, 64).unwrap();
-            assert_eq!(report.pages_redone, 0);
-            assert!(report.pages_discarded >= 1);
-            assert_eq!(e.catalog_try_get("heap").unwrap(), None, "txn rolled back");
-        }
-        cleanup(&path);
-    }
-
-    #[test]
-    fn crash_after_wal_sync_redoes_txn() {
-        let path = dbpath("crash-committed");
-        let rid;
-        {
-            let mut e = Engine::create(&path, 64).unwrap();
-            e.commit().unwrap();
-            e.checkpoint().unwrap();
-            let (mut e, _) = Engine::open(&path, 64).unwrap();
-            let mut heap = HeapFile::create(e.pool()).unwrap();
-            rid = heap.insert(e.pool(), b"survives").unwrap();
-            e.catalog_set("heap", heap.first_page().0).unwrap();
-            e.commit_with_crash(CrashPoint::AfterWalSync).unwrap();
-        }
-        {
-            let (mut e, report) = Engine::open(&path, 64).unwrap();
-            assert!(report.pages_redone >= 1);
-            let heap = HeapFile::open(PageId(e.catalog_get("heap").unwrap()));
-            assert_eq!(heap.get(e.pool(), rid).unwrap(), b"survives");
         }
         cleanup(&path);
     }
@@ -741,7 +680,7 @@ mod tests {
 
     /// `(page, zero_based)` of every delta record in the log, in order.
     fn logged_deltas(path: &Path) -> Vec<(u64, bool)> {
-        let mut reader = crate::wal::WalReader::open(&wal_path_for(path)).unwrap();
+        let mut reader = crate::wal::WalReader::open(&OsFs, &wal_path_for(path)).unwrap();
         let mut out = Vec::new();
         while let Some(record) = reader.next_record().unwrap() {
             if let crate::wal::WalRecord::PageDelta(d) = record {
@@ -817,32 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn a_torn_data_page_is_rebuilt_from_the_log_alone() {
-        let path = dbpath("torn-page");
-        let rid;
-        {
-            let (mut e, mut heap, r) = engine_with_record(&path, 7, 4000);
-            rid = r;
-            heap.update(e.pool(), rid, &[8; 4000]).unwrap();
-            e.commit().unwrap();
-            // The set-up synced the page to the file; the update, its
-            // first change there, logged its image and left the page in
-            // the pool. Now half of the page is lost to a write-back the
-            // crash interrupted.
-            assert_eq!(logged_deltas(&path), vec![(0, true), (rid.page.0, true)]);
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = rid.page.0 as usize * PAGE_SIZE + PAGE_SIZE / 2;
-        bytes[at..at + PAGE_SIZE / 2].fill(0xA5);
-        std::fs::write(&path, bytes).unwrap();
-        let (mut e, report) = Engine::open(&path, 64).unwrap();
-        assert_eq!(report.pages_redone, 2);
-        let heap = HeapFile::open(PageId(e.catalog_get("heap").unwrap()));
-        assert_eq!(heap.get(e.pool(), rid).unwrap(), vec![8; 4000]);
-        cleanup(&path);
-    }
-
-    #[test]
     fn an_aborted_transactions_image_is_not_the_next_ones_base() {
         let path = dbpath("abort-base");
         let rid;
@@ -859,7 +772,8 @@ mod tests {
             // recovery can rebuild it without the aborted record.
             heap.update(e.pool(), rid, &[[9; 4].as_slice(), &[7; 3996]].concat())
                 .unwrap();
-            e.commit_with_crash(CrashPoint::AfterWalSync).unwrap();
+            // Dropped without a checkpoint: the log alone carries it.
+            e.commit().unwrap();
         }
         assert_eq!(
             logged_deltas(&path),

@@ -437,13 +437,14 @@ mod tests {
     use super::*;
     use crate::buffer::PoolStats;
     use crate::disk::DiskManager;
+    use crate::vfs::OsFs;
     use std::path::PathBuf;
 
     fn setup(name: &str) -> (BufferPool, PathBuf) {
         let mut p = std::env::temp_dir();
         p.push(format!("hm-heap-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_file(&p);
-        let dm = DiskManager::create(&p).unwrap();
+        let dm = DiskManager::create(&OsFs, &p).unwrap();
         (BufferPool::new(dm, 256), p)
     }
 
@@ -518,7 +519,7 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("hm-heap-{}-scanmixed", std::process::id()));
         let _ = std::fs::remove_file(&p);
-        let mut pool = BufferPool::new(DiskManager::create(&p).unwrap(), 8);
+        let mut pool = BufferPool::new(DiskManager::create(&OsFs, &p).unwrap(), 8);
         let mut heap = HeapFile::create(&mut pool).unwrap();
         // Inline records alternate with 400x400 form bitmaps, which are
         // over INLINE_LIMIT and take a three-page overflow chain each.
@@ -607,7 +608,7 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("hm-heap-{}-longchain", std::process::id()));
         let _ = std::fs::remove_file(&p);
-        let mut pool = BufferPool::new(DiskManager::create(&p).unwrap(), 16);
+        let mut pool = BufferPool::new(DiskManager::create(&OsFs, &p).unwrap(), 16);
         let mut heap = HeapFile::create(&mut pool).unwrap();
         // Two 3000-byte records fill a page, so 400 of them chain 200.
         for _ in 0..400 {

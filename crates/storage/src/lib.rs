@@ -18,7 +18,9 @@
 //! * [`wal`] / [`recovery`] — redo-only write-ahead logging and crash
 //!   recovery (requirement R10),
 //! * [`engine`] — the facade tying it together with a named-root catalog
-//!   and commit/checkpoint protocol ([`engine::Engine`]).
+//!   and commit/checkpoint protocol ([`engine::Engine`]),
+//! * [`vfs`] — the file seam every file operation goes through, and the
+//!   crash model recovery is held to.
 //!
 //! ## Example
 //!
@@ -53,12 +55,13 @@ pub mod heap;
 pub mod page;
 pub mod recovery;
 pub mod slotted;
+pub mod vfs;
 pub mod wal;
 
 pub use btree::{BTree, Key};
 pub use buffer::{BufferPool, PoolStats};
 pub use disk::{DiskManager, IoStats};
-pub use engine::{CommitStats, CrashPoint, Engine};
+pub use engine::{CommitStats, Engine};
 pub use error::{Result, StorageError};
 pub use heap::{HeapFile, RecordId};
 pub use page::{Page, PageId, PageKind, PAGE_SIZE};

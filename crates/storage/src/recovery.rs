@@ -55,12 +55,12 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fs::OpenOptions;
 use std::path::Path;
 
 use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PageId, PAGE_SIZE};
+use crate::vfs::{OpenMode, OsFs, Vfs};
 use crate::wal::{PageDelta, Wal, WalReader, WalRecord};
 
 /// Outcome of a recovery pass, for logging/inspection.
@@ -162,13 +162,13 @@ impl Fold {
 /// Used by transaction coordinators to find in-doubt participants before
 /// deciding their fate via [`resolve_in_doubt`].
 pub fn in_doubt_txn(wal_path: &Path) -> Result<Option<u64>> {
-    Ok(scan_in_doubt(wal_path)?.0)
+    Ok(scan_in_doubt(&OsFs, wal_path)?.0)
 }
 
 /// The prepared-but-undecided transaction in the log, if any, and the
 /// offset at which the log's last whole record ends.
-fn scan_in_doubt(wal_path: &Path) -> Result<(Option<u64>, u64)> {
-    let mut reader = WalReader::open(wal_path)?;
+fn scan_in_doubt(fs: &dyn Vfs, wal_path: &Path) -> Result<(Option<u64>, u64)> {
+    let mut reader = WalReader::open(fs, wal_path)?;
     let mut prepared = None;
     let mut end = 0;
     while let Some(record) = reader.next_record()? {
@@ -184,12 +184,13 @@ fn scan_in_doubt(wal_path: &Path) -> Result<(Option<u64>, u64)> {
     Ok((prepared, end))
 }
 
-/// Run recovery for the database at `db_path` with log `wal_path`.
+/// Run recovery for the database at `db_path` with log `wal_path`, both
+/// in `fs`.
 ///
 /// Safe to call when no log exists or the log is empty (returns a zero
 /// report). Must be called *before* opening a buffer pool on the file.
-pub fn recover(db_path: &Path, wal_path: &Path) -> Result<RecoveryReport> {
-    let mut reader = WalReader::open(wal_path)?;
+pub fn recover(fs: &dyn Vfs, db_path: &Path, wal_path: &Path) -> Result<RecoveryReport> {
+    let mut reader = WalReader::open(fs, wal_path)?;
     if reader.file_len() == 0 {
         return Ok(RecoveryReport::default());
     }
@@ -213,7 +214,7 @@ pub fn recover(db_path: &Path, wal_path: &Path) -> Result<RecoveryReport> {
     };
     let mut redo: Vec<_> = fold.committed.into_iter().collect();
     redo.sort_unstable_by_key(|(id, _)| *id);
-    let mut disk = DiskManager::open(db_path)?;
+    let mut disk = DiskManager::open(fs, db_path)?;
     if let Some(&(id, _)) = redo.last() {
         if id >= disk.page_count() {
             return Err(StorageError::Corruption {
@@ -240,7 +241,7 @@ pub fn recover(db_path: &Path, wal_path: &Path) -> Result<RecoveryReport> {
     if report.in_doubt.is_none() {
         // Also when nothing in it was readable: the engine appends behind
         // whatever the file holds, and nothing may follow a torn record.
-        Wal::open(wal_path)?.truncate()?;
+        Wal::open(fs, wal_path)?.truncate()?;
     }
     // else: keep the log — it holds the in-doubt transaction's records
     // until the coordinator's decision arrives via `resolve_in_doubt`.
@@ -265,13 +266,21 @@ pub fn resolve_in_doubt(
     txid: u64,
     commit: bool,
 ) -> Result<RecoveryReport> {
-    let (in_doubt, end) = scan_in_doubt(wal_path)?;
+    resolve_in_doubt_in(&OsFs, db_path, wal_path, txid, commit)
+}
+
+/// [`resolve_in_doubt`] for a database and log in `fs`.
+pub fn resolve_in_doubt_in(
+    fs: &dyn Vfs,
+    db_path: &Path,
+    wal_path: &Path,
+    txid: u64,
+    commit: bool,
+) -> Result<RecoveryReport> {
+    let (in_doubt, end) = scan_in_doubt(fs, wal_path)?;
     if in_doubt == Some(txid) {
-        OpenOptions::new()
-            .write(true)
-            .open(wal_path)?
-            .set_len(end)?;
-        let mut wal = Wal::open(wal_path)?;
+        fs.open(wal_path, OpenMode::Write)?.set_len(end)?;
+        let mut wal = Wal::open(fs, wal_path)?;
         if commit {
             wal.append_commit(txid);
         } else {
@@ -279,7 +288,7 @@ pub fn resolve_in_doubt(
         }
         wal.sync()?;
     }
-    recover(db_path, wal_path)
+    recover(fs, db_path, wal_path)
 }
 
 #[cfg(test)]
@@ -319,20 +328,20 @@ mod tests {
     fn committed_images_are_redone() {
         let (db, walp) = paths("redo");
         {
-            let mut dm = DiskManager::create(&db).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &db).unwrap();
             dm.allocate().unwrap();
             dm.sync().unwrap();
         }
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 777);
             wal.append_commit(1);
             wal.sync().unwrap();
         }
-        let report = recover(&db, &walp).unwrap();
+        let report = recover(&OsFs, &db, &walp).unwrap();
         assert_eq!(report.pages_redone, 1);
         assert_eq!(report.commits, 1);
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 777);
         // The log is truncated after recovery.
         assert!(log_is_empty(&walp));
@@ -344,7 +353,7 @@ mod tests {
     fn uncommitted_images_are_discarded() {
         let (db, walp) = paths("discard");
         {
-            let mut dm = DiskManager::create(&db).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &db).unwrap();
             let id = dm.allocate().unwrap();
             let mut p = Page::new(id);
             p.set_kind(PageKind::Heap);
@@ -353,15 +362,15 @@ mod tests {
             dm.sync().unwrap();
         }
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             // A transaction that never committed.
             log_image(&mut wal, 1, 999);
             wal.sync().unwrap();
         }
-        let report = recover(&db, &walp).unwrap();
+        let report = recover(&OsFs, &db, &walp).unwrap();
         assert_eq!(report.pages_redone, 0);
         assert_eq!(report.pages_discarded, 1);
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(
             dm.read_page(PageId(1)).unwrap().read_u64(100),
             1,
@@ -375,22 +384,22 @@ mod tests {
     fn committed_prefix_applies_uncommitted_suffix_does_not() {
         let (db, walp) = paths("prefix");
         {
-            let mut dm = DiskManager::create(&db).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &db).unwrap();
             dm.allocate().unwrap();
             dm.allocate().unwrap();
             dm.sync().unwrap();
         }
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 11);
             wal.append_commit(1);
             log_image(&mut wal, 2, 22); // never committed
             wal.sync().unwrap();
         }
-        let report = recover(&db, &walp).unwrap();
+        let report = recover(&OsFs, &db, &walp).unwrap();
         assert_eq!(report.pages_redone, 1);
         assert_eq!(report.pages_discarded, 1);
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 11);
         assert_ne!(dm.read_page(PageId(2)).unwrap().read_u64(100), 22);
         std::fs::remove_file(&db).unwrap();
@@ -407,13 +416,13 @@ mod tests {
         let len = std::fs::metadata(&db).unwrap().len();
         let far = u64::MAX - 1;
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 11);
             wal.append_page_delta(PageId(far), None, page_with(far, 33).bytes());
             wal.append_commit(1);
             wal.sync().unwrap();
         }
-        let err = recover(&db, &walp).unwrap_err();
+        let err = recover(&OsFs, &db, &walp).unwrap_err();
         assert!(
             matches!(err, StorageError::Corruption { page: Some(p), ref detail }
                 if p == far && detail.contains("2 pages")),
@@ -422,7 +431,7 @@ mod tests {
         // Nothing was written, the file kept its length, and the log is
         // kept for inspection.
         assert_eq!(std::fs::metadata(&db).unwrap().len(), len);
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 0xDEC0);
         assert!(!log_is_empty(&walp));
         std::fs::remove_file(&db).unwrap();
@@ -433,20 +442,20 @@ mod tests {
     fn recovery_is_idempotent() {
         let (db, walp) = paths("idem");
         {
-            let mut dm = DiskManager::create(&db).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &db).unwrap();
             dm.allocate().unwrap();
             dm.sync().unwrap();
         }
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 5);
             wal.append_commit(1);
             wal.sync().unwrap();
         }
-        recover(&db, &walp).unwrap();
-        let report2 = recover(&db, &walp).unwrap();
+        recover(&OsFs, &db, &walp).unwrap();
+        let report2 = recover(&OsFs, &db, &walp).unwrap();
         assert_eq!(report2, RecoveryReport::default());
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 5);
         std::fs::remove_file(&db).unwrap();
         std::fs::remove_file(&walp).unwrap();
@@ -456,7 +465,7 @@ mod tests {
     fn prepared_without_decision_is_in_doubt_and_kept() {
         let (db, walp) = paths("indoubt");
         {
-            let mut dm = DiskManager::create(&db).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &db).unwrap();
             let id = dm.allocate().unwrap();
             let mut p = Page::new(id);
             p.set_kind(PageKind::Heap);
@@ -465,22 +474,22 @@ mod tests {
             dm.sync().unwrap();
         }
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 999);
             wal.append_prepare(7);
             wal.sync().unwrap();
         }
         assert_eq!(in_doubt_txn(&walp).unwrap(), Some(7));
-        let report = recover(&db, &walp).unwrap();
+        let report = recover(&OsFs, &db, &walp).unwrap();
         assert_eq!(report.in_doubt, Some(7));
         assert_eq!(report.pages_redone, 0);
         assert_eq!(report.pages_discarded, 0, "staged images are kept");
         // The database file is untouched and the log survives recovery.
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 1);
         assert!(!log_is_empty(&walp));
         // Recovery without a decision is stable.
-        assert_eq!(recover(&db, &walp).unwrap().in_doubt, Some(7));
+        assert_eq!(recover(&OsFs, &db, &walp).unwrap().in_doubt, Some(7));
         std::fs::remove_file(&db).unwrap();
         std::fs::remove_file(&walp).unwrap();
     }
@@ -489,12 +498,12 @@ mod tests {
     fn resolve_in_doubt_commit_applies_staged_images() {
         let (db, walp) = paths("resolve-commit");
         {
-            let mut dm = DiskManager::create(&db).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &db).unwrap();
             dm.allocate().unwrap();
             dm.sync().unwrap();
         }
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 42);
             wal.append_prepare(9);
             wal.sync().unwrap();
@@ -502,7 +511,7 @@ mod tests {
         let report = resolve_in_doubt(&db, &walp, 9, true).unwrap();
         assert_eq!(report.in_doubt, None);
         assert_eq!(report.pages_redone, 1);
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 42);
         assert!(log_is_empty(&walp));
         // Idempotent: a second resolution is a clean no-op recovery.
@@ -516,7 +525,7 @@ mod tests {
     fn resolve_in_doubt_abort_discards_staged_images() {
         let (db, walp) = paths("resolve-abort");
         {
-            let mut dm = DiskManager::create(&db).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &db).unwrap();
             let id = dm.allocate().unwrap();
             let mut p = Page::new(id);
             p.set_kind(PageKind::Heap);
@@ -525,7 +534,7 @@ mod tests {
             dm.sync().unwrap();
         }
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 666);
             wal.append_prepare(9);
             wal.sync().unwrap();
@@ -534,7 +543,7 @@ mod tests {
         assert_eq!(report.in_doubt, None);
         assert_eq!(report.pages_redone, 0);
         assert_eq!(report.pages_discarded, 1);
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 5);
         assert!(log_is_empty(&walp));
         std::fs::remove_file(&db).unwrap();
@@ -547,7 +556,7 @@ mod tests {
         // in 1..N-1 bytes of a commit record behind the prepare.
         let (_, marker_path) = paths("marker");
         {
-            let mut wal = Wal::open(&marker_path).unwrap();
+            let mut wal = Wal::open(&OsFs, &marker_path).unwrap();
             wal.append_commit(9);
             wal.sync().unwrap();
         }
@@ -557,14 +566,14 @@ mod tests {
             for torn in 1..marker.len() {
                 let (db, walp) = paths(&format!("torn-marker-{commit}-{torn}"));
                 {
-                    let mut dm = DiskManager::create(&db).unwrap();
+                    let mut dm = DiskManager::create(&OsFs, &db).unwrap();
                     let id = dm.allocate().unwrap();
                     let mut p = page_with(id.0, 5);
                     dm.write_page(&mut p).unwrap();
                     dm.sync().unwrap();
                 }
                 {
-                    let mut wal = Wal::open(&walp).unwrap();
+                    let mut wal = Wal::open(&OsFs, &walp).unwrap();
                     log_image(&mut wal, 1, 42);
                     wal.append_prepare(9);
                     wal.sync().unwrap();
@@ -573,7 +582,7 @@ mod tests {
                 log.extend_from_slice(&marker[..torn]);
                 std::fs::write(&walp, &log).unwrap();
                 assert_eq!(in_doubt_txn(&walp).unwrap(), Some(9), "torn at {torn}");
-                assert_eq!(recover(&db, &walp).unwrap().in_doubt, Some(9));
+                assert_eq!(recover(&OsFs, &db, &walp).unwrap().in_doubt, Some(9));
 
                 let report = resolve_in_doubt(&db, &walp, 9, commit).unwrap();
                 assert_eq!(report.in_doubt, None, "torn at {torn}, commit {commit}");
@@ -582,10 +591,13 @@ mod tests {
                     if commit { (1, 0) } else { (0, 1) }
                 );
                 assert!(log_is_empty(&walp), "torn at {torn}: log truncated");
-                let mut dm = DiskManager::open(&db).unwrap();
+                let mut dm = DiskManager::open(&OsFs, &db).unwrap();
                 let expect = if commit { 42 } else { 5 };
                 assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), expect);
-                assert_eq!(recover(&db, &walp).unwrap(), RecoveryReport::default());
+                assert_eq!(
+                    recover(&OsFs, &db, &walp).unwrap(),
+                    RecoveryReport::default()
+                );
                 std::fs::remove_file(&db).unwrap();
                 std::fs::remove_file(&walp).unwrap();
             }
@@ -596,21 +608,21 @@ mod tests {
     fn commit_after_prepare_in_log_is_decided() {
         let (db, walp) = paths("decided");
         {
-            let mut dm = DiskManager::create(&db).unwrap();
+            let mut dm = DiskManager::create(&OsFs, &db).unwrap();
             dm.allocate().unwrap();
             dm.sync().unwrap();
         }
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 88);
             wal.append_prepare(3);
             wal.append_commit(3);
             wal.sync().unwrap();
         }
-        let report = recover(&db, &walp).unwrap();
+        let report = recover(&OsFs, &db, &walp).unwrap();
         assert_eq!(report.in_doubt, None);
         assert_eq!(report.pages_redone, 1);
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 88);
         std::fs::remove_file(&db).unwrap();
         std::fs::remove_file(&walp).unwrap();
@@ -619,7 +631,7 @@ mod tests {
     /// A database file whose pages 1..=`pages` hold garbage recovery must
     /// never read: sealed, but not what the log says.
     fn db_with_decoys(db: &Path, pages: u64) {
-        let mut dm = DiskManager::create(db).unwrap();
+        let mut dm = DiskManager::create(&OsFs, db).unwrap();
         for _ in 0..pages {
             let id = dm.allocate().unwrap();
             let mut p = page_with(id.0, 0xDEC0);
@@ -634,7 +646,7 @@ mod tests {
         let (db, walp) = paths("fold");
         db_with_decoys(&db, 2);
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             let v1 = page_with(1, 10);
             log_image(&mut wal, 1, 10);
             log_image(&mut wal, 2, 20);
@@ -649,12 +661,12 @@ mod tests {
             wal.stage_delta(PageId(1), Some(v2.bytes()), v3.bytes());
             wal.sync().unwrap();
         }
-        let report = recover(&db, &walp).unwrap();
+        let report = recover(&OsFs, &db, &walp).unwrap();
         assert_eq!(report.records_scanned, 6);
         assert_eq!(report.commits, 2);
         assert_eq!(report.pages_redone, 2, "three committed records, two pages");
         assert_eq!(report.pages_discarded, 1);
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         let p1 = dm.read_page(PageId(1)).unwrap();
         assert_eq!((p1.read_u64(100), p1.read_u64(300)), (10, 11));
         assert_eq!(p1.read_u64(200), 0, "nothing of the file's copy survives");
@@ -671,19 +683,19 @@ mod tests {
         let mut v2 = v1.clone();
         v2.write_u64(300, 11);
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             wal.append_commit(1);
             wal.stage_delta(PageId(1), Some(v1.bytes()), v2.bytes());
             wal.append_commit(2);
             wal.sync().unwrap();
         }
-        let err = recover(&db, &walp).unwrap_err();
+        let err = recover(&OsFs, &db, &walp).unwrap_err();
         assert!(
             matches!(err, StorageError::WalCorrupt { offset: 17, .. }),
             "{err}"
         );
         // Nothing was applied and the log is kept for inspection.
-        let mut dm = DiskManager::open(&db).unwrap();
+        let mut dm = DiskManager::open(&OsFs, &db).unwrap();
         assert_eq!(dm.read_page(PageId(1)).unwrap().read_u64(100), 0xDEC0);
         assert!(!log_is_empty(&walp));
         std::fs::remove_file(&db).unwrap();
@@ -698,7 +710,7 @@ mod tests {
         let mut v2 = v1.clone();
         v2.write_u64(300, 11);
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 10);
             wal.append_prepare(5);
             wal.append_abort(5);
@@ -707,7 +719,7 @@ mod tests {
             wal.sync().unwrap();
         }
         assert!(matches!(
-            recover(&db, &walp),
+            recover(&OsFs, &db, &walp),
             Err(StorageError::WalCorrupt { .. })
         ));
         std::fs::remove_file(&db).unwrap();
@@ -719,13 +731,13 @@ mod tests {
         let (db, walp) = paths("misdirected");
         db_with_decoys(&db, 2);
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             wal.append_page_delta(PageId(2), None, page_with(1, 10).bytes());
             wal.append_commit(1);
             wal.sync().unwrap();
         }
         assert!(matches!(
-            recover(&db, &walp),
+            recover(&OsFs, &db, &walp),
             Err(StorageError::Corruption { page: Some(2), .. })
         ));
         std::fs::remove_file(&db).unwrap();
@@ -737,14 +749,17 @@ mod tests {
         let (db, walp) = paths("torn-only");
         db_with_decoys(&db, 1);
         {
-            let mut wal = Wal::open(&walp).unwrap();
+            let mut wal = Wal::open(&OsFs, &walp).unwrap();
             log_image(&mut wal, 1, 10);
             wal.sync().unwrap();
         }
         let len = std::fs::metadata(&walp).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&walp).unwrap();
         f.set_len(len - 3).unwrap();
-        assert_eq!(recover(&db, &walp).unwrap(), RecoveryReport::default());
+        assert_eq!(
+            recover(&OsFs, &db, &walp).unwrap(),
+            RecoveryReport::default()
+        );
         assert!(
             log_is_empty(&walp),
             "the engine appends behind what is left"

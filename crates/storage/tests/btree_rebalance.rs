@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use storage::btree::{BTree, Key};
 use storage::buffer::BufferPool;
 use storage::disk::DiskManager;
+use storage::vfs::OsFs;
 
 fn fresh(tag: &str) -> (BufferPool, PathBuf) {
     fresh_with(tag, 4096)
@@ -17,7 +18,7 @@ fn fresh_with(tag: &str, frames: usize) -> (BufferPool, PathBuf) {
     let mut p = std::env::temp_dir();
     p.push(format!("hm-btdel-{}-{tag}.db", std::process::id()));
     let _ = std::fs::remove_file(&p);
-    let dm = DiskManager::create(&p).unwrap();
+    let dm = DiskManager::create(&OsFs, &p).unwrap();
     (BufferPool::new(dm, frames), p)
 }
 
@@ -175,7 +176,7 @@ fn persists_correctly_after_heavy_deletion_and_reopen() {
     let _ = std::fs::remove_file(&path);
     let root;
     {
-        let dm = DiskManager::create(&path).unwrap();
+        let dm = DiskManager::create(&OsFs, &path).unwrap();
         let mut pool = BufferPool::new(dm, 4096);
         let mut tree = BTree::create(&mut pool).unwrap();
         for i in 0..8_000u64 {
@@ -189,7 +190,7 @@ fn persists_correctly_after_heavy_deletion_and_reopen() {
         pool.sync().unwrap();
     }
     {
-        let dm = DiskManager::open(&path).unwrap();
+        let dm = DiskManager::open(&OsFs, &path).unwrap();
         let mut pool = BufferPool::new(dm, 4096);
         let tree = BTree::open(root);
         let all = tree.range_vec(&mut pool, Key::MIN, Key::MAX).unwrap();

@@ -6,13 +6,14 @@ use storage::buffer::BufferPool;
 use storage::disk::DiskManager;
 use storage::engine::Engine;
 use storage::heap::HeapFile;
+use storage::vfs::OsFs;
 use storage::PageId;
 
 fn fresh(tag: &str) -> (BufferPool, PathBuf) {
     let mut p = std::env::temp_dir();
     p.push(format!("hm-freelist-{}-{tag}.db", std::process::id()));
     let _ = std::fs::remove_file(&p);
-    let dm = DiskManager::create(&p).unwrap();
+    let dm = DiskManager::create(&OsFs, &p).unwrap();
     (BufferPool::new(dm, 512), p)
 }
 

@@ -1,27 +1,42 @@
-//! Model test of delta logging and recovery: random transactions over a
-//! heap file and a B+Tree, ended in every way the engine can end one —
-//! commit, two-phase commit and abort, checkpoint, a crash once the pages
-//! new to the file are synced, a crash on either side of the commit
-//! record, a crash while prepared, a log cut short, a page of the database
-//! file torn after its commit — and after every reopen the file is
-//! compared with a shadow of the committed state. The property runs with
-//! a pool that holds the whole database and with one so small that
-//! committed pages the file lacks are evicted, written and read back.
+//! Model test of delta logging and recovery, on files in memory
+//! (`fake_fs`). Random transactions over a heap file and a B+Tree end in
+//! a commit, a two-phase commit or abort, a checkpoint, a crash while
+//! prepared, or a commit whose log sync fails and is retried, and after
+//! each the database is compared with a shadow of the committed state.
 //!
-//! What it is after: a page's log records are deltas against the page as
-//! the *log* last saw it, so any path on which the engine's idea of that
-//! state (before-images, the imaged set) and the log's contents drift
-//! apart shows up here as a wrong byte after recovery.
+//! The crash explorer runs one seeded history of such transactions once
+//! and records every file call it makes. It then rebuilds every set of
+//! files a crash could have left at every point of that record — the
+//! crash model of `storage::vfs`: per file, its synced prefix and its
+//! unsynced calls kept, dropped or with the last write torn — opens each
+//! with `Engine::open_in`, and requires the transactions whose marker's
+//! sync returned, none whose marker was never written, and any of those
+//! whose marker was written but not synced.
+//!
+//! Both run with a pool that holds the whole database and with one so
+//! small that committed pages the file lacks are evicted, written and
+//! read back. What they are after: a page's log records are deltas
+//! against the page as the *log* last saw it, so any path on which the
+//! engine's idea of that state (before-images, the imaged set) and the
+//! log's contents drift apart shows up as a wrong byte after recovery.
 
+mod fake_fs;
+
+use fake_fs::{crash_states, FakeFs, FileState, Files, Op};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use proptest::test_runner::TestRng;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+use std::time::Instant;
 use storage::btree::{BTree, Key};
-use storage::engine::{wal_path_for, CrashPoint, Engine};
+use storage::engine::{wal_path_for, Engine};
 use storage::heap::{HeapFile, RecordId};
-use storage::recovery::{in_doubt_txn, resolve_in_doubt};
+use storage::recovery::{resolve_in_doubt_in, RecoveryReport};
 use storage::wal::{WalReader, WalRecord};
-use storage::{PageId, PAGE_SIZE};
+use storage::{PageId, Result, PAGE_SIZE};
 
 const FRAMES: usize = 512;
 /// A pool smaller than the database [`Db::add_ballast`] makes.
@@ -32,16 +47,9 @@ const KEYS: u64 = 1200;
 
 type Shadow = BTreeMap<u64, Vec<u8>>;
 
-fn db_path(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("hm-model-{}-{tag}.db", std::process::id()));
-    remove(&p);
-    p
-}
-
-fn remove(p: &Path) {
-    let _ = std::fs::remove_file(p);
-    let _ = std::fs::remove_file(wal_path_for(p));
+/// Where the database lives in its [`FakeFs`].
+fn db_path() -> PathBuf {
+    PathBuf::from("model.db")
 }
 
 /// An engine with one heap file and one B+Tree (key → record id) on it,
@@ -53,9 +61,35 @@ struct Db {
     ballast: Option<HeapFile>,
 }
 
+/// What a database holds: every record by key, the heap's record count,
+/// and whether the ballast, if there is one, is intact.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct Contents {
+    records: Shadow,
+    heap_len: usize,
+    ballast: Option<bool>,
+}
+
+impl Contents {
+    /// What a database whose committed state is `shadow` holds.
+    fn of(shadow: &Shadow, ballast: bool) -> Contents {
+        Contents {
+            records: shadow.clone(),
+            heap_len: shadow.len(),
+            ballast: ballast.then_some(true),
+        }
+    }
+
+    fn digest(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.hash(&mut h);
+        h.finish()
+    }
+}
+
 impl Db {
-    fn create(path: &Path, frames: usize) -> Db {
-        let mut engine = Engine::create(path, frames).unwrap();
+    fn create(fs: &FakeFs, frames: usize) -> Db {
+        let mut engine = Engine::create_in(fs, &db_path(), frames).unwrap();
         let heap = HeapFile::create(engine.pool()).unwrap();
         let tree = BTree::create(engine.pool()).unwrap();
         engine.catalog_set("heap", heap.first_page().0).unwrap();
@@ -69,29 +103,35 @@ impl Db {
         }
     }
 
-    /// Open after a close or a crash; recovery must leave nothing in doubt.
-    fn open(path: &Path, frames: usize) -> Db {
-        let (engine, report) = Engine::open(path, frames).unwrap();
-        assert_eq!(report.in_doubt, None);
+    /// Open after a close or a crash, and the recovery report.
+    fn try_open(fs: &FakeFs, frames: usize) -> Result<(Db, RecoveryReport)> {
+        let (engine, report) = Engine::open_in(fs, &db_path(), frames)?;
         let mut db = Db {
             engine,
             heap: HeapFile::open(PageId(0)),
             tree: BTree::open(PageId(0)),
             ballast: None,
         };
-        db.reload_roots();
+        db.reload_roots()?;
+        Ok((db, report))
+    }
+
+    /// Open after a close or a crash; recovery must leave nothing in doubt.
+    fn open(fs: &FakeFs, frames: usize) -> Db {
+        let (db, report) = Db::try_open(fs, frames).unwrap();
+        assert_eq!(report.in_doubt, None);
         db
     }
 
     /// Handles cache roots and hints; after an abort they are stale.
-    fn reload_roots(&mut self) {
-        self.heap = HeapFile::open(PageId(self.engine.catalog_get("heap").unwrap()));
-        self.tree = BTree::open(PageId(self.engine.catalog_get("tree").unwrap()));
+    fn reload_roots(&mut self) -> Result<()> {
+        self.heap = HeapFile::open(PageId(self.engine.catalog_get("heap")?));
+        self.tree = BTree::open(PageId(self.engine.catalog_get("tree")?));
         self.ballast = self
             .engine
-            .catalog_try_get("ballast")
-            .unwrap()
+            .catalog_try_get("ballast")?
             .map(|first| HeapFile::open(PageId(first)));
+        Ok(())
     }
 
     /// A second heap of [`BALLAST`] records, a hundred per commit, that no
@@ -161,32 +201,70 @@ impl Db {
         }
     }
 
-    /// The whole key space answers as `shadow` says, and the ballast is
-    /// intact.
-    fn check(&mut self, shadow: &Shadow, context: &str) {
+    /// Read the whole key space, the heap and the ballast.
+    fn contents(&mut self) -> Result<Contents> {
         let pool = self.engine.pool();
-        for k in 0..KEYS {
-            let got = self
-                .tree
-                .get(pool, Key::from_pair(k, 0))
-                .unwrap()
-                .map(|packed| self.heap.get(pool, RecordId::unpack(packed)).unwrap());
-            assert_eq!(got.as_ref(), shadow.get(&k), "{context}: key {k}");
+        let mut records = Shadow::new();
+        for (key, packed) in
+            self.tree
+                .range_vec(pool, Key::from_pair(0, 0), Key::from_pair(KEYS, 0))?
+        {
+            let data = self.heap.get(pool, RecordId::unpack(packed))?;
+            records.insert(key.to_pair().0, data);
         }
-        assert_eq!(self.tree.len(pool).unwrap(), shadow.len(), "{context}");
-        assert_eq!(self.heap.len(pool).unwrap(), shadow.len(), "{context}");
-        if let Some(ballast) = &self.ballast {
-            let mut records = Vec::new();
-            ballast
-                .scan(pool, |_, data| {
-                    records.push(data.to_vec());
+        let heap_len = self.heap.len(pool)?;
+        let ballast = match &self.ballast {
+            None => None,
+            Some(ballast) => {
+                let mut n = 0;
+                let mut intact = true;
+                ballast.scan(pool, |_, data| {
+                    intact &= data == ballast_record(n);
+                    n += 1;
                     true
-                })
-                .unwrap();
-            let expect: Vec<_> = (0..BALLAST).map(ballast_record).collect();
-            assert!(records == expect, "{context}: ballast");
+                })?;
+                Some(intact && n == BALLAST)
+            }
+        };
+        Ok(Contents {
+            records,
+            heap_len,
+            ballast,
+        })
+    }
+
+    /// The database holds `shadow`.
+    fn check(&mut self, shadow: &Shadow, context: &str) {
+        let want = Contents::of(shadow, self.ballast.is_some());
+        let got = self.contents().unwrap();
+        if got != want {
+            panic!("{context}: {}", differences(&got, &want));
         }
     }
+}
+
+/// The first ways in which `got` is not `want`.
+fn differences(got: &Contents, want: &Contents) -> String {
+    let mut out = Vec::new();
+    let keys = got.records.keys().chain(want.records.keys());
+    for k in keys.collect::<std::collections::BTreeSet<_>>() {
+        let (g, w) = (got.records.get(k), want.records.get(k));
+        let record =
+            |r: Option<&Vec<u8>>| r.map_or("nothing".into(), |r| format!("{} bytes", r.len()));
+        if g != w && out.len() < 3 {
+            out.push(format!("key {k} holds {}, not {}", record(g), record(w)));
+        }
+    }
+    if got.heap_len != want.heap_len {
+        out.push(format!(
+            "{} heap records, not {}",
+            got.heap_len, want.heap_len
+        ));
+    }
+    if got.ballast != want.ballast {
+        out.push(format!("ballast {:?}", got.ballast));
+    }
+    out.join("; ")
 }
 
 fn ballast_record(n: usize) -> Vec<u8> {
@@ -211,23 +289,12 @@ enum End {
         commit: bool,
     },
     CommitThenCheckpoint,
-    Crash(CrashPoint),
     /// Crash while prepared; the coordinator decides afterwards.
     CrashPrepared {
         commit: bool,
     },
-    /// Commit, then lose the process: the log alone must carry it.
-    CommitThenCrash,
-    /// The commit's log write stops `permille`/1000 of the way through.
-    CutLog {
-        permille: u64,
-    },
-    /// Commit, then half of one page the log mentions is overwritten in
-    /// the database file before the process is lost.
-    TornPage {
-        pick: usize,
-        second_half: bool,
-    },
+    /// The commit's log sync fails, and the commit is retried.
+    SyncFailsThenCommit,
 }
 
 fn arb_data() -> impl Strategy<Value = Vec<u8>> {
@@ -252,49 +319,115 @@ fn arb_end() -> impl Strategy<Value = End> {
         6 => Just(End::Commit),
         2 => any::<bool>().prop_map(|commit| End::TwoPhase { commit }),
         1 => Just(End::CommitThenCheckpoint),
-        1 => Just(End::Crash(CrashPoint::AfterFreshPagesSynced)),
-        1 => Just(End::Crash(CrashPoint::BeforeCommitRecord)),
-        1 => Just(End::Crash(CrashPoint::AfterWalSync)),
         1 => any::<bool>().prop_map(|commit| End::CrashPrepared { commit }),
-        1 => Just(End::CommitThenCrash),
-        1 => (0u64..1000).prop_map(|permille| End::CutLog { permille }),
-        2 => (any::<usize>(), any::<bool>())
-            .prop_map(|(pick, second_half)| End::TornPage { pick, second_half }),
+        1 => Just(End::SyncFailsThenCommit),
     ]
 }
 
-/// Pages of the last single-phase commit in the log at `wal`: pages whose
-/// copy in the database file recovery must not need.
-fn last_committed_pages(wal: &Path) -> Vec<u64> {
-    let mut reader = WalReader::open(wal).unwrap();
-    let (mut open, mut last) = (Vec::new(), Vec::new());
-    while let Some(record) = reader.next_record().unwrap() {
-        match record {
-            WalRecord::PageDelta(delta) => open.push(delta.page_id.0),
-            WalRecord::Commit { .. } if !open.is_empty() => last = std::mem::take(&mut open),
-            WalRecord::Prepare { .. } => open.clear(),
-            _ => {}
-        }
+/// A transaction the files may hold after a crash.
+struct Candidate {
+    /// The committed state with it, and its [`Contents`] digest.
+    shadow: Shadow,
+    digest: u64,
+    /// The call that wrote its marker.
+    written: usize,
+    /// The call that synced its marker, if that returned.
+    synced: Option<usize>,
+}
+
+/// What the crash states of a recorded run must hold.
+struct History {
+    /// Calls the set-up made: the states before it are not the database's.
+    start: usize,
+    ballast: bool,
+    /// In the order their markers were written, after the committed state
+    /// at `start`, which is durable from the first.
+    candidates: Vec<Candidate>,
+    /// The digest of the state each prepared transaction commits, by id.
+    prepared: HashMap<u64, u64>,
+}
+
+impl History {
+    fn digest(&self, shadow: &Shadow) -> u64 {
+        Contents::of(shadow, self.ballast).digest()
     }
-    last
+
+    fn prepare(&mut self, txid: u64, shadow: &Shadow) {
+        self.prepared.insert(txid, self.digest(shadow));
+    }
+
+    /// Take the last write to the log among the calls from `since` on as
+    /// the marker of a transaction whose committed state is `shadow` and,
+    /// when `synced`, the log's next sync as the one that made it durable.
+    fn marker(&mut self, fs: &FakeFs, since: usize, shadow: &Shadow, synced: bool) {
+        let wal = wal_path_for(&db_path());
+        let calls = fs.trace_since(since);
+        let on_log = |op: &&Op| op.path() == wal;
+        let Some(written) = calls
+            .iter()
+            .rposition(|op| on_log(&op) && matches!(op, Op::Write { .. }))
+        else {
+            return; // nothing was dirty: no marker
+        };
+        let synced = synced.then(|| {
+            let after = calls[written..]
+                .iter()
+                .position(|op| on_log(&op) && matches!(op, Op::Sync(_)));
+            since + written + after.expect("a commit that returned synced its marker")
+        });
+        self.candidates.push(Candidate {
+            shadow: shadow.clone(),
+            digest: self.digest(shadow),
+            written: since + written,
+            synced,
+        });
+    }
+
+    /// The states the database may be in after the first `prefix` calls:
+    /// the last durable one first, then any whose marker is written but
+    /// not durable.
+    fn allowed(&self, prefix: usize) -> Vec<&Candidate> {
+        let mut out = Vec::new();
+        for c in &self.candidates {
+            if c.synced.is_some_and(|s| s < prefix) {
+                out = vec![c];
+            } else if c.written < prefix {
+                out.push(c);
+            }
+        }
+        out
+    }
 }
 
-fn tear_page(db: &Path, page: u64, second_half: bool) {
-    let mut bytes = std::fs::read(db).unwrap();
-    let at = page as usize * PAGE_SIZE + if second_half { PAGE_SIZE / 2 } else { 0 };
-    bytes[at..at + PAGE_SIZE / 2].fill(0xA5);
-    std::fs::write(db, bytes).unwrap();
-}
-
-/// Run `txns` against a fresh database with a pool of `frames`; returns
-/// it with its shadow.
-fn run(path: &Path, frames: usize, txns: &[(Vec<Edit>, End)]) -> (Db, Shadow) {
-    let wal = wal_path_for(path);
-    let mut db = Db::create(path, frames);
-    let mut committed = Shadow::new();
-    if frames < FRAMES {
+/// A run of `txns` against a fresh database in `fs` with a pool of
+/// `frames`: the database, its committed shadow, what a crash at any point
+/// of it must leave, and each transaction at which the database did not
+/// hold its shadow.
+fn run(
+    fs: &FakeFs,
+    frames: usize,
+    txns: &[(Vec<Edit>, End)],
+) -> (Db, Shadow, History, Vec<String>) {
+    let path = db_path();
+    let wal = wal_path_for(&path);
+    let ballast = frames < FRAMES;
+    let mut db = Db::create(fs, frames);
+    if ballast {
         db.add_ballast();
     }
+    let mut history = History {
+        start: fs.trace_len(),
+        ballast,
+        candidates: vec![Candidate {
+            shadow: Shadow::new(),
+            digest: Contents::of(&Shadow::new(), ballast).digest(),
+            written: 0,
+            synced: Some(0),
+        }],
+        prepared: HashMap::new(),
+    };
+    let mut committed = Shadow::new();
+    let mut live = Vec::new();
     for (n, (edits, end)) in txns.iter().enumerate() {
         let context = format!("{frames} frames, txn {n} ended by {end:?}");
         let mut working = committed.clone();
@@ -302,88 +435,62 @@ fn run(path: &Path, frames: usize, txns: &[(Vec<Edit>, End)]) -> (Db, Shadow) {
             db.apply(edit, &mut working);
         }
         let txid = 1000 + n as u64;
-        // `Some` when the process was lost and the files must be reopened.
-        let survivor = match end {
-            End::Commit => {
+        let since = fs.trace_len();
+        match end {
+            End::Commit | End::CommitThenCheckpoint => {
                 db.engine.commit().unwrap();
+                history.marker(fs, since, &working, true);
+                if matches!(end, End::CommitThenCheckpoint) {
+                    db.engine.checkpoint().unwrap();
+                }
                 committed = working;
-                Some(db)
             }
             End::TwoPhase { commit } => {
                 db.engine.prepare(txid).unwrap();
+                history.prepare(txid, &working);
+                let since = fs.trace_len();
                 if *commit {
                     db.engine.commit_prepared(txid).unwrap();
+                    history.marker(fs, since, &working, true);
                     committed = working;
                 } else {
                     db.engine.abort_prepared(txid).unwrap();
-                    db.reload_roots();
+                    db.reload_roots().unwrap();
                 }
-                Some(db)
-            }
-            End::CommitThenCheckpoint => {
-                db.engine.commit().unwrap();
-                db.engine.checkpoint().unwrap();
-                committed = working;
-                Some(db)
-            }
-            End::Crash(point) => {
-                if *point == CrashPoint::AfterWalSync {
-                    committed = working;
-                }
-                db.engine.commit_with_crash(*point).unwrap();
-                None
             }
             End::CrashPrepared { commit } => {
                 db.engine.prepare(txid).unwrap();
+                history.prepare(txid, &working);
                 drop(db);
-                assert_eq!(in_doubt_txn(&wal).unwrap(), Some(txid), "{context}");
-                resolve_in_doubt(path, &wal, txid, *commit).unwrap();
+                let (_, report) = Engine::open_in(fs, &path, frames).unwrap();
+                assert_eq!(report.in_doubt, Some(txid), "{context}");
+                let since = fs.trace_len();
+                resolve_in_doubt_in(fs, &path, &wal, txid, *commit).unwrap();
                 if *commit {
+                    history.marker(fs, since, &working, true);
                     committed = working;
                 }
-                None
+                db = Db::open(fs, frames);
             }
-            End::CommitThenCrash => {
+            End::SyncFailsThenCommit => {
+                // A changed page, so that the commit reaches the sync.
+                db.engine.catalog_set("failed sync", txid).unwrap();
+                fs.fail_next_sync(&wal);
+                assert!(db.engine.commit().is_err(), "{context}");
+                history.marker(fs, since, &working, false);
+                let since = fs.trace_len();
                 db.engine.commit().unwrap();
+                history.marker(fs, since, &working, true);
                 committed = working;
-                None
             }
-            End::CutLog { permille } => {
-                // Before the log write a commit only adds pages to the end
-                // of the database file. Putting the file back as it was
-                // loses those too, which a crash inside the log write
-                // cannot do, but must recover all the same: no record
-                // short of the marker may name them.
-                let file_before = std::fs::read(path).unwrap();
-                let log_before = std::fs::metadata(&wal).unwrap().len();
-                db.engine.commit().unwrap();
-                drop(db);
-                let log = std::fs::read(&wal).unwrap();
-                let grown = log.len() as u64 - log_before;
-                if grown == 0 {
-                    committed = working; // nothing changed, nothing to lose
-                } else {
-                    let cut = log_before + grown * permille / 1000;
-                    std::fs::write(&wal, &log[..cut as usize]).unwrap();
-                    std::fs::write(path, file_before).unwrap();
-                }
-                None
-            }
-            End::TornPage { pick, second_half } => {
-                db.engine.commit().unwrap();
-                committed = working;
-                drop(db);
-                let pages = last_committed_pages(&wal);
-                if !pages.is_empty() {
-                    tear_page(path, pages[pick % pages.len()], *second_half);
-                }
-                None
-            }
-        };
-        db = survivor.unwrap_or_else(|| Db::open(path, frames));
-        db.check(&committed, &context);
+        }
+        let want = Contents::of(&committed, history.ballast);
+        let got = db.contents().unwrap();
+        if got != want {
+            live.push(format!("{context}: {}", differences(&got, &want)));
+        }
     }
-    (db, committed)
+    (db, committed, history, live)
 }
 
 proptest! {
@@ -395,59 +502,254 @@ proptest! {
             (proptest::collection::vec(arb_edit(), 0..12), arb_end()),
             1..24,
         ),
-        last in proptest::collection::vec((0..KEYS, proptest::collection::vec(any::<u8>(), 40)), 1..4),
     ) {
         for frames in [FRAMES, SMALL_FRAMES] {
-            committed_shadow_survives(frames, &txns, &last);
+            let fs = FakeFs::default();
+            let (db, committed, _, live) = run(&fs, frames, &txns);
+            assert_eq!(live, Vec::<String>::new());
+            drop(db);
+            Db::open(&fs, frames).check(&committed, &format!("{frames} frames, reopened"));
         }
     }
 }
 
-fn committed_shadow_survives(frames: usize, txns: &[(Vec<Edit>, End)], last: &[(u64, Vec<u8>)]) {
-    let path = db_path("prop");
-    let wal = wal_path_for(&path);
-    let (mut db, before) = run(&path, frames, txns);
+// ---- the crash explorer --------------------------------------------------
 
-    // One more transaction, its log write cut at every byte: all of
-    // it or none of it, and the earlier transactions either way. Every
-    // cut costs a recovery with its fsyncs, so the transaction is kept
-    // to a few hundred bytes of log: it overwrites in place records
-    // that the commit before it has just put in the log. (`CutLog`
-    // above cuts transactions of every size, at one point each.)
-    let mut before = before;
-    for (k, _) in last {
-        db.apply(&Edit::Put(*k, vec![0xEE; 40]), &mut before);
+/// What opening one crash state gave: the digest of its [`Contents`]; for
+/// a transaction left in doubt, that after committing it and after
+/// aborting it; or why it failed.
+#[derive(Debug, Clone)]
+enum Outcome {
+    Open(u64),
+    InDoubt { txid: u64, commit: u64, abort: u64 },
+    Failed(String),
+}
+
+/// Opens crash states and reads them.
+#[derive(Default)]
+struct Opener {
+    /// The files recovery left last time, and the digest read from them:
+    /// most states differ only in how much of an uncommitted tail the log
+    /// holds, and recover to the same files.
+    last: Option<(Files, u64)>,
+}
+
+impl Opener {
+    /// Open the database in `fs` and digest what it holds; and the
+    /// transaction recovery left in doubt, if any. Reading writes nothing,
+    /// so the pool is the large one whatever pool the history ran with.
+    fn read(&mut self, fs: &FakeFs) -> std::result::Result<(u64, Option<u64>), String> {
+        let (mut db, report) = Db::try_open(fs, FRAMES).map_err(|e| e.to_string())?;
+        let digest = match &self.last {
+            Some((files, digest)) if fs.holds(files) => *digest,
+            _ => {
+                let digest = db.contents().map_err(|e| e.to_string())?.digest();
+                self.last = Some((fs.files(), digest));
+                digest
+            }
+        };
+        Ok((digest, report.in_doubt))
     }
-    db.engine.commit().unwrap();
-    let mut after = before.clone();
-    for (k, data) in last {
-        db.apply(&Edit::Put(*k, data.clone()), &mut after);
+
+    /// Open the database in `files` and read it, resolving a transaction
+    /// left in doubt both ways.
+    fn open(&mut self, files: Files) -> Outcome {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let fs = FakeFs::with_files(files);
+            let (digest, in_doubt) = self.read(&fs)?;
+            let Some(txid) = in_doubt else {
+                return Ok(Outcome::Open(digest));
+            };
+            // Recovery left the files as it found them but for redone
+            // pages, and may run again: resolve from there.
+            let recovered = fs.files();
+            let mut decided = [0; 2];
+            for (slot, commit) in decided.iter_mut().zip([true, false]) {
+                let fs = FakeFs::with_files(recovered.clone());
+                let (path, wal) = (db_path(), wal_path_for(&db_path()));
+                resolve_in_doubt_in(&fs, &path, &wal, txid, commit).map_err(|e| e.to_string())?;
+                *slot = self.read(&fs)?.0;
+            }
+            Ok(Outcome::InDoubt {
+                txid,
+                commit: decided[0],
+                abort: decided[1],
+            })
+        }));
+        match outcome {
+            Ok(Ok(outcome)) => outcome,
+            Ok(Err(e)) => Outcome::Failed(e),
+            Err(_) => Outcome::Failed("panicked".into()),
+        }
     }
-    let file_before = std::fs::read(&path).unwrap();
-    let log_before = std::fs::metadata(&wal).unwrap().len() as usize;
-    db.engine.commit().unwrap();
+}
+
+/// The seeded history the explorer runs: random edits, and every way a
+/// transaction can end.
+fn explorer_history(seed: u64) -> Vec<(Vec<Edit>, End)> {
+    let mut rng = TestRng::deterministic(&format!("crash explorer {seed}"));
+    let edits = proptest::collection::vec(arb_edit(), 1..6);
+    [
+        End::Commit,
+        End::TwoPhase { commit: true },
+        End::Commit,
+        End::TwoPhase { commit: false },
+        End::CommitThenCheckpoint,
+        End::CrashPrepared { commit: true },
+        End::SyncFailsThenCommit,
+        End::Commit,
+        End::CrashPrepared { commit: false },
+        End::Commit,
+    ]
+    .into_iter()
+    .map(|end| (edits.sample(&mut rng), end))
+    .collect()
+}
+
+/// Every crash state of the seeded history at `frames` opens to a state
+/// [`History::allowed`] permits. Returns the number of states and of
+/// distinct ones opened.
+fn explore(seed: u64, frames: usize) -> (usize, usize) {
+    let txns = explorer_history(seed);
+    let fs = FakeFs::default();
+    let (db, _, history, live) = run(&fs, frames, &txns);
     drop(db);
-    let log = std::fs::read(&wal).unwrap();
-    for cut in log_before..=log.len() {
-        std::fs::write(&wal, &log[..cut]).unwrap();
-        std::fs::write(&path, &file_before).unwrap();
-        let expect = if cut == log.len() { &after } else { &before };
-        Db::open(&path, frames).check(
-            expect,
-            &format!("{frames} frames, cut at {cut} of {}", log.len()),
-        );
+    let trace = fs.trace();
+    let mut opener = Opener::default();
+    let mut opened: HashMap<Vec<FileState>, Outcome> = HashMap::new();
+    let mut states = 0;
+    crash_states(&trace, history.start, |prefix, state, build| {
+        states += 1;
+        let outcome = opened
+            .entry(state.to_vec())
+            .or_insert_with(|| opener.open(build()));
+        let allowed = history.allowed(prefix);
+        let fine = match outcome {
+            Outcome::Open(d) => allowed.iter().any(|c| c.digest == *d),
+            // Committed, it is the prepared state; aborted, the durable one.
+            Outcome::InDoubt {
+                txid,
+                commit,
+                abort,
+            } => history.prepared.get(txid) == Some(commit) && *abort == allowed[0].digest,
+            Outcome::Failed(_) => false,
+        };
+        if !fine {
+            let files: Vec<String> = state
+                .iter()
+                .map(|f| format!("{}: {}", f.path.display(), f.variant))
+                .collect();
+            let what = match outcome {
+                Outcome::Failed(e) => format!("opening failed: {e}"),
+                Outcome::InDoubt { txid, .. } => format!("transaction {txid} resolves wrongly"),
+                Outcome::Open(_) => {
+                    let (mut db, _) = Db::try_open(&FakeFs::with_files(build()), FRAMES).unwrap();
+                    let durable = Contents::of(&allowed[0].shadow, history.ballast);
+                    format!(
+                        "none of {} allowed states; against the durable one, {}",
+                        allowed.len(),
+                        differences(&db.contents().unwrap(), &durable)
+                    )
+                }
+            };
+            panic!(
+                "seed {seed}, {frames} frames, prefix {prefix} of {} calls ({}): {what}",
+                trace.len(),
+                files.join(", "),
+            );
+        }
+    });
+    assert_eq!(live, Vec::<String>::new(), "seed {seed}: the live database");
+    (states, opened.len())
+}
+
+/// The seed of the explorer's history.
+const SEED: u64 = 47;
+
+fn explore_and_report(frames: usize) {
+    let t = Instant::now();
+    let (states, distinct) = explore(SEED, frames);
+    eprintln!(
+        "seed {SEED}, {frames} frames: {states} crash states, {distinct} distinct, {:?}",
+        t.elapsed()
+    );
+}
+
+#[test]
+fn every_crash_state_opens_to_a_committed_prefix() {
+    explore_and_report(FRAMES);
+}
+
+#[test]
+fn every_crash_state_opens_to_a_committed_prefix_with_eviction() {
+    explore_and_report(SMALL_FRAMES);
+}
+
+// ---- targeted cases --------------------------------------------------------
+
+/// `(page, zero_based)` of every delta record in the log, in order.
+fn logged_deltas(fs: &FakeFs) -> Vec<(u64, bool)> {
+    let mut reader = WalReader::open(fs, &wal_path_for(&db_path())).unwrap();
+    let mut out = Vec::new();
+    while let Some(record) = reader.next_record().unwrap() {
+        if let WalRecord::PageDelta(d) = record {
+            out.push((d.page_id.0, d.zero_based));
+        }
     }
-    remove(&path);
+    out
+}
+
+#[test]
+fn a_failed_log_sync_fails_the_commit_and_the_retry_logs_whole_pages() {
+    let fs = FakeFs::default();
+    let wal = wal_path_for(&db_path());
+    let mut db = Db::create(&fs, FRAMES);
+    let mut shadow = Shadow::new();
+    db.apply(&Edit::Put(1, vec![1; 40]), &mut shadow);
+    db.engine.commit().unwrap();
+    db.apply(&Edit::Put(1, vec![2; 40]), &mut shadow);
+    db.engine.commit().unwrap();
+    let logged = logged_deltas(&fs).len();
+    // The page is imaged, so this change is a delta ... until the sync
+    // fails.
+    db.apply(&Edit::Put(1, vec![3; 40]), &mut shadow);
+    fs.fail_next_sync(&wal);
+    assert!(db.engine.commit().is_err());
+    assert_eq!(
+        logged_deltas(&fs).len(),
+        logged,
+        "cut back to the last sync"
+    );
+    db.engine.commit().unwrap();
+    let retried = &logged_deltas(&fs)[logged..];
+    assert!(!retried.is_empty());
+    assert!(
+        retried.iter().all(|&(_, zero_based)| zero_based),
+        "{retried:?}"
+    );
+    // After the retry, each page is a delta again.
+    db.apply(&Edit::Put(1, vec![4; 40]), &mut shadow);
+    db.engine.commit().unwrap();
+    let after = &logged_deltas(&fs)[logged + retried.len()..];
+    assert!(
+        after.iter().all(|&(_, zero_based)| !zero_based),
+        "{after:?}"
+    );
+    drop(db);
+    Db::open(&fs, FRAMES).check(&shadow, "reopened");
 }
 
 /// A committed database with pages on its free list, then a transaction
-/// that needs more pages than the list holds, lost by `lose` after its
-/// new pages reached the file. Reopened, the database is the committed
-/// one: same catalog, same free list, and once the list is used up the
-/// next page allocated lies past the leaked ones.
-fn lose_a_transaction_that_grows_the_file(tag: &str, lose: impl FnOnce(Db, &Path)) {
-    let path = db_path(tag);
-    let mut db = Db::create(&path, FRAMES);
+/// that needs more pages than the list holds, prepared after its new pages
+/// reached the file and lost in a crash. Reopened and aborted by the
+/// coordinator, the database is the committed one: same catalog, same free
+/// list, and once the list is used up the next page allocated lies past
+/// the leaked ones.
+#[test]
+fn a_prepared_transaction_that_grew_the_file_aborts_after_a_crash() {
+    let fs = FakeFs::default();
+    let path = db_path();
+    let mut db = Db::create(&fs, FRAMES);
     let mut committed = Shadow::new();
     for k in 0..20 {
         db.apply(&Edit::Put(k, vec![k as u8; 6000]), &mut committed);
@@ -475,48 +777,26 @@ fn lose_a_transaction_that_grows_the_file(tag: &str, lose: impl FnOnce(Db, &Path
         db.apply(&Edit::Put(k, vec![k as u8; 6000]), &mut working);
     }
     assert!(db.engine.pool_ref().disk().page_count() > end + 10);
-    lose(db, &path);
-    let file = std::fs::read(&path).unwrap();
+    db.engine.prepare(77).unwrap();
+    drop(db);
+    let wal = wal_path_for(&path);
+    resolve_in_doubt_in(&fs, &path, &wal, 77, false).unwrap();
+    let file = fs.file(&path).unwrap();
     let leaked_end = (file.len() / PAGE_SIZE) as u64;
-    assert!(leaked_end > end + 10, "{tag}");
+    assert!(leaked_end > end + 10);
     let leaked = &file[end as usize * PAGE_SIZE..];
     assert!(
         leaked.chunks(PAGE_SIZE).all(|p| p.iter().any(|&b| b != 0)),
-        "{tag}: every new page reached the file"
+        "every new page reached the file"
     );
 
-    let mut db = Db::open(&path, FRAMES);
-    db.check(&committed, tag);
-    assert_eq!(catalog(&mut db), roots, "{tag}");
+    let mut db = Db::open(&fs, FRAMES);
+    db.check(&committed, "aborted");
+    assert_eq!(catalog(&mut db), roots);
     let pool = db.engine.pool();
-    assert_eq!(pool.free_page_count().unwrap(), free, "{tag}");
+    assert_eq!(pool.free_page_count().unwrap(), free);
     for _ in 0..free {
-        assert!(
-            pool.allocate().unwrap().0 .0 < end,
-            "{tag}: from the free list"
-        );
+        assert!(pool.allocate().unwrap().0 .0 < end, "from the free list");
     }
-    assert_eq!(pool.allocate().unwrap().0, PageId(leaked_end), "{tag}");
-    drop(db);
-    remove(&path);
-}
-
-#[test]
-fn a_crash_once_the_new_pages_are_synced_leaves_the_committed_database() {
-    lose_a_transaction_that_grows_the_file("fresh-synced", |db, _| {
-        db.engine
-            .commit_with_crash(CrashPoint::AfterFreshPagesSynced)
-            .unwrap();
-    });
-}
-
-#[test]
-fn a_prepared_transaction_that_grew_the_file_aborts_after_a_crash() {
-    lose_a_transaction_that_grows_the_file("fresh-prepared", |mut db, path| {
-        db.engine.prepare(77).unwrap();
-        drop(db);
-        let wal = wal_path_for(path);
-        assert_eq!(in_doubt_txn(&wal).unwrap(), Some(77));
-        resolve_in_doubt(path, &wal, 77, false).unwrap();
-    });
+    assert_eq!(pool.allocate().unwrap().0, PageId(leaked_end));
 }

@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use storage::buffer::BufferPool;
 use storage::disk::DiskManager;
 use storage::page::{PageId, PAGE_SIZE};
+use storage::vfs::OsFs;
 
 /// The system allocator, counting the allocations each thread makes and
 /// their bytes.
@@ -65,7 +66,7 @@ fn full_clean_pool(tag: &str) -> (BufferPool, PathBuf, Vec<PageId>) {
     let mut path = std::env::temp_dir();
     path.push(format!("hm-pool-alloc-{}-{tag}.db", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut pool = BufferPool::new(DiskManager::create(&path).unwrap(), 8);
+    let mut pool = BufferPool::new(DiskManager::create(&OsFs, &path).unwrap(), 8);
     let ids: Vec<PageId> = (0..16)
         .map(|_| {
             let (id, _) = pool.allocate().unwrap();

@@ -11,6 +11,7 @@ use storage::page::{
     Page, PageId, PageKind, CHECKSUM_OFFSET, FREE_NEXT_OFFSET, META_FREELIST_OFFSET,
 };
 use storage::slotted;
+use storage::vfs::OsFs;
 
 fn fresh_pool(tag: &str, frames: usize) -> (BufferPool, PathBuf) {
     let mut p = std::env::temp_dir();
@@ -23,7 +24,7 @@ fn fresh_pool(tag: &str, frames: usize) -> (BufferPool, PathBuf) {
             .replace("::", "-")
     ));
     let _ = std::fs::remove_file(&p);
-    let dm = DiskManager::create(&p).unwrap();
+    let dm = DiskManager::create(&OsFs, &p).unwrap();
     (BufferPool::new(dm, frames), p)
 }
 

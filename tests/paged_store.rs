@@ -23,6 +23,7 @@ use rel_backend::RelationalLayout;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use storage::vfs::OsFs;
 use storage::wal::{Wal, WalReader, WalRecord};
 
 /// A fresh database path per (layout, test), removed again on drop.
@@ -415,7 +416,7 @@ fn check_in_doubt<L: NodeLayout>() {
     let wal_path = storage::engine::wal_path_for(path);
     let marker_path = wal_path.with_extension("marker");
     {
-        let mut marker = Wal::open(&marker_path).unwrap();
+        let mut marker = Wal::open(&OsFs, &marker_path).unwrap();
         marker.append_commit(33);
         marker.sync().unwrap();
     }
@@ -456,7 +457,7 @@ fn check_crash_after_commit<L: NodeLayout>() {
 /// `(page, zero_based)` of every delta record in the log at or past byte
 /// `from`.
 fn deltas_from(db_path: &Path, from: u64) -> Vec<(u64, bool)> {
-    let mut reader = WalReader::open(&storage::engine::wal_path_for(db_path)).unwrap();
+    let mut reader = WalReader::open(&OsFs, &storage::engine::wal_path_for(db_path)).unwrap();
     let mut out = Vec::new();
     loop {
         let at = reader.offset();
