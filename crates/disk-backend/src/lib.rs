@@ -37,7 +37,7 @@ use storage::btree::{BTree, Key};
 use storage::heap::{HeapFile, RecordId};
 use storage::{BufferPool, PageId};
 
-pub use paged_store::{in_doubt_txn, resolve_in_doubt};
+pub use paged_store::{in_doubt_txn, in_doubt_txn_in, resolve_in_doubt, resolve_in_doubt_in};
 
 /// The disk-based HyperModel object store.
 pub type DiskStore = PagedStore<ObjectLayout>;

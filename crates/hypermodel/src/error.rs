@@ -40,9 +40,8 @@ pub enum HmError {
     /// with a retry policy may resend the same (idempotent) request.
     Timeout(String),
     /// A specific shard of a sharded deployment is down or crashed.
-    /// Point operations routed to it fail fast with this error; fan-out
-    /// operations consult the caller-chosen scan policy
-    /// (`shard::ScanPolicy`).
+    /// Point operations routed to it, and fan-out operations, fail fast
+    /// with this error.
     ShardUnavailable {
         /// Index of the unavailable shard.
         shard: usize,

@@ -531,15 +531,19 @@ impl HyperStore for MemStore {
     }
 
     fn retire_nodes(&mut self, oids: &[Oid]) -> Result<()> {
-        for &o in oids {
+        // The scan extent loses exactly the nodes retired, also when one
+        // fails midway.
+        let mut gone = std::collections::BTreeSet::new();
+        let retired = oids.iter().try_for_each(|&o| {
             self.deindex(o)?;
             let rec = self.record_mut(o)?;
             rec.in_structure = false;
             rec.indexed = false;
-        }
-        let gone: std::collections::BTreeSet<u64> = oids.iter().map(|o| o.0).collect();
+            gone.insert(o.0);
+            Ok(())
+        });
         self.structure.retain(|o| !gone.contains(&o.0));
-        Ok(())
+        retired
     }
 }
 

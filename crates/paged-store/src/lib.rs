@@ -50,8 +50,9 @@ use hypermodel::schema::{AttrId, Schema};
 use hypermodel::store::HyperStore;
 use hypermodel::Bitmap;
 use storage::btree::{BTree, Key};
-use storage::engine::Engine;
+use storage::engine::{wal_path_for, Engine};
 use storage::heap::{HeapFile, RecordId};
+use storage::vfs::{OsFs, Vfs};
 use storage::{BufferPool, PageId, StorageError};
 
 /// A storage failure as the benchmark's error type.
@@ -63,7 +64,12 @@ pub fn se(e: StorageError) -> HmError {
 /// prepared-but-undecided two-phase-commit transaction. Returns its id,
 /// or `None` when the database is clean.
 pub fn in_doubt_txn(path: &Path) -> Result<Option<u64>> {
-    storage::recovery::in_doubt_txn(&storage::engine::wal_path_for(path)).map_err(se)
+    in_doubt_txn_in(&OsFs, path)
+}
+
+/// [`in_doubt_txn`] for a database in `fs`.
+pub fn in_doubt_txn_in(fs: &dyn Vfs, path: &Path) -> Result<Option<u64>> {
+    storage::recovery::in_doubt_txn_in(fs, &wal_path_for(path)).map_err(se)
 }
 
 /// Decide the fate of an in-doubt transaction on the (closed) database at
@@ -71,7 +77,12 @@ pub fn in_doubt_txn(path: &Path) -> Result<Option<u64>> {
 /// and finish recovery. Idempotent. After this, [`PagedStore::open`]
 /// succeeds.
 pub fn resolve_in_doubt(path: &Path, txid: u64, commit: bool) -> Result<()> {
-    storage::recovery::resolve_in_doubt(path, &storage::engine::wal_path_for(path), txid, commit)
+    resolve_in_doubt_in(&OsFs, path, txid, commit)
+}
+
+/// [`resolve_in_doubt`] for a database in `fs`.
+pub fn resolve_in_doubt_in(fs: &dyn Vfs, path: &Path, txid: u64, commit: bool) -> Result<()> {
+    storage::recovery::resolve_in_doubt_in(fs, path, &wal_path_for(path), txid, commit)
         .map_err(se)?;
     Ok(())
 }
@@ -283,7 +294,12 @@ impl<L: NodeLayout> PagedStore<L> {
     /// Create a new database file at `path` with a pool of `pool_frames`
     /// 8 KiB frames.
     pub fn create(path: &Path, pool_frames: usize) -> Result<Self> {
-        let mut engine = Engine::create(path, pool_frames).map_err(se)?;
+        Self::create_in(&OsFs, path, pool_frames)
+    }
+
+    /// [`PagedStore::create`] with the database and its log in `fs`.
+    pub fn create_in(fs: &dyn Vfs, path: &Path, pool_frames: usize) -> Result<Self> {
+        let mut engine = Engine::create_in(fs, path, pool_frames).map_err(se)?;
         let pool = engine.pool();
         let layout = L::create(pool)?;
         let mut meta_heap = HeapFile::create(pool).map_err(se)?;
@@ -314,7 +330,12 @@ impl<L: NodeLayout> PagedStore<L> {
     /// coordinator. Call [`resolve_in_doubt`] with the coordinator's
     /// decision first (see [`in_doubt_txn`] to discover the id).
     pub fn open(path: &Path, pool_frames: usize) -> Result<Self> {
-        let (engine, report) = Engine::open(path, pool_frames).map_err(se)?;
+        Self::open_in(&OsFs, path, pool_frames)
+    }
+
+    /// [`PagedStore::open`] with the database and its log in `fs`.
+    pub fn open_in(fs: &dyn Vfs, path: &Path, pool_frames: usize) -> Result<Self> {
+        let (engine, report) = Engine::open_in(fs, path, pool_frames).map_err(se)?;
         if let Some(txid) = report.in_doubt {
             return Err(HmError::Conflict(format!(
                 "database {} has in-doubt transaction {txid}; resolve it \
@@ -352,6 +373,15 @@ impl<L: NodeLayout> PagedStore<L> {
             self.schema_dirty = false;
         }
         write_roots(&mut self.engine, &self.layout, &self.shared)
+    }
+
+    /// After an abort has dropped every cached page, any root that moved
+    /// during the aborted transaction is dangling: rebuild them from the
+    /// last committed catalog.
+    fn reload_roots(&mut self) -> Result<()> {
+        (self.layout, self.shared, self.schema) = load_roots(&mut self.engine)?;
+        self.schema_dirty = false;
+        Ok(())
     }
 
     /// The storage engine (for size and I/O statistics).
@@ -596,7 +626,12 @@ impl<L: NodeLayout> HyperStore for PagedStore<L> {
 
     fn prepare_commit(&mut self, txid: u64) -> Result<()> {
         self.flush_metadata()?;
-        self.engine.prepare(txid).map_err(se)?;
+        if let Err(e) = self.engine.prepare(txid) {
+            // A no vote: the engine rolled the transaction back (or, if
+            // it failed before it could, kept it whole).
+            self.reload_roots()?;
+            return Err(se(e));
+        }
         Ok(())
     }
 
@@ -608,11 +643,7 @@ impl<L: NodeLayout> HyperStore for PagedStore<L> {
         let was_prepared = self.engine.prepared_txid() == Some(txid);
         self.engine.abort_prepared(txid).map_err(se)?;
         if was_prepared {
-            // The abort dropped every cached page; any root that moved
-            // during the aborted transaction is dangling. Rebuild from
-            // the last committed catalog.
-            (self.layout, self.shared, self.schema) = load_roots(&mut self.engine)?;
-            self.schema_dirty = false;
+            self.reload_roots()?;
         }
         Ok(())
     }

@@ -37,13 +37,13 @@
 //! resolves every in-doubt participant against the log, and reports what
 //! it decided — the sharded analogue of `storage::recovery::recover`.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use exec::ShardExecutor;
+use exec::{ExecError, ShardExecutor};
 use hypermodel::error::{HmError, Result};
 use hypermodel::store::HyperStore;
+use storage::vfs::{OpenMode, OsFs, Vfs, VfsFile};
 
 use crate::store::{note_exec, scatter};
 
@@ -55,14 +55,40 @@ const DECIDE_ABORT: u8 = 0xA0;
 /// acknowledged by all shards, and its decision records were dropped.
 const DECIDE_CHECKPOINT: u8 = 0xCC;
 
+fn encode(txid: u64, decision: u8) -> [u8; RECORD] {
+    let mut rec = [0u8; RECORD];
+    rec[..8].copy_from_slice(&txid.to_le_bytes());
+    rec[8] = decision;
+    rec
+}
+
+fn decision_byte(commit: bool) -> u8 {
+    if commit {
+        DECIDE_COMMIT
+    } else {
+        DECIDE_ABORT
+    }
+}
+
+/// An I/O failure of the log, as the benchmark's error type.
+fn log_error(what: &'static str) -> impl FnOnce(std::io::Error) -> HmError {
+    move |e| HmError::Backend(format!("{what}: {e}"))
+}
+
 /// The coordinator's append-only decision log.
 ///
-/// Records are fsynced on append; a torn trailing record (crash mid-
-/// write) is ignored on open, exactly like the WAL's torn-tail rule.
-#[derive(Debug)]
+/// Every file operation goes through a [`Vfs`] ([`OsFs`] unless opened
+/// with [`CommitLog::open_in`]), so the crash model of `storage::vfs`
+/// holds for it as for a shard's own files. Records are fsynced on
+/// append; a torn trailing record (crash mid-write) is ignored on open,
+/// exactly like the WAL's torn-tail rule, and the next append overwrites
+/// it.
 pub struct CommitLog {
-    file: File,
+    fs: Arc<dyn Vfs>,
+    file: Box<dyn VfsFile>,
     path: PathBuf,
+    /// Where the next record goes: the end of the last whole one.
+    end: u64,
     decisions: Vec<(u64, bool)>,
     /// All decisions at or below this txid were checkpointed away.
     checkpoint: u64,
@@ -71,15 +97,18 @@ pub struct CommitLog {
 impl CommitLog {
     /// Open (or create) the decision log at `path`.
     pub fn open(path: &Path) -> Result<CommitLog> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(path)
+        CommitLog::open_in(Arc::new(OsFs), path)
+    }
+
+    /// [`CommitLog::open`] for a log in `fs`.
+    pub fn open_in(fs: Arc<dyn Vfs>, path: &Path) -> Result<CommitLog> {
+        let file = fs
+            .open(path, OpenMode::Create)
             .map_err(|e| HmError::Backend(format!("open commit log {}: {e}", path.display())))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| HmError::Backend(format!("read commit log: {e}")))?;
+        let len = file.size().map_err(log_error("read commit log"))?;
+        let mut bytes = vec![0; len as usize];
+        file.read_exact_at(&mut bytes, 0)
+            .map_err(log_error("read commit log"))?;
         let mut decisions = Vec::new();
         let mut checkpoint = 0u64;
         for rec in bytes.chunks_exact(RECORD) {
@@ -101,8 +130,10 @@ impl CommitLog {
         // convention: a decision is only a decision once fully on disk.
         decisions.retain(|(t, _)| *t > checkpoint);
         Ok(CommitLog {
+            fs,
             file,
             path: path.to_path_buf(),
+            end: (bytes.len() - bytes.len() % RECORD) as u64,
             decisions,
             checkpoint,
         })
@@ -111,13 +142,12 @@ impl CommitLog {
     /// Durably record a decision for `txid`. Returns after fsync: once
     /// this returns, the decision survives any crash.
     pub fn record(&mut self, txid: u64, commit: bool) -> Result<()> {
-        let mut rec = [0u8; RECORD];
-        rec[..8].copy_from_slice(&txid.to_le_bytes());
-        rec[8] = if commit { DECIDE_COMMIT } else { DECIDE_ABORT };
+        let rec = encode(txid, decision_byte(commit));
         self.file
-            .write_all(&rec)
-            .and_then(|_| self.file.sync_all())
-            .map_err(|e| HmError::Backend(format!("append commit log: {e}")))?;
+            .write_all_at(&rec, self.end)
+            .and_then(|_| self.file.sync_data())
+            .map_err(log_error("append commit log"))?;
+        self.end += RECORD as u64;
         self.decisions.push((txid, commit));
         Ok(())
     }
@@ -172,11 +202,11 @@ impl CommitLog {
     ///
     /// Crash-safe via write-new-then-rename: the log is rewritten to a
     /// temporary file (checkpoint marker first, surviving records
-    /// after), fsynced, then renamed over the old file, and the rename is
-    /// made durable by an fsync of the directory before the log is
-    /// reopened. A crash at any point leaves either the old complete log
-    /// or the new complete log, and a decision recorded after this
-    /// returns is never in a file the directory may not name.
+    /// after), fsynced, then renamed over the old file by [`Vfs::rename`],
+    /// which is durable when it returns, before the log is reopened. A
+    /// crash at any point leaves either the old complete log or the new
+    /// complete log, and a decision recorded after this returns is never
+    /// in a file the directory may not name.
     pub fn checkpoint(&mut self, up_to: u64) -> Result<()> {
         if up_to <= self.checkpoint {
             return Ok(());
@@ -187,44 +217,43 @@ impl CommitLog {
             .copied()
             .filter(|(t, _)| *t > up_to)
             .collect();
-        let tmp_path = self.path.with_extension("tmp");
         let mut bytes = Vec::with_capacity((keep.len() + 1) * RECORD);
-        let mut rec = [0u8; RECORD];
-        rec[..8].copy_from_slice(&up_to.to_le_bytes());
-        rec[8] = DECIDE_CHECKPOINT;
-        bytes.extend_from_slice(&rec);
+        bytes.extend_from_slice(&encode(up_to, DECIDE_CHECKPOINT));
         for &(txid, commit) in &keep {
-            rec[..8].copy_from_slice(&txid.to_le_bytes());
-            rec[8] = if commit { DECIDE_COMMIT } else { DECIDE_ABORT };
-            bytes.extend_from_slice(&rec);
+            bytes.extend_from_slice(&encode(txid, decision_byte(commit)));
         }
-        let mut tmp = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)
-            .map_err(|e| HmError::Backend(format!("checkpoint commit log (tmp): {e}")))?;
-        tmp.write_all(&bytes)
-            .and_then(|_| tmp.sync_all())
-            .map_err(|e| HmError::Backend(format!("checkpoint commit log (write): {e}")))?;
+        let tmp_path = self.path.with_extension("tmp");
+        // A checkpoint a crash cut short may have left its file behind.
+        let _ = self.fs.remove(&tmp_path);
+        let tmp = self
+            .fs
+            .open(&tmp_path, OpenMode::CreateNew)
+            .map_err(log_error("checkpoint commit log (tmp)"))?;
+        tmp.write_all_at(&bytes, 0)
+            .and_then(|_| tmp.sync_data())
+            .map_err(log_error("checkpoint commit log (write)"))?;
         drop(tmp);
-        std::fs::rename(&tmp_path, &self.path)
-            .map_err(|e| HmError::Backend(format!("checkpoint commit log (rename): {e}")))?;
-        let dir = match self.path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => Path::new("."),
-        };
-        File::open(dir)
-            .and_then(|d| d.sync_all())
-            .map_err(|e| HmError::Backend(format!("checkpoint commit log (dir sync): {e}")))?;
-        self.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| HmError::Backend(format!("checkpoint commit log (reopen): {e}")))?;
+        self.fs
+            .rename(&tmp_path, &self.path)
+            .map_err(log_error("checkpoint commit log (rename)"))?;
+        self.file = self
+            .fs
+            .open(&self.path, OpenMode::Write)
+            .map_err(log_error("checkpoint commit log (reopen)"))?;
+        self.end = bytes.len() as u64;
         self.decisions = keep;
         self.checkpoint = up_to;
         Ok(())
+    }
+}
+
+impl std::fmt::Debug for CommitLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CommitLog")
+            .field("path", &self.path)
+            .field("decisions", &self.decisions.len())
+            .field("checkpoint", &self.checkpoint)
+            .finish()
     }
 }
 
@@ -245,6 +274,9 @@ pub(crate) struct Coordinator {
     /// safely drop decisions at or below `min(acked)`: every shard is
     /// past them, so none can ever be in doubt about them again.
     acked: Vec<u64>,
+    /// Per shard, the commit decision phase two failed to deliver: the
+    /// shard is still prepared, and stays out until it is delivered.
+    undelivered: Vec<Option<u64>>,
 }
 
 impl Coordinator {
@@ -255,6 +287,7 @@ impl Coordinator {
             aborts: 0,
             checkpoint_after: DEFAULT_CHECKPOINT_AFTER,
             acked: vec![0; shards],
+            undelivered: vec![None; shards],
         }
     }
 
@@ -315,12 +348,17 @@ impl Coordinator {
         }
         log.record(txid, true)?;
         obs::incr("shard.2pc.committed", 1);
-        // Phase two: failures here only mark health — the decision is
-        // durable, so recovery finishes the commit on the failed shard.
+        // Phase two: a failure here only marks the shard down, whatever
+        // the error — the decision is durable, so the commit stands, and
+        // the shard finishes it when it is revived (`deliver`) or
+        // recovered from its files.
         let done = scatter(exec, everyone(), move |sh, ()| sh.commit_prepared(txid));
         for (s, r) in done.into_iter().flatten().enumerate() {
             if note_exec(health, s, r).is_ok() {
                 self.acked[s] = txid;
+            } else {
+                health[s] = false;
+                self.undelivered[s] = Some(txid);
             }
         }
         // Once the log has grown past the checkpoint interval, drop every
@@ -330,6 +368,24 @@ impl Coordinator {
         if min_acked > 0 && log.len() >= self.checkpoint_after {
             let _ = log.checkpoint(min_acked);
         }
+        Ok(())
+    }
+
+    /// Finish phase two on `shard` for the decision it missed, if any:
+    /// the step [`crate::ShardedStore::revive_shard`] takes before it
+    /// re-admits the shard.
+    pub(crate) fn deliver<S: HyperStore + Send + 'static>(
+        &mut self,
+        exec: &ShardExecutor<S>,
+        shard: usize,
+    ) -> Result<()> {
+        let Some(txid) = self.undelivered.get(shard).copied().flatten() else {
+            return Ok(());
+        };
+        exec.run_here(shard, |sh| sh.commit_prepared(txid))
+            .map_err(ExecError::into_hm)??;
+        self.undelivered[shard] = None;
+        self.acked[shard] = txid;
         Ok(())
     }
 }
@@ -357,12 +413,21 @@ pub struct ShardResolution {
 /// one of exactly two states: the transaction applied everywhere, or
 /// nowhere.
 pub fn recover_sharded(shard_paths: &[&Path], log_path: &Path) -> Result<Vec<ShardResolution>> {
-    let log = CommitLog::open(log_path)?;
+    recover_sharded_in(Arc::new(OsFs), shard_paths, log_path)
+}
+
+/// [`recover_sharded`] for shard files and a decision log in `fs`.
+pub fn recover_sharded_in(
+    fs: Arc<dyn Vfs>,
+    shard_paths: &[&Path],
+    log_path: &Path,
+) -> Result<Vec<ShardResolution>> {
+    let log = CommitLog::open_in(Arc::clone(&fs), log_path)?;
     let mut resolved = Vec::new();
     for (shard, path) in shard_paths.iter().enumerate() {
-        if let Some(txid) = disk_backend::in_doubt_txn(path)? {
+        if let Some(txid) = disk_backend::in_doubt_txn_in(&*fs, path)? {
             let committed = log.decision_for(txid).unwrap_or(false);
-            disk_backend::resolve_in_doubt(path, txid, committed)?;
+            disk_backend::resolve_in_doubt_in(&*fs, path, txid, committed)?;
             resolved.push(ShardResolution {
                 shard,
                 txid,
@@ -392,15 +457,26 @@ mod tests {
 
         // Simulate a crash mid-append: a torn 4-byte tail.
         {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            use std::io::Write;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
             f.write_all(&[9, 9, 9, 9]).unwrap();
         }
 
-        let log = CommitLog::open(&path).unwrap();
+        let mut log = CommitLog::open(&path).unwrap();
         assert_eq!(log.decision_for(1), Some(true));
         assert_eq!(log.decision_for(2), Some(false));
         assert_eq!(log.decision_for(3), None, "undecided = presumed abort");
         assert_eq!(log.next_txid(), 3);
+
+        // The next decision overwrites the torn tail, so it reads back.
+        log.record(3, true).unwrap();
+        drop(log);
+        let log = CommitLog::open(&path).unwrap();
+        assert_eq!(log.decision_for(3), Some(true));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 3 * RECORD as u64);
         std::fs::remove_file(&path).unwrap();
     }
 

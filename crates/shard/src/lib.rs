@@ -28,11 +28,10 @@
 //! * [`remote`] — N TCP servers behind one router, each shard one
 //!   `server::RemoteStore` connection.
 //!
-//! The store also degrades gracefully: per-shard health is tracked, point
-//! operations to a dead shard fail fast with the structured
-//! [`hypermodel::error::HmError::ShardUnavailable`], and fan-out reads
-//! follow a caller-chosen [`ScanPolicy`] (fail atomically, or complete
-//! over the healthy shards with an explicit partial-result marker).
+//! The store also degrades gracefully: per-shard health is tracked, and
+//! point operations and fan-out reads that need a dead shard fail fast
+//! with the structured
+//! [`hypermodel::error::HmError::ShardUnavailable`].
 //!
 //! The deployment is oblivious to the backend: `ShardedStore<MemStore>`,
 //! `ShardedStore<DiskStore>` and `ShardedStore<RemoteStore>` all behave
@@ -52,8 +51,8 @@ pub mod router;
 pub mod store;
 mod write;
 
-pub use coordinator::{recover_sharded, CommitLog, ShardResolution};
+pub use coordinator::{recover_sharded, recover_sharded_in, CommitLog, ShardResolution};
 pub use remote::{connect_sharded, connect_sharded_replicated};
 pub use replica::ReplicaGroup;
 pub use router::{Placement, ShardRouter, GHOST_UID_BASE};
-pub use store::{ScanPolicy, ShardedStore};
+pub use store::ShardedStore;

@@ -73,8 +73,9 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// intent, so recovery has nothing to do and the subtree stays
     /// readable at its old placement (the migration analogue of 2PC's
     /// presumed abort). A failure *after* activation is reported, but
-    /// the migration itself has committed: the failed source shard is
-    /// marked unhealthy and finishes retiring via repair or recovery.
+    /// the migration itself has committed: each source shard whose retire
+    /// failed is marked down, whatever the error, and scans refuse until
+    /// it is replaced or revived.
     ///
     /// Returns the number of nodes moved (0 when the subtree already
     /// lives wholly on `dst`).
@@ -184,11 +185,18 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         obs::incr("shard.rebalance.moved_nodes", moved.len() as u64);
 
         // Retire the source records: deindexed and out of the scan
-        // extent, they stay as the stand-ins other edges point at.
+        // extent, they stay as the stand-ins other edges point at. A
+        // source whose retire fails, however, still counts the moved
+        // records in its scans: it is marked down, so that fan-outs
+        // refuse instead of counting them twice.
+        let mut failed = None;
         for (&src, items) in &by_src {
             let ls: Vec<Oid> = items.iter().map(|&(_, l)| l).collect();
-            self.on_shard(src, |sh| sh.retire_nodes(&ls))?;
+            if let Err(e) = self.on_shard(src, |sh| sh.retire_nodes(&ls)) {
+                self.mark_shard_down(src);
+                failed.get_or_insert(e);
+            }
         }
-        Ok(moved.len())
+        failed.map_or(Ok(moved.len()), Err)
     }
 }

@@ -36,6 +36,7 @@ use hypermodel::service::not_an_operation;
 use hypermodel::store::{unsupported, BatchWrite, HyperStore, Rel, ShardLoad};
 
 use exec::{ExecError, ShardExecutor};
+use storage::vfs::{OsFs, Vfs};
 
 use crate::coordinator::{CommitLog, Coordinator};
 use crate::replica::{self, ReplicaGroup};
@@ -45,20 +46,6 @@ use crate::router::{Placement, ShardRouter};
 /// answer, or the reason the job produced none.
 pub(crate) type ExecResult<T> = std::result::Result<Result<T>, ExecError>;
 
-/// How fan-out reads (range lookups, sequential scans) behave when a
-/// shard is unavailable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanPolicy {
-    /// Fail atomically: any dead shard makes the whole scan return
-    /// [`HmError::ShardUnavailable`]. The default.
-    #[default]
-    FailFast,
-    /// Complete over the healthy shards and mark the result partial —
-    /// check [`ShardedStore::last_scan_was_partial`] and
-    /// [`ShardedStore::last_scan_skipped`] for which shards were left out.
-    Partial,
-}
-
 /// A sharded `HyperStore` over `S` backends.
 pub struct ShardedStore<S> {
     /// Owns the shard backends; one persistent worker thread each.
@@ -67,15 +54,10 @@ pub struct ShardedStore<S> {
     name: &'static str,
     /// `health[s]` is false once shard `s` stopped answering (crash,
     /// timeout, lost connection, poisoned worker): point operations
-    /// routed there fail fast and fan-outs consult the [`ScanPolicy`]
-    /// until [`ShardedStore::revive_shard`] or
-    /// [`ShardedStore::replace_shard`] re-admits it.
+    /// routed there and every fan-out fail fast until
+    /// [`ShardedStore::revive_shard`] or [`ShardedStore::replace_shard`]
+    /// re-admits it.
     health: Vec<bool>,
-    scan_policy: ScanPolicy,
-    last_scan_partial: bool,
-    /// Shards skipped by the most recent fan-out read under
-    /// [`ScanPolicy::Partial`].
-    last_scan_skipped: Vec<usize>,
     /// The commit protocol: single-phase until a log is attached.
     coordinator: Coordinator,
     /// Renders what the shards themselves survived, summed over all of
@@ -185,9 +167,6 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             router: ShardRouter::new(n, placement),
             name,
             health: vec![true; n],
-            scan_policy: ScanPolicy::default(),
-            last_scan_partial: false,
-            last_scan_skipped: Vec::new(),
             coordinator: Coordinator::new(n),
             shard_summary: None,
             migrated: vec![0; n],
@@ -201,8 +180,13 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// `path` before any shard is told to commit. After a crash,
     /// [`crate::coordinator::recover_sharded`] resolves in-doubt shards
     /// against this log.
-    pub fn with_commit_log(mut self, path: &Path) -> Result<ShardedStore<S>> {
-        self.coordinator.attach(CommitLog::open(path)?);
+    pub fn with_commit_log(self, path: &Path) -> Result<ShardedStore<S>> {
+        self.with_commit_log_in(Arc::new(OsFs), path)
+    }
+
+    /// [`ShardedStore::with_commit_log`] with the log in `fs`.
+    pub fn with_commit_log_in(mut self, fs: Arc<dyn Vfs>, path: &Path) -> Result<ShardedStore<S>> {
+        self.coordinator.attach(CommitLog::open_in(fs, path)?);
         Ok(self)
     }
 
@@ -223,14 +207,16 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
 
     /// Re-admit a shard previously marked dead, e.g. after
     /// [`crate::coordinator::recover_sharded`] repaired its backend:
-    /// probes it with a cheap scan on the calling thread before flipping
-    /// health back. Refuses, without running the probe, while the shard
-    /// is poisoned by a panic (swap the backend with
+    /// probes it with a cheap scan on the calling thread, and delivers
+    /// the commit decision a failed phase two left it prepared for,
+    /// before flipping health back. Refuses, without running the probe,
+    /// while the shard is poisoned by a panic (swap the backend with
     /// [`ShardedStore::replace_shard`] first).
     pub fn revive_shard(&mut self, shard: usize) -> Result<()> {
         self.exec
             .run_here(shard, |sh| sh.seq_scan_ten())
             .map_err(ExecError::into_hm)??;
+        self.coordinator.deliver(&self.exec, shard)?;
         self.health[shard] = true;
         Ok(())
     }
@@ -245,29 +231,6 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             .map_err(ExecError::into_hm)?;
         self.health[shard] = true;
         Ok(old)
-    }
-
-    /// Choose how fan-out reads treat dead shards.
-    pub fn set_scan_policy(&mut self, policy: ScanPolicy) {
-        self.scan_policy = policy;
-    }
-
-    /// The current fan-out degradation policy.
-    pub fn scan_policy(&self) -> ScanPolicy {
-        self.scan_policy
-    }
-
-    /// True when the most recent fan-out read skipped a dead shard
-    /// under [`ScanPolicy::Partial`].
-    pub fn last_scan_was_partial(&self) -> bool {
-        self.last_scan_partial
-    }
-
-    /// Shard ids skipped by the most recent fan-out read under
-    /// [`ScanPolicy::Partial`] — which parts of a partial result are
-    /// missing, for attribution in degraded-mode reports.
-    pub fn last_scan_skipped(&self) -> &[usize] {
-        &self.last_scan_skipped
     }
 
     /// Cross-shard transactions aborted in phase one so far.
@@ -429,62 +392,35 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         *self.touches.entry(start.0).or_insert(0) += 1;
     }
 
-    /// Fan `f` out to every *healthy* shard at once ([`scatter`]),
-    /// applying the [`ScanPolicy`] to dead shards and to shards
-    /// that fail transiently mid-scan. Returns `(shard, value)` pairs in
-    /// shard order for the shards that answered.
-    fn fan_out_policy<T: Send + 'static>(
+    /// Fan `f` out to every shard at once ([`scatter`]), one answer per
+    /// shard in shard order. Fails fast: a shard marked down fails the
+    /// whole read, and so does one that fails during it.
+    fn fan_out<T: Send + Default + 'static>(
         &mut self,
         f: impl Fn(&mut S) -> Result<T> + Send + Sync + 'static,
-    ) -> Result<Vec<(usize, T)>> {
-        self.last_scan_partial = false;
-        self.last_scan_skipped.clear();
-        let policy = self.scan_policy;
+    ) -> Result<Vec<T>> {
         if let Some(dead) = self.health.iter().position(|h| !*h) {
-            match policy {
-                ScanPolicy::FailFast => return Err(marked_down(dead)),
-                ScanPolicy::Partial => self.last_scan_partial = true,
-            }
+            return Err(marked_down(dead));
         }
-        let work: Vec<Option<()>> = self.health.iter().map(|up| up.then_some(())).collect();
-        for (req, w) in self.router.requests.iter_mut().zip(&work) {
-            *req += w.is_some() as u64;
+        for req in &mut self.router.requests {
+            *req += 1;
         }
-        let mut out = Vec::new();
-        for (s, r) in scatter(&self.exec, work, move |sh, ()| f(sh))
-            .into_iter()
-            .enumerate()
-        {
-            // A shard without work was dead on entry: counted as partial
-            // above; record which one.
-            let Some(r) = r else {
-                self.last_scan_skipped.push(s);
-                continue;
-            };
-            match note_exec(&mut self.health, s, r) {
-                Ok(v) => out.push((s, v)),
-                Err(e) if e.is_transient() && policy == ScanPolicy::Partial => {
-                    self.last_scan_partial = true;
-                    self.last_scan_skipped.push(s);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
+        let n = self.router.shard_count();
+        self.gather(vec![Some(()); n], move |sh, ()| f(sh))
     }
 
-    /// Fan a read out across the shards (per the scan policy), translate
-    /// each shard's results to global ids and drop ghosts (results whose
-    /// owner is a different shard). Results come back in shard order — a
-    /// deterministic set order, per the trait's set-result convention —
-    /// as the one answer of a range lookup.
+    /// Fan a read out across the shards, translate each shard's results
+    /// to global ids and drop ghosts (results whose owner is a different
+    /// shard). Results come back in shard order — a deterministic set
+    /// order, per the trait's set-result convention — as the one answer
+    /// of a range lookup.
     fn fan_out_owned(
         &mut self,
         f: impl Fn(&mut S) -> Result<Vec<Oid>> + Send + Sync + 'static,
     ) -> Result<Response> {
-        let per_shard = self.fan_out_policy(f)?;
+        let per_shard = self.fan_out(f)?;
         let mut out = Vec::new();
-        for (s, locals) in per_shard {
+        for (s, locals) in per_shard.into_iter().enumerate() {
             for l in locals {
                 // Canonical ownership: the node's current placement must
                 // be exactly this (shard, local) — ghosts and records
@@ -569,10 +505,7 @@ impl<S: HyperStore + Send + 'static> hypermodel::Service for ShardedStore<S> {
             R::LookupUnique(uid) => ok(self.lookup(uid)?),
             R::RangeHundred(lo, hi) => self.fan_out_owned(move |sh| sh.range_hundred(lo, hi))?,
             R::RangeMillion(lo, hi) => self.fan_out_owned(move |sh| sh.range_million(lo, hi))?,
-            R::SeqScanTen => {
-                let counts = self.fan_out_policy(|sh| sh.seq_scan_ten())?;
-                ok(counts.iter().map(|(_, n)| n).sum::<u64>())
-            }
+            R::SeqScanTen => ok(self.fan_out(|sh| sh.seq_scan_ten())?.iter().sum::<u64>()),
 
             // ---- writes: every creation and edge is a batch (`crate::write`)
             R::CreateNode(value) => self.write_one(create(value, None))?,
@@ -675,7 +608,6 @@ impl<S: HyperStore + Send + 'static> hypermodel::Service for ShardedStore<S> {
         if !two_phase
             && self.coordinator.aborts == 0
             && dead == 0
-            && self.last_scan_skipped.is_empty()
             && self.migrations == 0
             && self.shard_summary.is_none()
         {
@@ -694,9 +626,6 @@ impl<S: HyperStore + Send + 'static> hypermodel::Service for ShardedStore<S> {
         }
         if self.migrations > 0 {
             out.push_str(&format!(" migrations={}", self.migrations));
-        }
-        if !self.last_scan_skipped.is_empty() {
-            out.push_str(&format!(" skipped-shards={:?}", self.last_scan_skipped));
         }
         Some(out)
     }

@@ -1,12 +1,14 @@
 //! Online subtree migration: oracle conformance across moves (away and
 //! back home), replicated and aborted migrations, and scan-extent
-//! exactness at every step.
+//! exactness at every step, also after a retire that fails.
 
 use hypermodel::config::GenConfig;
+use hypermodel::error::{HmError, Result};
 use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::model::Oid;
 use hypermodel::oracle::Oracle;
+use hypermodel::protocol::{Request, Response};
 use hypermodel::rng::Rng;
 use hypermodel::store::HyperStore;
 use hypermodel::verify::verify_store;
@@ -335,4 +337,120 @@ fn a_dead_destination_aborts_presumed_old() {
     assert_eq!(s.migrations(), 0);
     s.revive_shard(dst).unwrap();
     assert_matches_oracle(&mut s, &r.oids, &db);
+}
+
+/// How the next `retire_nodes` of a [`FailingRetire`] fails.
+#[derive(Debug, Clone, Copy)]
+enum RetireFault {
+    /// Transiently, before it starts: nothing is retired.
+    Transient,
+    /// Deterministically, midway through the batch: the `MemStore`
+    /// retires the first half and fails at a node it does not have.
+    Midway,
+}
+
+/// A `MemStore` whose next `retire_nodes` fails as `fault` says.
+struct FailingRetire {
+    inner: MemStore,
+    fault: Option<RetireFault>,
+}
+
+impl hypermodel::Service for FailingRetire {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        match (req, self.fault.take()) {
+            (Request::RetireNodes(_), Some(RetireFault::Transient)) => {
+                Err(HmError::Timeout("injected retire timeout".into()))
+            }
+            (Request::RetireNodes(mut oids), Some(RetireFault::Midway)) => {
+                oids.insert(oids.len() / 2, Oid(u64::MAX));
+                self.inner.call(Request::RetireNodes(oids))
+            }
+            (req, fault) => {
+                self.fault = fault;
+                self.inner.call(req)
+            }
+        }
+    }
+
+    fn backend_name(&self) -> &'static str {
+        "failing-retire"
+    }
+}
+
+/// O9 and both range lookups over every node either refuse or count
+/// each node once.
+fn assert_scans_refuse_or_match(
+    store: &mut ShardedStore<FailingRetire>,
+    oracle: &Oracle,
+    context: &str,
+) {
+    match store.seq_scan_ten() {
+        Ok(n) => assert_eq!(n, oracle.seq_scan_count(), "{context}: O9"),
+        Err(e) => assert!(
+            matches!(e, HmError::ShardUnavailable { .. }),
+            "{context}: O9 failed with {e}"
+        ),
+    }
+    let ranges = [
+        (store.range_hundred(0, 99), oracle.range_hundred(0, 99)),
+        (
+            store.range_million(0, u32::MAX),
+            oracle.range_million(0, u32::MAX),
+        ),
+    ];
+    for (got, want) in ranges {
+        match got {
+            Ok(oids) => assert_eq!(oids.len(), want.len(), "{context}: range"),
+            Err(e) => assert!(
+                matches!(e, HmError::ShardUnavailable { .. }),
+                "{context}: range failed with {e}"
+            ),
+        }
+    }
+}
+
+/// A retire that fails after the commit point leaves the moved records
+/// active on the source. Until the source is revived, every scan refuses
+/// or counts each node once, and the moved nodes answer from the
+/// destination. After the revival the range lookups, which count a record
+/// only where the router places it, are still exact.
+#[test]
+fn a_failed_retire_never_lets_a_scan_count_a_node_twice() {
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let oracle = Oracle::new(&db);
+    for fault in [RetireFault::Transient, RetireFault::Midway] {
+        let shards = (0..2)
+            .map(|_| FailingRetire {
+                inner: MemStore::new(),
+                fault: None,
+            })
+            .collect();
+        let mut s = ShardedStore::new(shards, Placement::affinity(), "sharded-mem");
+        let r = load_database(&mut s, &db).unwrap();
+        let (root, dst) = pick_subtree(&s, &r.oids, &db);
+        let src = s.owner_of(root).unwrap();
+        let moved = s.closure_1n(root).unwrap();
+        s.with_shard(src, |sh| sh.fault = Some(fault)).unwrap();
+
+        let context = format!("{fault:?}");
+        assert!(s.migrate_subtree(root, dst).is_err(), "{context}");
+        assert!(!s.health()[src], "{context}: the source is marked down");
+        assert_scans_refuse_or_match(&mut s, &oracle, &context);
+        for &g in &moved {
+            assert_eq!(s.owner_of(g), Some(dst), "{context}");
+            let idx = s.unique_id_of(g).unwrap() as u32 - 1;
+            assert_eq!(s.hundred_of(g).unwrap(), oracle.hundred(idx), "{context}");
+        }
+
+        s.revive_shard(src).unwrap();
+        let context = format!("{fault:?}, revived");
+        for (lo, hi) in [(0, 99), (1, 10), (42, 51)] {
+            let got = s.range_hundred(lo, hi).unwrap();
+            let mut got = uids(&mut s, &got);
+            got.sort_unstable();
+            assert_eq!(got, oracle.range_hundred(lo, hi), "{context}: O3");
+        }
+        let got = s.range_million(0, u32::MAX).unwrap();
+        assert_eq!(got.len(), db.len(), "{context}: O4");
+    }
 }

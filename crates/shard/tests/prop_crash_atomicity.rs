@@ -149,9 +149,9 @@ proptest! {
 /// Systematic companion to the sampler: enumerate the whole parameter
 /// grid — every shard count, every crashing shard, with and without a
 /// committed transaction in front — so the prepare-window property is
-/// checked on all 18 scenarios deterministically, every run. (The
-/// interleaving dimension of the same protocol is exhausted by
-/// `sanity`'s dsched model in `crates/sanity/tests/model_2pc.rs`.)
+/// checked on all 18 scenarios deterministically, every run. (Every
+/// crash point of the same protocol, at every file call, crossed with
+/// each vote, is explored on two shards in `crash_explorer.rs`.)
 #[test]
 fn crash_grid_is_exhaustively_enumerated() {
     let mut scenarios = 0;

@@ -16,7 +16,7 @@ use hypermodel::store::HyperStore;
 use hypermodel::verify::verify_store;
 use mem_backend::MemStore;
 use proptest::prelude::*;
-use shard::{Placement, ReplicaGroup, ScanPolicy, ShardedStore};
+use shard::{Placement, ReplicaGroup, ShardedStore};
 
 type Replicated<S> = ShardedStore<ReplicaGroup<S>>;
 
@@ -346,34 +346,30 @@ fn a_write_on_the_last_healthy_member_is_repaired_onto_the_others() {
     assert_eq!(s.hundred_of(target).unwrap(), after);
 }
 
-/// Satellite fix: a partial fan-out read reports *which* logical shards
-/// it skipped, both unreplicated and when a whole replica group is gone.
+/// A fan-out read fails fast on a dead shard and names the logical shard,
+/// both unreplicated and when a whole replica group is gone; one dead
+/// mirror fails over inside its group and the scan stays complete.
 #[test]
-fn partial_scans_surface_skipped_shard_ids() {
+fn fan_outs_name_the_logical_shard_of_a_dead_group() {
     let db = TestDatabase::generate(&GenConfig::tiny());
+    let unavailable_one = |err: HmError| {
+        assert!(
+            matches!(err, HmError::ShardUnavailable { shard: 1, .. }),
+            "errors name the logical shard: {err}"
+        );
+    };
 
     // Unreplicated: member index == shard index.
     let mut s = replicated_mem(3, 1, Placement::OidHash);
     load_database(&mut s, &db).unwrap();
-    s.set_scan_policy(ScanPolicy::Partial);
     mark_member_down(&s, 1);
-    s.seq_scan_ten().unwrap();
-    assert!(s.last_scan_was_partial());
-    assert_eq!(s.last_scan_skipped(), &[1]);
-    let summary = s.resilience_summary().unwrap();
-    assert!(
-        summary.contains("skipped-shards=[1]"),
-        "summary must attribute the gap: {summary}"
-    );
+    unavailable_one(s.seq_scan_ten().unwrap_err());
 
-    // Replicated: only a fully-dead group is skipped — one dead mirror
-    // fails over inside the group and the scan stays complete.
+    // Replicated: one dead mirror is not a dead shard.
     let mut s = replicated_mem(2, 2, Placement::OidHash);
     let r = load_database(&mut s, &db).unwrap();
-    s.set_scan_policy(ScanPolicy::Partial);
     mark_member_down(&s, 2);
-    s.seq_scan_ten().unwrap();
-    assert!(!s.last_scan_was_partial(), "one mirror down is not partial");
+    assert_eq!(s.seq_scan_ten().unwrap(), db.len() as u64);
     // One dead mirror of shard 1 is a dead *replica*; no shard is dead.
     assert_eq!(
         s.resilience_summary().unwrap(),
@@ -381,18 +377,11 @@ fn partial_scans_surface_skipped_shard_ids() {
          dead-replicas=1/4 failover-reads=1 demotions=0 repairs=0"
     );
     mark_member_down(&s, 3);
-    s.seq_scan_ten().unwrap();
-    assert!(s.last_scan_was_partial());
-    assert_eq!(s.last_scan_skipped(), &[1], "logical shard id, not member");
+    unavailable_one(s.seq_scan_ten().unwrap_err());
+    unavailable_one(s.range_hundred(0, 99).unwrap_err());
     let on_one = *r.oids.iter().find(|&&o| s.owner_of(o) == Some(1)).unwrap();
-    for err in [s.hundred_of(on_one).unwrap_err(), s.commit().unwrap_err()] {
-        assert!(
-            matches!(err, HmError::ShardUnavailable { shard: 1, .. }),
-            "errors name the logical shard, not member 2 or 3: {err}"
-        );
-    }
-    let summary = s.resilience_summary().unwrap();
-    assert!(summary.contains("skipped-shards=[1]"), "summary: {summary}");
+    unavailable_one(s.hundred_of(on_one).unwrap_err());
+    unavailable_one(s.commit().unwrap_err());
 }
 
 /// The CI soak: kill a different member every epoch, run reads and

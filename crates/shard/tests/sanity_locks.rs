@@ -10,7 +10,7 @@
 //! Every lock in this path flows through `sanity::sync` (the root
 //! `clippy.toml` disallows the raw `std::sync` ones), so a clean run
 //! here is evidence the shard/executor locking discipline holds on real
-//! code, not just on the `dsched` models.
+//! code.
 #![cfg(sanity_check)]
 
 use hypermodel::config::GenConfig;

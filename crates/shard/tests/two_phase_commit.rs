@@ -18,7 +18,7 @@ use hypermodel::generate::TestDatabase;
 use hypermodel::load::load_database;
 use hypermodel::model::{Content, NodeAttrs, NodeKind, NodeValue};
 use hypermodel::store::HyperStore;
-use shard::{recover_sharded, CommitLog, Placement, ScanPolicy, ShardedStore};
+use shard::{recover_sharded, CommitLog, Placement, ShardedStore};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hm-2pc-{}-{name}", std::process::id()));
@@ -101,8 +101,8 @@ fn crash_between_prepare_and_commit_leaves_no_partial_o12() {
     assert_eq!(s.health(), &[true, false]);
     assert!(s.with_shard(1, |sh| sh.is_crashed()).unwrap());
 
-    // Graceful degradation while shard 1 is down: point ops to it fail
-    // fast, fan-outs follow the scan policy.
+    // Graceful degradation while shard 1 is down: point ops to it and
+    // fan-outs fail fast.
     let on_dead = (0..db.len())
         .map(|i| report.oids[i])
         .find(|&o| s.owner_of(o) == Some(1))
@@ -115,13 +115,6 @@ fn crash_between_prepare_and_commit_leaves_no_partial_o12() {
         s.seq_scan_ten().unwrap_err(),
         HmError::ShardUnavailable { .. }
     ));
-    s.set_scan_policy(ScanPolicy::Partial);
-    let partial = s.seq_scan_ten().unwrap();
-    assert!(s.last_scan_was_partial());
-    assert!(
-        partial < db.len() as u64,
-        "partial scan must miss the dead shard's nodes"
-    );
     drop(s);
 
     // Recovery: shard 1 crashed prepared; the log holds no commit
@@ -226,16 +219,15 @@ fn clean_two_phase_run_persists_and_needs_no_recovery() {
     assert_eq!(hundreds_by_uid(&[&p0, &p1], db.len() as u64), expected);
 }
 
-/// Administrative health control and both scan policies over healthy
-/// in-memory shards.
+/// Administrative health control over healthy in-memory shards: a shard
+/// marked down fails point operations, fan-outs and commits fast.
 #[test]
-fn dead_shard_fails_fast_and_scans_follow_policy() {
+fn dead_shard_fails_fast() {
     let db = TestDatabase::generate(&GenConfig::tiny());
     let shards: Vec<mem_backend::MemStore> = (0..3).map(|_| mem_backend::MemStore::new()).collect();
     let mut s = ShardedStore::new(shards, Placement::OidHash, "sharded-mem");
     let report = load_database(&mut s, &db).unwrap();
-    let full = s.seq_scan_ten().unwrap();
-    assert!(!s.last_scan_was_partial());
+    assert_eq!(s.seq_scan_ten().unwrap(), db.len() as u64);
 
     s.mark_shard_down(2);
     let on_dead = (0..db.len())
@@ -247,6 +239,10 @@ fn dead_shard_fails_fast_and_scans_follow_policy() {
         HmError::ShardUnavailable { shard: 2, .. }
     ));
     assert!(matches!(
+        s.seq_scan_ten().unwrap_err(),
+        HmError::ShardUnavailable { shard: 2, .. }
+    ));
+    assert!(matches!(
         s.range_hundred(0, 99).unwrap_err(),
         HmError::ShardUnavailable { shard: 2, .. }
     ));
@@ -254,12 +250,4 @@ fn dead_shard_fails_fast_and_scans_follow_policy() {
         s.commit().unwrap_err(),
         HmError::ShardUnavailable { shard: 2, .. }
     ));
-
-    s.set_scan_policy(ScanPolicy::Partial);
-    let partial = s.seq_scan_ten().unwrap();
-    assert!(s.last_scan_was_partial());
-    assert!(partial < full);
-    let some = s.range_hundred(0, 99).unwrap();
-    assert!(s.last_scan_was_partial());
-    assert!(!some.is_empty() && some.len() < db.len());
 }

@@ -323,7 +323,8 @@ impl BufferPool {
     }
 
     /// Allocate a page: pop the persistent free list if non-empty, else
-    /// extend the file. The page enters the pool dirty and zeroed.
+    /// add one at the end of the file. The page enters the pool dirty and
+    /// zeroed.
     pub fn allocate(&mut self) -> Result<(PageId, &mut Page)> {
         // The free-list head lives in a fixed slot of the meta page so it
         // participates in commit/recovery like any other page content.

@@ -54,16 +54,16 @@ impl DiskManager {
     }
 
     /// Open the existing database file at `path` in `fs`.
+    ///
+    /// A part of a page at the end of the file is left out: only the write
+    /// of a page the file did not hold yet makes one, and a crash that
+    /// tore that write lost nothing committed, because the engine syncs
+    /// such a page before any commit marker can name it. The next page
+    /// allocated overwrites it.
     pub fn open(fs: &dyn Vfs, path: &Path) -> Result<DiskManager> {
         let file = fs.open(path, OpenMode::Write)?;
         let len = file.size()?;
-        if len % PAGE_SIZE as u64 != 0 {
-            return Err(StorageError::Corruption {
-                page: None,
-                detail: format!("file length {len} is not a multiple of the page size"),
-            });
-        }
-        if len == 0 {
+        if len < PAGE_SIZE as u64 {
             return Err(StorageError::Corruption {
                 page: None,
                 detail: "file has no meta page".into(),
@@ -102,13 +102,13 @@ impl DiskManager {
         self.stats = IoStats::default();
     }
 
-    /// Extend the file by one zeroed page and return its id. The new page is
-    /// not written until the caller does so; the file is extended eagerly so
-    /// that page ids map 1:1 to file offsets.
+    /// Add one page at the end and return its id. Nothing is written: the
+    /// file grows when the caller writes the page (the engine does so
+    /// before any commit marker can name it), and until then reading the
+    /// page fails.
     pub fn allocate(&mut self) -> Result<PageId> {
         let id = PageId(self.page_count);
         self.page_count += 1;
-        self.file.set_len(self.page_count * PAGE_SIZE as u64)?;
         Ok(id)
     }
 
@@ -130,9 +130,9 @@ impl DiskManager {
         self.file
             .read_exact_at(page.bytes_mut(), id.0 * PAGE_SIZE as u64)?;
         self.stats.reads += 1;
-        // A freshly allocated, never-written page is legitimately all
-        // zeros. A written page's first bytes are its checksum, so the
-        // scan rarely passes them.
+        // A page the file skipped (a hole: a later page was written
+        // first) is legitimately all zeros. A written page's first bytes
+        // are its checksum, so the scan rarely passes them.
         if page.bytes().iter().all(|&b| b == 0) {
             page.write_u64(crate::page::PAGE_ID_OFFSET, id.0);
             page.seal();
@@ -234,10 +234,13 @@ mod tests {
     }
 
     #[test]
-    fn fresh_allocated_page_reads_as_zeroed() {
+    fn a_page_the_file_skipped_reads_as_zeroed() {
         let path = tmpfile("fresh");
         let mut dm = DiskManager::create(&OsFs, &path).unwrap();
         let id = dm.allocate().unwrap();
+        assert!(dm.read_page(id).is_err(), "not written, not in the file");
+        let mut next = Page::new(dm.allocate().unwrap());
+        dm.write_page(&mut next).unwrap();
         let page = dm.read_page(id).unwrap();
         assert_eq!(page.id(), id);
         assert_eq!(page.kind().unwrap(), PageKind::Free);

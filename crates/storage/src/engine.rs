@@ -376,6 +376,11 @@ impl Engine {
     /// After a successful prepare the engine can finish either way, even
     /// across a crash (recovery reports the transaction as in-doubt and
     /// [`crate::recovery::resolve_in_doubt`] applies the decision).
+    ///
+    /// A prepare that fails once the committed bytes are written back is
+    /// a vote to abort, and no decision will follow it: the engine rolls
+    /// the transaction back itself, as [`Engine::abort_prepared`] does,
+    /// without logging an abort (nothing of it is in the log).
     pub fn prepare(&mut self, txid: u64) -> Result<CommitStats> {
         if let Some(other) = self.prepared {
             return Err(StorageError::InvalidArgument(format!(
@@ -383,9 +388,16 @@ impl Engine {
             )));
         }
         self.pool.write_back()?;
-        let stats = self.stage(Marker::Prepare(txid))?;
-        self.prepared = Some(txid);
-        Ok(stats)
+        match self.stage(Marker::Prepare(txid)) {
+            Ok(stats) => {
+                self.prepared = Some(txid);
+                Ok(stats)
+            }
+            Err(e) => {
+                self.pool.discard_all()?;
+                Err(e)
+            }
+        }
     }
 
     /// Phase two, commit side: make the transaction prepared as `txid`

@@ -162,7 +162,12 @@ impl Fold {
 /// Used by transaction coordinators to find in-doubt participants before
 /// deciding their fate via [`resolve_in_doubt`].
 pub fn in_doubt_txn(wal_path: &Path) -> Result<Option<u64>> {
-    Ok(scan_in_doubt(&OsFs, wal_path)?.0)
+    in_doubt_txn_in(&OsFs, wal_path)
+}
+
+/// [`in_doubt_txn`] for a log in `fs`.
+pub fn in_doubt_txn_in(fs: &dyn Vfs, wal_path: &Path) -> Result<Option<u64>> {
+    Ok(scan_in_doubt(fs, wal_path)?.0)
 }
 
 /// The prepared-but-undecided transaction in the log, if any, and the
@@ -320,6 +325,15 @@ mod tests {
         wal.append_page_delta(PageId(id), None, page_with(id, marker).bytes());
     }
 
+    /// Add `pages` pages after the meta page, each written empty, as the
+    /// engine writes a page it adds before a marker can name it.
+    fn add_pages(dm: &mut DiskManager, pages: usize) {
+        for _ in 0..pages {
+            let mut page = Page::new(dm.allocate().unwrap());
+            dm.write_page(&mut page).unwrap();
+        }
+    }
+
     fn log_is_empty(walp: &Path) -> bool {
         std::fs::metadata(walp).unwrap().len() == 0
     }
@@ -329,7 +343,7 @@ mod tests {
         let (db, walp) = paths("redo");
         {
             let mut dm = DiskManager::create(&OsFs, &db).unwrap();
-            dm.allocate().unwrap();
+            add_pages(&mut dm, 1);
             dm.sync().unwrap();
         }
         {
@@ -385,8 +399,7 @@ mod tests {
         let (db, walp) = paths("prefix");
         {
             let mut dm = DiskManager::create(&OsFs, &db).unwrap();
-            dm.allocate().unwrap();
-            dm.allocate().unwrap();
+            add_pages(&mut dm, 2);
             dm.sync().unwrap();
         }
         {
@@ -443,7 +456,7 @@ mod tests {
         let (db, walp) = paths("idem");
         {
             let mut dm = DiskManager::create(&OsFs, &db).unwrap();
-            dm.allocate().unwrap();
+            add_pages(&mut dm, 1);
             dm.sync().unwrap();
         }
         {
@@ -499,7 +512,7 @@ mod tests {
         let (db, walp) = paths("resolve-commit");
         {
             let mut dm = DiskManager::create(&OsFs, &db).unwrap();
-            dm.allocate().unwrap();
+            add_pages(&mut dm, 1);
             dm.sync().unwrap();
         }
         {
@@ -609,7 +622,7 @@ mod tests {
         let (db, walp) = paths("decided");
         {
             let mut dm = DiskManager::create(&OsFs, &db).unwrap();
-            dm.allocate().unwrap();
+            add_pages(&mut dm, 1);
             dm.sync().unwrap();
         }
         {

@@ -1,13 +1,15 @@
 //! The file seam: every file operation of the engine — [`crate::disk`],
-//! [`crate::wal`], [`crate::recovery`] and [`crate::engine`] — goes
-//! through a [`Vfs`] and the [`VfsFile`]s it opens.
+//! [`crate::wal`], [`crate::recovery`] and [`crate::engine`] — and of the
+//! sharded deployment's decision log (`shard::coordinator::CommitLog`)
+//! goes through a [`Vfs`] and the [`VfsFile`]s it opens.
 //!
 //! The only implementation here is the operating system's ([`OsFs`], and
 //! [`std::fs::File`] for its files); the path-taking entry points
 //! ([`crate::engine::Engine::create`], [`crate::engine::Engine::open`],
 //! [`crate::recovery::resolve_in_doubt`]) use it. The `_in` variants of
 //! those entry points take any other, which is how the crate's tests run
-//! the engine on files in memory that record each call and fail on
+//! the engine, and the `shard` crate's tests a whole two-shard
+//! deployment, on files in memory that record each call and fail on
 //! demand.
 //!
 //! # Crash model
@@ -21,11 +23,14 @@
 //!   changes issued to a file after its last sync are all kept, or all
 //!   dropped, or all kept with the last write torn: part of its bytes new
 //!   and the rest as they were. A page write tears at its 4 KiB boundary,
-//!   either half new; an append to the log tears at any byte, the rest of
+//!   either half new; an append to a log (the write-ahead log, or the
+//!   decision log of `shard::coordinator`) tears at any byte, the rest of
 //!   it missing.
-//! * **Name operations are durable at once.** Creating and removing a file
-//!   take effect when [`Vfs::open`] or [`Vfs::remove`] returns, without a
-//!   sync of the directory.
+//! * **Name operations are durable at once.** Creating, renaming and
+//!   removing a file take effect when [`Vfs::open`], [`Vfs::rename`] or
+//!   [`Vfs::remove`] returns. For a rename [`OsFs`] makes that so by
+//!   syncing the directory; creating and removing are assumed durable
+//!   without one.
 //!
 //! Recovery must open every state this allows and find in it exactly the
 //! transactions whose marker's sync returned, none whose marker was never
@@ -49,10 +54,13 @@ pub enum OpenMode {
     CreateNew,
 }
 
-/// Opens and removes files by path.
+/// Opens, renames and removes files by path.
 pub trait Vfs: Send + Sync {
     /// Open the file at `path` as `mode` says.
     fn open(&self, path: &Path, mode: OpenMode) -> io::Result<Box<dyn VfsFile>>;
+    /// Give the file at `from` the name `to`, replacing any file there,
+    /// durably: a crash after this returns finds the file under `to`.
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Remove the file at `path`.
     fn remove(&self, path: &Path) -> io::Result<()>;
 }
@@ -90,6 +98,15 @@ impl Vfs for OsFs {
             }
         }
         Ok(Box::new(options.open(path)?))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::rename(from, to)?;
+        let dir = match to.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {

@@ -7,7 +7,7 @@
 #![allow(dead_code)]
 
 use sanity::sync::{Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -21,6 +21,11 @@ pub type Files = Vec<(PathBuf, Vec<u8>)>;
 pub enum Op {
     /// A file was created (empty).
     Create(PathBuf),
+    /// The file at `from` was renamed to `to`, replacing any file there.
+    Rename {
+        from: PathBuf,
+        to: PathBuf,
+    },
     Remove(PathBuf),
     Read {
         path: PathBuf,
@@ -41,10 +46,10 @@ pub enum Op {
 }
 
 impl Op {
-    /// The file the call was made on.
+    /// The file the call was made on (a rename's new name).
     pub fn path(&self) -> &Path {
         match self {
-            Op::Create(p) | Op::Remove(p) | Op::Sync(p) => p,
+            Op::Create(p) | Op::Remove(p) | Op::Sync(p) | Op::Rename { to: p, .. } => p,
             Op::Read { path, .. } | Op::Write { path, .. } | Op::SetLen { path, .. } => path,
         }
     }
@@ -55,7 +60,8 @@ struct Inner {
     files: BTreeMap<PathBuf, Vec<u8>>,
     trace: Vec<Op>,
     fail_write: HashSet<PathBuf>,
-    fail_sync: HashSet<PathBuf>,
+    /// Per path, how many more syncs return before one fails.
+    fail_sync: HashMap<PathBuf, usize>,
 }
 
 /// A file system in memory; clones share it.
@@ -127,7 +133,13 @@ impl FakeFs {
 
     /// The next sync of `path` fails and makes nothing durable.
     pub fn fail_next_sync(&self, path: &Path) {
-        self.lock().fail_sync.insert(path.to_path_buf());
+        self.fail_sync_after(path, 0);
+    }
+
+    /// The sync of `path` after the next `syncs` fails and makes nothing
+    /// durable.
+    pub fn fail_sync_after(&self, path: &Path, syncs: usize) {
+        self.lock().fail_sync.insert(path.to_path_buf(), syncs);
     }
 }
 
@@ -151,6 +163,17 @@ impl Vfs for FakeFs {
             path: path.to_path_buf(),
             writable: mode != OpenMode::Read,
         }))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let mut inner = self.lock();
+        let bytes = inner.files.remove(from).ok_or_else(|| not_found(from))?;
+        inner.files.insert(to.to_path_buf(), bytes);
+        inner.trace.push(Op::Rename {
+            from: from.to_path_buf(),
+            to: to.to_path_buf(),
+        });
+        Ok(())
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
@@ -221,8 +244,16 @@ impl VfsFile for FakeFile {
     }
 
     fn sync_data(&self) -> io::Result<()> {
-        if self.fs.lock().fail_sync.remove(&self.path) {
-            return Err(injected("sync"));
+        {
+            let mut inner = self.fs.lock();
+            match inner.fail_sync.get_mut(&self.path) {
+                Some(0) => {
+                    inner.fail_sync.remove(&self.path);
+                    return Err(injected("sync"));
+                }
+                Some(n) => *n -= 1,
+                None => {}
+            }
         }
         self.with(|_| Ok(Some(Op::Sync(self.path.clone()))))
     }
@@ -295,10 +326,11 @@ struct FileHistory {
     version: usize,
 }
 
-/// Whether the file at `path` is a write-ahead log, whose appends tear at
-/// any byte rather than at a 4 KiB boundary.
+/// Whether the file at `path` is a log — a write-ahead log (`.wal`) or a
+/// coordinator's decision log (`.log`) — whose appends tear at any byte
+/// rather than at a 4 KiB boundary.
 fn is_log(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "wal")
+    path.extension().is_some_and(|e| e == "wal" || e == "log")
 }
 
 /// The byte ranges a torn write of `len` bytes to a log (`log`) or a
@@ -401,6 +433,10 @@ pub fn crash_states(
                         ..FileHistory::default()
                     },
                 );
+            }
+            Op::Rename { from, .. } => {
+                let file = files.remove(from).expect("renamed file exists");
+                files.insert(path, file);
             }
             Op::Remove(_) => {
                 files.remove(&path);
