@@ -75,7 +75,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
     /// presumed abort). A failure *after* activation is reported, but
     /// the migration itself has committed: each source shard whose retire
     /// failed is marked down, whatever the error, and scans refuse until
-    /// it is replaced or revived.
+    /// it is replaced or revived, which retries the retire first.
     ///
     /// Returns the number of nodes moved (0 when the subtree already
     /// lives wholly on `dst`).
@@ -188,12 +188,14 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         // extent, they stay as the stand-ins other edges point at. A
         // source whose retire fails, however, still counts the moved
         // records in its scans: it is marked down, so that fan-outs
-        // refuse instead of counting them twice.
+        // refuse instead of counting them twice, and keeps the ids for
+        // the revival to retire.
         let mut failed = None;
         for (&src, items) in &by_src {
             let ls: Vec<Oid> = items.iter().map(|&(_, l)| l).collect();
             if let Err(e) = self.on_shard(src, |sh| sh.retire_nodes(&ls)) {
                 self.mark_shard_down(src);
+                self.unretired[src].extend(ls);
                 failed.get_or_insert(e);
             }
         }

@@ -69,6 +69,11 @@ pub struct ShardedStore<S> {
     pub(crate) migrated: Vec<u64>,
     /// Subtree migrations completed (ownership flipped).
     pub(crate) migrations: u64,
+    /// Per shard: the local ids of records a migration moved away whose
+    /// retire failed there, so they still count in its scans. The shard
+    /// stays down until a retire of them succeeds (see
+    /// [`ShardedStore::revive_shard`]).
+    pub(crate) unretired: Vec<Vec<Oid>>,
     /// Closure executions per start node since the last
     /// [`ShardedStore::reset_touches`] — the traffic signal the
     /// rebalancer uses to pick a hot subtree.
@@ -171,6 +176,7 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
             shard_summary: None,
             migrated: vec![0; n],
             migrations: 0,
+            unretired: vec![Vec::new(); n],
             touches: HashMap::new(),
         }
     }
@@ -207,30 +213,53 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
 
     /// Re-admit a shard previously marked dead, e.g. after
     /// [`crate::coordinator::recover_sharded`] repaired its backend:
-    /// probes it with a cheap scan on the calling thread, and delivers
-    /// the commit decision a failed phase two left it prepared for,
-    /// before flipping health back. Refuses, without running the probe,
-    /// while the shard is poisoned by a panic (swap the backend with
+    /// probes it with a cheap scan on the calling thread, delivers the
+    /// commit decision a failed phase two left it prepared for, and
+    /// retries the retire a failed migration left it, before flipping
+    /// health back. Refuses, without running the probe, while the shard
+    /// is poisoned by a panic (swap the backend with
     /// [`ShardedStore::replace_shard`] first).
     pub fn revive_shard(&mut self, shard: usize) -> Result<()> {
         self.exec
             .run_here(shard, |sh| sh.seq_scan_ten())
             .map_err(ExecError::into_hm)??;
         self.coordinator.deliver(&self.exec, shard)?;
-        self.health[shard] = true;
-        Ok(())
+        self.readmit(shard)
     }
 
     /// Swap in a replacement backend for `shard` (e.g. a store reopened
-    /// by recovery), clearing the executor's poison flag and re-admitting
-    /// the shard. Returns the previous backend.
+    /// by recovery), clearing the executor's poison flag, and re-admit
+    /// the shard once the retire a failed migration left it succeeds on
+    /// the replacement. Returns the previous backend; if that retire
+    /// fails, the error instead, with the replacement in place and the
+    /// shard still down.
     pub fn replace_shard(&mut self, shard: usize, store: S) -> Result<S> {
         let old = self
             .exec
             .replace_shard(shard, store)
             .map_err(ExecError::into_hm)?;
-        self.health[shard] = true;
+        self.readmit(shard)?;
         Ok(old)
+    }
+
+    /// Retire the records a failed migration retire left active on
+    /// `shard` — as [`crate::coordinator::Coordinator::deliver`]
+    /// redelivers a missed decision — then mark the shard healthy. On a
+    /// failure the shard stays down and keeps the ids for the next try.
+    fn readmit(&mut self, shard: usize) -> Result<()> {
+        let locals = std::mem::take(&mut self.unretired[shard]);
+        if !locals.is_empty() {
+            let retired = self
+                .exec
+                .run_here(shard, |sh| sh.retire_nodes(&locals))
+                .map_err(ExecError::into_hm);
+            if let Err(e) = retired.and_then(|r| r) {
+                self.unretired[shard] = locals;
+                return Err(e);
+            }
+        }
+        self.health[shard] = true;
+        Ok(())
     }
 
     /// Cross-shard transactions aborted in phase one so far.

@@ -412,8 +412,10 @@ fn assert_scans_refuse_or_match(
 /// A retire that fails after the commit point leaves the moved records
 /// active on the source. Until the source is revived, every scan refuses
 /// or counts each node once, and the moved nodes answer from the
-/// destination. After the revival the range lookups, which count a record
-/// only where the router places it, are still exact.
+/// destination. The revival retries the retire, so afterwards O9, which
+/// sums each shard's scan extent, counts every node once, and the range
+/// lookups, which count a record only where the router places it, are
+/// exact.
 #[test]
 fn a_failed_retire_never_lets_a_scan_count_a_node_twice() {
     let db = TestDatabase::generate(&GenConfig::tiny());
@@ -452,5 +454,10 @@ fn a_failed_retire_never_lets_a_scan_count_a_node_twice() {
         }
         let got = s.range_million(0, u32::MAX).unwrap();
         assert_eq!(got.len(), db.len(), "{context}: O4");
+        assert_eq!(
+            s.seq_scan_ten().unwrap(),
+            oracle.seq_scan_count(),
+            "{context}: O9"
+        );
     }
 }

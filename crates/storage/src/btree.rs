@@ -33,7 +33,7 @@
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
-use crate::page::{Page, PageId, PageKind, HEADER_SIZE};
+use crate::page::{Page, PageId, PageKind, PageMut, HEADER_SIZE};
 
 /// Fixed-size 16-byte key: a `u128`, stored big-endian.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,7 +64,7 @@ fn read_key(page: &Page, off: usize) -> Key {
 }
 
 /// Store `key` at byte `off` of `page`.
-fn write_key(page: &mut Page, off: usize, key: Key) {
+fn write_key(page: &mut PageMut<'_>, off: usize, key: Key) {
     page.write_bytes(off, &key.0.to_be_bytes());
 }
 
@@ -86,7 +86,7 @@ fn leaf_value(page: &Page, i: usize) -> u64 {
     page.read_u64(LEAF_ENTRIES + i * ENTRY + 16)
 }
 
-fn leaf_set(page: &mut Page, i: usize, key: Key, value: u64) {
+fn leaf_set(page: &mut PageMut<'_>, i: usize, key: Key, value: u64) {
     let off = LEAF_ENTRIES + i * ENTRY;
     write_key(page, off, key);
     page.write_u64(off + 16, value);
@@ -104,41 +104,41 @@ fn int_child(page: &Page, i: usize) -> u64 {
     }
 }
 
-fn int_set_entry(page: &mut Page, i: usize, key: Key, child: u64) {
+fn int_set_entry(page: &mut PageMut<'_>, i: usize, key: Key, child: u64) {
     let off = INT_ENTRIES + i * ENTRY;
     write_key(page, off, key);
     page.write_u64(off + 16, child);
 }
 
 /// Move entries within a page to open a hole at `idx` (leaf layout).
-fn leaf_shift_right(page: &mut Page, idx: usize, count: usize) {
+fn leaf_shift_right(page: &mut PageMut<'_>, idx: usize, count: usize) {
     let src = LEAF_ENTRIES + idx * ENTRY;
     let dst = src + ENTRY;
     let len = (count - idx) * ENTRY;
-    page.bytes_mut().copy_within(src..src + len, dst);
+    page.copy_within(src..src + len, dst);
 }
 
-fn leaf_shift_left(page: &mut Page, idx: usize, count: usize) {
+fn leaf_shift_left(page: &mut PageMut<'_>, idx: usize, count: usize) {
     let dst = LEAF_ENTRIES + idx * ENTRY;
     let src = dst + ENTRY;
     let len = (count - idx - 1) * ENTRY;
-    page.bytes_mut().copy_within(src..src + len, dst);
+    page.copy_within(src..src + len, dst);
 }
 
-fn int_shift_right(page: &mut Page, idx: usize, count: usize) {
+fn int_shift_right(page: &mut PageMut<'_>, idx: usize, count: usize) {
     let src = INT_ENTRIES + idx * ENTRY;
     let dst = src + ENTRY;
     let len = (count - idx) * ENTRY;
-    page.bytes_mut().copy_within(src..src + len, dst);
+    page.copy_within(src..src + len, dst);
 }
 
 /// Remove interior entry `idx` (its key and the child to the key's right),
 /// shifting later entries left. `count` is the key count before removal.
-fn int_remove_entry(page: &mut Page, idx: usize, count: usize) {
+fn int_remove_entry(page: &mut PageMut<'_>, idx: usize, count: usize) {
     let dst = INT_ENTRIES + idx * ENTRY;
     let src = dst + ENTRY;
     let len = (count - idx - 1) * ENTRY;
-    page.bytes_mut().copy_within(src..src + len, dst);
+    page.copy_within(src..src + len, dst);
 }
 
 /// Minimum fill of a node other than the root and the rightmost leaf: half
@@ -199,7 +199,7 @@ enum InsertResult {
 impl BTree {
     /// Create an empty tree (a single empty leaf).
     pub fn create(pool: &mut BufferPool) -> Result<BTree> {
-        let (id, page) = pool.allocate()?;
+        let (id, mut page) = pool.allocate()?;
         page.clear_payload();
         page.set_kind(PageKind::BTreeLeaf);
         page.write_u16(COUNT, 0);
@@ -228,12 +228,12 @@ impl BTree {
                 right,
             } => {
                 // Grow a new root.
-                let (new_root, page) = pool.allocate()?;
+                let (new_root, mut page) = pool.allocate()?;
                 page.clear_payload();
                 page.set_kind(PageKind::BTreeInternal);
                 page.write_u16(COUNT, 1);
                 page.write_u64(INT_FIRST_CHILD, self.root.0);
-                int_set_entry(page, 0, sep, right.0);
+                int_set_entry(&mut page, 0, sep, right.0);
                 self.root = new_root;
                 Ok(old_value)
             }
@@ -281,17 +281,17 @@ impl BTree {
         key: Key,
         value: u64,
     ) -> Result<InsertResult> {
-        let page = pool.at_mut(slot, node);
+        let mut page = pool.at_mut(slot, node);
         let n = page.read_u16(COUNT) as usize;
-        match leaf_search(page, key) {
+        match leaf_search(&page, key) {
             Ok(i) => {
-                let old = leaf_value(page, i);
-                leaf_set(page, i, key, value);
+                let old = leaf_value(&page, i);
+                leaf_set(&mut page, i, key, value);
                 Ok(InsertResult::Done(Some(old)))
             }
             Err(i) if n < FANOUT => {
-                leaf_shift_right(page, i, n);
-                leaf_set(page, i, key, value);
+                leaf_shift_right(&mut page, i, n);
+                leaf_set(&mut page, i, key, value);
                 page.write_u16(COUNT, (n + 1) as u16);
                 Ok(InsertResult::Done(None))
             }
@@ -306,14 +306,14 @@ impl BTree {
                     n / 2
                 };
                 let (right_id, _) = pool.allocate()?;
-                let [page, right] = pool.dirty_mut([node, right_id])?;
+                let [mut page, mut right] = pool.dirty_mut([node, right_id])?;
                 right.clear_payload();
                 right.set_kind(PageKind::BTreeLeaf);
                 let moved = n - mid;
                 for j in 0..moved {
-                    let k = leaf_key(page, mid + j);
-                    let v = leaf_value(page, mid + j);
-                    leaf_set(right, j, k, v);
+                    let k = leaf_key(&page, mid + j);
+                    let v = leaf_value(&page, mid + j);
+                    leaf_set(&mut right, j, k, v);
                 }
                 right.write_u16(COUNT, moved as u16);
                 right.write_u64(LEAF_NEXT, page.read_u64(LEAF_NEXT));
@@ -322,17 +322,17 @@ impl BTree {
                 // Insert the new entry into the proper half.
                 if i <= mid && mid < n {
                     let cnt = mid;
-                    leaf_shift_right(page, i, cnt);
-                    leaf_set(page, i, key, value);
+                    leaf_shift_right(&mut page, i, cnt);
+                    leaf_set(&mut page, i, key, value);
                     page.write_u16(COUNT, (cnt + 1) as u16);
                 } else {
                     let cnt = moved;
                     let ri = i - mid;
-                    leaf_shift_right(right, ri, cnt);
-                    leaf_set(right, ri, key, value);
+                    leaf_shift_right(&mut right, ri, cnt);
+                    leaf_set(&mut right, ri, key, value);
                     right.write_u16(COUNT, (cnt + 1) as u16);
                 }
-                let sep = leaf_key(right, 0);
+                let sep = leaf_key(&right, 0);
                 Ok(InsertResult::Split {
                     old_value: None,
                     sep,
@@ -351,31 +351,31 @@ impl BTree {
         right_child: PageId,
         old_value: Option<u64>,
     ) -> Result<InsertResult> {
-        let page = pool.page_mut(node)?;
+        let mut page = pool.page_mut(node)?;
         let n = page.read_u16(COUNT) as usize;
         if n < FANOUT {
-            int_shift_right(page, route_idx, n);
-            int_set_entry(page, route_idx, sep, right_child.0);
+            int_shift_right(&mut page, route_idx, n);
+            int_set_entry(&mut page, route_idx, sep, right_child.0);
             page.write_u16(COUNT, (n + 1) as u16);
             return Ok(InsertResult::Done(old_value));
         }
         // Split the interior node. Gather all n+1 entries logically, then
         // redistribute around the median which moves up.
-        let mut keys: Vec<Key> = (0..n).map(|i| int_key(page, i)).collect();
-        let mut children: Vec<u64> = (0..=n).map(|i| int_child(page, i)).collect();
+        let mut keys: Vec<Key> = (0..n).map(|i| int_key(&page, i)).collect();
+        let mut children: Vec<u64> = (0..=n).map(|i| int_child(&page, i)).collect();
         keys.insert(route_idx, sep);
         children.insert(route_idx + 1, right_child.0);
         let mid = keys.len() / 2;
         let up_key = keys[mid];
         let (right_id, _) = pool.allocate()?;
-        let [page, right] = pool.dirty_mut([node, right_id])?;
+        let [mut page, mut right] = pool.dirty_mut([node, right_id])?;
         right.clear_payload();
         right.set_kind(PageKind::BTreeInternal);
         // Left: keys[..mid], children[..=mid]
         page.write_u16(COUNT, mid as u16);
         page.write_u64(INT_FIRST_CHILD, children[0]);
         for (i, (&k, &c)) in keys[..mid].iter().zip(children[1..=mid].iter()).enumerate() {
-            int_set_entry(page, i, k, c);
+            int_set_entry(&mut page, i, k, c);
         }
         // Right: keys[mid+1..], children[mid+1..]
         let rkeys = &keys[mid + 1..];
@@ -383,7 +383,7 @@ impl BTree {
         right.write_u16(COUNT, rkeys.len() as u16);
         right.write_u64(INT_FIRST_CHILD, rchildren[0]);
         for (i, (&k, &c)) in rkeys.iter().zip(rchildren[1..].iter()).enumerate() {
-            int_set_entry(right, i, k, c);
+            int_set_entry(&mut right, i, k, c);
         }
         Ok(InsertResult::Split {
             old_value,
@@ -458,9 +458,9 @@ impl BTree {
                 let Ok(i) = leaf_search(page, key) else {
                     return Ok(None);
                 };
-                let page = pool.at_mut(slot, node);
-                let old = leaf_value(page, i);
-                leaf_shift_left(page, i, n);
+                let mut page = pool.at_mut(slot, node);
+                let old = leaf_value(&page, i);
+                leaf_shift_left(&mut page, i, n);
                 page.write_u16(COUNT, (n - 1) as u16);
                 Ok(Some((old, n - 1)))
             }
@@ -535,30 +535,30 @@ impl BTree {
         left_id: PageId,
         cur_id: PageId,
     ) -> Result<()> {
-        let [parent_pg, left, cur] = pool.pages_mut([parent, left_id, cur_id])?;
+        let [mut parent_pg, mut left, mut cur] = pool.pages_mut([parent, left_id, cur_id])?;
         let ln = left.read_u16(COUNT) as usize;
         let cn = cur.read_u16(COUNT) as usize;
         match cur.kind()? {
             PageKind::BTreeLeaf => {
-                let (k, v) = (leaf_key(left, ln - 1), leaf_value(left, ln - 1));
-                leaf_shift_right(cur, 0, cn);
-                leaf_set(cur, 0, k, v);
+                let (k, v) = (leaf_key(&left, ln - 1), leaf_value(&left, ln - 1));
+                leaf_shift_right(&mut cur, 0, cn);
+                leaf_set(&mut cur, 0, k, v);
                 cur.write_u16(COUNT, (cn + 1) as u16);
                 left.write_u16(COUNT, (ln - 1) as u16);
                 // The separator left of `cur` becomes its new first key.
-                write_key(parent_pg, INT_ENTRIES + (idx - 1) * ENTRY, k);
+                write_key(&mut parent_pg, INT_ENTRIES + (idx - 1) * ENTRY, k);
             }
             _ => {
-                let down = int_key(parent_pg, idx - 1);
-                let moved_child = int_child(left, ln); // left's last child
-                let up = int_key(left, ln - 1);
-                let old_first = int_child(cur, 0);
-                int_shift_right(cur, 0, cn);
-                int_set_entry(cur, 0, down, old_first);
+                let down = int_key(&parent_pg, idx - 1);
+                let moved_child = int_child(&left, ln); // left's last child
+                let up = int_key(&left, ln - 1);
+                let old_first = int_child(&cur, 0);
+                int_shift_right(&mut cur, 0, cn);
+                int_set_entry(&mut cur, 0, down, old_first);
                 cur.write_u64(INT_FIRST_CHILD, moved_child);
                 cur.write_u16(COUNT, (cn + 1) as u16);
                 left.write_u16(COUNT, (ln - 1) as u16);
-                write_key(parent_pg, INT_ENTRIES + (idx - 1) * ENTRY, up);
+                write_key(&mut parent_pg, INT_ENTRIES + (idx - 1) * ENTRY, up);
             }
         }
         Ok(())
@@ -572,30 +572,31 @@ impl BTree {
         cur_id: PageId,
         right_id: PageId,
     ) -> Result<()> {
-        let [parent_pg, right, cur] = pool.pages_mut([parent, right_id, cur_id])?;
+        let [mut parent_pg, mut right, mut cur] = pool.pages_mut([parent, right_id, cur_id])?;
         let rn = right.read_u16(COUNT) as usize;
         let cn = cur.read_u16(COUNT) as usize;
         match cur.kind()? {
             PageKind::BTreeLeaf => {
-                let (k, v) = (leaf_key(right, 0), leaf_value(right, 0));
-                leaf_set(cur, cn, k, v);
+                let (k, v) = (leaf_key(&right, 0), leaf_value(&right, 0));
+                leaf_set(&mut cur, cn, k, v);
                 cur.write_u16(COUNT, (cn + 1) as u16);
-                leaf_shift_left(right, 0, rn);
+                leaf_shift_left(&mut right, 0, rn);
                 right.write_u16(COUNT, (rn - 1) as u16);
-                write_key(parent_pg, INT_ENTRIES + idx * ENTRY, leaf_key(right, 0));
+                let first = leaf_key(&right, 0);
+                write_key(&mut parent_pg, INT_ENTRIES + idx * ENTRY, first);
             }
             _ => {
-                let down = int_key(parent_pg, idx);
-                let moved_child = int_child(right, 0);
-                let up = int_key(right, 0);
-                int_set_entry(cur, cn, down, moved_child);
+                let down = int_key(&parent_pg, idx);
+                let moved_child = int_child(&right, 0);
+                let up = int_key(&right, 0);
+                int_set_entry(&mut cur, cn, down, moved_child);
                 cur.write_u16(COUNT, (cn + 1) as u16);
                 // Drop right's first key and first child.
-                let new_first = int_child(right, 1);
+                let new_first = int_child(&right, 1);
                 right.write_u64(INT_FIRST_CHILD, new_first);
-                int_remove_entry(right, 0, rn);
+                int_remove_entry(&mut right, 0, rn);
                 right.write_u16(COUNT, (rn - 1) as u16);
-                write_key(parent_pg, INT_ENTRIES + idx * ENTRY, up);
+                write_key(&mut parent_pg, INT_ENTRIES + idx * ENTRY, up);
             }
         }
         Ok(())
@@ -611,30 +612,40 @@ impl BTree {
         left_id: PageId,
         right_id: PageId,
     ) -> Result<()> {
-        let [parent_pg, left, right] = pool.pages_mut([parent, left_id, right_id])?;
+        let [mut parent_pg, mut left, right] = pool.pages_mut([parent, left_id, right_id])?;
         let ln = left.read_u16(COUNT) as usize;
         let rn = right.read_u16(COUNT) as usize;
         match left.kind()? {
             PageKind::BTreeLeaf => {
                 debug_assert!(ln + rn <= FANOUT, "merged leaf must fit");
                 for j in 0..rn {
-                    leaf_set(left, ln + j, leaf_key(right, j), leaf_value(right, j));
+                    leaf_set(
+                        &mut left,
+                        ln + j,
+                        leaf_key(&right, j),
+                        leaf_value(&right, j),
+                    );
                 }
                 left.write_u16(COUNT, (ln + rn) as u16);
                 left.write_u64(LEAF_NEXT, right.read_u64(LEAF_NEXT));
             }
             _ => {
                 debug_assert!(ln + rn < FANOUT, "merged interior must fit");
-                let sep = int_key(parent_pg, sep_idx);
-                int_set_entry(left, ln, sep, int_child(right, 0));
+                let sep = int_key(&parent_pg, sep_idx);
+                int_set_entry(&mut left, ln, sep, int_child(&right, 0));
                 for j in 0..rn {
-                    int_set_entry(left, ln + 1 + j, int_key(right, j), int_child(right, j + 1));
+                    int_set_entry(
+                        &mut left,
+                        ln + 1 + j,
+                        int_key(&right, j),
+                        int_child(&right, j + 1),
+                    );
                 }
                 left.write_u16(COUNT, (ln + rn + 1) as u16);
             }
         }
         let pn = parent_pg.read_u16(COUNT) as usize;
-        int_remove_entry(parent_pg, sep_idx, pn);
+        int_remove_entry(&mut parent_pg, sep_idx, pn);
         parent_pg.write_u16(COUNT, (pn - 1) as u16);
         pool.free_page(right_id)
     }

@@ -63,30 +63,187 @@
 //! # Before-images
 //!
 //! The log records what a transaction *changed* on a page, not the page
-//! (see [`crate::wal`]). To know what changed, [`BufferPool::page_mut`]
-//! copies a frame's bytes when it goes from clean to dirty — the page as
-//! the last commit left it — and commit hands that before-image, beside
-//! the page's current bytes, to [`BufferPool::for_each_dirty`]'s caller
-//! to diff. Every mutation therefore goes through `page_mut` (or
-//! `pages_mut` or [`BufferPool::allocate`]); a `&Page` cannot change a
-//! page. A page the file has never held (one `allocate` added to its end)
-//! has no before-image: the engine writes it to the file before the
-//! commit marker ([`BufferPool::flush_from`]) and logs nothing (see
-//! [`crate::engine`]). A frame whose before-image a failed commit already
-//! spent is logged whole. The copy is made on the write path only; reads
-//! never pay for it.
+//! (see [`crate::wal`]). To know what changed, the pool keeps each dirty
+//! frame's page as the last commit left it — not as a copy of the page,
+//! but as the old bytes of the 128-byte [chunks](crate::page::CHUNK) the
+//! transaction wrote. The pool lends a page for writing only as a
+//! [`PageMut`] (from `page_mut`, `pages_mut`, `dirty_mut` or
+//! [`BufferPool::allocate`]); a `&Page` cannot change a page. Each
+//! `PageMut` writer first saves every chunk it covers that the frame has
+//! not saved since it went dirty, and sets the chunk's bit in the frame's
+//! `u64` mask. A later write to a saved chunk costs the mask test.
+//!
+//! The saved chunks of all dirty frames go into one *arena* that the pool
+//! owns: a byte vector the chunks are appended to, and per dirty frame a
+//! table of where each of its chunks went. Commit hands each frame's
+//! saved chunks ([`SavedChunks`]), beside the page's current bytes, to
+//! [`BufferPool::for_each_dirty`]'s caller, which compares and diffs
+//! those chunks only: every other byte is unchanged. Then the arena is
+//! emptied for the next transaction. It keeps its capacity up to
+//! [`RETAINED_BYTES`], which a write set of 128 whole pages fills, so a
+//! warm pool saves without allocating; a larger write set (a load phase)
+//! allocates, and its excess is released at commit.
+//!
+//! Chunks, not the byte ranges each write covers: a B+Tree insert shifts
+//! the entries after its slot, and one commit's shifts can move more
+//! bytes than the pages hold, while the chunks they cover are a fraction
+//! of the pages. A chunk of 128 bytes is 16 of the differ's words.
+//!
+//! A page the file has never held (one `allocate` added to its end) saves
+//! nothing: the engine writes it to the file before the commit marker
+//! ([`BufferPool::flush_from`]) and logs nothing (see [`crate::engine`]).
+//! A frame whose saved chunks a failed commit already spent saves nothing
+//! either, and is logged whole. Saving happens on the write path only;
+//! reads never pay for it.
+//!
+//! In debug builds a dirty frame also keeps a whole copy of its page, in
+//! the arena, and commit asserts that every byte outside the saved chunks
+//! is unchanged and every saved chunk holds the copy's bytes: a change
+//! that bypassed the writers fails there.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::disk::{DiskManager, IoStats};
 use crate::error::{Result, StorageError};
-use crate::page::{Page, PageId, PageKind, PAGE_ID_OFFSET, PAGE_SIZE};
+use crate::page::{
+    Page, PageId, PageKind, PageMut, SavedChunks, CHUNK, CHUNKS, PAGE_ID_OFFSET, PAGE_SIZE,
+};
 
 /// The id of a slot that holds no page; never in the page table.
 const FREE: PageId = PageId(u64::MAX);
 
 /// A page-table entry for a page that is not resident.
 const ABSENT: u32 = u32::MAX;
+
+/// Bytes of saved chunks the arena keeps allocated between transactions:
+/// the chunks of 128 whole pages. A level-6 `closure1NAttSet` commit, the
+/// benchmark's largest write set, saves about 435 KB
+/// (`storage.commit.saved_bytes`).
+pub const RETAINED_BYTES: usize = 1 << 20;
+
+/// A dirty frame's share of the arena: which chunks it saved, and its
+/// entry in the arena's tables.
+#[derive(Debug, Clone, Copy)]
+struct Saved {
+    mask: u64,
+    entry: u32,
+}
+
+/// The saved chunks of every dirty frame (see the module doc's
+/// before-images).
+#[derive(Default)]
+struct Arena {
+    /// Saved chunks, [`CHUNK`] bytes each, in the order they were saved.
+    chunks: Vec<u8>,
+    /// Per entry, the index in `chunks` of each chunk the entry saved.
+    slots: Vec<[u32; CHUNKS]>,
+    /// Debug builds: per entry, the whole page when the frame went dirty.
+    #[cfg(debug_assertions)]
+    shadows: Vec<u8>,
+}
+
+impl Arena {
+    /// A new entry, for `page` going from clean to dirty.
+    fn begin(&mut self, page: &Page) -> Saved {
+        #[cfg(debug_assertions)]
+        self.shadows.extend_from_slice(page.bytes());
+        #[cfg(not(debug_assertions))]
+        let _ = page;
+        self.slots.push([0; CHUNKS]);
+        Saved {
+            mask: 0,
+            entry: (self.slots.len() - 1) as u32,
+        }
+    }
+
+    /// Save `page`'s chunks of `mask` under `entry`.
+    fn save(&mut self, entry: u32, mut mask: u64, page: &[u8; PAGE_SIZE]) {
+        let slots = &mut self.slots[entry as usize];
+        while mask != 0 {
+            let c = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            slots[c] = (self.chunks.len() / CHUNK) as u32;
+            self.chunks
+                .extend_from_slice(&page[c * CHUNK..(c + 1) * CHUNK]);
+        }
+    }
+
+    /// What `saved` saved.
+    fn chunks(&self, saved: Saved) -> SavedChunks<'_> {
+        SavedChunks::new(saved.mask, &self.slots[saved.entry as usize], &self.chunks)
+    }
+
+    /// Debug builds: panic unless `page` differs from its copy in the
+    /// saved chunks only, and each saved chunk holds the copy's bytes.
+    #[cfg(debug_assertions)]
+    fn check(&self, saved: Saved, page: &Page) {
+        let at = saved.entry as usize * PAGE_SIZE;
+        let shadow = &self.shadows[at..at + PAGE_SIZE];
+        let before = self.chunks(saved);
+        for c in 0..CHUNKS {
+            let span = c * CHUNK..(c + 1) * CHUNK;
+            let (was, now) = (&shadow[span.clone()], &page.bytes()[span.clone()]);
+            if saved.mask & (1 << c) == 0 {
+                assert!(
+                    was == now,
+                    "page {}: bytes {span:?} changed without being saved",
+                    page.id()
+                );
+            }
+        }
+        for (c, old) in before.iter() {
+            assert!(
+                old[..] == shadow[c * CHUNK..(c + 1) * CHUNK],
+                "page {}: chunk {c} saved the wrong bytes",
+                page.id()
+            );
+        }
+    }
+
+    /// Drop every entry, keeping at most [`RETAINED_BYTES`] of capacity.
+    fn clear(&mut self) {
+        self.chunks.clear();
+        self.chunks.shrink_to(RETAINED_BYTES);
+        self.slots.clear();
+        self.slots.shrink_to(RETAINED_BYTES / PAGE_SIZE);
+        #[cfg(debug_assertions)]
+        {
+            self.shadows.clear();
+            self.shadows.shrink_to(RETAINED_BYTES);
+        }
+    }
+}
+
+/// How a [`PageMut`] of a frame with a before-image saves old bytes.
+pub(crate) struct Saver<'a> {
+    saved: &'a mut Saved,
+    arena: &'a RefCell<Arena>,
+}
+
+impl Saver<'_> {
+    /// Save the chunks of `page` that bytes `off..off + len` overlap and
+    /// the frame has not saved yet.
+    #[inline]
+    pub(crate) fn save(&mut self, page: &[u8; PAGE_SIZE], off: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let (first, last) = (off / CHUNK, (off + len - 1) / CHUNK);
+        let span = (u64::MAX >> (CHUNKS - 1 - last)) & (u64::MAX << first);
+        let new = span & !self.saved.mask;
+        if new != 0 {
+            self.arena.borrow_mut().save(self.saved.entry, new, page);
+            self.saved.mask |= new;
+        }
+    }
+}
+
+/// Lend `frame`'s page for writing.
+fn lend<'a>(frame: &'a mut Frame, arena: &'a RefCell<Arena>) -> PageMut<'a> {
+    let saver = frame.saved.as_mut().map(|saved| Saver { saved, arena });
+    PageMut::new(&mut frame.page, saver)
+}
 
 struct Frame {
     /// The page in this slot, or [`FREE`].
@@ -97,9 +254,10 @@ struct Frame {
     /// module doc's write policy). Independent of `dirty`: a frame a
     /// transaction dirties after its last commit is both.
     unwritten: bool,
-    /// The page's bytes when the frame last went from clean to dirty;
-    /// taken by [`BufferPool::for_each_dirty`].
-    before: Option<Box<[u8; PAGE_SIZE]>>,
+    /// The chunks saved since the frame last went from clean to dirty;
+    /// `None` for a clean frame and for a dirty one without a
+    /// before-image. Taken by [`BufferPool::for_each_dirty`].
+    saved: Option<Saved>,
     last_used: u64,
 }
 
@@ -147,6 +305,11 @@ pub struct BufferPool {
     dirty_ids: Vec<u64>,
     /// The slot of the pinned page, which eviction skips.
     pin: Option<usize>,
+    /// The saved chunks of the dirty frames.
+    arena: RefCell<Arena>,
+    /// Where [`BufferPool::write_committed`] rebuilds a dirty frame's
+    /// committed bytes.
+    scratch: Page,
     capacity: usize,
     tick: u64,
     stats: PoolStats,
@@ -165,6 +328,8 @@ impl BufferPool {
             table: Vec::new(),
             dirty_ids: Vec::new(),
             pin: None,
+            arena: RefCell::default(),
+            scratch: Page::new(FREE),
             capacity: capacity.max(8),
             tick: 0,
             stats: PoolStats::default(),
@@ -248,17 +413,17 @@ impl BufferPool {
     }
 
     /// [`BufferPool::at`] to change the page: the frame becomes dirty. On
-    /// its clean→dirty transition its bytes are kept as the before-image
-    /// commit diffs against.
-    pub(crate) fn at_mut(&mut self, idx: usize, id: PageId) -> &mut Page {
+    /// its clean→dirty transition it starts saving the chunks its writers
+    /// change, the before-image commit diffs against.
+    pub(crate) fn at_mut(&mut self, idx: usize, id: PageId) -> PageMut<'_> {
         debug_assert_eq!(self.frames[idx].id, id, "stale slot {idx}");
         let frame = &mut self.frames[idx];
         if !frame.dirty {
             frame.dirty = true;
-            frame.before = Some(Box::new(*frame.page.bytes()));
+            frame.saved = Some(self.arena.get_mut().begin(&frame.page));
             self.dirty_ids.push(frame.id.0);
         }
-        &mut frame.page
+        lend(frame, &self.arena)
     }
 
     /// Borrow page `id`, reading it from disk on a miss.
@@ -269,14 +434,17 @@ impl BufferPool {
 
     /// Borrow page `id` to change it, reading it from disk on a miss. The
     /// frame becomes dirty; see the module doc's before-images.
-    pub fn page_mut(&mut self, id: PageId) -> Result<&mut Page> {
+    pub fn page_mut(&mut self, id: PageId) -> Result<PageMut<'_>> {
         let idx = self.fetch(id)?;
         Ok(self.at_mut(idx, id))
     }
 
     /// [`BufferPool::page_mut`] for each of `ids` in order, then borrow
     /// them all at once.
-    pub(crate) fn pages_mut<const N: usize>(&mut self, ids: [PageId; N]) -> Result<[&mut Page; N]> {
+    pub(crate) fn pages_mut<const N: usize>(
+        &mut self,
+        ids: [PageId; N],
+    ) -> Result<[PageMut<'_>; N]> {
         for id in ids {
             self.page_mut(id)?;
         }
@@ -286,7 +454,10 @@ impl BufferPool {
     /// Borrow pages already fetched for writing, all at once, counting no
     /// fetch: no-steal keeps a dirty page resident. Fails if one of `ids`
     /// is not dirty or two are the same.
-    pub(crate) fn dirty_mut<const N: usize>(&mut self, ids: [PageId; N]) -> Result<[&mut Page; N]> {
+    pub(crate) fn dirty_mut<const N: usize>(
+        &mut self,
+        ids: [PageId; N],
+    ) -> Result<[PageMut<'_>; N]> {
         let mut slots = [0; N];
         for (slot, id) in slots.iter_mut().zip(ids) {
             *slot = match self.slot(id) {
@@ -301,7 +472,7 @@ impl BufferPool {
         let frames = self.frames.get_disjoint_mut(slots).map_err(|_| {
             StorageError::InvalidArgument(format!("pages {ids:?} are not distinct"))
         })?;
-        Ok(frames.map(|frame| &mut frame.page))
+        Ok(frames.map(|frame| lend(frame, &self.arena)))
     }
 
     /// Fetch page `id` and keep it resident until [`BufferPool::unpin`]:
@@ -325,13 +496,13 @@ impl BufferPool {
     /// Allocate a page: pop the persistent free list if non-empty, else
     /// add one at the end of the file. The page enters the pool dirty and
     /// zeroed.
-    pub fn allocate(&mut self) -> Result<(PageId, &mut Page)> {
+    pub fn allocate(&mut self) -> Result<(PageId, PageMut<'_>)> {
         // The free-list head lives in a fixed slot of the meta page so it
         // participates in commit/recovery like any other page content.
         let head = self.freelist_head()?;
         let idx = if head != 0 {
             let idx = self.fetch(PageId(head))?;
-            let page = self.at_mut(idx, PageId(head));
+            let mut page = self.at_mut(idx, PageId(head));
             if page.kind()? != PageKind::Free {
                 return Err(StorageError::Corruption {
                     page: Some(head),
@@ -352,7 +523,7 @@ impl BufferPool {
             idx
         };
         let frame = &mut self.frames[idx];
-        Ok((frame.id, &mut frame.page))
+        Ok((frame.id, lend(frame, &self.arena)))
     }
 
     /// Return `id` to the persistent free list. The caller must ensure no
@@ -360,7 +531,7 @@ impl BufferPool {
     pub fn free_page(&mut self, id: PageId) -> Result<()> {
         debug_assert_ne!(id, PageId::META, "cannot free the meta page");
         let head = self.freelist_head()?;
-        let page = self.page_mut(id)?;
+        let mut page = self.page_mut(id)?;
         page.clear_payload();
         page.set_kind(PageKind::Free);
         page.write_u64(crate::page::FREE_NEXT_OFFSET, head);
@@ -420,7 +591,7 @@ impl BufferPool {
                 page: Page::new(FREE),
                 dirty: false,
                 unwritten: false,
-                before: None,
+                saved: None,
                 last_used: 0,
             });
             return Ok(self.frames.len() - 1);
@@ -457,20 +628,22 @@ impl BufferPool {
     }
 
     /// The dirty frames' changes are committed — logged, and the log
-    /// forced: mark them clean and unwritten, and let go of their
-    /// before-images. Writes nothing.
+    /// forced: mark them clean and unwritten, and let go of their saved
+    /// chunks. Writes nothing.
     pub fn mark_committed(&mut self) {
         for id in self.dirty_ids.drain(..) {
             let frame = &mut self.frames[self.table[id as usize] as usize];
             frame.dirty = false;
             frame.unwritten = true;
-            frame.before = None;
+            frame.saved = None;
         }
+        self.arena.get_mut().clear();
     }
 
     /// Write every unwritten frame's committed bytes to the database file,
     /// in page-id order: a clean frame's current bytes, a dirty frame's
-    /// before-image. Returns how many were written. Does **not** fsync.
+    /// with its saved chunks put back. Returns how many were written. Does
+    /// **not** fsync.
     /// Afterwards dropping any frame loses nothing committed.
     ///
     /// Fails for a dirty unwritten frame whose before-image a failed
@@ -491,13 +664,19 @@ impl BufferPool {
     /// its before-image if dirty — to the file, and count a writeback.
     fn write_committed(&mut self, idx: usize) -> Result<()> {
         let frame = &mut self.frames[idx];
-        match (frame.dirty, &frame.before) {
+        match (frame.dirty, frame.saved) {
             (false, _) => self.disk.write_page(&mut frame.page)?,
-            // Seal a copy: the before-image must keep the bytes the commit
-            // will diff the page against.
-            (true, Some(before)) => self
-                .disk
-                .write_page(&mut Page::from_bytes(before.clone()))?,
+            // The before-image is the page with its saved chunks put back,
+            // sealed in the scratch page: the frame keeps the
+            // transaction's bytes.
+            (true, Some(saved)) => {
+                self.scratch.clone_from(&frame.page);
+                self.arena
+                    .get_mut()
+                    .chunks(saved)
+                    .restore(&mut self.scratch);
+                self.disk.write_page(&mut self.scratch)?
+            }
             (true, None) => {
                 return Err(StorageError::InvalidArgument(format!(
                     "page {} holds committed bytes only the log has; commit before writing back",
@@ -520,7 +699,7 @@ impl BufferPool {
     }
 
     /// [`BufferPool::flush_all`] for the dirty frames whose id is `first`
-    /// or higher; the others stay dirty, before-images and all.
+    /// or higher; the others stay dirty, saved chunks and all.
     pub fn flush_from(&mut self, first: PageId) -> Result<usize> {
         // Sorted descending, the frames due are a prefix. Walking it back
         // to front writes in file order, and a failed write leaves exactly
@@ -533,7 +712,7 @@ impl BufferPool {
             self.disk.write_page(&mut frame.page)?;
             frame.dirty = false;
             frame.unwritten = false;
-            frame.before = None;
+            frame.saved = None;
             written += 1;
             Ok(())
         });
@@ -541,26 +720,33 @@ impl BufferPool {
         result.map(|()| written)
     }
 
-    /// Visit every dirty frame in page-id order with its before-image
-    /// (`None` for a frame that was never clean, or already visited) and
-    /// its current bytes. `keep` answers whether the frame stays
+    /// Visit every dirty frame in page-id order with its before-image —
+    /// the chunks it saved (`None` for a frame that was never clean, or
+    /// already visited) — and its current bytes. Outside the saved chunks
+    /// the page is as it was. `keep` answers whether the frame stays
     /// dirty: a frame it reports unchanged is clean again and will be
-    /// neither logged nor flushed. The before-image is consumed either
-    /// way — once a page's change is handed to the log the copy no longer
-    /// describes what the log holds, so a frame still dirty at the next
-    /// visit (a failed commit being retried) is logged whole.
+    /// neither logged nor flushed. The saved chunks are consumed either
+    /// way — once a page's change is handed to the log they no longer
+    /// describe what the log holds, so a frame still dirty at the next
+    /// visit (a failed commit being retried) is logged whole — and the
+    /// arena is emptied.
     pub fn for_each_dirty(
         &mut self,
-        mut keep: impl FnMut(PageId, Option<&[u8; PAGE_SIZE]>, &Page) -> bool,
+        mut keep: impl FnMut(PageId, Option<SavedChunks<'_>>, &Page) -> bool,
     ) {
         self.dirty_ids.sort_unstable();
-        let (frames, table) = (&mut self.frames, &self.table);
+        let (frames, table, arena) = (&mut self.frames, &self.table, self.arena.get_mut());
         self.dirty_ids.retain(|&id| {
             let frame = &mut frames[table[id as usize] as usize];
-            let before = frame.before.take();
-            frame.dirty = keep(frame.id, before.as_deref(), &frame.page);
+            let saved = frame.saved.take();
+            #[cfg(debug_assertions)]
+            if let Some(saved) = saved {
+                arena.check(saved, &frame.page);
+            }
+            frame.dirty = keep(frame.id, saved.map(|s| arena.chunks(s)), &frame.page);
             frame.dirty
         });
+        arena.clear();
     }
 
     /// Number of dirty frames.
@@ -607,6 +793,7 @@ impl BufferPool {
         self.frames.clear();
         self.table.clear();
         self.dirty_ids.clear();
+        self.arena.get_mut().clear();
         Ok(())
     }
 }
@@ -639,7 +826,7 @@ mod tests {
     #[test]
     fn fetch_caches_pages() {
         let (mut bp, path) = pool("cache", 16);
-        let (id, page) = bp.allocate().unwrap();
+        let (id, mut page) = bp.allocate().unwrap();
         page.write_u64(100, 5);
         bp.flush_all().unwrap();
         assert_eq!(bp.page(id).unwrap().read_u64(100), 5);
@@ -703,7 +890,7 @@ mod tests {
         let (b, _) = bp.allocate().unwrap();
         bp.flush_all().unwrap();
         let stats = bp.stats();
-        let [pa, pb] = bp.pages_mut([a, b]).unwrap();
+        let [mut pa, mut pb] = bp.pages_mut([a, b]).unwrap();
         pa.write_u64(64, 1);
         pb.write_u64(64, 2);
         assert_eq!(bp.stats().hits, stats.hits + 2);
@@ -718,7 +905,7 @@ mod tests {
     #[test]
     fn flush_all_persists_and_cleans() {
         let (mut bp, path) = pool("flush", 8);
-        let (id, page) = bp.allocate().unwrap();
+        let (id, mut page) = bp.allocate().unwrap();
         page.write_u64(200, 99);
         assert_eq!(bp.dirty_count(), 1);
         assert_eq!(bp.flush_all().unwrap(), 1);
@@ -742,7 +929,7 @@ mod tests {
     #[test]
     fn discard_all_drops_dirty_frames_without_writing() {
         let (mut bp, path) = pool("discard", 8);
-        let (id, page) = bp.allocate().unwrap();
+        let (id, mut page) = bp.allocate().unwrap();
         page.write_u64(200, 7);
         bp.flush_all().unwrap();
         // Dirty the page again with a value that must NOT survive.
@@ -825,6 +1012,13 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Byte `off` of `page` as it was before the chunks `saved` changed.
+    fn was(saved: SavedChunks<'_>, page: &Page, off: usize) -> u8 {
+        let mut before = page.clone();
+        saved.restore(&mut before);
+        before.bytes()[off]
+    }
+
     #[test]
     fn write_back_writes_a_dirty_frames_committed_bytes() {
         let (mut bp, path, ids) = pool_with_a_commit("write-back", 2);
@@ -835,7 +1029,7 @@ mod tests {
         // The change is still dirty, its before-image intact ...
         let mut seen = Vec::new();
         bp.for_each_dirty(|id, before, page| {
-            seen.push((id, before.map(|b| b[64]), page.read_u64(64)));
+            seen.push((id, before.map(|b| was(b, page, 64)), page.read_u64(64)));
             true
         });
         assert_eq!(seen, vec![(ids[0], Some(42), 43)]);
@@ -848,7 +1042,7 @@ mod tests {
     #[test]
     fn for_each_dirty_visits_the_write_set_in_id_order_with_before_images() {
         let (mut bp, path) = pool("visit", 8);
-        let (fresh, page) = bp.allocate().unwrap();
+        let (fresh, mut page) = bp.allocate().unwrap();
         page.write_u64(64, 1);
         let (edited, _) = bp.allocate().unwrap();
         let (probed, _) = bp.allocate().unwrap();
@@ -858,7 +1052,7 @@ mod tests {
 
         // One page never clean, one edited, one fetched for writing but
         // left alone, one only read.
-        let (newer, page) = bp.allocate().unwrap();
+        let (newer, mut page) = bp.allocate().unwrap();
         page.write_u64(64, 5);
         bp.page_mut(edited).unwrap().write_u64(64, 2);
         // A second page_mut of a dirty frame keeps the first before-image.
@@ -869,15 +1063,17 @@ mod tests {
 
         let mut seen = Vec::new();
         bp.for_each_dirty(|id, before, page| {
-            let changed = before.is_none_or(|b| b != page.bytes());
-            seen.push((id, before.map(|b| b[64]), page.read_u64(64), changed));
+            let changed = before.is_none_or(|b| !b.unchanged(page.bytes()));
+            let old = before.map(|b| (b.mask(), was(b, page, 64)));
+            seen.push((id, old, page.read_u64(64), changed));
             changed
         });
+        // Both writes to `edited` fall in its chunk 0, saved once.
         assert_eq!(
             seen,
             vec![
-                (edited, Some(0), 2, true),
-                (probed, Some(0), 0, false),
+                (edited, Some((1, 0)), 2, true),
+                (probed, Some((0, 0)), 0, false),
                 (newer, None, 5, true),
             ]
         );

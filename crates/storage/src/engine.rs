@@ -17,7 +17,10 @@
 //!    past it is one the file has never held, so no committed state can
 //!    reach it, and nothing is logged for it.
 //! 2. Every other changed dirty page is logged as a
-//!    [`crate::wal::PageDelta`] against the before-image the pool kept.
+//!    [`crate::wal::PageDelta`] against the before-image the pool kept:
+//!    the chunks the transaction's writes saved. Only those chunks are
+//!    compared and diffed (the rest of the page is as it was), except in
+//!    a page's zero-based record, which encodes the whole page.
 //! 3. The commit (or prepare) marker is appended, and the log is written
 //!    and fsynced once.
 //!
@@ -200,7 +203,7 @@ impl Engine {
     // ---- catalog -------------------------------------------------------
 
     fn init_catalog(&mut self) -> Result<()> {
-        let page = self.pool.page_mut(PageId::META)?;
+        let mut page = self.pool.page_mut(PageId::META)?;
         page.write_u32(CAT_MAGIC_OFF, CATALOG_MAGIC);
         page.write_u16(CAT_COUNT_OFF, 0);
         Ok(())
@@ -243,7 +246,7 @@ impl Engine {
                 "catalog overflow: too many named roots".into(),
             ));
         }
-        let page = self.pool.page_mut(PageId::META)?;
+        let mut page = self.pool.page_mut(PageId::META)?;
         page.write_u16(CAT_COUNT_OFF, entries.len() as u16);
         let mut off = CAT_ENTRIES_OFF;
         for (name, value) in entries {
@@ -252,7 +255,7 @@ impl Engine {
                     "catalog name too long".into(),
                 ));
             }
-            page.bytes_mut()[off] = name.len() as u8;
+            page.write_bytes(off, &[name.len() as u8]);
             off += 1;
             page.write_bytes(off, name.as_bytes());
             off += name.len();
@@ -320,19 +323,25 @@ impl Engine {
 
     /// Stage one delta record per changed dirty page in the log buffer
     /// (no I/O) and return how many. What each record is a delta against
-    /// is the log's decision (the base rule of [`crate::wal`]).
+    /// is the log's decision (the base rule of [`crate::wal`]). A page
+    /// with a before-image is compared, and diffed, in the chunks it
+    /// saved only: the pool's writers left every other byte as it was.
     fn log_dirty_pages(&mut self) -> usize {
         let wal = &mut self.wal;
-        let (mut pages, mut delta_bytes) = (0, 0);
+        let (mut pages, mut saved_bytes, mut delta_bytes) = (0, 0, 0);
         self.pool.for_each_dirty(|id, before, page| {
-            if before.is_some_and(|b| b == page.bytes()) {
-                return false;
+            if let Some(saved) = before {
+                saved_bytes += saved.len() as u64;
+                if saved.unchanged(page.bytes()) {
+                    return false;
+                }
             }
             pages += 1;
             delta_bytes += wal.append_page_delta(id, before, page.bytes());
             true
         });
         obs::observe("storage.commit.pages", pages as u64);
+        obs::observe("storage.commit.saved_bytes", saved_bytes);
         obs::observe("storage.commit.delta_bytes", delta_bytes);
         pages
     }

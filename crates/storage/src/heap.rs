@@ -86,8 +86,8 @@ pub struct HeapFile {
 impl HeapFile {
     /// Create a new heap file with one empty page.
     pub fn create(pool: &mut BufferPool) -> Result<HeapFile> {
-        let (id, page) = pool.allocate()?;
-        slotted::init(page, PageKind::Heap);
+        let (id, mut page) = pool.allocate()?;
+        slotted::init(&mut page, PageKind::Heap);
         Ok(HeapFile {
             first_page: id,
             tail_hint: id,
@@ -121,7 +121,7 @@ impl HeapFile {
         let mut chunks: Vec<&[u8]> = data.chunks(OVF_CAP).collect();
         let mut first = PageId(0);
         while let Some(chunk) = chunks.pop() {
-            let (id, page) = pool.allocate()?;
+            let (id, mut page) = pool.allocate()?;
             page.clear_payload();
             page.set_kind(PageKind::Overflow);
             page.write_u64(OVF_NEXT, next);
@@ -245,7 +245,7 @@ impl HeapFile {
         if let Some(hp) = hint {
             let page = pool.page(hp)?;
             if page.kind()? == PageKind::Heap && slotted::fits(page, encoded.len()) {
-                if let Some(slot) = slotted::insert(pool.page_mut(hp)?, encoded) {
+                if let Some(slot) = slotted::insert(&mut pool.page_mut(hp)?, encoded) {
                     return Ok(RecordId { page: hp, slot });
                 }
             }
@@ -256,7 +256,7 @@ impl HeapFile {
             let page = pool.page(current)?;
             let next = slotted::next_page(page);
             if slotted::fits(page, encoded.len()) {
-                if let Some(slot) = slotted::insert(pool.page_mut(current)?, encoded) {
+                if let Some(slot) = slotted::insert(&mut pool.page_mut(current)?, encoded) {
                     self.tail_hint = current;
                     return Ok(RecordId {
                         page: current,
@@ -269,9 +269,9 @@ impl HeapFile {
                 continue;
             }
             // Extend the chain with a fresh page.
-            let (new_id, page) = pool.allocate()?;
-            slotted::init(page, PageKind::Heap);
-            slotted::set_next_page(pool.page_mut(current)?, new_id.0);
+            let (new_id, mut page) = pool.allocate()?;
+            slotted::init(&mut page, PageKind::Heap);
+            slotted::set_next_page(&mut pool.page_mut(current)?, new_id.0);
             current = new_id;
         }
     }
@@ -301,19 +301,19 @@ impl HeapFile {
         let encoded = Self::encode(pool, data)?;
         let old_overflow;
         let in_place = {
-            let page = pool.page_mut(rid.page)?;
-            let Some(old_stored) = slotted::get(page, rid.slot) else {
+            let mut page = pool.page_mut(rid.page)?;
+            let Some(old_stored) = slotted::get(&page, rid.slot) else {
                 return Err(StorageError::RecordNotFound {
                     page: rid.page.0,
                     slot: rid.slot,
                 });
             };
             old_overflow = Self::overflow_head(old_stored, rid);
-            if slotted::update(page, rid.slot, &encoded) {
+            if slotted::update(&mut page, rid.slot, &encoded) {
                 true
             } else {
                 // Does not fit on this page: delete, re-insert elsewhere.
-                slotted::delete(page, rid.slot);
+                slotted::delete(&mut page, rid.slot);
                 false
             }
         };
@@ -331,15 +331,15 @@ impl HeapFile {
     /// Delete the record at `rid`, returning any overflow pages to the
     /// free list. Returns an error if the record does not exist.
     pub fn delete(&mut self, pool: &mut BufferPool, rid: RecordId) -> Result<()> {
-        let page = pool.page_mut(rid.page)?;
-        let Some(stored) = slotted::get(page, rid.slot) else {
+        let mut page = pool.page_mut(rid.page)?;
+        let Some(stored) = slotted::get(&page, rid.slot) else {
             return Err(StorageError::RecordNotFound {
                 page: rid.page.0,
                 slot: rid.slot,
             });
         };
         let old_overflow = Self::overflow_head(stored, rid);
-        slotted::delete(page, rid.slot);
+        slotted::delete(&mut page, rid.slot);
         if let Some(head) = old_overflow {
             Self::free_overflow_chain(pool, head)?;
         }

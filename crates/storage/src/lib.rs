@@ -6,8 +6,9 @@
 //!
 //! * [`page`] — fixed 8 KiB pages with checksums and self-identification,
 //! * [`disk`] — page-granular file I/O ([`disk::DiskManager`]),
-//! * [`buffer`] — an LRU page cache that lends `&Page`/`&mut Page` borrows
-//!   and finds a resident page by indexing a table with its id
+//! * [`buffer`] — an LRU page cache that lends `&Page` borrows, and
+//!   [`page::PageMut`]s that save what they overwrite, and finds a
+//!   resident page by indexing a table with its id
 //!   ([`buffer::BufferPool`]); the cold/warm benchmark distinction lives
 //!   here,
 //! * [`slotted`] — variable-size records on a page,

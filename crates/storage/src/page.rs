@@ -15,7 +15,15 @@
 //! The checksum is computed on write-out and verified on read-in by the
 //! [disk manager](crate::disk::DiskManager). Helper accessors on [`Page`]
 //! read and write little-endian integers without unsafe code.
+//!
+//! The buffer pool lends a page for writing as a [`PageMut`], whose
+//! writers save the old bytes of each [`CHUNK`]-byte chunk before its
+//! first change; [`SavedChunks`] reads them back as the page's
+//! before-image (see [`crate::buffer`]).
 
+use std::ops::{Deref, Range};
+
+use crate::buffer::Saver;
 use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
 
@@ -33,6 +41,12 @@ pub const PAGE_ID_OFFSET: usize = 4;
 pub const KIND_OFFSET: usize = 12;
 /// First byte available to kind-specific payloads.
 pub const HEADER_SIZE: usize = 16;
+/// Bytes in a chunk: the unit in which a [`PageMut`] saves old bytes.
+pub const CHUNK: usize = 128;
+/// Chunks in a page, one bit each of a `u64` mask.
+pub const CHUNKS: usize = PAGE_SIZE / CHUNK;
+const _: () = assert!(CHUNKS == u64::BITS as usize);
+
 /// Within a [`PageKind::Free`] page: the next free page in the chain
 /// (0 terminates the list).
 pub const FREE_NEXT_OFFSET: usize = HEADER_SIZE;
@@ -130,9 +144,10 @@ impl Page {
         &self.buf
     }
 
-    /// Mutable view of the raw bytes.
+    /// Mutable view of the raw bytes, for the disk read that fills a frame
+    /// no transaction is changing.
     #[inline]
-    pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
         &mut self.buf
     }
 
@@ -246,6 +261,185 @@ impl Clone for Page {
     fn clone(&self) -> Self {
         Page {
             buf: self.buf.clone(),
+        }
+    }
+
+    /// Copy `source`'s bytes into this page's buffer; allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.buf.copy_from_slice(&*source.buf);
+    }
+}
+
+/// A page lent for writing by the buffer pool (or wrapped with
+/// [`PageMut::from`], for a page of its own, which saves nothing).
+///
+/// Its writers are the only way to change a pool frame. Before each
+/// write, a pool frame saves the old bytes of every chunk the write
+/// covers that it has not saved since it went dirty, so that commit diffs
+/// those chunks only (see [`crate::buffer`], before-images). Reads go
+/// through `Deref` to the [`Page`].
+pub struct PageMut<'a> {
+    page: &'a mut Page,
+    saver: Option<Saver<'a>>,
+}
+
+impl<'a> PageMut<'a> {
+    /// Lend `page`, saving its old bytes through `saver` if there is one.
+    pub(crate) fn new(page: &'a mut Page, saver: Option<Saver<'a>>) -> PageMut<'a> {
+        PageMut { page, saver }
+    }
+
+    /// Save the chunks that bytes `off..off + len` overlap.
+    #[inline]
+    fn save(&mut self, off: usize, len: usize) {
+        if let Some(saver) = &mut self.saver {
+            saver.save(&self.page.buf, off, len);
+        }
+    }
+
+    /// Write a little-endian `u16` at `off`.
+    #[inline]
+    pub fn write_u16(&mut self, off: usize, v: u16) {
+        self.save(off, 2);
+        self.page.write_u16(off, v);
+    }
+
+    /// Write a little-endian `u32` at `off`.
+    #[inline]
+    pub fn write_u32(&mut self, off: usize, v: u32) {
+        self.save(off, 4);
+        self.page.write_u32(off, v);
+    }
+
+    /// Write a little-endian `u64` at `off`.
+    #[inline]
+    pub fn write_u64(&mut self, off: usize, v: u64) {
+        self.save(off, 8);
+        self.page.write_u64(off, v);
+    }
+
+    /// Copy `data` into the page at `off`.
+    #[inline]
+    pub fn write_bytes(&mut self, off: usize, data: &[u8]) {
+        self.save(off, data.len());
+        self.page.write_bytes(off, data);
+    }
+
+    /// Copy bytes `src` to `dst` within the page; the two may overlap.
+    #[inline]
+    pub fn copy_within(&mut self, src: Range<usize>, dst: usize) {
+        self.save(dst, src.len());
+        self.page.buf.copy_within(src, dst);
+    }
+
+    /// Stamp the page kind.
+    pub fn set_kind(&mut self, kind: PageKind) {
+        self.save(KIND_OFFSET, 1);
+        self.page.set_kind(kind);
+    }
+
+    /// Zero the payload, preserving id; resets kind to `Free`.
+    pub fn clear_payload(&mut self) {
+        self.save(0, PAGE_SIZE);
+        self.page.clear_payload();
+    }
+}
+
+impl Deref for PageMut<'_> {
+    type Target = Page;
+
+    fn deref(&self) -> &Page {
+        self.page
+    }
+}
+
+impl std::fmt::Debug for PageMut<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.page.fmt(f)
+    }
+}
+
+impl<'a> From<&'a mut Page> for PageMut<'a> {
+    /// Lend a page of one's own: its writers save nothing.
+    fn from(page: &'a mut Page) -> PageMut<'a> {
+        PageMut { page, saver: None }
+    }
+}
+
+/// Each chunk at its own place: how [`SavedChunks::whole`] finds a
+/// page's chunks in the page itself.
+const IN_PLACE: [u32; CHUNKS] = {
+    let mut table = [0; CHUNKS];
+    let mut c = 0;
+    while c < CHUNKS {
+        table[c] = c as u32;
+        c += 1;
+    }
+    table
+};
+
+/// A page's before-image as the chunks a [`PageMut`] saved: for each chunk
+/// in the mask, its bytes when the frame went dirty. The bytes of every
+/// other chunk are the page's current ones.
+#[derive(Debug, Clone, Copy)]
+pub struct SavedChunks<'a> {
+    mask: u64,
+    /// Per chunk, the index of its saved bytes in `bytes`, in chunks.
+    slots: &'a [u32; CHUNKS],
+    bytes: &'a [u8],
+}
+
+impl<'a> SavedChunks<'a> {
+    /// The chunks of `mask`, saved at `slots` of `bytes`.
+    pub(crate) fn new(mask: u64, slots: &'a [u32; CHUNKS], bytes: &'a [u8]) -> SavedChunks<'a> {
+        SavedChunks { mask, slots, bytes }
+    }
+
+    /// Every chunk of `page` saved: a whole before-image.
+    pub fn whole(page: &'a [u8; PAGE_SIZE]) -> SavedChunks<'a> {
+        SavedChunks::new(u64::MAX, &IN_PLACE, page)
+    }
+
+    /// Which chunks are saved: bit `c` for chunk `c`.
+    pub fn mask(&self) -> u64 {
+        self.mask
+    }
+
+    /// Bytes saved.
+    pub fn len(&self) -> usize {
+        self.mask.count_ones() as usize * CHUNK
+    }
+
+    /// True if no chunk is saved.
+    pub fn is_empty(&self) -> bool {
+        self.mask == 0
+    }
+
+    /// The saved chunks in ascending order, as `(chunk, old bytes)`.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &'a [u8; CHUNK])> + 'a {
+        let (mut mask, slots, bytes) = (self.mask, self.slots, self.bytes);
+        std::iter::from_fn(move || {
+            if mask == 0 {
+                return None;
+            }
+            let c = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let at = slots[c] as usize * CHUNK;
+            Some((c, bytes[at..at + CHUNK].try_into().expect("one chunk")))
+        })
+    }
+
+    /// True if `page` holds the saved bytes in every saved chunk: the
+    /// page is as it was before it went dirty.
+    pub fn unchanged(&self, page: &[u8; PAGE_SIZE]) -> bool {
+        self.iter()
+            .all(|(c, old)| old[..] == page[c * CHUNK..(c + 1) * CHUNK])
+    }
+
+    /// Put the saved bytes back into `page`.
+    pub(crate) fn restore(&self, page: &mut Page) {
+        for (c, old) in self.iter() {
+            page.buf[c * CHUNK..(c + 1) * CHUNK].copy_from_slice(old);
         }
     }
 }

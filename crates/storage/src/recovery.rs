@@ -299,7 +299,7 @@ pub fn resolve_in_doubt_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::{PageId, PageKind};
+    use crate::page::{PageId, PageKind, SavedChunks};
     use std::path::PathBuf;
 
     fn paths(name: &str) -> (PathBuf, PathBuf) {
@@ -666,12 +666,12 @@ mod tests {
             wal.append_commit(1);
             let mut v2 = v1.clone();
             v2.write_u64(300, 11);
-            wal.stage_delta(PageId(1), Some(v1.bytes()), v2.bytes());
+            wal.stage_delta(PageId(1), Some(SavedChunks::whole(v1.bytes())), v2.bytes());
             wal.append_commit(2);
             // A third, uncommitted change must not show.
             let mut v3 = v2.clone();
             v3.write_u64(100, 12);
-            wal.stage_delta(PageId(1), Some(v2.bytes()), v3.bytes());
+            wal.stage_delta(PageId(1), Some(SavedChunks::whole(v2.bytes())), v3.bytes());
             wal.sync().unwrap();
         }
         let report = recover(&OsFs, &db, &walp).unwrap();
@@ -698,7 +698,7 @@ mod tests {
         {
             let mut wal = Wal::open(&OsFs, &walp).unwrap();
             wal.append_commit(1);
-            wal.stage_delta(PageId(1), Some(v1.bytes()), v2.bytes());
+            wal.stage_delta(PageId(1), Some(SavedChunks::whole(v1.bytes())), v2.bytes());
             wal.append_commit(2);
             wal.sync().unwrap();
         }
@@ -727,7 +727,7 @@ mod tests {
             log_image(&mut wal, 1, 10);
             wal.append_prepare(5);
             wal.append_abort(5);
-            wal.stage_delta(PageId(1), Some(v1.bytes()), v2.bytes());
+            wal.stage_delta(PageId(1), Some(SavedChunks::whole(v1.bytes())), v2.bytes());
             wal.append_commit(1);
             wal.sync().unwrap();
         }

@@ -20,7 +20,7 @@
 //! fragments the record area; [`insert`] compacts automatically when the
 //! bookkeeping says a record fits but the contiguous gap is too small.
 
-use crate::page::{Page, PageKind, HEADER_SIZE, PAGE_SIZE};
+use crate::page::{Page, PageKind, PageMut, HEADER_SIZE, PAGE_SIZE};
 
 const SLOT_COUNT: usize = HEADER_SIZE;
 const FREE_START: usize = HEADER_SIZE + 2;
@@ -34,7 +34,7 @@ const SLOT_ENTRY: usize = 4;
 pub const MAX_RECORD: usize = PAGE_SIZE - DIR_START - SLOT_ENTRY;
 
 /// Initialize `page` as an empty slotted page of the given kind.
-pub fn init(page: &mut Page, kind: PageKind) {
+pub fn init(page: &mut PageMut<'_>, kind: PageKind) {
     page.clear_payload();
     page.set_kind(kind);
     page.write_u16(SLOT_COUNT, 0);
@@ -60,7 +60,7 @@ pub fn next_page(page: &Page) -> u64 {
 }
 
 /// Set the heap chain link.
-pub fn set_next_page(page: &mut Page, next: u64) {
+pub fn set_next_page(page: &mut PageMut<'_>, next: u64) {
     page.write_u64(NEXT_PAGE, next);
 }
 
@@ -69,7 +69,7 @@ fn slot_entry(page: &Page, slot: u16) -> (u16, u16) {
     (page.read_u16(off), page.read_u16(off + 2))
 }
 
-fn set_slot_entry(page: &mut Page, slot: u16, offset: u16, len: u16) {
+fn set_slot_entry(page: &mut PageMut<'_>, slot: u16, offset: u16, len: u16) {
     let off = DIR_START + slot as usize * SLOT_ENTRY;
     page.write_u16(off, offset);
     page.write_u16(off + 2, len);
@@ -105,7 +105,7 @@ pub fn fits(page: &Page, len: usize) -> bool {
 
 /// Compact the record area, squeezing out holes left by deletes/updates.
 /// Slot ids are preserved.
-fn compact(page: &mut Page) {
+fn compact(page: &mut PageMut<'_>) {
     let n = slot_count(page);
     // Collect live records (slot, bytes), then rewrite them from the top.
     let mut live: Vec<(u16, Vec<u8>)> = Vec::with_capacity(n as usize);
@@ -126,7 +126,7 @@ fn compact(page: &mut Page) {
 
 /// Insert `data`, returning the slot id, or `None` if it cannot fit even
 /// after compaction.
-pub fn insert(page: &mut Page, data: &[u8]) -> Option<u16> {
+pub fn insert(page: &mut PageMut<'_>, data: &[u8]) -> Option<u16> {
     if data.len() > MAX_RECORD || !fits(page, data.len()) {
         return None;
     }
@@ -174,7 +174,7 @@ pub fn get(page: &Page, slot: u16) -> Option<&[u8]> {
 }
 
 /// Delete the record in `slot`. Returns `true` if a live record was removed.
-pub fn delete(page: &mut Page, slot: u16) -> bool {
+pub fn delete(page: &mut PageMut<'_>, slot: u16) -> bool {
     if slot >= slot_count(page) {
         return false;
     }
@@ -190,7 +190,7 @@ pub fn delete(page: &mut Page, slot: u16) -> bool {
 /// Replace the record in `slot` with `data` in place.
 /// Returns `false` if the slot is dead or the new value does not fit on
 /// this page (caller then relocates the record).
-pub fn update(page: &mut Page, slot: u16, data: &[u8]) -> bool {
+pub fn update(page: &mut PageMut<'_>, slot: u16, data: &[u8]) -> bool {
     if slot >= slot_count(page) {
         return false;
     }
@@ -242,15 +242,17 @@ mod tests {
     use super::*;
     use crate::page::PageId;
 
-    fn fresh() -> Page {
-        let mut p = Page::new(PageId(1));
+    /// `page` as an empty heap page, lent for writing.
+    fn fresh(page: &mut Page) -> PageMut<'_> {
+        let mut p = PageMut::from(page);
         init(&mut p, PageKind::Heap);
         p
     }
 
     #[test]
     fn insert_get_round_trip() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         let s1 = insert(&mut p, b"hello").unwrap();
         let s2 = insert(&mut p, b"world!").unwrap();
         assert_ne!(s1, s2);
@@ -261,7 +263,8 @@ mod tests {
 
     #[test]
     fn delete_tombstones_and_slot_is_reused() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         let s1 = insert(&mut p, b"aaaa").unwrap();
         let _s2 = insert(&mut p, b"bbbb").unwrap();
         assert!(delete(&mut p, s1));
@@ -274,7 +277,8 @@ mod tests {
 
     #[test]
     fn update_in_place_shrink_and_grow() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         let s = insert(&mut p, b"0123456789").unwrap();
         assert!(update(&mut p, s, b"abc"));
         assert_eq!(get(&p, s).unwrap(), b"abc");
@@ -284,7 +288,8 @@ mod tests {
 
     #[test]
     fn fill_page_then_compaction_reclaims() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         let rec = vec![7u8; 100];
         let mut slots = Vec::new();
         while let Some(s) = insert(&mut p, &rec) {
@@ -314,7 +319,8 @@ mod tests {
 
     #[test]
     fn update_grow_fails_when_page_full_and_preserves_record() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         let s = insert(&mut p, b"target").unwrap();
         while insert(&mut p, &[1u8; 200]).is_some() {}
         let huge = vec![2u8; 4000];
@@ -329,7 +335,8 @@ mod tests {
 
     #[test]
     fn max_record_fits_exactly_once() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         let rec = vec![1u8; MAX_RECORD];
         let s = insert(&mut p, &rec).unwrap();
         assert_eq!(get(&p, s).unwrap().len(), MAX_RECORD);
@@ -338,13 +345,15 @@ mod tests {
 
     #[test]
     fn oversized_record_rejected() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         assert!(insert(&mut p, &vec![0u8; MAX_RECORD + 1]).is_none());
     }
 
     #[test]
     fn live_slots_iterates_in_order() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         let a = insert(&mut p, b"a").unwrap();
         let b = insert(&mut p, b"b").unwrap();
         let c = insert(&mut p, b"c").unwrap();
@@ -355,7 +364,8 @@ mod tests {
 
     #[test]
     fn next_page_link_round_trips() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         assert_eq!(next_page(&p), 0);
         set_next_page(&mut p, 77);
         assert_eq!(next_page(&p), 77);
@@ -363,7 +373,8 @@ mod tests {
 
     #[test]
     fn empty_record_is_allowed() {
-        let mut p = fresh();
+        let mut page = Page::new(PageId(1));
+        let mut p = fresh(&mut page);
         let s = insert(&mut p, b"").unwrap();
         assert_eq!(get(&p, s).unwrap(), b"");
         assert!(delete(&mut p, s));

@@ -58,11 +58,15 @@
 //! [`Wal::sync`], after which the log may have lost any of those records.
 //! Forgetting a page is always safe — it is logged whole once more.
 //!
-//! Ranges ascend and never overlap. The differ compares 64-bit words and
-//! trims each run of differing words to bytes at both ends, so two ranges
-//! of one record are always at least one equal word apart — further than
-//! the 4-byte range header, i.e. no two ranges would be cheaper merged —
-//! and a record is never larger than one whole-page range.
+//! Ranges ascend and never overlap. The differ ([`encode_ranges`])
+//! compares 64-bit words and trims each run of differing words to bytes
+//! at both ends, so two ranges of one record are always at least one
+//! equal word apart — further than the 4-byte range header, i.e. no two
+//! ranges would be cheaper merged — and a record is never larger than one
+//! whole-page range. A delta against a before-image compares only the
+//! chunks the pool saved ([`SavedChunks`], see [`crate::buffer`]): every
+//! other byte is as it was, so the ranges are those of a whole-page diff.
+//! A zero-based record compares the whole page with the all-zero page.
 //!
 //! A torn or half-written record at the tail is treated as the end of the
 //! log (the standard crash-tail convention); a bad CRC anywhere *before*
@@ -73,7 +77,7 @@ use std::path::{Path, PathBuf};
 
 use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
-use crate::page::{PageId, PAGE_SIZE};
+use crate::page::{PageId, SavedChunks, CHUNK, PAGE_SIZE};
 use crate::vfs::{OpenMode, Vfs, VfsFile};
 
 const TYPE_COMMIT: u8 = 2;
@@ -215,37 +219,55 @@ fn split_range(rest: &[u8]) -> Option<(usize, &[u8], &[u8])> {
     Some((off, bytes, tail))
 }
 
-/// Append to `out` the ranges in which `after` differs from `base`.
-fn encode_ranges(out: &mut Vec<u8>, base: &[u8; PAGE_SIZE], after: &[u8; PAGE_SIZE]) {
-    let mut emit = |first_word: usize, end_word: usize| {
-        // Trim the run of differing words to bytes; both loops stop inside
-        // the run because its first and last words each hold a difference.
-        let mut lo = first_word * WORD;
-        while base[lo] == after[lo] {
-            lo += 1;
-        }
-        let mut hi = end_word * WORD;
-        while base[hi - 1] == after[hi - 1] {
-            hi -= 1;
-        }
+/// Append to `out` the ranges in which `after` differs from the
+/// before-image `base`, visiting `base`'s saved chunks only: `after` holds
+/// the before-image's bytes in every other chunk.
+///
+/// A run of differing words is trimmed to bytes by the XOR of its end
+/// words: with words read little-endian, a word's trailing zero bytes are
+/// the equal bytes before its first difference, and its leading zero
+/// bytes those after its last. A run stops at an equal word, and so at an
+/// equal chunk, which the word loop skips, or at an unsaved one.
+pub fn encode_ranges(out: &mut Vec<u8>, base: SavedChunks<'_>, after: &[u8; PAGE_SIZE]) {
+    let emit = |out: &mut Vec<u8>, lo: usize, hi: usize| {
+        out.reserve(RANGE_HEADER + hi - lo);
         out.extend_from_slice(&(lo as u16).to_le_bytes());
         out.extend_from_slice(&((hi - lo) as u16).to_le_bytes());
         out.extend_from_slice(&after[lo..hi]);
     };
-    let mut run_start = None;
-    let words = base.chunks_exact(WORD).zip(after.chunks_exact(WORD));
-    for (w, (b, a)) in words.enumerate() {
-        match (b != a, run_start) {
-            (true, None) => run_start = Some(w),
-            (false, Some(first)) => {
-                emit(first, w);
-                run_start = None;
+    // The open run's first differing byte, and one past its last so far.
+    let (mut open, mut end) = (None, 0);
+    // The chunk after the last one visited.
+    let mut next = 0;
+    for (c, old) in base.iter() {
+        let at = c * CHUNK;
+        let new: &[u8; CHUNK] = after[at..at + CHUNK].try_into().expect("one chunk");
+        let same = old == new;
+        if c != next || same {
+            if let Some(lo) = open.take() {
+                emit(out, lo, end);
             }
-            _ => {}
+        }
+        next = c + 1;
+        if same {
+            continue;
+        }
+        let words = old.chunks_exact(WORD).zip(new.chunks_exact(WORD));
+        for (w, (o, n)) in words.enumerate() {
+            let o = u64::from_le_bytes(o.try_into().expect("one word"));
+            let n = u64::from_le_bytes(n.try_into().expect("one word"));
+            let x = o ^ n;
+            let word_at = at + w * WORD;
+            if x != 0 {
+                open.get_or_insert(word_at + x.trailing_zeros() as usize / 8);
+                end = word_at + WORD - x.leading_zeros() as usize / 8;
+            } else if let Some(lo) = open.take() {
+                emit(out, lo, end);
+            }
         }
     }
-    if let Some(first) = run_start {
-        emit(first, PAGE_SIZE / WORD);
+    if let Some(lo) = open {
+        emit(out, lo, end);
     }
 }
 
@@ -352,15 +374,16 @@ impl Wal {
     }
 
     /// Stage the change a transaction made to page `id`: `after` is the
-    /// page now, `before` the page as the log last saw it (the pool's
-    /// before-image), if there is one. The base rule is applied here: the
-    /// record is a delta against `before` only when the log already holds
-    /// a committed zero-based record of the page, and otherwise against the
-    /// all-zero page. Returns the record's size in bytes.
+    /// page now, `before` the page as the log last saw it (the chunks the
+    /// pool saved), if there is one. The base rule is applied here: the
+    /// record is a delta against `before` — over its saved chunks only —
+    /// when the log already holds a committed zero-based record of the
+    /// page, and otherwise against the all-zero page, over the whole page.
+    /// Returns the record's size in bytes.
     pub fn append_page_delta(
         &mut self,
         id: PageId,
-        before: Option<&[u8; PAGE_SIZE]>,
+        before: Option<SavedChunks<'_>>,
         after: &[u8; PAGE_SIZE],
     ) -> u64 {
         let base = before.filter(|_| self.imaged.contains(&id.0));
@@ -375,7 +398,7 @@ impl Wal {
     pub(crate) fn stage_delta(
         &mut self,
         id: PageId,
-        base: Option<&[u8; PAGE_SIZE]>,
+        base: Option<SavedChunks<'_>>,
         after: &[u8; PAGE_SIZE],
     ) -> u64 {
         let before = self.appended;
@@ -386,7 +409,7 @@ impl Wal {
             } else {
                 BASE_ZERO
             });
-            encode_ranges(buf, base.unwrap_or(&ZERO_PAGE), after);
+            encode_ranges(buf, base.unwrap_or(SavedChunks::whole(&ZERO_PAGE)), after);
         });
         self.appended - before
     }
@@ -675,7 +698,7 @@ mod tests {
     /// encoded size.
     fn diff(base: &[u8; PAGE_SIZE], after: &[u8; PAGE_SIZE]) -> (Vec<(usize, usize)>, usize) {
         let mut payload = delta_payload(1, BASE_PREVIOUS, &[]);
-        encode_ranges(&mut payload, base, after);
+        encode_ranges(&mut payload, SavedChunks::whole(base), after);
         let delta = PageDelta::parse(&payload).unwrap();
         (
             delta.ranges().map(|(off, b)| (off, b.len())).collect(),
@@ -766,7 +789,8 @@ mod tests {
         let mut after = before.clone();
         after.write_u32(104, 7);
         wal.append_commit(1);
-        let delta = wal.append_page_delta(PageId(3), Some(before.bytes()), after.bytes());
+        let base = SavedChunks::whole(before.bytes());
+        let delta = wal.append_page_delta(PageId(3), Some(base), after.bytes());
         // Frame (4 + 1 + 4) + delta header + one range of four bytes.
         assert_eq!(delta as usize, 9 + DELTA_HEADER + RANGE_HEADER + 4);
         wal.sync().unwrap();
@@ -991,7 +1015,8 @@ mod tests {
         let before = sample_page(id, 0xAB);
         let mut after = before.clone();
         after.write_u32(104, 7);
-        let size = wal.append_page_delta(PageId(id), Some(before.bytes()), after.bytes());
+        let base = SavedChunks::whole(before.bytes());
+        let size = wal.append_page_delta(PageId(id), Some(base), after.bytes());
         size > 40
     }
 
@@ -1084,7 +1109,7 @@ mod tests {
             for base in [Some(&*before), None] {
                 let path = tmppath(&format!("prop-{}", base.is_some()));
                 let mut wal = Wal::open(&OsFs, &path).unwrap();
-                let size = wal.stage_delta(PageId(8), base, &after);
+                let size = wal.stage_delta(PageId(8), base.map(SavedChunks::whole), &after);
                 prop_assert!(size as usize <= 8 + MAX_RECORD_LEN);
                 wal.sync().unwrap();
                 let mut reader = WalReader::open(&OsFs, &path).unwrap();

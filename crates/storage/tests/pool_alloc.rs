@@ -1,16 +1,17 @@
 //! What the buffer pool allocates: nothing on a warm hit, nothing on a
 //! miss into a full pool of clean frames (the miss reads into the evicted
-//! frame's buffer), and one 8 KiB before-image when a frame goes from
-//! clean to dirty.
+//! frame's buffer), and nothing to dirty and commit a write set of 128
+//! whole pages once its arena of saved chunks is warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
 
-use storage::buffer::BufferPool;
+use storage::buffer::{BufferPool, RETAINED_BYTES};
 use storage::disk::DiskManager;
-use storage::page::{PageId, PAGE_SIZE};
+use storage::page::{PageId, CHUNK, CHUNKS, PAGE_SIZE};
 use storage::vfs::OsFs;
+use storage::wal::encode_ranges;
 
 /// The system allocator, counting the allocations each thread makes and
 /// their bytes.
@@ -108,18 +109,54 @@ fn a_miss_into_a_full_pool_of_clean_frames_allocates_nothing() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Change every chunk of each of `ids`, then commit as the engine does:
+/// diff each page's saved chunks into `out`, and mark the frames
+/// committed. Returns the bytes saved.
+fn change_and_commit(
+    pool: &mut BufferPool,
+    ids: &[PageId],
+    value: u64,
+    out: &mut Vec<u8>,
+) -> usize {
+    for &id in ids {
+        let mut page = pool.page_mut(id).unwrap();
+        for c in 0..CHUNKS {
+            page.write_u64(c * CHUNK + 64, value);
+        }
+    }
+    let mut saved = 0;
+    out.clear();
+    pool.for_each_dirty(|_, before, page| {
+        let before = before.expect("a page the file holds has a before-image");
+        saved += before.len();
+        encode_ranges(out, before, page.bytes());
+        true
+    });
+    pool.mark_committed();
+    saved
+}
+
 #[test]
-fn a_clean_to_dirty_transition_allocates_one_before_image() {
-    let (mut pool, path, ids) = full_clean_pool("dirty");
-    let last = ids[15];
-    let (n, bytes) = allocations(|| {
-        pool.page_mut(last).unwrap();
-    });
-    assert_eq!((n, bytes), (1, PAGE_SIZE), "one 8 KiB before-image");
-    // The frame is dirty now: borrowing it again copies nothing.
-    let (n, _) = allocations(|| {
-        pool.page_mut(last).unwrap();
-    });
-    assert_eq!(n, 0);
+fn a_warm_arena_dirties_and_commits_128_whole_pages_without_allocating() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("hm-pool-alloc-{}-arena.db", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut pool = BufferPool::new(DiskManager::create(&OsFs, &path).unwrap(), 160);
+    let ids: Vec<PageId> = (0..128).map(|_| pool.allocate().unwrap().0).collect();
+    pool.flush_all().unwrap();
+    let mut out = Vec::new();
+    // The first write set warms the arena: exactly its retained capacity.
+    let saved = change_and_commit(&mut pool, &ids, 1, &mut out);
+    assert_eq!(saved, RETAINED_BYTES);
+    assert_eq!(saved, ids.len() * PAGE_SIZE);
+    for value in 2..4 {
+        let (n, bytes) = allocations(|| {
+            change_and_commit(&mut pool, &ids, value, &mut out);
+        });
+        assert_eq!((n, bytes), (0, 0), "write set {value} allocated");
+    }
+    // The last write set changed one byte per chunk (2 to 3): one range
+    // of one byte each.
+    assert_eq!(out.len(), ids.len() * CHUNKS * (4 + 1));
     let _ = std::fs::remove_file(&path);
 }

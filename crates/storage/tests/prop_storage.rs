@@ -1,17 +1,19 @@
 //! Property-based tests: storage structures against reference models.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use storage::btree::{BTree, Key, FANOUT};
 use storage::buffer::{BufferPool, PoolStats};
 use storage::disk::DiskManager;
 use storage::heap::HeapFile;
 use storage::page::{
-    Page, PageId, PageKind, CHECKSUM_OFFSET, FREE_NEXT_OFFSET, META_FREELIST_OFFSET,
+    Page, PageId, PageKind, PageMut, SavedChunks, CHECKSUM_OFFSET, FREE_NEXT_OFFSET, HEADER_SIZE,
+    META_FREELIST_OFFSET, PAGE_SIZE,
 };
 use storage::slotted;
 use storage::vfs::OsFs;
+use storage::wal::encode_ranges;
 
 fn fresh_pool(tag: &str, frames: usize) -> (BufferPool, PathBuf) {
     let mut p = std::env::temp_dir();
@@ -195,7 +197,8 @@ proptest! {
             1..120
         )
     ) {
-        let mut page = Page::new(PageId(1));
+        let mut owned = Page::new(PageId(1));
+        let mut page = PageMut::from(&mut owned);
         slotted::init(&mut page, PageKind::Heap);
         // Model: slot -> Option<record>.
         let mut model: Vec<Option<Vec<u8>>> = Vec::new();
@@ -515,7 +518,7 @@ proptest! {
                 PoolOp::PageMut(pick, value) => {
                     let (id, off) = (pick % n, 64 + 8 * (value % 16) as usize);
                     match pool.page_mut(PageId(id)) {
-                        Ok(page) => {
+                        Ok(mut page) => {
                             page.write_u64(off, value);
                             model.page_mut(id).unwrap().write_u64(off, value);
                         }
@@ -586,4 +589,126 @@ fn a_leaf_stores_big_endian_keys_and_little_endian_values() {
     want.extend([0; 24]); // no second entry
     assert_eq!(&page.bytes()[16..16 + want.len()], &want[..]);
     let _ = std::fs::remove_file(&path);
+}
+
+/// One write through a pool's [`PageMut`]. Offsets and lengths are
+/// clamped to the page when the write is applied.
+#[derive(Debug, Clone)]
+enum Write {
+    U16(usize, u16),
+    U32(usize, u32),
+    U64(usize, u64),
+    Bytes(usize, Vec<u8>),
+    /// Copy `len` bytes from `src` to `src + shift`: overlapping when the
+    /// shift is shorter than the copy, as a B+Tree entry shift is.
+    CopyWithin {
+        src: usize,
+        len: usize,
+        shift: isize,
+    },
+    /// Write `len` bytes at `off` that the page already holds: the chunks
+    /// are saved but unchanged.
+    Same(usize, usize),
+    Kind,
+    Clear,
+}
+
+fn arb_write() -> impl Strategy<Value = Write> {
+    let off = 0..PAGE_SIZE;
+    prop_oneof![
+        3 => (off.clone(), any::<u16>()).prop_map(|(o, v)| Write::U16(o, v)),
+        3 => (off.clone(), any::<u32>()).prop_map(|(o, v)| Write::U32(o, v)),
+        3 => (off.clone(), any::<u64>()).prop_map(|(o, v)| Write::U64(o, v)),
+        3 => (off.clone(), proptest::collection::vec(any::<u8>(), 0..300))
+            .prop_map(|(o, v)| Write::Bytes(o, v)),
+        6 => (off.clone(), 0usize..3000, 0usize..600).prop_map(|(src, len, shift)| {
+            Write::CopyWithin { src, len, shift: shift as isize - 300 }
+        }),
+        2 => (off, 0usize..600).prop_map(|(o, l)| Write::Same(o, l)),
+        1 => Just(Write::Kind),
+        1 => Just(Write::Clear),
+    ]
+}
+
+fn apply(page: &mut PageMut<'_>, write: &Write) {
+    let at = |off: usize, len: usize| off.min(PAGE_SIZE - len);
+    match write {
+        Write::U16(o, v) => page.write_u16(at(*o, 2), *v),
+        Write::U32(o, v) => page.write_u32(at(*o, 4), *v),
+        Write::U64(o, v) => page.write_u64(at(*o, 8), *v),
+        Write::Bytes(o, v) => page.write_bytes(at(*o, v.len()), v),
+        Write::CopyWithin { src, len, shift } => {
+            let dst = src.saturating_add_signed(*shift).min(PAGE_SIZE);
+            let len = (*len).min(PAGE_SIZE - src.max(&dst));
+            page.copy_within(*src..src + len, dst);
+        }
+        Write::Same(o, len) => {
+            let off = at(*o, *len);
+            let held = page.read_bytes(off, *len).to_vec();
+            page.write_bytes(off, &held);
+        }
+        Write::Kind => page.set_kind(PageKind::Heap),
+        Write::Clear => page.clear_payload(),
+    }
+}
+
+/// A page payload from `seed`: random bytes, with zero runs when `sparse`
+/// (as a page with free space has), so both differ and agree in runs.
+fn payload(seed: u64, sparse: bool) -> Vec<u8> {
+    let mut x = seed | 1;
+    (HEADER_SIZE..PAGE_SIZE)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if sparse && (i / 256) % 3 == 0 {
+                0
+            } else {
+                x as u8
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever the writers do, diffing a page over the chunks its frame
+    /// saved encodes exactly the ranges a diff of the whole page against
+    /// its before-image does, and the saved chunks report the page
+    /// unchanged exactly when it is.
+    #[test]
+    fn the_saved_chunk_diff_is_the_whole_page_diff(
+        pages in ((any::<u64>(), any::<bool>()), (any::<u64>(), any::<bool>())),
+        writes in proptest::collection::vec((0usize..2, arb_write()), 0..40),
+    ) {
+        let (mut pool, path) = fresh_pool("saved-chunks", 8);
+        let ids = [pages.0, pages.1].map(|(seed, sparse)| {
+            let (id, mut page) = pool.allocate().unwrap();
+            page.write_bytes(HEADER_SIZE, &payload(seed, sparse));
+            id
+        });
+        pool.flush_all().unwrap();
+        let before = ids.map(|id| pool.page(id).unwrap().clone());
+        for (which, write) in &writes {
+            apply(&mut pool.page_mut(ids[*which]).unwrap(), write);
+        }
+        let mut visited = Vec::new();
+        pool.for_each_dirty(|id, saved, page| {
+            let i = ids.iter().position(|&x| x == id).unwrap();
+            let saved = saved.expect("a page the file holds saves its chunks");
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            encode_ranges(&mut got, saved, page.bytes());
+            encode_ranges(&mut want, SavedChunks::whole(before[i].bytes()), page.bytes());
+            visited.push((i, got == want, saved.unchanged(page.bytes()), before[i].bytes() == page.bytes()));
+            false
+        });
+        let written: BTreeSet<usize> = writes.iter().map(|(which, _)| *which).collect();
+        prop_assert_eq!(visited.iter().map(|v| v.0).collect::<BTreeSet<_>>(), written);
+        for (i, same_ranges, unchanged, equal) in visited {
+            prop_assert!(same_ranges, "page {} encodes other ranges", i);
+            prop_assert_eq!(unchanged, equal, "page {}", i);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -5,7 +5,7 @@ mod fake_fs;
 
 use fake_fs::FakeFs;
 use std::path::Path;
-use storage::page::{Page, PageKind};
+use storage::page::{Page, PageKind, SavedChunks};
 use storage::wal::Wal;
 use storage::{PageId, StorageError, PAGE_SIZE};
 
@@ -39,7 +39,8 @@ fn logs_zero_based(wal: &mut Wal, id: u64) -> bool {
     let before = sample_page(id);
     let mut after = before.clone();
     after.write_u32(104, 7);
-    let size = wal.append_page_delta(PageId(id), Some(before.bytes()), after.bytes());
+    let before = SavedChunks::whole(before.bytes());
+    let size = wal.append_page_delta(PageId(id), Some(before), after.bytes());
     size > 40
 }
 
