@@ -226,9 +226,7 @@ impl EventLoop {
                                 },
                             );
                             stats.accepted += 1;
-                            if obs::enabled() {
-                                obs_accepted.incr();
-                            }
+                            obs_accepted.incr();
                             progress = true;
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -264,9 +262,7 @@ impl EventLoop {
                     std::thread::yield_now();
                 } else {
                     stats.parks += 1;
-                    if obs::enabled() {
-                        obs_parks.incr();
-                    }
+                    obs_parks.incr();
                     std::thread::sleep(IDLE_PARK);
                 }
             }
@@ -311,9 +307,7 @@ impl EventLoop {
         if !conn.close_after_flush {
             if let Some((trace, frame)) = conn.inbound.next_frame().map_err(|_| ())? {
                 stats.frames += 1;
-                if obs::enabled() {
-                    obs_frames.incr();
-                }
+                obs_frames.incr();
                 progress = true;
                 let _trace = obs::trace::scope(trace);
                 let _span = obs::trace::span("loop.frame");

@@ -156,37 +156,31 @@ fn invalid(msg: String) -> io::Error {
 /// not a registry lookup. Every framed byte stream — client transports
 /// and the server event loop — feeds the same three names.
 pub struct NetCounters {
-    handles: Option<(Arc<obs::Counter>, Arc<obs::Counter>, Arc<obs::Counter>)>,
+    sent: Arc<obs::Counter>,
+    recv: Arc<obs::Counter>,
+    batches: Arc<obs::Counter>,
 }
 
 impl NetCounters {
     /// Resolve (and thereby pre-register) the counter handles.
     pub fn new() -> NetCounters {
+        let reg = obs::registry();
         NetCounters {
-            handles: obs::enabled().then(|| {
-                let reg = obs::registry();
-                (
-                    reg.counter("net.bytes_sent"),
-                    reg.counter("net.bytes_recv"),
-                    reg.counter("net.write_batches"),
-                )
-            }),
+            sent: reg.counter("net.bytes_sent"),
+            recv: reg.counter("net.bytes_recv"),
+            batches: reg.counter("net.write_batches"),
         }
     }
 
     /// Account one successful write syscall of `n` bytes.
     pub fn wrote(&self, n: usize) {
-        if let Some((sent, _, batches)) = &self.handles {
-            sent.add(n as u64);
-            batches.incr();
-        }
+        self.sent.add(n as u64);
+        self.batches.incr();
     }
 
     /// Account one successful read syscall of `n` bytes.
     pub fn read(&self, n: usize) {
-        if let Some((_, recv, _)) = &self.handles {
-            recv.add(n as u64);
-        }
+        self.recv.add(n as u64);
     }
 }
 

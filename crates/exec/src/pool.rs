@@ -1,12 +1,12 @@
 //! [`ShardExecutor`]: one long-lived worker thread per shard, fed over
 //! bounded channels.
 //!
-//! The sharded store's fan-outs used to pay a scoped-thread spawn+join
-//! (~15 µs on this class of hardware) per shard per operation, which
-//! dominates small operations — exactly the harness overhead the
-//! measurement protocol warns against. A persistent worker consumes jobs
-//! from a bounded queue instead, so a fan-out costs one channel round
-//! trip (~3 µs) per shard.
+//! A persistent worker consumes jobs from a bounded queue, so a fan-out
+//! costs one channel round trip (~3 µs) per shard, not a scoped-thread
+//! spawn+join (~15 µs) — harness overhead that would dominate small
+//! operations, which the measurement protocol warns against. The
+//! executor keeps no load figures: a shard's load is the request count
+//! its router keeps.
 //!
 //! Ownership: the executor owns each shard as an [`Isolated`] store
 //! behind an `Arc<Mutex<_>>`. Jobs submitted through
@@ -29,7 +29,6 @@
 //! [`ShardExecutor::replace_shard`] swaps in a recovered backend and
 //! clears the flag.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -106,20 +105,10 @@ struct Job<S> {
     enqueued: Instant,
 }
 
-/// Per-shard queue counters shared between the worker and observers.
-#[derive(Default)]
-struct SlotLoad {
-    /// Jobs enqueued but not yet picked up by the worker.
-    depth: AtomicUsize,
-    /// Jobs executed on this shard's worker.
-    jobs: AtomicU64,
-}
-
 struct Slot<S> {
     store: Arc<Mutex<Isolated<S>>>,
     tx: Option<SyncSender<Job<S>>>,
     worker: Option<JoinHandle<()>>,
-    load: Arc<SlotLoad>,
 }
 
 /// A pool of persistent per-shard workers owning the shard backends.
@@ -162,10 +151,8 @@ impl<S> ShardExecutor<S> {
             .enumerate()
             .map(|(i, shard)| {
                 let store = Arc::new(Mutex::new(Isolated::new(shard)));
-                let load = Arc::new(SlotLoad::default());
                 let (tx, rx) = sync_channel::<Job<S>>(QUEUE_CAP);
                 let worker_store = Arc::clone(&store);
-                let worker_load = Arc::clone(&load);
                 #[expect(
                     clippy::expect_used,
                     reason = "a pool that cannot start its workers has no error path to report through"
@@ -178,12 +165,8 @@ impl<S> ShardExecutor<S> {
                         let wait_hist = obs::registry().histogram("exec.dispatch_wait_us");
                         let jobs_ctr = obs::registry().counter("exec.jobs");
                         while let Ok(job) = rx.recv() {
-                            worker_load.depth.fetch_sub(1, Ordering::Relaxed);
-                            worker_load.jobs.fetch_add(1, Ordering::Relaxed);
-                            if obs::enabled() {
-                                wait_hist.record(job.enqueued.elapsed().as_micros() as u64);
-                                jobs_ctr.incr();
-                            }
+                            wait_hist.record(job.enqueued.elapsed().as_micros() as u64);
+                            jobs_ctr.incr();
                             // Rejoin the submitter's trace for the job's
                             // duration (restored on scope drop).
                             let _trace = obs::trace::scope(job.trace);
@@ -197,7 +180,6 @@ impl<S> ShardExecutor<S> {
                     store,
                     tx: Some(tx),
                     worker: Some(worker),
-                    load,
                 }
             })
             .collect();
@@ -214,26 +196,6 @@ impl<S> ShardExecutor<S> {
         Ok(self.slot(shard)?.store.lock().is_poisoned())
     }
 
-    /// Jobs currently enqueued for `shard` and not yet picked up by its
-    /// worker.
-    pub fn queue_depth(&self, shard: usize) -> Result<usize, ExecError> {
-        Ok(self.slot(shard)?.load.depth.load(Ordering::Relaxed))
-    }
-
-    /// Exponentially-weighted moving average of work time on `shard`
-    /// (microseconds per worker job or [`ShardExecutor::run_here`]
-    /// call); the busy-time signal a load balancer acts on.
-    pub fn busy_ewma_us(&self, shard: usize) -> Result<u64, ExecError> {
-        Ok(self.slot(shard)?.store.lock().busy_ewma_us())
-    }
-
-    /// Jobs executed on `shard`'s worker so far — queue hops only:
-    /// [`ShardExecutor::run_here`] and [`ShardExecutor::with_shard`]
-    /// calls are not included.
-    pub fn jobs_run(&self, shard: usize) -> Result<u64, ExecError> {
-        Ok(self.slot(shard)?.load.jobs.load(Ordering::Relaxed))
-    }
-
     fn slot(&self, shard: usize) -> Result<&Slot<S>, ExecError> {
         self.slots.get(shard).ok_or(ExecError::NoSuchShard(shard))
     }
@@ -241,16 +203,12 @@ impl<S> ShardExecutor<S> {
     fn enqueue(&self, shard: usize, run: JobFn<S>) -> Result<(), ExecError> {
         let slot = self.slot(shard)?;
         let tx = slot.tx.as_ref().ok_or(ExecError::Shutdown)?;
-        slot.load.depth.fetch_add(1, Ordering::Relaxed);
         tx.send(Job {
             run,
             trace: obs::trace::current(),
             enqueued: Instant::now(),
         })
-        .map_err(|_| {
-            slot.load.depth.fetch_sub(1, Ordering::Relaxed);
-            ExecError::Shutdown
-        })
+        .map_err(|_| ExecError::Shutdown)
     }
 
     /// Enqueue `f` on `shard`'s worker. Blocks only if the shard's queue
@@ -283,10 +241,8 @@ impl<S> ShardExecutor<S> {
     /// worker job's panic isolation: a poisoned shard refuses, and a
     /// panic inside `f` poisons the shard and reports
     /// [`ExecError::Poisoned`] instead of unwinding into the caller. No
-    /// queue hop, no boxing — an uncontended mutex acquisition. The
-    /// call feeds the shard's busy EWMA like a job's; it is not a queue
-    /// hop, so neither [`ShardExecutor::jobs_run`] nor the `exec.jobs`
-    /// counter counts it.
+    /// queue hop, no boxing — an uncontended mutex acquisition. It is
+    /// not a queue hop, so the `exec.jobs` counter does not count it.
     ///
     /// It serializes with the shard's worker through the mutex but does
     /// not queue behind jobs waiting in the channel: callers that need

@@ -41,9 +41,6 @@ fn fan_out_runs_on_the_right_shards() {
     assert_eq!(exec.with_shard(4, |v| *v), Err(no_shard.clone()));
     assert_eq!(exec.submit(4, |v| *v).map(|_| ()), Err(no_shard.clone()));
     assert_eq!(exec.is_poisoned(4), Err(no_shard.clone()));
-    assert_eq!(exec.queue_depth(4), Err(no_shard.clone()));
-    assert_eq!(exec.busy_ewma_us(4), Err(no_shard.clone()));
-    assert_eq!(exec.jobs_run(4), Err(no_shard.clone()));
     assert_eq!(exec.replace_shard(4, 0), Err(no_shard));
 }
 
@@ -173,25 +170,18 @@ fn run_here_panic_poisons_the_shard_instead_of_unwinding() {
 }
 
 #[test]
-fn run_here_feeds_the_busy_average_but_counts_no_job() {
+fn run_here_counts_no_job() {
     let _turn = turn();
-    obs::set_enabled(true);
     let jobs = obs::registry().counter("exec.jobs");
     let exec = ShardExecutor::new(vec![(), ()]);
-    assert_eq!(exec.busy_ewma_us(1), Ok(0));
 
     let before = jobs.get();
     for _ in 0..4 {
-        exec.run_here(1, |_| std::thread::sleep(Duration::from_millis(2)))
-            .unwrap();
+        exec.run_here(1, |_| ()).unwrap();
     }
-    assert!(exec.busy_ewma_us(1).unwrap() > 0, "the lock hold was seen");
-    assert_eq!(exec.busy_ewma_us(0), Ok(0), "only on its own shard");
-    assert_eq!(exec.jobs_run(1), Ok(0), "no queue hop");
     assert_eq!(jobs.get(), before, "`exec.jobs` counts queue hops only");
 
-    // A queue hop counts on both.
+    // A queue hop counts.
     exec.submit(1, |_| ()).unwrap().wait().unwrap();
-    assert_eq!(exec.jobs_run(1), Ok(1));
     assert_eq!(jobs.get(), before + 1);
 }

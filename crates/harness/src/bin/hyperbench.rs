@@ -259,8 +259,8 @@ fn metrics_json(
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"shard\": {}, \"nodes\": {}, \"requests\": {}, \"queued\": {}, \"busy_us\": {}}}",
-                l.shard, l.nodes, l.requests, l.queued, l.busy_us
+                "{{\"shard\": {}, \"nodes\": {}, \"requests\": {}, \"migrated\": {}}}",
+                l.shard, l.nodes, l.requests, l.migrated
             ));
         }
         out.push_str("]}");

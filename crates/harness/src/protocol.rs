@@ -234,16 +234,9 @@ pub fn run_op<S: HyperStore + ?Sized>(
     // Per-op latency histograms, keyed by the paper's operation code
     // (`op.O10.cold_us`, ...). Handles are interned once per operation;
     // the per-rep record is a few atomic stores.
-    let (cold_hist, warm_hist) = if obs::enabled() {
-        let reg = obs::registry();
-        Some((
-            reg.histogram(&format!("op.{}.cold_us", op.code())),
-            reg.histogram(&format!("op.{}.warm_us", op.code())),
-        ))
-    } else {
-        None
-    }
-    .unzip();
+    let reg = obs::registry();
+    let cold_hist = reg.histogram(&format!("op.{}.cold_us", op.code()));
+    let warm_hist = reg.histogram(&format!("op.{}.warm_us", op.code()));
 
     // (e from the previous sequence / fresh start): ensure cold.
     store.commit()?;
@@ -257,9 +250,7 @@ pub fn run_op<S: HyperStore + ?Sized>(
         let t = Instant::now();
         cold_nodes += execute_once(store, op, input, rep, true)?;
         let took = t.elapsed();
-        if let Some(h) = &cold_hist {
-            h.record(took.as_micros() as u64);
-        }
+        cold_hist.record(took.as_micros() as u64);
         cold_samples.push(took);
     }
     // (c) commit.
@@ -275,9 +266,7 @@ pub fn run_op<S: HyperStore + ?Sized>(
         let t = Instant::now();
         warm_nodes += execute_once(store, op, input, rep, false)?;
         let took = t.elapsed();
-        if let Some(h) = &warm_hist {
-            h.record(took.as_micros() as u64);
-        }
+        warm_hist.record(took.as_micros() as u64);
         warm_samples.push(took);
     }
     store.commit()?;

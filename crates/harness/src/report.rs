@@ -196,14 +196,14 @@ pub fn render_shard_balance(loads: &[hypermodel::store::ShardLoad]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>6} {:>12} {:>12} {:>8} {:>10} {:>10}",
-        "shard", "nodes", "requests", "queued", "busy-us", "migrated"
+        "{:>6} {:>12} {:>12} {:>10}",
+        "shard", "nodes", "requests", "migrated"
     );
     for l in loads {
         let _ = writeln!(
             out,
-            "{:>6} {:>12} {:>12} {:>8} {:>10} {:>10}",
-            l.shard, l.nodes, l.requests, l.queued, l.busy_us, l.migrated
+            "{:>6} {:>12} {:>12} {:>10}",
+            l.shard, l.nodes, l.requests, l.migrated
         );
     }
     let skew = |values: Vec<u64>| -> f64 {
@@ -387,16 +387,12 @@ mod tests {
                 shard: 0,
                 nodes: 100,
                 requests: 300,
-                queued: 0,
-                busy_us: 12,
                 migrated: 6,
             },
             ShardLoad {
                 shard: 1,
                 nodes: 100,
                 requests: 100,
-                queued: 1,
-                busy_us: 9,
                 migrated: 0,
             },
         ];

@@ -5,7 +5,7 @@
 //! This is the e2e counterpart of `hyperbench run --skew zipf:<s>
 //! --rebalance`: the same [`rebalance_pass`] backs both the CLI and the
 //! integration test, so the acceptance bar ("the rebalancer
-//! measurably reduces the busy-time imbalance under skew, with the
+//! measurably reduces the request-count imbalance under skew, with the
 //! oracle sweep green afterwards") is exercised identically in both.
 
 use hypermodel::error::{HmError, Result};
@@ -96,14 +96,10 @@ pub fn rebalance_pass(
         .collect::<Result<_>>()?;
 
     // Two independent observers over the same cumulative counters: `rb`
-    // decides, `meter` only measures. Score by request counts alone so
-    // the experiment is reproducible — the busy-EWMA weight is wall
-    // clock, and a seeded workload should report a seeded imbalance.
-    // Prime both so the bulk load is not mistaken for traffic.
+    // decides, `meter` only measures. Prime both so the bulk load is not
+    // mistaken for traffic.
     let mut rb = Rebalancer::with_watermarks(1.2, 1.1);
-    rb.score_requests_only();
     let mut meter = Rebalancer::new();
-    meter.score_requests_only();
     let balance = |s: &ShardedStore<MemStore>| {
         s.shard_balance()
             .ok_or_else(|| HmError::Backend("sharded store reports no balance".into()))

@@ -67,10 +67,6 @@ fn loaded_pages<S: HyperStore>(db: &TestDatabase, mut store: S, file_size: fn(&S
 
 #[test]
 fn level_4_operation_runs_keep_their_storage_counters() {
-    assert!(
-        obs::enabled(),
-        "the registry is switched off (OBS_DISABLED=1)"
-    );
     let db = TestDatabase::generate(&GenConfig::level(4));
     let table = [
         ("disk --pool 64", run(&db, BackendSpec::Disk, 64)),

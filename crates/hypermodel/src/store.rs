@@ -49,13 +49,9 @@ pub fn unsupported(backend: &str, what: &str) -> HmError {
 ///
 /// `nodes` counts structure nodes placed on the shard; `requests` counts
 /// primitive requests the router issued to it. Their spread across shards
-/// is the balance/skew a placement policy is judged by. `queued` and
-/// `busy_us` describe the shard's executor at snapshot time: jobs waiting
-/// in its queue and an exponentially-weighted moving average of per-call
-/// busy time in microseconds. A replica group calls its members on the
-/// caller's thread: its `queued` is always 0, and its `busy_us` is the
-/// busiest member's EWMA, measured on the caller around each member
-/// call. Backends without a per-shard executor leave both at zero.
+/// is the balance/skew a placement policy is judged by, and the request
+/// count is the load signal the rebalancer acts on. All are counts, so a
+/// seeded workload reports the same loads on every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLoad {
     /// Shard index, `0..shard_count`.
@@ -64,10 +60,6 @@ pub struct ShardLoad {
     pub nodes: u64,
     /// Primitive requests routed to this shard so far.
     pub requests: u64,
-    /// Jobs waiting in the shard's executor queue right now.
-    pub queued: u64,
-    /// EWMA of per-job busy time on this shard's worker, in microseconds.
-    pub busy_us: u64,
     /// Nodes migrated onto or off this shard by the rebalancer.
     pub migrated: u64,
 }

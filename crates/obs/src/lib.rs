@@ -1,8 +1,8 @@
-//! # `obs` — metrics, tracing, and load accounting for the whole stack
+//! # `obs` — metrics and tracing for the whole stack
 //!
 //! The HyperModel paper is at bottom a measurement protocol; this crate
 //! is the measurement machinery for everything the workspace builds on
-//! top of it. Three pieces:
+//! top of it. Two pieces, always on:
 //!
 //! * a metrics core — striped lock-free [`Counter`]s, [`Gauge`]s, and
 //!   log-linear (HDR-style) latency [`Histogram`]s with p50/p95/p99/max,
@@ -11,11 +11,7 @@
 //! * span-based tracing ([`trace`]) — a thread-local trace id, minted at
 //!   the edge and propagated through executor job dispatch and across
 //!   the wire in the frame header, plus [`trace::span`] scopes that feed
-//!   `span.*` histograms and an optional in-memory span log;
-//! * cheap-when-off operation: every record path starts with one relaxed
-//!   load of the registry's enabled flag ([`enabled`]), so a disabled
-//!   registry costs a branch. Set `OBS_DISABLED=1` (checked once, at
-//!   first use) or call [`set_enabled`] to turn recording off.
+//!   `span.*` histograms and an optional in-memory span log.
 //!
 //! Metric names are dotted lowercase, `area.detail[_unit]`: e.g.
 //! `exec.dispatch_wait_us`, `loop.parks`, `shard.2pc.aborted`,
@@ -159,7 +155,6 @@ const SPAN_LOG_CAP: usize = 8192;
 /// The process-wide metric registry: named counters, gauges and
 /// histograms, plus the optional span log. Obtain it with [`registry`].
 pub struct Registry {
-    enabled: AtomicBool,
     record_spans: AtomicBool,
     span_seq: AtomicU64,
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -170,9 +165,7 @@ pub struct Registry {
 
 impl Registry {
     fn new() -> Registry {
-        let disabled = std::env::var_os("OBS_DISABLED").is_some_and(|v| v == "1");
         Registry {
-            enabled: AtomicBool::new(!disabled),
             record_spans: AtomicBool::new(false),
             span_seq: AtomicU64::new(0),
             counters: RwLock::new(BTreeMap::new()),
@@ -180,16 +173,6 @@ impl Registry {
             hists: RwLock::new(BTreeMap::new()),
             spans: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Whether record paths do anything. One relaxed load.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn recording on or off for the whole process.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     fn named<T>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str, mk: fn() -> T) -> Arc<T> {
@@ -406,43 +389,24 @@ pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::new)
 }
 
-/// Whether the global registry records anything (one relaxed load).
-pub fn enabled() -> bool {
-    registry().enabled()
-}
-
-/// Enable or disable the global registry.
-pub fn set_enabled(on: bool) {
-    registry().set_enabled(on);
-}
-
-/// Add `n` to the global counter `name` (no-op when disabled).
+/// Add `n` to the global counter `name`.
 ///
 /// Convenience for warm-but-not-scorching paths; per-event hot loops
 /// should cache [`Registry::counter`] handles instead.
 pub fn incr(name: &str, n: u64) {
-    let r = registry();
-    if r.enabled() {
-        r.counter(name).add(n);
-    }
+    registry().counter(name).add(n);
 }
 
-/// Set the global gauge `name` (no-op when disabled).
+/// Set the global gauge `name`.
 pub fn gauge_set(name: &str, v: i64) {
-    let r = registry();
-    if r.enabled() {
-        r.gauge(name).set(v);
-    }
+    registry().gauge(name).set(v);
 }
 
-/// Record `value` into the global histogram `name` (no-op when
-/// disabled). The unit is the histogram's own: microseconds for a
-/// latency, a count or a size otherwise.
+/// Record `value` into the global histogram `name`. The unit is the
+/// histogram's own: microseconds for a latency, a count or a size
+/// otherwise.
 pub fn observe(name: &str, value: u64) {
-    let r = registry();
-    if r.enabled() {
-        r.histogram(name).record(value);
-    }
+    registry().histogram(name).record(value);
 }
 
 #[cfg(test)]
@@ -498,19 +462,6 @@ mod tests {
         assert_eq!(d.counters["c"], 3);
         assert_eq!(d.hists["h"].count, 1);
         assert_eq!(d.hists["h"].sum, 20);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing_via_helpers() {
-        let r = Registry::new();
-        r.set_enabled(false);
-        assert!(!r.enabled());
-        // The free-function helpers consult the global registry; emulate
-        // their guard against this local one.
-        if r.enabled() {
-            r.counter("should-not-exist").incr();
-        }
-        assert!(r.snapshot().counters.is_empty());
     }
 
     #[test]

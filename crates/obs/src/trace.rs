@@ -97,9 +97,6 @@ pub struct Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let r = registry();
-        if !r.enabled() {
-            return;
-        }
         let dur_us = self.start.elapsed().as_micros() as u64;
         r.histogram(&format!("span.{}", self.name)).record(dur_us);
         r.push_span(current(), self.name, dur_us);

@@ -5,8 +5,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use obs::Registry;
-
 // Registry::new is crate-private; hammer the global one under unique
 // metric names so parallel tests don't interfere.
 fn unique(name: &str) -> String {
@@ -14,15 +12,9 @@ fn unique(name: &str) -> String {
     format!("test.{}.{}", name, SEQ.fetch_add(1, Ordering::Relaxed))
 }
 
-fn hammered_registry() -> &'static Registry {
-    let r = obs::registry();
-    r.set_enabled(true);
-    r
-}
-
 #[test]
 fn counter_snapshots_are_monotone_under_hammering() {
-    let r = hammered_registry();
+    let r = obs::registry();
     let name = unique("ctr");
     let counter = r.counter(&name);
     let stop = Arc::new(AtomicBool::new(false));
@@ -54,7 +46,7 @@ fn counter_snapshots_are_monotone_under_hammering() {
 
 #[test]
 fn histogram_snapshot_never_tears_under_hammering() {
-    let r = hammered_registry();
+    let r = obs::registry();
     let name = unique("hist");
     let hist = r.histogram(&name);
     let stop = Arc::new(AtomicBool::new(false));
@@ -103,7 +95,7 @@ fn histogram_snapshot_never_tears_under_hammering() {
 
 #[test]
 fn registry_snapshot_diff_windows_are_nonnegative() {
-    let r = hammered_registry();
+    let r = obs::registry();
     let name = unique("win");
     let counter = r.counter(&name);
     let stop = Arc::new(AtomicBool::new(false));

@@ -1,9 +1,8 @@
 //! Load-driven auto-rebalancing for a [`shard::ShardedStore`].
 //!
-//! The [`Rebalancer`] is a policy loop over two signals the store
-//! already maintains: the per-shard load report
-//! ([`HyperStore::shard_balance`] — `busy_us` EWMA, queue depth,
-//! request counts) and the per-subtree *touch counters*
+//! The [`Rebalancer`] is a policy loop over two counts the store
+//! already keeps: the per-shard request counts
+//! ([`HyperStore::shard_balance`]) and the per-subtree *touch counters*
 //! ([`ShardedStore::touch_counts`] — closure executions per start
 //! node). Each [`Rebalancer::run_once`] observes one window; when the
 //! load imbalance (max/mean) crosses the **high watermark**, the
@@ -59,9 +58,6 @@ pub struct Migration {
 pub struct Rebalancer {
     high: f64,
     low: f64,
-    /// Weight each window's request delta by the shard's busy-time
-    /// EWMA (the default). Off = score by request counts alone.
-    weight_busy: bool,
     /// Request counters at the previous observation, for windowed
     /// deltas (the counters themselves are cumulative).
     last_requests: Vec<u64>,
@@ -93,20 +89,10 @@ impl Rebalancer {
         Rebalancer {
             high,
             low,
-            weight_busy: true,
             last_requests: Vec::new(),
             active: false,
             migrations: 0,
         }
-    }
-
-    /// Score windows by request counts alone, without the busy-time
-    /// EWMA weight. The default weighting reflects what each request
-    /// actually cost, but the EWMA is wall-clock — deterministic
-    /// deployments (tests, reproducible soaks) can trade the cost
-    /// signal away for scores that depend only on the traffic itself.
-    pub fn score_requests_only(&mut self) {
-        self.weight_busy = false;
     }
 
     /// Migrations performed by this rebalancer so far.
@@ -115,12 +101,8 @@ impl Rebalancer {
     }
 
     /// Per-shard load score for one observation window: the requests
-    /// issued since the previous observation, weighted by the shard's
-    /// busy-time EWMA (µs of lock hold per job — how expensive each of
-    /// those requests was), plus its current queue backlog. The EWMA
-    /// alone is a *cost* signal, not a throughput one — an idle shard
-    /// keeps its stale average — so it only ever scales the window's
-    /// actual traffic.
+    /// issued since the previous observation. A count, not a time, so a
+    /// seeded workload scores the same on every run.
     fn window_scores(&mut self, loads: &[ShardLoad]) -> Vec<u64> {
         self.last_requests.resize(loads.len(), 0);
         loads
@@ -129,12 +111,7 @@ impl Rebalancer {
             .map(|(l, last)| {
                 let delta = l.requests.saturating_sub(*last);
                 *last = l.requests;
-                let weight = if self.weight_busy {
-                    l.busy_us.max(1)
-                } else {
-                    1
-                };
-                delta.saturating_mul(weight) + l.queued
+                delta
             })
             .collect()
     }
@@ -295,9 +272,7 @@ mod tests {
         let starts = closure_starts(&s, &r.oids, &db);
         let per_shard = one_start_per_shard(&mut s, &starts);
 
-        // The high watermark leaves room for µs-clock noise in the
-        // busy-EWMA weight: equal request deltas cannot cross it.
-        let mut rb = Rebalancer::with_watermarks(4.0, 1.1);
+        let mut rb = Rebalancer::with_watermarks(1.3, 1.1);
         rb.window_scores(&s.shard_balance().unwrap()); // consume loading
         s.reset_touches();
         for _ in 0..100 {
@@ -319,7 +294,6 @@ mod tests {
         let donor = s.owner_of(hot).unwrap();
 
         let mut rb = Rebalancer::with_watermarks(1.3, 1.1);
-        rb.score_requests_only(); // busy EWMA is wall-clock noise here
         rb.window_scores(&s.shard_balance().unwrap()); // consume loading
         s.reset_touches();
         for _ in 0..200 {
@@ -367,7 +341,6 @@ mod tests {
         };
 
         let mut rb = Rebalancer::with_watermarks(1.3, 1.1);
-        rb.score_requests_only(); // busy EWMA is wall-clock noise here
         rb.window_scores(&s.shard_balance().unwrap());
         s.reset_touches();
         let drive = |s: &mut ShardedStore<MemStore>| {
@@ -404,14 +377,11 @@ mod tests {
         let r = load_database(&mut s, &db).unwrap();
         let starts = closure_starts(&s, &r.oids, &db);
         // The windows below steer imbalance through request-count
-        // ratios (point reads land on the owning shard only), so score
-        // by requests alone — the busy-EWMA weight is wall-clock and
-        // would smear the bands on a loaded machine. The trigger
-        // window is nearly all-one-shard (imbalance ≈ 2.0 of a 2.0
-        // maximum) and the mid-band window is a 3:1 ratio (≈ 1.5),
+        // ratios (point reads land on the owning shard only). The
+        // trigger window is nearly all-one-shard (imbalance ≈ 2.0 of a
+        // 2.0 maximum) and the mid-band window is a 3:1 ratio (≈ 1.5),
         // inside (1.05, 1.9) by construction.
         let mut rb = Rebalancer::with_watermarks(1.9, 1.05);
-        rb.score_requests_only();
         rb.window_scores(&s.shard_balance().unwrap());
         s.reset_touches();
         // One closure records the migration candidate's touch; the

@@ -346,7 +346,14 @@ impl Coordinator {
                 HmError::Backend("prepare failed but no shard reported an error".into())
             }));
         }
-        log.record(txid, true)?;
+        // A decision that is not known to be durable is a phase two that
+        // failed on every shard: each stays prepared and down until
+        // `deliver` records the decision again and finishes it there.
+        if let Err(e) = log.record(txid, true) {
+            health.fill(false);
+            self.undelivered.fill(Some(txid));
+            return Err(e);
+        }
         obs::incr("shard.2pc.committed", 1);
         // Phase two: a failure here only marks the shard down, whatever
         // the error — the decision is durable, so the commit stands, and
@@ -373,7 +380,9 @@ impl Coordinator {
 
     /// Finish phase two on `shard` for the decision it missed, if any:
     /// the step [`crate::ShardedStore::revive_shard`] takes before it
-    /// re-admits the shard.
+    /// re-admits the shard. A decision whose record failed is recorded
+    /// first (at the offset the failed record was written to), so no
+    /// shard commits before the decision is durable.
     pub(crate) fn deliver<S: HyperStore + Send + 'static>(
         &mut self,
         exec: &ShardExecutor<S>,
@@ -382,6 +391,11 @@ impl Coordinator {
         let Some(txid) = self.undelivered.get(shard).copied().flatten() else {
             return Ok(());
         };
+        if let Some(log) = self.log.as_mut() {
+            if log.decision_for(txid) != Some(true) {
+                log.record(txid, true)?;
+            }
+        }
         exec.run_here(shard, |sh| sh.commit_prepared(txid))
             .map_err(ExecError::into_hm)??;
         self.undelivered[shard] = None;

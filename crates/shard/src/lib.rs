@@ -54,5 +54,5 @@ mod write;
 pub use coordinator::{recover_sharded, recover_sharded_in, CommitLog, ShardResolution};
 pub use remote::{connect_sharded, connect_sharded_replicated};
 pub use replica::ReplicaGroup;
-pub use router::{Placement, ShardRouter, GHOST_UID_BASE};
+pub use router::{Placement, ShardRouter, CUT_DEPTH, GHOST_UID_BASE};
 pub use store::ShardedStore;

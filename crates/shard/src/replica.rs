@@ -8,10 +8,10 @@
 //! each operation arrives as one request, routed by its catalogue class
 //! ([`Request::class`]):
 //!
-//! * a **read** goes to the healthy member with the lowest busy EWMA
-//!   (the time of its recent calls, measured here on the caller). A
-//!   transient failure demotes the member and the read fails over to
-//!   the next. A read served while member 0 is down is a failover read.
+//! * a **read** goes to the first healthy member: member 0 while it is
+//!   healthy. A transient failure demotes the member and the read fails
+//!   over to the next. A read served while member 0 is down is a
+//!   failover read.
 //! * a **write** goes to every healthy member in member order, and goes
 //!   on past a deterministic error on an earlier member, because a
 //!   partly applied `write_batch` must leave every mirror the same. A
@@ -31,7 +31,7 @@ use std::fmt;
 
 use hypermodel::error::{HmError, Result};
 use hypermodel::protocol::{Class, Request, Response};
-use hypermodel::store::{HyperStore, ShardLoad};
+use hypermodel::store::HyperStore;
 
 use exec::{Isolated, ShardExecutor};
 
@@ -122,12 +122,10 @@ impl<S: HyperStore> ReplicaGroup<S> {
         );
         // Pre-register the outcome counters so a scrape of a deployment
         // that never failed over still exports them at zero.
-        if obs::enabled() {
-            let reg = obs::registry();
-            reg.counter("shard.replica.failover_reads");
-            reg.counter("shard.replica.demotions");
-            reg.counter("shard.replica.repairs");
-        }
+        let reg = obs::registry();
+        reg.counter("shard.replica.failover_reads");
+        reg.counter("shard.replica.demotions");
+        reg.counter("shard.replica.repairs");
         let k = members.len();
         ReplicaGroup {
             name: members[0].backend_name(),
@@ -231,17 +229,13 @@ impl<S: HyperStore> ReplicaGroup<S> {
         })
     }
 
-    /// A read: served by the least-busy healthy member, failing over —
-    /// and demoting — on transient errors until the group is exhausted.
-    /// The request is copied only while a sibling could still take it
-    /// over.
+    /// A read: served by the first healthy member, failing over — and
+    /// demoting — on transient errors until the group is exhausted. The
+    /// request is copied only while a sibling could still take it over.
     fn read_one(&mut self, req: Request) -> Result<Response> {
         let mut req = Some(req);
         loop {
-            let m = (0..self.members.len())
-                .filter(|&m| self.health[m])
-                .min_by_key(|&m| (self.members[m].busy_ewma_us(), m))
-                .ok_or_else(no_replica)?;
+            let m = self.health.iter().position(|h| *h).ok_or_else(no_replica)?;
             if !self.health[0] {
                 self.failovers += 1;
                 obs::incr("shard.replica.failover_reads", 1);
@@ -370,25 +364,6 @@ impl<S: HyperStore> hypermodel::Service for ReplicaGroup<S> {
 
     fn backend_name(&self) -> &'static str {
         self.name
-    }
-
-    /// One entry, the group's own load: nothing is ever queued (members
-    /// are called on the caller), and the busy time is the busiest
-    /// member's EWMA (the group is as slow as its slowest mirror).
-    fn shard_balance(&self) -> Option<Vec<ShardLoad>> {
-        Some(vec![ShardLoad {
-            shard: 0,
-            nodes: 0,
-            requests: 0,
-            queued: 0,
-            busy_us: self
-                .members
-                .iter()
-                .map(Isolated::busy_ewma_us)
-                .max()
-                .unwrap_or(0),
-            migrated: 0,
-        }])
     }
 
     fn resilience_summary(&self) -> Option<String> {

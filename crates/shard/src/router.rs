@@ -34,29 +34,30 @@ use hypermodel::store::Reached;
 /// uid index.
 pub const GHOST_UID_BASE: u64 = 1 << 48;
 
+/// The deepest 1-N level [`Placement::SubtreeAffinity`] still hashes
+/// (the root is depth 0): the benchmark starts closures at level 3
+/// (depth 2), so cutting at depth 2 keeps every closure start's subtree
+/// on a single shard.
+pub const CUT_DEPTH: u32 = 2;
+
 /// How global ids map to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// `splitmix64(global) % n`: uniform, ignores structure. Best balance,
     /// but every 1-N subtree is scattered across all shards.
     OidHash,
-    /// Subtree affinity: nodes at 1-N depth ≤ `cut_depth` are hashed
+    /// Subtree affinity: nodes at 1-N depth ≤ [`CUT_DEPTH`] are hashed
     /// individually; deeper nodes inherit their parent's shard. Subtrees
-    /// rooted at `cut_depth` therefore stay whole on one shard — the
+    /// rooted at [`CUT_DEPTH`] therefore stay whole on one shard — the
     /// sharded analogue of the paper's §5.2 physical clustering, sized so
     /// the benchmark's level-3 closure starts land on subtree roots.
-    SubtreeAffinity {
-        /// Deepest 1-N level that is still hashed (root is depth 0).
-        cut_depth: u32,
-    },
+    SubtreeAffinity,
 }
 
 impl Placement {
-    /// The default affinity policy: the benchmark starts closures at
-    /// level 3 (depth 2), so cutting at depth 2 keeps every closure
-    /// start's subtree on a single shard.
+    /// The affinity policy, [`Placement::SubtreeAffinity`].
     pub fn affinity() -> Placement {
-        Placement::SubtreeAffinity { cut_depth: 2 }
+        Placement::SubtreeAffinity
     }
 }
 
@@ -192,13 +193,13 @@ impl ShardRouter {
                 let depth = parent.map_or(0, |p| self.depth_of(p).map_or(0, |d| d + 1));
                 (hashed, depth)
             }
-            Placement::SubtreeAffinity { cut_depth } => match parent {
+            Placement::SubtreeAffinity => match parent {
                 None => (hashed, 0),
                 Some(p) => match self.lookup(p) {
                     None => (hashed, 0),
                     Some(e) => {
                         let depth = e.depth + 1;
-                        if depth <= cut_depth {
+                        if depth <= CUT_DEPTH {
                             (hashed, depth)
                         } else {
                             // Inherit the parent's *current* shard: a

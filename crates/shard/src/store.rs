@@ -157,16 +157,14 @@ impl<S: HyperStore + Send + 'static> ShardedStore<S> {
         // metrics scrape of a deployment that never aborted (or never
         // migrated) still exports them at zero instead of omitting the
         // keys.
-        if obs::enabled() {
-            let reg = obs::registry();
-            reg.counter("shard.2pc.prepared");
-            reg.counter("shard.2pc.committed");
-            reg.counter("shard.2pc.aborted");
-            reg.counter("shard.rebalance.migrations");
-            reg.counter("shard.rebalance.moved_nodes");
-            reg.counter("shard.rebalance.aborts");
-            reg.gauge("shard.load.imbalance");
-        }
+        let reg = obs::registry();
+        reg.counter("shard.2pc.prepared");
+        reg.counter("shard.2pc.committed");
+        reg.counter("shard.2pc.aborted");
+        reg.counter("shard.rebalance.migrations");
+        reg.counter("shard.rebalance.moved_nodes");
+        reg.counter("shard.rebalance.aborts");
+        reg.gauge("shard.load.imbalance");
         ShardedStore {
             exec: ShardExecutor::new(shards),
             router: ShardRouter::new(n, placement),
@@ -605,27 +603,11 @@ impl<S: HyperStore + Send + 'static> hypermodel::Service for ShardedStore<S> {
     fn shard_balance(&self) -> Option<Vec<ShardLoad>> {
         Some(
             (0..self.router.shard_count())
-                .map(|s| {
-                    // A shard that is itself a deployment (a replica
-                    // group) reports the load of what is behind it.
-                    let behind = self
-                        .exec
-                        .with_shard(s, |sh| sh.shard_balance())
-                        .ok()
-                        .flatten()
-                        .unwrap_or_default();
-                    ShardLoad {
-                        shard: s,
-                        nodes: self.router.nodes[s],
-                        requests: self.router.requests[s],
-                        queued: behind.iter().map(|l| l.queued).sum::<u64>()
-                            + self.exec.queue_depth(s).unwrap_or(0) as u64,
-                        busy_us: behind
-                            .iter()
-                            .map(|l| l.busy_us)
-                            .fold(self.exec.busy_ewma_us(s).unwrap_or(0), u64::max),
-                        migrated: self.migrated[s],
-                    }
+                .map(|s| ShardLoad {
+                    shard: s,
+                    nodes: self.router.nodes[s],
+                    requests: self.router.requests[s],
+                    migrated: self.migrated[s],
                 })
                 .collect(),
         )

@@ -398,3 +398,90 @@ fn every_crash_state_recovers_each_transaction_on_both_shards_or_neither() {
         t.elapsed()
     );
 }
+
+/// Run `recover_sharded_in` on both shards of `files`, open them and read
+/// `hundred` of the node with unique id `uids[s]` on shard `s`.
+fn recovered_hundreds(files: Files, uids: [u64; 2]) -> [u32; 2] {
+    let fs = FakeFs::with_files(files);
+    let paths = shard_paths();
+    let [p0, p1] = [paths[0].as_path(), paths[1].as_path()];
+    recover_sharded_in(Arc::new(fs.clone()), &[p0, p1], Path::new(LOG)).unwrap();
+    [(p0, uids[0]), (p1, uids[1])].map(|(path, uid)| {
+        let mut shard = DiskStore::open_in(&fs, path, FRAMES).unwrap();
+        let oid = shard.lookup_unique(uid).unwrap();
+        shard.hundred_of(oid).unwrap()
+    })
+}
+
+#[test]
+fn a_failed_decision_record_leaves_every_shard_down_until_revived() {
+    let fs = FakeFs::default();
+    let [p0, p1] = shard_paths();
+    let shards = vec![
+        DiskStore::create_in(&fs, &p0, FRAMES).unwrap(),
+        DiskStore::create_in(&fs, &p1, FRAMES).unwrap(),
+    ];
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let mut store = ShardedStore::new(shards, Placement::OidHash, "sharded-disk")
+        .with_commit_log_in(vfs, Path::new(LOG))
+        .unwrap();
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let report = load_database(&mut store, &db).unwrap();
+    store.cold_restart().unwrap();
+    // The first node of each shard, with its unique id.
+    let first_on = |s| {
+        (report.oids.iter().enumerate())
+            .find(|&(_, &oid)| store.owner_of(oid) == Some(s))
+            .map(|(i, &oid)| (i as u64 + 1, oid))
+            .unwrap()
+    };
+    let nodes = [first_on(0), first_on(1)];
+    let uids = nodes.map(|(uid, _)| uid);
+
+    for (_, oid) in nodes {
+        store.set_hundred(oid, 4242).unwrap();
+    }
+    let log_len = || fs.file(Path::new(LOG)).unwrap().len();
+    let before = log_len();
+    fs.fail_next_sync(Path::new(LOG));
+    assert!(store.commit().is_err(), "the decision was not made durable");
+    assert_eq!(store.health(), [false, false], "every shard is prepared");
+    let [a, b] = recovered_hundreds(fs.files(), uids);
+    assert_eq!(
+        a, b,
+        "recovery puts the transaction on both shards or neither"
+    );
+
+    let since = fs.trace_len();
+    for s in 0..2 {
+        store.revive_shard(s).unwrap();
+    }
+    assert_eq!(store.health(), [true, true]);
+    // The revival rewrites the decision and syncs it before either shard
+    // writes its commit.
+    let trace = fs.trace_since(since);
+    let log_synced = trace
+        .iter()
+        .position(|op| matches!(op, Op::Sync(p) if p == Path::new(LOG)));
+    let shard_wrote = (trace.iter())
+        .position(|op| matches!(op, Op::Write { path, .. } if path != Path::new(LOG)));
+    assert!(
+        matches!((log_synced, shard_wrote), (Some(l), Some(w)) if l < w),
+        "decision synced at {log_synced:?}, first shard write at {shard_wrote:?}"
+    );
+    for (_, oid) in nodes {
+        assert_eq!(store.hundred_of(oid).unwrap(), 4242);
+    }
+    let log = fs.file(Path::new(LOG)).unwrap();
+    assert_eq!(log.len(), before + RECORD, "one record, written in place");
+    assert_eq!(log[before + 8], COMMIT);
+    assert_eq!(recovered_hundreds(fs.files(), uids), [4242; 2]);
+
+    // The shards left prepared no longer block a commit.
+    for (_, oid) in nodes {
+        store.set_hundred(oid, 4343).unwrap();
+    }
+    store.commit().unwrap();
+    assert_eq!(log_len(), before + 2 * RECORD);
+    assert_eq!(recovered_hundreds(fs.files(), uids), [4343; 2]);
+}

@@ -516,3 +516,92 @@ fn repair_crash_grid_is_exhaustively_enumerated() {
     }
     assert_eq!(scenarios, 16);
 }
+
+/// A mirror that logs every request it is asked to serve.
+struct Recorder {
+    inner: MemStore,
+    calls: Vec<Request>,
+}
+
+impl hypermodel::Service for Recorder {
+    fn call(&mut self, req: Request) -> Result<Response> {
+        self.calls.push(req.clone());
+        self.inner.call(req)
+    }
+
+    fn backend_name(&self) -> &'static str {
+        "recorder"
+    }
+}
+
+/// One read pass: a point read of every node, a closure from the root
+/// and a scan.
+fn read_pass(g: &mut ReplicaGroup<Recorder>, oids: &[hypermodel::model::Oid]) {
+    for &oid in oids {
+        g.hundred_of(oid).unwrap();
+    }
+    g.closure_1n(oids[0]).unwrap();
+    g.seq_scan_ten().unwrap();
+}
+
+/// The reads each member of `g` served since its log held `from[m]`
+/// requests.
+fn reads_since(g: &mut ReplicaGroup<Recorder>, from: &[usize]) -> Vec<usize> {
+    (0..g.member_count())
+        .map(|m| {
+            g.with_member(m, |r| {
+                let since = &r.calls[from[m]..];
+                since
+                    .iter()
+                    .filter(|req| req.class() == Class::Read)
+                    .count()
+            })
+            .unwrap()
+        })
+        .collect()
+}
+
+/// Loads a 3-mirror group, reads while it is healthy and again with
+/// member 0 down; returns each member's request log.
+fn routed_reads() -> Vec<Vec<Request>> {
+    let members = (0..3)
+        .map(|_| Recorder {
+            inner: MemStore::new(),
+            calls: Vec::new(),
+        })
+        .collect();
+    let mut g = ReplicaGroup::new(members);
+    let db = TestDatabase::generate(&GenConfig::tiny());
+    let oids = load_database(&mut g, &db).unwrap().oids;
+    let logs = |g: &mut ReplicaGroup<Recorder>| -> Vec<usize> {
+        (0..3)
+            .map(|m| g.with_member(m, |r| r.calls.len()).unwrap())
+            .collect()
+    };
+
+    let healthy = logs(&mut g);
+    read_pass(&mut g, &oids);
+    let served = reads_since(&mut g, &healthy);
+    assert!(served[0] > oids.len(), "{served:?}");
+    assert_eq!(served[1..], [0, 0], "a healthy group reads member 0 only");
+    assert_eq!(g.failover_reads(), 0);
+
+    g.mark_member_down(0);
+    let degraded = logs(&mut g);
+    read_pass(&mut g, &oids);
+    let after = reads_since(&mut g, &degraded);
+    assert_eq!(after, [0, served[0], 0], "member 1 takes every read");
+    assert_eq!(g.failover_reads(), served[0] as u64);
+
+    (0..3)
+        .map(|m| g.with_member(m, |r| r.calls.clone()).unwrap())
+        .collect()
+}
+
+/// Which mirror serves a read depends on member health alone: member 0
+/// while it is healthy, else the first healthy member — the same member
+/// for the same history on every run.
+#[test]
+fn reads_go_to_the_first_healthy_member() {
+    assert_eq!(routed_reads(), routed_reads());
+}

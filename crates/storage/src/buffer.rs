@@ -285,13 +285,6 @@ struct Counters {
     writebacks: Arc<obs::Counter>,
 }
 
-/// Add one to `counter` unless the registry is switched off.
-fn bump(counter: &obs::Counter) {
-    if obs::enabled() {
-        counter.incr();
-    }
-}
-
 /// An LRU page cache over a [`DiskManager`].
 pub struct BufferPool {
     disk: DiskManager,
@@ -391,12 +384,12 @@ impl BufferPool {
     pub(crate) fn fetch(&mut self, id: PageId) -> Result<usize> {
         if let Some(idx) = self.slot(id) {
             self.stats.hits += 1;
-            bump(&self.counters.hits);
+            self.counters.hits.incr();
             self.touch(idx);
             return Ok(idx);
         }
         self.stats.misses += 1;
-        bump(&self.counters.misses);
+        self.counters.misses.incr();
         // A full pool reads into the buffer of the page it evicts. A slot
         // whose read fails stays free.
         let idx = self.make_room()?;
@@ -620,7 +613,7 @@ impl BufferPool {
         if frame.id != FREE {
             self.table[frame.id.0 as usize] = ABSENT;
             self.stats.evictions += 1;
-            bump(&self.counters.evictions);
+            self.counters.evictions.incr();
         }
         frame.id = FREE;
         frame.last_used = 0;
@@ -686,7 +679,7 @@ impl BufferPool {
         }
         frame.unwritten = false;
         self.stats.writebacks += 1;
-        bump(&self.counters.writebacks);
+        self.counters.writebacks.incr();
         Ok(())
     }
 
